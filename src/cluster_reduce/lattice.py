@@ -3,9 +3,11 @@
 The algorithm works directly on the quadratic form: Gram-Schmidt data is kept
 in multiprecision floats while the accumulated basis change U is kept in exact
 integers, so U^T G U is exact in the congruence sense. Columns of U are the
-basis vectors. Deterministic conventions: size reduction rounds half to even,
-ties in the Lovasz comparison prefer not swapping, and the Gram-Schmidt data
-is recomputed from scratch every 32 swaps to stop drift.
+basis vectors. Deterministic conventions: size reduction rounds half-integers
+toward zero, where any mu within 2^(-prec/2) of a half-integer counts as one
+(so rounding noise cannot decide a tie), ties in the Lovasz comparison prefer
+not swapping, and the Gram-Schmidt data is recomputed from scratch every 32
+swaps to stop drift.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from ._precision import default_rank_tol, hermitian_cholesky
+from ._precision import default_rank_tol, half_eps, hermitian_cholesky
 from .errors import (
     ConvergenceError,
     DimensionError,
@@ -196,13 +198,20 @@ def _gso_from_gram(Gm):
     return mu, B
 
 
+def _round_half_toward_zero(x, tie):
+    """Nearest integer to x, rounding toward zero any x within ``tie`` of a
+    half-integer: sign(x) * ceil(|x| - 1/2 - tie)."""
+    q = int(mp.ceil(abs(x) - mp.mpf("0.5") - tie))
+    return -q if x < 0 else q
+
+
 def lll_reduce(G: GramMatrix, delta=0.99):
     """LLL reduction of a positive definite Gram matrix.
 
     Returns ``(reduced, U)`` with ``reduced = U^T G U`` satisfying size
-    reduction (|mu_ij| <= 1/2) and the Lovasz condition at ``delta``. U has
-    determinant +-1; callers needing determinant +1 may flip a column sign,
-    which preserves both conditions.
+    reduction (|mu_ij| <= 1/2 + 2^(-prec/2)) and the Lovasz condition at
+    ``delta``. U has determinant +-1; callers needing determinant +1 may flip
+    a column sign, which preserves both conditions.
     """
     if not isinstance(G, GramMatrix):
         G = GramMatrix(tuple(tuple(r) for r in G))
@@ -226,6 +235,7 @@ def lll_reduce(G: GramMatrix, delta=0.99):
 
     cur = fresh_gram()
     mu, B = _gso_from_gram(cur)
+    tie = half_eps()
     swaps = 0
     rounds = 0
     round_limit = 1000 * n * n * max(mp.mp.prec, 64)
@@ -240,8 +250,8 @@ def lll_reduce(G: GramMatrix, delta=0.99):
         # size-reduce column k; this leaves all Gram-Schmidt vectors and all
         # mu rows other than row k untouched, so only row k needs updating
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > mp.mpf("0.5"):
-                q = int(mp.nint(mu[k][j]))  # round half to even
+            q = _round_half_toward_zero(mu[k][j], tie)
+            if q:
                 for a in range(n):
                     U[a][k] -= q * U[a][j]
                 # b_k <- b_k - q b_j in the running Gram matrix

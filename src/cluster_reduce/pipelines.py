@@ -81,13 +81,16 @@ def _gram_height(G: GramMatrix):
 
 
 def _covariant_of_cluster(cluster, tol, max_iter, warm_start=True) -> CovariantResult:
+    """Descent covariant of a cluster the caller has already classified stable."""
     initial = None
     if warm_start and cluster.degree == cluster.n + 2:
         try:
             initial = simplex_covariant(cluster)
         except (DegeneratePositionError, DimensionError):
             initial = None
-    return minimize(cluster, tol=tol, max_iter=max_iter, initial=initial)
+    return minimize(
+        cluster, tol=tol, max_iter=max_iter, initial=initial, check_stability=False
+    )
 
 
 def reduce_cluster(

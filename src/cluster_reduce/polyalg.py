@@ -22,6 +22,7 @@ from ._precision import to_mpc, working_precision
 from .cluster_core import PointCluster, ProjectivePoint
 from .errors import (
     CommonComponentError,
+    ConvergenceError,
     DimensionError,
     EliminationError,
     InputFormatError,
@@ -474,13 +475,35 @@ def _horner_pair(coeffs, x):
     return p, dp
 
 
+def _at_rounding_level(p, abs_coeffs, x, bits):
+    """Stopping test of MPSolve: is |p(x)| within Horner's rounding error at x?
+
+    Evaluating p at x with unit roundoff u = 2^-bits is off by up to about
+    2d u sum |a_i| |x|^i, so once |p(x)| <= 4(d+1) u sum |a_i| |x|^i the point
+    x is an exact root of a polynomial whose coefficients differ from p's by
+    a few ulps, and no further iteration at this precision can improve it
+    (Bini & Fiorentino, Numer. Algorithms 23, 2000). ``abs_coeffs`` are the
+    descending |a_i|.
+    """
+    r = abs(x)
+    bound = mp.mpf(0)
+    for a in abs_coeffs:
+        bound = bound * r + a
+    return abs(p) <= 4 * len(abs_coeffs) * mp.ldexp(bound, -bits)
+
+
 def aberth_roots(coeffs, prec=None, maxsteps=500):
     """Aberth-Ehrlich simultaneous iteration for all complex roots.
 
     ``coeffs`` is a descending coefficient list (exact numbers or mpmath
     values) with nonzero leading coefficient. Returns raw root approximations
     without multiplicity post-processing. Works at ``prec`` bits plus guard
-    digits, followed by Newton polishing at the target precision.
+    digits, followed by a Newton polish at the same working precision.
+
+    A root stops once |p(z)| is within the rounding error of Horner's rule
+    at z (``_at_rounding_level``) or its correction falls below
+    2^-prec |z|. Raises ConvergenceError, with the current approximations as
+    ``best``, when some root meets neither test within ``maxsteps`` sweeps.
     """
     with working_precision(prec):
         target_prec = mp.mp.prec
@@ -496,7 +519,9 @@ def aberth_roots(coeffs, prec=None, maxsteps=500):
         if d == 0:
             return [mp.mpc(0)] * zero_roots
         with mp.workprec(target_prec + 20 + 2 * d):
+            bits = mp.mp.prec
             cs = [to_mpc(c) for c in coeffs]
+            abs_cs = [abs(c) for c in cs]
             z = _bini_initial_points(cs)
             eps = mp.mpf(2) ** (-target_prec)
             converged = [False] * d
@@ -508,7 +533,7 @@ def aberth_roots(coeffs, prec=None, maxsteps=500):
                     if converged[i]:
                         continue
                     p, dp = _horner_pair(cs, z[i])
-                    if p == 0:
+                    if _at_rounding_level(p, abs_cs, z[i], bits):
                         converged[i] = True
                         continue
                     if dp == 0:
@@ -533,16 +558,15 @@ def aberth_roots(coeffs, prec=None, maxsteps=500):
                     z[i] = z[i] - w
                     if abs(w) <= eps * max(mp.mpf(1), abs(z[i])):
                         converged[i] = True
+            if not all(converged):
+                missed = d - sum(converged)
+                raise ConvergenceError(
+                    f"{missed} of {d} roots did not converge in {maxsteps} Aberth sweeps",
+                    best=[mp.mpc(r) for r in z] + [mp.mpc(0)] * zero_roots,
+                )
             # Newton polish at full working precision
             for i in range(d):
-                for _ in range(6):
-                    p, dp = _horner_pair(cs, z[i])
-                    if dp == 0 or p == 0:
-                        break
-                    step = p / dp
-                    z[i] = z[i] - step
-                    if abs(step) <= eps * max(mp.mpf(1), abs(z[i])):
-                        break
+                z[i] = _newton_univariate(cs, z[i], bits, steps=6, eps=eps)
         return [mp.mpc(r) for r in z] + [mp.mpc(0)] * zero_roots
 
 
@@ -693,6 +717,14 @@ def binary_form_roots(F: MultiPoly, prec=None) -> PointCluster:
         return PointCluster(tuple(points))
 
 
+def _shears(rng, count):
+    """The identity, then random shears; each is built only once the one
+    before it has failed, so a seed always gives the same sequence."""
+    yield [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for _ in range(count - 1):
+        yield _random_shear(rng, 3)
+
+
 def _random_shear(rng, n):
     """Random unimodular integer matrix with entries in [-3, 3]."""
     while True:
@@ -703,12 +735,18 @@ def _random_shear(rng, n):
             return rows
 
 
-def _newton_univariate(coeffs, x0, bits, steps=60):
-    eps = mp.mpf(2) ** (-bits + 4)
+def _newton_univariate(coeffs, x0, bits, steps=60, eps=None):
+    """Newton's method from ``x0``, stopped by the same two tests as the
+    Aberth sweep: ``_at_rounding_level`` at ``bits``, or a correction below
+    ``eps`` |x| (default 2^(4-bits)). Returns the last iterate after at most
+    ``steps`` corrections."""
+    abs_coeffs = [abs(c) for c in coeffs]
+    if eps is None:
+        eps = mp.mpf(2) ** (-bits + 4)
     x = x0
     for _ in range(steps):
         p, dp = _horner_pair(coeffs, x)
-        if dp == 0:
+        if dp == 0 or _at_rounding_level(p, abs_coeffs, x, bits):
             break
         step = p / dp
         x = x - step
@@ -740,13 +778,10 @@ def curve_intersection(F: MultiPoly, G: MultiPoly, prec=None, seed=0, max_shears
     gcd_poly = sp.gcd(F.to_sympy(), G.to_sympy())
     if sp.Poly(gcd_poly, *sp.symbols("x0:3")).total_degree() > 0:
         raise CommonComponentError("curves share a common component")
-    rng = random.Random(seed)
-    shears = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
-    shears += [_random_shear(rng, 3) for _ in range(max_shears - 1)]
     with working_precision(prec):
         bits = mp.mp.prec
         last_error = None
-        for S in shears:
+        for S in _shears(random.Random(seed), max_shears):
             try:
                 return _intersect_with_shear(F, G, S, d1, d2, bits)
             except _ShearFailure as exc:

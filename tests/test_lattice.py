@@ -110,6 +110,19 @@ class TestLllReduce:
         with pytest.raises(ValueError):
             lll_reduce(GramMatrix(((1, 0), (0, 1))), delta=1.5)
 
+    @pytest.mark.parametrize("twice_mu", [1, 3, -3])
+    def test_size_reduction_tie_ignores_rounding_noise(self, twice_mu):
+        # basis b1 = (1, 0), b2 = (mu, 1): mu lands just above or just below
+        # a half-integer, as rounding noise would put it; both sides of the
+        # tie must round the same way, toward zero
+        transforms = []
+        for side in (1, -1):
+            mu = mp.mpf(twice_mu) / 2 + side * mp.mpf(2) ** -200
+            _, U = lll_reduce(GramMatrix(((1, mu), (mu, mu * mu + 1))))
+            transforms.append(U.matrix)
+        q = int(twice_mu / 2)
+        assert transforms[0] == transforms[1] == ((1, -q), (0, 1))
+
 
 class TestIsLllReduced:
     def test_identity_true(self):

@@ -276,6 +276,33 @@ class TestNodalCurves:
             reduce_ternary_form(F)
 
 
+class TestClassifyOnce:
+    """Each pipeline classifies its cluster once; minimize does not repeat it."""
+
+    @pytest.mark.parametrize(
+        "run, expected",
+        [
+            (lambda: reduce_cluster(cluster_of((3, 1, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 5, 1))), 1),
+            (lambda: reduce_binary_form(poly("x0^4 - 3 x0^2 x1^2 + x0 x1^3 + 2 x1^4", nvars=2)), 1),
+            (lambda: reduce_ternary_form(poly("x^3 + y^3 + z^3", nvars=3)), 1),
+            # one call on the base points plus one inside the binary-cubic reduction
+            (lambda: reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2), 2),
+        ],
+        ids=["cluster", "binary-quartic", "ternary-cubic", "pencil"],
+    )
+    def test_classify_calls(self, monkeypatch, run, expected):
+        from cluster_reduce import covariant, pipelines
+
+        calls = []
+        for module in (pipelines, covariant):
+            real = module.classify
+            monkeypatch.setattr(
+                module, "classify", lambda z, real=real: calls.append(z) or real(z)
+            )
+        run()
+        assert len(calls) == expected
+
+
 class TestPencilCubic:
     def test_reference_value(self):
         assert pencil_cubic(PENCIL_Q1, PENCIL_Q2) == PENCIL_CUBIC

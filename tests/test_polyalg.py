@@ -8,6 +8,7 @@ import pytest
 
 from cluster_reduce import (
     CommonComponentError,
+    ConvergenceError,
     EliminationError,
     InputFormatError,
     MultiPoly,
@@ -20,8 +21,9 @@ from cluster_reduce import (
     substitute,
     univariate_roots,
 )
+from cluster_reduce import polyalg
 
-from conftest import QUARTIC, QUARTIC_LLL, QUARTIC_REDUCED, PENCIL_CUBIC
+from conftest import PENCIL_CUBIC, PENCIL_Q1, PENCIL_Q2, QUARTIC, QUARTIC_LLL, QUARTIC_REDUCED
 
 
 def poly(text, nvars=None):
@@ -324,6 +326,24 @@ class TestCurveIntersection:
         mults = sorted(m for _, m, _ in rs.roots)
         assert mults == [1, 1, 2]
 
+    def test_no_random_shear_built_when_identity_works(self, monkeypatch):
+        calls = []
+        real = polyalg._random_shear
+        monkeypatch.setattr(
+            polyalg, "_random_shear", lambda rng, n: calls.append(n) or real(rng, n)
+        )
+        rs = curve_intersection(PENCIL_Q1, PENCIL_Q2)
+        assert rs.total_multiplicity == 4
+        assert calls == []
+
+    def test_lazy_shears_follow_the_seeded_sequence(self):
+        import random
+
+        rng = random.Random(5)
+        eager = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+        eager += [polyalg._random_shear(rng, 3) for _ in range(11)]
+        assert list(polyalg._shears(random.Random(5), 12)) == eager
+
     def test_shear_retry_when_projection_center_on_curve(self):
         # F vanishes at (1:0:0), so the identity projection is rejected and a
         # sheared coordinate system must be used
@@ -349,3 +369,32 @@ class TestAberthInternals:
     def test_leading_zero_rejected(self):
         with pytest.raises(InputFormatError):
             aberth_roots([mp.mpf(0), mp.mpf(1)], prec=50)
+
+    def test_quartic_hessian_resultant_stops_at_rounding_level(self):
+        # the degree-24 resultant of the reference quartic and its Hessian:
+        # conditioning eats the guard bits, so a correction-size test alone
+        # runs every root to maxsteps, while the Horner rounding test stops
+        # them all within 90 sweeps
+        import sympy as sp
+
+        R = resultant(QUARTIC, hessian(QUARTIC), 0).primitive()
+        coeffs = [0] * 25
+        for (_, b, _), c in R.terms:
+            coeffs[24 - b] += c
+        sqf = sp.Poly(coeffs, sp.Symbol("t")).sqf_part()
+        coeffs = [int(c) for c in sqf.all_coeffs()]
+        assert len(coeffs) == 25
+        roots = aberth_roots(coeffs, prec=424, maxsteps=150)
+        assert len(roots) == 24
+        with mp.workprec(424):
+            exact = [mp.mpc(c) for c in coeffs]
+            for r in roots:
+                assert polyalg._poly_residual(exact, r) < mp.mpf(2) ** -212
+
+    def test_nonconvergence_raises(self):
+        # (x - 1)(x - 2)...(x - 6): one sweep cannot converge every root
+        coeffs = [1, -21, 175, -735, 1624, -1764, 720]
+        with pytest.raises(ConvergenceError) as info:
+            aberth_roots(coeffs, prec=100, maxsteps=1)
+        assert "of 6 roots did not converge" in str(info.value)
+        assert len(info.value.best) == 6
