@@ -209,10 +209,12 @@ def reduce_pencil_cmd(input_path, prec, tol, delta, max_iter, seed, as_json, rep
         text = _read(input_path).strip()
         if text.startswith("{"):
             data = json.loads(text)
-            q1 = data["q1"]
-            q2 = data["q2"]
-            Q1 = cio.poly_from_json(q1) if isinstance(q1, dict) else cio.poly_from_any(str(q1), nvars=3)
-            Q2 = cio.poly_from_json(q2) if isinstance(q2, dict) else cio.poly_from_any(str(q2), nvars=3)
+            if "q1" not in data or "q2" not in data:
+                raise InputFormatError("pencil JSON needs fields 'q1' and 'q2'")
+            Q1, Q2 = (
+                cio.poly_from_json(q) if isinstance(q, dict) else cio.poly_from_any(str(q), nvars=3)
+                for q in (data["q1"], data["q2"])
+            )
         else:
             lines = [ln for ln in text.splitlines() if ln.strip()]
             if len(lines) != 2:

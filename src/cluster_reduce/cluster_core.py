@@ -376,9 +376,7 @@ def _phi_with_witness(cluster, k, rank_tol):
     max_size = min(k + 1, len(distinct))
     for size in range(1, max_size + 1):
         for subset in itertools.combinations(distinct, size):
-            basis, rank = _orthonormal_column_basis(list(subset), rank_tol)
-            if rank > k + 1:
-                continue
+            basis, _ = _orthonormal_column_basis(list(subset), rank_tol)
             hits = _points_in_span(cluster, basis, rank_tol)
             if len(hits) > best:
                 best = len(hits)
@@ -391,28 +389,14 @@ def _is_split(cluster, rank_tol):
 
     A cluster is split when two disjoint nonempty linear subspaces jointly
     contain it. That happens exactly when the points fail to span the ambient
-    space, or when some bipartition of the point multiset has rank-additive
-    spans. For large clusters the bipartition search is replaced by connected
-    components of the fundamental-circuit graph of the points' linear matroid,
-    which yields the same decomposition.
+    space, or when their linear matroid is disconnected. The components of
+    the matroid are the connected components of its fundamental-circuit
+    graph for any basis (Oxley, Matroid Theory, ch. 4), so one greedy basis
+    and one solve per remaining point decide the question for every m.
     """
     pts = list(cluster.points)
-    n1 = cluster.n + 1
-    total_rank = rank_of(pts, rank_tol)
-    if total_rank < n1:
+    if rank_of(pts, rank_tol) < cluster.n + 1:
         return True
-    m = len(pts)
-    if m == 1:
-        return False  # spans only if n = 0; handled above otherwise
-    if m <= 14:
-        for r in range(1, m // 2 + 1):
-            for part in itertools.combinations(range(m), r):
-                part_set = set(part)
-                A = [pts[i] for i in part]
-                B = [pts[i] for i in range(m) if i not in part_set]
-                if rank_of(A, rank_tol) + rank_of(B, rank_tol) == total_rank:
-                    return True
-        return False
     return len(_matroid_components(pts, rank_tol)) > 1
 
 
@@ -444,11 +428,7 @@ def _matroid_components(points, rank_tol):
         if ra != rb:
             parent[ra] = rb
 
-    basis_cols = mp.matrix(n1, len(basis_idx))
-    for j, bi in enumerate(basis_idx):
-        u = points[bi].unit()
-        for i in range(n1):
-            basis_cols[i, j] = u[i]
+    basis_cols = _column_matrix([points[j] for j in basis_idx])
     for i in range(m):
         if i in basis_idx:
             continue

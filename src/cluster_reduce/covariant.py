@@ -35,6 +35,7 @@ from ._precision import (
 from .cluster_core import (
     PointCluster,
     ScaledCluster,
+    _column_matrix,
     classify,
     normalize_cluster,
     rank_of,
@@ -410,14 +411,7 @@ def minimize(
 def _witness_from_subspace(cluster, witness_points):
     """Orthonormal basis adapted to the witness span, extended to C^(n+1)."""
     n1 = cluster.n + 1
-    cols = []
-    for p in witness_points:
-        cols.append(list(p.unit()))
-    A = mp.matrix(n1, len(cols))
-    for j, c in enumerate(cols):
-        for i in range(n1):
-            A[i, j] = c[i]
-    U, S, V = mp.svd_c(A)
+    U, S, V = mp.svd_c(_column_matrix(list(witness_points)))
     smax = S[0]
     k1 = sum(1 for s in S if s > default_rank_tol() * smax)
     # complete to a unitary basis: svd of the projector complement
@@ -485,11 +479,7 @@ def simplex_covariant(cluster: PointCluster, prec=None) -> HermitianForm:
             raise DimensionError(f"need exactly n+2 = {n + 2} points, got {m}")
         pts = cluster.points
         n1 = n + 1
-        A = mp.matrix(n1, n1)
-        for j, p in enumerate(pts[:n1]):
-            u = p.unit()
-            for i in range(n1):
-                A[i, j] = u[i]
+        A = _column_matrix(pts[:n1])
         if rank_of(list(pts[:n1])) < n1:
             raise DegeneratePositionError("the first n+1 points are linearly dependent")
         rhs = mp.matrix([[c] for c in pts[n1].unit()])

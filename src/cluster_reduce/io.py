@@ -14,7 +14,7 @@ import mpmath as mp
 
 from .cluster_core import PointCluster, ProjectivePoint
 from .covariant import CovariantResult, HermitianForm
-from .errors import InputFormatError
+from .errors import DimensionError, InputFormatError, InvalidPointError
 from .lattice import GramMatrix, UnimodularTransform
 from .polyalg import MultiPoly
 from .pipelines import ReductionReport
@@ -66,15 +66,18 @@ def cluster_from_json(data) -> PointCluster:
     try:
         n = int(data["n"])
         raw = data["points"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError("cluster JSON needs fields 'n' and 'points'") from exc
     points = []
-    for row in raw:
-        coords = tuple(_parse_complex(e) for e in row)
-        if len(coords) != n + 1:
-            raise InputFormatError(f"point {row!r} does not have n+1 = {n + 1} coordinates")
-        points.append(ProjectivePoint(coords))
-    return PointCluster(tuple(points))
+    try:
+        for row in raw:
+            coords = tuple(_parse_complex(e) for e in row)
+            if len(coords) != n + 1:
+                raise InputFormatError(f"point {row!r} does not have n+1 = {n + 1} coordinates")
+            points.append(ProjectivePoint(coords))
+        return PointCluster(tuple(points))
+    except (InvalidPointError, TypeError) as exc:
+        raise InputFormatError(f"bad cluster: {exc}") from exc
 
 
 # -- Hermitian forms and Gram matrices ---------------------------------------
@@ -150,14 +153,17 @@ def poly_from_json(data) -> MultiPoly:
     try:
         nvars = int(data["nvars"])
         raw = data["terms"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError("polynomial JSON needs fields 'nvars' and 'terms'") from exc
-    terms = {}
-    for t in raw:
-        exp = tuple(int(e) for e in t["exp"])
-        c = t["coeff"]
-        terms[exp] = terms.get(exp, 0) + (Fraction(c) if "/" in str(c) else int(c))
-    return MultiPoly(nvars, tuple(terms.items()))
+    try:
+        terms = {}
+        for t in raw:
+            exp = tuple(int(e) for e in t["exp"])
+            c = t["coeff"]
+            terms[exp] = terms.get(exp, 0) + (Fraction(c) if "/" in str(c) else int(c))
+        return MultiPoly(nvars, tuple(terms.items()))
+    except (KeyError, TypeError, ValueError, DimensionError) as exc:
+        raise InputFormatError(f"bad polynomial terms: {exc!r}") from exc
 
 
 def poly_from_any(text: str, nvars=None) -> MultiPoly:

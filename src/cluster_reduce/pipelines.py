@@ -22,8 +22,15 @@ from ._precision import (
     real_part,
     working_precision,
 )
-from .cluster_core import PointCluster, act, classify, normalize_cluster, rank_of
-from .covariant import CovariantResult, HermitianForm, grad_D, minimize, simplex_covariant
+from .cluster_core import PointCluster, act, classify, normalize_cluster
+from .covariant import (
+    CovariantResult,
+    HermitianForm,
+    eval_D,
+    grad_D,
+    minimize,
+    simplex_covariant,
+)
 from .errors import (
     DegeneratePencilError,
     DegeneratePositionError,
@@ -58,13 +65,9 @@ def _require_exact_integer(F: MultiPoly, what: str):
             raise InputFormatError(f"{what} must have integer coefficients")
 
 
-def _real_gram(z: HermitianForm, tol=None) -> GramMatrix:
+def _real_gram(z: HermitianForm) -> GramMatrix:
     M = z.mat()
-    if tol is None:
-        tol = default_rank_tol()
-    imag = max_imag_entry(M)
-    scale = max_abs_entry(M)
-    if imag > tol * (1 + scale):
+    if max_imag_entry(M) > default_rank_tol() * (1 + max_abs_entry(M)):
         raise RealityError(
             "covariant has a significant imaginary part; the input is not "
             "conjugation-fixed, so only the complex covariant is defined"
@@ -80,17 +83,57 @@ def _gram_height(G: GramMatrix):
     return max_abs_entry(M)
 
 
-def _covariant_of_cluster(cluster, tol, max_iter, warm_start=True) -> CovariantResult:
-    """Descent covariant of a cluster the caller has already classified stable."""
-    initial = None
-    if warm_start and cluster.degree == cluster.n + 2:
+def _reduce_core(cluster: PointCluster, what: str, tol, max_iter, delta):
+    """The reduction shared by every pipeline, for the cluster it has built.
+
+    Classifies the cluster and requires it stable and fixed by conjugation,
+    takes its covariant (closed form for n+2 points, descent otherwise), and
+    LLL-reduces the real Gram matrix. Returns (classification, covariant
+    result, G, reduced Gram, U); U comes from LLL unchanged.
+    """
+    cls = classify(cluster)
+    if not cls.is_stable:
+        raise StabilityError(
+            f"{what} is not stable", classification=cls, witness=cls.witness
+        )
+    if not cluster.is_conjugation_fixed():
+        raise RealityError(
+            f"{what} is not fixed by conjugation; only the complex covariant "
+            "is defined (no integral reduction)"
+        )
+    result = None
+    if cluster.degree == cluster.n + 2:
         try:
-            initial = simplex_covariant(cluster)
-        except (DegeneratePositionError, DimensionError):
-            initial = None
-    return minimize(
-        cluster, tol=tol, max_iter=max_iter, initial=initial, check_stability=False
-    )
+            z = simplex_covariant(cluster)
+        except DegeneratePositionError:
+            pass  # general position missed within tolerance: use the descent
+        else:
+            zc = normalize_cluster(cluster)
+            result = CovariantResult(
+                z=z,
+                theta=mp.e ** eval_D(zc, z),
+                iterations=0,
+                final_gradient_norm=grad_D(zc, z).norm(),
+            )
+    if result is None:
+        result = minimize(cluster, tol=tol, max_iter=max_iter, check_stability=False)
+    G = _real_gram(result.z)
+    reduced_gram, U = lll_reduce(G, delta=delta)
+    return cls, result, G, reduced_gram, U
+
+
+def _diagnostics(cls, result, before, after, residuals=(), **extra) -> dict:
+    return {
+        "precision": mp.mp.prec,
+        "iterations": result.iterations,
+        "gradient_norm": result.final_gradient_norm,
+        "residuals": tuple(residuals),
+        "stability": cls,
+        "height_before": before,
+        "height_after": after,
+        "height_warning": bool(after > before),
+        **extra,
+    }
 
 
 def reduce_cluster(
@@ -108,43 +151,25 @@ def reduce_cluster(
     act(cluster, U^(-T)), whose covariant is the reduced Gram.
     """
     with working_precision(prec):
-        cls = classify(cluster)
-        if not cls.is_stable:
-            raise StabilityError(
-                "cluster is not stable", classification=cls, witness=cls.witness
-            )
-        if not cluster.is_conjugation_fixed():
-            raise RealityError(
-                "cluster is not fixed by conjugation; compute the complex "
-                "covariant instead (no integral reduction is defined)"
-            )
-        result = _covariant_of_cluster(cluster, tol, max_iter)
-        G = _real_gram(result.z)
-        reduced_gram, U = lll_reduce(G, delta=delta)
+        cls, result, G, reduced_gram, U = _reduce_core(
+            cluster, "cluster", tol, max_iter, delta
+        )
         if U.det() == -1:
             U = U.negate_column(U.size - 1)
             reduced_gram = congruence(G, U)
-        reduced_cluster = act(cluster, U.inverse_transpose().mat())
-        height_before = _gram_height(G)
-        height_after = _gram_height(reduced_gram)
-        diagnostics = {
-            "precision": mp.mp.prec,
-            "iterations": result.iterations,
-            "gradient_norm": result.final_gradient_norm,
-            "residuals": (),
-            "stability": cls,
-            "height_before": height_before,
-            "height_after": height_after,
-            "height_warning": bool(height_after > height_before),
-            "theta": result.theta,
-        }
         return ReductionReport(
             kind="cluster",
             covariant=G,
             reduced_gram=reduced_gram,
             transform=U,
-            reduced=reduced_cluster,
-            diagnostics=diagnostics,
+            reduced=act(cluster, U.inverse_transpose().mat()),
+            diagnostics=_diagnostics(
+                cls,
+                result,
+                _gram_height(G),
+                _gram_height(reduced_gram),
+                theta=result.theta,
+            ),
         )
 
 
@@ -167,45 +192,17 @@ def reduce_binary_form(
         raise InputFormatError("need a homogeneous binary form of degree >= 3")
     with working_precision(prec):
         cluster = binary_form_roots(F)
-        if not cluster.is_conjugation_fixed():
-            raise RealityError("roots of a real form must be conjugation-closed")
-        cls = classify(cluster)
-        if not cls.is_stable:
-            raise StabilityError(
-                "root cluster is not stable (a root carries at least half "
-                "the degree)",
-                classification=cls,
-                witness=cls.witness,
-            )
-        if cluster.degree == 3:
-            z = simplex_covariant(cluster)
-            iterations = 0
-            gnorm = grad_D(normalize_cluster(cluster), z).norm()
-        else:
-            result = _covariant_of_cluster(cluster, tol, max_iter, warm_start=False)
-            z = result.z
-            iterations = result.iterations
-            gnorm = result.final_gradient_norm
-        G = _real_gram(z)
-        reduced_gram, U = lll_reduce(G, delta=delta)
+        cls, result, G, reduced_gram, U = _reduce_core(
+            cluster, "root cluster", tol, max_iter, delta
+        )
         reduced = substitute(F, U)
-        diagnostics = {
-            "precision": mp.mp.prec,
-            "iterations": iterations,
-            "gradient_norm": gnorm,
-            "residuals": (),
-            "stability": cls,
-            "height_before": F.height(),
-            "height_after": reduced.height(),
-            "height_warning": bool(reduced.height() > F.height()),
-        }
         return ReductionReport(
             kind="binary-form",
             covariant=G,
             reduced_gram=reduced_gram,
             transform=U,
             reduced=reduced,
-            diagnostics=diagnostics,
+            diagnostics=_diagnostics(cls, result, F.height(), reduced.height()),
             extras={"root_cluster": cluster},
         )
 
@@ -297,51 +294,25 @@ def reduce_quadric_pencil(
             raise DegeneratePencilError(
                 "pencil has fewer than four distinct base points"
             )
-        base_cluster = base.cluster()
-        if not base_cluster.is_conjugation_fixed():
-            raise RealityError("base points of a real pencil must be conjugation-closed")
-        cls = classify(base_cluster)
-        general = all(
-            rank_of(list(t)) == 3
-            for t in _triples(base_cluster.points)
+        # four stable points of P^2 are in general position, so the core
+        # takes the closed-form covariant
+        cls, result, G, reduced_gram, U = _reduce_core(
+            base.cluster(), "base point cluster", tol, max_iter, delta
         )
-        if general:
-            z = simplex_covariant(base_cluster)
-            iterations = 0
-            gnorm = grad_D(normalize_cluster(base_cluster), z).norm()
-        else:
-            if not cls.is_stable:
-                raise StabilityError(
-                    "base points are neither in general position nor stable",
-                    classification=cls,
-                    witness=cls.witness,
-                )
-            result = _covariant_of_cluster(base_cluster, tol, max_iter, warm_start=False)
-            z = result.z
-            iterations = result.iterations
-            gnorm = result.final_gradient_norm
-        G = _real_gram(z)
-        reduced_gram, U = lll_reduce(G, delta=delta)
         finals = (substitute(Q1p, U), substitute(Q2p, U))
-        height_before = max(Q1.height(), Q2.height())
-        height_after = max(f.height() for f in finals)
-        diagnostics = {
-            "precision": mp.mp.prec,
-            "iterations": iterations,
-            "gradient_norm": gnorm,
-            "residuals": tuple(r for _, _, r in base.roots),
-            "stability": cls,
-            "height_before": height_before,
-            "height_after": height_after,
-            "height_warning": bool(height_after > height_before),
-        }
         return ReductionReport(
             kind="quadric-pencil",
             covariant=G,
             reduced_gram=reduced_gram,
             transform=U,
             reduced=finals,
-            diagnostics=diagnostics,
+            diagnostics=_diagnostics(
+                cls,
+                result,
+                max(Q1.height(), Q2.height()),
+                max(f.height() for f in finals),
+                residuals=(r for _, _, r in base.roots),
+            ),
             pencil_transform=tuple(tuple(r) for r in W),
             extras={
                 "pencil_cubic": cubic,
@@ -350,14 +321,6 @@ def reduce_quadric_pencil(
                 "base_points": base,
             },
         )
-
-
-def _triples(points):
-    m = len(points)
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                yield (points[i], points[j], points[k])
 
 
 def reduce_ternary_form(
@@ -425,36 +388,23 @@ def reduce_ternary_form(
                 f"inflection count {len(pts)} does not match the expected {expected}"
             )
         cluster = PointCluster(tuple(pts))
-        cls = classify(cluster)
-        if not cls.is_stable:
-            raise StabilityError(
-                "inflection cluster is not stable",
-                classification=cls,
-                witness=cls.witness,
-            )
-        if not cluster.is_conjugation_fixed():
-            raise RealityError("inflection cluster is not conjugation-fixed")
-        result = _covariant_of_cluster(cluster, tol, max_iter, warm_start=False)
-        G = _real_gram(result.z)
-        reduced_gram, U = lll_reduce(G, delta=delta)
+        cls, result, G, reduced_gram, U = _reduce_core(
+            cluster, "inflection cluster", tol, max_iter, delta
+        )
         reduced = substitute(F, U)
-        diagnostics = {
-            "precision": mp.mp.prec,
-            "iterations": result.iterations,
-            "gradient_norm": result.final_gradient_norm,
-            "residuals": tuple(rr for _, _, rr in inflections),
-            "stability": cls,
-            "height_before": F.height(),
-            "height_after": reduced.height(),
-            "height_warning": bool(reduced.height() > F.height()),
-            "nodes": r,
-        }
         return ReductionReport(
             kind="ternary-form",
             covariant=G,
             reduced_gram=reduced_gram,
             transform=U,
             reduced=reduced,
-            diagnostics=diagnostics,
+            diagnostics=_diagnostics(
+                cls,
+                result,
+                F.height(),
+                reduced.height(),
+                residuals=(rr for _, _, rr in inflections),
+                nodes=r,
+            ),
             extras={"inflection_cluster": cluster, "hessian": H},
         )

@@ -18,7 +18,7 @@ from cluster_reduce import (
     phi,
 )
 
-from conftest import random_cluster, random_point, random_sl
+from conftest import random_cluster, random_point, random_sl, random_unimodular_int
 from oracles import oracle_classify, oracle_phi
 
 
@@ -226,13 +226,28 @@ class TestClassify:
         assert cls.is_split
         assert oracle_classify(Z)[0] is True
 
-    def test_matroid_component_path_matches_bipartition_path(self, rnd):
-        # force the large-m code path and compare against the oracle
-        from cluster_reduce.cluster_core import _is_split, _matroid_components
-        from cluster_reduce._precision import default_rank_tol
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_split_on_planted_direct_sums(self, rnd, n):
+        # points on two complementary coordinate subspaces, some repeated,
+        # moved by a unimodular integer matrix: split, although the points
+        # span; generic clusters of the same sizes are the non-split controls
+        def integer_point(support):
+            while True:
+                v = [rnd.randint(-3, 3) if i in support else 0 for i in range(n + 1)]
+                if any(v):
+                    return tuple(v)
 
-        for _ in range(5):
-            Z = random_cluster(rnd, 2, 5)
-            tol = default_rank_tol()
-            comp = len(_matroid_components(list(Z.points), tol)) > 1
-            assert comp == oracle_classify(Z)[0]
+        for _ in range(3):
+            a = rnd.randint(1, n)
+            sides = (range(a), range(a, n + 1))
+            pts = [tuple(int(i == j) for i in range(n + 1)) for j in range(n + 1)]
+            m = rnd.randint(n + 2, 8)
+            while len(pts) < m:
+                pts.append(rnd.choice(pts) if rnd.random() < 0.4 else integer_point(rnd.choice(sides)))
+            V = random_unimodular_int(rnd, n + 1, max_entry=30)
+            Z = act(cluster_of(*pts), [[mp.mpf(v) for v in row] for row in V])
+            assert oracle_classify(Z)[0] and classify(Z).is_split
+            control = cluster_of(
+                *(integer_point(range(n + 1)) for _ in range(len(pts)))
+            )
+            assert classify(control).is_split == oracle_classify(control)[0]

@@ -132,6 +132,32 @@ class TestCli:
         result = CliRunner().invoke(main, ["classify", path])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            ("reduce-binary", '{"nvars": 2, "terms": [{"exp": [3, 0], "coeff": "abc"}]}'),
+            ("reduce-binary", '{"nvars": 2, "terms": [{"coeff": "1"}]}'),
+            ("reduce-pencil", '{"q2": "x^2 + y^2 - z^2"}'),
+            ("classify", '{"n": 1, "points": [["0", "0"], ["1", "0"]]}'),
+            ("reduce-binary", '{"nvars": 2, "terms": [{"exp": [3], "coeff": "1"}]}'),
+            ("classify", '{"n": 1, "points": 3}'),
+        ],
+        ids=[
+            "bad-coefficient",
+            "term-without-exp",
+            "pencil-without-q1",
+            "zero-point",
+            "short-exponent",
+            "points-not-a-list",
+        ],
+    )
+    def test_malformed_input_one_line_exit_4(self, tmp_path, command, content):
+        path = self._write(tmp_path, "bad.json", content)
+        result = CliRunner().invoke(main, [command, path])
+        assert result.exit_code == 4
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:")
+
     def test_unstable_binary_exit_code(self, tmp_path):
         path = self._write(tmp_path, "bad.txt", "x0^2 x1")
         result = CliRunner().invoke(main, ["reduce-binary", path])

@@ -35,6 +35,7 @@ from conftest import (
     REDUCED_BINARY_CUBIC,
     matrices_close_mod_scaling,
     pair_matches_up_to_signed_permutation,
+    random_real_cluster,
     random_unimodular_int,
 )
 
@@ -94,6 +95,18 @@ class TestReduceCluster:
         Z = cluster_of((mp.mpc(0, 1), 1, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1))
         with pytest.raises(RealityError):
             reduce_cluster(Z)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_n_plus_2_points_take_the_closed_form(self, rnd, n):
+        from cluster_reduce import minimize, simplex_covariant
+
+        Z = random_real_cluster(rnd, n, n + 2)
+        report = reduce_cluster(Z)
+        assert report.diagnostics["iterations"] == 0
+        assert matrices_close_mod_scaling(
+            report.covariant.mat(), simplex_covariant(Z).mat(), mp.mpf("1e-20")
+        )
+        assert abs(report.diagnostics["theta"] - minimize(Z).theta) < mp.mpf("1e-20")
 
     def test_reduced_cluster_covariant_is_reduced_gram(self):
         # acting by U^(-T) moves the covariant to U^T G U
