@@ -12,12 +12,38 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import mpmath as mp
 
 from ._precision import default_rank_tol, to_mpc
 from .errors import DimensionError, InvalidPointError, SingularMatrixError
+
+
+def _dot(a, b):
+    """Hermitian inner product sum conj(a_i) b_i."""
+    return mp.fdot(b, a, conjugate=True)
+
+
+def _same_direction(a, b, tol):
+    """Projective equality of unit vectors: the sine of their angle is < tol."""
+    inner = _dot(a, b)
+    # sine of the angle as a projection residual (no cancellation)
+    resid2 = mp.fsum((y - inner * x for x, y in zip(a, b)), absolute=True, squared=True)
+    return mp.sqrt(resid2) < tol
+
+
+def _distinct(units, tol):
+    """Groups of projectively equal unit vectors, as [first index, multiplicity]."""
+    reps = []
+    for i, u in enumerate(units):
+        for rep in reps:
+            if _same_direction(u, units[rep[0]], tol):
+                rep[1] += 1
+                break
+        else:
+            reps.append([i, 1])
+    return reps
 
 
 @dataclass(frozen=True)
@@ -60,12 +86,7 @@ class ProjectivePoint:
             return False
         if tol is None:
             tol = default_rank_tol()
-        a = self.unit()
-        b = other.unit()
-        inner = sum(mp.conj(x) * y for x, y in zip(a, b))
-        # sine of the angle as a projection residual (no cancellation)
-        resid2 = sum(abs(y - inner * x) ** 2 for x, y in zip(a, b))
-        return mp.sqrt(resid2) < tol
+        return _same_direction(self.unit(), other.unit(), tol)
 
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
@@ -117,10 +138,13 @@ class PointCluster:
             return NotImplemented
         if self.n != other.n or self.degree != other.degree:
             return False
-        remaining = list(other.points)
+        if tol is None:
+            tol = default_rank_tol()
+        remaining = [q.unit() for q in other.points]
         for p in self.points:
-            for i, q in enumerate(remaining):
-                if p.is_same(q, tol=tol):
+            u = p.unit()
+            for i, v in enumerate(remaining):
+                if _same_direction(u, v, tol):
                     remaining.pop(i)
                     break
             else:
@@ -136,15 +160,10 @@ class PointCluster:
 
     def distinct_points(self, tol=None):
         """Representatives of the distinct points with their multiplicities."""
-        reps = []
-        for p in self.points:
-            for i, (q, m) in enumerate(reps):
-                if p.is_same(q, tol=tol):
-                    reps[i] = (q, m + 1)
-                    break
-            else:
-                reps.append((p, 1))
-        return reps
+        if tol is None:
+            tol = default_rank_tol()
+        units = [p.unit() for p in self.points]
+        return [(self.points[i], mult) for i, mult in _distinct(units, tol)]
 
     def __repr__(self):
         return "PointCluster(" + " + ".join(repr(p) for p in self.points) + ")"
@@ -301,53 +320,46 @@ def conjugate(cluster: PointCluster) -> PointCluster:
     return cluster.conjugate()
 
 
-def _column_matrix(points: Sequence[ProjectivePoint]):
-    n1 = points[0].n + 1
-    A = mp.matrix(n1, len(points))
-    for j, p in enumerate(points):
-        u = p.unit()
-        for i in range(n1):
-            A[i, j] = u[i]
-    return A
+def _column_matrix(vectors):
+    """Matrix whose columns are the given vectors."""
+    return mp.matrix([list(row) for row in zip(*vectors)])
 
 
-def _orthonormal_column_basis(points, rank_tol):
-    """Orthonormal basis (as matrix columns) of the span of the given points."""
-    A = _column_matrix(points)
-    U, S, V = mp.svd_c(A)
-    smax = S[0] if len(S) else mp.mpf(0)
-    rank = sum(1 for s in S if s > rank_tol * smax) if smax > 0 else 0
-    B = mp.matrix(A.rows, rank)
-    for j in range(rank):
-        for i in range(A.rows):
-            B[i, j] = U[i, j]
-    return B, rank
+def _adapted_basis(units, rank_tol):
+    """Unitary basis of C^(n+1) whose leading vectors span the given unit vectors.
 
-
-def _points_in_span(cluster, basis, rank_tol):
-    """Indices of cluster points within residual ``rank_tol`` of the span."""
-    n1 = cluster.n + 1
-    hits = []
-    for idx, p in enumerate(cluster.points):
-        u = list(p.unit())
-        # subtract the projection onto the span componentwise; this stays
-        # accurate when the residual is far below the working precision
-        for j in range(basis.cols):
-            c = sum(mp.conj(basis[i, j]) * u[i] for i in range(n1))
-            for i in range(n1):
-                u[i] -= c * basis[i, j]
-        resid2 = sum(abs(v) ** 2 for v in u)
-        if mp.sqrt(resid2) < rank_tol:
-            hits.append(idx)
-    return hits
+    Modified Gram-Schmidt with a second pass runs over the unit vectors and
+    then over e_0..e_n; a vector within ``rank_tol`` of the span so far adds
+    nothing. Returns ``(basis, kept)``: the first ``len(kept)`` basis vectors
+    span the input, so ``len(kept)`` is its numerical rank, and the rest span
+    the orthogonal complement. ``kept`` indexes the input vectors that added a
+    direction: a greedy basis of their linear matroid.
+    """
+    n1 = len(units[0])
+    axes = [tuple(mp.mpc(int(i == j)) for j in range(n1)) for i in range(n1)]
+    basis, kept = [], []
+    for idx, v in enumerate(list(units) + axes):
+        if len(basis) == n1:
+            break
+        w = list(v)
+        for _ in range(2):
+            for b in basis:
+                c = _dot(b, w)
+                w = [y - c * x for x, y in zip(b, w)]
+        nrm = mp.sqrt(mp.fsum(w, absolute=True, squared=True))
+        if nrm < rank_tol:
+            continue
+        basis.append([y / nrm for y in w])
+        if idx < len(units):
+            kept.append(idx)
+    return basis, kept
 
 
 def rank_of(points, rank_tol=None) -> int:
     """Numerical rank of the coordinate vectors of the given points."""
     if rank_tol is None:
         rank_tol = default_rank_tol()
-    _, r = _orthonormal_column_basis(list(points), rank_tol)
-    return r
+    return len(_adapted_basis([p.unit() for p in points], rank_tol)[1])
 
 
 def phi(cluster: PointCluster, k: int, rank_tol=None) -> int:
@@ -365,26 +377,40 @@ def phi(cluster: PointCluster, k: int, rank_tol=None) -> int:
         return cluster.degree
     if rank_tol is None:
         rank_tol = default_rank_tol()
-    count, _ = _phi_with_witness(cluster, k, rank_tol)
+    units = [p.unit() for p in cluster.points]
+    distinct = [i for i, _ in _distinct(units, rank_tol)]
+    count, _ = _phi_with_witness(units, distinct, k, rank_tol)
     return count
 
 
-def _phi_with_witness(cluster, k, rank_tol):
-    distinct = [p for p, _ in cluster.distinct_points(tol=rank_tol)]
+def _phi_with_witness(units, distinct, k, rank_tol):
+    """phi(k), and indices of distinct points spanning a subspace attaining it.
+
+    ``units`` are the cluster's unit vectors and ``distinct`` indexes one of
+    each group of equal points. Only subsets of min(k+1, #distinct) distinct
+    points are tried: extending a smaller subset by one more distinct point
+    spans a subspace containing the old one, so it never holds fewer points.
+    A point lies on the span when its components along the orthogonal
+    complement have squared norm below ``rank_tol**2``.
+    """
+    tol2 = rank_tol**2
     best = 0
     best_subset = None
-    max_size = min(k + 1, len(distinct))
-    for size in range(1, max_size + 1):
-        for subset in itertools.combinations(distinct, size):
-            basis, _ = _orthonormal_column_basis(list(subset), rank_tol)
-            hits = _points_in_span(cluster, basis, rank_tol)
-            if len(hits) > best:
-                best = len(hits)
-                best_subset = subset
+    for subset in itertools.combinations(distinct, min(k + 1, len(distinct))):
+        basis, kept = _adapted_basis([units[i] for i in subset], rank_tol)
+        complement = basis[len(kept):]
+        hits = sum(
+            1
+            for u in units
+            if mp.fsum((_dot(c, u) for c in complement), absolute=True, squared=True) < tol2
+        )
+        if hits > best:
+            best = hits
+            best_subset = subset
     return best, best_subset
 
 
-def _is_split(cluster, rank_tol):
+def _is_split(units, rank_tol):
     """Split detection.
 
     A cluster is split when two disjoint nonempty linear subspaces jointly
@@ -394,27 +420,19 @@ def _is_split(cluster, rank_tol):
     graph for any basis (Oxley, Matroid Theory, ch. 4), so one greedy basis
     and one solve per remaining point decide the question for every m.
     """
-    pts = list(cluster.points)
-    if rank_of(pts, rank_tol) < cluster.n + 1:
+    _, basis_idx = _adapted_basis(units, rank_tol)
+    if len(basis_idx) < len(units[0]):
         return True
-    return len(_matroid_components(pts, rank_tol)) > 1
+    return len(_matroid_components(units, basis_idx, rank_tol)) > 1
 
 
-def _matroid_components(points, rank_tol):
-    """Connected components of the linear matroid of the points.
+def _matroid_components(units, basis_idx, rank_tol):
+    """Connected components of the linear matroid of spanning unit vectors.
 
-    Builds a basis greedily, then links every non-basis point to the basis
-    points appearing in its fundamental circuit.
+    Links every vector outside the basis ``basis_idx`` to the basis vectors
+    appearing in its fundamental circuit.
     """
-    n1 = points[0].n + 1
-    m = len(points)
-    basis_idx = []
-    for i in range(m):
-        trial = [points[j] for j in basis_idx] + [points[i]]
-        if rank_of(trial, rank_tol) == len(trial):
-            basis_idx.append(i)
-        if len(basis_idx) == n1:
-            break
+    m = len(units)
     parent = list(range(m))
 
     def find(a):
@@ -428,12 +446,11 @@ def _matroid_components(points, rank_tol):
         if ra != rb:
             parent[ra] = rb
 
-    basis_cols = _column_matrix([points[j] for j in basis_idx])
+    basis_cols = _column_matrix([units[j] for j in basis_idx])
     for i in range(m):
         if i in basis_idx:
             continue
-        rhs = mp.matrix([[c] for c in points[i].unit()])
-        coeffs = mp.lu_solve(basis_cols, rhs) if len(basis_idx) == n1 else mp.qr_solve(basis_cols, rhs)[0]
+        coeffs = mp.lu_solve(basis_cols, mp.matrix(units[i]))
         for j, bi in enumerate(basis_idx):
             if abs(coeffs[j]) > rank_tol:
                 union(i, bi)
@@ -457,22 +474,22 @@ def classify(cluster: PointCluster, rank_tol=None) -> StabilityClass:
     stable = True
     witness = None
     margin = None
+    units = [p.unit() for p in cluster.points]
+    distinct = [i for i, _ in _distinct(units, rank_tol)]
     for k in range(0, n):
-        count, subset = _phi_with_witness(cluster, k, rank_tol)
+        count, subset = _phi_with_witness(units, distinct, k, rank_tol)
         lhs = (n + 1) * count
         rhs = (k + 1) * m
         slack = rhs - lhs
         if margin is None or slack < margin:
             margin = slack
+        if lhs > rhs or (lhs == rhs and stable):
+            stable = False
+            witness = SubspaceWitness(k, tuple(cluster.points[i] for i in subset), count)
         if lhs > rhs:
             semi = False
-            stable = False
-            witness = SubspaceWitness(k, tuple(subset or ()), count)
             break
-        if lhs == rhs and stable:
-            stable = False
-            witness = SubspaceWitness(k, tuple(subset or ()), count)
-    split = _is_split(cluster, rank_tol)
+    split = _is_split(units, rank_tol)
     if split:
         stable = False
     return StabilityClass(

@@ -35,6 +35,7 @@ from ._precision import (
 from .cluster_core import (
     PointCluster,
     ScaledCluster,
+    _adapted_basis,
     _column_matrix,
     classify,
     normalize_cluster,
@@ -408,26 +409,10 @@ def minimize(
         return result
 
 
-def _witness_from_subspace(cluster, witness_points):
+def _witness_from_subspace(witness_points):
     """Orthonormal basis adapted to the witness span, extended to C^(n+1)."""
-    n1 = cluster.n + 1
-    U, S, V = mp.svd_c(_column_matrix(list(witness_points)))
-    smax = S[0]
-    k1 = sum(1 for s in S if s > default_rank_tol() * smax)
-    # complete to a unitary basis: svd of the projector complement
-    P = mp.eye(n1)
-    for j in range(k1):
-        for a in range(n1):
-            for b in range(n1):
-                P[a, b] -= U[a, j] * mp.conj(U[b, j])
-    U2, S2, _ = mp.svd_c(P)
-    basis_cols = [[U[i, j] for i in range(n1)] for j in range(k1)]
-    for j in range(n1 - k1):
-        basis_cols.append([U2[i, j] for i in range(n1)])
-    basis_rows = tuple(
-        tuple(basis_cols[j][i] for j in range(n1)) for i in range(n1)
-    )
-    return DivergenceWitness(basis=basis_rows, subspace_dim=k1)
+    basis, kept = _adapted_basis([p.unit() for p in witness_points], default_rank_tol())
+    return DivergenceWitness(basis=tuple(zip(*basis)), subspace_dim=len(kept))
 
 
 def theta(zc: ScaledCluster, tol=None, max_iter=1000, prec=None) -> ThetaResult:
@@ -443,7 +428,7 @@ def theta(zc: ScaledCluster, tol=None, max_iter=1000, prec=None) -> ThetaResult:
         n1 = cluster.n + 1
         m = cluster.degree
         if not cls.is_semi_stable:
-            witness = _witness_from_subspace(cluster, cls.witness.spanning_points)
+            witness = _witness_from_subspace(cls.witness.spanning_points)
             return ThetaResult(value=mp.mpf(0), attained=False, stability=cls, witness=witness)
         if tol is None:
             tol = mp.mpf(10) ** -12
@@ -458,7 +443,7 @@ def theta(zc: ScaledCluster, tol=None, max_iter=1000, prec=None) -> ThetaResult:
         value = mp.e ** _current_D(L, zc.reps, m, n1)
         witness = None
         if cls.witness is not None:
-            witness = _witness_from_subspace(cluster, cls.witness.spanning_points)
+            witness = _witness_from_subspace(cls.witness.spanning_points)
             plateau = witness.distance_at(zc, mp.e ** mp.mpf(4 * mp.mp.prec))
             value = min(value, mp.e**plateau)
         return ThetaResult(value=value, attained=False, stability=cls, witness=witness)
@@ -477,20 +462,17 @@ def simplex_covariant(cluster: PointCluster, prec=None) -> HermitianForm:
         m = cluster.degree
         if m != n + 2:
             raise DimensionError(f"need exactly n+2 = {n + 2} points, got {m}")
-        pts = cluster.points
+        units = [p.unit() for p in cluster.points]
         n1 = n + 1
-        A = _column_matrix(pts[:n1])
-        if rank_of(list(pts[:n1])) < n1:
+        if rank_of(cluster.points[:n1]) < n1:
             raise DegeneratePositionError("the first n+1 points are linearly dependent")
-        rhs = mp.matrix([[c] for c in pts[n1].unit()])
-        coeff = mp.lu_solve(A, rhs)
+        coeff = mp.lu_solve(_column_matrix(units[:n1]), mp.matrix(units[n1]))
         if any(abs(coeff[i]) < default_rank_tol() for i in range(n1)):
             raise DegeneratePositionError("the last point lies in a coordinate subspace of the others")
         g = mp.matrix(n1, n1)
         for i in range(n1):
-            u = pts[i].unit()
             for j in range(n1):
-                g[i, j] = coeff[i] * u[j]
+                g[i, j] = coeff[i] * units[i][j]
         Q0 = mp.matrix(n1, n1)
         for i in range(n1):
             for j in range(n1):

@@ -34,7 +34,6 @@ from .covariant import (
 from .errors import (
     DegeneratePencilError,
     DegeneratePositionError,
-    DimensionError,
     InputFormatError,
     RealityError,
     StabilityError,
@@ -187,7 +186,7 @@ def reduce_binary_form(
     the form: reduced = F(U x).
     """
     if F.nvars != 2:
-        raise DimensionError("binary form must have 2 variables")
+        raise InputFormatError("binary form must have 2 variables")
     if not F.is_homogeneous() or F.total_degree() < 3:
         raise InputFormatError("need a homogeneous binary form of degree >= 3")
     with working_precision(prec):
@@ -342,7 +341,7 @@ def reduce_ternary_form(
     Default precision is 212 bits for degree <= 3 and 424 bits above.
     """
     if F.nvars != 3:
-        raise DimensionError("ternary form must have 3 variables")
+        raise InputFormatError("ternary form must have 3 variables")
     d = F.total_degree()
     if not F.is_homogeneous() or d < 3:
         raise InputFormatError("need a homogeneous ternary form of degree >= 3")

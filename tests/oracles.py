@@ -63,6 +63,14 @@ def oracle_phi(cluster, k):
     return best
 
 
+def oracle_count_on_span(cluster, spanning_points):
+    """Number of cluster points on the span of the given points."""
+    pts = _np_points(cluster)
+    gens = [np.array([complex(c) for c in p.unit()], dtype=complex) for p in spanning_points]
+    hits = _points_on_span(pts + gens, range(len(pts), len(pts) + len(gens)))
+    return sum(1 for i in hits if i < len(pts))
+
+
 def oracle_classify(cluster):
     """(is_split, is_semi_stable, is_stable) by exhaustive search."""
     pts = _np_points(cluster)

@@ -19,7 +19,7 @@ from cluster_reduce import (
 )
 
 from conftest import random_cluster, random_point, random_sl, random_unimodular_int
-from oracles import oracle_classify, oracle_phi
+from oracles import oracle_classify, oracle_count_on_span, oracle_phi
 
 
 def cluster_of(*coords):
@@ -158,6 +158,37 @@ class TestPhi:
             assert values[0] == 0
             assert values[-1] == Z.degree
             assert all(a <= b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize(
+        "n, k, planted",
+        [(2, 1, 3), (2, 1, 4), (3, 2, 4), (3, 2, 5), (3, 1, 3)],
+        ids=["collinear-3", "collinear-4", "coplanar-4", "coplanar-5", "p3-line-3"],
+    )
+    def test_planted_subspace_matches_oracle(self, rnd, n, k, planted):
+        # `planted` integer points on the coordinate subspace <e_0..e_k>, a few
+        # generic points and repeats, moved by a unimodular integer matrix
+        def integer_point(dim):
+            while True:
+                v = [rnd.randint(-5, 5) if i <= dim else 0 for i in range(n + 1)]
+                if any(v):
+                    return tuple(v)
+
+        for _ in range(3):
+            pts = [integer_point(k) for _ in range(planted)]
+            pts += [integer_point(n) for _ in range(rnd.randint(1, 3))]
+            pts += [rnd.choice(pts) for _ in range(rnd.randint(0, 2))]
+            V = random_unimodular_int(rnd, n + 1, max_entry=30)
+            Z = act(cluster_of(*pts), [[mp.mpf(v) for v in row] for row in V])
+            values = [phi(Z, j) for j in range(n)]
+            assert values == [oracle_phi(Z, j) for j in range(n)]
+            assert values[k] >= planted
+            cls = classify(Z)
+            assert (cls.is_split, cls.is_semi_stable, cls.is_stable) == oracle_classify(Z)
+            if cls.witness is not None:
+                w = cls.witness
+                assert len(w.spanning_points) <= w.dim + 1
+                assert w.contained == values[w.dim]
+                assert oracle_count_on_span(Z, w.spanning_points) == w.contained
 
 
 class TestClassify:

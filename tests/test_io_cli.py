@@ -141,6 +141,8 @@ class TestCli:
             ("classify", '{"n": 1, "points": [["0", "0"], ["1", "0"]]}'),
             ("reduce-binary", '{"nvars": 2, "terms": [{"exp": [3], "coeff": "1"}]}'),
             ("classify", '{"n": 1, "points": 3}'),
+            ("reduce-binary", '{"nvars": 3, "terms": [{"exp": [3, 0, 0], "coeff": "1"}]}'),
+            ("reduce-ternary", '{"nvars": 2, "terms": [{"exp": [3, 0], "coeff": "1"}]}'),
         ],
         ids=[
             "bad-coefficient",
@@ -149,6 +151,8 @@ class TestCli:
             "zero-point",
             "short-exponent",
             "points-not-a-list",
+            "binary-with-3-variables",
+            "ternary-with-2-variables",
         ],
     )
     def test_malformed_input_one_line_exit_4(self, tmp_path, command, content):

@@ -1,5 +1,7 @@
 """End-to-end pipelines: clusters, binary forms, pencils, ternary forms."""
 
+import random
+
 import mpmath as mp
 import pytest
 
@@ -314,6 +316,31 @@ class TestClassifyOnce:
             )
         run()
         assert len(calls) == expected
+
+
+class TestClassifyCost:
+    """One classify normalizes each point once and takes no SVD."""
+
+    def test_unit_vectors_once_and_no_svd(self, monkeypatch):
+        rnd = random.Random(24)
+        Z = cluster_of(*(tuple(rnd.randint(-9, 9) or 1 for _ in range(3)) for _ in range(24)))
+        calls = {"unit": 0, "svd": 0}
+        real_unit = ProjectivePoint.unit
+
+        def unit(self):
+            calls["unit"] += 1
+            return real_unit(self)
+
+        def svd(*args, **kwargs):
+            calls["svd"] += 1
+
+        monkeypatch.setattr(ProjectivePoint, "unit", unit)
+        for name in ("svd", "svd_c", "svd_r"):
+            monkeypatch.setattr(mp, name, svd)
+        cls = classify(Z)
+        assert cls.is_semi_stable
+        assert calls["unit"] <= 4 * Z.degree
+        assert calls["svd"] == 0
 
 
 class TestPencilCubic:
