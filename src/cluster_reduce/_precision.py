@@ -77,15 +77,13 @@ def hermitian_cholesky(A):
     fine; a nonpositive pivot raises ValueError.
     """
     n = A.rows
-    L = mp.matrix(n, n)
+    rows = [[] for _ in range(n)]  # rows[i] holds L[i, :j] at step j
     for j in range(n):
-        d = mp.re(A[j, j]) - mp.fsum(
-            (L[j, k] for k in range(j)), absolute=True, squared=True
-        )
+        d = mp.re(A[j, j]) - mp.fsum(rows[j], absolute=True, squared=True)
         if d <= 0:
             raise ValueError("matrix is not positive-definite")
-        L[j, j] = mp.sqrt(d)
+        ljj = mp.sqrt(d)
         for i in range(j + 1, n):
-            t = mp.fsum(L[i, k] * mp.conj(L[j, k]) for k in range(j))
-            L[i, j] = (A[i, j] - t) / L[j, j]
-    return L
+            rows[i].append((A[i, j] - mp.fdot(rows[i], rows[j], conjugate=True)) / ljj)
+        rows[j].append(ljj)
+    return mp.matrix([row + [0] * (n - len(row)) for row in rows])

@@ -6,15 +6,16 @@ distance is
     D = sum_j log( conj(P_j) Q P_j^T ) - m/(n+1) * log det Q .
 
 For a stable cluster D has a unique critical point on the determinant-1 slice;
-that minimizer is the covariant z(Z) and exp(min D) is theta. The minimizer is
-found by geodesic gradient descent: with Q = S^H S the curve
-lambda -> S^H exp(lambda B) S stays on the positive definite cone, and the
-gradient in this transported chart is
+that minimizer is the covariant z(Z) and exp(min D) is theta. With Q = S^H S
+the curve lambda -> S^H exp(lambda B) S is a geodesic, along which D is convex
+(Wiesel 2012). In this transported chart, with W_j = w_j w_j^H for the unit
+images w_j = S P_j^T / |S P_j^T|, the gradient and the Hessian are
 
-    G = sum_j u_j u_j^H / |u_j|^2 - m/(n+1) * I,      u_j = S P_j^T,
+    G = sum_j W_j - m/(n+1) * I,   H[B] = sum_j ((W_j B + B W_j)/2 - tr(B W_j) W_j).
 
-a trace-free Hermitian matrix whose Frobenius pairing with B gives the
-directional derivative of D.
+The minimizer is found by damped Riemannian Newton: solve H[B] = -G over a
+real basis of the trace-free Hermitian B, step along the geodesic with Armijo
+backtracking, and stop once the Frobenius norm of G is at most the tolerance.
 """
 
 from __future__ import annotations
@@ -243,6 +244,30 @@ def _log_det_from_cholesky(L):
     return 2 * mp.fsum(mp.log(mp.re(L[i, i])) for i in range(L.rows))
 
 
+def _images(L, reps):
+    """Unit images w_j = L^H P_j / |L^H P_j| and D at Q = L L^H."""
+    n1 = L.rows
+    cols = [[L[a, i] for a in range(n1)] for i in range(n1)]
+    ws, logs = [], []
+    for row in reps:
+        u = [mp.fdot(row, col, conjugate=True) for col in cols]
+        nrm2 = mp.fsum(u, absolute=True, squared=True)
+        ws.append([c / mp.sqrt(nrm2) for c in u])
+        logs.append(mp.log(nrm2))
+    return ws, mp.fsum(logs) - mp.mpf(len(reps)) / n1 * _log_det_from_cholesky(L)
+
+
+def _gradient(ws, n1):
+    """G = sum_j w_j w_j^H - m/(n+1) I for the unit images; returns (G, norm)."""
+    G = mp.matrix(n1, n1)
+    for a in range(n1):
+        for b in range(a, n1):
+            G[a, b] = mp.fdot([w[a] for w in ws], [w[b] for w in ws], conjugate=True)
+            G[b, a] = mp.conj(G[a, b])
+        G[a, a] = mp.re(G[a, a]) - mp.mpf(len(ws)) / n1
+    return G, frobenius_norm(G)
+
+
 def eval_D(zc: ScaledCluster, Q: HermitianForm):
     """Distance of a scaled cluster from a positive definite Hermitian form.
 
@@ -250,36 +275,9 @@ def eval_D(zc: ScaledCluster, Q: HermitianForm):
     log |lambda|^2.
     """
     M = Q.mat() if isinstance(Q, HermitianForm) else _as_mp_matrix(Q)
-    n1 = zc.n + 1
-    if M.rows != n1:
+    if M.rows != zc.n + 1:
         raise DimensionError("form size does not match cluster dimension")
-    L = _cholesky(M)
-    m = zc.degree
-    total = mp.mpf(0)
-    for row in zc.reps:
-        u = [sum(mp.conj(L[a, i]) * row[a] for a in range(n1)) for i in range(n1)]
-        total += mp.log(sum(abs(c) ** 2 for c in u))
-    return total - mp.mpf(m) / n1 * _log_det_from_cholesky(L)
-
-
-def _gradient_at(L, reps):
-    """Transported gradient at Q = L L^H for the given rows; returns (G, norm)."""
-    n1 = L.rows
-    m = len(reps)
-    G = mp.matrix(n1, n1)
-    for row in reps:
-        u = [sum(mp.conj(L[a, i]) * row[a] for a in range(n1)) for i in range(n1)]
-        nrm2 = sum(abs(c) ** 2 for c in u)
-        for a in range(n1):
-            ua = u[a]
-            for b in range(a, n1):
-                G[a, b] += ua * mp.conj(u[b]) / nrm2
-    for a in range(n1):
-        for b in range(a + 1, n1):
-            G[b, a] = mp.conj(G[a, b])
-    for a in range(n1):
-        G[a, a] -= mp.mpf(m) / n1
-    return G, frobenius_norm(G)
+    return _images(_cholesky(M), zc.reps)[1]
 
 
 def grad_D(zc: ScaledCluster, Q: HermitianForm) -> TangentDirection:
@@ -292,69 +290,103 @@ def grad_D(zc: ScaledCluster, Q: HermitianForm) -> TangentDirection:
     M = Q.mat() if isinstance(Q, HermitianForm) else _as_mp_matrix(Q)
     if M.rows != zc.n + 1:
         raise DimensionError("form size does not match cluster dimension")
-    L = _cholesky(M)
-    G, _ = _gradient_at(L, zc.reps)
+    G, _ = _gradient(_images(_cholesky(M), zc.reps)[0], M.rows)
     return TangentDirection(tuple(tuple(G[i, j] for j in range(G.cols)) for i in range(G.rows)))
 
 
-def _descent(reps, n1, tol, max_iter, initial=None, record=False):
-    """Geodesic gradient descent loop; returns (Q, L, gnorm, iters, transcript).
+def _trace_free_basis(n1):
+    """A real basis of the trace-free Hermitian matrices, each as (row, col, entry) triples."""
+    i = mp.mpc(0, 1)
+    basis = [((a, a, 1), (n1 - 1, n1 - 1, -1)) for a in range(n1 - 1)]
+    for a in range(n1):
+        for b in range(a + 1, n1):
+            basis.append(((a, b, 1), (b, a, 1)))
+            basis.append(((a, b, i), (b, a, -i)))
+    return basis
 
-    Steps Q <- S^H exp(-lambda G) S with Armijo backtracking on lambda,
-    renormalizing det Q to 1 after every step.
+
+def _newton_direction(ws, G, gnorm, basis):
+    """Newton direction B solving H[B] = -G, and the slope <G, B> of D along it.
+
+    In the basis E_k, H_kl = Re tr(M E_k E_l) - sum_j t_jk t_jl and g_k = sum_j t_jk
+    with M = sum_j W_j and t_jk = tr(E_k W_j). B = -G where the Cholesky
+    factorization of H fails or B is not a descent direction.
     """
-    m = len(reps)
+    n1 = G.rows
+    M = G + mp.mpf(len(ws)) / n1 * mp.eye(n1)
+    t = [[mp.re(mp.fsum(c * w[b] * mp.conj(w[a]) for a, b, c in E)) for w in ws] for E in basis]
+    d = len(basis)
+    H = mp.matrix(d, d)
+    for k, Ek in enumerate(basis):
+        for l in range(k, d):
+            H[k, l] = H[l, k] = mp.re(
+                mp.fsum(c * c2 * M[e, a] for a, b, c in Ek for b2, e, c2 in basis[l] if b2 == b)
+            ) - mp.fdot(t[k], t[l])
+    g = [mp.fsum(tk) for tk in t]
+    try:
+        C = hermitian_cholesky(H)
+    except ValueError:
+        return -G, -(gnorm**2)
+    y = []
+    for k in range(d):
+        y.append((-g[k] - mp.fdot((C[k, l], y[l]) for l in range(k))) / C[k, k])
+    x = [0] * d
+    for k in reversed(range(d)):
+        x[k] = (y[k] - mp.fdot((C[l, k], x[l]) for l in range(k + 1, d))) / C[k, k]
+    slope = mp.fdot(g, x)
+    if slope >= 0:
+        return -G, -(gnorm**2)
+    B = mp.matrix(n1, n1)
+    for xk, Ek in zip(x, basis):
+        for a, b, c in Ek:
+            B[a, b] += xk * c
+    return B, slope
+
+
+def _newton(reps, n1, tol, max_iter, initial=None, record=False):
+    """Damped Riemannian Newton loop; returns (Q, L, gnorm, iters, transcript).
+
+    Each step takes Q <- L exp(lambda B) L^H for the Newton direction B, with
+    Armijo backtracking from lambda = 1, and renormalizes det Q to 1.
+    """
     if initial is None:
-        Q = mp.eye(n1)
-    else:
-        d = mp.re(mp.det(initial))
-        Q = initial / mp.root(d, n1)
+        # one Tyler fixed-point step from the identity, where the rows span
+        try:
+            initial = hermitize((_gradient(reps, n1)[0] + mp.mpf(len(reps)) / n1 * mp.eye(n1)) ** -1)
+            _cholesky(initial)
+        except (ZeroDivisionError, NotPositiveDefiniteError):
+            initial = mp.eye(n1)
+    Q = initial / mp.root(mp.re(mp.det(initial)), n1)
     L = _cholesky(Q)
+    basis = _trace_free_basis(n1)
     transcript = []
-    gnorm = mp.mpf(0)
-    iters = 0
-    for it in range(max_iter):
-        iters = it
-        G, gnorm = _gradient_at(L, reps)
+    for it in range(max_iter + 1):
+        ws, D = _images(L, reps)
+        G, gnorm = _gradient(ws, n1)
         if record:
-            transcript.append((it, _current_D(L, reps, m, n1)))
-        if gnorm <= tol:
+            transcript.append((it, D))
+        if gnorm <= tol or it == max_iter:
             return Q, L, gnorm, it, transcript
-        ev, V = mp.eigh(G)
-        # W[j] = V^H u_j with u_j normalized; D along the ray needs only |W|^2
-        W2 = []
-        for row in reps:
-            u = [sum(mp.conj(L[a, i]) * row[a] for a in range(n1)) for i in range(n1)]
-            nrm2 = sum(abs(c) ** 2 for c in u)
-            w = [sum(mp.conj(V[a, i]) * u[a] for a in range(n1)) for i in range(n1)]
-            W2.append([abs(c) ** 2 / nrm2 for c in w])
+        B, slope = _newton_direction(ws, G, gnorm, basis)
+        ev, V = mp.eigh(B)
+        # the change of D along the geodesic, from |V^H w_j|^2 alone; expm1 and
+        # log1p keep it accurate relative to its size even where G is tiny
+        cols = [[V[a, i] for a in range(n1)] for i in range(n1)]
+        W2 = [[abs(mp.fdot(w, c, conjugate=True)) ** 2 for c in cols] for w in ws]
         lam = mp.mpf(1)
-        target = mp.mpf("0.25") * gnorm**2
         for _ in range(80):
-            val = mp.fsum(
-                mp.log(mp.fsum(mp.e ** (-lam * ev[i]) * w2[i] for i in range(n1)))
-                for w2 in W2
-            )
-            if val <= -lam * target:
+            val = mp.fsum(mp.log1p(mp.fsum(mp.expm1(lam * e) * p for e, p in zip(ev, w2))) for w2 in W2)
+            if mp.re(val) <= mp.mpf("0.25") * lam * slope:
                 break
             lam /= 2
-        # Q' = L V e^{-lam E} V^H L^H  =  (L V e^{-lam E / 2}) * (...)^H
-        half = mp.diag([mp.e ** (-lam * e / 2) for e in ev])
-        LVE = L * V * half
-        Q = LVE * LVE.transpose_conj()
-        d = mp.re(mp.det(Q))
-        Q = hermitize(Q / mp.root(d, n1))
-        L = _cholesky(Q)
-    G, gnorm = _gradient_at(L, reps)
-    return Q, L, gnorm, iters + 1, transcript
-
-
-def _current_D(L, reps, m, n1):
-    total = mp.fsum(
-        mp.log(sum(abs(sum(mp.conj(L[a, i]) * row[a] for a in range(n1))) ** 2 for i in range(n1)))
-        for row in reps
-    )
-    return total - mp.mpf(m) / n1 * _log_det_from_cholesky(L)
+        # Q' = L V e^{lam E} V^H L^H  =  (L V e^{lam E / 2}) * (...)^H
+        LVE = L * V * mp.diag([mp.exp(lam * e / 2) for e in ev])
+        try:
+            step = LVE * LVE.transpose_conj()
+            step = hermitize(step / mp.root(mp.re(mp.det(step)), n1))
+            Q, L = step, _cholesky(step)
+        except (ZeroDivisionError, NotPositiveDefiniteError):
+            return Q, L, gnorm, it, transcript  # D unbounded below, beyond precision
 
 
 def minimize(
@@ -369,9 +401,10 @@ def minimize(
     """Minimize D over determinant-1 Hermitian forms; returns the covariant.
 
     The input must be stable unless ``check_stability`` is disabled (useful to
-    observe divergence). ``initial`` optionally seeds the descent with a
-    positive definite matrix; the minimizer does not depend on it. theta is
-    reported for the unit-norm scaling of the cluster.
+    observe divergence). ``initial`` optionally seeds the solver with a
+    positive definite matrix (by default, one Tyler fixed-point step from the
+    identity); the minimizer does not depend on it. theta is reported for the
+    unit-norm scaling of the cluster.
     """
     with working_precision(prec):
         if check_stability:
@@ -382,28 +415,25 @@ def minimize(
                     classification=cls,
                     witness=cls.witness,
                 )
-        if tol is None:
-            tol = mp.mpf(10) ** -12
-        else:
-            tol = mp.mpf(tol)
+        tol = mp.mpf(10) ** -12 if tol is None else mp.mpf(tol)
         zc = normalize_cluster(cluster)
-        n1 = cluster.n + 1
-        init = None
-        if initial is not None:
-            init = initial.mat() if isinstance(initial, HermitianForm) else _as_mp_matrix(initial)
-        Q, L, gnorm, iters, transcript = _descent(
-            zc.reps, n1, tol, max_iter, initial=init, record=record_transcript
+        if isinstance(initial, HermitianForm):
+            initial = initial.mat()
+        elif initial is not None:
+            initial = _as_mp_matrix(initial)
+        Q, L, gnorm, iters, transcript = _newton(
+            zc.reps, cluster.n + 1, tol, max_iter, initial=initial, record=record_transcript
         )
         result = CovariantResult(
             z=HermitianForm.from_matrix(Q).normalized(),
-            theta=mp.e ** _current_D(L, zc.reps, cluster.degree, n1),
+            theta=mp.e ** _images(L, zc.reps)[1],
             iterations=iters,
             final_gradient_norm=gnorm,
             transcript=tuple(transcript) if record_transcript else None,
         )
         if gnorm > tol:
             raise ConvergenceError(
-                f"gradient norm {mp.nstr(gnorm, 8)} above tolerance after {max_iter} iterations",
+                f"gradient norm {mp.nstr(gnorm, 8)} above tolerance after {iters} iterations",
                 best=result,
             )
         return result
@@ -418,29 +448,25 @@ def _witness_from_subspace(witness_points):
 def theta(zc: ScaledCluster, tol=None, max_iter=1000, prec=None) -> ThetaResult:
     """Infimum of exp(D) for the given scaling, with degenerate cases flagged.
 
-    Stable input: the attained minimum. Semi-stable but not stable: a descent
-    estimate of the non-attained infimum. Unstable: value 0 together with a
+    Stable input: the attained minimum. Semi-stable but not stable: the
+    non-attained infimum, estimated by the same solver as :func:`minimize`
+    and by the witness family. Unstable: value 0 together with a
     witness family along which D diverges to -infinity.
     """
     with working_precision(prec):
         cluster = zc.cluster()
         cls = classify(cluster)
-        n1 = cluster.n + 1
-        m = cluster.degree
         if not cls.is_semi_stable:
             witness = _witness_from_subspace(cls.witness.spanning_points)
             return ThetaResult(value=mp.mpf(0), attained=False, stability=cls, witness=witness)
         if tol is None:
             tol = mp.mpf(10) ** -12
+        _, L, _, _, _ = _newton(normalize_cluster(cluster).reps, cluster.n + 1, tol, max_iter)
+        value = mp.e ** _images(L, zc.reps)[1]
         if cls.is_stable:
-            _, L, gnorm, _, _ = _descent(normalize_cluster(cluster).reps, n1, tol, max_iter)
-            value = mp.e ** _current_D(L, zc.reps, m, n1)
             return ThetaResult(value=value, attained=True, stability=cls)
-        # semi-stable, not stable: the infimum is not attained; estimate it
-        # from the descent and from the witness family, which decreases to
-        # its plateau (D is convex and bounded along that geodesic)
-        _, L, gnorm, _, _ = _descent(normalize_cluster(cluster).reps, n1, tol, max_iter)
-        value = mp.e ** _current_D(L, zc.reps, m, n1)
+        # semi-stable, not stable: the infimum is not attained; the witness
+        # family decreases to it (D is convex and bounded along that geodesic)
         witness = None
         if cls.witness is not None:
             witness = _witness_from_subspace(cls.witness.spanning_points)

@@ -17,6 +17,7 @@ import sympy as sp
 
 from ._precision import (
     default_rank_tol,
+    half_eps,
     max_abs_entry,
     max_imag_entry,
     real_part,
@@ -86,9 +87,10 @@ def _reduce_core(cluster: PointCluster, what: str, tol, max_iter, delta):
     """The reduction shared by every pipeline, for the cluster it has built.
 
     Classifies the cluster and requires it stable and fixed by conjugation,
-    takes its covariant (closed form for n+2 points, descent otherwise), and
-    LLL-reduces the real Gram matrix. Returns (classification, covariant
-    result, G, reduced Gram, U); U comes from LLL unchanged.
+    takes its covariant (closed form for n+2 points, damped Riemannian Newton
+    in :func:`minimize` otherwise), and LLL-reduces the real Gram matrix.
+    Returns (classification, covariant result, G, reduced Gram, U); U comes
+    from LLL unchanged.
     """
     cls = classify(cluster)
     if not cls.is_stable:
@@ -105,7 +107,7 @@ def _reduce_core(cluster: PointCluster, what: str, tol, max_iter, delta):
         try:
             z = simplex_covariant(cluster)
         except DegeneratePositionError:
-            pass  # general position missed within tolerance: use the descent
+            pass  # general position missed within tolerance: use the solver
         else:
             zc = normalize_cluster(cluster)
             result = CovariantResult(
@@ -115,6 +117,8 @@ def _reduce_core(cluster: PointCluster, what: str, tol, max_iter, delta):
                 final_gradient_norm=grad_D(zc, z).norm(),
             )
     if result is None:
+        if tol is None:
+            tol = half_eps() ** 1.5  # well inside LLL's 2^(-prec/2) tie window
         result = minimize(cluster, tol=tol, max_iter=max_iter, check_stability=False)
     G = _real_gram(result.z)
     reduced_gram, U = lll_reduce(G, delta=delta)
@@ -182,8 +186,8 @@ def reduce_binary_form(
     """Reduce a binary form through the covariant of its root cluster in P^1.
 
     Cubics use the closed-form covariant of three points in general position;
-    higher degrees run the descent. The returned transform U substitutes into
-    the form: reduced = F(U x).
+    higher degrees run the covariant solver. The returned transform U
+    substitutes into the form: reduced = F(U x).
     """
     if F.nvars != 2:
         raise InputFormatError("binary form must have 2 variables")

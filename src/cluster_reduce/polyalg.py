@@ -682,9 +682,6 @@ class RootSet:
             pts.extend([p] * m)
         return PointCluster(tuple(pts))
 
-    def max_residual(self):
-        return max((r for _, _, r in self.roots), default=mp.mpf(0))
-
 
 def binary_form_roots(F: MultiPoly, prec=None) -> PointCluster:
     """Root cluster in P^1 of a binary form, multiplicities included.

@@ -2,9 +2,9 @@
 
 These deliberately use different arithmetic and different enumeration
 strategies than the library: numpy double precision for the stability
-classifier and the bounded unimodular search, plain finite differences for
-derivatives. They must never share code paths with the implementation they
-check.
+classifier, the bounded unimodular search and Tyler's fixed point for the
+covariant, plain finite differences for derivatives. They must never share
+code paths with the implementation they check.
 """
 
 import itertools
@@ -101,6 +101,30 @@ def oracle_classify(cluster):
     if split:
         stable = False
     return split, semi, stable
+
+
+def oracle_tyler_covariant(cluster, tol=1e-13, max_iter=100000):
+    """Covariant of a stable cluster by Tyler's fixed-point iteration (numpy).
+
+    The stationarity condition of D, sum_j x_j x_j^H / (x_j^H Q x_j) =
+    m/(n+1) Q^(-1), is the fixed-point equation of Tyler's M-estimator of
+    scatter S = Q^(-1) (Tyler 1987). Iterates
+    Q <- (sum_j x_j x_j^H / (x_j^H Q x_j))^(-1) on the unit points, scaled to
+    trace 1, until no entry moves by ``tol`` or more.
+    """
+    X = np.array(_np_points(cluster))
+    m, n1 = X.shape
+    Q = np.eye(n1, dtype=complex) / n1
+    for _ in range(max_iter):
+        weights = np.real(np.einsum("ja,ab,jb->j", X.conj(), Q, X))
+        scatter = (X.T / weights) @ X.conj()
+        Q_next = np.linalg.inv(scatter)
+        Q_next = (Q_next + Q_next.conj().T) / 2
+        Q_next /= np.real(np.trace(Q_next))
+        if np.abs(Q_next - Q).max() < tol:
+            return Q_next
+        Q = Q_next
+    raise ArithmeticError("Tyler iteration did not converge")
 
 
 def oracle_best_diagonal(G, bound=3):

@@ -1,5 +1,7 @@
 """Distance function, gradient, minimizer, theta, closed form."""
 
+import random
+
 import mpmath as mp
 import pytest
 
@@ -29,7 +31,12 @@ from conftest import (
     random_sl,
     random_trace_free_hermitian,
 )
-from oracles import fd_directional_derivative, fd_second_difference, transported_curve
+from oracles import (
+    fd_directional_derivative,
+    fd_second_difference,
+    oracle_tyler_covariant,
+    transported_curve,
+)
 
 
 def cluster_of(*coords):
@@ -40,6 +47,30 @@ def standard_simplex(n):
     pts = [tuple(1 if i == j else 0 for j in range(n + 1)) for i in range(n + 1)]
     pts.append(tuple(1 for _ in range(n + 1)))
     return cluster_of(*pts)
+
+
+def _tyler_cases():
+    """Seeded stable clusters with m > n+2 points, half of them conjugation-fixed."""
+    rnd = random.Random(7007)
+    cases = []
+    for n in (1, 2, 3):
+        for m in (n + 3, n + 5):
+            for make in (random_cluster, random_real_cluster):
+                Z = make(rnd, n, m)
+                while not classify(Z).is_stable:
+                    Z = make(rnd, n, m)
+                cases.append(pytest.param(Z, id=f"n{n}-m{m}-{make.__name__}"))
+    return cases
+
+
+TYLER_CASES = _tyler_cases()
+
+SEMI_STABLE_CASES = [
+    cluster_of((1, 0), (1, 0), (0, 1), (1, 1)),
+    cluster_of((1, 0), (1, 0), (0, 1), (0, 1)),
+    cluster_of((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)),
+    cluster_of((1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (0, 0, 1), (1, 1, 1)),
+]
 
 
 def q0_matrix(n):
@@ -191,9 +222,25 @@ class TestMinimize:
         imag = max(abs(mp.im(v)) for row in res.z.matrix for v in row)
         assert imag < mp.mpf("1e-8")
 
+    @pytest.mark.parametrize("Z", TYLER_CASES)
+    def test_matches_tyler_fixed_point(self, Z):
+        res = minimize(Z)
+        assert matrices_close_mod_scaling(
+            res.z.mat(), mp.matrix(oracle_tyler_covariant(Z).tolist()), mp.mpf("1e-8")
+        )
+
+    @pytest.mark.parametrize("Z", TYLER_CASES)
+    def test_transcript_monotone_in_few_newton_steps(self, Z):
+        res = minimize(Z, record_transcript=True)
+        assert res.iterations <= 12
+        values = [D for _, D in res.transcript]
+        assert [it for it, _ in res.transcript] == list(range(res.iterations + 1))
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        assert abs(values[-1] - mp.log(res.theta)) < mp.mpf("1e-40")
+
     def test_pencil_base_points_match_published_covariant(self):
-        # the four base points of the reference pencil: the descent from the
-        # identity must cross 13 orders of magnitude of eigenvalue spread
+        # the four base points of the reference pencil: the solver must cross
+        # 13 orders of magnitude of eigenvalue spread
         from cluster_reduce import curve_intersection
 
         from conftest import PENCIL_COVARIANT, PENCIL_Q1, PENCIL_Q2
@@ -244,6 +291,19 @@ class TestTheta:
         assert res.value > 0
         # for this configuration the infimum is exp(-log 2)
         assert abs(res.value - mp.mpf("0.5")) < mp.mpf("1e-10")
+
+    @pytest.mark.parametrize("index", range(len(SEMI_STABLE_CASES)))
+    def test_semistable_solver_stops_by_the_gradient_test(self, index):
+        Z = SEMI_STABLE_CASES[index]
+        cls = classify(Z)
+        assert cls.is_semi_stable and not cls.is_stable
+        # the infimum is not attained, yet the gradient tends to 0 along the
+        # way to it: the solver must meet the ordinary stop test in 60 steps
+        res = minimize(Z, check_stability=False, max_iter=60)
+        assert res.final_gradient_norm <= mp.mpf(10) ** -12
+        assert not theta(normalize_cluster(Z)).attained
+        if index == 0:
+            assert abs(res.theta - mp.mpf("0.5")) < mp.mpf("1e-10")
 
     def test_witness_evaluators_agree_at_moderate_lambda(self):
         Z = cluster_of(

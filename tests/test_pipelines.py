@@ -88,6 +88,15 @@ class TestReduceCluster:
         # the recovered covariant is the undistorted one up to the stabilizer
         assert is_lll_reduced(rec.reduced_gram)
 
+    def test_size_reduction_tie_is_decided_by_the_exact_covariant(self):
+        # the covariant's Gram has mu = 1/2 exactly; the covariant must be
+        # accurate inside LLL's 2^(-prec/2) tie window so that the tie rule
+        # (toward zero) decides, not the sign of the solver's error
+        Z = cluster_of((343, 1838), (-131, -702), (145, 777), (251, 1345))
+        report = reduce_cluster(Z)
+        assert report.transform.matrix == ((145, -53), (777, -284))
+        assert report.diagnostics["gradient_norm"] < mp.mpf(2) ** (-mp.mp.prec // 2)
+
     def test_unstable_rejected(self):
         Z = cluster_of((1, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1))
         with pytest.raises(StabilityError):
