@@ -430,7 +430,7 @@ def _matroid_components(units, basis_idx, rank_tol):
     """Connected components of the linear matroid of spanning unit vectors.
 
     Links every vector outside the basis ``basis_idx`` to the basis vectors
-    appearing in its fundamental circuit.
+    appearing in its fundamental circuit. Returns lists of indices.
     """
     m = len(units)
     parent = list(range(m))
@@ -454,7 +454,28 @@ def _matroid_components(units, basis_idx, rank_tol):
         for j, bi in enumerate(basis_idx):
             if abs(coeffs[j]) > rank_tol:
                 union(i, bi)
-    return {find(i) for i in range(m)}
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _component_clusters(cluster: PointCluster, rank_tol=None) -> list:
+    """The components of a spanning cluster's linear matroid, each as a
+    cluster in the coordinates of an orthonormal basis of its own span (the
+    spans are independent and fill the space: the cluster is their sum)."""
+    if rank_tol is None:
+        rank_tol = default_rank_tol()
+    units = [p.unit() for p in cluster.points]
+    _, basis_idx = _adapted_basis(units, rank_tol)
+    out = []
+    for group in _matroid_components(units, basis_idx, rank_tol):
+        basis, kept = _adapted_basis([units[i] for i in group], rank_tol)
+        span = basis[: len(kept)]
+        out.append(PointCluster(tuple(
+            ProjectivePoint(tuple(_dot(b, units[i]) for b in span)) for i in group
+        )))
+    return out
 
 
 def classify(cluster: PointCluster, rank_tol=None) -> StabilityClass:

@@ -38,6 +38,7 @@ from .cluster_core import (
     ScaledCluster,
     _adapted_basis,
     _column_matrix,
+    _component_clusters,
     classify,
     normalize_cluster,
     rank_of,
@@ -449,9 +450,10 @@ def theta(zc: ScaledCluster, tol=None, max_iter=1000, prec=None) -> ThetaResult:
     """Infimum of exp(D) for the given scaling, with degenerate cases flagged.
 
     Stable input: the attained minimum. Semi-stable but not stable: the
-    non-attained infimum, estimated by the same solver as :func:`minimize`
-    and by the witness family. Unstable: value 0 together with a
-    witness family along which D diverges to -infinity.
+    infimum, estimated by the same solver as :func:`minimize` and by the
+    witness family, and attained exactly when the cluster is polystable.
+    Unstable: value 0 together with a witness family along which D diverges
+    to -infinity.
     """
     with working_precision(prec):
         cluster = zc.cluster()
@@ -465,14 +467,19 @@ def theta(zc: ScaledCluster, tol=None, max_iter=1000, prec=None) -> ThetaResult:
         value = mp.e ** _images(L, zc.reps)[1]
         if cls.is_stable:
             return ThetaResult(value=value, attained=True, stability=cls)
-        # semi-stable, not stable: the infimum is not attained; the witness
-        # family decreases to it (D is convex and bounded along that geodesic)
+        # semi-stable, not stable: the infimum is attained iff the cluster is
+        # polystable, a direct sum of clusters each stable in its own span;
+        # either way the witness family decreases to it (D is convex and
+        # bounded along that geodesic)
+        attained = cls.is_split and all(
+            classify(c).is_stable for c in _component_clusters(cluster)
+        )
         witness = None
         if cls.witness is not None:
             witness = _witness_from_subspace(cls.witness.spanning_points)
             plateau = witness.distance_at(zc, mp.e ** mp.mpf(4 * mp.mp.prec))
             value = min(value, mp.e**plateau)
-        return ThetaResult(value=value, attained=False, stability=cls, witness=witness)
+        return ThetaResult(value=value, attained=attained, stability=cls, witness=witness)
 
 
 def simplex_covariant(cluster: PointCluster, prec=None) -> HermitianForm:

@@ -226,6 +226,10 @@ def report_to_json(report: ReductionReport) -> dict:
             "height_warning": diag.get("height_warning"),
         },
     }
+    if "theta" in diag:
+        out["diagnostics"]["theta"] = _num_to_str(diag["theta"])
+    if "nodes" in diag:
+        out["diagnostics"]["nodes"] = diag["nodes"]
     if report.pencil_transform is not None:
         out["pencil_transform"] = [list(r) for r in report.pencil_transform]
     if "pencil_cubic" in report.extras:

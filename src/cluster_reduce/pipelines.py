@@ -337,10 +337,11 @@ def reduce_ternary_form(
     """Reduce an irreducible ternary form through its inflection-point cluster.
 
     The inflection points are the intersections of the curve with its Hessian
-    curve. Points singular on the curve are removed; only plain nodes are
-    accepted (each absorbs intersection multiplicity 6), and the classical
-    genus conditions g > 0 and r < d(d-2)/4 are enforced. The remaining
-    cluster must be stable; its covariant drives the LLL reduction.
+    curve. Points singular on the curve are removed, found exactly by
+    :func:`curve_intersection`; only plain nodes are accepted (each absorbs
+    intersection multiplicity 6), and the classical genus conditions g > 0 and
+    r < d(d-2)/4 are enforced. The remaining cluster must be stable; its
+    covariant drives the LLL reduction.
 
     Default precision is 212 bits for degree <= 3 and 424 bits above.
     """
@@ -358,21 +359,13 @@ def reduce_ternary_form(
             raise InputFormatError("form is reducible; the pipeline needs an irreducible curve")
         H = hessian(F)
         inter = curve_intersection(F, H, seed=seed)
-        grads = [F.diff(i) for i in range(3)]
-        gnorms = [g.coeff_norm() for g in grads]
-        sing_tol = mp.mpf(2) ** (-mp.mp.prec // 4)
-        inflections = []
-        nodes = []
-        for p, mult, resid in inter.roots:
-            u = p.unit()
-            gval = max(abs(g.evaluate(u)) / gn for g, gn in zip(grads, gnorms))
-            if gval < sing_tol:
-                nodes.append((p, mult))
-            else:
-                inflections.append((p, mult, resid))
+        # a singular point of F is singular on its Hessian curve too, so the
+        # exact flag of curve_intersection finds the singular points of F
+        inflections = [t for t, sing in zip(inter.roots, inter.singular) if not sing]
+        nodes = [mult for (_, mult, _), sing in zip(inter.roots, inter.singular) if sing]
         r = len(nodes)
         if r:
-            if any(mult != 6 for _, mult in nodes):
+            if any(mult != 6 for mult in nodes):
                 raise StabilityError(
                     "curve has a non-nodal singularity; the inflection cluster "
                     "is not defined by this pipeline"

@@ -1,9 +1,10 @@
 """Exact multivariate polynomials and multiprecision root finding.
 
 MultiPoly stores a sparse exponent-to-coefficient map with exact integer or
-rational coefficients. The exact layer (arithmetic, Hessians, resultants,
-substitution) never rounds; the numeric layer (Aberth-Ehrlich iteration,
-curve intersection) works at a caller-chosen binary precision with residual
+rational coefficients. The exact layer (arithmetic, Hessians, resultants and
+subresultants, substitution) never rounds; the numeric layer (Aberth-Ehrlich
+iteration, and the points of a curve intersection evaluated from its exact
+representation) works at a caller-chosen binary precision with residual
 certificates on every reported root.
 """
 
@@ -219,27 +220,6 @@ class MultiPoly:
         return mp.sqrt(mp.fsum(mp.mpf(abs(int(c.numerator) if isinstance(c, Fraction) else c)) ** 2
                                / (int(c.denominator) ** 2 if isinstance(c, Fraction) else 1)
                                for _, c in self.terms)) if self.terms else mp.mpf(0)
-
-    def univariate_coeffs(self, var: int, others: Sequence) -> list:
-        """Coefficients (descending) of the polynomial in ``var`` obtained by
-        substituting numeric values for every other variable."""
-        vals = list(others)
-        if len(vals) != self.nvars - 1:
-            raise DimensionError("need values for every other variable")
-        deg = max((e[var] for e, _ in self.terms), default=0)
-        out = [mp.mpc(0)] * (deg + 1)
-        for e, c in self.terms:
-            term = mp.mpc(int(c.numerator), 0) / int(c.denominator) if isinstance(c, Fraction) else mp.mpc(c)
-            vi = 0
-            for i, k in enumerate(e):
-                if i == var:
-                    continue
-                v = to_mpc(vals[vi])
-                vi += 1
-                if k:
-                    term *= v**k
-            out[deg - e[var]] += term
-        return out
 
     # -- conversion and display -------------------------------------------
 
@@ -671,6 +651,7 @@ class RootSet:
     """Solution points with multiplicities and per-point residuals."""
 
     roots: tuple  # (ProjectivePoint, multiplicity, residual)
+    singular: tuple  # per root: singular on both curves (decided exactly)
 
     @property
     def total_multiplicity(self) -> int:
@@ -732,14 +713,12 @@ def _random_shear(rng, n):
             return rows
 
 
-def _newton_univariate(coeffs, x0, bits, steps=60, eps=None):
+def _newton_univariate(coeffs, x0, bits, steps, eps):
     """Newton's method from ``x0``, stopped by the same two tests as the
     Aberth sweep: ``_at_rounding_level`` at ``bits``, or a correction below
-    ``eps`` |x| (default 2^(4-bits)). Returns the last iterate after at most
-    ``steps`` corrections."""
+    ``eps`` |x|. Returns the last iterate after at most ``steps``
+    corrections."""
     abs_coeffs = [abs(c) for c in coeffs]
-    if eps is None:
-        eps = mp.mpf(2) ** (-bits + 4)
     x = x0
     for _ in range(steps):
         p, dp = _horner_pair(coeffs, x)
@@ -752,19 +731,22 @@ def _newton_univariate(coeffs, x0, bits, steps=60, eps=None):
     return x
 
 
-def _derivative_coeffs(coeffs):
-    d = len(coeffs) - 1
-    return [coeffs[i] * (d - i) for i in range(d)]
-
-
 def curve_intersection(F: MultiPoly, G: MultiPoly, prec=None, seed=0, max_shears=12) -> RootSet:
     """All intersection points of two coprime ternary curves, with multiplicity.
 
-    Eliminates the first variable by an exact resultant (after an integer
-    shear when the coordinates are degenerate), factors the resultant into
-    squarefree parts to obtain exact multiplicities, solves each fiber for the
-    remaining coordinate and polishes with Newton at full precision. Every
-    output point carries the normalized residual max(|F|, |G|)/||P||^deg.
+    After an integer shear keeping (1:0:0) off both curves, one exact
+    subresultant sequence in x0 of the forms at x2 = 1 gives the resultant
+    R(β) and the subresultants S_j = Σ c_i(β) x0^i. Each squarefree factor of R
+    (exact multiplicities) is split by gcds with c_1, c_2, ...: where c_j is
+    the first that does not vanish, the fiber x1 = β holds the one point
+    x0 = ξ = −c_{j−1}/(j c_j); for j = 1 this is the rational univariate
+    representation x0 = −a0/a1. For j ≥ 2 the exact congruence
+    S_j ≡ c_j (x0 − ξ)^j modulo the part certifies it, or the next shear is
+    tried. Root finding runs once per part, on β alone, and every point
+    carries the normalized residual max(|F|, |G|)/||P||^deg, which must be
+    below 2^(-prec/2). Points singular on both curves, which only parts with
+    j ≥ 2 can hold, are split off by an exact gcd with the partial derivatives
+    at x0 = ξ and flagged in ``singular``.
     """
     for P in (F, G):
         if P.nvars != 3:
@@ -793,118 +775,109 @@ class _ShearFailure(Exception):
     pass
 
 
+_X0, _BETA = sp.symbols("x0 beta")
+
+
+def _dehom(P: MultiPoly):
+    """P(x0, β, 1) as an integer sympy Poly in (x0, β), denominators cleared."""
+    d = {}
+    for (a, b, _), c in P.terms:
+        d[(a, b)] = d.get((a, b), 0) + _fraction_to_sympy(c)
+    return sp.Poly.from_dict(d, _X0, _BETA).clear_denoms(convert=True)[1]
+
+
+def _x0_coeffs(P) -> list:
+    """Coefficients of P(x0, β) in x0, ascending, as Polys in β."""
+    cs = [{} for _ in range(max(P.degree(_X0), 0) + 1)]
+    for (a, b), c in P.as_dict().items():
+        cs[a][(b,)] = c
+    return [sp.Poly.from_dict(d or {(0,): 0}, _BETA) for d in cs]
+
+
+def _int_coeffs(p) -> list:
+    """Descending coefficients of a Poly in β, scaled to coprime integers."""
+    return [int(c) for c in p.clear_denoms(convert=True)[1].primitive()[1].all_coeffs()]
+
+
+def _at(P, xi, h):
+    """P(ξ(β), β) modulo h(β), by Horner's rule in x0."""
+    acc = sp.Poly(0, _BETA, domain=sp.QQ)
+    for c in reversed(_x0_coeffs(P)):
+        acc = (acc * xi + c).rem(h)
+    return acc
+
+
+def _fiber_parts(f, levels, Fd, Gd):
+    """Split a squarefree factor f(β) of the resultant into (part, c, singular):
+    on each root of ``part`` the fiber's one point is x0 = −c[j−1]/(j c[j]),
+    j = len(c) − 1. ``levels`` are S_1, S_2, ... by degree; the last has a
+    constant leading coefficient, so every root of f is placed."""
+    for Sj in levels:
+        if f.degree() < 1:
+            return
+        c = _x0_coeffs(Sj)
+        j = len(c) - 1
+        g = f.gcd(c[j])
+        part, f = f.quo(g), g
+        if part.degree() < 1:
+            continue
+        if j == 1:
+            yield part, c, False
+            continue
+        h = part.to_field()
+        xi = (-c[j - 1] * (j * c[j]).invert(h)).rem(h)
+        # S_j = c_j (x0 - xi)^j iff its derivatives of order < j - 1 vanish at
+        # xi (the one of order j - 1 does, by the choice of xi)
+        if any(not _at(Sj.diff((_X0, k)) if k else Sj, xi, h).is_zero for k in range(j - 1)):
+            raise _ShearFailure("two intersection points on one fiber")
+        # F = 0 at the point, so by Euler's identity the x2-partial vanishes
+        # with the other two
+        s = h
+        for P in (Fd, Gd):
+            for v in (_X0, _BETA):
+                s = s.gcd(_at(P.diff(v), xi, h))
+        for sub, singular in ((h.quo(s), False), (s, True)):
+            if sub.degree() > 0:
+                yield sub, c, singular
+
+
 def _intersect_with_shear(F, G, S, d1, d2, bits) -> RootSet:
     Fs = substitute(F, S)
     Gs = substitute(G, S)
     if Fs.coeff((d1, 0, 0)) == 0 or Gs.coeff((d2, 0, 0)) == 0:
         raise _ShearFailure("projection center lies on a curve")
-    R = resultant(Fs, Gs, 0).primitive()
-    if R.is_zero():
-        raise CommonComponentError("resultant vanished identically")
+    Fd, Gd = _dehom(Fs), _dehom(Gs)
+    # the last member of an abnormal sequence is not the resultant, so take
+    # both from one call
+    R, prs = Fd.resultant(Gd, includePRS=True)
     D = d1 * d2
-    if R.total_degree() != D or R.coeff((0, D, 0)) == 0:
+    if R.degree() != D:
         raise _ShearFailure("resultant dropped degree or has a root at infinity")
-    t = sp.Symbol("t")
-    spoly = sp.Poly(
-        [_fraction_to_sympy(c) for c in _exact_univariate_coeffs(_dehom_resultant(R), 0)], t
-    )
-    _, factors = spoly.sqf_list()
-    found = []
+    levels = [P for P in reversed(prs[1:]) if P.degree(_X0) > 0]
+    found, singular = [], []
     half = mp.mpf(2) ** (-bits // 2)
-    # a runner-up counts as a second intersection point only if it passes the
-    # same certificate a true root would
-    margin = half
+    norm = max(F.coeff_norm(), G.coeff_norm())
+    _, factors = R.sqf_list()
     for fac, mult in factors:
-        fac_coeffs = [_coerce_coeff(c) for c in fac.all_coeffs()]
-        if len(fac_coeffs) < 2:
-            continue
-        betas = aberth_roots(fac_coeffs, prec=bits)
-        for beta in betas:
-            beta = _newton_univariate([to_mpc(c) for c in fac_coeffs], beta, bits)
-            fiber_f = Fs.univariate_coeffs(0, [beta, mp.mpc(1)])
-            fiber_g = Gs.univariate_coeffs(0, [beta, mp.mpc(1)])
-            x0 = _solve_fiber(fiber_f, fiber_g, bits, margin)
-            pt_sheared = (x0, beta, mp.mpc(1))
-            # undo the shear: zeros of F(S x) map to original zeros via w = S v
-            coords = tuple(
-                mp.fsum(S[j][a] * pt_sheared[a] for a in range(3)) for j in range(3)
-            )
-            point = ProjectivePoint(coords)
-            u = point.unit()
-            resid = max(abs(F.evaluate(u)), abs(G.evaluate(u))) / max(
-                F.coeff_norm(), G.coeff_norm()
-            )
-            if resid >= half:
-                raise _ShearFailure(
-                    f"residual {mp.nstr(resid, 5)} too large at beta={mp.nstr(beta, 8)}"
-                )
-            found.append((point, mult, resid))
+        for part, c, sing in _fiber_parts(fac, levels, Fd, Gd):
+            j = len(c) - 1
+            num, den = ([int(v) for v in p.all_coeffs()] for p in (c[j - 1], j * c[j]))
+            for beta in aberth_roots(_int_coeffs(part), prec=bits):
+                x0 = -mp.polyval(num, beta) / mp.polyval(den, beta)
+                pt_sheared = (x0, beta, mp.mpc(1))
+                # undo the shear: zeros of F(S x) map to original zeros via w = S v
+                point = ProjectivePoint(tuple(
+                    mp.fsum(S[k][a] * pt_sheared[a] for a in range(3)) for k in range(3)
+                ))
+                u = point.unit()
+                resid = max(abs(F.evaluate(u)), abs(G.evaluate(u))) / norm
+                if resid >= half:
+                    raise _ShearFailure(
+                        f"residual {mp.nstr(resid, 5)} too large at beta={mp.nstr(beta, 8)}"
+                    )
+                found.append((point, mult, resid))
+                singular.append(sing)
     total = sum(m for _, m, _ in found)
     if total != D:
         raise _ShearFailure(f"recovered multiplicity {total} of {D}")
-    return RootSet(tuple(found))
-
-
-def _dehom_resultant(R: MultiPoly) -> MultiPoly:
-    """R(x1, x2 = 1) as a univariate MultiPoly in one variable."""
-    d = {}
-    for (a, b, c), coeff in R.terms:
-        assert a == 0
-        d[(b,)] = d.get((b,), 0) + coeff
-    return MultiPoly(1, tuple(d.items()))
-
-
-def _solve_fiber(fiber_f, fiber_g, bits, margin):
-    """The unique common root of the two fiber polynomials.
-
-    Candidates are the roots of the first fiber polynomial scored by the
-    normalized value of the second. Distinct resultant roots always live on
-    distinct fibers (the multiplicity bookkeeping is exact), so the only
-    failure mode is two genuine intersection points sharing one fiber: that
-    shows up as two well-separated candidates scoring below the margin, and
-    the shear is rejected. Polishing happens on the better-conditioned fiber,
-    falling back to a derivative of the first when the point is singular on
-    both curves.
-    """
-    # strip leading zeros that may appear from rounding of exact zeros
-    while fiber_f and fiber_f[0] == 0:
-        fiber_f = fiber_f[1:]
-    while fiber_g and fiber_g[0] == 0:
-        fiber_g = fiber_g[1:]
-    if len(fiber_f) < 2:
-        raise _ShearFailure("fiber polynomial degenerated")
-    cands = aberth_roots(fiber_f, prec=bits)
-    gnorm = mp.sqrt(mp.fsum(abs(c) ** 2 for c in fiber_g))
-    scores = []
-    for x in cands:
-        val, _ = _horner_pair(fiber_g, x)
-        scores.append(abs(val) / (gnorm * max(mp.mpf(1), abs(x)) ** (len(fiber_g) - 1)))
-    order = sorted(range(len(cands)), key=lambda i: scores[i])
-    best = order[0]
-    sep = mp.mpf(2) ** (-bits // 4)
-    for i in order[1:]:
-        if scores[i] >= margin:
-            break
-        if abs(cands[i] - cands[best]) > sep * max(mp.mpf(1), abs(cands[best])):
-            raise _ShearFailure("two intersection points on one fiber")
-    x0 = cands[best]
-    fnorm = mp.sqrt(mp.fsum(abs(c) ** 2 for c in fiber_f))
-    _, dfv = _horner_pair(fiber_f, x0)
-    _, dgv = _horner_pair(fiber_g, x0)
-    relf = abs(dfv) / fnorm
-    relg = abs(dgv) / gnorm
-    thresh = mp.mpf(2) ** (-bits // 8)
-    if max(relf, relg) > thresh:
-        target = fiber_f if relf >= relg else fiber_g
-        return _newton_univariate(target, x0, bits)
-    # singular on both fibers: find the local multiplicity on fiber_f and
-    # polish on the derivative with a simple root there
-    cluster_radius = mp.mpf(2) ** (-bits // 4) * max(mp.mpf(1), abs(x0))
-    mu = sum(1 for x in cands if abs(x - x0) <= cluster_radius)
-    coeffs = list(fiber_f)
-    for _ in range(max(mu - 1, 0)):
-        coeffs = _derivative_coeffs(coeffs)
-    center = mp.fsum(x.real for x in cands if abs(x - x0) <= cluster_radius)
-    centeri = mp.fsum(x.imag for x in cands if abs(x - x0) <= cluster_radius)
-    x0 = mp.mpc(center, centeri) / mu
-    return _newton_univariate(coeffs, x0, bits)
+    return RootSet(tuple(found), tuple(singular))

@@ -373,18 +373,19 @@ def test_criterion_5_unstable_behavior():
             ok_diverge = False
     # semi-stable but not stable: the same family must stay above the estimate
     ok_bounded = True
+    # (cluster, infimum attained): only the polystable (1,0)^2 + (0,1)^2 attains it
     sst_cases = [
-        cluster_of((1, 0), (1, 0), (0, 1), (1, 1)),
-        cluster_of((1, 0), (1, 0), (0, 1), (0, 1)),
-        cluster_of((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)),
-        cluster_of((1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (0, 0, 1), (1, 1, 1)),
+        (cluster_of((1, 0), (1, 0), (0, 1), (1, 1)), False),
+        (cluster_of((1, 0), (1, 0), (0, 1), (0, 1)), True),
+        (cluster_of((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)), False),
+        (cluster_of((1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (0, 0, 1), (1, 1, 1)), False),
     ]
-    for Z in sst_cases:
+    for Z, attained in sst_cases:
         cls = classify(Z)
         assert cls.is_semi_stable and not cls.is_stable
         zc = normalize_cluster(Z)
         res = theta(zc)
-        assert not res.attained
+        assert res.attained == attained
         if res.witness is None:
             ok_bounded = False
             continue

@@ -71,6 +71,9 @@ SEMI_STABLE_CASES = [
     cluster_of((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)),
     cluster_of((1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (0, 0, 1), (1, 1, 1)),
 ]
+# the infimum of D is attained exactly on the polystable case: two double
+# points of P^1, each stable in its own span P^0
+SEMI_STABLE_ATTAINED = [False, True, False, False]
 
 
 def q0_matrix(n):
@@ -292,16 +295,35 @@ class TestTheta:
         # for this configuration the infimum is exp(-log 2)
         assert abs(res.value - mp.mpf("0.5")) < mp.mpf("1e-10")
 
+    def test_polystable_infimum_attained(self):
+        # D is constant along the torus of the direct sum (1,0)^2 + (0,1)^2:
+        # the infimum 1 is its value at the identity
+        res = theta(normalize_cluster(cluster_of((1, 0), (1, 0), (0, 1), (0, 1))))
+        assert res.attained
+        assert abs(res.value - 1) < mp.mpf("1e-10")
+        # a double point of P^0 plus four points of a line of P^2 stable there
+        Z = cluster_of((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2))
+        assert theta(normalize_cluster(Z)).attained
+        # split as well, but one summand is only semi-stable in its span P^2
+        Z = cluster_of(
+            (1, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0),
+            (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 1, 1), (0, 1, 2, 3),
+        )
+        res = theta(normalize_cluster(Z))
+        assert res.stability.is_split and res.stability.is_semi_stable
+        assert not res.attained
+
     @pytest.mark.parametrize("index", range(len(SEMI_STABLE_CASES)))
     def test_semistable_solver_stops_by_the_gradient_test(self, index):
         Z = SEMI_STABLE_CASES[index]
         cls = classify(Z)
         assert cls.is_semi_stable and not cls.is_stable
-        # the infimum is not attained, yet the gradient tends to 0 along the
-        # way to it: the solver must meet the ordinary stop test in 60 steps
+        # where the infimum is not attained the gradient still tends to 0
+        # along the way to it: the solver must meet the ordinary stop test in
+        # 60 steps
         res = minimize(Z, check_stability=False, max_iter=60)
         assert res.final_gradient_norm <= mp.mpf(10) ** -12
-        assert not theta(normalize_cluster(Z)).attained
+        assert theta(normalize_cluster(Z)).attained == SEMI_STABLE_ATTAINED[index]
         if index == 0:
             assert abs(res.theta - mp.mpf("0.5")) < mp.mpf("1e-10")
 

@@ -127,6 +127,22 @@ class TestCli:
         result = CliRunner().invoke(main, ["reduce-ternary", path, "--prec", "212"])
         assert result.exit_code == 0
 
+    def test_report_carries_theta_and_nodes(self, tmp_path):
+        Z = cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 5, 1))
+        path = self._write(tmp_path, "cluster.json", json.dumps(cio.cluster_to_json(Z)))
+        result = CliRunner().invoke(main, ["reduce-cluster", path, "--json"])
+        assert result.exit_code == 0
+        diag = json.loads(result.output)["diagnostics"]
+        assert mp.mpf(diag["theta"]) > 0
+        assert "nodes" not in diag
+        # one plain node at (0:0:1)
+        path = self._write(tmp_path, "nodal.txt", "x y z^2 + x^3 z + y^3 z + x^4 + y^4")
+        result = CliRunner().invoke(main, ["reduce-ternary", path, "--json"])
+        assert result.exit_code == 0
+        diag = json.loads(result.output)["diagnostics"]
+        assert diag["nodes"] == 1
+        assert "theta" not in diag
+
     def test_malformed_input_exit_code(self, tmp_path):
         path = self._write(tmp_path, "bad.json", "{not json")
         result = CliRunner().invoke(main, ["classify", path])

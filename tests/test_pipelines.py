@@ -26,7 +26,12 @@ from cluster_reduce import (
     reduce_ternary_form,
     substitute,
 )
-from cluster_reduce.errors import CommonComponentError, InputFormatError
+from cluster_reduce.errors import (
+    ClusterReduceError,
+    CommonComponentError,
+    EliminationError,
+    InputFormatError,
+)
 
 from conftest import (
     PENCIL_CUBIC,
@@ -34,6 +39,7 @@ from conftest import (
     PENCIL_FINAL_2,
     PENCIL_Q1,
     PENCIL_Q2,
+    QUARTIC,
     REDUCED_BINARY_CUBIC,
     matrices_close_mod_scaling,
     pair_matches_up_to_signed_permutation,
@@ -290,6 +296,16 @@ class TestNodalCurves:
         assert report.diagnostics["nodes"] == 1
         assert report.extras["inflection_cluster"].degree == 18
         assert substitute(report.reduced, report.transform.inverse()) == F
+
+    def test_quartic_at_212_bits_passes_elimination_and_node_test(self):
+        # the smooth reference quartic must get through curve intersection
+        # and the exact singular-point test; a later tolerance-based decision
+        # (conjugation matching of the inflection points) may still lack
+        # precision at 212 bits, and is not asserted here
+        try:
+            reduce_ternary_form(QUARTIC, prec=212)
+        except ClusterReduceError as exc:
+            assert not isinstance(exc, (EliminationError, StabilityError)), exc
 
     def test_biflecnode_rejected(self):
         # both branches of the node flex at the node (the tangent x = 0 meets

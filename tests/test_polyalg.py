@@ -336,6 +336,64 @@ class TestCurveIntersection:
         assert rs.total_multiplicity == 4
         assert calls == []
 
+    def test_two_points_on_one_fiber_rejected_exactly(self, monkeypatch):
+        # x^2 - y^2, x^2 - z^2 meet in (1 : ±1 : ±1): the identity projection
+        # puts two points on each fiber y = ±z
+        F = poly("x^2 - y^2", nvars=3)
+        G = poly("x^2 - z^2", nvars=3)
+        identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+        def no_root_finding(*args, **kwargs):
+            raise AssertionError("root finding ran on a rejected shear")
+
+        with monkeypatch.context() as m:
+            m.setattr(polyalg, "aberth_roots", no_root_finding)
+            # at 8 bits no tolerance could decide: the congruence is exact
+            with pytest.raises(polyalg._ShearFailure, match="two intersection points on one fiber"):
+                polyalg._intersect_with_shear(F, G, identity, 2, 2, 8)
+        built = []
+        real = polyalg._random_shear
+        monkeypatch.setattr(
+            polyalg, "_random_shear", lambda rng, n: built.append(n) or real(rng, n)
+        )
+        rs = curve_intersection(F, G)
+        assert built == [3]
+        assert rs.total_multiplicity == 4
+        for e in [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]:
+            assert any(p == ProjectivePoint(e) for p, _, _ in rs.roots)
+
+    def test_one_factor_split_by_the_first_subresultant(self, monkeypatch):
+        # a conic bitangent to the unit circle at (0:1:1), where the common
+        # tangent y = z is the fiber, and at (1:0:1), where it is not: both
+        # points have multiplicity 2, so one squarefree factor beta (beta - 1)
+        # holds them, and a1 vanishes at beta = 1 only
+        F = poly("x^2 + y^2 - z^2", nvars=3)
+        G = poly("x^2 + x y + y^2 - x z - y z", nvars=3)
+        degrees = []
+        real = polyalg.aberth_roots
+        monkeypatch.setattr(
+            polyalg,
+            "aberth_roots",
+            lambda coeffs, **kw: degrees.append(len(coeffs) - 1) or real(coeffs, **kw),
+        )
+        monkeypatch.setattr(polyalg, "_random_shear", lambda rng, n: pytest.fail("shear"))
+        rs = curve_intersection(F, G)
+        assert degrees == [1, 1]
+        assert sorted(m for _, m, _ in rs.roots) == [2, 2]
+        for e in [(0, 1, 1), (1, 0, 1)]:
+            assert any(p == ProjectivePoint(e) for p, _, _ in rs.roots)
+        assert rs.singular == (False, False)
+
+    def test_point_singular_on_both_curves_flagged(self):
+        # two nodal cubics with nodes at (0:0:1) and no common tangent there:
+        # the node has multiplicity 2 * 2 = 4 and is the only singular point
+        F = poly("x^2 z - y^2 z + x^3", nvars=3)
+        G = poly("x^2 z + y^2 z + y^3", nvars=3)
+        rs = curve_intersection(F, G)
+        assert rs.total_multiplicity == 9
+        flagged = [(p, m) for (p, m, _), s in zip(rs.roots, rs.singular) if s]
+        assert flagged == [(ProjectivePoint((0, 0, 1)), 4)]
+
     def test_lazy_shears_follow_the_seeded_sequence(self):
         import random
 
