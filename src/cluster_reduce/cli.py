@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 stability error, 3 numerical convergence error,
-4 input format error.
+4 input format error, a malformed or out-of-range option or argument
+included (one line on stderr).
 """
 
 from __future__ import annotations
@@ -71,25 +72,48 @@ def _run(fn):
         sys.exit(1)
 
 
-def _common_options(fn):
-    fn = click.option("--prec", type=int, default=DEFAULT_PREC, show_default=True, help="working precision in bits")(fn)
-    fn = click.option("--tol", type=float, default=None, help="gradient tolerance for the minimizer")(fn)
-    fn = click.option("--delta", type=float, default=0.99, show_default=True, help="LLL parameter")(fn)
-    fn = click.option("--max-iter", type=int, default=1000, show_default=True)(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True, help="seed for shear randomness")(fn)
-    fn = click.option("--json/--text", "as_json", default=False, help="output format")(fn)
-    fn = click.option("--report", "report_path", type=click.Path(), default=None, help="write a JSON report here")(fn)
-    return fn
+_PREC = click.IntRange(min=53)
 
 
-@click.group()
+def _common_options(prec=DEFAULT_PREC):
+    """Options of the covariant and reduction commands; ``prec=None`` lets the pipeline choose."""
+
+    def decorate(fn):
+        fn = click.option("--report", "report_path", type=click.Path(), default=None, help="write a JSON report here")(fn)
+        fn = click.option("--json/--text", "as_json", default=False, help="output format")(fn)
+        fn = click.option("--max-iter", type=click.IntRange(min=0), default=1000, show_default=True)(fn)
+        fn = click.option("--tol", type=click.FloatRange(min=0, min_open=True), help="gradient tolerance for the minimizer")(fn)
+        prec_help = "working precision in bits" + ("" if prec else " (default depends on degree)")
+        return click.option("--prec", type=_PREC, default=prec, show_default=bool(prec), help=prec_help)(fn)
+
+    return decorate
+
+
+_delta_option = click.option("--delta", type=click.FloatRange(0.25, 1, min_open=True, max_open=True),
+                             default=0.99, show_default=True, help="LLL parameter")
+_seed_option = click.option("--seed", type=int, default=0, show_default=True, help="seed for shear randomness")
+
+
+class _Group(click.Group):
+    """A malformed command, option or argument is malformed input: exit 4 with
+    one line, not click's usage block and exit 2, the stability error's code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            click.echo(f"input error: {exc.format_message()}", err=True)
+            sys.exit(EXIT_FORMAT)
+
+
+@click.group(cls=_Group)
 def main():
     """Reduction of point clusters, binary forms, quadric pencils and ternary forms."""
 
 
 @main.command("classify")
 @click.argument("input_path")
-@click.option("--prec", type=int, default=DEFAULT_PREC, show_default=True)
+@click.option("--prec", type=_PREC, default=DEFAULT_PREC, show_default=True)
 @click.option("--json/--text", "as_json", default=False)
 def classify_cmd(input_path, prec, as_json):
     """Stability classification of a cluster (JSON file)."""
@@ -120,8 +144,8 @@ def classify_cmd(input_path, prec, as_json):
 
 @main.command("covariant")
 @click.argument("input_path")
-@_common_options
-def covariant_cmd(input_path, prec, tol, delta, max_iter, seed, as_json, report_path):
+@_common_options()
+def covariant_cmd(input_path, prec, tol, max_iter, as_json, report_path):
     """Covariant z(Z) and theta of a stable cluster (JSON file)."""
 
     def body():
@@ -147,8 +171,9 @@ def covariant_cmd(input_path, prec, tol, delta, max_iter, seed, as_json, report_
 
 @main.command("reduce-cluster")
 @click.argument("input_path")
-@_common_options
-def reduce_cluster_cmd(input_path, prec, tol, delta, max_iter, seed, as_json, report_path):
+@_common_options()
+@_delta_option
+def reduce_cluster_cmd(input_path, prec, tol, delta, max_iter, as_json, report_path):
     """LLL-reduce a conjugation-fixed stable cluster (JSON file)."""
 
     def body():
@@ -171,8 +196,9 @@ def reduce_cluster_cmd(input_path, prec, tol, delta, max_iter, seed, as_json, re
 
 @main.command("reduce-binary")
 @click.argument("input_path")
-@_common_options
-def reduce_binary_cmd(input_path, prec, tol, delta, max_iter, seed, as_json, report_path):
+@_common_options()
+@_delta_option
+def reduce_binary_cmd(input_path, prec, tol, delta, max_iter, as_json, report_path):
     """Reduce a binary form (text or JSON polynomial file)."""
 
     def body():
@@ -196,7 +222,9 @@ def reduce_binary_cmd(input_path, prec, tol, delta, max_iter, seed, as_json, rep
 
 @main.command("reduce-pencil")
 @click.argument("input_path")
-@_common_options
+@_common_options()
+@_delta_option
+@_seed_option
 def reduce_pencil_cmd(input_path, prec, tol, delta, max_iter, seed, as_json, report_path):
     """Reduce a pencil of two ternary quadrics.
 
@@ -244,13 +272,9 @@ def reduce_pencil_cmd(input_path, prec, tol, delta, max_iter, seed, as_json, rep
 
 @main.command("reduce-ternary")
 @click.argument("input_path")
-@click.option("--prec", type=int, default=None, help="working precision in bits (default depends on degree)")
-@click.option("--tol", type=float, default=None)
-@click.option("--delta", type=float, default=0.99, show_default=True)
-@click.option("--max-iter", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--json/--text", "as_json", default=False)
-@click.option("--report", "report_path", type=click.Path(), default=None)
+@_common_options(prec=None)
+@_delta_option
+@_seed_option
 def reduce_ternary_cmd(input_path, prec, tol, delta, max_iter, seed, as_json, report_path):
     """Reduce an irreducible ternary form via its inflection cluster."""
 

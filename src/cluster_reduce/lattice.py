@@ -166,16 +166,19 @@ def identity_transform(size: int) -> UnimodularTransform:
 
 def congruence(G: GramMatrix, U: UnimodularTransform) -> GramMatrix:
     """U^T G U, evaluated with the exact integer U."""
-    n = G.size
-    Gm = G.mat()
-    rows = U.matrix
+    return GramMatrix.from_matrix(_congruence(G.mat(), U.matrix))
+
+
+def _congruence(Gm, U):
+    """U^T Gm U for an mpmath matrix Gm and integer rows U: the upper triangle
+    as one fsum per entry, mirrored into the lower."""
+    n = Gm.rows
     out = mp.matrix(n, n)
     for i in range(n):
-        for j in range(n):
-            out[i, j] = mp.fsum(
-                rows[a][i] * Gm[a, b] * rows[b][j] for a in range(n) for b in range(n)
-            )
-    return GramMatrix.from_matrix(out)
+        for j in range(i, n):
+            out[i, j] = mp.fsum(U[a][i] * Gm[a, b] * U[b][j] for a in range(n) for b in range(n))
+            out[j, i] = out[i, j]
+    return out
 
 
 def _gso_from_gram(Gm):
@@ -222,18 +225,7 @@ def lll_reduce(G: GramMatrix, delta=0.99):
     n = G.size
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     Gm = G.mat()
-
-    def fresh_gram():
-        out = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(i, n):
-                out[i, j] = mp.fsum(
-                    U[a][i] * Gm[a, b] * U[b][j] for a in range(n) for b in range(n)
-                )
-                out[j, i] = out[i, j]
-        return out
-
-    cur = fresh_gram()
+    cur = _congruence(Gm, U)
     mu, B = _gso_from_gram(cur)
     tie = half_eps()
     swaps = 0
@@ -273,7 +265,7 @@ def lll_reduce(G: GramMatrix, delta=0.99):
                 cur[k, a], cur[k - 1, a] = cur[k - 1, a], cur[k, a]
             swaps += 1
             if swaps % 32 == 0:
-                cur = fresh_gram()
+                cur = _congruence(Gm, U)
             mu, B = _gso_from_gram(cur)
             k = max(k - 1, 1)
         else:

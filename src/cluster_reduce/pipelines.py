@@ -40,7 +40,7 @@ from .errors import (
     StabilityError,
 )
 from .lattice import GramMatrix, UnimodularTransform, congruence, lll_reduce
-from .polyalg import MultiPoly, binary_form_roots, curve_intersection, hessian, substitute
+from .polyalg import MultiPoly, _det3, binary_form_roots, curve_intersection, hessian, substitute
 
 DEFAULT_DELTA = 0.99
 
@@ -210,42 +210,13 @@ def reduce_binary_form(
         )
 
 
-def _second_partials(Q: MultiPoly):
-    """Integer matrix of second partial derivatives of a ternary quadric."""
-    M = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            dd = Q.diff(i).diff(j)
-            M[i][j] = dd.coeff((0, 0, 0))
-    return M
-
-
 def pencil_cubic(Q1: MultiPoly, Q2: MultiPoly) -> MultiPoly:
     """det(x * M1 + y * M2) for the second-partial matrices of two quadrics."""
-    M1 = _second_partials(Q1)
-    M2 = _second_partials(Q2)
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
-    E = [[x * M1[i][j] + y * M2[i][j] for j in range(3)] for i in range(3)]
-    return (
-        E[0][0] * (E[1][1] * E[2][2] - E[1][2] * E[2][1])
-        - E[0][1] * (E[1][0] * E[2][2] - E[1][2] * E[2][0])
-        + E[0][2] * (E[1][0] * E[2][1] - E[1][1] * E[2][0])
-    )
-
-
-def _is_squarefree_binary(c: MultiPoly) -> bool:
-    """Squarefree test for a binary form: no repeated root, infinity included."""
-    deg = c.total_degree()
-    coeffs = [0] * (deg + 1)
-    for (a, _b), co in c.terms:
-        coeffs[a] += co
-    e = max(k for k in range(deg + 1) if coeffs[k] != 0)
-    if deg - e > 1:
-        return False  # root at infinity with multiplicity >= 2
-    t = sp.Symbol("t")
-    poly = sp.Poly(list(reversed(coeffs[: e + 1])), t)
-    return sp.gcd(poly, poly.diff(t)).total_degree() == 0
+    E = [[x * Q1.diff(i).diff(j).coeff((0, 0, 0)) + y * Q2.diff(i).diff(j).coeff((0, 0, 0))
+          for j in range(3)] for i in range(3)]
+    return _det3(E)
 
 
 def reduce_quadric_pencil(
@@ -274,7 +245,9 @@ def reduce_quadric_pencil(
         cubic = pencil_cubic(Q1, Q2)
         if cubic.is_zero() or cubic.total_degree() != 3:
             raise DegeneratePencilError("pencil determinant cubic is degenerate")
-        if not _is_squarefree_binary(cubic):
+        # one squarefree split of the binary form: a repeated root at
+        # infinity is a repeated factor x1 like any other
+        if any(mult > 1 for _, mult in cubic.to_sympy().sqf_list()[1]):
             raise DegeneratePencilError(
                 "pencil determinant cubic has repeated roots"
             )

@@ -342,11 +342,15 @@ def hessian(F: MultiPoly) -> MultiPoly:
         raise InputFormatError("hessian input must be homogeneous")
     if F.total_degree() < 2:
         raise InputFormatError("hessian needs degree at least 2")
-    H = [[F.diff(i).diff(j) for j in range(3)] for i in range(3)]
+    return _det3([[F.diff(i).diff(j) for j in range(3)] for i in range(3)])
+
+
+def _det3(E):
+    """Cofactor expansion of a 3x3 determinant, exact for MultiPoly entries."""
     return (
-        H[0][0] * (H[1][1] * H[2][2] - H[1][2] * H[2][1])
-        - H[0][1] * (H[1][0] * H[2][2] - H[1][2] * H[2][0])
-        + H[0][2] * (H[1][0] * H[2][1] - H[1][1] * H[2][0])
+        E[0][0] * (E[1][1] * E[2][2] - E[1][2] * E[2][1])
+        - E[0][1] * (E[1][0] * E[2][2] - E[1][2] * E[2][0])
+        + E[0][2] * (E[1][0] * E[2][1] - E[1][1] * E[2][0])
     )
 
 
@@ -476,9 +480,9 @@ def aberth_roots(coeffs, prec=None, maxsteps=500):
     """Aberth-Ehrlich simultaneous iteration for all complex roots.
 
     ``coeffs`` is a descending coefficient list (exact numbers or mpmath
-    values) with nonzero leading coefficient. Returns raw root approximations
-    without multiplicity post-processing. Works at ``prec`` bits plus guard
-    digits, followed by a Newton polish at the same working precision.
+    values) with nonzero leading coefficient. Zero roots are stripped exactly
+    and come last as exact zeros; the others are raw approximations, one per
+    root with multiplicity, at ``prec`` bits plus guard digits.
 
     A root stops once |p(z)| is within the rounding error of Horner's rule
     at z (``_at_rounding_level``) or its correction falls below
@@ -487,15 +491,14 @@ def aberth_roots(coeffs, prec=None, maxsteps=500):
     """
     with working_precision(prec):
         target_prec = mp.mp.prec
-        cs = [to_mpc(c) for c in coeffs]
-        if not cs or cs[0] == 0:
+        coeffs = list(coeffs)
+        if not coeffs or coeffs[0] == 0:
             raise InputFormatError("leading coefficient must be nonzero")
         zero_roots = 0
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs.pop()
             zero_roots += 1
-        coeffs = coeffs[: len(cs)]
-        d = len(cs) - 1
+        d = len(coeffs) - 1
         if d == 0:
             return [mp.mpc(0)] * zero_roots
         with mp.workprec(target_prec + 20 + 2 * d):
@@ -544,34 +547,7 @@ def aberth_roots(coeffs, prec=None, maxsteps=500):
                     f"{missed} of {d} roots did not converge in {maxsteps} Aberth sweeps",
                     best=[mp.mpc(r) for r in z] + [mp.mpc(0)] * zero_roots,
                 )
-            # Newton polish at full working precision
-            for i in range(d):
-                z[i] = _newton_univariate(cs, z[i], bits, steps=6, eps=eps)
         return [mp.mpc(r) for r in z] + [mp.mpc(0)] * zero_roots
-
-
-def _cluster_roots(roots, prec):
-    """Merge roots closer than 2^(-prec/4); returns (center, count) pairs."""
-    thresh = mp.mpf(2) ** (-prec // 4)
-    items = list(roots)
-    used = [False] * len(items)
-    out = []
-    for i, r in enumerate(items):
-        if used[i]:
-            continue
-        group = [r]
-        used[i] = True
-        for j in range(i + 1, len(items)):
-            if used[j]:
-                continue
-            if abs(items[j] - r) <= thresh * max(mp.mpf(1), abs(r)):
-                group.append(items[j])
-                used[j] = True
-        center = mp.fsum(g.real for g in group) / len(group) + 1j * mp.fsum(
-            g.imag for g in group
-        ) / len(group)
-        out.append((mp.mpc(center), len(group)))
-    return out
 
 
 def _poly_residual(coeffs, root):
@@ -584,62 +560,36 @@ def _poly_residual(coeffs, root):
 def univariate_roots(p: MultiPoly, prec=None, maxsteps=500):
     """All complex roots of an exact univariate polynomial, with multiplicity.
 
-    Zero roots are stripped exactly; the rest is factored into squarefree
-    parts (exact integer arithmetic) so the iteration only ever sees simple
-    roots, then every root is verified against the normalized residual bound
-    2^(-prec/2). Roots closer than the clustering threshold are merged.
+    One exact squarefree decomposition p = c f_1 f_2^2 f_3^3 ... gives
+    coprime factors with simple roots; :func:`aberth_roots` finds the roots of
+    each f_k (a factor t included: it strips zero roots exactly), and each
+    root carries its factor's exact multiplicity k. Nothing is merged, since
+    no two of these roots coincide. Every root must meet the normalized
+    residual bound 2^(-prec/2) against p itself, or EliminationError is
+    raised.
     """
     if p.is_zero():
         raise InputFormatError("zero polynomial has no well-defined roots")
     active = [i for i in range(p.nvars) if p.degree_in(i) > 0]
     if len(active) > 1:
         raise DimensionError("polynomial is not univariate")
+    if not active:
+        raise InputFormatError("constant polynomial has no roots")
     with working_precision(prec):
         bits = mp.mp.prec
-        if not active:
-            raise InputFormatError("constant polynomial has no roots")
-        var = active[0]
-        coeffs_exact = _exact_univariate_coeffs(p, var)
-        d = len(coeffs_exact) - 1
-        # strip zero roots
-        ztrail = 0
-        while coeffs_exact and coeffs_exact[-1] == 0:
-            coeffs_exact.pop()
-            ztrail += 1
-        result = []
-        if ztrail:
-            result.append((mp.mpc(0), ztrail))
-        if len(coeffs_exact) > 1:
-            spoly = sp.Poly(list(map(_fraction_to_sympy, coeffs_exact)), sp.Symbol("t"))
-            _, factors = spoly.sqf_list()
-            for fac, mult in factors:
-                fac_coeffs = [_coerce_coeff(c) for c in fac.all_coeffs()]
-                roots = aberth_roots(fac_coeffs, prec=bits, maxsteps=maxsteps)
-                for r, extra in _cluster_roots(roots, bits):
-                    result.append((r, mult * extra))
-        full = [to_mpc(c) for c in coeffs_exact] + [mp.mpc(0)] * ztrail
+        spoly = p.to_sympy().exclude()
+        full = [to_mpc(c) for c in _int_coeffs(spoly)]
         half = mp.mpf(2) ** (-bits // 2)
-        for r, mult in result:
-            if _poly_residual(full, r) >= half:
-                raise EliminationError(
-                    f"root {mp.nstr(r, 8)} failed the residual certificate"
-                )
-        assert sum(m for _, m in result) == d
+        result = []
+        for fac, mult in spoly.sqf_list()[1]:
+            for r in aberth_roots(_int_coeffs(fac), prec=bits, maxsteps=maxsteps):
+                if _poly_residual(full, r) >= half:
+                    raise EliminationError(
+                        f"root {mp.nstr(r, 8)} failed the residual certificate"
+                    )
+                result.append((r, mult))
+        assert sum(m for _, m in result) == spoly.degree()
         return result
-
-
-def _fraction_to_sympy(c):
-    if isinstance(c, Fraction):
-        return sp.Rational(c.numerator, c.denominator)
-    return sp.Integer(c)
-
-
-def _exact_univariate_coeffs(p: MultiPoly, var: int) -> list:
-    deg = p.degree_in(var)
-    out = [0] * (deg + 1)
-    for e, c in p.terms:
-        out[deg - e[var]] += c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -713,24 +663,6 @@ def _random_shear(rng, n):
             return rows
 
 
-def _newton_univariate(coeffs, x0, bits, steps, eps):
-    """Newton's method from ``x0``, stopped by the same two tests as the
-    Aberth sweep: ``_at_rounding_level`` at ``bits``, or a correction below
-    ``eps`` |x|. Returns the last iterate after at most ``steps``
-    corrections."""
-    abs_coeffs = [abs(c) for c in coeffs]
-    x = x0
-    for _ in range(steps):
-        p, dp = _horner_pair(coeffs, x)
-        if dp == 0 or _at_rounding_level(p, abs_coeffs, x, bits):
-            break
-        step = p / dp
-        x = x - step
-        if abs(step) <= eps * max(mp.mpf(1), abs(x)):
-            break
-    return x
-
-
 def curve_intersection(F: MultiPoly, G: MultiPoly, prec=None, seed=0, max_shears=12) -> RootSet:
     """All intersection points of two coprime ternary curves, with multiplicity.
 
@@ -782,7 +714,7 @@ def _dehom(P: MultiPoly):
     """P(x0, β, 1) as an integer sympy Poly in (x0, β), denominators cleared."""
     d = {}
     for (a, b, _), c in P.terms:
-        d[(a, b)] = d.get((a, b), 0) + _fraction_to_sympy(c)
+        d[(a, b)] = d.get((a, b), 0) + sp.Rational(c)
     return sp.Poly.from_dict(d, _X0, _BETA).clear_denoms(convert=True)[1]
 
 
@@ -795,7 +727,7 @@ def _x0_coeffs(P) -> list:
 
 
 def _int_coeffs(p) -> list:
-    """Descending coefficients of a Poly in β, scaled to coprime integers."""
+    """Descending coefficients of a univariate Poly, scaled to coprime integers."""
     return [int(c) for c in p.clear_denoms(convert=True)[1].primitive()[1].all_coeffs()]
 
 

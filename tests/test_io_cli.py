@@ -178,6 +178,19 @@ class TestCli:
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:")
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--delta", "1.5"], ["--prec", "0"], ["--tol", "-1"], ["--prec", "abc"], None],
+        ids=["delta-above-1", "prec-0", "negative-tol", "prec-not-an-integer", "missing-input-path"],
+    )
+    def test_malformed_option_one_line_exit_4(self, tmp_path, args):
+        Z = cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 5, 1))
+        path = self._write(tmp_path, "cluster.json", json.dumps(cio.cluster_to_json(Z)))
+        result = CliRunner().invoke(main, ["reduce-cluster"] + ([path] + args if args else []))
+        assert result.exit_code == 4
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:")
+
     def test_unstable_binary_exit_code(self, tmp_path):
         path = self._write(tmp_path, "bad.txt", "x0^2 x1")
         result = CliRunner().invoke(main, ["reduce-binary", path])

@@ -176,6 +176,17 @@ class TestReduceBinaryForm:
         back = substitute(report.reduced, report.transform.inverse())
         assert back == PENCIL_CUBIC
 
+    def test_roots_closer_than_a_quarter_of_the_precision_stay_distinct(self):
+        # roots 1 and 1 + 2^-60 are distinct at 212 bits (classify tells
+        # points apart down to about 1e-31), so the cubic is stable
+        x0, x1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        F = (x0 - x1) * (2**60 * x0 - (2**60 + 1) * x1) * (x0 + 3 * x1)
+        report = reduce_binary_form(F, prec=212)
+        assert substitute(report.reduced, report.transform.inverse()) == F
+        pts = report.extras["root_cluster"].points
+        with mp.workprec(212):
+            assert not any(p.is_same(q) for i, p in enumerate(pts) for q in pts[i + 1:])
+
     def test_plant_and_recover(self, rnd):
         F = poly("x0^4 + x0 x1^3 - 2 x1^4 + x0^2 x1^2", nvars=2)
         base = reduce_binary_form(F).reduced
@@ -239,12 +250,19 @@ class TestReduceQuadricPencil:
         with pytest.raises((CommonComponentError, DegeneratePencilError, StabilityError)):
             reduce_quadric_pencil(Q1, Q2b)
 
-    def test_repeated_cubic_root_rejected(self):
-        # two quadrics sharing a tangency produce a degenerate pencil cubic
-        Q1 = poly("x^2 - y z", nvars=3)
-        Q2 = poly("x^2 - 2 y z + y^2", nvars=3)
-        with pytest.raises((DegeneratePencilError, CommonComponentError)):
-            reduce_quadric_pencil(Q1, Q2)
+    @pytest.mark.parametrize(
+        "q1, q2",
+        [
+            # two quadrics sharing a tangency: a finite double root
+            ("x^2 - y z", "x^2 - 2 y z + y^2"),
+            # cubic 8 x0 x1^2 - 2 x1^3: a double root at infinity
+            ("x^2", "x y + y^2 + z^2"),
+        ],
+        ids=["tangency", "double-root-at-infinity"],
+    )
+    def test_repeated_cubic_root_rejected(self, q1, q2):
+        with pytest.raises(DegeneratePencilError):
+            reduce_quadric_pencil(poly(q1, nvars=3), poly(q2, nvars=3))
 
     def test_non_quadric_rejected(self):
         with pytest.raises(InputFormatError):

@@ -175,6 +175,17 @@ class TestUnivariateRoots:
             val = mp.polyval(coeffs, r)
             assert abs(val) / norm < mp.mpf("1e-30")
 
+    def test_close_roots_stay_simple(self):
+        # (x - 1)(2^60 x - 2^60 - 1): two coprime squarefree roots 2^-60
+        # apart, far closer than 2^(-212/4), are two simple roots
+        x = MultiPoly.variable(1, 0)
+        roots = sorted(univariate_roots((x - 1) * (2**60 * x - 2**60 - 1), prec=212),
+                       key=lambda t: mp.re(t[0]))
+        assert [m for _, m in roots] == [1, 1]
+        with mp.workprec(212):
+            assert abs(roots[0][0] - 1) < mp.mpf(2) ** -150
+            assert abs(roots[1][0] - 1 - mp.mpf(2) ** -60) < mp.mpf(2) ** -150
+
     def test_multiplicity_exact(self):
         # (x-1)^2 (x+2)
         p = MultiPoly.from_dict(1, {(3,): 1, (2,): 0, (1,): -3, (0,): 2})
@@ -207,7 +218,7 @@ class TestUnivariateRoots:
             univariate_roots(MultiPoly.zero(1))
 
     def test_clustered_inexact_input(self):
-        # double root given only approximately: aberth + clustering path
+        # double root given only approximately: aberth_roots returns both
         roots = aberth_roots([mp.mpf(1), mp.mpf(-2), mp.mpf(1) + mp.mpf(2) ** -200], prec=150)
         assert len(roots) == 2
         for r in roots:
