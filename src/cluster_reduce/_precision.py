@@ -2,8 +2,10 @@
 
 All numerical code in this package runs at the ambient mpmath precision.
 Entry points that accept a ``prec`` argument (in bits) wrap their body in
-``working_precision(prec)``. Default tolerances are derived from the ambient
-precision so that tightening ``prec`` tightens every derived threshold.
+``working_precision(prec)``. Every tolerance decision (rank, point
+identification, conjugation matching, root certificates, LLL ties) compares
+against :func:`half_eps` of the ambient precision, so the precision is the
+only numeric setting.
 """
 
 from __future__ import annotations
@@ -18,21 +20,9 @@ def working_precision(prec=None):
     return mp.workprec(prec if prec is not None else mp.mp.prec)
 
 
-def decimal_digits(prec=None):
-    """Decimal digits corresponding to ``prec`` bits (ambient if None)."""
-    bits = prec if prec is not None else mp.mp.prec
-    return int(bits * 0.30103)
-
-
-def default_rank_tol(prec=None):
-    """Rank / point-identification tolerance: 10^(-digits/2)."""
-    return mp.mpf(10) ** (-decimal_digits(prec) // 2)
-
-
-def half_eps(prec=None):
-    """2^(-prec/2) at the ambient (or given) precision."""
-    bits = prec if prec is not None else mp.mp.prec
-    return mp.mpf(2) ** (-bits // 2)
+def half_eps():
+    """2^(-prec/2) at the ambient precision: the package's one threshold."""
+    return mp.mpf(2) ** (-mp.mp.prec // 2)
 
 
 def to_mpc(value):

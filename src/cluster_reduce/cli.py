@@ -81,8 +81,6 @@ def _common_options(prec=DEFAULT_PREC):
     def decorate(fn):
         fn = click.option("--report", "report_path", type=click.Path(), default=None, help="write a JSON report here")(fn)
         fn = click.option("--json/--text", "as_json", default=False, help="output format")(fn)
-        fn = click.option("--max-iter", type=click.IntRange(min=0), default=1000, show_default=True)(fn)
-        fn = click.option("--tol", type=click.FloatRange(min=0, min_open=True), help="gradient tolerance for the minimizer")(fn)
         prec_help = "working precision in bits" + ("" if prec else " (default depends on degree)")
         return click.option("--prec", type=_PREC, default=prec, show_default=bool(prec), help=prec_help)(fn)
 
@@ -95,15 +93,27 @@ _seed_option = click.option("--seed", type=int, default=0, show_default=True, he
 
 
 class _Group(click.Group):
-    """A malformed command, option or argument is malformed input: exit 4 with
-    one line, not click's usage block and exit 2, the stability error's code."""
+    """A malformed command, option or argument, of the group or of a
+    subcommand, is malformed input: exit 4 with one line, not click's usage
+    block and exit 2, the stability error's code. No arguments at all ask for
+    the help, which exits 0."""
+
+    def parse_args(self, ctx, args):
+        if not args:
+            click.echo(ctx.get_help())
+            ctx.exit(0)
+        return _one_line_usage_error(super().parse_args, ctx, args)
 
     def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            click.echo(f"input error: {exc.format_message()}", err=True)
-            sys.exit(EXIT_FORMAT)
+        return _one_line_usage_error(super().invoke, ctx)
+
+
+def _one_line_usage_error(fn, *args):
+    try:
+        return fn(*args)
+    except click.UsageError as exc:
+        click.echo(f"input error: {exc.format_message()}", err=True)
+        sys.exit(EXIT_FORMAT)
 
 
 @click.group(cls=_Group)
@@ -145,6 +155,8 @@ def classify_cmd(input_path, prec, as_json):
 @main.command("covariant")
 @click.argument("input_path")
 @_common_options()
+@click.option("--tol", type=click.FloatRange(min=0, min_open=True), help="gradient tolerance for the minimizer")
+@click.option("--max-iter", type=click.IntRange(min=0), default=1000, show_default=True)
 def covariant_cmd(input_path, prec, tol, max_iter, as_json, report_path):
     """Covariant z(Z) and theta of a stable cluster (JSON file)."""
 
@@ -173,12 +185,12 @@ def covariant_cmd(input_path, prec, tol, max_iter, as_json, report_path):
 @click.argument("input_path")
 @_common_options()
 @_delta_option
-def reduce_cluster_cmd(input_path, prec, tol, delta, max_iter, as_json, report_path):
+def reduce_cluster_cmd(input_path, prec, delta, as_json, report_path):
     """LLL-reduce a conjugation-fixed stable cluster (JSON file)."""
 
     def body():
         cluster = cio.cluster_from_json(_read(input_path))
-        report = reduce_cluster(cluster, prec=prec, tol=tol, delta=delta, max_iter=max_iter)
+        report = reduce_cluster(cluster, prec=prec, delta=delta)
         with working_precision(prec):
             payload = cio.report_to_json(report)
         _emit(
@@ -198,12 +210,12 @@ def reduce_cluster_cmd(input_path, prec, tol, delta, max_iter, as_json, report_p
 @click.argument("input_path")
 @_common_options()
 @_delta_option
-def reduce_binary_cmd(input_path, prec, tol, delta, max_iter, as_json, report_path):
+def reduce_binary_cmd(input_path, prec, delta, as_json, report_path):
     """Reduce a binary form (text or JSON polynomial file)."""
 
     def body():
         F = cio.poly_from_any(_read(input_path), nvars=2)
-        report = reduce_binary_form(F, prec=prec, tol=tol, delta=delta, max_iter=max_iter)
+        report = reduce_binary_form(F, prec=prec, delta=delta)
         with working_precision(prec):
             payload = cio.report_to_json(report)
         _emit(
@@ -225,7 +237,7 @@ def reduce_binary_cmd(input_path, prec, tol, delta, max_iter, as_json, report_pa
 @_common_options()
 @_delta_option
 @_seed_option
-def reduce_pencil_cmd(input_path, prec, tol, delta, max_iter, seed, as_json, report_path):
+def reduce_pencil_cmd(input_path, prec, delta, seed, as_json, report_path):
     """Reduce a pencil of two ternary quadrics.
 
     Input: JSON object {"q1": <poly>, "q2": <poly>} where <poly> is either a
@@ -249,9 +261,7 @@ def reduce_pencil_cmd(input_path, prec, tol, delta, max_iter, seed, as_json, rep
                 raise InputFormatError("pencil text input needs exactly two lines")
             Q1 = cio.poly_from_any(lines[0], nvars=3)
             Q2 = cio.poly_from_any(lines[1], nvars=3)
-        report = reduce_quadric_pencil(
-            Q1, Q2, prec=prec, tol=tol, delta=delta, max_iter=max_iter, seed=seed
-        )
+        report = reduce_quadric_pencil(Q1, Q2, prec=prec, delta=delta, seed=seed)
         with working_precision(prec):
             payload = cio.report_to_json(report)
         _emit(
@@ -275,14 +285,12 @@ def reduce_pencil_cmd(input_path, prec, tol, delta, max_iter, seed, as_json, rep
 @_common_options(prec=None)
 @_delta_option
 @_seed_option
-def reduce_ternary_cmd(input_path, prec, tol, delta, max_iter, seed, as_json, report_path):
+def reduce_ternary_cmd(input_path, prec, delta, seed, as_json, report_path):
     """Reduce an irreducible ternary form via its inflection cluster."""
 
     def body():
         F = cio.poly_from_any(_read(input_path), nvars=3)
-        report = reduce_ternary_form(
-            F, prec=prec, tol=tol, delta=delta, max_iter=max_iter, seed=seed
-        )
+        report = reduce_ternary_form(F, prec=prec, delta=delta, seed=seed)
         with working_precision(report.diagnostics["precision"]):
             payload = cio.report_to_json(report)
         _emit(

@@ -16,7 +16,7 @@ from typing import Optional
 
 import mpmath as mp
 
-from ._precision import default_rank_tol, to_mpc
+from ._precision import half_eps, to_mpc
 from .errors import DimensionError, InvalidPointError, SingularMatrixError
 
 
@@ -25,24 +25,21 @@ def _dot(a, b):
     return mp.fdot(b, a, conjugate=True)
 
 
-def _same_direction(a, b, tol):
-    """Projective equality of unit vectors: the sine of their angle is < tol."""
+def _same_direction(a, b):
+    """Projective equality of unit vectors: the sine of their angle is below
+    2^(-prec/2)."""
     inner = _dot(a, b)
     # sine of the angle as a projection residual (no cancellation)
     resid2 = mp.fsum((y - inner * x for x, y in zip(a, b)), absolute=True, squared=True)
-    return mp.sqrt(resid2) < tol
+    return mp.sqrt(resid2) < half_eps()
 
 
-def _distinct(units, tol):
-    """Groups of projectively equal unit vectors, as [first index, multiplicity]."""
+def _distinct(units):
+    """Index of the first of each group of projectively equal unit vectors."""
     reps = []
     for i, u in enumerate(units):
-        for rep in reps:
-            if _same_direction(u, units[rep[0]], tol):
-                rep[1] += 1
-                break
-        else:
-            reps.append([i, 1])
+        if not any(_same_direction(u, units[r]) for r in reps):
+            reps.append(i)
     return reps
 
 
@@ -52,7 +49,7 @@ class ProjectivePoint:
 
     Coordinates are mpmath complex numbers; at least one must be nonzero.
     Two points are equal when their coordinate vectors are proportional,
-    tested up to a tolerance (see :meth:`is_same`).
+    tested at the working precision (see :meth:`is_same`).
     """
 
     coords: tuple
@@ -80,13 +77,12 @@ class ProjectivePoint:
     def conjugate(self) -> "ProjectivePoint":
         return ProjectivePoint(tuple(mp.conj(c) for c in self.coords))
 
-    def is_same(self, other: "ProjectivePoint", tol=None) -> bool:
-        """Projective equality: the angle between coordinate vectors is < tol."""
+    def is_same(self, other: "ProjectivePoint") -> bool:
+        """Projective equality: the sine of the angle between coordinate
+        vectors is below 2^(-prec/2)."""
         if self.n != other.n:
             return False
-        if tol is None:
-            tol = default_rank_tol()
-        return _same_direction(self.unit(), other.unit(), tol)
+        return _same_direction(self.unit(), other.unit())
 
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
@@ -129,22 +125,20 @@ class PointCluster:
     def conjugate(self) -> "PointCluster":
         return PointCluster(tuple(p.conjugate() for p in self.points))
 
-    def is_conjugation_fixed(self, tol=None) -> bool:
-        return self.same_cluster(self.conjugate(), tol=tol)
+    def is_conjugation_fixed(self) -> bool:
+        return self.same_cluster(self.conjugate())
 
-    def same_cluster(self, other: "PointCluster", tol=None) -> bool:
+    def same_cluster(self, other: "PointCluster") -> bool:
         """Multiset equality via greedy matching of projectively equal points."""
         if not isinstance(other, PointCluster):
             return NotImplemented
         if self.n != other.n or self.degree != other.degree:
             return False
-        if tol is None:
-            tol = default_rank_tol()
         remaining = [q.unit() for q in other.points]
         for p in self.points:
             u = p.unit()
             for i, v in enumerate(remaining):
-                if _same_direction(u, v, tol):
+                if _same_direction(u, v):
                     remaining.pop(i)
                     break
             else:
@@ -157,13 +151,6 @@ class PointCluster:
         return self.same_cluster(other)
 
     __hash__ = None
-
-    def distinct_points(self, tol=None):
-        """Representatives of the distinct points with their multiplicities."""
-        if tol is None:
-            tol = default_rank_tol()
-        units = [p.unit() for p in self.points]
-        return [(self.points[i], mult) for i, mult in _distinct(units, tol)]
 
     def __repr__(self):
         return "PointCluster(" + " + ".join(repr(p) for p in self.points) + ")"
@@ -214,12 +201,11 @@ class ScaledCluster:
     def conjugate(self) -> "ScaledCluster":
         return ScaledCluster(tuple(tuple(mp.conj(c) for c in row) for row in self.reps))
 
-    def same_scaled(self, other: "ScaledCluster", tol=None) -> bool:
+    def same_scaled(self, other: "ScaledCluster") -> bool:
         """Equality modulo rescalings with product 1 (rows kept in order)."""
         if self.n != other.n or self.degree != other.degree:
             return False
-        if tol is None:
-            tol = default_rank_tol()
+        tol = half_eps()
         prod = mp.mpc(1)
         for a, b in zip(self.reps, other.reps):
             j = max(range(len(a)), key=lambda i: abs(a[i]))
@@ -294,16 +280,15 @@ def _as_matrix(g, size):
     return M
 
 
-def act(cluster: PointCluster, g, det_tol=None) -> PointCluster:
+def act(cluster: PointCluster, g) -> PointCluster:
     """Apply the coordinate change sending each row vector P to P * g.
 
-    ``g`` must be an (n+1) x (n+1) matrix of determinant 1 (up to ``det_tol``).
+    ``g`` must be an (n+1) x (n+1) matrix of determinant 1 (up to 2^(-prec/2)).
     Composition satisfies act(act(Z, g), h) = act(Z, g*h).
     """
     M = _as_matrix(g, cluster.n + 1)
     det = mp.det(M)
-    if det_tol is None:
-        det_tol = default_rank_tol()
+    det_tol = half_eps()
     if abs(det) < det_tol:
         raise SingularMatrixError("transformation matrix is singular")
     if abs(det - 1) > det_tol * (1 + abs(det)):
@@ -325,17 +310,18 @@ def _column_matrix(vectors):
     return mp.matrix([list(row) for row in zip(*vectors)])
 
 
-def _adapted_basis(units, rank_tol):
+def _adapted_basis(units):
     """Unitary basis of C^(n+1) whose leading vectors span the given unit vectors.
 
     Modified Gram-Schmidt with a second pass runs over the unit vectors and
-    then over e_0..e_n; a vector within ``rank_tol`` of the span so far adds
+    then over e_0..e_n; a vector within 2^(-prec/2) of the span so far adds
     nothing. Returns ``(basis, kept)``: the first ``len(kept)`` basis vectors
     span the input, so ``len(kept)`` is its numerical rank, and the rest span
     the orthogonal complement. ``kept`` indexes the input vectors that added a
     direction: a greedy basis of their linear matroid.
     """
     n1 = len(units[0])
+    rank_tol = half_eps()
     axes = [tuple(mp.mpc(int(i == j)) for j in range(n1)) for i in range(n1)]
     basis, kept = [], []
     for idx, v in enumerate(list(units) + axes):
@@ -355,14 +341,12 @@ def _adapted_basis(units, rank_tol):
     return basis, kept
 
 
-def rank_of(points, rank_tol=None) -> int:
+def rank_of(points) -> int:
     """Numerical rank of the coordinate vectors of the given points."""
-    if rank_tol is None:
-        rank_tol = default_rank_tol()
-    return len(_adapted_basis([p.unit() for p in points], rank_tol)[1])
+    return len(_adapted_basis([p.unit() for p in points])[1])
 
 
-def phi(cluster: PointCluster, k: int, rank_tol=None) -> int:
+def phi(cluster: PointCluster, k: int) -> int:
     """Maximum number of cluster points on a common k-dimensional subspace.
 
     phi(-1) = 0 and phi(n) = deg Z; the function is nondecreasing in k.
@@ -375,15 +359,13 @@ def phi(cluster: PointCluster, k: int, rank_tol=None) -> int:
         return 0
     if k == n:
         return cluster.degree
-    if rank_tol is None:
-        rank_tol = default_rank_tol()
     units = [p.unit() for p in cluster.points]
-    distinct = [i for i, _ in _distinct(units, rank_tol)]
-    count, _ = _phi_with_witness(units, distinct, k, rank_tol)
+    distinct = _distinct(units)
+    count, _ = _phi_with_witness(units, distinct, k)
     return count
 
 
-def _phi_with_witness(units, distinct, k, rank_tol):
+def _phi_with_witness(units, distinct, k):
     """phi(k), and indices of distinct points spanning a subspace attaining it.
 
     ``units`` are the cluster's unit vectors and ``distinct`` indexes one of
@@ -391,13 +373,13 @@ def _phi_with_witness(units, distinct, k, rank_tol):
     points are tried: extending a smaller subset by one more distinct point
     spans a subspace containing the old one, so it never holds fewer points.
     A point lies on the span when its components along the orthogonal
-    complement have squared norm below ``rank_tol**2``.
+    complement have squared norm below 2^(-prec).
     """
-    tol2 = rank_tol**2
+    tol2 = half_eps() ** 2
     best = 0
     best_subset = None
     for subset in itertools.combinations(distinct, min(k + 1, len(distinct))):
-        basis, kept = _adapted_basis([units[i] for i in subset], rank_tol)
+        basis, kept = _adapted_basis([units[i] for i in subset])
         complement = basis[len(kept):]
         hits = sum(
             1
@@ -410,7 +392,7 @@ def _phi_with_witness(units, distinct, k, rank_tol):
     return best, best_subset
 
 
-def _is_split(units, rank_tol):
+def _is_split(units):
     """Split detection.
 
     A cluster is split when two disjoint nonempty linear subspaces jointly
@@ -420,13 +402,13 @@ def _is_split(units, rank_tol):
     graph for any basis (Oxley, Matroid Theory, ch. 4), so one greedy basis
     and one solve per remaining point decide the question for every m.
     """
-    _, basis_idx = _adapted_basis(units, rank_tol)
+    _, basis_idx = _adapted_basis(units)
     if len(basis_idx) < len(units[0]):
         return True
-    return len(_matroid_components(units, basis_idx, rank_tol)) > 1
+    return len(_matroid_components(units, basis_idx)) > 1
 
 
-def _matroid_components(units, basis_idx, rank_tol):
+def _matroid_components(units, basis_idx):
     """Connected components of the linear matroid of spanning unit vectors.
 
     Links every vector outside the basis ``basis_idx`` to the basis vectors
@@ -446,6 +428,7 @@ def _matroid_components(units, basis_idx, rank_tol):
         if ra != rb:
             parent[ra] = rb
 
+    rank_tol = half_eps()
     basis_cols = _column_matrix([units[j] for j in basis_idx])
     for i in range(m):
         if i in basis_idx:
@@ -460,17 +443,15 @@ def _matroid_components(units, basis_idx, rank_tol):
     return list(groups.values())
 
 
-def _component_clusters(cluster: PointCluster, rank_tol=None) -> list:
+def _component_clusters(cluster: PointCluster) -> list:
     """The components of a spanning cluster's linear matroid, each as a
     cluster in the coordinates of an orthonormal basis of its own span (the
     spans are independent and fill the space: the cluster is their sum)."""
-    if rank_tol is None:
-        rank_tol = default_rank_tol()
     units = [p.unit() for p in cluster.points]
-    _, basis_idx = _adapted_basis(units, rank_tol)
+    _, basis_idx = _adapted_basis(units)
     out = []
-    for group in _matroid_components(units, basis_idx, rank_tol):
-        basis, kept = _adapted_basis([units[i] for i in group], rank_tol)
+    for group in _matroid_components(units, basis_idx):
+        basis, kept = _adapted_basis([units[i] for i in group])
         span = basis[: len(kept)]
         out.append(PointCluster(tuple(
             ProjectivePoint(tuple(_dot(b, units[i]) for b in span)) for i in group
@@ -478,7 +459,7 @@ def _component_clusters(cluster: PointCluster, rank_tol=None) -> list:
     return out
 
 
-def classify(cluster: PointCluster, rank_tol=None) -> StabilityClass:
+def classify(cluster: PointCluster) -> StabilityClass:
     """Split / semi-stable / stable classification with a witness subspace.
 
     Semi-stable means (n+1) * phi(k) <= (k+1) * m for every 0 <= k <= n-1,
@@ -487,8 +468,6 @@ def classify(cluster: PointCluster, rank_tol=None) -> StabilityClass:
     violating the bound (not semi-stable), or achieving it with equality
     (semi-stable but not stable).
     """
-    if rank_tol is None:
-        rank_tol = default_rank_tol()
     n = cluster.n
     m = cluster.degree
     semi = True
@@ -496,9 +475,9 @@ def classify(cluster: PointCluster, rank_tol=None) -> StabilityClass:
     witness = None
     margin = None
     units = [p.unit() for p in cluster.points]
-    distinct = [i for i, _ in _distinct(units, rank_tol)]
+    distinct = _distinct(units)
     for k in range(0, n):
-        count, subset = _phi_with_witness(units, distinct, k, rank_tol)
+        count, subset = _phi_with_witness(units, distinct, k)
         lhs = (n + 1) * count
         rhs = (k + 1) * m
         slack = rhs - lhs
@@ -510,7 +489,7 @@ def classify(cluster: PointCluster, rank_tol=None) -> StabilityClass:
         if lhs > rhs:
             semi = False
             break
-    split = _is_split(units, rank_tol)
+    split = _is_split(units)
     if split:
         stable = False
     return StabilityClass(

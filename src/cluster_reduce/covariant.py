@@ -15,7 +15,10 @@ images w_j = S P_j^T / |S P_j^T|, the gradient and the Hessian are
 
 The minimizer is found by damped Riemannian Newton: solve H[B] = -G over a
 real basis of the trace-free Hermitian B, step along the geodesic with Armijo
-backtracking, and stop once the Frobenius norm of G is at most the tolerance.
+backtracking, and stop once the Frobenius norm of G is at most the tolerance,
+or at most 2^(1-prec) kappa(Q), below which the rounding of Q decides it.
+The solver starts from the closed form for n+2 points in general position
+and from one Tyler fixed-point step otherwise.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from typing import Optional
 import mpmath as mp
 
 from ._precision import (
-    default_rank_tol,
     frobenius_norm,
+    half_eps,
     hermitian_cholesky,
     hermitize,
     to_mpc,
@@ -89,10 +92,9 @@ class HermitianForm:
     def mat(self):
         return _as_mp_matrix(self.matrix)
 
-    def check(self, tol=None):
+    def check(self):
         """Validate Hermitian symmetry and positive definiteness."""
-        if tol is None:
-            tol = default_rank_tol()
+        tol = half_eps()
         M = self.mat()
         scale = max(abs(M[i, j]) for i in range(M.rows) for j in range(M.cols))
         for i in range(M.rows):
@@ -113,10 +115,9 @@ class HermitianForm:
         M = self.mat() / mp.root(d, self.n + 1)
         return HermitianForm.from_matrix(M)
 
-    def same_form(self, other: "HermitianForm", tol=None) -> bool:
+    def same_form(self, other: "HermitianForm") -> bool:
         """Equality modulo positive real scaling."""
-        if tol is None:
-            tol = default_rank_tol()
+        tol = half_eps()
         A = self.normalized().mat()
         B = other.normalized().mat()
         if A.rows != B.rows:
@@ -145,9 +146,8 @@ class TangentDirection:
     def mat(self):
         return _as_mp_matrix(self.matrix)
 
-    def check(self, tol=None):
-        if tol is None:
-            tol = default_rank_tol()
+    def check(self):
+        tol = half_eps()
         M = self.mat()
         scale = 1 + max(abs(M[i, j]) for i in range(M.rows) for j in range(M.cols))
         for i in range(M.rows):
@@ -201,7 +201,7 @@ class DivergenceWitness:
         """D(zc, Q_lambda), evaluated in the eigenbasis so arbitrarily large
         lambda works; det Q_lambda = 1 by construction.
 
-        Components below the rank tolerance are treated as exact zeros:
+        Components below the rank threshold 2^(-prec/2) are treated as exact zeros:
         points counted as lying on the subspace must not leak rounding noise
         into the complementary eigendirections, where lambda^(k+1) would
         amplify it without bound.
@@ -210,7 +210,7 @@ class DivergenceWitness:
         B = _as_mp_matrix(self.basis)
         n1 = B.rows
         evals = self._eigenvalues(lam)
-        chop = default_rank_tol() ** 2
+        chop = half_eps() ** 2
         total = mp.mpf(0)
         for row in zc.reps:
             nrm2 = sum(abs(c) ** 2 for c in row)
@@ -344,19 +344,47 @@ def _newton_direction(ws, G, gnorm, basis):
     return B, slope
 
 
-def _newton(reps, n1, tol, max_iter, initial=None, record=False):
-    """Damped Riemannian Newton loop; returns (Q, L, gnorm, iters, transcript).
+def _start(cluster: PointCluster, reps):
+    """The solver's starting form: the closed form of :func:`simplex_covariant`
+    for n+2 points in general position, otherwise one Tyler fixed-point step
+    from the identity, where the unit rows ``reps`` span."""
+    n1 = cluster.n + 1
+    if cluster.degree == n1 + 1:
+        try:
+            return simplex_covariant(cluster).mat()
+        except DegeneratePositionError:
+            pass  # general position missed at the working precision
+    try:
+        initial = hermitize((_gradient(reps, n1)[0] + mp.mpf(len(reps)) / n1 * mp.eye(n1)) ** -1)
+        _cholesky(initial)
+    except (ZeroDivisionError, NotPositiveDefiniteError):
+        initial = mp.eye(n1)
+    return initial
+
+
+def _resolution(L):
+    """2^(1-prec) * kappa(Q) for Q = L L^H, with kappa(Q) bounded by
+    tr(Q) tr(Q^-1) = (|L|_F |L^-1|_F)^2: the gradient norm below which the
+    rounding of Q itself decides G, since L is the exact factor only of a
+    form within 2^(-prec) |Q| of Q. L^-1 comes row by row by substitution."""
+    rows = [[L[i, k] for k in range(i + 1)] for i in range(L.rows)]
+    inv = []
+    for i, li in enumerate(rows):
+        row = [-mp.fdot(li[j:i], [r[j] for r in inv[j:]]) / li[i] for j in range(i)]
+        inv.append(row + [1 / li[i]])
+    norm2 = [mp.fsum((x for r in m for x in r), absolute=True, squared=True) for m in (rows, inv)]
+    return mp.eps * norm2[0] * norm2[1]
+
+
+def _newton(reps, n1, tol, max_iter, initial, record=False):
+    """Damped Riemannian Newton loop; returns (Q, L, D, gnorm, iters,
+    transcript, converged) at the last iterate Q = L L^H.
 
     Each step takes Q <- L exp(lambda B) L^H for the Newton direction B, with
-    Armijo backtracking from lambda = 1, and renormalizes det Q to 1.
+    Armijo backtracking from lambda = 1, and renormalizes det Q to 1. The loop
+    has converged once the gradient norm is at most ``tol`` or at most the
+    resolution of Q = L L^H at the working precision (:func:`_resolution`).
     """
-    if initial is None:
-        # one Tyler fixed-point step from the identity, where the rows span
-        try:
-            initial = hermitize((_gradient(reps, n1)[0] + mp.mpf(len(reps)) / n1 * mp.eye(n1)) ** -1)
-            _cholesky(initial)
-        except (ZeroDivisionError, NotPositiveDefiniteError):
-            initial = mp.eye(n1)
     Q = initial / mp.root(mp.re(mp.det(initial)), n1)
     L = _cholesky(Q)
     basis = _trace_free_basis(n1)
@@ -366,8 +394,9 @@ def _newton(reps, n1, tol, max_iter, initial=None, record=False):
         G, gnorm = _gradient(ws, n1)
         if record:
             transcript.append((it, D))
-        if gnorm <= tol or it == max_iter:
-            return Q, L, gnorm, it, transcript
+        converged = gnorm <= tol or gnorm <= _resolution(L)
+        if converged or it == max_iter:
+            return Q, L, D, gnorm, it, transcript, converged
         B, slope = _newton_direction(ws, G, gnorm, basis)
         ev, V = mp.eigh(B)
         # the change of D along the geodesic, from |V^H w_j|^2 alone; expm1 and
@@ -387,7 +416,7 @@ def _newton(reps, n1, tol, max_iter, initial=None, record=False):
             step = hermitize(step / mp.root(mp.re(mp.det(step)), n1))
             Q, L = step, _cholesky(step)
         except (ZeroDivisionError, NotPositiveDefiniteError):
-            return Q, L, gnorm, it, transcript  # D unbounded below, beyond precision
+            return Q, L, D, gnorm, it, transcript, False  # D unbounded below, beyond precision
 
 
 def minimize(
@@ -403,9 +432,10 @@ def minimize(
 
     The input must be stable unless ``check_stability`` is disabled (useful to
     observe divergence). ``initial`` optionally seeds the solver with a
-    positive definite matrix (by default, one Tyler fixed-point step from the
-    identity); the minimizer does not depend on it. theta is reported for the
-    unit-norm scaling of the cluster.
+    positive definite matrix (by default, the closed form for n+2 points and
+    otherwise one Tyler fixed-point step from the identity); the minimizer
+    does not depend on it. theta is reported for the unit-norm scaling of the
+    cluster.
     """
     with working_precision(prec):
         if check_stability:
@@ -418,21 +448,23 @@ def minimize(
                 )
         tol = mp.mpf(10) ** -12 if tol is None else mp.mpf(tol)
         zc = normalize_cluster(cluster)
-        if isinstance(initial, HermitianForm):
+        if initial is None:
+            initial = _start(cluster, zc.reps)
+        elif isinstance(initial, HermitianForm):
             initial = initial.mat()
-        elif initial is not None:
+        else:
             initial = _as_mp_matrix(initial)
-        Q, L, gnorm, iters, transcript = _newton(
+        Q, _, D, gnorm, iters, transcript, converged = _newton(
             zc.reps, cluster.n + 1, tol, max_iter, initial=initial, record=record_transcript
         )
         result = CovariantResult(
             z=HermitianForm.from_matrix(Q).normalized(),
-            theta=mp.e ** _images(L, zc.reps)[1],
+            theta=mp.e**D,
             iterations=iters,
             final_gradient_norm=gnorm,
             transcript=tuple(transcript) if record_transcript else None,
         )
-        if gnorm > tol:
+        if not converged:
             raise ConvergenceError(
                 f"gradient norm {mp.nstr(gnorm, 8)} above tolerance after {iters} iterations",
                 best=result,
@@ -442,7 +474,7 @@ def minimize(
 
 def _witness_from_subspace(witness_points):
     """Orthonormal basis adapted to the witness span, extended to C^(n+1)."""
-    basis, kept = _adapted_basis([p.unit() for p in witness_points], default_rank_tol())
+    basis, kept = _adapted_basis([p.unit() for p in witness_points])
     return DivergenceWitness(basis=tuple(zip(*basis)), subspace_dim=len(kept))
 
 
@@ -463,7 +495,8 @@ def theta(zc: ScaledCluster, tol=None, max_iter=1000, prec=None) -> ThetaResult:
             return ThetaResult(value=mp.mpf(0), attained=False, stability=cls, witness=witness)
         if tol is None:
             tol = mp.mpf(10) ** -12
-        _, L, _, _, _ = _newton(normalize_cluster(cluster).reps, cluster.n + 1, tol, max_iter)
+        reps = normalize_cluster(cluster).reps
+        L = _newton(reps, cluster.n + 1, tol, max_iter, _start(cluster, reps))[1]
         value = mp.e ** _images(L, zc.reps)[1]
         if cls.is_stable:
             return ThetaResult(value=value, attained=True, stability=cls)
@@ -500,7 +533,7 @@ def simplex_covariant(cluster: PointCluster, prec=None) -> HermitianForm:
         if rank_of(cluster.points[:n1]) < n1:
             raise DegeneratePositionError("the first n+1 points are linearly dependent")
         coeff = mp.lu_solve(_column_matrix(units[:n1]), mp.matrix(units[n1]))
-        if any(abs(coeff[i]) < default_rank_tol() for i in range(n1)):
+        if any(abs(coeff[i]) < half_eps() for i in range(n1)):
             raise DegeneratePositionError("the last point lies in a coordinate subspace of the others")
         g = mp.matrix(n1, n1)
         for i in range(n1):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from ._precision import default_rank_tol, half_eps, hermitian_cholesky
+from ._precision import half_eps, hermitian_cholesky
 from .errors import (
     ConvergenceError,
     DimensionError,
@@ -54,9 +54,8 @@ class GramMatrix:
                 M[i, j] = self.matrix[i][j]
         return M
 
-    def check(self, tol=None):
-        if tol is None:
-            tol = default_rank_tol()
+    def check(self):
+        tol = half_eps()
         M = self.mat()
         scale = max(abs(M[i, j]) for i in range(self.size) for j in range(self.size))
         for i in range(self.size):
@@ -158,10 +157,6 @@ class UnimodularTransform:
         for i in range(self.size):
             rows[i][j] = -rows[i][j]
         return UnimodularTransform(tuple(tuple(r) for r in rows))
-
-
-def identity_transform(size: int) -> UnimodularTransform:
-    return UnimodularTransform(tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size)))
 
 
 def congruence(G: GramMatrix, U: UnimodularTransform) -> GramMatrix:

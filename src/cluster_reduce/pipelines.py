@@ -16,25 +16,16 @@ import mpmath as mp
 import sympy as sp
 
 from ._precision import (
-    default_rank_tol,
     half_eps,
     max_abs_entry,
     max_imag_entry,
     real_part,
     working_precision,
 )
-from .cluster_core import PointCluster, act, classify, normalize_cluster
-from .covariant import (
-    CovariantResult,
-    HermitianForm,
-    eval_D,
-    grad_D,
-    minimize,
-    simplex_covariant,
-)
+from .cluster_core import PointCluster, act, classify
+from .covariant import HermitianForm, minimize
 from .errors import (
     DegeneratePencilError,
-    DegeneratePositionError,
     InputFormatError,
     RealityError,
     StabilityError,
@@ -67,7 +58,7 @@ def _require_exact_integer(F: MultiPoly, what: str):
 
 def _real_gram(z: HermitianForm) -> GramMatrix:
     M = z.mat()
-    if max_imag_entry(M) > default_rank_tol() * (1 + max_abs_entry(M)):
+    if max_imag_entry(M) > half_eps() * (1 + max_abs_entry(M)):
         raise RealityError(
             "covariant has a significant imaginary part; the input is not "
             "conjugation-fixed, so only the complex covariant is defined"
@@ -83,14 +74,14 @@ def _gram_height(G: GramMatrix):
     return max_abs_entry(M)
 
 
-def _reduce_core(cluster: PointCluster, what: str, tol, max_iter, delta):
+def _reduce_core(cluster: PointCluster, what: str, delta):
     """The reduction shared by every pipeline, for the cluster it has built.
 
     Classifies the cluster and requires it stable and fixed by conjugation,
-    takes its covariant (closed form for n+2 points, damped Riemannian Newton
-    in :func:`minimize` otherwise), and LLL-reduces the real Gram matrix.
-    Returns (classification, covariant result, G, reduced Gram, U); U comes
-    from LLL unchanged.
+    takes its covariant from :func:`minimize` (which starts from the closed
+    form for n+2 points), and LLL-reduces the real Gram matrix. Returns
+    (classification, covariant result, G, reduced Gram, U); U comes from LLL
+    unchanged.
     """
     cls = classify(cluster)
     if not cls.is_stable:
@@ -102,24 +93,8 @@ def _reduce_core(cluster: PointCluster, what: str, tol, max_iter, delta):
             f"{what} is not fixed by conjugation; only the complex covariant "
             "is defined (no integral reduction)"
         )
-    result = None
-    if cluster.degree == cluster.n + 2:
-        try:
-            z = simplex_covariant(cluster)
-        except DegeneratePositionError:
-            pass  # general position missed within tolerance: use the solver
-        else:
-            zc = normalize_cluster(cluster)
-            result = CovariantResult(
-                z=z,
-                theta=mp.e ** eval_D(zc, z),
-                iterations=0,
-                final_gradient_norm=grad_D(zc, z).norm(),
-            )
-    if result is None:
-        if tol is None:
-            tol = half_eps() ** 1.5  # well inside LLL's 2^(-prec/2) tie window
-        result = minimize(cluster, tol=tol, max_iter=max_iter, check_stability=False)
+    # a gradient tolerance well inside LLL's 2^(-prec/2) tie window
+    result = minimize(cluster, tol=half_eps() ** 1.5, check_stability=False)
     G = _real_gram(result.z)
     reduced_gram, U = lll_reduce(G, delta=delta)
     return cls, result, G, reduced_gram, U
@@ -139,13 +114,7 @@ def _diagnostics(cls, result, before, after, residuals=(), **extra) -> dict:
     }
 
 
-def reduce_cluster(
-    cluster: PointCluster,
-    prec=None,
-    tol=None,
-    delta=DEFAULT_DELTA,
-    max_iter=1000,
-) -> ReductionReport:
+def reduce_cluster(cluster: PointCluster, prec=None, delta=DEFAULT_DELTA) -> ReductionReport:
     """LLL-reduced representative of the SL(n+1, Z)-orbit of a real stable cluster.
 
     The cluster must be fixed by complex conjugation, since the reduction
@@ -154,9 +123,7 @@ def reduce_cluster(
     act(cluster, U^(-T)), whose covariant is the reduced Gram.
     """
     with working_precision(prec):
-        cls, result, G, reduced_gram, U = _reduce_core(
-            cluster, "cluster", tol, max_iter, delta
-        )
+        cls, result, G, reduced_gram, U = _reduce_core(cluster, "cluster", delta)
         if U.det() == -1:
             U = U.negate_column(U.size - 1)
             reduced_gram = congruence(G, U)
@@ -176,13 +143,7 @@ def reduce_cluster(
         )
 
 
-def reduce_binary_form(
-    F: MultiPoly,
-    prec=None,
-    tol=None,
-    delta=DEFAULT_DELTA,
-    max_iter=1000,
-) -> ReductionReport:
+def reduce_binary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA) -> ReductionReport:
     """Reduce a binary form through the covariant of its root cluster in P^1.
 
     Cubics use the closed-form covariant of three points in general position;
@@ -195,9 +156,7 @@ def reduce_binary_form(
         raise InputFormatError("need a homogeneous binary form of degree >= 3")
     with working_precision(prec):
         cluster = binary_form_roots(F)
-        cls, result, G, reduced_gram, U = _reduce_core(
-            cluster, "root cluster", tol, max_iter, delta
-        )
+        cls, result, G, reduced_gram, U = _reduce_core(cluster, "root cluster", delta)
         reduced = substitute(F, U)
         return ReductionReport(
             kind="binary-form",
@@ -223,9 +182,7 @@ def reduce_quadric_pencil(
     Q1: MultiPoly,
     Q2: MultiPoly,
     prec=None,
-    tol=None,
     delta=DEFAULT_DELTA,
-    max_iter=1000,
     seed=0,
 ) -> ReductionReport:
     """Reduce a pencil of ternary quadrics whose generic member is smooth.
@@ -251,9 +208,7 @@ def reduce_quadric_pencil(
             raise DegeneratePencilError(
                 "pencil determinant cubic has repeated roots"
             )
-        binary_report = reduce_binary_form(
-            cubic, tol=tol, delta=delta, max_iter=max_iter
-        )
+        binary_report = reduce_binary_form(cubic, delta=delta)
         Ub = binary_report.transform
         # rows of W = Ub^T express the new pencil basis in terms of (Q1, Q2)
         W = [list(row) for row in Ub.transpose().matrix]
@@ -272,9 +227,7 @@ def reduce_quadric_pencil(
             )
         # four stable points of P^2 are in general position, so the core
         # takes the closed-form covariant
-        cls, result, G, reduced_gram, U = _reduce_core(
-            base.cluster(), "base point cluster", tol, max_iter, delta
-        )
+        cls, result, G, reduced_gram, U = _reduce_core(base.cluster(), "base point cluster", delta)
         finals = (substitute(Q1p, U), substitute(Q2p, U))
         return ReductionReport(
             kind="quadric-pencil",
@@ -299,14 +252,7 @@ def reduce_quadric_pencil(
         )
 
 
-def reduce_ternary_form(
-    F: MultiPoly,
-    prec=None,
-    tol=None,
-    delta=DEFAULT_DELTA,
-    max_iter=1000,
-    seed=0,
-) -> ReductionReport:
+def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) -> ReductionReport:
     """Reduce an irreducible ternary form through its inflection-point cluster.
 
     The inflection points are the intersections of the curve with its Hessian
@@ -357,9 +303,7 @@ def reduce_ternary_form(
                 f"inflection count {len(pts)} does not match the expected {expected}"
             )
         cluster = PointCluster(tuple(pts))
-        cls, result, G, reduced_gram, U = _reduce_core(
-            cluster, "inflection cluster", tol, max_iter, delta
-        )
+        cls, result, G, reduced_gram, U = _reduce_core(cluster, "inflection cluster", delta)
         reduced = substitute(F, U)
         return ReductionReport(
             kind="ternary-form",

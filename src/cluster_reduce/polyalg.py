@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import mpmath as mp
 import sympy as sp
 
-from ._precision import to_mpc, working_precision
+from ._precision import half_eps, to_mpc, working_precision
 from .cluster_core import PointCluster, ProjectivePoint
 from .errors import (
     CommonComponentError,
@@ -557,7 +557,7 @@ def _poly_residual(coeffs, root):
     return abs(p) / (norm * max(mp.mpf(1), abs(root)) ** (len(coeffs) - 1))
 
 
-def univariate_roots(p: MultiPoly, prec=None, maxsteps=500):
+def univariate_roots(p: MultiPoly, prec=None):
     """All complex roots of an exact univariate polynomial, with multiplicity.
 
     One exact squarefree decomposition p = c f_1 f_2^2 f_3^3 ... gives
@@ -579,11 +579,10 @@ def univariate_roots(p: MultiPoly, prec=None, maxsteps=500):
         bits = mp.mp.prec
         spoly = p.to_sympy().exclude()
         full = [to_mpc(c) for c in _int_coeffs(spoly)]
-        half = mp.mpf(2) ** (-bits // 2)
         result = []
         for fac, mult in spoly.sqf_list()[1]:
-            for r in aberth_roots(_int_coeffs(fac), prec=bits, maxsteps=maxsteps):
-                if _poly_residual(full, r) >= half:
+            for r in aberth_roots(_int_coeffs(fac), prec=bits):
+                if _poly_residual(full, r) >= half_eps():
                     raise EliminationError(
                         f"root {mp.nstr(r, 8)} failed the residual certificate"
                     )
@@ -663,7 +662,7 @@ def _random_shear(rng, n):
             return rows
 
 
-def curve_intersection(F: MultiPoly, G: MultiPoly, prec=None, seed=0, max_shears=12) -> RootSet:
+def curve_intersection(F: MultiPoly, G: MultiPoly, prec=None, seed=0) -> RootSet:
     """All intersection points of two coprime ternary curves, with multiplicity.
 
     After an integer shear keeping (1:0:0) off both curves, one exact
@@ -673,8 +672,8 @@ def curve_intersection(F: MultiPoly, G: MultiPoly, prec=None, seed=0, max_shears
     the first that does not vanish, the fiber x1 = β holds the one point
     x0 = ξ = −c_{j−1}/(j c_j); for j = 1 this is the rational univariate
     representation x0 = −a0/a1. For j ≥ 2 the exact congruence
-    S_j ≡ c_j (x0 − ξ)^j modulo the part certifies it, or the next shear is
-    tried. Root finding runs once per part, on β alone, and every point
+    S_j ≡ c_j (x0 − ξ)^j modulo the part certifies it, or the next of at most 12
+    shears is tried. Root finding runs once per part, on β alone, and every point
     carries the normalized residual max(|F|, |G|)/||P||^deg, which must be
     below 2^(-prec/2). Points singular on both curves, which only parts with
     j ≥ 2 can hold, are split off by an exact gcd with the partial derivatives
@@ -692,7 +691,7 @@ def curve_intersection(F: MultiPoly, G: MultiPoly, prec=None, seed=0, max_shears
     with working_precision(prec):
         bits = mp.mp.prec
         last_error = None
-        for S in _shears(random.Random(seed), max_shears):
+        for S in _shears(random.Random(seed), 12):
             try:
                 return _intersect_with_shear(F, G, S, d1, d2, bits)
             except _ShearFailure as exc:
@@ -787,7 +786,7 @@ def _intersect_with_shear(F, G, S, d1, d2, bits) -> RootSet:
         raise _ShearFailure("resultant dropped degree or has a root at infinity")
     levels = [P for P in reversed(prs[1:]) if P.degree(_X0) > 0]
     found, singular = [], []
-    half = mp.mpf(2) ** (-bits // 2)
+    half = half_eps()
     norm = max(F.coeff_norm(), G.coeff_norm())
     _, factors = R.sqf_list()
     for fac, mult in factors:

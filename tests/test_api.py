@@ -1,0 +1,55 @@
+"""The public signatures: the working precision is the only numeric setting.
+
+Tolerances and iteration budgets are derived from the precision, so no
+exported function or method takes one, apart from the covariant solver's
+stated stopping rule (``minimize``, ``theta``) and the slack of the
+independent LLL check.
+"""
+
+import inspect
+
+import cluster_reduce
+
+
+def _signatures():
+    """(qualified name, parameter names) of every exported function and of
+    the methods the exported classes define."""
+    for name in cluster_reduce.__all__:
+        obj = getattr(cluster_reduce, name)
+        if not inspect.isclass(obj):
+            yield name, list(inspect.signature(obj).parameters)
+            continue
+        for attr, member in vars(obj).items():
+            member = getattr(member, "__func__", member)  # classmethod, staticmethod
+            if inspect.isfunction(member):
+                yield f"{name}.{attr}", list(inspect.signature(member).parameters)
+
+
+SIGNATURES = dict(_signatures())
+
+
+def _takers(*params):
+    return {name for name, names in SIGNATURES.items() if set(params) & set(names)}
+
+
+def test_walk_covers_the_api():
+    assert {"minimize", "classify", "ProjectivePoint.is_same", "GramMatrix.check"} <= set(SIGNATURES)
+
+
+def test_only_the_solver_takes_a_tolerance_or_budget():
+    assert _takers("tol", "max_iter") == {"minimize", "theta"}
+
+
+def test_only_the_lll_check_takes_a_slack():
+    assert _takers("slack") == {"is_lll_reduced"}
+
+
+def test_no_derived_threshold_is_a_parameter():
+    assert _takers("rank_tol", "det_tol", "max_shears") == set()
+
+
+def test_pipelines_take_their_object_precision_delta_and_seed():
+    assert SIGNATURES["reduce_cluster"] == ["cluster", "prec", "delta"]
+    assert SIGNATURES["reduce_binary_form"] == ["F", "prec", "delta"]
+    assert SIGNATURES["reduce_quadric_pencil"] == ["Q1", "Q2", "prec", "delta", "seed"]
+    assert SIGNATURES["reduce_ternary_form"] == ["F", "prec", "delta", "seed"]

@@ -179,17 +179,48 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("input error:")
 
     @pytest.mark.parametrize(
-        "args",
-        [["--delta", "1.5"], ["--prec", "0"], ["--tol", "-1"], ["--prec", "abc"], None],
-        ids=["delta-above-1", "prec-0", "negative-tol", "prec-not-an-integer", "missing-input-path"],
+        "command, args",
+        [
+            ("reduce-cluster", ["--delta", "1.5"]),
+            ("reduce-cluster", ["--prec", "0"]),
+            # only the covariant command takes the solver's options
+            ("covariant", ["--tol", "-1"]),
+            ("covariant", ["--max-iter", "-1"]),
+            ("reduce-cluster", ["--prec", "abc"]),
+            ("reduce-cluster", None),
+        ],
+        ids=[
+            "delta-above-1",
+            "prec-0",
+            "negative-tol",
+            "negative-max-iter",
+            "prec-not-an-integer",
+            "missing-input-path",
+        ],
     )
-    def test_malformed_option_one_line_exit_4(self, tmp_path, args):
+    def test_malformed_option_one_line_exit_4(self, tmp_path, command, args):
         Z = cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 5, 1))
         path = self._write(tmp_path, "cluster.json", json.dumps(cio.cluster_to_json(Z)))
-        result = CliRunner().invoke(main, ["reduce-cluster"] + ([path] + args if args else []))
+        result = CliRunner().invoke(main, [command] + ([path] + args if args else []))
         assert result.exit_code == 4
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:")
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [(["--bogus"], 4), ([], 0)],
+        ids=["unknown-group-option", "bare-invocation"],
+    )
+    def test_group_level_invocation(self, args, code):
+        # a parse error before the command is malformed input like any other;
+        # no arguments at all ask for the help
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == code
+        lines = result.output.splitlines()
+        if code == 4:
+            assert len(lines) == 1 and lines[0].startswith("input error:")
+        else:
+            assert lines[0].startswith("Usage:") and "reduce-pencil" in result.output
 
     def test_unstable_binary_exit_code(self, tmp_path):
         path = self._write(tmp_path, "bad.txt", "x0^2 x1")

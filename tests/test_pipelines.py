@@ -103,6 +103,19 @@ class TestReduceCluster:
         assert report.transform.matrix == ((145, -53), (777, -284))
         assert report.diagnostics["gradient_norm"] < mp.mpf(2) ** (-mp.mp.prec // 2)
 
+    def test_ill_conditioned_covariant_stops_at_its_resolution(self):
+        # planted by a unimodular matrix whose inverse has entries up to 10^8,
+        # so the covariant has kappa ~ 2^81: at 212 bits its gradient cannot
+        # be driven below about 2^-145, above the pipelines' 2^-159, and the
+        # solver stops at the resolution of Q instead of running 1000
+        # iterations into ConvergenceError
+        Z = cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3))
+        planted = act(Z, [[10001, 100, 0], [100, 10001, 100], [0, 100, 1]])
+        report = reduce_cluster(planted)
+        assert report.diagnostics["iterations"] <= 20
+        assert report.diagnostics["gradient_norm"] > mp.mpf(2) ** -159
+        assert int_cluster_height(report.reduced) <= 1
+
     def test_unstable_rejected(self):
         Z = cluster_of((1, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1))
         with pytest.raises(StabilityError):
@@ -118,12 +131,15 @@ class TestReduceCluster:
         from cluster_reduce import minimize, simplex_covariant
 
         Z = random_real_cluster(rnd, n, n + 2)
+        closed = simplex_covariant(Z).mat()
         report = reduce_cluster(Z)
         assert report.diagnostics["iterations"] == 0
-        assert matrices_close_mod_scaling(
-            report.covariant.mat(), simplex_covariant(Z).mat(), mp.mpf("1e-20")
-        )
-        assert abs(report.diagnostics["theta"] - minimize(Z).theta) < mp.mpf("1e-20")
+        assert matrices_close_mod_scaling(report.covariant.mat(), closed, mp.mpf("1e-20"))
+        # minimize itself starts from the closed form, where Newton stops at once
+        res = minimize(Z)
+        assert res.iterations == 0
+        assert matrices_close_mod_scaling(res.z.mat(), closed, mp.mpf("1e-20"))
+        assert abs(report.diagnostics["theta"] - res.theta) < mp.mpf("1e-20")
 
     def test_reduced_cluster_covariant_is_reduced_gram(self):
         # acting by U^(-T) moves the covariant to U^T G U
