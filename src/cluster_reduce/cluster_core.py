@@ -241,9 +241,8 @@ class StabilityClass:
 
     ``margin`` is the smallest slack (k+1) * m - (n+1) * phi(k) over the
     tested dimensions: positive for stable bounds, zero when some bound is
-    met with equality, negative when violated. Clusters from numerical root
-    finding are classified with tolerances, so the margin quantifies how
-    decisively the bounds held.
+    met with equality, negative when violated. It is None when a proof
+    decides stability without counting (the flexes of a smooth curve).
     """
 
     is_split: bool

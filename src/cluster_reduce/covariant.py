@@ -458,7 +458,7 @@ def minimize(
             zc.reps, cluster.n + 1, tol, max_iter, initial=initial, record=record_transcript
         )
         result = CovariantResult(
-            z=HermitianForm.from_matrix(Q).normalized(),
+            z=HermitianForm.from_matrix(Q),
             theta=mp.e**D,
             iterations=iters,
             final_gradient_norm=gnorm,

@@ -22,7 +22,7 @@ from ._precision import (
     real_part,
     working_precision,
 )
-from .cluster_core import PointCluster, act, classify
+from .cluster_core import PointCluster, StabilityClass, act, classify
 from .covariant import HermitianForm, minimize
 from .errors import (
     DegeneratePencilError,
@@ -74,30 +74,19 @@ def _gram_height(G: GramMatrix):
     return max_abs_entry(M)
 
 
-def _reduce_core(cluster: PointCluster, what: str, delta):
-    """The reduction shared by every pipeline, for the cluster it has built.
-
-    Classifies the cluster and requires it stable and fixed by conjugation,
-    takes its covariant from :func:`minimize` (which starts from the closed
-    form for n+2 points), and LLL-reduces the real Gram matrix. Returns
-    (classification, covariant result, G, reduced Gram, U); U comes from LLL
-    unchanged.
-    """
-    cls = classify(cluster)
+def _reduce_core(cls, cluster: PointCluster, what: str, delta):
+    """The reduction shared by every pipeline: requires the caller's class
+    ``cls`` stable (from :func:`classify` for numeric input, from exact facts
+    for forms), takes the covariant from :func:`minimize`, which starts from
+    the closed form for n+2 points, and LLL-reduces the real Gram matrix.
+    Returns (covariant result, G, reduced Gram, U), U from LLL unchanged."""
     if not cls.is_stable:
-        raise StabilityError(
-            f"{what} is not stable", classification=cls, witness=cls.witness
-        )
-    if not cluster.is_conjugation_fixed():
-        raise RealityError(
-            f"{what} is not fixed by conjugation; only the complex covariant "
-            "is defined (no integral reduction)"
-        )
+        raise StabilityError(f"{what} is not stable", classification=cls, witness=cls.witness)
     # a gradient tolerance well inside LLL's 2^(-prec/2) tie window
     result = minimize(cluster, tol=half_eps() ** 1.5, check_stability=False)
     G = _real_gram(result.z)
     reduced_gram, U = lll_reduce(G, delta=delta)
-    return cls, result, G, reduced_gram, U
+    return result, G, reduced_gram, U
 
 
 def _diagnostics(cls, result, before, after, residuals=(), **extra) -> dict:
@@ -123,7 +112,10 @@ def reduce_cluster(cluster: PointCluster, prec=None, delta=DEFAULT_DELTA) -> Red
     act(cluster, U^(-T)), whose covariant is the reduced Gram.
     """
     with working_precision(prec):
-        cls, result, G, reduced_gram, U = _reduce_core(cluster, "cluster", delta)
+        cls = classify(cluster)
+        if cls.is_stable and not cluster.is_conjugation_fixed():
+            raise RealityError("cluster is not fixed by conjugation; no integral reduction")
+        result, G, reduced_gram, U = _reduce_core(cls, cluster, "cluster", delta)
         if U.det() == -1:
             U = U.negate_column(U.size - 1)
             reduced_gram = congruence(G, U)
@@ -155,8 +147,16 @@ def reduce_binary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA) -> Reductio
     if not F.is_homogeneous() or F.total_degree() < 3:
         raise InputFormatError("need a homogeneous binary form of degree >= 3")
     with working_precision(prec):
+        # the exact class from one squarefree split (a factor x1 counts roots
+        # at infinity): classify's margin d - 2 max k; split at <= 2 roots
+        factors = F.to_sympy().sqf_list()[1]
+        margin = F.total_degree() - 2 * max(k for _, k in factors)
+        split = sum(f.total_degree() for f, _ in factors) <= 2
+        cls = StabilityClass(split, margin >= 0, margin > 0, margin=margin)
+        if not cls.is_stable:  # before any root finding
+            raise StabilityError("root cluster is not stable", classification=cls)
         cluster = binary_form_roots(F)
-        cls, result, G, reduced_gram, U = _reduce_core(cluster, "root cluster", delta)
+        result, G, reduced_gram, U = _reduce_core(cls, cluster, "root cluster", delta)
         reduced = substitute(F, U)
         return ReductionReport(
             kind="binary-form",
@@ -202,13 +202,10 @@ def reduce_quadric_pencil(
         cubic = pencil_cubic(Q1, Q2)
         if cubic.is_zero() or cubic.total_degree() != 3:
             raise DegeneratePencilError("pencil determinant cubic is degenerate")
-        # one squarefree split of the binary form: a repeated root at
-        # infinity is a repeated factor x1 like any other
-        if any(mult > 1 for _, mult in cubic.to_sympy().sqf_list()[1]):
-            raise DegeneratePencilError(
-                "pencil determinant cubic has repeated roots"
-            )
-        binary_report = reduce_binary_form(cubic, delta=delta)
+        try:  # a binary cubic is stable exactly when its roots are distinct
+            binary_report = reduce_binary_form(cubic, delta=delta)
+        except StabilityError as exc:
+            raise DegeneratePencilError("pencil determinant cubic has repeated roots") from exc
         Ub = binary_report.transform
         # rows of W = Ub^T express the new pencil basis in terms of (Q1, Q2)
         W = [list(row) for row in Ub.transpose().matrix]
@@ -225,9 +222,10 @@ def reduce_quadric_pencil(
             raise DegeneratePencilError(
                 "pencil has fewer than four distinct base points"
             )
-        # four stable points of P^2 are in general position, so the core
-        # takes the closed-form covariant
-        cls, result, G, reduced_gram, U = _reduce_core(base.cluster(), "base point cluster", delta)
+        # four distinct base points are stable with margin 1: were three on a
+        # line, every member would contain it and the cubic would vanish
+        cls = StabilityClass(False, True, True, margin=1)
+        result, G, reduced_gram, U = _reduce_core(cls, base.cluster(), "base point cluster", delta)
         finals = (substitute(Q1p, U), substitute(Q2p, U))
         return ReductionReport(
             kind="quadric-pencil",
@@ -259,8 +257,8 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
     curve. Points singular on the curve are removed, found exactly by
     :func:`curve_intersection`; only plain nodes are accepted (each absorbs
     intersection multiplicity 6), and the classical genus conditions g > 0 and
-    r < d(d-2)/4 are enforced. The remaining cluster must be stable; its
-    covariant drives the LLL reduction.
+    r < d(d-2)/4 are enforced. A smooth curve's inflection cluster is stable,
+    a nodal curve's is classified; its covariant drives the LLL reduction.
 
     Default precision is 212 bits for degree <= 3 and 424 bits above.
     """
@@ -303,7 +301,10 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
                 f"inflection count {len(pts)} does not match the expected {expected}"
             )
         cluster = PointCluster(tuple(pts))
-        cls, result, G, reduced_gram, U = _reduce_core(cluster, "inflection cluster", delta)
+        # the flexes of a smooth curve are stable: a line holds at most
+        # d(d-2) of the 3d(d-2), a point at most d-2
+        cls = classify(cluster) if r else StabilityClass(False, True, True)
+        result, G, reduced_gram, U = _reduce_core(cls, cluster, "inflection cluster", delta)
         reduced = substitute(F, U)
         return ReductionReport(
             kind="ternary-form",

@@ -33,6 +33,8 @@ from cluster_reduce.errors import (
     InputFormatError,
 )
 
+from cluster_reduce import polyalg
+from cluster_reduce.polyalg import binary_form_roots, curve_intersection, hessian
 from conftest import (
     PENCIL_CUBIC,
     PENCIL_FINAL_1,
@@ -46,6 +48,7 @@ from conftest import (
     random_real_cluster,
     random_unimodular_int,
 )
+from oracles import oracle_classify
 
 
 def poly(text, nvars=None):
@@ -333,9 +336,10 @@ class TestNodalCurves:
 
     def test_quartic_at_212_bits_passes_elimination_and_node_test(self):
         # the smooth reference quartic must get through curve intersection
-        # and the exact singular-point test; a later tolerance-based decision
-        # (conjugation matching of the inflection points) may still lack
-        # precision at 212 bits, and is not asserted here
+        # and the exact singular-point test, which make its inflection cluster
+        # stable; the one later tolerance-based decision (the imaginary-part
+        # test of the covariant's real Gram) may still lack precision at 212
+        # bits, and is not asserted here
         try:
             reduce_ternary_form(QUARTIC, prec=212)
         except ClusterReduceError as exc:
@@ -351,19 +355,20 @@ class TestNodalCurves:
 
 
 class TestClassifyOnce:
-    """Each pipeline classifies its cluster once; minimize does not repeat it."""
+    """Only numeric input clusters and nodal curves are classified, once; the
+    form pipelines decide stability from exact facts, minimize does not
+    repeat it, and only reduce_cluster matches points with their conjugates."""
 
-    @pytest.mark.parametrize(
-        "run, expected",
-        [
-            (lambda: reduce_cluster(cluster_of((3, 1, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 5, 1))), 1),
-            (lambda: reduce_binary_form(poly("x0^4 - 3 x0^2 x1^2 + x0 x1^3 + 2 x1^4", nvars=2)), 1),
-            (lambda: reduce_ternary_form(poly("x^3 + y^3 + z^3", nvars=3)), 1),
-            # one call on the base points plus one inside the binary-cubic reduction
-            (lambda: reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2), 2),
-        ],
-        ids=["cluster", "binary-quartic", "ternary-cubic", "pencil"],
-    )
+    RUNS = [
+        lambda: reduce_cluster(cluster_of((3, 1, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 5, 1))),
+        lambda: reduce_binary_form(poly("x0^4 - 3 x0^2 x1^2 + x0 x1^3 + 2 x1^4", nvars=2)),
+        lambda: reduce_ternary_form(poly("x^3 + y^3 + z^3", nvars=3)),
+        lambda: reduce_ternary_form(poly("x y z^2 + x^3 z + y^3 z + x^4 + y^4", nvars=3)),
+        lambda: reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2),
+    ]
+    IDS = ["cluster", "binary-quartic", "ternary-cubic", "nodal-quartic", "pencil"]
+
+    @pytest.mark.parametrize("run, expected", zip(RUNS, [1, 0, 0, 1, 0]), ids=IDS)
     def test_classify_calls(self, monkeypatch, run, expected):
         from cluster_reduce import covariant, pipelines
 
@@ -375,6 +380,127 @@ class TestClassifyOnce:
             )
         run()
         assert len(calls) == expected
+
+    @pytest.mark.parametrize("run, expected", zip(RUNS, [1, 0, 0, 0, 0]), ids=IDS)
+    def test_conjugation_match_calls(self, monkeypatch, run, expected):
+        calls = []
+        real = PointCluster.is_conjugation_fixed
+        monkeypatch.setattr(
+            PointCluster, "is_conjugation_fixed", lambda z: calls.append(z) or real(z)
+        )
+        run()
+        assert len(calls) == expected
+
+
+def _random_binary_form(rnd, d, planted):
+    """Random integer binary form of degree d; with ``planted``, a random
+    linear factor (sometimes x1, a root at infinity) of multiplicity at
+    least d/2, and sometimes a second one, so that the form is unstable,
+    semi-stable or split."""
+    x0, x1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+
+    def linear():
+        return x1 if rnd.random() < 0.25 else rnd.randint(1, 3) * x0 + rnd.randint(-3, 3) * x1
+
+    F, rest = MultiPoly.constant(2, 1), d
+    if planted:
+        k = rnd.randint((d + 1) // 2, d)
+        F, rest = linear() ** k, d - k
+        if rest >= 2 and rnd.random() < 0.5:
+            k2 = rnd.randint(2, rest)
+            F, rest = F * linear() ** k2, rest - k2
+    while True:
+        G = sum((rnd.randint(-5, 5) * x0 ** i * x1 ** (rest - i) for i in range(rest + 1)),
+                MultiPoly.constant(2, 0))
+        if not G.is_zero():
+            return F * G
+
+
+class TestExactStability:
+    """The classes the form pipelines take from exact facts, against the
+    independent exhaustive oracle and against classify of the numeric roots."""
+
+    def test_binary_forms_match_oracle_and_classify(self):
+        rnd = random.Random(1111)
+        seen = set()
+        for trial in range(48):
+            d = 3 + trial % 4
+            F = _random_binary_form(rnd, d, planted=trial % 2 == 1)
+            try:
+                cls = reduce_binary_form(F, prec=212).diagnostics["stability"]
+            except StabilityError as exc:
+                cls = exc.classification
+            cluster = binary_form_roots(F, prec=212)
+            with mp.workprec(212):
+                numeric = classify(cluster)
+            flags = (cls.is_split, cls.is_semi_stable, cls.is_stable)
+            assert flags == oracle_classify(cluster), F
+            assert flags == (numeric.is_split, numeric.is_semi_stable, numeric.is_stable), F
+            assert cls.margin == numeric.margin, F
+            seen.add(flags)
+        # stable, semi-stable, unstable and split forms all occurred
+        assert {(False, True, True), (False, True, False), (False, False, False)} <= seen
+        assert any(flags[0] for flags in seen)
+
+    def test_unstable_form_rejected_before_root_finding(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("root finding on an unstable form")
+
+        monkeypatch.setattr(polyalg, "aberth_roots", fail)
+        with pytest.raises(StabilityError):
+            reduce_binary_form(poly("x0^2 x1", nvars=2))
+
+    def test_random_pencil_base_points_are_stable(self):
+        rnd = random.Random(2222)
+        monomials = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+        tested = 0
+        while tested < 4:
+            Q1, Q2 = (MultiPoly.from_dict(3, {e: rnd.randint(-4, 4) for e in monomials}) for _ in "12")
+            cubic = pencil_cubic(Q1, Q2)
+            if cubic.is_zero() or cubic.total_degree() != 3:
+                continue
+            if any(k > 1 for _, k in cubic.to_sympy().sqf_list()[1]):
+                continue
+            base = curve_intersection(Q1, Q2, prec=212)
+            assert oracle_classify(base.cluster()) == (False, True, True)
+            with mp.workprec(212):
+                assert classify(base.cluster()).margin == 1
+            tested += 1
+
+    def test_random_smooth_cubic_flexes_are_stable(self):
+        rnd = random.Random(3333)
+        monomials = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
+        tested = 0
+        while tested < 4:
+            C = MultiPoly.from_dict(3, {e: rnd.randint(-3, 3) for e in monomials})
+            if C.is_zero() or hessian(C).is_zero():
+                continue
+            try:
+                inter = curve_intersection(C, hessian(C), prec=212)
+            except CommonComponentError:
+                continue  # reducible or a Hessian sharing a component
+            if any(inter.singular):
+                continue
+            flexes = inter.cluster()
+            assert flexes.degree == 9
+            assert oracle_classify(flexes) == (False, True, True)
+            tested += 1
+
+    def test_reference_quartic_flexes_are_stable(self):
+        report = reduce_ternary_form(QUARTIC)
+        assert report.diagnostics["stability"].is_stable
+        with mp.workprec(424):
+            assert classify(report.extras["inflection_cluster"]).is_stable
+
+
+@pytest.mark.parametrize("bits", [53, 64])
+def test_reference_pencil_low_precision_is_not_instability(bits):
+    # four distinct base points are stable whatever the working precision;
+    # too few bits may fail otherwise, but never as a StabilityError
+    try:
+        reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2, prec=bits)
+    except ClusterReduceError as exc:
+        assert not isinstance(exc, StabilityError), exc
 
 
 class TestClassifyCost:
