@@ -17,8 +17,11 @@ The minimizer is found by damped Riemannian Newton: solve H[B] = -G over a
 real basis of the trace-free Hermitian B, step along the geodesic with Armijo
 backtracking, and stop once the Frobenius norm of G is at most the tolerance,
 or at most 2^(1-prec) kappa(Q), below which the rounding of Q decides it.
-The solver starts from the closed form for n+2 points in general position
-and from one Tyler fixed-point step otherwise.
+The start (sum_j g_j g_j^H)^-1 is the closed form over n+2 points in general
+position scaled by simplex weights, and otherwise one Tyler fixed-point step
+over the unit points. Its Cholesky factor L scales it to determinant 1, as
+log det Q = 2 sum_i log L_ii; the steps keep det Q = 1 without renormalizing,
+since det exp(lambda B) = 1 for trace-free B.
 """
 
 from __future__ import annotations
@@ -258,14 +261,22 @@ def _images(L, reps):
     return ws, mp.fsum(logs) - mp.mpf(len(reps)) / n1 * _log_det_from_cholesky(L)
 
 
-def _gradient(ws, n1):
-    """G = sum_j w_j w_j^H - m/(n+1) I for the unit images; returns (G, norm)."""
-    G = mp.matrix(n1, n1)
+def _outer_sum(rows, n1):
+    """sum_j r_j r_j^H, Hermitian by construction."""
+    M = mp.matrix(n1, n1)
     for a in range(n1):
         for b in range(a, n1):
-            G[a, b] = mp.fdot([w[a] for w in ws], [w[b] for w in ws], conjugate=True)
-            G[b, a] = mp.conj(G[a, b])
-        G[a, a] = mp.re(G[a, a]) - mp.mpf(len(ws)) / n1
+            M[a, b] = mp.fdot([r[a] for r in rows], [r[b] for r in rows], conjugate=True)
+            M[b, a] = mp.conj(M[a, b])
+        M[a, a] = mp.re(M[a, a])
+    return M
+
+
+def _gradient(ws, n1):
+    """G = sum_j w_j w_j^H - m/(n+1) I for the unit images; returns (G, norm)."""
+    G = _outer_sum(ws, n1)
+    for a in range(n1):
+        G[a, a] -= mp.mpf(len(ws)) / n1
     return G, frobenius_norm(G)
 
 
@@ -344,18 +355,34 @@ def _newton_direction(ws, G, gnorm, basis):
     return B, slope
 
 
-def _start(cluster: PointCluster, reps):
-    """The solver's starting form: the closed form of :func:`simplex_covariant`
-    for n+2 points in general position, otherwise one Tyler fixed-point step
-    from the identity, where the unit rows ``reps`` span."""
+def _simplex_rows(cluster: PointCluster, units):
+    """Rows c_0 u_0, ..., c_n u_n, u_(n+1) for the unit points u_j of n+2
+    points, with u_(n+1) = sum_i c_i u_i: over these rows g_j,
+    (sum_j g_j g_j^H)^-1 is the covariant. Raises DegeneratePositionError
+    unless the points are in general position."""
     n1 = cluster.n + 1
+    if rank_of(cluster.points[:n1]) < n1:
+        raise DegeneratePositionError("the first n+1 points are linearly dependent")
+    coeff = mp.lu_solve(_column_matrix(units[:n1]), mp.matrix(units[n1]))
+    if any(abs(coeff[i]) < half_eps() for i in range(n1)):
+        raise DegeneratePositionError("the last point lies in a coordinate subspace of the others")
+    return [[coeff[i] * c for c in units[i]] for i in range(n1)] + [units[n1]]
+
+
+def _start(cluster: PointCluster, reps):
+    """The solver's starting form (sum_j g_j g_j^H)^-1: the closed form over
+    :func:`_simplex_rows` for n+2 points in general position, otherwise one
+    Tyler fixed-point step from the identity over the unit rows ``reps``, or
+    the identity where they do not span."""
+    n1 = cluster.n + 1
+    rows = reps
     if cluster.degree == n1 + 1:
         try:
-            return simplex_covariant(cluster).mat()
+            rows = _simplex_rows(cluster, reps)
         except DegeneratePositionError:
             pass  # general position missed at the working precision
     try:
-        initial = hermitize((_gradient(reps, n1)[0] + mp.mpf(len(reps)) / n1 * mp.eye(n1)) ** -1)
+        initial = hermitize(_outer_sum(rows, n1) ** -1)
         _cholesky(initial)
     except (ZeroDivisionError, NotPositiveDefiniteError):
         initial = mp.eye(n1)
@@ -378,15 +405,18 @@ def _resolution(L):
 
 def _newton(reps, n1, tol, max_iter, initial, record=False):
     """Damped Riemannian Newton loop; returns (Q, L, D, gnorm, iters,
-    transcript, converged) at the last iterate Q = L L^H.
+    transcript, failure) at the last iterate Q = L L^H, where ``failure`` is
+    None once the loop has converged and otherwise says why it stopped.
 
-    Each step takes Q <- L exp(lambda B) L^H for the Newton direction B, with
-    Armijo backtracking from lambda = 1, and renormalizes det Q to 1. The loop
-    has converged once the gradient norm is at most ``tol`` or at most the
-    resolution of Q = L L^H at the working precision (:func:`_resolution`).
+    The start is scaled to determinant 1. Each step takes
+    Q <- L exp(lambda B) L^H for the Newton direction B, with Armijo
+    backtracking from lambda = 1. The loop has converged once the gradient
+    norm is at most ``tol`` or at most the resolution of Q = L L^H at the
+    working precision (:func:`_resolution`).
     """
-    Q = initial / mp.root(mp.re(mp.det(initial)), n1)
-    L = _cholesky(Q)
+    L = _cholesky(initial)
+    scale = mp.exp(-_log_det_from_cholesky(L) / (2 * n1))
+    Q, L = initial * scale**2, L * scale
     basis = _trace_free_basis(n1)
     transcript = []
     for it in range(max_iter + 1):
@@ -394,9 +424,11 @@ def _newton(reps, n1, tol, max_iter, initial, record=False):
         G, gnorm = _gradient(ws, n1)
         if record:
             transcript.append((it, D))
-        converged = gnorm <= tol or gnorm <= _resolution(L)
-        if converged or it == max_iter:
-            return Q, L, D, gnorm, it, transcript, converged
+        if gnorm <= tol or gnorm <= _resolution(L):
+            return Q, L, D, gnorm, it, transcript, None
+        if it == max_iter:
+            failure = f"gradient norm {mp.nstr(gnorm, 8)} above tolerance after {it} iterations"
+            return Q, L, D, gnorm, it, transcript, failure
         B, slope = _newton_direction(ws, G, gnorm, basis)
         ev, V = mp.eigh(B)
         # the change of D along the geodesic, from |V^H w_j|^2 alone; expm1 and
@@ -409,14 +441,17 @@ def _newton(reps, n1, tol, max_iter, initial, record=False):
             if mp.re(val) <= mp.mpf("0.25") * lam * slope:
                 break
             lam /= 2
-        # Q' = L V e^{lam E} V^H L^H  =  (L V e^{lam E / 2}) * (...)^H
+        # Q' = L V e^{lam E} V^H L^H  =  (L V e^{lam E / 2}) * (...)^H; B is
+        # trace-free, so det Q' = det Q = 1 up to rounding
         LVE = L * V * mp.diag([mp.exp(lam * e / 2) for e in ev])
+        step = hermitize(LVE * LVE.transpose_conj())
         try:
-            step = LVE * LVE.transpose_conj()
-            step = hermitize(step / mp.root(mp.re(mp.det(step)), n1))
-            Q, L = step, _cholesky(step)
-        except (ZeroDivisionError, NotPositiveDefiniteError):
-            return Q, L, D, gnorm, it, transcript, False  # D unbounded below, beyond precision
+            L = _cholesky(step)
+        except NotPositiveDefiniteError:
+            failure = f"the Newton step left the positive definite cone at iteration {it}"
+            failure += f", at the working precision of {mp.mp.prec} bits"
+            return Q, L, D, gnorm, it, transcript, failure
+        Q = step
 
 
 def minimize(
@@ -454,7 +489,7 @@ def minimize(
             initial = initial.mat()
         else:
             initial = _as_mp_matrix(initial)
-        Q, _, D, gnorm, iters, transcript, converged = _newton(
+        Q, _, D, gnorm, iters, transcript, failure = _newton(
             zc.reps, cluster.n + 1, tol, max_iter, initial=initial, record=record_transcript
         )
         result = CovariantResult(
@@ -464,11 +499,8 @@ def minimize(
             final_gradient_norm=gnorm,
             transcript=tuple(transcript) if record_transcript else None,
         )
-        if not converged:
-            raise ConvergenceError(
-                f"gradient norm {mp.nstr(gnorm, 8)} above tolerance after {iters} iterations",
-                best=result,
-            )
+        if failure is not None:
+            raise ConvergenceError(failure, best=result)
         return result
 
 
@@ -518,31 +550,17 @@ def theta(zc: ScaledCluster, tol=None, max_iter=1000, prec=None) -> ThetaResult:
 def simplex_covariant(cluster: PointCluster, prec=None) -> HermitianForm:
     """Closed-form covariant of n+2 points in general position.
 
-    Scale the first n+1 points so that their coordinate vectors sum to the
-    last point, collect them as the rows of a matrix g, and conjugate the
-    covariant of the standard simplex configuration, (n+2) I - J, back through
-    g. Agrees with :func:`minimize` up to the solver tolerance.
+    Scale the first n+1 unit points u_i by the c_i with sum_i c_i u_i equal to
+    the last point u_(n+1). The covariant is (sum_i |c_i|^2 u_i u_i^H +
+    u_(n+1) u_(n+1)^H)^-1: the Tyler step with simplex weights, since the
+    standard simplex has covariant (n+2) I - J, proportional to (I + J)^-1.
+    Agrees with :func:`minimize` up to the solver tolerance.
     """
     with working_precision(prec):
         n = cluster.n
         m = cluster.degree
         if m != n + 2:
             raise DimensionError(f"need exactly n+2 = {n + 2} points, got {m}")
-        units = [p.unit() for p in cluster.points]
-        n1 = n + 1
-        if rank_of(cluster.points[:n1]) < n1:
-            raise DegeneratePositionError("the first n+1 points are linearly dependent")
-        coeff = mp.lu_solve(_column_matrix(units[:n1]), mp.matrix(units[n1]))
-        if any(abs(coeff[i]) < half_eps() for i in range(n1)):
-            raise DegeneratePositionError("the last point lies in a coordinate subspace of the others")
-        g = mp.matrix(n1, n1)
-        for i in range(n1):
-            for j in range(n1):
-                g[i, j] = coeff[i] * units[i][j]
-        Q0 = mp.matrix(n1, n1)
-        for i in range(n1):
-            for j in range(n1):
-                Q0[i, j] = (n + 2 if i == j else 0) - 1
-        ginv_t = (g**-1).transpose()
-        z = ginv_t.transpose_conj() * Q0 * ginv_t
-        return HermitianForm.from_matrix(hermitize(z)).normalized()
+        rows = _simplex_rows(cluster, normalize_cluster(cluster).reps)
+        z = hermitize(_outer_sum(rows, n + 1) ** -1)
+        return HermitianForm.from_matrix(z).normalized()

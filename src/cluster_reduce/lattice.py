@@ -3,11 +3,14 @@
 The algorithm works directly on the quadratic form: Gram-Schmidt data is kept
 in multiprecision floats while the accumulated basis change U is kept in exact
 integers, so U^T G U is exact in the congruence sense. Columns of U are the
-basis vectors. Deterministic conventions: size reduction rounds half-integers
-toward zero, where any mu within 2^(-prec/2) of a half-integer counts as one
-(so rounding noise cannot decide a tie), ties in the Lovasz comparison prefer
-not swapping, and the Gram-Schmidt data is recomputed from scratch every 32
-swaps to stop drift.
+basis vectors. The Gram-Schmidt data is read off the Cholesky factor L of G
+once, as mu_ij = L_ij / L_jj and B_i = L_ii^2; after that size reduction
+updates one row of mu and a swap updates mu and B in O(n) (Cohen, A Course in
+Computational Algebraic Number Theory, 1993, Algorithm 2.6.3), so no Gram
+matrix is kept between steps. Deterministic conventions: size reduction
+rounds half-integers toward zero, where any mu within 2^(-prec/2) of a
+half-integer counts as one (so rounding noise cannot decide a tie), and ties
+in the Lovasz comparison prefer not swapping.
 """
 
 from __future__ import annotations
@@ -55,17 +58,7 @@ class GramMatrix:
         return M
 
     def check(self):
-        tol = half_eps()
-        M = self.mat()
-        scale = max(abs(M[i, j]) for i in range(self.size) for j in range(self.size))
-        for i in range(self.size):
-            for j in range(i):
-                if abs(M[i, j] - M[j, i]) > tol * (1 + scale):
-                    raise NotPositiveDefiniteError("Gram matrix is not symmetric")
-        try:
-            hermitian_cholesky(M)
-        except ValueError as exc:
-            raise NotPositiveDefiniteError(str(exc)) from exc
+        _gso(self)
         return self
 
 
@@ -160,40 +153,36 @@ class UnimodularTransform:
 
 
 def congruence(G: GramMatrix, U: UnimodularTransform) -> GramMatrix:
-    """U^T G U, evaluated with the exact integer U."""
-    return GramMatrix.from_matrix(_congruence(G.mat(), U.matrix))
-
-
-def _congruence(Gm, U):
-    """U^T Gm U for an mpmath matrix Gm and integer rows U: the upper triangle
-    as one fsum per entry, mirrored into the lower."""
-    n = Gm.rows
-    out = mp.matrix(n, n)
+    """U^T G U, evaluated with the exact integer U: the upper triangle as one
+    fsum per entry, mirrored into the lower."""
+    n = G.size
+    g, u = G.matrix, U.matrix
+    out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            out[i, j] = mp.fsum(U[a][i] * Gm[a, b] * U[b][j] for a in range(n) for b in range(n))
-            out[j, i] = out[i, j]
-    return out
+            out[i][j] = out[j][i] = mp.fsum(u[a][i] * g[a][b] * u[b][j] for a in range(n) for b in range(n))
+    return GramMatrix(out)
 
 
-def _gso_from_gram(Gm):
-    """Gram-Schmidt data (mu, B) of the basis underlying a Gram matrix."""
-    n = Gm.rows
-    mu = [[mp.mpf(0)] * n for _ in range(n)]
-    B = [mp.mpf(0)] * n
-    r = [[mp.mpf(0)] * n for _ in range(n)]
+def _gso(G: GramMatrix):
+    """Gram-Schmidt data (mu, B) of the basis underlying G, from one Cholesky
+    factorization G = L L^T: mu_ij = L_ij / L_jj (row i holds j < i) and
+    B_i = L_ii^2. Raises NotPositiveDefiniteError unless G is symmetric to
+    2^(-prec/2) and positive definite."""
+    tol = half_eps()
+    M = G.mat()
+    n = G.size
+    scale = max(abs(M[i, j]) for i in range(n) for j in range(n))
     for i in range(n):
         for j in range(i):
-            r[i][j] = Gm[i, j] - mp.fsum(mu[j][k] * r[i][k] for k in range(j))
-            if B[j] == 0:
-                raise NotPositiveDefiniteError("Gram matrix is singular")
-            mu[i][j] = r[i][j] / B[j]
-        B[i] = Gm[i, i] - mp.fsum(mu[i][k] * r[i][k] for k in range(i))
-        if B[i] <= 0:
-            raise NotPositiveDefiniteError("Gram matrix is not positive definite")
-        r[i][i] = B[i]
-        mu[i][i] = mp.mpf(1)
-    return mu, B
+            if abs(M[i, j] - M[j, i]) > tol * (1 + scale):
+                raise NotPositiveDefiniteError("Gram matrix is not symmetric")
+    try:
+        L = hermitian_cholesky(M)
+    except ValueError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from exc
+    mu = [[L[i, j] / L[j, j] for j in range(i)] for i in range(n)]
+    return mu, [L[i, i] ** 2 for i in range(n)]
 
 
 def _round_half_toward_zero(x, tie):
@@ -216,14 +205,10 @@ def lll_reduce(G: GramMatrix, delta=0.99):
     if not (mp.mpf("0.25") < mp.mpf(delta) < 1):
         raise ValueError("delta must lie in (1/4, 1)")
     delta = mp.mpf(delta)
-    G.check()
+    mu, B = _gso(G)
     n = G.size
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    Gm = G.mat()
-    cur = _congruence(Gm, U)
-    mu, B = _gso_from_gram(cur)
     tie = half_eps()
-    swaps = 0
     rounds = 0
     round_limit = 1000 * n * n * max(mp.mp.prec, 64)
     k = 1
@@ -241,27 +226,22 @@ def lll_reduce(G: GramMatrix, delta=0.99):
             if q:
                 for a in range(n):
                     U[a][k] -= q * U[a][j]
-                # b_k <- b_k - q b_j in the running Gram matrix
-                gkk = cur[k, k] - 2 * q * cur[k, j] + q * q * cur[j, j]
-                for a in range(n):
-                    cur[a, k] -= q * cur[a, j]
-                    cur[k, a] = cur[a, k]
-                cur[k, k] = gkk
                 for i in range(j):
                     mu[k][i] -= q * mu[j][i]
                 mu[k][j] -= q
         # strict inequality: on ties prefer not swapping
-        if B[k] < (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+        m = mu[k][k - 1]
+        if B[k] < (delta - m**2) * B[k - 1]:
             for a in range(n):
                 U[a][k], U[a][k - 1] = U[a][k - 1], U[a][k]
-            for a in range(n):
-                cur[a, k], cur[a, k - 1] = cur[a, k - 1], cur[a, k]
-            for a in range(n):
-                cur[k, a], cur[k - 1, a] = cur[k - 1, a], cur[k, a]
-            swaps += 1
-            if swaps % 32 == 0:
-                cur = _congruence(Gm, U)
-            mu, B = _gso_from_gram(cur)
+            # exchange b_{k-1} and b_k (Cohen, Algorithm 2.6.3, sub-algorithm SWAP)
+            Bnew = B[k] + m**2 * B[k - 1]
+            mu[k - 1], mu[k] = mu[k][: k - 1], mu[k - 1] + [m * B[k - 1] / Bnew]
+            B[k - 1], B[k] = Bnew, B[k - 1] * B[k] / Bnew
+            for row in mu[k + 1 :]:
+                t = row[k]
+                row[k] = row[k - 1] - m * t
+                row[k - 1] = t + mu[k][k - 1] * row[k]
             k = max(k - 1, 1)
         else:
             k += 1
@@ -273,10 +253,9 @@ def is_lll_reduced(G: GramMatrix, delta=0.99, slack=mp.mpf("1e-9")) -> bool:
     """Check size reduction and the Lovasz condition, with relative slack."""
     if not isinstance(G, GramMatrix):
         G = GramMatrix(tuple(tuple(r) for r in G))
-    G.check()
     delta = mp.mpf(delta)
     slack = mp.mpf(slack)
-    mu, B = _gso_from_gram(G.mat())
+    mu, B = _gso(G)
     n = G.size
     for i in range(n):
         for j in range(i):

@@ -3,11 +3,13 @@
 These deliberately use different arithmetic and different enumeration
 strategies than the library: numpy double precision for the stability
 classifier, the bounded unimodular search and Tyler's fixed point for the
-covariant, plain finite differences for derivatives. They must never share
-code paths with the implementation they check.
+covariant, exact rationals for LLL, plain finite differences for derivatives.
+They must never share code paths with the implementation they check.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -149,6 +151,58 @@ def oracle_best_diagonal(G, bound=3):
         if best is None or cand < best:
             best = cand
     return best
+
+
+def _exact_gso(C):
+    """Gram-Schmidt data (mu, B) of an integer Gram matrix, in exact rationals."""
+    n = len(C)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    B = []
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (C[i][j] - sum(mu[j][t] * mu[i][t] * B[t] for t in range(j))) / B[j]
+        B.append(C[i][i] - sum(mu[i][t] ** 2 * B[t] for t in range(i)))
+    return mu, B
+
+
+def oracle_lll_transform(G, delta=Fraction(0.99)):
+    """Transform U of the LLL reduction of an integer Gram matrix G, in exact
+    rationals, under the conventions of ``lll_reduce``: size reduction runs
+    j = k-1 down to 0 and rounds exact half-integers toward zero, and the
+    Lovasz test is strict. The Gram matrix U^T G U is kept exactly in
+    integers, and the Gram-Schmidt data is recomputed from it after every
+    swap."""
+    n = len(G)
+    C = [[int(v) for v in row] for row in G]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    mu, B = _exact_gso(C)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            x = mu[k][j]
+            q = math.ceil(abs(x) - Fraction(1, 2))
+            q = -q if x < 0 else q
+            if q:
+                for a in range(n):
+                    U[a][k] -= q * U[a][j]
+                ckk = C[k][k] - 2 * q * C[k][j] + q * q * C[j][j]
+                for a in range(n):
+                    C[a][k] -= q * C[a][j]
+                    C[k][a] = C[a][k]
+                C[k][k] = ckk
+                for t in range(j + 1):
+                    mu[k][t] -= q * (mu[j][t] if t < j else 1)
+        if B[k] < (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+            for a in range(n):
+                U[a][k], U[a][k - 1] = U[a][k - 1], U[a][k]
+            C[k], C[k - 1] = C[k - 1], C[k]
+            for row in C:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            mu, B = _exact_gso(C)
+            k = max(k - 1, 1)
+        else:
+            k += 1
+    return tuple(tuple(row) for row in U)
 
 
 def transported_curve(Q, B, lam):

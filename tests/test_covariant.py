@@ -241,6 +241,17 @@ class TestMinimize:
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert abs(values[-1] - mp.log(res.theta)) < mp.mpf("1e-40")
 
+    @pytest.mark.parametrize("bits", [53, 212])
+    def test_steps_keep_determinant_one(self, bits):
+        # only the start is scaled; the trace-free steps must keep det z = 1
+        from cluster_reduce._precision import half_eps
+
+        Z = cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, -1, 5))
+        with mp.workprec(bits):
+            res = minimize(Z)
+            assert res.iterations >= 3
+            assert abs(res.z.det() - 1) < half_eps()
+
     def test_pencil_base_points_match_published_covariant(self):
         # the four base points of the reference pencil: the solver must cross
         # 13 orders of magnitude of eigenvalue spread

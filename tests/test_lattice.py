@@ -1,5 +1,7 @@
 """Gram-matrix LLL with exact unimodular bookkeeping."""
 
+import random
+
 import mpmath as mp
 import pytest
 
@@ -13,7 +15,7 @@ from cluster_reduce import (
 )
 
 from conftest import PENCIL_COVARIANT_PRECISE, PENCIL_LLL
-from oracles import oracle_best_diagonal
+from oracles import oracle_best_diagonal, oracle_lll_transform
 
 
 def int_gram(rnd, size=3, spread=5):
@@ -109,6 +111,36 @@ class TestLllReduce:
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError):
             lll_reduce(GramMatrix(((1, 0), (0, 1))), delta=1.5)
+
+    def test_transform_matches_exact_oracle(self):
+        # pins U itself, not only the LLL conditions: the oracle runs the
+        # same conventions in exact rationals
+        rnd = random.Random(1212)
+        with mp.workprec(113):
+            for _ in range(200):
+                size = rnd.randint(2, 8)
+                A = [[rnd.randint(-20, 20) for _ in range(size)] for _ in range(size)]
+                G = [
+                    [sum(A[t][i] * A[t][j] for t in range(size)) + (i == j) for j in range(size)]
+                    for i in range(size)
+                ]
+                _, U = lll_reduce(GramMatrix(tuple(map(tuple, G))))
+                assert U.matrix == oracle_lll_transform(G), G
+
+    def test_factors_the_gram_matrix_once(self, monkeypatch, rnd):
+        import cluster_reduce.lattice as lattice
+
+        calls = []
+        real = lattice.hermitian_cholesky
+
+        def counted(M):
+            calls.append(M.rows)
+            return real(M)
+
+        monkeypatch.setattr(lattice, "hermitian_cholesky", counted)
+        _, U = lll_reduce(GramMatrix(tuple(map(tuple, int_gram(rnd, 5, spread=40)))))
+        assert U.matrix != tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
+        assert calls == [5]
 
     @pytest.mark.parametrize("twice_mu", [1, 3, -3])
     def test_size_reduction_tie_ignores_rounding_noise(self, twice_mu):

@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 
 from cluster_reduce import (
+    ConvergenceError,
     DegeneratePencilError,
     GramMatrix,
     HermitianForm,
@@ -501,6 +502,18 @@ def test_reference_pencil_low_precision_is_not_instability(bits):
         reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2, prec=bits)
     except ClusterReduceError as exc:
         assert not isinstance(exc, StabilityError), exc
+
+
+@pytest.mark.parametrize("bits, iteration", [(53, 1), (64, 0)])
+def test_reference_pencil_low_precision_names_the_precision(bits, iteration):
+    # the Newton step leaves the positive definite cone: a shortfall of the
+    # working precision, not of the gradient tolerance
+    with pytest.raises(ConvergenceError) as info:
+        reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2, prec=bits)
+    assert str(info.value) == (
+        f"the Newton step left the positive definite cone at iteration {iteration}, "
+        f"at the working precision of {bits} bits"
+    )
 
 
 class TestClassifyCost:
