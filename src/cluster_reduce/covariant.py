@@ -21,7 +21,9 @@ The start (sum_j g_j g_j^H)^-1 is the closed form over n+2 points in general
 position scaled by simplex weights, and otherwise one Tyler fixed-point step
 over the unit points. Its Cholesky factor L scales it to determinant 1, as
 log det Q = 2 sum_i log L_ii; the steps keep det Q = 1 without renormalizing,
-since det exp(lambda B) = 1 for trace-free B.
+since det exp(lambda B) = 1 for trace-free B. For the preconditioning passes
+of the ternary pipeline, Tyler's fixed-point iteration in the same chart
+runs in Python's built-in complex.
 """
 
 from __future__ import annotations
@@ -564,3 +566,67 @@ def simplex_covariant(cluster: PointCluster, prec=None) -> HermitianForm:
         rows = _simplex_rows(cluster, normalize_cluster(cluster).reps)
         z = hermitize(_outer_sum(rows, n + 1) ** -1)
         return HermitianForm.from_matrix(z).normalized()
+
+
+def _cholesky_in_doubles(A):
+    """Lower triangular L with A = L L^H for a small Hermitian positive
+    definite matrix of built-in numbers; a nonpositive pivot raises
+    NotPositiveDefiniteError."""
+    n = len(A)
+    L = [[0j] * n for _ in range(n)]
+    for j in range(n):
+        d = A[j][j].real - sum(abs(v) ** 2 for v in L[j][:j])
+        if not d > 0:
+            raise NotPositiveDefiniteError("matrix is not positive-definite in doubles")
+        L[j][j] = complex(d**0.5)
+        for i in range(j + 1, n):
+            L[i][j] = (A[i][j] - sum(L[i][k] * L[j][k].conjugate() for k in range(j))) / L[j][j]
+    return L
+
+
+def _lower_inverse_in_doubles(K):
+    """Inverse of a nonsingular lower triangular matrix, by substitution."""
+    n = len(K)
+    X = [[0j] * n for _ in range(n)]
+    for i in range(n):
+        X[i][i] = 1 / K[i][i]
+        for j in range(i):
+            X[i][j] = -sum(K[i][k] * X[k][j] for k in range(j, i)) / K[i][i]
+    return X
+
+
+def _tyler_in_doubles(points):
+    """The covariant of a cluster in built-in complex, by Tyler's fixed-point
+    iteration Q^-1 <- sum_j u_j u_j^H / (u_j^H Q u_j) over the unit rows u_j
+    of ``points``, from the identity. As in :func:`minimize`, Q = L L^H is
+    kept as a factor and the iteration runs on the unit images w_j of
+    L^H u_j, where it reads L <- L K^-H for the Cholesky factor K of
+    M = sum_j w_j w_j^H (so no ill-conditioned matrix is inverted). K factors
+    M + 2^-45 m I: the ridge keeps K invertible where the points are
+    collinear to the resolution of doubles, and, being a multiple of I, it
+    does not move the fixed point M = m/(n+1) I. It stops once the gradient
+    M - m/(n+1) I has Frobenius norm at most 2^-40 m, or at most 2^-20 m and
+    no smaller than at the step before, where the rounding of doubles
+    decides it; it raises ConvergenceError after 100 iterations. Returns Q.
+    For a cheap preconditioning pass, not for the reported covariant."""
+    n1 = len(points[0])
+    m = len(points)
+    L = [[complex(a == b) for b in range(n1)] for a in range(n1)]
+    last = float("inf")
+    for _ in range(100):
+        M = [[0j] * n1 for _ in range(n1)]
+        for p in points:
+            w = [sum(L[a][i].conjugate() * p[a] for a in range(n1)) for i in range(n1)]
+            nrm2 = sum(abs(c) ** 2 for c in w)
+            for a in range(n1):
+                for b in range(n1):
+                    M[a][b] += w[a] * w[b].conjugate() / nrm2
+        gnorm = sum(abs(M[a][b] - (m / n1 if a == b else 0)) ** 2 for a in range(n1) for b in range(n1)) ** 0.5
+        if gnorm <= 2.0**-40 * m or last <= gnorm <= 2.0**-20 * m:
+            return [[sum(L[a][k] * L[b][k].conjugate() for k in range(n1)) for b in range(n1)] for a in range(n1)]
+        last = gnorm
+        for a in range(n1):
+            M[a][a] += 2.0**-45 * m
+        X = _lower_inverse_in_doubles(_cholesky_in_doubles(M))
+        L = [[sum(L[a][k] * X[b][k].conjugate() for k in range(n1)) for b in range(n1)] for a in range(n1)]
+    raise ConvergenceError("Tyler's iteration in doubles did not settle in 100 iterations")

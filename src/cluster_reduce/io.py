@@ -230,6 +230,13 @@ def report_to_json(report: ReductionReport) -> dict:
         out["diagnostics"]["theta"] = _num_to_str(diag["theta"])
     if "nodes" in diag:
         out["diagnostics"]["nodes"] = diag["nodes"]
+    if "preconditioning" in diag:
+        passes = diag["preconditioning"]
+        out["diagnostics"]["preconditioning"] = {
+            "passes": passes["passes"],
+            "heights": [str(h) for h in passes["heights"]],
+            "stop": passes["stop"],
+        }
     if report.pencil_transform is not None:
         out["pencil_transform"] = [list(r) for r in report.pencil_transform]
     if "pencil_cubic" in report.extras:

@@ -23,15 +23,25 @@ from ._precision import (
     working_precision,
 )
 from .cluster_core import PointCluster, StabilityClass, act, classify
-from .covariant import HermitianForm, minimize
+from .covariant import HermitianForm, _tyler_in_doubles, minimize
 from .errors import (
+    ClusterReduceError,
     DegeneratePencilError,
     InputFormatError,
     RealityError,
     StabilityError,
 )
 from .lattice import GramMatrix, UnimodularTransform, congruence, lll_reduce
-from .polyalg import MultiPoly, _det3, binary_form_roots, curve_intersection, hessian, substitute
+from .polyalg import (
+    MultiPoly,
+    _binary_form_roots,
+    _det3,
+    _intersection_in_doubles,
+    _placed_point,
+    curve_intersection,
+    hessian,
+    substitute,
+)
 
 DEFAULT_DELTA = 0.99
 
@@ -74,17 +84,22 @@ def _gram_height(G: GramMatrix):
     return max_abs_entry(M)
 
 
-def _reduce_core(cls, cluster: PointCluster, what: str, delta):
+def _reduce_core(cls, cluster: PointCluster, what: str, delta, back=None):
     """The reduction shared by every pipeline: requires the caller's class
     ``cls`` stable (from :func:`classify` for numeric input, from exact facts
     for forms), takes the covariant from :func:`minimize`, which starts from
     the closed form for n+2 points, and LLL-reduces the real Gram matrix.
+    A cluster found in preconditioned coordinates x = U0 x' comes with
+    ``back`` = U0^-1, which carries its Gram G' to the input's coordinates as
+    G = U0^-T G' U0^-1 before LLL, so that U does not depend on U0.
     Returns (covariant result, G, reduced Gram, U), U from LLL unchanged."""
     if not cls.is_stable:
         raise StabilityError(f"{what} is not stable", classification=cls, witness=cls.witness)
     # a gradient tolerance well inside LLL's 2^(-prec/2) tie window
     result = minimize(cluster, tol=half_eps() ** 1.5, check_stability=False)
     G = _real_gram(result.z)
+    if back is not None:
+        G = congruence(G, back)
     reduced_gram, U = lll_reduce(G, delta=delta)
     return result, G, reduced_gram, U
 
@@ -155,7 +170,7 @@ def reduce_binary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA) -> Reductio
         cls = StabilityClass(split, margin >= 0, margin > 0, margin=margin)
         if not cls.is_stable:  # before any root finding
             raise StabilityError("root cluster is not stable", classification=cls)
-        cluster = binary_form_roots(F)
+        cluster = _binary_form_roots(F, factors)
         result, G, reduced_gram, U = _reduce_core(cls, cluster, "root cluster", delta)
         reduced = substitute(F, U)
         return ReductionReport(
@@ -250,6 +265,51 @@ def reduce_quadric_pencil(
         )
 
 
+PRECONDITIONING_PASSES = 8
+
+
+def _double_pass(F: MultiPoly) -> UnimodularTransform:
+    """One reduction of a ternary form in hardware doubles: its flexes from
+    :func:`_intersection_in_doubles`, Tyler's covariant in doubles, and LLL
+    at 53 bits, with a column negated for determinant +1. Doubles resolve the
+    Gram only down to about 2^-45 of its largest diagonal entry, so it is
+    floored there: a form too distorted for doubles stays positive definite
+    at 53 bits and is reduced as far as they resolve it, and the next pass
+    goes on from there."""
+    Q = _tyler_in_doubles(_intersection_in_doubles(F, hessian(F)))
+    floor = 2.0**-45 * max(Q[a][a].real for a in range(3))
+    with mp.workprec(53):
+        G = GramMatrix([[Q[a][b].real + (floor if a == b else 0) for b in range(3)] for a in range(3)])
+        _, U = lll_reduce(G)
+    return U if U.det() == 1 else U.negate_column(U.size - 1)
+
+
+def _precondition(F: MultiPoly):
+    """An exact integer substitution U0 found in doubles: repeat
+    :func:`_double_pass` on F' = F(U0 x) from U0 = I until a pass returns the
+    identity or after ``PRECONDITIONING_PASSES`` passes. The form height may
+    rise on the way while the covariant keeps improving, so it is recorded,
+    not used to stop. A pass that fails where doubles do not suffice (an
+    arithmetic, value or package error) ends preconditioning with the U0
+    found so far, and the record says why: U0 only conditions the exact
+    pass, whose result does not depend on it. Returns (U0, F', record of the
+    passes)."""
+    identity = UnimodularTransform(tuple(tuple(int(i == j) for j in range(3)) for i in range(3)))
+    U0, heights, stop = identity, [], "pass cap"
+    for _ in range(PRECONDITIONING_PASSES):
+        try:
+            U = _double_pass(F)
+        except (ArithmeticError, ValueError, ClusterReduceError) as exc:
+            stop = f"pass failed: {type(exc).__name__}: {exc}"
+            break
+        F, U0 = substitute(F, U), U0 @ U
+        heights.append(F.height())
+        if U == identity:
+            stop = "identity"
+            break
+    return U0, F, {"passes": len(heights), "heights": heights, "stop": stop}
+
+
 def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) -> ReductionReport:
     """Reduce an irreducible ternary form through its inflection-point cluster.
 
@@ -257,8 +317,16 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
     curve. Points singular on the curve are removed, found exactly by
     :func:`curve_intersection`; only plain nodes are accepted (each absorbs
     intersection multiplicity 6), and the classical genus conditions g > 0 and
-    r < d(d-2)/4 are enforced. A smooth curve's inflection cluster is stable,
-    a nodal curve's is classified; its covariant drives the LLL reduction.
+    r < d(d-2)/4 are enforced. A smooth curve's flexes are stable, a nodal
+    curve's are classified; their covariant drives the LLL reduction.
+
+    A preconditioning stage first finds an integer U0 of determinant 1 by
+    whole reductions in hardware doubles (:func:`_precondition`), and the
+    exact pass runs on the well-conditioned F' = F(U0 x). Since the covariant
+    is equivariant, z(F') = U0^T z(F) U0, its Gram is carried back exactly to
+    F's coordinates and LLL-reduced there, from the identity; the reported
+    covariant, flexes (rows P' U0^T), residuals, Hessian and transform all
+    refer to F. ``diagnostics["preconditioning"]`` records the passes.
 
     Default precision is 212 bits for degree <= 3 and 424 bits above.
     """
@@ -274,8 +342,8 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
         _, factors = sp.factor_list(F.to_sympy().as_expr(), *sp.symbols("x0:3"))
         if len(factors) != 1 or factors[0][1] != 1:
             raise InputFormatError("form is reducible; the pipeline needs an irreducible curve")
-        H = hessian(F)
-        inter = curve_intersection(F, H, seed=seed)
+        U0, Fp, passes = _precondition(F)
+        inter = curve_intersection(Fp, hessian(Fp), seed=seed)
         # a singular point of F is singular on its Hessian curve too, so the
         # exact flag of curve_intersection finds the singular points of F
         inflections = [t for t, sing in zip(inter.roots, inter.singular) if not sing]
@@ -301,10 +369,16 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
                 f"inflection count {len(pts)} does not match the expected {expected}"
             )
         cluster = PointCluster(tuple(pts))
+        # the same flexes on F itself, rows P' U0^T, with residuals against F
+        H = hessian(F)
+        norm = max(F.coeff_norm(), H.coeff_norm())
+        placed = [_placed_point(U0.matrix, p.coords, F, H, norm) + (mult,) for p, mult, _ in inflections]
         # the flexes of a smooth curve are stable: a line holds at most
         # d(d-2) of the 3d(d-2), a point at most d-2
         cls = classify(cluster) if r else StabilityClass(False, True, True)
-        result, G, reduced_gram, U = _reduce_core(cls, cluster, "inflection cluster", delta)
+        result, G, reduced_gram, U = _reduce_core(
+            cls, cluster, "inflection cluster", delta, back=U0.inverse()
+        )
         reduced = substitute(F, U)
         return ReductionReport(
             kind="ternary-form",
@@ -317,8 +391,12 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
                 result,
                 F.height(),
                 reduced.height(),
-                residuals=(rr for _, _, rr in inflections),
+                residuals=(resid for _, resid, _ in placed),
                 nodes=r,
+                preconditioning=passes,
             ),
-            extras={"inflection_cluster": cluster, "hessian": H},
+            extras={
+                "inflection_cluster": PointCluster(tuple(p for p, _, mult in placed for _ in range(mult))),
+                "hessian": H,
+            },
         )

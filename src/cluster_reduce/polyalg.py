@@ -5,11 +5,14 @@ rational coefficients. The exact layer (arithmetic, Hessians, resultants and
 subresultants, substitution) never rounds; the numeric layer (Aberth-Ehrlich
 iteration, and the points of a curve intersection evaluated from its exact
 representation) works at a caller-chosen binary precision with residual
-certificates on every reported root.
+certificates on every reported root. The same Aberth sweep also runs in
+Python's built-in complex, uncertified, for the preconditioning passes of
+the ternary pipeline.
 """
 
 from __future__ import annotations
 
+import cmath
 import random
 import re
 from dataclasses import dataclass
@@ -450,9 +453,8 @@ def _bini_initial_points(coeffs):
 
 
 def _horner_pair(coeffs, x):
-    """p(x) and p'(x) by a joint Horner scheme."""
-    p = mp.mpc(0)
-    dp = mp.mpc(0)
+    """p(x) and p'(x) by a joint Horner scheme, in the arithmetic of x."""
+    p = dp = 0
     for c in coeffs:
         dp = dp * x + p
         p = p * x + c
@@ -467,13 +469,77 @@ def _at_rounding_level(p, abs_coeffs, x, bits):
     x is an exact root of a polynomial whose coefficients differ from p's by
     a few ulps, and no further iteration at this precision can improve it
     (Bini & Fiorentino, Numer. Algorithms 23, 2000). ``abs_coeffs`` are the
-    descending |a_i|.
+    descending |a_i|; the test runs in the arithmetic of x.
     """
     r = abs(x)
-    bound = mp.mpf(0)
+    bound = 0
     for a in abs_coeffs:
         bound = bound * r + a
-    return abs(p) <= 4 * len(abs_coeffs) * mp.ldexp(bound, -bits)
+    return abs(p) <= 4 * len(abs_coeffs) * bound / 2**bits
+
+
+def _aberth(cs, z, bits, eps, maxsteps):
+    """Aberth-Ehrlich sweeps over the descending coefficients ``cs`` from the
+    start points ``z``, in their arithmetic (mpmath at ``bits``, or built-in
+    complex at 53). A root stops once ``_at_rounding_level`` holds at ``bits``
+    or its correction falls below eps |z|; raises ConvergenceError, with the
+    current approximations as ``best``, when some root meets neither test
+    within ``maxsteps`` sweeps."""
+    d = len(z)
+    abs_cs = [abs(c) for c in cs]
+    jitter = mp.mpf("1e-8") if isinstance(eps, mp.mpf) else 1e-8
+    converged = [False] * d
+    rnd = random.Random(1729)
+    for _ in range(maxsteps):
+        if all(converged):
+            return z
+        for i in range(d):
+            if converged[i]:
+                continue
+            p, dp = _horner_pair(cs, z[i])
+            if _at_rounding_level(p, abs_cs, z[i], bits):
+                converged[i] = True
+                continue
+            if dp == 0:
+                z[i] *= 1 + jitter * (1 + 1j) * rnd.random()
+                continue
+            newton = p / dp
+            s = 0
+            collide = False
+            for j in range(d):
+                if j == i:
+                    continue
+                diff = z[i] - z[j]
+                if diff == 0:
+                    collide = True
+                    break
+                s += 1 / diff
+            if collide:
+                z[i] *= 1 + jitter * (1 - 1j) * rnd.random()
+                continue
+            denom = 1 - newton * s
+            w = newton if denom == 0 else newton / denom
+            z[i] = z[i] - w
+            if abs(w) <= eps * max(1, abs(z[i])):
+                converged[i] = True
+    if not all(converged):
+        raise ConvergenceError(
+            f"{d - sum(converged)} of {d} roots did not converge in {maxsteps} Aberth sweeps",
+            best=z,
+        )
+    return z
+
+
+def _strip_zero_roots(coeffs):
+    """(coefficients without trailing zeros, number of zero roots)."""
+    coeffs = list(coeffs)
+    if not coeffs or coeffs[0] == 0:
+        raise InputFormatError("leading coefficient must be nonzero")
+    zero_roots = 0
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+        zero_roots += 1
+    return coeffs, zero_roots
 
 
 def aberth_roots(coeffs, prec=None, maxsteps=500):
@@ -491,63 +557,40 @@ def aberth_roots(coeffs, prec=None, maxsteps=500):
     """
     with working_precision(prec):
         target_prec = mp.mp.prec
-        coeffs = list(coeffs)
-        if not coeffs or coeffs[0] == 0:
-            raise InputFormatError("leading coefficient must be nonzero")
-        zero_roots = 0
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-            zero_roots += 1
+        coeffs, zero_roots = _strip_zero_roots(coeffs)
         d = len(coeffs) - 1
         if d == 0:
             return [mp.mpc(0)] * zero_roots
         with mp.workprec(target_prec + 20 + 2 * d):
-            bits = mp.mp.prec
             cs = [to_mpc(c) for c in coeffs]
-            abs_cs = [abs(c) for c in cs]
-            z = _bini_initial_points(cs)
-            eps = mp.mpf(2) ** (-target_prec)
-            converged = [False] * d
-            rnd = random.Random(1729)
-            for _ in range(maxsteps):
-                if all(converged):
-                    break
-                for i in range(d):
-                    if converged[i]:
-                        continue
-                    p, dp = _horner_pair(cs, z[i])
-                    if _at_rounding_level(p, abs_cs, z[i], bits):
-                        converged[i] = True
-                        continue
-                    if dp == 0:
-                        z[i] *= 1 + mp.mpf("1e-8") * (1 + 1j) * rnd.random()
-                        continue
-                    newton = p / dp
-                    s = mp.mpc(0)
-                    collide = False
-                    for j in range(d):
-                        if j == i:
-                            continue
-                        diff = z[i] - z[j]
-                        if diff == 0:
-                            collide = True
-                            break
-                        s += 1 / diff
-                    if collide:
-                        z[i] *= 1 + mp.mpf("1e-8") * (1 - 1j) * rnd.random()
-                        continue
-                    denom = 1 - newton * s
-                    w = newton if denom == 0 else newton / denom
-                    z[i] = z[i] - w
-                    if abs(w) <= eps * max(mp.mpf(1), abs(z[i])):
-                        converged[i] = True
-            if not all(converged):
-                missed = d - sum(converged)
-                raise ConvergenceError(
-                    f"{missed} of {d} roots did not converge in {maxsteps} Aberth sweeps",
-                    best=[mp.mpc(r) for r in z] + [mp.mpc(0)] * zero_roots,
-                )
+            try:
+                z = _aberth(cs, _bini_initial_points(cs), mp.mp.prec, mp.mpf(2) ** (-target_prec), maxsteps)
+            except ConvergenceError as exc:
+                exc.best = [mp.mpc(r) for r in exc.best] + [mp.mpc(0)] * zero_roots
+                raise
         return [mp.mpc(r) for r in z] + [mp.mpc(0)] * zero_roots
+
+
+def _doubles(*int_lists):
+    """The integer lists as floats, all divided by one power of two that puts
+    the largest entry near 2^52, so that no entry overflows."""
+    top = max(abs(c) for cs in int_lists for c in cs).bit_length()
+    scale = 2 ** max(top - 53, 0)
+    return [[c / scale for c in cs] for cs in int_lists]
+
+
+def _roots_in_doubles(coeffs):
+    """All complex roots of an integer polynomial (descending coefficients)
+    in built-in complex: :func:`_aberth` at 53 bits, at most 100 sweeps, from
+    the same start points as :func:`aberth_roots`, zero roots stripped
+    exactly."""
+    coeffs, zero_roots = _strip_zero_roots(coeffs)
+    if len(coeffs) == 1:
+        return [0j] * zero_roots
+    (cs,) = _doubles(coeffs)
+    with mp.workprec(53):
+        z = [complex(r) for r in _bini_initial_points(cs)]
+    return _aberth(cs, z, 53, 2.0**-53, 100) + [0j] * zero_roots
 
 
 def _poly_residual(coeffs, root):
@@ -555,6 +598,25 @@ def _poly_residual(coeffs, root):
     norm = mp.sqrt(mp.fsum(abs(c) ** 2 for c in coeffs))
     p, _ = _horner_pair(coeffs, root)
     return abs(p) / (norm * max(mp.mpf(1), abs(root)) ** (len(coeffs) - 1))
+
+
+def _certified_roots(full, factors, bits):
+    """[(root, k)] for the squarefree factors ``factors`` = [(f_k, k)] (descending
+    integer coefficients) of the polynomial with descending coefficients
+    ``full``: :func:`aberth_roots` finds the roots of each f_k, each root
+    carries its factor's multiplicity k, and each must meet the normalized
+    residual bound 2^(-bits/2) against the polynomial itself, or
+    EliminationError is raised."""
+    full = [to_mpc(c) for c in full]
+    result = []
+    for coeffs, mult in factors:
+        for r in aberth_roots(coeffs, prec=bits):
+            if _poly_residual(full, r) >= half_eps():
+                raise EliminationError(
+                    f"root {mp.nstr(r, 8)} failed the residual certificate"
+                )
+            result.append((r, mult))
+    return result
 
 
 def univariate_roots(p: MultiPoly, prec=None):
@@ -576,17 +638,9 @@ def univariate_roots(p: MultiPoly, prec=None):
     if not active:
         raise InputFormatError("constant polynomial has no roots")
     with working_precision(prec):
-        bits = mp.mp.prec
         spoly = p.to_sympy().exclude()
-        full = [to_mpc(c) for c in _int_coeffs(spoly)]
-        result = []
-        for fac, mult in spoly.sqf_list()[1]:
-            for r in aberth_roots(_int_coeffs(fac), prec=bits):
-                if _poly_residual(full, r) >= half_eps():
-                    raise EliminationError(
-                        f"root {mp.nstr(r, 8)} failed the residual certificate"
-                    )
-                result.append((r, mult))
+        factors = [(_int_coeffs(f), k) for f, k in spoly.sqf_list()[1]]
+        result = _certified_roots(_int_coeffs(spoly), factors, mp.mp.prec)
         assert sum(m for _, m in result) == spoly.degree()
         return result
 
@@ -625,23 +679,36 @@ def binary_form_roots(F: MultiPoly, prec=None) -> PointCluster:
         raise InputFormatError("zero form")
     if not F.is_homogeneous():
         raise InputFormatError("input must be homogeneous")
-    d = F.total_degree()
-    if d < 1:
+    if F.total_degree() < 1:
         raise InputFormatError("degree must be at least 1")
     with working_precision(prec):
-        # coefficients of t^k where t = x0 and x1 = 1
-        coeffs = [0] * (d + 1)
-        for (a, b), c in F.terms:
-            coeffs[a] += c
-        e = max(k for k in range(d + 1) if coeffs[k] != 0)
-        points = []
-        if e < d:
-            points.extend([ProjectivePoint((1, 0))] * (d - e))
-        if e > 0:
-            dehom = MultiPoly(1, tuple(((k,), coeffs[k]) for k in range(e + 1) if coeffs[k]))
-            for r, mult in univariate_roots(dehom, prec=mp.mp.prec):
-                points.extend([ProjectivePoint((r, 1))] * mult)
-        return PointCluster(tuple(points))
+        return _binary_form_roots(F, F.to_sympy().sqf_list()[1])
+
+
+def _binary_form_roots(F: MultiPoly, factors) -> PointCluster:
+    """:func:`binary_form_roots` from the squarefree split ``factors`` =
+    [(f(x0, x1), k)] of F (sympy Polys), at the ambient precision: each
+    factor, at x1 = 1, is a squarefree factor of the dehomogenization, so
+    the form is factored once."""
+    d = F.total_degree()
+    # coefficients of t^k where t = x0 and x1 = 1
+    coeffs = [0] * (d + 1)
+    for (a, b), c in F.terms:
+        coeffs[a] += c
+    e = max(k for k in range(d + 1) if coeffs[k] != 0)
+    points = []
+    if e < d:
+        points.extend([ProjectivePoint((1, 0))] * (d - e))
+    if e > 0:
+        dehom = MultiPoly(1, tuple(((k,), coeffs[k]) for k in range(e + 1) if coeffs[k]))
+        x1 = sp.Symbol("x1")
+        finite = [(f.eval(x1, 1), k) for f, k in factors]
+        finite = [(_int_coeffs(f), k) for f, k in finite if f.degree() > 0]
+        roots = _certified_roots(_int_coeffs(dehom.to_sympy().exclude()), finite, mp.mp.prec)
+        assert sum(m for _, m in roots) == e
+        for r, mult in roots:
+            points.extend([ProjectivePoint((r, 1))] * mult)
+    return PointCluster(tuple(points))
 
 
 def _shears(rng, count):
@@ -772,7 +839,25 @@ def _fiber_parts(f, levels, Fd, Gd):
                 yield sub, c, singular
 
 
-def _intersect_with_shear(F, G, S, d1, d2, bits) -> RootSet:
+def _placed_point(S, v, F, G, norm):
+    """The point S v, from a zero v of F(S x) and G(S x), with its normalized
+    residual max(|F|, |G|)/norm at the unit point: how a point found in
+    substituted coordinates is placed on the curves F and G themselves."""
+    point = ProjectivePoint(tuple(mp.fsum(S[k][a] * v[a] for a in range(3)) for k in range(3)))
+    u = point.unit()
+    return point, max(abs(F.evaluate(u)), abs(G.evaluate(u))) / norm
+
+
+def _fiber_point(c):
+    """Integer coefficients (descending in β) of the numerator and the
+    denominator of x0 = −c[j−1]/(j c[j]) on a fiber, j = len(c) − 1."""
+    j = len(c) - 1
+    return ([int(v) for v in p.all_coeffs()] for p in (c[j - 1], j * c[j]))
+
+
+def _eliminate(F, G, S, d1, d2):
+    """The dehomogenized F(S x), G(S x), their resultant R(β) and their
+    subresultants S_1, S_2, ... by degree in x0 (``levels``)."""
     Fs = substitute(F, S)
     Gs = substitute(G, S)
     if Fs.coeff((d1, 0, 0)) == 0 or Gs.coeff((d2, 0, 0)) == 0:
@@ -781,27 +866,63 @@ def _intersect_with_shear(F, G, S, d1, d2, bits) -> RootSet:
     # the last member of an abnormal sequence is not the resultant, so take
     # both from one call
     R, prs = Fd.resultant(Gd, includePRS=True)
-    D = d1 * d2
-    if R.degree() != D:
+    if R.degree() != d1 * d2:
         raise _ShearFailure("resultant dropped degree or has a root at infinity")
-    levels = [P for P in reversed(prs[1:]) if P.degree(_X0) > 0]
+    return Fd, Gd, R, [P for P in reversed(prs[1:]) if P.degree(_X0) > 0]
+
+
+# the identity and the two cyclic permutations of the coordinates
+_CYCLES = (
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+    [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+)
+
+
+def _intersection_in_doubles(F: MultiPoly, G: MultiPoly) -> list:
+    """Approximate intersection points of two ternary curves, in built-in
+    complex: one point (x0, β, 1) per root β of the resultant, with x0 from
+    the lowest subresultant as in :func:`curve_intersection`, but with no
+    fiber certificate and no residual test. It projects from the first
+    coordinate point that lies off both curves and gives a squarefree
+    resultant, so that every fiber holds one simple point; at a singular
+    point, such as a node, none does. A cyclic permutation of the
+    coordinates does not change the conditioning, unlike a shear. For a
+    cheap preconditioning pass; raises EliminationError, ConvergenceError or
+    ArithmeticError where doubles do not suffice."""
+    d1, d2 = F.total_degree(), G.total_degree()
+    for S in _CYCLES:
+        try:
+            _, _, R, levels = _eliminate(F, G, S, d1, d2)
+        except _ShearFailure:
+            continue
+        if R.gcd(R.diff()).degree() == 0:
+            break
+    else:
+        raise EliminationError("no coordinate projection gives a squarefree resultant")
+    num, den = _doubles(*_fiber_point(_x0_coeffs(levels[0])))
+    points = []
+    for beta in _roots_in_doubles(_int_coeffs(R)):
+        v = (-_horner_pair(num, beta)[0] / _horner_pair(den, beta)[0], beta, 1)
+        points.append([sum(S[k][a] * v[a] for a in range(3)) for k in range(3)])
+    if not all(cmath.isfinite(c) for p in points for c in p):
+        raise ArithmeticError("an intersection point is not finite in doubles")
+    return points
+
+
+def _intersect_with_shear(F, G, S, d1, d2, bits) -> RootSet:
+    Fd, Gd, R, levels = _eliminate(F, G, S, d1, d2)
+    D = d1 * d2
     found, singular = [], []
     half = half_eps()
     norm = max(F.coeff_norm(), G.coeff_norm())
     _, factors = R.sqf_list()
     for fac, mult in factors:
         for part, c, sing in _fiber_parts(fac, levels, Fd, Gd):
-            j = len(c) - 1
-            num, den = ([int(v) for v in p.all_coeffs()] for p in (c[j - 1], j * c[j]))
+            num, den = _fiber_point(c)
             for beta in aberth_roots(_int_coeffs(part), prec=bits):
                 x0 = -mp.polyval(num, beta) / mp.polyval(den, beta)
-                pt_sheared = (x0, beta, mp.mpc(1))
-                # undo the shear: zeros of F(S x) map to original zeros via w = S v
-                point = ProjectivePoint(tuple(
-                    mp.fsum(S[k][a] * pt_sheared[a] for a in range(3)) for k in range(3)
-                ))
-                u = point.unit()
-                resid = max(abs(F.evaluate(u)), abs(G.evaluate(u))) / norm
+                point, resid = _placed_point(S, (x0, beta, mp.mpc(1)), F, G, norm)
                 if resid >= half:
                     raise _ShearFailure(
                         f"residual {mp.nstr(resid, 5)} too large at beta={mp.nstr(beta, 8)}"

@@ -13,6 +13,8 @@ from cluster_reduce import (
     PointCluster,
     ProjectivePoint,
     UnimodularTransform,
+    reduce_ternary_form,
+    substitute,
 )
 from cluster_reduce import io as cio
 from cluster_reduce.cli import main
@@ -142,6 +144,18 @@ class TestCli:
         diag = json.loads(result.output)["diagnostics"]
         assert diag["nodes"] == 1
         assert "theta" not in diag
+
+    def test_report_carries_the_preconditioning_passes(self, tmp_path):
+        F = MultiPoly.from_text("x^3 + 2 y^3 - z^3 + x y z - x^2 y", nvars=3)
+        V = [[2, 1, 0], [7, 4, 1], [3, 2, 2]]
+        path = self._write(tmp_path, "cubic.txt", substitute(F, V).to_text())
+        result = CliRunner().invoke(main, ["reduce-ternary", path, "--json"])
+        assert result.exit_code == 0
+        written = json.loads(result.output)["diagnostics"]["preconditioning"]
+        passes = reduce_ternary_form(substitute(F, V)).diagnostics["preconditioning"]
+        assert written["passes"] == passes["passes"] >= 1
+        assert [int(h) for h in written["heights"]] == passes["heights"]
+        assert written["stop"] == passes["stop"] == "identity"
 
     def test_malformed_input_exit_code(self, tmp_path):
         path = self._write(tmp_path, "bad.json", "{not json")

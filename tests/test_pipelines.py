@@ -17,6 +17,7 @@ from cluster_reduce import (
     StabilityError,
     act,
     classify,
+    congruence,
     grad_D,
     is_lll_reduced,
     normalize_cluster,
@@ -30,7 +31,6 @@ from cluster_reduce import (
 from cluster_reduce.errors import (
     ClusterReduceError,
     CommonComponentError,
-    EliminationError,
     InputFormatError,
 )
 
@@ -43,6 +43,8 @@ from conftest import (
     PENCIL_Q1,
     PENCIL_Q2,
     QUARTIC,
+    QUARTIC_LLL,
+    QUARTIC_REDUCED,
     REDUCED_BINARY_CUBIC,
     matrices_close_mod_scaling,
     pair_matches_up_to_signed_permutation,
@@ -336,15 +338,14 @@ class TestNodalCurves:
         assert substitute(report.reduced, report.transform.inverse()) == F
 
     def test_quartic_at_212_bits_passes_elimination_and_node_test(self):
-        # the smooth reference quartic must get through curve intersection
-        # and the exact singular-point test, which make its inflection cluster
-        # stable; the one later tolerance-based decision (the imaginary-part
-        # test of the covariant's real Gram) may still lack precision at 212
-        # bits, and is not asserted here
-        try:
-            reduce_ternary_form(QUARTIC, prec=212)
-        except ClusterReduceError as exc:
-            assert not isinstance(exc, (EliminationError, StabilityError)), exc
+        # after preconditioning the exact pass runs on a height-3 quartic, so
+        # curve intersection, the exact singular-point test and the
+        # imaginary-part test of the real Gram all hold well below 424 bits,
+        # and the transform is the reference one
+        for bits in (212, 106):
+            report = reduce_ternary_form(QUARTIC, prec=bits)
+            assert [list(r) for r in report.transform.matrix] == QUARTIC_LLL, bits
+            assert report.diagnostics["nodes"] == 0
 
     def test_biflecnode_rejected(self):
         # both branches of the node flex at the node (the tangent x = 0 meets
@@ -353,6 +354,70 @@ class TestNodalCurves:
         F = poly("x y z^2 + x^4 + y^4", nvars=3)
         with pytest.raises(StabilityError):
             reduce_ternary_form(F)
+
+
+class TestPreconditioning:
+    """Ternary forms are first reduced by passes in hardware doubles, each an
+    exact integer substitution; the exact pass runs on the result, and its
+    covariant is carried back, so the transform does not depend on them."""
+
+    CUBIC = poly("x^3 + 2 y^3 - z^3 + x y z - x^2 y", nvars=3)
+
+    @pytest.mark.parametrize(
+        "base, max_entry, seed",
+        [(QUARTIC_REDUCED, 2000, 1), (CUBIC, 30000, 2)],
+        ids=["quartic", "cubic"],
+    )
+    def test_planted_distortion_is_undone(self, base, max_entry, seed):
+        V = random_unimodular_int(random.Random(seed), 3, max_entry=max_entry)
+        F = substitute(base, V)
+        assert F.height() >= 10**12
+        report = reduce_ternary_form(F)
+        passes = report.diagnostics["preconditioning"]
+        assert passes["stop"] == "identity"
+        assert 2 <= passes["passes"] <= 8
+        assert len(passes["heights"]) == passes["passes"]
+        assert passes["heights"][-1] == base.height()
+        assert report.reduced.height() == base.height()
+        assert substitute(report.reduced, report.transform.inverse()) == F
+
+    def test_reduced_input_takes_one_pass(self):
+        report = reduce_ternary_form(QUARTIC_REDUCED, prec=212)
+        assert report.diagnostics["preconditioning"] == {
+            "passes": 1,
+            "heights": [3],
+            "stop": "identity",
+        }
+        assert report.transform.matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def test_failed_pass_leaves_the_exact_result(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("no roots in doubles")
+
+        monkeypatch.setattr(polyalg, "_roots_in_doubles", fail)
+        report = reduce_ternary_form(QUARTIC)
+        assert [list(r) for r in report.transform.matrix] == QUARTIC_LLL
+        assert report.reduced == QUARTIC_REDUCED
+        passes = report.diagnostics["preconditioning"]
+        assert passes["passes"] == 0
+        assert passes["stop"] == "pass failed: ConvergenceError: no roots in doubles"
+
+    def test_report_refers_to_the_input(self):
+        report = reduce_ternary_form(QUARTIC, prec=212)
+        assert report.diagnostics["preconditioning"]["passes"] >= 2
+        assert report.extras["hessian"] == hessian(QUARTIC)
+        with mp.workprec(212):
+            assert max(report.diagnostics["residuals"]) < mp.mpf(2) ** -106
+            # the flexes lie on the input curve and its Hessian
+            norm = QUARTIC.coeff_norm()
+            for p in report.extras["inflection_cluster"].points:
+                assert abs(QUARTIC.evaluate(p.unit())) / norm < mp.mpf(2) ** -106
+            # and the reported covariant is the input's: U^T G U is the reduced Gram
+            assert matrices_close_mod_scaling(
+                congruence(report.covariant, report.transform).mat(),
+                report.reduced_gram.mat(),
+                mp.mpf(2) ** -100,
+            )
 
 
 class TestClassifyOnce:
