@@ -26,14 +26,28 @@ def _num_to_str(x) -> str:
     return mp.nstr(mp.mpf(x), mp.mp.dps, strip_zeros=True)
 
 
+def _decode(data):
+    """A JSON document, decoded if given as text."""
+    if not isinstance(data, str):
+        return data
+    try:
+        return json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"malformed JSON: {exc}") from exc
+
+
 def _parse_real(s):
     try:
         if isinstance(s, str) and "/" in s:
             f = Fraction(s)
-            return mp.mpf(f.numerator) / f.denominator
-        return mp.mpmathify(s)
+            x = mp.mpf(f.numerator) / f.denominator
+        else:
+            x = mp.mpmathify(s)
     except Exception as exc:
         raise InputFormatError(f"cannot parse number {s!r}") from exc
+    if not mp.isfinite(x):
+        raise InputFormatError(f"number {s!r} is not finite")
+    return x
 
 
 def _parse_complex(entry):
@@ -61,12 +75,11 @@ def cluster_to_json(cluster: PointCluster) -> dict:
 
 
 def cluster_from_json(data) -> PointCluster:
-    if isinstance(data, str):
-        data = json.loads(data)
+    data = _decode(data)
     try:
         n = int(data["n"])
         raw = data["points"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError("cluster JSON needs fields 'n' and 'points'") from exc
     points = []
     try:
@@ -91,8 +104,7 @@ def hermitian_to_json(form: HermitianForm) -> dict:
 
 
 def hermitian_from_json(data) -> HermitianForm:
-    if isinstance(data, str):
-        data = json.loads(data)
+    data = _decode(data)
     try:
         n = int(data["n"])
         raw = data["matrix"]
@@ -112,8 +124,7 @@ def gram_to_json(G: GramMatrix) -> dict:
 
 
 def gram_from_json(data) -> GramMatrix:
-    if isinstance(data, str):
-        data = json.loads(data)
+    data = _decode(data)
     try:
         n = int(data["n"])
         raw = data["matrix"]
@@ -130,8 +141,7 @@ def transform_to_json(U: UnimodularTransform) -> list:
 
 
 def transform_from_json(data) -> UnimodularTransform:
-    if isinstance(data, str):
-        data = json.loads(data)
+    data = _decode(data)
     return UnimodularTransform(tuple(tuple(int(v) for v in row) for row in data))
 
 
@@ -148,12 +158,11 @@ def poly_to_json(p: MultiPoly) -> dict:
 
 
 def poly_from_json(data) -> MultiPoly:
-    if isinstance(data, str):
-        data = json.loads(data)
+    data = _decode(data)
     try:
         nvars = int(data["nvars"])
         raw = data["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError("polynomial JSON needs fields 'nvars' and 'terms'") from exc
     try:
         terms = {}
@@ -162,7 +171,7 @@ def poly_from_json(data) -> MultiPoly:
             c = t["coeff"]
             terms[exp] = terms.get(exp, 0) + (Fraction(c) if "/" in str(c) else int(c))
         return MultiPoly(nvars, tuple(terms.items()))
-    except (KeyError, TypeError, ValueError, DimensionError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError, DimensionError) as exc:
         raise InputFormatError(f"bad polynomial terms: {exc!r}") from exc
 
 

@@ -36,8 +36,8 @@ from .polyalg import (
     MultiPoly,
     _binary_form_roots,
     _det3,
+    _curve_intersection,
     _intersection_in_doubles,
-    _placed_point,
     curve_intersection,
     hessian,
     substitute,
@@ -89,9 +89,9 @@ def _reduce_core(cls, cluster: PointCluster, what: str, delta, back=None):
     ``cls`` stable (from :func:`classify` for numeric input, from exact facts
     for forms), takes the covariant from :func:`minimize`, which starts from
     the closed form for n+2 points, and LLL-reduces the real Gram matrix.
-    A cluster found in preconditioned coordinates x = U0 x' comes with
-    ``back`` = U0^-1, which carries its Gram G' to the input's coordinates as
-    G = U0^-T G' U0^-1 before LLL, so that U does not depend on U0.
+    A cluster found in projected coordinates x = P v comes with ``back`` =
+    P^-1, which carries its Gram G' to the input's coordinates as
+    G = P^-T G' P^-1 before LLL, so that U does not depend on P.
     Returns (covariant result, G, reduced Gram, U), U from LLL unchanged."""
     if not cls.is_stable:
         raise StabilityError(f"{what} is not stable", classification=cls, witness=cls.witness)
@@ -268,37 +268,39 @@ def reduce_quadric_pencil(
 PRECONDITIONING_PASSES = 8
 
 
-def _double_pass(F: MultiPoly) -> UnimodularTransform:
+def _double_pass(F: MultiPoly):
     """One reduction of a ternary form in hardware doubles: its flexes from
     :func:`_intersection_in_doubles`, Tyler's covariant in doubles, and LLL
     at 53 bits, with a column negated for determinant +1. Doubles resolve the
     Gram only down to about 2^-45 of its largest diagonal entry, so it is
     floored there: a form too distorted for doubles stays positive definite
     at 53 bits and is reduced as far as they resolve it, and the next pass
-    goes on from there."""
-    Q = _tyler_in_doubles(_intersection_in_doubles(F, hessian(F)))
+    goes on from there. Returns U and the coordinate cycle that projected."""
+    cycle, points = _intersection_in_doubles(F, hessian(F))
+    Q = _tyler_in_doubles(points)
     floor = 2.0**-45 * max(Q[a][a].real for a in range(3))
     with mp.workprec(53):
         G = GramMatrix([[Q[a][b].real + (floor if a == b else 0) for b in range(3)] for a in range(3)])
         _, U = lll_reduce(G)
-    return U if U.det() == 1 else U.negate_column(U.size - 1)
+    return (U if U.det() == 1 else U.negate_column(U.size - 1)), cycle
 
 
 def _precondition(F: MultiPoly):
     """An exact integer substitution U0 found in doubles: repeat
-    :func:`_double_pass` on F' = F(U0 x) from U0 = I until a pass returns the
+    :func:`_double_pass` on F(U0 x) from U0 = I until a pass returns the
     identity or after ``PRECONDITIONING_PASSES`` passes. The form height may
     rise on the way while the covariant keeps improving, so it is recorded,
     not used to stop. A pass that fails where doubles do not suffice (an
     arithmetic, value or package error) ends preconditioning with the U0
     found so far, and the record says why: U0 only conditions the exact
-    pass, whose result does not depend on it. Returns (U0, F', record of the
-    passes)."""
+    pass, whose result does not depend on it. U0 ends with the last pass's
+    coordinate cycle, which gave a squarefree resultant. Returns (U0, record
+    of the passes)."""
     identity = UnimodularTransform(tuple(tuple(int(i == j) for j in range(3)) for i in range(3)))
-    U0, heights, stop = identity, [], "pass cap"
+    U0, cycle, heights, stop = identity, identity.matrix, [], "pass cap"
     for _ in range(PRECONDITIONING_PASSES):
         try:
-            U = _double_pass(F)
+            U, cycle = _double_pass(F)
         except (ArithmeticError, ValueError, ClusterReduceError) as exc:
             stop = f"pass failed: {type(exc).__name__}: {exc}"
             break
@@ -307,7 +309,7 @@ def _precondition(F: MultiPoly):
         if U == identity:
             stop = "identity"
             break
-    return U0, F, {"passes": len(heights), "heights": heights, "stop": stop}
+    return U0 @ UnimodularTransform(cycle), {"passes": len(heights), "heights": heights, "stop": stop}
 
 
 def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) -> ReductionReport:
@@ -322,11 +324,12 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
 
     A preconditioning stage first finds an integer U0 of determinant 1 by
     whole reductions in hardware doubles (:func:`_precondition`), and the
-    exact pass runs on the well-conditioned F' = F(U0 x). Since the covariant
-    is equivariant, z(F') = U0^T z(F) U0, its Gram is carried back exactly to
-    F's coordinates and LLL-reduced there, from the identity; the reported
-    covariant, flexes (rows P' U0^T), residuals, Hessian and transform all
-    refer to F. ``diagnostics["preconditioning"]`` records the passes.
+    exact intersection with the Hessian H projects through U0 first: a flex is
+    a zero v of the well-conditioned F(P x), P = U0 unless a shear follows,
+    placed at P v. By equivariance, z(F(P x)) = P^T z(F) P, the Gram of the v
+    is carried back exactly by P^-1 and LLL-reduced from the identity, so U
+    does not depend on U0. The covariant, flexes, residuals (against F and H),
+    H and transform refer to F. ``diagnostics["preconditioning"]`` records the passes.
 
     Default precision is 212 bits for degree <= 3 and 424 bits above.
     """
@@ -342,11 +345,12 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
         _, factors = sp.factor_list(F.to_sympy().as_expr(), *sp.symbols("x0:3"))
         if len(factors) != 1 or factors[0][1] != 1:
             raise InputFormatError("form is reducible; the pipeline needs an irreducible curve")
-        U0, Fp, passes = _precondition(F)
-        inter = curve_intersection(Fp, hessian(Fp), seed=seed)
+        U0, passes = _precondition(F)
+        H = hessian(F)
+        P, inter, projected = _curve_intersection(F, H, seed, U0.matrix)
         # a singular point of F is singular on its Hessian curve too, so the
         # exact flag of curve_intersection finds the singular points of F
-        inflections = [t for t, sing in zip(inter.roots, inter.singular) if not sing]
+        flexes = [(p, v, m, e) for (p, m, e), v, sing in zip(inter.roots, projected, inter.singular) if not sing]
         nodes = [mult for (_, mult, _), sing in zip(inter.roots, inter.singular) if sing]
         r = len(nodes)
         if r:
@@ -360,24 +364,18 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
                 raise StabilityError(
                     f"nodal curve out of range: genus {genus}, {r} nodes"
                 )
-        pts = []
-        for p, mult, _ in inflections:
-            pts.extend([p] * mult)
+        pts = tuple(v for _, v, mult, _ in flexes for _ in range(mult))
         expected = 3 * d * (d - 2) - 6 * r
         if len(pts) != expected:
             raise StabilityError(
                 f"inflection count {len(pts)} does not match the expected {expected}"
             )
-        cluster = PointCluster(tuple(pts))
-        # the same flexes on F itself, rows P' U0^T, with residuals against F
-        H = hessian(F)
-        norm = max(F.coeff_norm(), H.coeff_norm())
-        placed = [_placed_point(U0.matrix, p.coords, F, H, norm) + (mult,) for p, mult, _ in inflections]
+        cluster = PointCluster(pts)
         # the flexes of a smooth curve are stable: a line holds at most
         # d(d-2) of the 3d(d-2), a point at most d-2
         cls = classify(cluster) if r else StabilityClass(False, True, True)
         result, G, reduced_gram, U = _reduce_core(
-            cls, cluster, "inflection cluster", delta, back=U0.inverse()
+            cls, cluster, "inflection cluster", delta, back=UnimodularTransform(P).inverse()
         )
         reduced = substitute(F, U)
         return ReductionReport(
@@ -391,12 +389,12 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
                 result,
                 F.height(),
                 reduced.height(),
-                residuals=(resid for _, resid, _ in placed),
+                residuals=(resid for _, _, _, resid in flexes),
                 nodes=r,
                 preconditioning=passes,
             ),
             extras={
-                "inflection_cluster": PointCluster(tuple(p for p, _, mult in placed for _ in range(mult))),
+                "inflection_cluster": PointCluster(tuple(p for p, _, mult, _ in flexes for _ in range(mult))),
                 "hessian": H,
             },
         )

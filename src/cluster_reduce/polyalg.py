@@ -311,7 +311,10 @@ def _parse_poly_text(text: str, nvars: Optional[int]) -> MultiPoly:
         mtc = _TERM_RE.match(body)
         if not mtc or (mtc.group("coeff") is None and not mtc.group("mono")):
             raise InputFormatError(f"could not parse term {chunk!r}")
-        coeff = Fraction(mtc.group("coeff")) if mtc.group("coeff") else Fraction(1)
+        try:
+            coeff = Fraction(mtc.group("coeff") or 1)
+        except ZeroDivisionError:
+            raise InputFormatError(f"zero denominator in term {chunk!r}") from None
         exps = {}
         if mtc.group("mono"):
             for fm in _FACTOR_RE.finditer(mtc.group("mono")):
@@ -740,12 +743,21 @@ def curve_intersection(F: MultiPoly, G: MultiPoly, prec=None, seed=0) -> RootSet
     x0 = ξ = −c_{j−1}/(j c_j); for j = 1 this is the rational univariate
     representation x0 = −a0/a1. For j ≥ 2 the exact congruence
     S_j ≡ c_j (x0 − ξ)^j modulo the part certifies it, or the next of at most 12
-    shears is tried. Root finding runs once per part, on β alone, and every point
-    carries the normalized residual max(|F|, |G|)/||P||^deg, which must be
-    below 2^(-prec/2). Points singular on both curves, which only parts with
-    j ≥ 2 can hold, are split off by an exact gcd with the partial derivatives
-    at x0 = ξ and flagged in ``singular``.
+    shears, the identity first, is tried. Root finding runs once per part, on β
+    alone, and every point carries the normalized residual max(|F|, |G|)/||P||^deg,
+    which must be below 2^(-prec/2). Points singular on both curves, which only
+    parts with j ≥ 2 can hold, are split off by an exact gcd with the partial
+    derivatives at x0 = ξ and flagged in ``singular``.
     """
+    with working_precision(prec):
+        return _curve_intersection(F, G, seed, _CYCLES[0])[1]
+
+
+def _curve_intersection(F: MultiPoly, G: MultiPoly, seed, first):
+    """:func:`curve_intersection` at the ambient precision, projecting through
+    ``first`` · S for the shears S of :func:`_shears`. Returns the projection P
+    that succeeded, the RootSet and, per root, the zero v of F(P x) and G(P x)
+    that it places at P v."""
     for P in (F, G):
         if P.nvars != 3:
             raise DimensionError("curve intersection needs ternary forms")
@@ -755,18 +767,14 @@ def curve_intersection(F: MultiPoly, G: MultiPoly, prec=None, seed=0) -> RootSet
     gcd_poly = sp.gcd(F.to_sympy(), G.to_sympy())
     if sp.Poly(gcd_poly, *sp.symbols("x0:3")).total_degree() > 0:
         raise CommonComponentError("curves share a common component")
-    with working_precision(prec):
-        bits = mp.mp.prec
-        last_error = None
-        for S in _shears(random.Random(seed), 12):
-            try:
-                return _intersect_with_shear(F, G, S, d1, d2, bits)
-            except _ShearFailure as exc:
-                last_error = exc
-                continue
-        raise EliminationError(
-            f"no shear produced a clean elimination: {last_error}"
-        )
+    last_error = None
+    for S in _shears(random.Random(seed), 12):
+        P = [[sum(first[i][k] * S[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+        try:
+            return (P,) + _intersect_with_shear(F, G, P, d1, d2, mp.mp.prec)
+        except _ShearFailure as exc:
+            last_error = exc
+    raise EliminationError(f"no shear produced a clean elimination: {last_error}")
 
 
 class _ShearFailure(Exception):
@@ -839,15 +847,6 @@ def _fiber_parts(f, levels, Fd, Gd):
                 yield sub, c, singular
 
 
-def _placed_point(S, v, F, G, norm):
-    """The point S v, from a zero v of F(S x) and G(S x), with its normalized
-    residual max(|F|, |G|)/norm at the unit point: how a point found in
-    substituted coordinates is placed on the curves F and G themselves."""
-    point = ProjectivePoint(tuple(mp.fsum(S[k][a] * v[a] for a in range(3)) for k in range(3)))
-    u = point.unit()
-    return point, max(abs(F.evaluate(u)), abs(G.evaluate(u))) / norm
-
-
 def _fiber_point(c):
     """Integer coefficients (descending in β) of the numerator and the
     denominator of x0 = −c[j−1]/(j c[j]) on a fiber, j = len(c) − 1."""
@@ -858,11 +857,11 @@ def _fiber_point(c):
 def _eliminate(F, G, S, d1, d2):
     """The dehomogenized F(S x), G(S x), their resultant R(β) and their
     subresultants S_1, S_2, ... by degree in x0 (``levels``)."""
-    Fs = substitute(F, S)
-    Gs = substitute(G, S)
-    if Fs.coeff((d1, 0, 0)) == 0 or Gs.coeff((d2, 0, 0)) == 0:
+    if S != _CYCLES[0]:
+        F, G = substitute(F, S), substitute(G, S)
+    if F.coeff((d1, 0, 0)) == 0 or G.coeff((d2, 0, 0)) == 0:
         raise _ShearFailure("projection center lies on a curve")
-    Fd, Gd = _dehom(Fs), _dehom(Gs)
+    Fd, Gd = _dehom(F), _dehom(G)
     # the last member of an abnormal sequence is not the resultant, so take
     # both from one call
     R, prs = Fd.resultant(Gd, includePRS=True)
@@ -879,7 +878,7 @@ _CYCLES = (
 )
 
 
-def _intersection_in_doubles(F: MultiPoly, G: MultiPoly) -> list:
+def _intersection_in_doubles(F: MultiPoly, G: MultiPoly) -> tuple:
     """Approximate intersection points of two ternary curves, in built-in
     complex: one point (x0, β, 1) per root β of the resultant, with x0 from
     the lowest subresultant as in :func:`curve_intersection`, but with no
@@ -887,9 +886,10 @@ def _intersection_in_doubles(F: MultiPoly, G: MultiPoly) -> list:
     coordinate point that lies off both curves and gives a squarefree
     resultant, so that every fiber holds one simple point; at a singular
     point, such as a node, none does. A cyclic permutation of the
-    coordinates does not change the conditioning, unlike a shear. For a
-    cheap preconditioning pass; raises EliminationError, ConvergenceError or
-    ArithmeticError where doubles do not suffice."""
+    coordinates does not change the conditioning, unlike a shear. Returns
+    (that projection, the points). For a cheap preconditioning pass; raises
+    EliminationError, ConvergenceError or ArithmeticError where doubles do
+    not suffice."""
     d1, d2 = F.total_degree(), G.total_degree()
     for S in _CYCLES:
         try:
@@ -907,13 +907,15 @@ def _intersection_in_doubles(F: MultiPoly, G: MultiPoly) -> list:
         points.append([sum(S[k][a] * v[a] for a in range(3)) for k in range(3)])
     if not all(cmath.isfinite(c) for p in points for c in p):
         raise ArithmeticError("an intersection point is not finite in doubles")
-    return points
+    return S, points
 
 
-def _intersect_with_shear(F, G, S, d1, d2, bits) -> RootSet:
+def _intersect_with_shear(F, G, S, d1, d2, bits):
+    """The RootSet of F and G from the projection S, with residuals on F and
+    G, and per root the zero v of F(S x) and G(S x) placed at S v."""
     Fd, Gd, R, levels = _eliminate(F, G, S, d1, d2)
     D = d1 * d2
-    found, singular = [], []
+    found, projected, singular = [], [], []
     half = half_eps()
     norm = max(F.coeff_norm(), G.coeff_norm())
     _, factors = R.sqf_list()
@@ -921,15 +923,18 @@ def _intersect_with_shear(F, G, S, d1, d2, bits) -> RootSet:
         for part, c, sing in _fiber_parts(fac, levels, Fd, Gd):
             num, den = _fiber_point(c)
             for beta in aberth_roots(_int_coeffs(part), prec=bits):
-                x0 = -mp.polyval(num, beta) / mp.polyval(den, beta)
-                point, resid = _placed_point(S, (x0, beta, mp.mpc(1)), F, G, norm)
+                v = (-mp.polyval(num, beta) / mp.polyval(den, beta), beta, mp.mpc(1))
+                point = ProjectivePoint(tuple(mp.fsum(S[k][a] * v[a] for a in range(3)) for k in range(3)))
+                u = point.unit()
+                resid = max(abs(F.evaluate(u)), abs(G.evaluate(u))) / norm
                 if resid >= half:
                     raise _ShearFailure(
                         f"residual {mp.nstr(resid, 5)} too large at beta={mp.nstr(beta, 8)}"
                     )
                 found.append((point, mult, resid))
+                projected.append(ProjectivePoint(v))
                 singular.append(sing)
     total = sum(m for _, m, _ in found)
     if total != D:
         raise _ShearFailure(f"recovered multiplicity {total} of {D}")
-    return RootSet(tuple(found), tuple(singular))
+    return RootSet(tuple(found), tuple(singular)), tuple(projected)

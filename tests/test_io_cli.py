@@ -5,6 +5,8 @@ import json
 import mpmath as mp
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cluster_reduce import (
     GramMatrix,
@@ -72,6 +74,85 @@ class TestJsonRoundTrips:
             cio.cluster_from_json({"points": [[["1", "0"]]]})
         with pytest.raises(InputFormatError):
             cio.cluster_from_json({"n": 2, "points": [[["1", "0"], ["0", "0"]]]})
+
+
+# Generated input for the parsers. Numbers include zero denominators and
+# non-finite values; variable names stay in x0..x5 and the aliases, since the
+# command line parses every form with a fixed variable count.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_FRACTION = st.builds("{}/{}".format, st.integers(-99, 99), st.integers(0, 9))
+_REAL = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.floats(),
+    _FRACTION,
+    st.sampled_from(["nan", "inf", "-inf", "1e5", "2.5", "1j"]),
+)
+_MONOMIAL = st.lists(
+    st.tuples(st.sampled_from(["x", "y", "z", "w", "x0", "x1", "x2", "x5"]), st.integers(0, 4)),
+    max_size=3,
+).map(lambda factors: " ".join(v if k == 1 else f"{v}^{k}" for v, k in factors))
+_TERM = st.builds(
+    "{}{} {}".format,
+    st.sampled_from(["", "+ ", "- ", "-"]),
+    st.one_of(st.just(""), st.integers(0, 99).map(str), _FRACTION.map(lambda f: f.lstrip("-"))),
+    _MONOMIAL,
+)
+_POLY_JSON = st.integers(0, 3).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {
+            "nvars": st.just(n) | _REAL | _JSON,
+            "terms": st.lists(
+                st.fixed_dictionaries(
+                    {"exp": st.lists(st.integers(-1, 4), min_size=n, max_size=n) | _JSON, "coeff": _REAL | _JSON}
+                ),
+                max_size=4,
+            )
+            | _JSON,
+        }
+    )
+)
+_CLUSTER_JSON = st.integers(0, 3).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {
+            "n": st.just(n) | _REAL | _JSON,
+            "points": st.lists(
+                st.lists(_REAL | st.lists(_REAL, min_size=2, max_size=2), min_size=n + 1, max_size=n + 1),
+                max_size=5,
+            )
+            | _JSON,
+        }
+    )
+)
+
+
+class TestMalformedInputProperties:
+    """Whatever the text, the parsers return a value or raise InputFormatError,
+    which the command line turns into exit 4 with one line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.lists(_TERM, max_size=4).map(" ".join), _POLY_JSON.map(json.dumps), st.text(max_size=20)),
+        st.sampled_from([2, 3]),
+    )
+    def test_poly_from_any(self, text, nvars):
+        try:
+            p = cio.poly_from_any(text, nvars=nvars)
+        except InputFormatError:
+            return
+        assert isinstance(p, MultiPoly)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_CLUSTER_JSON.map(json.dumps), _JSON.map(json.dumps), st.text(max_size=20)))
+    def test_cluster_from_json(self, text):
+        try:
+            cluster = cio.cluster_from_json(text)
+        except InputFormatError:
+            return
+        assert all(mp.isfinite(c) for p in cluster.points for c in p.coords)
 
 
 class TestCli:
@@ -173,6 +254,11 @@ class TestCli:
             ("classify", '{"n": 1, "points": 3}'),
             ("reduce-binary", '{"nvars": 3, "terms": [{"exp": [3, 0, 0], "coeff": "1"}]}'),
             ("reduce-ternary", '{"nvars": 2, "terms": [{"exp": [3, 0], "coeff": "1"}]}'),
+            ("reduce-binary", "x0^3 + 1/0 x0 x1^2 + x1^3"),
+            ("reduce-binary", '{"nvars": 2, "terms": [{"exp": [3, 0], "coeff": "1/0"}]}'),
+            ("classify", '{"n": 1, "points": [["1", "0"], ["0", "1"], ["nan", "1"]]}'),
+            ("covariant", '{"n": 1, "points": [["1", "0"], ["0", "1"], ["1", "1"], ["nan", "1"]]}'),
+            ("reduce-cluster", '{"n": 1, "points": [["1", "0"], ["0", "1"], ["1", "1"], ["inf", "1"]]}'),
         ],
         ids=[
             "bad-coefficient",
@@ -183,6 +269,11 @@ class TestCli:
             "points-not-a-list",
             "binary-with-3-variables",
             "ternary-with-2-variables",
+            "zero-denominator-in-text",
+            "zero-denominator-in-json",
+            "nan-coordinate-classify",
+            "nan-coordinate-covariant",
+            "inf-coordinate-reduce-cluster",
         ],
     )
     def test_malformed_input_one_line_exit_4(self, tmp_path, command, content):

@@ -34,7 +34,7 @@ from cluster_reduce.errors import (
     InputFormatError,
 )
 
-from cluster_reduce import polyalg
+from cluster_reduce import pipelines, polyalg
 from cluster_reduce.polyalg import binary_form_roots, curve_intersection, hessian
 from conftest import (
     PENCIL_CUBIC,
@@ -401,6 +401,35 @@ class TestPreconditioning:
         passes = report.diagnostics["preconditioning"]
         assert passes["passes"] == 0
         assert passes["stop"] == "pass failed: ConvergenceError: no roots in doubles"
+
+    def test_permuted_cubic_needs_no_random_shear(self, monkeypatch):
+        # the passes end on a coordinate permutation; the exact pass projects
+        # through the cycle the last pass found, which gives a squarefree
+        # resultant, so no random shear is built
+        monkeypatch.setattr(polyalg, "_random_shear", lambda rng, n: pytest.fail("random shear"))
+        report = reduce_ternary_form(self.CUBIC)
+        assert report.transform.matrix == ((1, 0, 0), (0, 0, 1), (0, 1, 0))
+
+    def test_each_flex_is_found_once(self, monkeypatch):
+        # one evaluation of F and of its Hessian at each of the 24 flexes, and
+        # one Hessian per pass plus one for the exact intersection
+        calls = {"evaluate": 0, "hessian": 0}
+        evaluate, hess = MultiPoly.evaluate, pipelines.hessian
+
+        def counted_evaluate(self, values):
+            calls["evaluate"] += 1
+            return evaluate(self, values)
+
+        def counted_hessian(F):
+            calls["hessian"] += 1
+            return hess(F)
+
+        monkeypatch.setattr(MultiPoly, "evaluate", counted_evaluate)
+        monkeypatch.setattr(pipelines, "hessian", counted_hessian)
+        report = reduce_ternary_form(QUARTIC)
+        assert [list(r) for r in report.transform.matrix] == QUARTIC_LLL
+        assert report.diagnostics["preconditioning"]["passes"] == 6
+        assert calls == {"evaluate": 48, "hessian": 7}
 
     def test_report_refers_to_the_input(self):
         report = reduce_ternary_form(QUARTIC, prec=212)
