@@ -293,11 +293,11 @@ def _precondition(F: MultiPoly):
     not used to stop. A pass that fails where doubles do not suffice (an
     arithmetic, value or package error) ends preconditioning with the U0
     found so far, and the record says why: U0 only conditions the exact
-    pass, whose result does not depend on it. U0 ends with the last pass's
-    coordinate cycle, which gave a squarefree resultant. Returns (U0, record
-    of the passes)."""
+    pass, whose result does not depend on it. After a pass that returns the
+    identity, U0 ends with that pass's coordinate cycle, which gave a
+    squarefree resultant on F(U0 x). Returns (U0, record of the passes)."""
     identity = UnimodularTransform(tuple(tuple(int(i == j) for j in range(3)) for i in range(3)))
-    U0, cycle, heights, stop = identity, identity.matrix, [], "pass cap"
+    U0, heights, stop = identity, [], "pass cap"
     for _ in range(PRECONDITIONING_PASSES):
         try:
             U, cycle = _double_pass(F)
@@ -307,9 +307,9 @@ def _precondition(F: MultiPoly):
         F, U0 = substitute(F, U), U0 @ U
         heights.append(F.height())
         if U == identity:
-            stop = "identity"
+            U0, stop = U0 @ UnimodularTransform(cycle), "identity"
             break
-    return U0 @ UnimodularTransform(cycle), {"passes": len(heights), "heights": heights, "stop": stop}
+    return U0, {"passes": len(heights), "heights": heights, "stop": stop}
 
 
 def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) -> ReductionReport:
@@ -326,10 +326,11 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
     whole reductions in hardware doubles (:func:`_precondition`), and the
     exact intersection with the Hessian H projects through U0 first: a flex is
     a zero v of the well-conditioned F(P x), P = U0 unless a shear follows,
-    placed at P v. By equivariance, z(F(P x)) = P^T z(F) P, the Gram of the v
-    is carried back exactly by P^-1 and LLL-reduced from the identity, so U
-    does not depend on U0. The covariant, flexes, residuals (against F and H),
-    H and transform refer to F. ``diagnostics["preconditioning"]`` records the passes.
+    accepted on its residual there and placed at P v. By equivariance,
+    z(F(P x)) = P^T z(F) P, the Gram of the v is carried back exactly by P^-1
+    and LLL-reduced from the identity, so U does not depend on U0. The
+    covariant, flexes, residuals (against F and H), H and transform refer to
+    F. ``diagnostics["preconditioning"]`` records the passes.
 
     Default precision is 212 bits for degree <= 3 and 424 bits above.
     """

@@ -744,10 +744,10 @@ def curve_intersection(F: MultiPoly, G: MultiPoly, prec=None, seed=0) -> RootSet
     representation x0 = −a0/a1. For j ≥ 2 the exact congruence
     S_j ≡ c_j (x0 − ξ)^j modulo the part certifies it, or the next of at most 12
     shears, the identity first, is tried. Root finding runs once per part, on β
-    alone, and every point carries the normalized residual max(|F|, |G|)/||P||^deg,
-    which must be below 2^(-prec/2). Points singular on both curves, which only
-    parts with j ≥ 2 can hold, are split off by an exact gcd with the partial
-    derivatives at x0 = ξ and flagged in ``singular``.
+    alone; a point's normalized residual max(|F|, |G|)/||P||^deg on the sheared
+    forms must be below 2^(-prec/2), and it carries the one on F and G. Points
+    singular on both curves, which only parts with j ≥ 2 can hold, are split off
+    by an exact gcd with the partial derivatives at x0 = ξ, flagged in ``singular``.
     """
     with working_precision(prec):
         return _curve_intersection(F, G, seed, _CYCLES[0])[1]
@@ -855,7 +855,7 @@ def _fiber_point(c):
 
 
 def _eliminate(F, G, S, d1, d2):
-    """The dehomogenized F(S x), G(S x), their resultant R(β) and their
+    """F(S x), G(S x), their dehomogenizations, their resultant R(β) and their
     subresultants S_1, S_2, ... by degree in x0 (``levels``)."""
     if S != _CYCLES[0]:
         F, G = substitute(F, S), substitute(G, S)
@@ -867,7 +867,7 @@ def _eliminate(F, G, S, d1, d2):
     R, prs = Fd.resultant(Gd, includePRS=True)
     if R.degree() != d1 * d2:
         raise _ShearFailure("resultant dropped degree or has a root at infinity")
-    return Fd, Gd, R, [P for P in reversed(prs[1:]) if P.degree(_X0) > 0]
+    return F, G, Fd, Gd, R, [P for P in reversed(prs[1:]) if P.degree(_X0) > 0]
 
 
 # the identity and the two cyclic permutations of the coordinates
@@ -893,7 +893,7 @@ def _intersection_in_doubles(F: MultiPoly, G: MultiPoly) -> tuple:
     d1, d2 = F.total_degree(), G.total_degree()
     for S in _CYCLES:
         try:
-            _, _, R, levels = _eliminate(F, G, S, d1, d2)
+            *_, R, levels = _eliminate(F, G, S, d1, d2)
         except _ShearFailure:
             continue
         if R.gcd(R.diff()).degree() == 0:
@@ -910,29 +910,36 @@ def _intersection_in_doubles(F: MultiPoly, G: MultiPoly) -> tuple:
     return S, points
 
 
+def _residual(F, G, u, norm):
+    """max(|F|, |G|)/norm at the unit coordinates u."""
+    return max(abs(F.evaluate(u)), abs(G.evaluate(u))) / norm
+
+
 def _intersect_with_shear(F, G, S, d1, d2, bits):
-    """The RootSet of F and G from the projection S, with residuals on F and
-    G, and per root the zero v of F(S x) and G(S x) placed at S v."""
-    Fd, Gd, R, levels = _eliminate(F, G, S, d1, d2)
+    """The RootSet of F and G from the projection S, and per root the zero v
+    of F(S x) and G(S x) placed at S v. A root is accepted on its residual on
+    F(S x) and G(S x), the forms it solves, which the projection conditions,
+    and carries its residual on F and G."""
+    Fs, Gs, Fd, Gd, R, levels = _eliminate(F, G, S, d1, d2)
     D = d1 * d2
     found, projected, singular = [], [], []
     half = half_eps()
-    norm = max(F.coeff_norm(), G.coeff_norm())
+    norm_s = max(Fs.coeff_norm(), Gs.coeff_norm())
+    norm = norm_s if Fs is F else max(F.coeff_norm(), G.coeff_norm())
     _, factors = R.sqf_list()
     for fac, mult in factors:
         for part, c, sing in _fiber_parts(fac, levels, Fd, Gd):
             num, den = _fiber_point(c)
             for beta in aberth_roots(_int_coeffs(part), prec=bits):
-                v = (-mp.polyval(num, beta) / mp.polyval(den, beta), beta, mp.mpc(1))
-                point = ProjectivePoint(tuple(mp.fsum(S[k][a] * v[a] for a in range(3)) for k in range(3)))
-                u = point.unit()
-                resid = max(abs(F.evaluate(u)), abs(G.evaluate(u))) / norm
-                if resid >= half:
+                v = ProjectivePoint((-mp.polyval(num, beta) / mp.polyval(den, beta), beta, mp.mpc(1)))
+                point = ProjectivePoint(tuple(mp.fsum(S[k][a] * v.coords[a] for a in range(3)) for k in range(3)))
+                gate = _residual(Fs, Gs, v.unit(), norm_s)
+                if gate >= half:
                     raise _ShearFailure(
-                        f"residual {mp.nstr(resid, 5)} too large at beta={mp.nstr(beta, 8)}"
+                        f"residual {mp.nstr(gate, 5)} too large at beta={mp.nstr(beta, 8)}"
                     )
-                found.append((point, mult, resid))
-                projected.append(ProjectivePoint(v))
+                found.append((point, mult, gate if Fs is F else _residual(F, G, point.unit(), norm)))
+                projected.append(v)
                 singular.append(sing)
     total = sum(m for _, m, _ in found)
     if total != D:

@@ -133,7 +133,7 @@ class TestMalformedInputProperties:
     """Whatever the text, the parsers return a value or raise InputFormatError,
     which the command line turns into exit 4 with one line."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         st.one_of(st.lists(_TERM, max_size=4).map(" ".join), _POLY_JSON.map(json.dumps), st.text(max_size=20)),
         st.sampled_from([2, 3]),
@@ -145,7 +145,7 @@ class TestMalformedInputProperties:
             return
         assert isinstance(p, MultiPoly)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.one_of(_CLUSTER_JSON.map(json.dumps), _JSON.map(json.dumps), st.text(max_size=20)))
     def test_cluster_from_json(self, text):
         try:

@@ -411,8 +411,9 @@ class TestPreconditioning:
         assert report.transform.matrix == ((1, 0, 0), (0, 0, 1), (0, 1, 0))
 
     def test_each_flex_is_found_once(self, monkeypatch):
-        # one evaluation of F and of its Hessian at each of the 24 flexes, and
-        # one Hessian per pass plus one for the exact intersection
+        # at each of the 24 flexes, F(P x) and its Hessian are evaluated to
+        # accept it and F and H to report it; one Hessian per pass plus one
+        # for the exact intersection
         calls = {"evaluate": 0, "hessian": 0}
         evaluate, hess = MultiPoly.evaluate, pipelines.hessian
 
@@ -429,7 +430,22 @@ class TestPreconditioning:
         report = reduce_ternary_form(QUARTIC)
         assert [list(r) for r in report.transform.matrix] == QUARTIC_LLL
         assert report.diagnostics["preconditioning"]["passes"] == 6
-        assert calls == {"evaluate": 48, "hessian": 7}
+        assert calls == {"evaluate": 96, "hessian": 7}
+
+    def test_misplaced_flex_is_rejected(self, monkeypatch):
+        # a flex moved by 1e-20 relative keeps a residual far below 2^-106 on
+        # the height-1.7e12 quartic, so a root is judged on F(P x) and its
+        # Hessian, the forms that the projection conditions
+        U0, _ = pipelines._precondition(QUARTIC)
+        roots = polyalg.aberth_roots
+
+        def moved(coeffs, prec):
+            first, *rest = roots(coeffs, prec=prec)
+            return [first * (1 + mp.mpf(10) ** -20)] + rest
+
+        monkeypatch.setattr(polyalg, "aberth_roots", moved)
+        with mp.workprec(212), pytest.raises(polyalg._ShearFailure, match="residual"):
+            polyalg._intersect_with_shear(QUARTIC, hessian(QUARTIC), U0.matrix, 4, 6, 212)
 
     def test_report_refers_to_the_input(self):
         report = reduce_ternary_form(QUARTIC, prec=212)
