@@ -53,6 +53,16 @@ def _emit(payload, as_json, report_path, text_lines):
             click.echo(line)
 
 
+def _emit_report(report, as_json, report_path, head=(), label="transform", tail=()):
+    """Output of the reduce-* commands: the JSON report at the report's
+    precision, or the text lines ``head``, the transform rows under
+    ``label`` and ``tail``."""
+    with working_precision(report.diagnostics["precision"]):
+        payload = cio.report_to_json(report)
+    rows = ["  " + "  ".join(str(v) for v in row) for row in report.transform.matrix]
+    _emit(payload, as_json, report_path, [*head, f"{label}:", *rows, *tail])
+
+
 def _run(fn):
     try:
         fn()
@@ -191,16 +201,8 @@ def reduce_cluster_cmd(input_path, prec, delta, as_json, report_path):
     def body():
         cluster = cio.cluster_from_json(_read(input_path))
         report = reduce_cluster(cluster, prec=prec, delta=delta)
-        with working_precision(prec):
-            payload = cio.report_to_json(report)
-        _emit(
-            payload,
-            as_json,
-            report_path,
-            ["transform:"]
-            + ["  " + "  ".join(str(v) for v in row) for row in report.transform.matrix]
-            + ["reduced cluster:"]
-            + ["  " + repr(p) for p in report.reduced.points],
+        _emit_report(
+            report, as_json, report_path, tail=["reduced cluster:"] + ["  " + repr(p) for p in report.reduced.points]
         )
 
     _run(body)
@@ -216,18 +218,7 @@ def reduce_binary_cmd(input_path, prec, delta, as_json, report_path):
     def body():
         F = cio.poly_from_any(_read(input_path), nvars=2)
         report = reduce_binary_form(F, prec=prec, delta=delta)
-        with working_precision(prec):
-            payload = cio.report_to_json(report)
-        _emit(
-            payload,
-            as_json,
-            report_path,
-            [
-                f"reduced form: {report.reduced.to_text()}",
-                "transform:",
-            ]
-            + ["  " + "  ".join(str(v) for v in row) for row in report.transform.matrix],
-        )
+        _emit_report(report, as_json, report_path, [f"reduced form: {report.reduced.to_text()}"])
 
     _run(body)
 
@@ -262,19 +253,16 @@ def reduce_pencil_cmd(input_path, prec, delta, seed, as_json, report_path):
             Q1 = cio.poly_from_any(lines[0], nvars=3)
             Q2 = cio.poly_from_any(lines[1], nvars=3)
         report = reduce_quadric_pencil(Q1, Q2, prec=prec, delta=delta, seed=seed)
-        with working_precision(prec):
-            payload = cio.report_to_json(report)
-        _emit(
-            payload,
+        _emit_report(
+            report,
             as_json,
             report_path,
             [
                 f"reduced q1: {report.reduced[0].to_text()}",
                 f"reduced q2: {report.reduced[1].to_text()}",
                 "pencil transform: " + str([list(r) for r in report.pencil_transform]),
-                "coordinate transform:",
-            ]
-            + ["  " + "  ".join(str(v) for v in row) for row in report.transform.matrix],
+            ],
+            label="coordinate transform",
         )
 
     _run(body)
@@ -291,18 +279,7 @@ def reduce_ternary_cmd(input_path, prec, delta, seed, as_json, report_path):
     def body():
         F = cio.poly_from_any(_read(input_path), nvars=3)
         report = reduce_ternary_form(F, prec=prec, delta=delta, seed=seed)
-        with working_precision(report.diagnostics["precision"]):
-            payload = cio.report_to_json(report)
-        _emit(
-            payload,
-            as_json,
-            report_path,
-            [
-                f"reduced form: {report.reduced.to_text()}",
-                "transform:",
-            ]
-            + ["  " + "  ".join(str(v) for v in row) for row in report.transform.matrix],
-        )
+        _emit_report(report, as_json, report_path, [f"reduced form: {report.reduced.to_text()}"])
 
     _run(body)
 

@@ -50,6 +50,21 @@ def _parse_real(s):
     return x
 
 
+def _parse_int(v, what):
+    """An integer field: an integer, an integral number or a decimal integer
+    string; a boolean, a non-integral or a non-finite number is malformed,
+    never truncated. JSON numbers with a fraction or exponent part arrive as
+    doubles, so such a number is read only below 2^53 in magnitude, where
+    no integer is rounded; a larger integer is given as an integer."""
+    try:
+        n = int(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputFormatError(f"{what} must be an integer, not {v!r}") from exc
+    if isinstance(v, bool) or (not isinstance(v, str) and n != v) or (isinstance(v, float) and abs(n) >= 2**53):
+        raise InputFormatError(f"{what} must be an integer, not {v!r}")
+    return n
+
+
 def _parse_complex(entry):
     """[re, im] pair of decimal strings, or a bare exact real string/number."""
     if isinstance(entry, (list, tuple)):
@@ -77,9 +92,9 @@ def cluster_to_json(cluster: PointCluster) -> dict:
 def cluster_from_json(data) -> PointCluster:
     data = _decode(data)
     try:
-        n = int(data["n"])
+        n = _parse_int(data["n"], "'n'")
         raw = data["points"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputFormatError("cluster JSON needs fields 'n' and 'points'") from exc
     points = []
     try:
@@ -106,7 +121,7 @@ def hermitian_to_json(form: HermitianForm) -> dict:
 def hermitian_from_json(data) -> HermitianForm:
     data = _decode(data)
     try:
-        n = int(data["n"])
+        n = _parse_int(data["n"], "'n'")
         raw = data["matrix"]
     except (KeyError, TypeError) as exc:
         raise InputFormatError("Hermitian form JSON needs fields 'n' and 'matrix'") from exc
@@ -126,7 +141,7 @@ def gram_to_json(G: GramMatrix) -> dict:
 def gram_from_json(data) -> GramMatrix:
     data = _decode(data)
     try:
-        n = int(data["n"])
+        n = _parse_int(data["n"], "'n'")
         raw = data["matrix"]
     except (KeyError, TypeError) as exc:
         raise InputFormatError("Gram JSON needs fields 'n' and 'matrix'") from exc
@@ -142,7 +157,11 @@ def transform_to_json(U: UnimodularTransform) -> list:
 
 def transform_from_json(data) -> UnimodularTransform:
     data = _decode(data)
-    return UnimodularTransform(tuple(tuple(int(v) for v in row) for row in data))
+    try:
+        rows = tuple(tuple(_parse_int(v, "transform entry") for v in row) for row in data)
+    except TypeError as exc:
+        raise InputFormatError("transform JSON must be a list of integer rows") from exc
+    return UnimodularTransform(rows)
 
 
 # -- polynomials --------------------------------------------------------------
@@ -160,16 +179,17 @@ def poly_to_json(p: MultiPoly) -> dict:
 def poly_from_json(data) -> MultiPoly:
     data = _decode(data)
     try:
-        nvars = int(data["nvars"])
+        nvars = _parse_int(data["nvars"], "'nvars'")
         raw = data["terms"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputFormatError("polynomial JSON needs fields 'nvars' and 'terms'") from exc
     try:
         terms = {}
         for t in raw:
-            exp = tuple(int(e) for e in t["exp"])
+            exp = tuple(_parse_int(e, "exponent") for e in t["exp"])
             c = t["coeff"]
-            terms[exp] = terms.get(exp, 0) + (Fraction(c) if "/" in str(c) else int(c))
+            c = Fraction(c) if isinstance(c, str) and "/" in c else _parse_int(c, "coefficient")
+            terms[exp] = terms.get(exp, 0) + c
         return MultiPoly(nvars, tuple(terms.items()))
     except (KeyError, TypeError, ValueError, ArithmeticError, DimensionError) as exc:
         raise InputFormatError(f"bad polynomial terms: {exc!r}") from exc
@@ -245,6 +265,7 @@ def report_to_json(report: ReductionReport) -> dict:
             "passes": passes["passes"],
             "heights": [str(h) for h in passes["heights"]],
             "stop": passes["stop"],
+            "transform": transform_to_json(passes["transform"]),
         }
     if report.pencil_transform is not None:
         out["pencil_transform"] = [list(r) for r in report.pencil_transform]

@@ -22,7 +22,7 @@ from ._precision import (
     real_part,
     working_precision,
 )
-from .cluster_core import PointCluster, StabilityClass, act, classify
+from .cluster_core import PointCluster, ProjectivePoint, StabilityClass, act, classify
 from .covariant import HermitianForm, _tyler_in_doubles, minimize
 from .errors import (
     ClusterReduceError,
@@ -36,7 +36,6 @@ from .polyalg import (
     MultiPoly,
     _binary_form_roots,
     _det3,
-    _curve_intersection,
     _intersection_in_doubles,
     curve_intersection,
     hessian,
@@ -89,9 +88,9 @@ def _reduce_core(cls, cluster: PointCluster, what: str, delta, back=None):
     ``cls`` stable (from :func:`classify` for numeric input, from exact facts
     for forms), takes the covariant from :func:`minimize`, which starts from
     the closed form for n+2 points, and LLL-reduces the real Gram matrix.
-    A cluster found in projected coordinates x = P v comes with ``back`` =
-    P^-1, which carries its Gram G' to the input's coordinates as
-    G = P^-T G' P^-1 before LLL, so that U does not depend on P.
+    A cluster found on F(U0 x) comes with ``back`` = U0^-1, which carries
+    its Gram G' to the input's coordinates as G = U0^-T G' U0^-1 before LLL,
+    so that U does not depend on U0.
     Returns (covariant result, G, reduced Gram, U), U from LLL unchanged."""
     if not cls.is_stable:
         raise StabilityError(f"{what} is not stable", classification=cls, witness=cls.witness)
@@ -268,15 +267,16 @@ def reduce_quadric_pencil(
 PRECONDITIONING_PASSES = 8
 
 
-def _double_pass(F: MultiPoly):
-    """One reduction of a ternary form in hardware doubles: its flexes from
-    :func:`_intersection_in_doubles`, Tyler's covariant in doubles, and LLL
-    at 53 bits, with a column negated for determinant +1. Doubles resolve the
-    Gram only down to about 2^-45 of its largest diagonal entry, so it is
-    floored there: a form too distorted for doubles stays positive definite
-    at 53 bits and is reduced as far as they resolve it, and the next pass
-    goes on from there. Returns U and the coordinate cycle that projected."""
-    cycle, points = _intersection_in_doubles(F, hessian(F))
+def _double_pass(F: MultiPoly, H: MultiPoly):
+    """One reduction of a ternary form F with Hessian H in hardware doubles:
+    its flexes from :func:`_intersection_in_doubles`, Tyler's covariant in
+    doubles, and LLL at 53 bits, with a column negated for determinant +1.
+    Doubles resolve the Gram only down to about 2^-45 of its largest diagonal
+    entry, so it is floored there: a form too distorted for doubles stays
+    positive definite at 53 bits and is reduced as far as they resolve it,
+    and the next pass goes on from there. Returns U and the coordinate cycle
+    that projected."""
+    cycle, points = _intersection_in_doubles(F, H)
     Q = _tyler_in_doubles(points)
     floor = 2.0**-45 * max(Q[a][a].real for a in range(3))
     with mp.workprec(53):
@@ -287,29 +287,35 @@ def _double_pass(F: MultiPoly):
 
 def _precondition(F: MultiPoly):
     """An exact integer substitution U0 found in doubles: repeat
-    :func:`_double_pass` on F(U0 x) from U0 = I until a pass returns the
-    identity or after ``PRECONDITIONING_PASSES`` passes. The form height may
-    rise on the way while the covariant keeps improving, so it is recorded,
-    not used to stop. A pass that fails where doubles do not suffice (an
-    arithmetic, value or package error) ends preconditioning with the U0
-    found so far, and the record says why: U0 only conditions the exact
-    pass, whose result does not depend on it. After a pass that returns the
-    identity, U0 ends with that pass's coordinate cycle, which gave a
-    squarefree resultant on F(U0 x). Returns (U0, record of the passes)."""
+    :func:`_double_pass` on F(U0 x) and its Hessian from U0 = I until a pass
+    returns the identity or after ``PRECONDITIONING_PASSES`` passes. The form
+    height may rise on the way while the covariant keeps improving, so it is
+    recorded, not used to stop. A pass that fails where doubles do not
+    suffice (an arithmetic, value or package error) ends preconditioning with
+    the U0 found so far, and the record says why: U0 only conditions the
+    exact pass, whose result does not depend on it. After a pass that
+    returns the identity, U0 ends with that pass's coordinate cycle, which
+    gave a squarefree resultant on F(U0 x). Returns F(U0 x), its Hessian,
+    U0 and the record of the passes."""
     identity = UnimodularTransform(tuple(tuple(int(i == j) for j in range(3)) for i in range(3)))
-    U0, heights, stop = identity, [], "pass cap"
+    U0, heights, stop, H = identity, [], "pass cap", hessian(F)
     for _ in range(PRECONDITIONING_PASSES):
         try:
-            U, cycle = _double_pass(F)
+            U, cycle = _double_pass(F, H)
         except (ArithmeticError, ValueError, ClusterReduceError) as exc:
             stop = f"pass failed: {type(exc).__name__}: {exc}"
             break
-        F, U0 = substitute(F, U), U0 @ U
-        heights.append(F.height())
         if U == identity:
-            U0, stop = U0 @ UnimodularTransform(cycle), "identity"
+            heights.append(F.height())
+            cycle = UnimodularTransform(cycle)
+            if cycle != identity:
+                F, H, U0 = substitute(F, cycle), substitute(H, cycle), U0 @ cycle
+            stop = "identity"
             break
-    return U0, {"passes": len(heights), "heights": heights, "stop": stop}
+        F, U0 = substitute(F, U), U0 @ U
+        H = hessian(F)
+        heights.append(F.height())
+    return F, H, U0, {"passes": len(heights), "heights": heights, "stop": stop, "transform": U0}
 
 
 def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) -> ReductionReport:
@@ -324,13 +330,14 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
 
     A preconditioning stage first finds an integer U0 of determinant 1 by
     whole reductions in hardware doubles (:func:`_precondition`), and the
-    exact intersection with the Hessian H projects through U0 first: a flex is
-    a zero v of the well-conditioned F(P x), P = U0 unless a shear follows,
-    accepted on its residual there and placed at P v. By equivariance,
-    z(F(P x)) = P^T z(F) P, the Gram of the v is carried back exactly by P^-1
+    flexes are found by :func:`curve_intersection` of the well-conditioned
+    F(U0 x) with its Hessian. The residuals refer to these forms after the
+    shear that succeeded (the identity unless it failed), which the same
+    call and seed reproduce. By equivariance,
+    z(F(U0 x)) = U0^T z(F) U0, their Gram is carried back exactly by U0^-1
     and LLL-reduced from the identity, so U does not depend on U0. The
-    covariant, flexes, residuals (against F and H), H and transform refer to
-    F. ``diagnostics["preconditioning"]`` records the passes.
+    covariant, flexes (placed at U0 v), H and transform refer to F.
+    ``diagnostics["preconditioning"]`` records the passes and U0.
 
     Default precision is 212 bits for degree <= 3 and 424 bits above.
     """
@@ -346,12 +353,11 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
         _, factors = sp.factor_list(F.to_sympy().as_expr(), *sp.symbols("x0:3"))
         if len(factors) != 1 or factors[0][1] != 1:
             raise InputFormatError("form is reducible; the pipeline needs an irreducible curve")
-        U0, passes = _precondition(F)
-        H = hessian(F)
-        P, inter, projected = _curve_intersection(F, H, seed, U0.matrix)
+        F1, H1, U0, passes = _precondition(F)
+        inter = curve_intersection(F1, H1, seed=seed)
         # a singular point of F is singular on its Hessian curve too, so the
         # exact flag of curve_intersection finds the singular points of F
-        flexes = [(p, v, m, e) for (p, m, e), v, sing in zip(inter.roots, projected, inter.singular) if not sing]
+        flexes = [root for root, sing in zip(inter.roots, inter.singular) if not sing]
         nodes = [mult for (_, mult, _), sing in zip(inter.roots, inter.singular) if sing]
         r = len(nodes)
         if r:
@@ -365,7 +371,7 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
                 raise StabilityError(
                     f"nodal curve out of range: genus {genus}, {r} nodes"
                 )
-        pts = tuple(v for _, v, mult, _ in flexes for _ in range(mult))
+        pts = tuple(v for v, mult, _ in flexes for _ in range(mult))
         expected = 3 * d * (d - 2) - 6 * r
         if len(pts) != expected:
             raise StabilityError(
@@ -376,9 +382,13 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
         # d(d-2) of the 3d(d-2), a point at most d-2
         cls = classify(cluster) if r else StabilityClass(False, True, True)
         result, G, reduced_gram, U = _reduce_core(
-            cls, cluster, "inflection cluster", delta, back=UnimodularTransform(P).inverse()
+            cls, cluster, "inflection cluster", delta, back=U0.inverse()
         )
         reduced = substitute(F, U)
+        placed = PointCluster(tuple(
+            ProjectivePoint(tuple(mp.fsum(U0.matrix[k][a] * v.coords[a] for a in range(3)) for k in range(3)))
+            for v in pts
+        ))
         return ReductionReport(
             kind="ternary-form",
             covariant=G,
@@ -390,12 +400,9 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
                 result,
                 F.height(),
                 reduced.height(),
-                residuals=(resid for _, _, _, resid in flexes),
+                residuals=(resid for _, _, resid in flexes),
                 nodes=r,
                 preconditioning=passes,
             ),
-            extras={
-                "inflection_cluster": PointCluster(tuple(p for p, _, mult, _ in flexes for _ in range(mult))),
-                "hessian": H,
-            },
+            extras={"inflection_cluster": placed, "hessian": hessian(F)},
         )

@@ -735,29 +735,23 @@ def _random_shear(rng, n):
 def curve_intersection(F: MultiPoly, G: MultiPoly, prec=None, seed=0) -> RootSet:
     """All intersection points of two coprime ternary curves, with multiplicity.
 
-    After an integer shear keeping (1:0:0) off both curves, one exact
-    subresultant sequence in x0 of the forms at x2 = 1 gives the resultant
-    R(β) and the subresultants S_j = Σ c_i(β) x0^i. Each squarefree factor of R
-    (exact multiplicities) is split by gcds with c_1, c_2, ...: where c_j is
-    the first that does not vanish, the fiber x1 = β holds the one point
-    x0 = ξ = −c_{j−1}/(j c_j); for j = 1 this is the rational univariate
-    representation x0 = −a0/a1. For j ≥ 2 the exact congruence
+    After an integer shear S keeping (1:0:0) off both curves, one exact
+    subresultant sequence in x0 of F(S x) and G(S x) at x2 = 1 gives the
+    resultant R(β) and the subresultants S_j = Σ c_i(β) x0^i. Each squarefree
+    factor of R (exact multiplicities) is split by gcds with c_1, c_2, ...:
+    where c_j is the first that does not vanish, the fiber x1 = β holds the
+    one point x0 = ξ = −c_{j−1}/(j c_j); for j = 1 this is the rational
+    univariate representation x0 = −a0/a1. For j ≥ 2 the exact congruence
     S_j ≡ c_j (x0 − ξ)^j modulo the part certifies it, or the next of at most 12
     shears, the identity first, is tried. Root finding runs once per part, on β
-    alone; a point's normalized residual max(|F|, |G|)/||P||^deg on the sheared
-    forms must be below 2^(-prec/2), and it carries the one on F and G. Points
-    singular on both curves, which only parts with j ≥ 2 can hold, are split off
-    by an exact gcd with the partial derivatives at x0 = ξ, flagged in ``singular``.
+    alone. A zero v of F(S x) and G(S x) is reported at S v with its
+    normalized residual max(|F(S v)|, |G(S v)|)/||v||^deg over the larger
+    coefficient norm of the sheared forms, which must be below 2^(-prec/2);
+    S is not returned, but the same seed reproduces it.
+    Points singular on both curves, which only parts with j ≥ 2 can hold, are
+    split off by an exact gcd with the partial derivatives at x0 = ξ, flagged
+    in ``singular``.
     """
-    with working_precision(prec):
-        return _curve_intersection(F, G, seed, _CYCLES[0])[1]
-
-
-def _curve_intersection(F: MultiPoly, G: MultiPoly, seed, first):
-    """:func:`curve_intersection` at the ambient precision, projecting through
-    ``first`` · S for the shears S of :func:`_shears`. Returns the projection P
-    that succeeded, the RootSet and, per root, the zero v of F(P x) and G(P x)
-    that it places at P v."""
     for P in (F, G):
         if P.nvars != 3:
             raise DimensionError("curve intersection needs ternary forms")
@@ -767,13 +761,13 @@ def _curve_intersection(F: MultiPoly, G: MultiPoly, seed, first):
     gcd_poly = sp.gcd(F.to_sympy(), G.to_sympy())
     if sp.Poly(gcd_poly, *sp.symbols("x0:3")).total_degree() > 0:
         raise CommonComponentError("curves share a common component")
-    last_error = None
-    for S in _shears(random.Random(seed), 12):
-        P = [[sum(first[i][k] * S[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
-        try:
-            return (P,) + _intersect_with_shear(F, G, P, d1, d2, mp.mp.prec)
-        except _ShearFailure as exc:
-            last_error = exc
+    with working_precision(prec):
+        last_error = None
+        for S in _shears(random.Random(seed), 12):
+            try:
+                return _intersect_with_shear(F, G, S, d1, d2, mp.mp.prec)
+            except _ShearFailure as exc:
+                last_error = exc
     raise EliminationError(f"no shear produced a clean elimination: {last_error}")
 
 
@@ -910,38 +904,31 @@ def _intersection_in_doubles(F: MultiPoly, G: MultiPoly) -> tuple:
     return S, points
 
 
-def _residual(F, G, u, norm):
-    """max(|F|, |G|)/norm at the unit coordinates u."""
-    return max(abs(F.evaluate(u)), abs(G.evaluate(u))) / norm
-
-
 def _intersect_with_shear(F, G, S, d1, d2, bits):
-    """The RootSet of F and G from the projection S, and per root the zero v
-    of F(S x) and G(S x) placed at S v. A root is accepted on its residual on
-    F(S x) and G(S x), the forms it solves, which the projection conditions,
-    and carries its residual on F and G."""
+    """The RootSet of F and G from the projection S. Each root is a zero v of
+    F(S x) and G(S x), placed at S v, and is accepted on, and carries, its
+    residual on those forms, which the projection conditions."""
     Fs, Gs, Fd, Gd, R, levels = _eliminate(F, G, S, d1, d2)
     D = d1 * d2
-    found, projected, singular = [], [], []
+    found, singular = [], []
     half = half_eps()
-    norm_s = max(Fs.coeff_norm(), Gs.coeff_norm())
-    norm = norm_s if Fs is F else max(F.coeff_norm(), G.coeff_norm())
+    norm = max(Fs.coeff_norm(), Gs.coeff_norm())
     _, factors = R.sqf_list()
     for fac, mult in factors:
         for part, c, sing in _fiber_parts(fac, levels, Fd, Gd):
             num, den = _fiber_point(c)
             for beta in aberth_roots(_int_coeffs(part), prec=bits):
-                v = ProjectivePoint((-mp.polyval(num, beta) / mp.polyval(den, beta), beta, mp.mpc(1)))
-                point = ProjectivePoint(tuple(mp.fsum(S[k][a] * v.coords[a] for a in range(3)) for k in range(3)))
-                gate = _residual(Fs, Gs, v.unit(), norm_s)
-                if gate >= half:
+                v = (-mp.polyval(num, beta) / mp.polyval(den, beta), beta, mp.mpc(1))
+                u = ProjectivePoint(v).unit()
+                resid = max(abs(Fs.evaluate(u)), abs(Gs.evaluate(u))) / norm
+                if resid >= half:
                     raise _ShearFailure(
-                        f"residual {mp.nstr(gate, 5)} too large at beta={mp.nstr(beta, 8)}"
+                        f"residual {mp.nstr(resid, 5)} too large at beta={mp.nstr(beta, 8)}"
                     )
-                found.append((point, mult, gate if Fs is F else _residual(F, G, point.unit(), norm)))
-                projected.append(v)
+                point = ProjectivePoint(tuple(mp.fsum(S[k][a] * v[a] for a in range(3)) for k in range(3)))
+                found.append((point, mult, resid))
                 singular.append(sing)
     total = sum(m for _, m, _ in found)
     if total != D:
         raise _ShearFailure(f"recovered multiplicity {total} of {D}")
-    return RootSet(tuple(found), tuple(singular)), tuple(projected)
+    return RootSet(tuple(found), tuple(singular))

@@ -59,6 +59,15 @@ class TestJsonRoundTrips:
         U = UnimodularTransform(((1, 5), (0, 1)))
         assert cio.transform_from_json(cio.transform_to_json(U)).matrix == U.matrix
 
+    @pytest.mark.parametrize(
+        "entry", [1.5, float("inf"), float("nan"), True, 2.0**53], ids=["1.5", "inf", "nan", "true", "2^53"]
+    )
+    def test_transform_entries_are_integers(self, entry):
+        # an integral number is an integer; anything else is malformed, not truncated
+        assert cio.transform_from_json("[[1.0, 5], [0, 1]]").matrix == ((1, 5), (0, 1))
+        with pytest.raises(InputFormatError):
+            cio.transform_from_json(json.dumps([[entry, 0], [0, 1]]))
+
     def test_poly(self):
         back = cio.poly_from_json(cio.poly_to_json(PENCIL_CUBIC))
         assert back == PENCIL_CUBIC
@@ -259,6 +268,13 @@ class TestCli:
             ("classify", '{"n": 1, "points": [["1", "0"], ["0", "1"], ["nan", "1"]]}'),
             ("covariant", '{"n": 1, "points": [["1", "0"], ["0", "1"], ["1", "1"], ["nan", "1"]]}'),
             ("reduce-cluster", '{"n": 1, "points": [["1", "0"], ["0", "1"], ["1", "1"], ["inf", "1"]]}'),
+            ("reduce-binary", '{"nvars": 2, "terms": [{"exp": [3, 0], "coeff": 1.5}, {"exp": [0, 3], "coeff": 1}]}'),
+            ("reduce-binary", '{"nvars": 2, "terms": [{"exp": [3, 0], "coeff": true}, {"exp": [0, 3], "coeff": 1}]}'),
+            ("reduce-binary", '{"nvars": 2, "terms": [{"exp": [3.5, 0], "coeff": 1}, {"exp": [0, 3], "coeff": 1}]}'),
+            ("reduce-binary", '{"nvars": 2.5, "terms": [{"exp": [3, 0], "coeff": 1}, {"exp": [0, 3], "coeff": 1}]}'),
+            ("classify", '{"n": 1.9, "points": [["1", "0"], ["0", "1"], ["1", "1"]]}'),
+            ("reduce-cluster", '{"n": true, "points": [["1", "0"], ["0", "1"], ["1", "1"]]}'),
+            ("reduce-binary", '{"nvars": 2, "terms": [{"exp": [3, 0], "coeff": 12345678901234567891.0}, {"exp": [0, 3], "coeff": 1}]}'),
         ],
         ids=[
             "bad-coefficient",
@@ -274,6 +290,13 @@ class TestCli:
             "nan-coordinate-classify",
             "nan-coordinate-covariant",
             "inf-coordinate-reduce-cluster",
+            "non-integral-coefficient",
+            "boolean-coefficient",
+            "non-integral-exponent",
+            "non-integral-nvars",
+            "non-integral-n",
+            "boolean-n",
+            "coefficient-rounded-as-a-double",
         ],
     )
     def test_malformed_input_one_line_exit_4(self, tmp_path, command, content):

@@ -387,6 +387,7 @@ class TestPreconditioning:
             "passes": 1,
             "heights": [3],
             "stop": "identity",
+            "transform": report.transform,
         }
         assert report.transform.matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -411,9 +412,9 @@ class TestPreconditioning:
         assert report.transform.matrix == ((1, 0, 0), (0, 0, 1), (0, 1, 0))
 
     def test_each_flex_is_found_once(self, monkeypatch):
-        # at each of the 24 flexes, F(P x) and its Hessian are evaluated to
-        # accept it and F and H to report it; one Hessian per pass plus one
-        # for the exact intersection
+        # at each of the 24 flexes, F(U0 x) and its Hessian are evaluated
+        # once, to accept it and to report its residual; one Hessian per
+        # pass plus the reported one of F
         calls = {"evaluate": 0, "hessian": 0}
         evaluate, hess = MultiPoly.evaluate, pipelines.hessian
 
@@ -430,13 +431,13 @@ class TestPreconditioning:
         report = reduce_ternary_form(QUARTIC)
         assert [list(r) for r in report.transform.matrix] == QUARTIC_LLL
         assert report.diagnostics["preconditioning"]["passes"] == 6
-        assert calls == {"evaluate": 96, "hessian": 7}
+        assert calls == {"evaluate": 48, "hessian": 7}
 
     def test_misplaced_flex_is_rejected(self, monkeypatch):
         # a flex moved by 1e-20 relative keeps a residual far below 2^-106 on
         # the height-1.7e12 quartic, so a root is judged on F(P x) and its
         # Hessian, the forms that the projection conditions
-        U0, _ = pipelines._precondition(QUARTIC)
+        _, _, U0, _ = pipelines._precondition(QUARTIC)
         roots = polyalg.aberth_roots
 
         def moved(coeffs, prec):
@@ -446,6 +447,51 @@ class TestPreconditioning:
         monkeypatch.setattr(polyalg, "aberth_roots", moved)
         with mp.workprec(212), pytest.raises(polyalg._ShearFailure, match="residual"):
             polyalg._intersect_with_shear(QUARTIC, hessian(QUARTIC), U0.matrix, 4, 6, 212)
+
+    def test_exact_pass_is_one_public_intersection(self, monkeypatch):
+        # the exact pass is the public curve_intersection of the forms the
+        # preconditioning built: 5 passes substitute, the identity pass and
+        # the exact pass do not, and the reduced form is the sixth
+        calls = {"curve_intersection": 0, "substitute": 0}
+        intersect, sub = pipelines.curve_intersection, polyalg.substitute
+
+        def counted_intersection(*args, **kwargs):
+            calls["curve_intersection"] += 1
+            return intersect(*args, **kwargs)
+
+        def counted_substitute(F, U):
+            calls["substitute"] += 1
+            return sub(F, U)
+
+        monkeypatch.setattr(pipelines, "curve_intersection", counted_intersection)
+        monkeypatch.setattr(pipelines, "substitute", counted_substitute)
+        monkeypatch.setattr(polyalg, "substitute", counted_substitute)
+        report = reduce_ternary_form(QUARTIC)
+        assert [list(r) for r in report.transform.matrix] == QUARTIC_LLL
+        assert calls == {"curve_intersection": 1, "substitute": 6}
+
+    @pytest.mark.parametrize("text, seed", [(None, 0), ("x0^3 + x1^3 + x2^3 + x0 x1 x2", 5)])
+    def test_flexes_lie_on_the_input_and_residuals_on_the_transform(self, text, seed):
+        # the reported flexes lie on F and its Hessian; the reported residuals
+        # are those of the intersection of F(U0 x) with its Hessian, U0 the
+        # recorded transform, under the same seed. The cubic has no
+        # squarefree coordinate projection, so its preconditioning fails and
+        # its residuals refer to forms sheared at random
+        F = QUARTIC if text is None else poly(text)
+        report = reduce_ternary_form(F, seed=seed)
+        prec = report.diagnostics["precision"]
+        assert prec == (424 if text is None else 212)
+        if text is not None:
+            assert report.diagnostics["preconditioning"]["stop"].startswith("pass failed")
+        U0 = report.diagnostics["preconditioning"]["transform"]
+        with mp.workprec(prec):
+            for G in (F, hessian(F)):
+                norm = G.coeff_norm()
+                for p in report.extras["inflection_cluster"].points:
+                    assert abs(G.evaluate(p.unit())) / norm < mp.mpf(2) ** (-prec // 2)
+            F1 = substitute(F, U0)
+            again = curve_intersection(F1, hessian(F1), seed=seed)
+        assert list(report.diagnostics["residuals"]) == [r for _, _, r in again.roots]
 
     def test_report_refers_to_the_input(self):
         report = reduce_ternary_form(QUARTIC, prec=212)
