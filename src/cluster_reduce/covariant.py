@@ -16,14 +16,17 @@ images w_j = S P_j^T / |S P_j^T|, the gradient and the Hessian are
 The minimizer is found by damped Riemannian Newton: solve H[B] = -G over a
 real basis of the trace-free Hermitian B, step along the geodesic with Armijo
 backtracking, and stop once the Frobenius norm of G is at most the tolerance,
-or at most 2^(1-prec) kappa(Q), below which the rounding of Q decides it.
-The start (sum_j g_j g_j^H)^-1 is the closed form over n+2 points in general
-position scaled by simplex weights, and otherwise one Tyler fixed-point step
-over the unit points. Its Cholesky factor L scales it to determinant 1, as
-log det Q = 2 sum_i log L_ii; the steps keep det Q = 1 without renormalizing,
-since det exp(lambda B) = 1 for trace-free B. For the preconditioning passes
-of the ternary pipeline, Tyler's fixed-point iteration in the same chart
-runs in Python's built-in complex.
+or at most 2^(1-prec) kappa(Q), below which the rounding of Q decides it,
+provided its square is at most 2^(-prec/2); a gradient stuck above that is a
+shortfall of the working precision and raises ConvergenceError. The start is
+the closed form (sum_j g_j g_j^H)^-1 over n+2 points in general position
+scaled by simplex weights, which is exact, and otherwise the covariant in
+hardware doubles: Tyler's fixed-point iteration in the same chart, in
+Python's built-in complex, which the preconditioning passes of the ternary
+pipeline run too. Newton then only polishes it. The start's Cholesky factor
+L scales it to determinant 1, as log det Q = 2 sum_i log L_ii; the steps
+keep det Q = 1 without renormalizing, since det exp(lambda B) = 1 for
+trace-free B.
 """
 
 from __future__ import annotations
@@ -173,6 +176,7 @@ class CovariantResult:
     theta: object
     iterations: int
     final_gradient_norm: object
+    stop: Optional[str]  # what stopped Newton: "tol", "resolution", or None if it failed
     transcript: Optional[tuple] = None
 
 
@@ -372,17 +376,23 @@ def _simplex_rows(cluster: PointCluster, units):
 
 
 def _start(cluster: PointCluster, reps):
-    """The solver's starting form (sum_j g_j g_j^H)^-1: the closed form over
-    :func:`_simplex_rows` for n+2 points in general position, otherwise one
-    Tyler fixed-point step from the identity over the unit rows ``reps``, or
-    the identity where they do not span."""
+    """The solver's starting form. For n+2 points in general position it is
+    the closed form (sum_j g_j g_j^H)^-1 over :func:`_simplex_rows`, which is
+    the covariant; otherwise the covariant in doubles,
+    :func:`_tyler_in_doubles` over the unit rows ``reps``. Where that fails,
+    one Tyler fixed-point step from the identity, or the identity where the
+    rows do not span."""
     n1 = cluster.n + 1
     rows = reps
-    if cluster.degree == n1 + 1:
-        try:
+    try:
+        if cluster.degree == n1 + 1:
             rows = _simplex_rows(cluster, reps)
-        except DegeneratePositionError:
-            pass  # general position missed at the working precision
+        else:
+            initial = _as_mp_matrix(_tyler_in_doubles([[complex(c) for c in r] for r in reps]))
+            _cholesky(initial)
+            return initial
+    except (ArithmeticError, ConvergenceError, DegeneratePositionError, NotPositiveDefiniteError):
+        pass  # general position missed at the working precision, or doubles do not suffice
     try:
         initial = hermitize(_outer_sum(rows, n1) ** -1)
         _cholesky(initial)
@@ -407,14 +417,20 @@ def _resolution(L):
 
 def _newton(reps, n1, tol, max_iter, initial, record=False):
     """Damped Riemannian Newton loop; returns (Q, L, D, gnorm, iters,
-    transcript, failure) at the last iterate Q = L L^H, where ``failure`` is
-    None once the loop has converged and otherwise says why it stopped.
+    transcript, stop, failure) at the last iterate Q = L L^H, where ``stop``
+    names the criterion that ended a converged loop and ``failure`` is None
+    once the loop has converged and otherwise says why it stopped.
 
     The start is scaled to determinant 1. Each step takes
     Q <- L exp(lambda B) L^H for the Newton direction B, with Armijo
     backtracking from lambda = 1. The loop has converged once the gradient
-    norm is at most ``tol`` or at most the resolution of Q = L L^H at the
-    working precision (:func:`_resolution`).
+    norm is at most ``tol`` (stop "tol"), or once it is at most the
+    resolution of Q = L L^H at the working precision (:func:`_resolution`),
+    below which no step can lower it, and its square is at most
+    2^(-prec/2) (stop "resolution"): one more Newton step would then move Q
+    by about that square, inside LLL's tie window. A gradient at the
+    resolution but above 2^(-prec/4) is a shortfall of the working
+    precision, and a failure.
     """
     L = _cholesky(initial)
     scale = mp.exp(-_log_det_from_cholesky(L) / (2 * n1))
@@ -426,11 +442,17 @@ def _newton(reps, n1, tol, max_iter, initial, record=False):
         G, gnorm = _gradient(ws, n1)
         if record:
             transcript.append((it, D))
-        if gnorm <= tol or gnorm <= _resolution(L):
-            return Q, L, D, gnorm, it, transcript, None
+        if gnorm <= tol:
+            return Q, L, D, gnorm, it, transcript, "tol", None
+        if gnorm <= _resolution(L):
+            if gnorm**2 <= half_eps():
+                return Q, L, D, gnorm, it, transcript, "resolution", None
+            failure = f"gradient norm {mp.nstr(gnorm, 8)} at iteration {it} is at the resolution"
+            failure += f" of the iterate, above 2^(-prec/4), at the working precision of {mp.mp.prec} bits"
+            return Q, L, D, gnorm, it, transcript, None, failure
         if it == max_iter:
             failure = f"gradient norm {mp.nstr(gnorm, 8)} above tolerance after {it} iterations"
-            return Q, L, D, gnorm, it, transcript, failure
+            return Q, L, D, gnorm, it, transcript, None, failure
         B, slope = _newton_direction(ws, G, gnorm, basis)
         ev, V = mp.eigh(B)
         # the change of D along the geodesic, from |V^H w_j|^2 alone; expm1 and
@@ -452,7 +474,7 @@ def _newton(reps, n1, tol, max_iter, initial, record=False):
         except NotPositiveDefiniteError:
             failure = f"the Newton step left the positive definite cone at iteration {it}"
             failure += f", at the working precision of {mp.mp.prec} bits"
-            return Q, L, D, gnorm, it, transcript, failure
+            return Q, L, D, gnorm, it, transcript, None, failure
         Q = step
 
 
@@ -469,10 +491,12 @@ def minimize(
 
     The input must be stable unless ``check_stability`` is disabled (useful to
     observe divergence). ``initial`` optionally seeds the solver with a
-    positive definite matrix (by default, the closed form for n+2 points and
-    otherwise one Tyler fixed-point step from the identity); the minimizer
-    does not depend on it. theta is reported for the unit-norm scaling of the
-    cluster.
+    positive definite matrix (by default :func:`_start`: the closed form for
+    n+2 points and otherwise the covariant in doubles); the minimizer does
+    not depend on it. theta is reported for the unit-norm scaling of the
+    cluster, and ``stop`` names the criterion that ended Newton (see
+    :func:`_newton`); a gradient that the working precision cannot bring
+    inside LLL's tie window raises ConvergenceError naming that precision.
     """
     with working_precision(prec):
         if check_stability:
@@ -491,7 +515,7 @@ def minimize(
             initial = initial.mat()
         else:
             initial = _as_mp_matrix(initial)
-        Q, _, D, gnorm, iters, transcript, failure = _newton(
+        Q, _, D, gnorm, iters, transcript, stop, failure = _newton(
             zc.reps, cluster.n + 1, tol, max_iter, initial=initial, record=record_transcript
         )
         result = CovariantResult(
@@ -499,6 +523,7 @@ def minimize(
             theta=mp.e**D,
             iterations=iters,
             final_gradient_norm=gnorm,
+            stop=stop,
             transcript=tuple(transcript) if record_transcript else None,
         )
         if failure is not None:
@@ -608,7 +633,8 @@ def _tyler_in_doubles(points):
     M - m/(n+1) I has Frobenius norm at most 2^-40 m, or at most 2^-20 m and
     no smaller than at the step before, where the rounding of doubles
     decides it; it raises ConvergenceError after 100 iterations. Returns Q.
-    For a cheap preconditioning pass, not for the reported covariant."""
+    It is the start of :func:`minimize` for clusters other than n+2 points,
+    and the covariant of the preconditioning passes."""
     n1 = len(points[0])
     m = len(points)
     L = [[complex(a == b) for b in range(n1)] for a in range(n1)]

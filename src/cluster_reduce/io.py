@@ -213,6 +213,7 @@ def covariant_result_to_json(result: CovariantResult) -> dict:
         "theta": _num_to_str(result.theta),
         "iterations": result.iterations,
         "final_gradient_norm": _num_to_str(result.final_gradient_norm),
+        "stop": result.stop,
     }
 
 
@@ -241,6 +242,7 @@ def report_to_json(report: ReductionReport) -> dict:
             "precision": diag.get("precision"),
             "iterations": diag.get("iterations"),
             "gradient_norm": _num_to_str(diag.get("gradient_norm", 0)),
+            "newton_stop": diag.get("newton_stop"),
             "residuals": [_num_to_str(r) for r in diag.get("residuals", ())],
             "stability": {
                 "is_split": stability.is_split,

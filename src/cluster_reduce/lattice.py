@@ -24,6 +24,7 @@ from ._precision import half_eps, hermitian_cholesky
 from .errors import (
     ConvergenceError,
     DimensionError,
+    InputFormatError,
     NotPositiveDefiniteError,
     SingularMatrixError,
 )
@@ -90,7 +91,9 @@ class UnimodularTransform:
     matrix: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in r) for r in self.matrix)
+        rows = tuple(tuple(r) for r in self.matrix)
+        if not all(isinstance(v, int) for r in rows for v in r):
+            raise InputFormatError("unimodular transform entries must be integers")
         size = len(rows)
         if any(len(r) != size for r in rows):
             raise DimensionError("unimodular transform must be square")

@@ -108,6 +108,7 @@ def _diagnostics(cls, result, before, after, residuals=(), **extra) -> dict:
         "precision": mp.mp.prec,
         "iterations": result.iterations,
         "gradient_norm": result.final_gradient_norm,
+        "newton_stop": result.stop,
         "residuals": tuple(residuals),
         "stability": cls,
         "height_before": before,

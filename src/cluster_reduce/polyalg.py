@@ -5,9 +5,10 @@ rational coefficients. The exact layer (arithmetic, Hessians, resultants and
 subresultants, substitution) never rounds; the numeric layer (Aberth-Ehrlich
 iteration, and the points of a curve intersection evaluated from its exact
 representation) works at a caller-chosen binary precision with residual
-certificates on every reported root. The same Aberth sweep also runs in
-Python's built-in complex, uncertified, for the preconditioning passes of
-the ternary pipeline.
+certificates on every reported root. One Aberth kernel runs in two phases:
+first in Python's built-in complex, then at the working precision from the
+roots that doubles gave. The first phase alone, uncertified, finds the
+points of the preconditioning passes of the ternary pipeline.
 """
 
 from __future__ import annotations
@@ -60,7 +61,9 @@ class MultiPoly:
     def __post_init__(self):
         clean = {}
         for exp, c in (self.terms.items() if isinstance(self.terms, dict) else self.terms):
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(exp)
+            if not all(isinstance(e, int) for e in exp):
+                raise InputFormatError("exponents must be integers")
             if len(exp) != self.nvars:
                 raise DimensionError("exponent vector length does not match nvars")
             if any(e < 0 for e in exp):
@@ -485,9 +488,9 @@ def _aberth(cs, z, bits, eps, maxsteps):
     """Aberth-Ehrlich sweeps over the descending coefficients ``cs`` from the
     start points ``z``, in their arithmetic (mpmath at ``bits``, or built-in
     complex at 53). A root stops once ``_at_rounding_level`` holds at ``bits``
-    or its correction falls below eps |z|; raises ConvergenceError, with the
-    current approximations as ``best``, when some root meets neither test
-    within ``maxsteps`` sweeps."""
+    or its correction falls below eps max(1, |z|); raises ConvergenceError,
+    with the current approximations as ``best``, when some root meets
+    neither test within ``maxsteps`` sweeps."""
     d = len(z)
     abs_cs = [abs(c) for c in cs]
     jitter = mp.mpf("1e-8") if isinstance(eps, mp.mpf) else 1e-8
@@ -553,10 +556,18 @@ def aberth_roots(coeffs, prec=None, maxsteps=500):
     and come last as exact zeros; the others are raw approximations, one per
     root with multiplicity, at ``prec`` bits plus guard digits.
 
-    A root stops once |p(z)| is within the rounding error of Horner's rule
-    at z (``_at_rounding_level``) or its correction falls below
-    2^-prec |z|. Raises ConvergenceError, with the current approximations as
-    ``best``, when some root meets neither test within ``maxsteps`` sweeps.
+    The one :func:`_aberth` kernel runs in two phases. The first, in
+    built-in complex, is :func:`_roots_in_doubles`; its roots start the
+    second, at the working precision, where a root stops once |p(z)| is
+    within the rounding error of Horner's rule at z (``_at_rounding_level``)
+    or its correction falls below 2^-prec max(1, |z|), so a root inside the
+    unit disc is accurate relative to 1, as the point (z : 1) needs. The
+    Bini points at the working precision start the second phase instead
+    where doubles do not give exactly one finite start per root: a nonzero
+    coefficient underflows, or the first phase fails with no finite
+    approximations. Raises ConvergenceError, with the current
+    approximations as ``best``, when some root meets neither test within
+    ``maxsteps`` sweeps of the second phase.
     """
     with working_precision(prec):
         target_prec = mp.mp.prec
@@ -567,30 +578,52 @@ def aberth_roots(coeffs, prec=None, maxsteps=500):
         with mp.workprec(target_prec + 20 + 2 * d):
             cs = [to_mpc(c) for c in coeffs]
             try:
-                z = _aberth(cs, _bini_initial_points(cs), mp.mp.prec, mp.mpf(2) ** (-target_prec), maxsteps)
+                z = _aberth(cs, _starts(cs), mp.mp.prec, mp.mpf(2) ** (-target_prec), maxsteps)
             except ConvergenceError as exc:
                 exc.best = [mp.mpc(r) for r in exc.best] + [mp.mpc(0)] * zero_roots
                 raise
         return [mp.mpc(r) for r in z] + [mp.mpc(0)] * zero_roots
 
 
-def _doubles(*int_lists):
-    """The integer lists as floats, all divided by one power of two that puts
-    the largest entry near 2^52, so that no entry overflows."""
-    top = max(abs(c) for cs in int_lists for c in cs).bit_length()
-    scale = 2 ** max(top - 53, 0)
-    return [[c / scale for c in cs] for cs in int_lists]
+def _starts(cs):
+    """Start points for the second phase of :func:`aberth_roots` on the
+    coefficients ``cs`` (no zero root): the roots in doubles, or the best
+    approximations of a first phase that did not converge, when these are
+    one finite point per root; otherwise the Bini points."""
+    try:
+        z = _roots_in_doubles(cs)
+    except ConvergenceError as exc:
+        z = exc.best
+    except ArithmeticError:
+        z = None
+    if z is None or not all(cmath.isfinite(r) for r in z):
+        return _bini_initial_points(cs)
+    return [mp.mpc(r) for r in z]
+
+
+def _doubles(*coeff_lists):
+    """The lists of integers or mpmath numbers as built-in complex, all
+    divided by one power of two that puts the largest entry near 2^52, so
+    that no entry overflows."""
+    scale = mp.ldexp(1, max(mp.mag(c) for cs in coeff_lists for c in cs) - 53)
+    return [[complex(c / scale) for c in cs] for cs in coeff_lists]
 
 
 def _roots_in_doubles(coeffs):
-    """All complex roots of an integer polynomial (descending coefficients)
-    in built-in complex: :func:`_aberth` at 53 bits, at most 100 sweeps, from
-    the same start points as :func:`aberth_roots`, zero roots stripped
-    exactly."""
+    """All complex roots of a polynomial (descending coefficients, integers
+    or mpmath numbers) in built-in complex: :func:`_aberth` at 53 bits, at
+    most 100 sweeps, from the Bini points of the coefficients scaled by
+    :func:`_doubles`, zero roots stripped exactly. Uncertified: it is the
+    first phase of :func:`aberth_roots` and the root finder of the
+    preconditioning passes. Raises ArithmeticError where a nonzero
+    coefficient underflows to 0 in doubles, and ConvergenceError as
+    :func:`_aberth` does."""
     coeffs, zero_roots = _strip_zero_roots(coeffs)
     if len(coeffs) == 1:
         return [0j] * zero_roots
     (cs,) = _doubles(coeffs)
+    if any(c == 0 and a != 0 for a, c in zip(coeffs, cs)):
+        raise ArithmeticError("a coefficient underflows in doubles")
     with mp.workprec(53):
         z = [complex(r) for r in _bini_initial_points(cs)]
     return _aberth(cs, z, 53, 2.0**-53, 100) + [0j] * zero_roots

@@ -243,12 +243,14 @@ class TestMinimize:
 
     @pytest.mark.parametrize("bits", [53, 212])
     def test_steps_keep_determinant_one(self, bits):
-        # only the start is scaled; the trace-free steps must keep det z = 1
+        # only the start is scaled; the trace-free steps must keep det z = 1.
+        # The default start is Tyler's covariant in doubles, which leaves too
+        # few steps to test, so the identity starts the solver
         from cluster_reduce._precision import half_eps
 
         Z = cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, -1, 5))
         with mp.workprec(bits):
-            res = minimize(Z)
+            res = minimize(Z, initial=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
             assert res.iterations >= 3
             assert abs(res.z.det() - 1) < half_eps()
 

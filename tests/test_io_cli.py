@@ -185,6 +185,7 @@ class TestCli:
         payload = json.loads(result.output)
         assert payload["schema"] == "cluster-reduce/1"
         assert payload["iterations"] >= 0
+        assert payload["stop"] == "tol"
 
     def test_covariant_unstable_exit_code(self, tmp_path):
         Z = cluster_of((1, 0), (1, 0), (0, 1))
@@ -213,6 +214,9 @@ class TestCli:
         assert report["schema"] == "cluster-reduce/1"
         assert report["kind"] == "quadric-pencil"
         assert "pencil_transform" in report
+        # at 212 bits the base points' covariant stops at the resolution of
+        # its iterate, about 2^-143, not at the pipelines' 2^-159
+        assert report["diagnostics"]["newton_stop"] == "resolution"
 
     def test_reduce_ternary_text(self, tmp_path):
         path = self._write(tmp_path, "cubic.txt", "x^3 + y^3 + z^3 + x y z")

@@ -7,6 +7,7 @@ import pytest
 
 from cluster_reduce import (
     GramMatrix,
+    InputFormatError,
     NotPositiveDefiniteError,
     UnimodularTransform,
     congruence,
@@ -40,6 +41,11 @@ class TestUnimodularTransform:
     def test_non_unimodular_rejected(self):
         with pytest.raises(Exception):
             UnimodularTransform(((2, 0), (0, 1)))
+
+    def test_non_integer_entry_rejected(self):
+        # rejected, not truncated to the identity
+        with pytest.raises(InputFormatError):
+            UnimodularTransform(((1.5, 0), (0, 1)))
 
     def test_inverse_exact(self, rnd):
         from conftest import random_unimodular_int

@@ -40,6 +40,7 @@ from conftest import (
     PENCIL_CUBIC,
     PENCIL_FINAL_1,
     PENCIL_FINAL_2,
+    PENCIL_LLL,
     PENCIL_Q1,
     PENCIL_Q2,
     QUARTIC,
@@ -108,6 +109,7 @@ class TestReduceCluster:
         report = reduce_cluster(Z)
         assert report.transform.matrix == ((145, -53), (777, -284))
         assert report.diagnostics["gradient_norm"] < mp.mpf(2) ** (-mp.mp.prec // 2)
+        assert report.diagnostics["newton_stop"] == "tol"
 
     def test_ill_conditioned_covariant_stops_at_its_resolution(self):
         # planted by a unimodular matrix whose inverse has entries up to 10^8,
@@ -120,6 +122,7 @@ class TestReduceCluster:
         report = reduce_cluster(planted)
         assert report.diagnostics["iterations"] <= 20
         assert report.diagnostics["gradient_norm"] > mp.mpf(2) ** -159
+        assert report.diagnostics["newton_stop"] == "resolution"
         assert int_cluster_height(report.reduced) <= 1
 
     def test_unstable_rejected(self):
@@ -451,7 +454,8 @@ class TestPreconditioning:
     def test_exact_pass_is_one_public_intersection(self, monkeypatch):
         # the exact pass is the public curve_intersection of the forms the
         # preconditioning built: 5 passes substitute, the identity pass and
-        # the exact pass do not, and the reduced form is the sixth
+        # the exact pass do not, and the reduced form is the sixth. Its
+        # Newton starts from Tyler's covariant in doubles
         calls = {"curve_intersection": 0, "substitute": 0}
         intersect, sub = pipelines.curve_intersection, polyalg.substitute
 
@@ -468,6 +472,7 @@ class TestPreconditioning:
         monkeypatch.setattr(polyalg, "substitute", counted_substitute)
         report = reduce_ternary_form(QUARTIC)
         assert [list(r) for r in report.transform.matrix] == QUARTIC_LLL
+        assert report.diagnostics["iterations"] <= 3
         assert calls == {"curve_intersection": 1, "substitute": 6}
 
     @pytest.mark.parametrize("text, seed", [(None, 0), ("x0^3 + x1^3 + x2^3 + x0 x1 x2", 5)])
@@ -660,7 +665,7 @@ def test_reference_pencil_low_precision_is_not_instability(bits):
         assert not isinstance(exc, StabilityError), exc
 
 
-@pytest.mark.parametrize("bits, iteration", [(53, 1), (64, 0)])
+@pytest.mark.parametrize("bits, iteration", [(53, 0), (64, 1)])
 def test_reference_pencil_low_precision_names_the_precision(bits, iteration):
     # the Newton step leaves the positive definite cone: a shortfall of the
     # working precision, not of the gradient tolerance
@@ -670,6 +675,20 @@ def test_reference_pencil_low_precision_names_the_precision(bits, iteration):
         f"the Newton step left the positive definite cone at iteration {iteration}, "
         f"at the working precision of {bits} bits"
     )
+
+
+@pytest.mark.parametrize("bits", [*range(48, 97, 2), 212])
+def test_reference_pencil_gives_its_transform_or_names_the_precision(bits):
+    # below 91 bits the working precision does not resolve the base points'
+    # covariant: the Newton step leaves the cone, or the gradient sticks
+    # outside LLL's 2^(-prec/2) tie window. The solver says so rather than
+    # return a transform that is not LLL-reduced for the true covariant
+    try:
+        report = reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2, prec=bits)
+    except ConvergenceError as exc:
+        assert str(exc).endswith(f"at the working precision of {bits} bits"), exc
+    else:
+        assert [list(r) for r in report.transform.matrix] == PENCIL_LLL
 
 
 class TestClassifyCost:

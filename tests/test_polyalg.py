@@ -66,6 +66,11 @@ class TestMultiPoly:
         with pytest.raises(InputFormatError):
             MultiPoly.from_text("3 $$ x0")
 
+    def test_non_integer_exponent_rejected(self):
+        # rejected, not truncated to x0 x1^2
+        with pytest.raises(InputFormatError):
+            MultiPoly(2, (((1.5, 2), 1),))
+
 
 class TestHessian:
     def test_fermat_cubic(self):
@@ -426,6 +431,21 @@ class TestCurveIntersection:
             assert abs(G.evaluate(u)) < mp.mpf("1e-30")
 
 
+def _hessian_resultant(F):
+    """Descending integer coefficients of the squarefree part of the degree-24
+    resultant in x0 of a ternary quartic and its Hessian."""
+    import sympy as sp
+
+    R = resultant(F, hessian(F), 0).primitive()
+    coeffs = [0] * 25
+    for (_, b, _), c in R.terms:
+        coeffs[24 - b] += c
+    sqf = sp.Poly(coeffs, sp.Symbol("t")).sqf_part()
+    coeffs = [int(c) for c in sqf.all_coeffs()]
+    assert len(coeffs) == 25
+    return coeffs
+
+
 class TestAberthInternals:
     def test_wide_magnitude_coefficients(self):
         # roots at 1e-3 and 1e3: the convex hull initialization must find both
@@ -435,6 +455,33 @@ class TestAberthInternals:
         assert abs(mags[0] - mp.mpf("0.001")) < mp.mpf("1e-9")
         assert abs(mags[1] - 1000) < mp.mpf("1e-3")
 
+    @pytest.mark.parametrize(
+        "coeffs, roots",
+        [
+            # the root 2^1100 overflows doubles, so they give no finite start
+            (lambda: [1, -(mp.mpf(2) ** 1100 + mp.mpf(2) ** -1100), 1],
+             lambda: [mp.mpf(2) ** -1100, mp.mpf(2) ** 1100]),
+            # the leading coefficient underflows to 0 in doubles
+            (lambda: [mp.mpf(2) ** -1200, 0, 1],
+             lambda: [mp.mpc(0, -(mp.mpf(2) ** 600)), mp.mpc(0, mp.mpf(2) ** 600)]),
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_roots_beyond_doubles_start_from_bini_points(self, coeffs, roots):
+        with mp.workprec(212):
+            got = aberth_roots(coeffs())
+            assert len(got) == 2
+            for want in roots():
+                assert min(abs(r - want) for r in got) < mp.mpf(2) ** -200 * abs(want)
+
+    def test_quartic_hessian_resultant_starts_from_its_roots_in_doubles(self):
+        # the exact pass of the reference quartic: from its roots in doubles
+        # all 24 roots stop within 4 sweeps at 424 bits (15 from the Bini
+        # points)
+        coeffs = _hessian_resultant(QUARTIC_REDUCED)
+        roots = aberth_roots(coeffs, prec=424, maxsteps=5)
+        assert len(roots) == 24
+
     def test_leading_zero_rejected(self):
         with pytest.raises(InputFormatError):
             aberth_roots([mp.mpf(0), mp.mpf(1)], prec=50)
@@ -443,16 +490,8 @@ class TestAberthInternals:
         # the degree-24 resultant of the reference quartic and its Hessian:
         # conditioning eats the guard bits, so a correction-size test alone
         # runs every root to maxsteps, while the Horner rounding test stops
-        # them all within 90 sweeps
-        import sympy as sp
-
-        R = resultant(QUARTIC, hessian(QUARTIC), 0).primitive()
-        coeffs = [0] * 25
-        for (_, b, _), c in R.terms:
-            coeffs[24 - b] += c
-        sqf = sp.Poly(coeffs, sp.Symbol("t")).sqf_part()
-        coeffs = [int(c) for c in sqf.all_coeffs()]
-        assert len(coeffs) == 25
+        # them all
+        coeffs = _hessian_resultant(QUARTIC)
         roots = aberth_roots(coeffs, prec=424, maxsteps=150)
         assert len(roots) == 24
         with mp.workprec(424):
