@@ -5,12 +5,13 @@ multiset of :class:`ProjectivePoint`. Stability is decided by comparing, for
 every linear subspace L, the number of cluster points on L against the bound
 (dim L + 1) * deg(Z) / (n + 1); the subspace search is restricted to spans of
 subsets of the cluster's own points, which is enough because a maximizing
-subspace can always be shrunk to the span of the points it contains.
+subspace can always be shrunk to the span of the points it contains. One
+depth-first walk over those subsets (:func:`_flats`) counts the points on
+each span from residuals that every extension of a subset shares.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -349,7 +350,8 @@ def phi(cluster: PointCluster, k: int) -> int:
     """Maximum number of cluster points on a common k-dimensional subspace.
 
     phi(-1) = 0 and phi(n) = deg Z; the function is nondecreasing in k.
-    Candidate subspaces are spans of subsets of the cluster's distinct points.
+    Candidate subspaces are spans of subsets of the cluster's distinct points,
+    walked by :func:`_flats` down to subsets of k+1 points.
     """
     n = cluster.n
     if not -1 <= k <= n:
@@ -359,36 +361,66 @@ def phi(cluster: PointCluster, k: int) -> int:
     if k == n:
         return cluster.degree
     units = [p.unit() for p in cluster.points]
-    distinct = _distinct(units)
-    count, _ = _phi_with_witness(units, distinct, k)
-    return count
+    return _flats(units, _distinct(units), k + 1)[k][0]
 
 
-def _phi_with_witness(units, distinct, k):
-    """phi(k), and indices of distinct points spanning a subspace attaining it.
+def _flats(units, distinct, depth):
+    """phi(k) for k < ``depth``, each with the indices of distinct points
+    spanning a subspace that attains it: a list of ``(count, subset)``.
 
     ``units`` are the cluster's unit vectors and ``distinct`` indexes one of
-    each group of equal points. Only subsets of min(k+1, #distinct) distinct
-    points are tried: extending a smaller subset by one more distinct point
-    spans a subspace containing the old one, so it never holds fewer points.
-    A point lies on the span when its components along the orthogonal
-    complement have squared norm below 2^(-prec).
+    each group of equal points. One depth-first walk visits the subsets of at
+    most ``depth`` distinct points in lexicographic order. Each node carries
+    every unit's residual against the span of its subset; a child adding
+    point i takes the parent's residual of u_i, with a second Gram-Schmidt
+    pass against the path's basis, as its new direction, and every residual
+    loses its component along it. A unit lies on the span when its residual
+    has squared norm below 2^(-prec), so a point whose residual is that small
+    adds no direction and the child keeps its parent's span. A subset of
+    s points is a candidate for phi(s-1), and the subset of every distinct
+    point for every higher k too: extending a subset by one more distinct
+    point spans a subspace containing the old one, so it never holds fewer
+    points. Each level keeps its first strict maximizer.
     """
     tol2 = half_eps() ** 2
-    best = 0
-    best_subset = None
-    for subset in itertools.combinations(distinct, min(k + 1, len(distinct))):
-        basis, kept = _adapted_basis([units[i] for i in subset])
-        complement = basis[len(kept):]
-        hits = sum(
-            1
-            for u in units
-            if mp.fsum((_dot(c, u) for c in complement), absolute=True, squared=True) < tol2
-        )
-        if hits > best:
-            best = hits
-            best_subset = subset
-    return best, best_subset
+    best = [(0, None)] * depth
+
+    def visit(start, subset, basis, resid, resid2):
+        for j in range(start, len(distinct)):
+            i = distinct[j]
+            child = subset + (i,)
+            if resid2[i] < tol2:
+                child_basis, child_resid, child_resid2 = basis, resid, resid2
+            else:
+                w = resid[i]
+                for b in basis:
+                    c = _dot(b, w)
+                    w = [y - c * x for x, y in zip(b, w)]
+                nrm = mp.sqrt(mp.fsum(w, absolute=True, squared=True))
+                q = [y / nrm for y in w]
+                child_basis, child_resid, child_resid2 = basis + [q], [], []
+                for r, r2 in zip(resid, resid2):
+                    if r2 >= tol2:
+                        c = _dot(q, r)
+                        # |r - c q|^2 = |r|^2 - |c|^2 up to a few units of
+                        # 2^(-prec) |r|^2; no child reads a leaf's residuals,
+                        # so a leaf forms one only near the threshold
+                        r2 -= mp.re(c) ** 2 + mp.im(c) ** 2
+                        if len(child) < depth or r2 <= 16 * tol2:
+                            r = [y - c * x for x, y in zip(q, r)]
+                            r2 = mp.fsum(r, absolute=True, squared=True)
+                    child_resid.append(r)
+                    child_resid2.append(r2)
+            count = sum(1 for r2 in child_resid2 if r2 < tol2)
+            last = depth if len(child) == len(distinct) else len(child)
+            for k in range(len(child) - 1, last):
+                if count > best[k][0]:
+                    best[k] = (count, child)
+            if len(child) < depth:
+                visit(j + 1, child, child_basis, child_resid, child_resid2)
+
+    visit(0, (), [], [list(u) for u in units], [mp.mpf(1)] * len(units))
+    return best
 
 
 def _is_split(units):
@@ -474,9 +506,7 @@ def classify(cluster: PointCluster) -> StabilityClass:
     witness = None
     margin = None
     units = [p.unit() for p in cluster.points]
-    distinct = _distinct(units)
-    for k in range(0, n):
-        count, subset = _phi_with_witness(units, distinct, k)
+    for k, (count, subset) in enumerate(_flats(units, _distinct(units), n)):
         lhs = (n + 1) * count
         rhs = (k + 1) * m
         slack = rhs - lhs

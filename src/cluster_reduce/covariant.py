@@ -379,19 +379,24 @@ def _start(cluster: PointCluster, reps):
     """The solver's starting form. For n+2 points in general position it is
     the closed form (sum_j g_j g_j^H)^-1 over :func:`_simplex_rows`, which is
     the covariant; otherwise the covariant in doubles,
-    :func:`_tyler_in_doubles` over the unit rows ``reps``. Where that fails,
-    one Tyler fixed-point step from the identity, or the identity where the
-    rows do not span."""
+    :func:`_tyler_in_doubles` over the unit rows ``reps``, or its last
+    iterate where it does not settle. Where that fails, one Tyler
+    fixed-point step from the identity, or the identity where the rows do
+    not span."""
     n1 = cluster.n + 1
     rows = reps
     try:
         if cluster.degree == n1 + 1:
             rows = _simplex_rows(cluster, reps)
         else:
-            initial = _as_mp_matrix(_tyler_in_doubles([[complex(c) for c in r] for r in reps]))
+            try:
+                initial = _tyler_in_doubles([[complex(c) for c in r] for r in reps])
+            except ConvergenceError as exc:
+                initial = exc.best  # unsettled, yet far closer than one step from I
+            initial = _as_mp_matrix(initial)
             _cholesky(initial)
             return initial
-    except (ArithmeticError, ConvergenceError, DegeneratePositionError, NotPositiveDefiniteError):
+    except (ArithmeticError, DegeneratePositionError, NotPositiveDefiniteError):
         pass  # general position missed at the working precision, or doubles do not suffice
     try:
         initial = hermitize(_outer_sum(rows, n1) ** -1)
@@ -452,6 +457,7 @@ def _newton(reps, n1, tol, max_iter, initial, record=False):
             return Q, L, D, gnorm, it, transcript, None, failure
         if it == max_iter:
             failure = f"gradient norm {mp.nstr(gnorm, 8)} above tolerance after {it} iterations"
+            failure += f", at the working precision of {mp.mp.prec} bits"
             return Q, L, D, gnorm, it, transcript, None, failure
         B, slope = _newton_direction(ws, G, gnorm, basis)
         ev, V = mp.eigh(B)
@@ -540,7 +546,9 @@ def _witness_from_subspace(witness_points):
 def theta(zc: ScaledCluster, tol=None, max_iter=1000, prec=None) -> ThetaResult:
     """Infimum of exp(D) for the given scaling, with degenerate cases flagged.
 
-    Stable input: the attained minimum. Semi-stable but not stable: the
+    Stable input: the attained minimum, or ConvergenceError naming the
+    working precision where Newton fails (as in :func:`minimize`).
+    Semi-stable but not stable: the
     infimum, estimated by the same solver as :func:`minimize` and by the
     witness family, and attained exactly when the cluster is polystable.
     Unstable: value 0 together with a witness family along which D diverges
@@ -555,12 +563,17 @@ def theta(zc: ScaledCluster, tol=None, max_iter=1000, prec=None) -> ThetaResult:
         if tol is None:
             tol = mp.mpf(10) ** -12
         reps = normalize_cluster(cluster).reps
-        L = _newton(reps, cluster.n + 1, tol, max_iter, _start(cluster, reps))[1]
+        out = _newton(reps, cluster.n + 1, tol, max_iter, _start(cluster, reps))
+        L, failure = out[1], out[-1]
         value = mp.e ** _images(L, zc.reps)[1]
         if cls.is_stable:
+            if failure is not None:
+                raise ConvergenceError(failure, best=ThetaResult(value=value, attained=False, stability=cls))
             return ThetaResult(value=value, attained=True, stability=cls)
-        # semi-stable, not stable: the infimum is attained iff the cluster is
-        # polystable, a direct sum of clusters each stable in its own span;
+        # semi-stable, not stable: Newton may run out of iterations on its
+        # way to an infimum at infinity, so its failure is no error here.
+        # The infimum is attained iff the cluster is polystable, a direct
+        # sum of clusters each stable in its own span;
         # either way the witness family decreases to it (D is convex and
         # bounded along that geodesic)
         attained = cls.is_split and all(
@@ -620,6 +633,12 @@ def _lower_inverse_in_doubles(K):
     return X
 
 
+def _times_adjoint_in_doubles(L):
+    """L L^H for a square matrix of built-in complex numbers."""
+    n = len(L)
+    return [[sum(L[a][k] * L[b][k].conjugate() for k in range(n)) for b in range(n)] for a in range(n)]
+
+
 def _tyler_in_doubles(points):
     """The covariant of a cluster in built-in complex, by Tyler's fixed-point
     iteration Q^-1 <- sum_j u_j u_j^H / (u_j^H Q u_j) over the unit rows u_j
@@ -632,7 +651,8 @@ def _tyler_in_doubles(points):
     does not move the fixed point M = m/(n+1) I. It stops once the gradient
     M - m/(n+1) I has Frobenius norm at most 2^-40 m, or at most 2^-20 m and
     no smaller than at the step before, where the rounding of doubles
-    decides it; it raises ConvergenceError after 100 iterations. Returns Q.
+    decides it; after 100 iterations it raises ConvergenceError whose
+    ``best`` is the last iterate Q. Returns Q.
     It is the start of :func:`minimize` for clusters other than n+2 points,
     and the covariant of the preconditioning passes."""
     n1 = len(points[0])
@@ -649,10 +669,10 @@ def _tyler_in_doubles(points):
                     M[a][b] += w[a] * w[b].conjugate() / nrm2
         gnorm = sum(abs(M[a][b] - (m / n1 if a == b else 0)) ** 2 for a in range(n1) for b in range(n1)) ** 0.5
         if gnorm <= 2.0**-40 * m or last <= gnorm <= 2.0**-20 * m:
-            return [[sum(L[a][k] * L[b][k].conjugate() for k in range(n1)) for b in range(n1)] for a in range(n1)]
+            return _times_adjoint_in_doubles(L)
         last = gnorm
         for a in range(n1):
             M[a][a] += 2.0**-45 * m
         X = _lower_inverse_in_doubles(_cholesky_in_doubles(M))
         L = [[sum(L[a][k] * X[b][k].conjugate() for k in range(n1)) for b in range(n1)] for a in range(n1)]
-    raise ConvergenceError("Tyler's iteration in doubles did not settle in 100 iterations")
+    raise ConvergenceError("Tyler's iteration in doubles did not settle in 100 iterations", best=_times_adjoint_in_doubles(L))

@@ -4,6 +4,8 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cluster_reduce import (
     DimensionError,
@@ -189,6 +191,61 @@ class TestPhi:
                 assert len(w.spanning_points) <= w.dim + 1
                 assert w.contained == values[w.dim]
                 assert oracle_count_on_span(Z, w.spanning_points) == w.contained
+
+
+@st.composite
+def small_integer_clusters(draw):
+    """Clusters of at most 7 small integer points of P^1..P^3: points on a
+    planted flat spanned by random integer vectors, generic points and
+    repeats, or one or two distinct points repeated (fewer distinct points
+    than k+1 for the larger k)."""
+    n = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1).map(tuple)
+    if draw(st.integers(0, 3)) == 0:
+        pts = draw(st.lists(vector, min_size=1, max_size=2))
+        repeats = 5
+    else:
+        k = draw(st.integers(0, n - 1))
+        basis = draw(st.lists(vector, min_size=k + 1, max_size=k + 1))
+        coeffs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k + 1, max_size=k + 1), max_size=3))
+        pts = [tuple(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(n + 1)) for cs in coeffs]
+        pts += draw(st.lists(vector, min_size=n, max_size=5))
+        repeats = 1
+    pts = [p for p in pts if any(p)]
+    assume(pts)
+    pts += draw(st.lists(st.sampled_from(pts), max_size=repeats))
+    return cluster_of(*pts[:7])
+
+
+class TestFlats:
+    """phi and the witness of classify come from one walk over the flats."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(small_integer_clusters())
+    def test_walk_matches_exhaustive_oracle(self, Z):
+        values = [phi(Z, k) for k in range(Z.n)]
+        assert values == [oracle_phi(Z, k) for k in range(Z.n)]
+        cls = classify(Z)
+        assert (cls.is_split, cls.is_semi_stable, cls.is_stable) == oracle_classify(Z)
+        if cls.witness is not None:
+            w = cls.witness
+            assert w.contained == values[w.dim]
+            assert oracle_count_on_span(Z, w.spanning_points) == w.contained
+
+    def test_witness_is_the_first_maximizing_subset(self):
+        # three points on each of two skew lines of P^3, interleaved: the
+        # pairs (0, 3) and (1, 2) both span a line through three points, and
+        # the witness is the lexicographically first of them
+        Z = cluster_of(
+            (0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1)
+        )
+        cls = classify(Z)
+        assert cls.is_split and cls.is_semi_stable and not cls.is_stable
+        assert cls.margin == 0
+        w = cls.witness
+        assert (w.dim, w.contained) == (1, 3)
+        assert w.spanning_points == (Z.points[0], Z.points[3])
+        assert [phi(Z, k) for k in range(4)] == [1, 3, 4, 6]
 
 
 class TestClassify:

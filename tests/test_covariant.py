@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 
 from cluster_reduce import (
+    ConvergenceError,
     DegeneratePositionError,
     HermitianForm,
     NotPositiveDefiniteError,
@@ -254,6 +255,29 @@ class TestMinimize:
             assert res.iterations >= 3
             assert abs(res.z.det() - 1) < half_eps()
 
+    def test_unsettled_doubles_start_newton_from_their_last_iterate(self):
+        # a clusters-benchmark input (seed 1) whose covariant is too
+        # ill-conditioned for Tyler's iteration in doubles to settle: its
+        # last iterate still leaves Newton a step or two, where one Tyler
+        # step from the identity left it five
+        from cluster_reduce.covariant import _tyler_in_doubles
+
+        Z = cluster_of(
+            (mp.mpc(2, 26), mp.mpc(-19, -259), mp.mpc(12, 170)),
+            (mp.mpc(2, -26), mp.mpc(-19, 259), mp.mpc(12, -170)),
+            (mp.mpc(-180, 98), mp.mpc(1781, -969), mp.mpc(-1162, 632)),
+            (mp.mpc(-180, -98), mp.mpc(1781, 969), mp.mpc(-1162, -632)),
+            (-107, 1059, -691),
+        )
+        with mp.workprec(212):
+            rows = [[complex(c) for c in r] for r in normalize_cluster(Z).reps]
+            with pytest.raises(ConvergenceError) as info:
+                _tyler_in_doubles(rows)
+            assert info.value.best is not None
+            res = minimize(Z)
+        assert res.iterations <= 4
+        assert res.stop == "tol"
+
     def test_pencil_base_points_match_published_covariant(self):
         # the four base points of the reference pencil: the solver must cross
         # 13 orders of magnitude of eigenvalue spread
@@ -325,6 +349,23 @@ class TestTheta:
         res = theta(normalize_cluster(Z))
         assert res.stability.is_split and res.stability.is_semi_stable
         assert not res.attained
+
+    def test_stable_newton_failure_names_the_precision(self):
+        # at 76 bits the reference pencil's base points are classified stable
+        # but their covariant is not resolved: no value is reported as attained
+        from cluster_reduce import curve_intersection
+
+        from conftest import PENCIL_Q1, PENCIL_Q2
+
+        with mp.workprec(212):
+            Z = curve_intersection(PENCIL_Q1, PENCIL_Q2).cluster()
+        zc = normalize_cluster(Z)
+        with pytest.raises(ConvergenceError) as info:
+            theta(zc, prec=76)
+        assert str(info.value).endswith("at the working precision of 76 bits")
+        res = theta(zc, prec=212)
+        assert res.attained
+        assert res.value == minimize(Z, prec=212).theta
 
     @pytest.mark.parametrize("index", range(len(SEMI_STABLE_CASES)))
     def test_semistable_solver_stops_by_the_gradient_test(self, index):

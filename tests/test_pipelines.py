@@ -34,7 +34,7 @@ from cluster_reduce.errors import (
     InputFormatError,
 )
 
-from cluster_reduce import pipelines, polyalg
+from cluster_reduce import cluster_core, pipelines, polyalg
 from cluster_reduce.polyalg import binary_form_roots, curve_intersection, hessian
 from conftest import (
     PENCIL_CUBIC,
@@ -692,7 +692,8 @@ def test_reference_pencil_gives_its_transform_or_names_the_precision(bits):
 
 
 class TestClassifyCost:
-    """One classify normalizes each point once and takes no SVD."""
+    """One classify normalizes each point once, takes no SVD, and builds one
+    adapted basis: the split test's."""
 
     def test_unit_vectors_once_and_no_svd(self, monkeypatch):
         rnd = random.Random(24)
@@ -714,6 +715,21 @@ class TestClassifyCost:
         assert cls.is_semi_stable
         assert calls["unit"] <= 4 * Z.degree
         assert calls["svd"] == 0
+
+    def test_one_adapted_basis(self, monkeypatch):
+        # the flats are walked from residuals, not from a basis per subset
+        rnd = random.Random(24)
+        Z = cluster_of(*(tuple(rnd.randint(-9, 9) or 1 for _ in range(4)) for _ in range(9)))
+        calls = []
+        real = cluster_core._adapted_basis
+
+        def adapted_basis(units):
+            calls.append(len(units))
+            return real(units)
+
+        monkeypatch.setattr(cluster_core, "_adapted_basis", adapted_basis)
+        assert classify(Z).is_stable
+        assert calls == [Z.degree]
 
 
 class TestPencilCubic:
