@@ -13,24 +13,32 @@ images w_j = S P_j^T / |S P_j^T|, the gradient and the Hessian are
 
     G = sum_j W_j - m/(n+1) * I,   H[B] = sum_j ((W_j B + B W_j)/2 - tr(B W_j) W_j).
 
-The minimizer is found by damped Riemannian Newton: solve H[B] = -G over a
-real basis of the trace-free Hermitian B, step along the geodesic with Armijo
-backtracking, and stop once the Frobenius norm of G is at most the tolerance,
-or at most 2^(1-prec) kappa(Q), below which the rounding of Q decides it,
-provided its square is at most 2^(-prec/2); a gradient stuck above that is a
-shortfall of the working precision and raises ConvergenceError. The start is
-the closed form (sum_j g_j g_j^H)^-1 over n+2 points in general position
-scaled by simplex weights, which is exact, and otherwise the covariant in
-hardware doubles: Tyler's fixed-point iteration in the same chart, in
-Python's built-in complex, which the preconditioning passes of the ternary
-pipeline run too. Newton then only polishes it. The start's Cholesky factor
-L scales it to determinant 1, as log det Q = 2 sum_i log L_ii; the steps
-keep det Q = 1 without renormalizing, since det exp(lambda B) = 1 for
-trace-free B.
+The minimizer is found by damped Riemannian Newton in mixed precision, as
+iterative refinement: the unit images, D, G and the stop tests at the
+working precision, the correction in hardware doubles. Each iteration solves
+H[B] = -G over a real basis of the trace-free Hermitian B in doubles, with G
+scaled by a power of two, and steps along the geodesic by
+Y = exp(lambda B/2) - I in doubles, applied as L <- L (I + Y) at the working
+precision and scaled back to determinant 1 through the new Cholesky
+diagonal (log det Q = 2 sum_i log L_ii). The step length halves from 1
+until the change of D, evaluated in doubles, meets Armijo's 1/4 by more than
+its rounding, or until lambda |B|_F <= 1/10, which proves that decrease
+without an evaluation. It stops once the Frobenius norm of G is at most the
+tolerance, or at most 2^(1-prec) kappa(Q), below which the rounding of Q
+decides it, provided its square is at most 2^(-prec/2); a gradient stuck
+above that is a shortfall of the working precision and raises
+ConvergenceError. The start is the closed form (sum_j g_j g_j^H)^-1 over
+n+2 points in general position scaled by simplex weights, which is exact,
+and otherwise the covariant in hardware doubles: Tyler's fixed-point
+iteration in the same chart, in Python's built-in complex, which the
+preconditioning passes of the ternary pipeline run too. Newton then only
+refines it, gaining 45 to 50 bits per iteration.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -181,6 +189,19 @@ class CovariantResult:
 
 
 @dataclass(frozen=True)
+class NewtonStep:
+    """One accepted step of the covariant's Newton loop: the length ``lam``
+    along the direction B, the slope <G, B> of D there, lam |B|_F, and what
+    certified that D fell by at least lam * slope / 4: "armijo" (its change
+    evaluated in doubles) or "length" (the bound lam |B|_F <= 1/10)."""
+
+    lam: object
+    slope: object
+    length: object
+    certified_by: str
+
+
+@dataclass(frozen=True)
 class DivergenceWitness:
     """One-parameter family Q_lambda pushing D to -infinity (or to its infimum).
 
@@ -314,51 +335,106 @@ def grad_D(zc: ScaledCluster, Q: HermitianForm) -> TangentDirection:
 
 def _trace_free_basis(n1):
     """A real basis of the trace-free Hermitian matrices, each as (row, col, entry) triples."""
-    i = mp.mpc(0, 1)
     basis = [((a, a, 1), (n1 - 1, n1 - 1, -1)) for a in range(n1 - 1)]
     for a in range(n1):
         for b in range(a + 1, n1):
             basis.append(((a, b, 1), (b, a, 1)))
-            basis.append(((a, b, i), (b, a, -i)))
+            basis.append(((a, b, 1j), (b, a, -1j)))
     return basis
 
 
-def _newton_direction(ws, G, gnorm, basis):
-    """Newton direction B solving H[B] = -G, and the slope <G, B> of D along it.
+def _newton_direction(wd, G, basis):
+    """The Newton direction in hardware doubles: (B, e, slope, norm, fallback)
+    for the direction 2^e B solving H[B] = -G, whose slope <G, 2^e B> is
+    2^(2e) ``slope`` and whose Frobenius norm is 2^e ``norm``.
 
-    In the basis E_k, H_kl = Re tr(M E_k E_l) - sum_j t_jk t_jl and g_k = sum_j t_jk
-    with M = sum_j W_j and t_jk = tr(E_k W_j). B = -G where the Cholesky
-    factorization of H fails or B is not a descent direction.
+    G is divided by the power of two 2^e of its largest entry before it is
+    rounded (the equation is linear in G), so that a gradient far below the
+    range of doubles keeps its digits. In the basis E_k, H_kl = Re tr(E_k E_l M)
+    - sum_j t_jk t_jl with M = G + m/(n+1) I and t_jk = tr(E_k W_j) over the
+    rounded unit images, and g_k = tr(E_k G) from G's entries: sum_j t_jk, the
+    same number, cancels to 2^-53 m in doubles. B = -G (``fallback``) where the
+    Cholesky factorization of H fails or B is not a finite descent direction.
     """
-    n1 = G.rows
-    M = G + mp.mpf(len(ws)) / n1 * mp.eye(n1)
-    t = [[mp.re(mp.fsum(c * w[b] * mp.conj(w[a]) for a, b, c in E)) for w in ws] for E in basis]
+    n1, m = G.rows, len(wd)
+    e = int(max(mp.mag(G[a, b]) for a in range(n1) for b in range(n1)))
+    unit = mp.ldexp(1, -e)
+    Gd = [[complex(G[a, b] * unit) for b in range(n1)] for a in range(n1)]
+    M = [[complex(G[a, b]) + (m / n1 if a == b else 0) for b in range(n1)] for a in range(n1)]
+    t = [[sum(c * w[b] * w[a].conjugate() for a, b, c in E).real for w in wd] for E in basis]
+    g = [sum(c * Gd[b][a] for a, b, c in E).real for E in basis]
     d = len(basis)
-    H = mp.matrix(d, d)
+    H = [[0.0] * d for _ in range(d)]
     for k, Ek in enumerate(basis):
         for l in range(k, d):
-            H[k, l] = H[l, k] = mp.re(
-                mp.fsum(c * c2 * M[e, a] for a, b, c in Ek for b2, e, c2 in basis[l] if b2 == b)
-            ) - mp.fdot(t[k], t[l])
-    g = [mp.fsum(tk) for tk in t]
+            H[k][l] = H[l][k] = sum(
+                c * c2 * M[f][a] for a, b, c in Ek for b2, f, c2 in basis[l] if b2 == b
+            ).real - sum(x * y for x, y in zip(t[k], t[l]))
     try:
-        C = hermitian_cholesky(H)
-    except ValueError:
-        return -G, -(gnorm**2)
-    y = []
-    for k in range(d):
-        y.append((-g[k] - mp.fdot((C[k, l], y[l]) for l in range(k))) / C[k, k])
-    x = [0] * d
-    for k in reversed(range(d)):
-        x[k] = (y[k] - mp.fdot((C[l, k], x[l]) for l in range(k + 1, d))) / C[k, k]
-    slope = mp.fdot(g, x)
-    if slope >= 0:
-        return -G, -(gnorm**2)
-    B = mp.matrix(n1, n1)
-    for xk, Ek in zip(x, basis):
-        for a, b, c in Ek:
-            B[a, b] += xk * c
-    return B, slope
+        C = _cholesky_in_doubles(H)
+        y = []
+        for k in range(d):
+            y.append((-g[k] - sum(C[k][l] * y[l] for l in range(k))) / C[k][k])
+        x = [0.0] * d
+        for k in reversed(range(d)):
+            x[k] = ((y[k] - sum(C[l][k].conjugate() * x[l] for l in range(k + 1, d))) / C[k][k]).real
+        slope = sum(gk * xk for gk, xk in zip(g, x))
+        B = [[0j] * n1 for _ in range(n1)]
+        for xk, Ek in zip(x, basis):
+            for a, b, c in Ek:
+                B[a][b] += xk * c
+        norm = math.sqrt(sum(abs(v) ** 2 for row in B for v in row))
+    except (ArithmeticError, NotPositiveDefiniteError):
+        slope = norm = math.nan
+    if not (slope < 0 and math.isfinite(slope) and math.isfinite(norm)):
+        gnorm2 = sum(abs(v) ** 2 for row in Gd for v in row)
+        return [[-v for v in row] for row in Gd], e, -gnorm2, math.sqrt(gnorm2), True
+    return B, e, slope, norm, False
+
+
+def _matmul_in_doubles(A, B):
+    n = len(A)
+    return [[sum(A[a][k] * B[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
+
+
+def _expm1_in_doubles(B, p):
+    """(Y, f) with 2^f Y = exp(2^p B) - I in built-in complex, for Hermitian B.
+
+    Where |2^p B|_F <= 1/20 it is the Taylor series sum_k 2^(p(k-1)) B^k / k!
+    with f = p, which keeps the digits of a step far below the range of
+    doubles; above that the series on 2^(p-s) B, squared s times as
+    Y <- 2Y + Y^2, with f = 0.
+    """
+    size = math.ldexp(math.sqrt(sum(abs(v) ** 2 for row in B for v in row)), p)
+    s = 0 if size <= 1 / 20 else math.ceil(math.log2(20 * size))
+    if s:
+        B, p = [[v * math.ldexp(1.0, p - s) for v in row] for row in B], 0
+    ratio = math.ldexp(1.0, p)
+    Y = term = B
+    for k in range(2, 30):
+        term = [[v * ratio / k for v in row] for row in _matmul_in_doubles(term, B)]
+        if max(abs(v) for row in term for v in row) <= 2.0**-60 * max(abs(v) for row in Y for v in row):
+            break
+        Y = [[u + v for u, v in zip(r, q)] for r, q in zip(Y, term)]
+    for _ in range(s):
+        Y = [[2 * u + v for u, v in zip(r, q)] for r, q in zip(Y, _matmul_in_doubles(Y, Y))]
+    return Y, p
+
+
+def _change_in_doubles(wd, Y):
+    """The change of D from Q = L L^H to L (I+Y) (I+Y)^H L^H, in doubles:
+    sum_j log |(I+Y) w_j|^2 - 2m/(n+1) log det(I+Y) over the rounded unit
+    images w_j. D is invariant under scaling, so the step's rescaling to
+    determinant 1 does not change it. log det(I+Y) is twice the sum of the
+    logs of its Cholesky diagonal, which raises NotPositiveDefiniteError
+    where I + Y is not positive definite in doubles."""
+    n1, m = len(Y), len(wd)
+    K = _cholesky_in_doubles([[Y[a][b] + (a == b) for b in range(n1)] for a in range(n1)])
+    total = -4 * m / n1 * sum(math.log(K[a][a].real) for a in range(n1))
+    for w in wd:
+        v = [w[a] + sum(Y[a][b] * w[b] for b in range(n1)) for a in range(n1)]
+        total += math.log(sum(abs(c) ** 2 for c in v) / sum(abs(c) ** 2 for c in w))
+    return total
 
 
 def _simplex_rows(cluster: PointCluster, units):
@@ -424,29 +500,59 @@ def _newton(reps, n1, tol, max_iter, initial, record=False):
     """Damped Riemannian Newton loop; returns (Q, L, D, gnorm, iters,
     transcript, stop, failure) at the last iterate Q = L L^H, where ``stop``
     names the criterion that ended a converged loop and ``failure`` is None
-    once the loop has converged and otherwise says why it stopped.
+    once the loop has converged and otherwise says why it stopped. With
+    ``record`` the transcript lists (iteration, D, step) per iterate, ``step``
+    the :class:`NewtonStep` that reached it (None at the start).
 
-    The start is scaled to determinant 1. Each step takes
-    Q <- L exp(lambda B) L^H for the Newton direction B, with Armijo
-    backtracking from lambda = 1. The loop has converged once the gradient
-    norm is at most ``tol`` (stop "tol"), or once it is at most the
-    resolution of Q = L L^H at the working precision (:func:`_resolution`),
-    below which no step can lower it, and its square is at most
-    2^(-prec/2) (stop "resolution"): one more Newton step would then move Q
-    by about that square, inside LLL's tie window. A gradient at the
-    resolution but above 2^(-prec/4) is a shortfall of the working
-    precision, and a failure.
+    The start is scaled to determinant 1. Each iteration is a step of
+    iterative refinement: the residual and the stop tests at the working
+    precision, the correction in hardware doubles. The loop has converged
+    once the gradient norm is at most ``tol`` (stop "tol"), or once it is at
+    most the resolution of Q = L L^H at the working precision
+    (:func:`_resolution`), below which no step can lower it, and its square
+    is at most 2^(-prec/2) (stop "resolution"): one more Newton step would
+    then move Q by about that square, inside LLL's tie window. A gradient at
+    the resolution but above 2^(-prec/4) is a shortfall of the working
+    precision, and a failure. Otherwise the Newton direction B comes from
+    :func:`_newton_direction`, good to about 50 bits, so that each iteration
+    gains 45 to 50 bits; Y = exp(lambda B/2) - I in doubles is applied at the
+    working precision as L <- L (I + Y), and L L^H is factored again and
+    scaled to determinant 1 through its Cholesky diagonal.
+
+    The step length lambda halves from 1 until one of two tests holds; a
+    value that overflows or is not finite in doubles rejects that lambda.
+
+    - "armijo": the change of D, evaluated in doubles by
+      :func:`_change_in_doubles`, plus its rounding bound
+      2^-44 m (n+1) exp(2 lambda |B|_F), is at most lambda slope/4, where
+      slope = <G, B>.
+    - "length": lambda |B|_F <= 1/10, and lambda <= 1/m for the fallback
+      B = -G. Then D falls by at least lambda slope/4 with no evaluation.
+      Along the geodesic f(lambda) = D(L e^(lambda B) L^H) - D(L L^H) is
+      sum_j K_j(lambda), where K_j(lambda) = log w_j^H e^(lambda B) w_j is the
+      cumulant generating function of the eigenvalues b_i of B under the
+      weights |v_i^H w_j|^2. Its third derivative is a third central moment,
+      so |K_j'''| <= (b_max - b_min) K_j'' <= 2 |B| K_j''. Hence
+      f''(lambda) <= f''(0) e^(2 lambda |B|) and
+      f(lambda) <= lambda slope + (lambda^2/2) f''(0) e^(2 lambda |B|).
+      For the Newton direction f''(0) = <B, H[B]> = -slope, so
+      f(lambda) <= lambda slope (1 - (lambda/2) e^(2 lambda |B|)), at most
+      0.39 lambda slope for lambda <= 1; the margin to 1/4 leaves room for
+      <B, H[B]> up to 20% above -slope, where B is rounded in doubles. For
+      B = -G, f''(0) = sum_j Var_j(B) <= m |G|^2 = -m slope, and lambda <= 1/m
+      gives the same bound.
     """
     L = _cholesky(initial)
     scale = mp.exp(-_log_det_from_cholesky(L) / (2 * n1))
     Q, L = initial * scale**2, L * scale
     basis = _trace_free_basis(n1)
-    transcript = []
+    m = len(reps)
+    transcript, step = [], None
     for it in range(max_iter + 1):
         ws, D = _images(L, reps)
         G, gnorm = _gradient(ws, n1)
         if record:
-            transcript.append((it, D))
+            transcript.append((it, D, step))
         if gnorm <= tol:
             return Q, L, D, gnorm, it, transcript, "tol", None
         if gnorm <= _resolution(L):
@@ -459,29 +565,38 @@ def _newton(reps, n1, tol, max_iter, initial, record=False):
             failure = f"gradient norm {mp.nstr(gnorm, 8)} above tolerance after {it} iterations"
             failure += f", at the working precision of {mp.mp.prec} bits"
             return Q, L, D, gnorm, it, transcript, None, failure
-        B, slope = _newton_direction(ws, G, gnorm, basis)
-        ev, V = mp.eigh(B)
-        # the change of D along the geodesic, from |V^H w_j|^2 alone; expm1 and
-        # log1p keep it accurate relative to its size even where G is tiny
-        cols = [[V[a, i] for a in range(n1)] for i in range(n1)]
-        W2 = [[abs(mp.fdot(w, c, conjugate=True)) ** 2 for c in cols] for w in ws]
-        lam = mp.mpf(1)
-        for _ in range(80):
-            val = mp.fsum(mp.log1p(mp.fsum(mp.expm1(lam * e) * p for e, p in zip(ev, w2))) for w2 in W2)
-            if mp.re(val) <= mp.mpf("0.25") * lam * slope:
+        wd = [[complex(c) for c in w] for w in ws]
+        B, e, slope, norm, fallback = _newton_direction(wd, G, basis)
+        for h in itertools.count():
+            length = math.ldexp(norm, e - h)  # lambda |B|_F at lambda = 2^-h
+            if length <= 0.1:
+                if not fallback or 2**h >= m:
+                    certified_by = "length"
+                    break
+                continue
+            try:
+                Y = _expm1_in_doubles(B, e - h - 1)[0]  # unscaled: |lambda B/2|_F > 1/20
+                change = _change_in_doubles(wd, Y) + 2.0**-44 * m * n1 * math.exp(2 * length)
+            except (ArithmeticError, ValueError, NotPositiveDefiniteError):
+                continue
+            if change <= math.ldexp(slope, 2 * e - h) / 4:
+                certified_by = "armijo"
                 break
-            lam /= 2
-        # Q' = L V e^{lam E} V^H L^H  =  (L V e^{lam E / 2}) * (...)^H; B is
-        # trace-free, so det Q' = det Q = 1 up to rounding
-        LVE = L * V * mp.diag([mp.exp(lam * e / 2) for e in ev])
-        step = hermitize(LVE * LVE.transpose_conj())
+        Y, f = _expm1_in_doubles(B, e - h - 1)
+        unit, rows = mp.ldexp(1, f), L.tolist()
+        Y = [[mp.mpc(y) * unit for y in row] for row in Y]
+        # Q1 = L (I+Y) (I+Y)^H L^H, summed over the columns of L (I+Y)
+        cols = [[rows[a][k] + mp.fdot(rows[a], [r[k] for r in Y]) for a in range(n1)] for k in range(n1)]
+        Q1 = _outer_sum(cols, n1)
         try:
-            L = _cholesky(step)
+            L = _cholesky(Q1)
         except NotPositiveDefiniteError:
             failure = f"the Newton step left the positive definite cone at iteration {it}"
             failure += f", at the working precision of {mp.mp.prec} bits"
             return Q, L, D, gnorm, it, transcript, None, failure
-        Q = step
+        scale = mp.exp(-_log_det_from_cholesky(L) / (2 * n1))
+        Q, L = Q1 * scale**2, L * scale
+        step = NewtonStep(mp.ldexp(1, -h), mp.ldexp(slope, 2 * e), mp.ldexp(norm, e - h), certified_by)
 
 
 def minimize(
@@ -499,10 +614,13 @@ def minimize(
     observe divergence). ``initial`` optionally seeds the solver with a
     positive definite matrix (by default :func:`_start`: the closed form for
     n+2 points and otherwise the covariant in doubles); the minimizer does
-    not depend on it. theta is reported for the unit-norm scaling of the
-    cluster, and ``stop`` names the criterion that ended Newton (see
-    :func:`_newton`); a gradient that the working precision cannot bring
-    inside LLL's tie window raises ConvergenceError naming that precision.
+    not depend on it. The solver is Newton with the gradient and the stop
+    tests at the working precision and each correction in doubles
+    (:func:`_newton`); ``record_transcript`` keeps, per iteration, D and the
+    :class:`NewtonStep` that reached it. theta is reported for the
+    unit-norm scaling of the cluster, and ``stop`` names the criterion that
+    ended Newton; a gradient that the working precision cannot bring inside
+    LLL's tie window raises ConvergenceError naming that precision.
     """
     with working_precision(prec):
         if check_stability:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import mpmath as mp
-import sympy as sp
 
 from ._precision import (
     half_eps,
@@ -351,7 +350,7 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
     if prec is None:
         prec = 212 if d <= 3 else 424
     with working_precision(prec):
-        _, factors = sp.factor_list(F.to_sympy().as_expr(), *sp.symbols("x0:3"))
+        _, factors = F.to_sympy().factor_list()
         if len(factors) != 1 or factors[0][1] != 1:
             raise InputFormatError("form is reducible; the pipeline needs an irreducible curve")
         F1, H1, U0, passes = _precondition(F)

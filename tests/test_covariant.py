@@ -4,6 +4,8 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cluster_reduce import (
     ConvergenceError,
@@ -31,6 +33,7 @@ from conftest import (
     random_real_cluster,
     random_sl,
     random_trace_free_hermitian,
+    random_unimodular_int,
 )
 from oracles import (
     fd_directional_derivative,
@@ -237,8 +240,8 @@ class TestMinimize:
     def test_transcript_monotone_in_few_newton_steps(self, Z):
         res = minimize(Z, record_transcript=True)
         assert res.iterations <= 12
-        values = [D for _, D in res.transcript]
-        assert [it for it, _ in res.transcript] == list(range(res.iterations + 1))
+        values = [D for _, D, _ in res.transcript]
+        assert [it for it, _, _ in res.transcript] == list(range(res.iterations + 1))
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert abs(values[-1] - mp.log(res.theta)) < mp.mpf("1e-40")
 
@@ -292,6 +295,90 @@ class TestMinimize:
         assert matrices_close_mod_scaling(
             res.z.mat(), mp.matrix(PENCIL_COVARIANT), mp.mpf("1e-3")
         )
+
+
+@st.composite
+def stable_clusters_off_the_minimizer(draw):
+    """A stable cluster of n+2 to n+5 Gaussian-integer points of P^1..P^3,
+    and the start S S^T + I for an integer matrix S."""
+    n = draw(st.integers(1, 3))
+    part = st.integers(-3, 3)
+    point = st.lists(st.tuples(part, part), min_size=n + 1, max_size=n + 1)
+    pts = [p for p in draw(st.lists(point, min_size=n + 2, max_size=n + 5)) if any(a or b for a, b in p)]
+    assume(len(pts) >= n + 2)
+    Z = cluster_of(*(tuple(mp.mpc(a, b) for a, b in p) for p in pts))
+    assume(classify(Z).is_stable)
+    row = st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1)
+    S = draw(st.lists(row, min_size=n + 1, max_size=n + 1))
+    start = [[sum(x * y for x, y in zip(S[a], S[b])) + (a == b) for b in range(n + 1)] for a in range(n + 1)]
+    return Z, start
+
+
+def _iterate(Z, start, k):
+    """The k-th Newton iterate from ``start``."""
+    try:
+        return minimize(Z, initial=start, max_iter=k, check_stability=False).z
+    except ConvergenceError as exc:
+        return exc.best.z
+
+
+class TestNewtonStep:
+    """The correction in doubles: every step's decrease of D is certified,
+    and the solver converges where the gradient is far below the range of
+    doubles."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(stable_clusters_off_the_minimizer())
+    def test_every_step_lowers_D_by_a_quarter_of_its_slope(self, case):
+        Z, start = case
+        zc = normalize_cluster(Z)
+        res = minimize(Z, initial=start, max_iter=40, record_transcript=True, check_stability=False)
+        assert res.stop == "tol"
+        D = [eval_D(zc, _iterate(Z, start, k)) for k in range(res.iterations + 1)]
+        rounding = mp.mpf(2) ** (24 - mp.mp.prec)  # of D at the working precision
+        for k in range(1, res.iterations + 1):
+            step = res.transcript[k][2]
+            assert D[k] - D[k - 1] <= step.lam * step.slope / 4 + rounding
+            assert step.certified_by in ("armijo", "length")
+            if step.certified_by == "length":
+                assert step.length <= mp.mpf(1) / 10
+
+    @pytest.mark.parametrize("bits", [212, 424, 848, 1600])
+    def test_pipeline_tolerance_is_met_at_high_precision(self, bits):
+        # the pipelines' tolerance 2^(-3 prec/4) is 2^-1200 at 1600 bits, far
+        # below the range of doubles: G is scaled by a power of two before it
+        # is rounded, or the correction underflows
+        from cluster_reduce._precision import half_eps
+
+        Z = cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, -1, 5))
+        with mp.workprec(bits):
+            res = minimize(Z, tol=half_eps() ** 1.5, max_iter=60)
+            assert res.stop == "tol"
+            assert res.final_gradient_norm <= half_eps() ** 1.5
+
+    def test_damped_steps_from_the_identity_give_the_transform_of_the_tyler_start(self, monkeypatch):
+        # seven points of P^3 distorted by a unimodular matrix: from the
+        # identity the first steps are damped, certified by the change of D
+        # in doubles, and the reduction is the one from Tyler's start
+        from cluster_reduce import covariant, reduce_cluster
+        from cluster_reduce._precision import half_eps
+
+        rnd = random.Random(18)
+        base = cluster_of(
+            (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1), (1, -2, 3, 1), (2, 1, -1, 3)
+        )
+        V = random_unimodular_int(rnd, 4, max_entry=500)
+        Z = act(base, [[mp.mpf(v) for v in row] for row in V])
+        identity = [[int(a == b) for b in range(4)] for a in range(4)]
+        res = minimize(Z, initial=identity, tol=half_eps() ** 1.5, record_transcript=True)
+        steps = [step for _, _, step in res.transcript[1:]]
+        assert any(step.certified_by == "armijo" and step.lam < 1 for step in steps)
+        assert res.stop == "tol"
+        report = reduce_cluster(Z)
+        monkeypatch.setattr(covariant, "_start", lambda cluster, reps: mp.eye(cluster.n + 1))
+        from_identity = reduce_cluster(Z)
+        assert from_identity.diagnostics["iterations"] > report.diagnostics["iterations"]
+        assert from_identity.transform.matrix == report.transform.matrix
 
 
 class TestTheta:
