@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import mpmath as mp
 
+from .errors import NotPositiveDefiniteError
+
 DEFAULT_PREC = 212
 
 
@@ -64,14 +66,14 @@ def hermitian_cholesky(A):
 
     Unlike the library routine this uses no absolute pivot threshold, so
     matrices with entries spanning thousands of orders of magnitude factor
-    fine; a nonpositive pivot raises ValueError.
+    fine; a nonpositive pivot raises NotPositiveDefiniteError.
     """
     n = A.rows
     rows = [[] for _ in range(n)]  # rows[i] holds L[i, :j] at step j
     for j in range(n):
         d = mp.re(A[j, j]) - mp.fsum(rows[j], absolute=True, squared=True)
         if d <= 0:
-            raise ValueError("matrix is not positive-definite")
+            raise NotPositiveDefiniteError("matrix is not positive-definite")
         ljj = mp.sqrt(d)
         for i in range(j + 1, n):
             rows[i].append((A[i, j] - mp.fdot(rows[i], rows[j], conjugate=True)) / ljj)

@@ -498,6 +498,12 @@ def classify(cluster: PointCluster) -> StabilityClass:
     arithmetic once the phi values are known. The witness records a subspace
     violating the bound (not semi-stable), or achieving it with equality
     (semi-stable but not stable).
+
+    Only a cluster that the counts leave unstable is tested for a split: if
+    Z1 in L1 and Z2 in L2 split a stable one, with k1+1 + k2+1 <= n+1 linear
+    dimensions, adding the strict bounds (n+1) |Z_i| <= (n+1) phi(k_i) <
+    (k_i+1) m gives (n+1) m < (k1+k2+2) m <= (n+1) m. A cluster that does
+    not span has phi(n-1) = m, so it is not even semi-stable.
     """
     n = cluster.n
     m = cluster.degree
@@ -518,9 +524,7 @@ def classify(cluster: PointCluster) -> StabilityClass:
         if lhs > rhs:
             semi = False
             break
-    split = _is_split(units)
-    if split:
-        stable = False
+    split = not stable and _is_split(units)
     return StabilityClass(
         is_split=split,
         is_semi_stable=semi,

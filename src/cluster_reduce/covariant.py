@@ -31,12 +31,14 @@ ConvergenceError. The start is the closed form (sum_j g_j g_j^H)^-1 over
 n+2 points in general position scaled by simplex weights, which is exact,
 and otherwise the covariant in hardware doubles: Tyler's fixed-point
 iteration in the same chart, in Python's built-in complex, which the
-preconditioning passes of the ternary pipeline run too. Newton then only
+preconditioning passes of the ternary pipeline run too, or its last iterate
+where it does not settle; the identity where either fails. Newton then only
 refines it, gaining 45 to 50 bits per iteration.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -117,7 +119,7 @@ class HermitianForm:
             for j in range(M.cols):
                 if abs(M[i, j] - mp.conj(M[j, i])) > tol * (1 + scale):
                     raise NotPositiveDefiniteError("matrix is not Hermitian")
-        _cholesky(M)
+        hermitian_cholesky(M)
         return self
 
     def det(self):
@@ -262,15 +264,6 @@ class ThetaResult:
     witness: Optional[DivergenceWitness] = None
 
 
-def _cholesky(Q):
-    """Cholesky factor L (Q = L L^H) or NotPositiveDefiniteError."""
-    try:
-        L = hermitian_cholesky(Q)
-    except ValueError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    return L
-
-
 def _log_det_from_cholesky(L):
     return 2 * mp.fsum(mp.log(mp.re(L[i, i])) for i in range(L.rows))
 
@@ -316,7 +309,7 @@ def eval_D(zc: ScaledCluster, Q: HermitianForm):
     M = Q.mat() if isinstance(Q, HermitianForm) else _as_mp_matrix(Q)
     if M.rows != zc.n + 1:
         raise DimensionError("form size does not match cluster dimension")
-    return _images(_cholesky(M), zc.reps)[1]
+    return _images(hermitian_cholesky(M), zc.reps)[1]
 
 
 def grad_D(zc: ScaledCluster, Q: HermitianForm) -> TangentDirection:
@@ -329,7 +322,7 @@ def grad_D(zc: ScaledCluster, Q: HermitianForm) -> TangentDirection:
     M = Q.mat() if isinstance(Q, HermitianForm) else _as_mp_matrix(Q)
     if M.rows != zc.n + 1:
         raise DimensionError("form size does not match cluster dimension")
-    G, _ = _gradient(_images(_cholesky(M), zc.reps)[0], M.rows)
+    G, _ = _gradient(_images(hermitian_cholesky(M), zc.reps)[0], M.rows)
     return TangentDirection(tuple(tuple(G[i, j] for j in range(G.cols)) for i in range(G.rows)))
 
 
@@ -452,57 +445,55 @@ def _simplex_rows(cluster: PointCluster, units):
 
 
 def _start(cluster: PointCluster, reps):
-    """The solver's starting form. For n+2 points in general position it is
-    the closed form (sum_j g_j g_j^H)^-1 over :func:`_simplex_rows`, which is
-    the covariant; otherwise the covariant in doubles,
-    :func:`_tyler_in_doubles` over the unit rows ``reps``, or its last
-    iterate where it does not settle. Where that fails, one Tyler
-    fixed-point step from the identity, or the identity where the rows do
-    not span."""
+    """The solver's starting form: for n+2 points in general position the
+    closed form (sum_j g_j g_j^H)^-1 over :func:`_simplex_rows`, which is the
+    covariant, and otherwise :func:`_tyler_in_doubles` over the unit rows
+    ``reps``; the identity where either fails at the working precision or in
+    doubles, or is not positive definite there."""
     n1 = cluster.n + 1
-    rows = reps
-    try:
-        if cluster.degree == n1 + 1:
+    rows = None
+    if cluster.degree == n1 + 1:
+        with contextlib.suppress(DegeneratePositionError):
             rows = _simplex_rows(cluster, reps)
-        else:
-            try:
-                initial = _tyler_in_doubles([[complex(c) for c in r] for r in reps])
-            except ConvergenceError as exc:
-                initial = exc.best  # unsettled, yet far closer than one step from I
-            initial = _as_mp_matrix(initial)
-            _cholesky(initial)
-            return initial
-    except (ArithmeticError, DegeneratePositionError, NotPositiveDefiniteError):
-        pass  # general position missed at the working precision, or doubles do not suffice
     try:
-        initial = hermitize(_outer_sum(rows, n1) ** -1)
-        _cholesky(initial)
-    except (ZeroDivisionError, NotPositiveDefiniteError):
+        if rows is None:
+            initial = _as_mp_matrix(_tyler_in_doubles([[complex(c) for c in r] for r in reps]))
+        else:
+            initial = hermitize(_outer_sum(rows, n1) ** -1)
+        hermitian_cholesky(initial)
+    except (ArithmeticError, NotPositiveDefiniteError):
         initial = mp.eye(n1)
     return initial
+
+
+def _lower_inverse(K):
+    """Inverse of a nonsingular lower triangular matrix by substitution, in
+    the arithmetic of its entries (built-in or mpmath); reads K[i][k], k <= i."""
+    n = len(K)
+    X = [[0] * n for _ in range(n)]
+    for i in range(n):
+        X[i][i] = 1 / K[i][i]
+        for j in range(i):
+            X[i][j] = -sum(K[i][k] * X[k][j] for k in range(j, i)) / K[i][i]
+    return X
 
 
 def _resolution(L):
     """2^(1-prec) * kappa(Q) for Q = L L^H, with kappa(Q) bounded by
     tr(Q) tr(Q^-1) = (|L|_F |L^-1|_F)^2: the gradient norm below which the
     rounding of Q itself decides G, since L is the exact factor only of a
-    form within 2^(-prec) |Q| of Q. L^-1 comes row by row by substitution."""
+    form within 2^(-prec) |Q| of Q."""
     rows = [[L[i, k] for k in range(i + 1)] for i in range(L.rows)]
-    inv = []
-    for i, li in enumerate(rows):
-        row = [-mp.fdot(li[j:i], [r[j] for r in inv[j:]]) / li[i] for j in range(i)]
-        inv.append(row + [1 / li[i]])
-    norm2 = [mp.fsum((x for r in m for x in r), absolute=True, squared=True) for m in (rows, inv)]
+    norm2 = [mp.fsum((x for r in M for x in r), absolute=True, squared=True) for M in (rows, _lower_inverse(rows))]
     return mp.eps * norm2[0] * norm2[1]
 
 
 def _newton(reps, n1, tol, max_iter, initial, record=False):
-    """Damped Riemannian Newton loop; returns (Q, L, D, gnorm, iters,
-    transcript, stop, failure) at the last iterate Q = L L^H, where ``stop``
-    names the criterion that ended a converged loop and ``failure`` is None
-    once the loop has converged and otherwise says why it stopped. With
-    ``record`` the transcript lists (iteration, D, step) per iterate, ``step``
-    the :class:`NewtonStep` that reached it (None at the start).
+    """Damped Riemannian Newton loop; returns the :class:`CovariantResult`
+    at the last iterate and ``failure``, None once the loop has converged and
+    otherwise why it stopped. With ``record`` the result's transcript lists
+    (iteration, D, step) per iterate, ``step`` the :class:`NewtonStep` that
+    reached it (None at the start).
 
     The start is scaled to determinant 1. Each iteration is a step of
     iterative refinement: the residual and the stop tests at the working
@@ -542,29 +533,30 @@ def _newton(reps, n1, tol, max_iter, initial, record=False):
       B = -G, f''(0) = sum_j Var_j(B) <= m |G|^2 = -m slope, and lambda <= 1/m
       gives the same bound.
     """
-    L = _cholesky(initial)
+    L = hermitian_cholesky(initial)
     scale = mp.exp(-_log_det_from_cholesky(L) / (2 * n1))
     Q, L = initial * scale**2, L * scale
     basis = _trace_free_basis(n1)
     m = len(reps)
-    transcript, step = [], None
+    transcript, step, stop, failure = [], None, None, None
     for it in range(max_iter + 1):
         ws, D = _images(L, reps)
         G, gnorm = _gradient(ws, n1)
         if record:
             transcript.append((it, D, step))
         if gnorm <= tol:
-            return Q, L, D, gnorm, it, transcript, "tol", None
+            stop = "tol"
+            break
         if gnorm <= _resolution(L):
             if gnorm**2 <= half_eps():
-                return Q, L, D, gnorm, it, transcript, "resolution", None
-            failure = f"gradient norm {mp.nstr(gnorm, 8)} at iteration {it} is at the resolution"
-            failure += f" of the iterate, above 2^(-prec/4), at the working precision of {mp.mp.prec} bits"
-            return Q, L, D, gnorm, it, transcript, None, failure
+                stop = "resolution"
+            else:
+                failure = f"gradient norm {mp.nstr(gnorm, 8)} at iteration {it} is at the resolution"
+                failure += " of the iterate, above 2^(-prec/4)"
+            break
         if it == max_iter:
             failure = f"gradient norm {mp.nstr(gnorm, 8)} above tolerance after {it} iterations"
-            failure += f", at the working precision of {mp.mp.prec} bits"
-            return Q, L, D, gnorm, it, transcript, None, failure
+            break
         wd = [[complex(c) for c in w] for w in ws]
         B, e, slope, norm, fallback = _newton_direction(wd, G, basis)
         for h in itertools.count():
@@ -589,14 +581,17 @@ def _newton(reps, n1, tol, max_iter, initial, record=False):
         cols = [[rows[a][k] + mp.fdot(rows[a], [r[k] for r in Y]) for a in range(n1)] for k in range(n1)]
         Q1 = _outer_sum(cols, n1)
         try:
-            L = _cholesky(Q1)
+            L = hermitian_cholesky(Q1)
         except NotPositiveDefiniteError:
             failure = f"the Newton step left the positive definite cone at iteration {it}"
-            failure += f", at the working precision of {mp.mp.prec} bits"
-            return Q, L, D, gnorm, it, transcript, None, failure
+            break
         scale = mp.exp(-_log_det_from_cholesky(L) / (2 * n1))
         Q, L = Q1 * scale**2, L * scale
         step = NewtonStep(mp.ldexp(1, -h), mp.ldexp(slope, 2 * e), mp.ldexp(norm, e - h), certified_by)
+    if failure is not None:
+        failure += f", at the working precision of {mp.mp.prec} bits"
+    z = HermitianForm.from_matrix(Q)
+    return CovariantResult(z, mp.e**D, it, gnorm, stop, tuple(transcript) if record else None), failure
 
 
 def minimize(
@@ -612,15 +607,15 @@ def minimize(
 
     The input must be stable unless ``check_stability`` is disabled (useful to
     observe divergence). ``initial`` optionally seeds the solver with a
-    positive definite matrix (by default :func:`_start`: the closed form for
-    n+2 points and otherwise the covariant in doubles); the minimizer does
-    not depend on it. The solver is Newton with the gradient and the stop
-    tests at the working precision and each correction in doubles
-    (:func:`_newton`); ``record_transcript`` keeps, per iteration, D and the
-    :class:`NewtonStep` that reached it. theta is reported for the
-    unit-norm scaling of the cluster, and ``stop`` names the criterion that
-    ended Newton; a gradient that the working precision cannot bring inside
-    LLL's tie window raises ConvergenceError naming that precision.
+    positive definite matrix, by default :func:`_start`: the closed form for
+    n+2 points in general position, else Tyler's covariant in doubles, else
+    the identity. The minimizer does not depend on it. The solver is Newton
+    with the gradient and the stop tests at the working precision and each
+    correction in doubles (:func:`_newton`), and theta is reported for the
+    unit-norm scaling of the cluster. ``record_transcript`` keeps, per
+    iteration, D and the :class:`NewtonStep` that reached it, and ``stop``
+    names the criterion that ended Newton; a gradient that the working
+    precision cannot bring inside LLL's tie window raises ConvergenceError.
     """
     with working_precision(prec):
         if check_stability:
@@ -639,17 +634,7 @@ def minimize(
             initial = initial.mat()
         else:
             initial = _as_mp_matrix(initial)
-        Q, _, D, gnorm, iters, transcript, stop, failure = _newton(
-            zc.reps, cluster.n + 1, tol, max_iter, initial=initial, record=record_transcript
-        )
-        result = CovariantResult(
-            z=HermitianForm.from_matrix(Q),
-            theta=mp.e**D,
-            iterations=iters,
-            final_gradient_norm=gnorm,
-            stop=stop,
-            transcript=tuple(transcript) if record_transcript else None,
-        )
+        result, failure = _newton(zc.reps, cluster.n + 1, tol, max_iter, initial, record=record_transcript)
         if failure is not None:
             raise ConvergenceError(failure, best=result)
         return result
@@ -664,11 +649,11 @@ def _witness_from_subspace(witness_points):
 def theta(zc: ScaledCluster, tol=None, max_iter=1000, prec=None) -> ThetaResult:
     """Infimum of exp(D) for the given scaling, with degenerate cases flagged.
 
+    D is evaluated for that scaling at the covariant of :func:`minimize`.
     Stable input: the attained minimum, or ConvergenceError naming the
-    working precision where Newton fails (as in :func:`minimize`).
-    Semi-stable but not stable: the
-    infimum, estimated by the same solver as :func:`minimize` and by the
-    witness family, and attained exactly when the cluster is polystable.
+    working precision where Newton fails. Semi-stable but not stable: the
+    infimum, estimated at minimize's last iterate and by the witness family,
+    and attained exactly when the cluster is polystable.
     Unstable: value 0 together with a witness family along which D diverges
     to -infinity.
     """
@@ -678,15 +663,14 @@ def theta(zc: ScaledCluster, tol=None, max_iter=1000, prec=None) -> ThetaResult:
         if not cls.is_semi_stable:
             witness = _witness_from_subspace(cls.witness.spanning_points)
             return ThetaResult(value=mp.mpf(0), attained=False, stability=cls, witness=witness)
-        if tol is None:
-            tol = mp.mpf(10) ** -12
-        reps = normalize_cluster(cluster).reps
-        out = _newton(reps, cluster.n + 1, tol, max_iter, _start(cluster, reps))
-        L, failure = out[1], out[-1]
-        value = mp.e ** _images(L, zc.reps)[1]
+        try:
+            result, failure = minimize(cluster, tol, max_iter, check_stability=False), None
+        except ConvergenceError as exc:
+            result, failure = exc.best, exc
+        value = mp.e ** eval_D(zc, result.z)
         if cls.is_stable:
             if failure is not None:
-                raise ConvergenceError(failure, best=ThetaResult(value=value, attained=False, stability=cls))
+                raise ConvergenceError(str(failure), best=ThetaResult(value=value, attained=False, stability=cls))
             return ThetaResult(value=value, attained=True, stability=cls)
         # semi-stable, not stable: Newton may run out of iterations on its
         # way to an infimum at infinity, so its failure is no error here.
@@ -740,23 +724,6 @@ def _cholesky_in_doubles(A):
     return L
 
 
-def _lower_inverse_in_doubles(K):
-    """Inverse of a nonsingular lower triangular matrix, by substitution."""
-    n = len(K)
-    X = [[0j] * n for _ in range(n)]
-    for i in range(n):
-        X[i][i] = 1 / K[i][i]
-        for j in range(i):
-            X[i][j] = -sum(K[i][k] * X[k][j] for k in range(j, i)) / K[i][i]
-    return X
-
-
-def _times_adjoint_in_doubles(L):
-    """L L^H for a square matrix of built-in complex numbers."""
-    n = len(L)
-    return [[sum(L[a][k] * L[b][k].conjugate() for k in range(n)) for b in range(n)] for a in range(n)]
-
-
 def _tyler_in_doubles(points):
     """The covariant of a cluster in built-in complex, by Tyler's fixed-point
     iteration Q^-1 <- sum_j u_j u_j^H / (u_j^H Q u_j) over the unit rows u_j
@@ -769,9 +736,9 @@ def _tyler_in_doubles(points):
     does not move the fixed point M = m/(n+1) I. It stops once the gradient
     M - m/(n+1) I has Frobenius norm at most 2^-40 m, or at most 2^-20 m and
     no smaller than at the step before, where the rounding of doubles
-    decides it; after 100 iterations it raises ConvergenceError whose
-    ``best`` is the last iterate Q. Returns Q.
-    It is the start of :func:`minimize` for clusters other than n+2 points,
+    decides it, and otherwise after 100 iterations. Returns the last iterate
+    Q = L L^H, which Newton refines like any other start. It is the start of
+    :func:`minimize` for clusters other than n+2 points in general position,
     and the covariant of the preconditioning passes."""
     n1 = len(points[0])
     m = len(points)
@@ -787,10 +754,10 @@ def _tyler_in_doubles(points):
                     M[a][b] += w[a] * w[b].conjugate() / nrm2
         gnorm = sum(abs(M[a][b] - (m / n1 if a == b else 0)) ** 2 for a in range(n1) for b in range(n1)) ** 0.5
         if gnorm <= 2.0**-40 * m or last <= gnorm <= 2.0**-20 * m:
-            return _times_adjoint_in_doubles(L)
+            break
         last = gnorm
         for a in range(n1):
             M[a][a] += 2.0**-45 * m
-        X = _lower_inverse_in_doubles(_cholesky_in_doubles(M))
+        X = _lower_inverse(_cholesky_in_doubles(M))
         L = [[sum(L[a][k] * X[b][k].conjugate() for k in range(n1)) for b in range(n1)] for a in range(n1)]
-    raise ConvergenceError("Tyler's iteration in doubles did not settle in 100 iterations", best=_times_adjoint_in_doubles(L))
+    return [[sum(L[a][k] * L[b][k].conjugate() for k in range(n1)) for b in range(n1)] for a in range(n1)]

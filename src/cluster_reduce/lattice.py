@@ -180,10 +180,7 @@ def _gso(G: GramMatrix):
         for j in range(i):
             if abs(M[i, j] - M[j, i]) > tol * (1 + scale):
                 raise NotPositiveDefiniteError("Gram matrix is not symmetric")
-    try:
-        L = hermitian_cholesky(M)
-    except ValueError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
+    L = hermitian_cholesky(M)
     mu = [[L[i, j] / L[j, j] for j in range(i)] for i in range(n)]
     return mu, [L[i, i] ** 2 for i in range(n)]
 

@@ -25,6 +25,7 @@ from .cluster_core import PointCluster, ProjectivePoint, StabilityClass, act, cl
 from .covariant import HermitianForm, _tyler_in_doubles, minimize
 from .errors import (
     ClusterReduceError,
+    ConvergenceError,
     DegeneratePencilError,
     InputFormatError,
     RealityError,
@@ -65,11 +66,14 @@ def _require_exact_integer(F: MultiPoly, what: str):
 
 
 def _real_gram(z: HermitianForm) -> GramMatrix:
+    """The real Gram of the covariant of a cluster fixed by conjugation (forms
+    are integral, :func:`reduce_cluster` checks): an imaginary part is rounding."""
     M = z.mat()
-    if max_imag_entry(M) > half_eps() * (1 + max_abs_entry(M)):
-        raise RealityError(
-            "covariant has a significant imaginary part; the input is not "
-            "conjugation-fixed, so only the complex covariant is defined"
+    imag = max_imag_entry(M)
+    if imag > half_eps() * (1 + max_abs_entry(M)):
+        raise ConvergenceError(
+            f"covariant of a cluster fixed by conjugation has an imaginary part of {mp.nstr(imag, 3)}, "
+            f"above 2^(-prec/2), at the working precision of {mp.mp.prec} bits"
         )
     return GramMatrix.from_matrix(real_part(M))
 
@@ -285,20 +289,20 @@ def _double_pass(F: MultiPoly, H: MultiPoly):
     return (U if U.det() == 1 else U.negate_column(U.size - 1)), cycle
 
 
-def _precondition(F: MultiPoly):
+def _precondition(F: MultiPoly, H: MultiPoly):
     """An exact integer substitution U0 found in doubles: repeat
-    :func:`_double_pass` on F(U0 x) and its Hessian from U0 = I until a pass
-    returns the identity or after ``PRECONDITIONING_PASSES`` passes. The form
-    height may rise on the way while the covariant keeps improving, so it is
-    recorded, not used to stop. A pass that fails where doubles do not
-    suffice (an arithmetic, value or package error) ends preconditioning with
-    the U0 found so far, and the record says why: U0 only conditions the
-    exact pass, whose result does not depend on it. After a pass that
-    returns the identity, U0 ends with that pass's coordinate cycle, which
-    gave a squarefree resultant on F(U0 x). Returns F(U0 x), its Hessian,
-    U0 and the record of the passes."""
+    :func:`_double_pass` on F(U0 x) and its Hessian, from U0 = I and the
+    Hessian H of F, until a pass returns the identity or after
+    ``PRECONDITIONING_PASSES`` passes. The form height may rise on the way
+    while the covariant keeps improving, so it is recorded, not used to
+    stop. A pass that fails where doubles do not suffice (an arithmetic,
+    value or package error) ends preconditioning with the U0 found so far,
+    and the record says why: U0 only conditions the exact pass, whose result
+    does not depend on it. After a pass that returns the identity, U0 ends
+    with that pass's coordinate cycle, which gave a squarefree resultant on
+    F(U0 x). Returns F(U0 x), its Hessian, U0 and the record of the passes."""
     identity = UnimodularTransform(tuple(tuple(int(i == j) for j in range(3)) for i in range(3)))
-    U0, heights, stop, H = identity, [], "pass cap", hessian(F)
+    U0, heights, stop = identity, [], "pass cap"
     for _ in range(PRECONDITIONING_PASSES):
         try:
             U, cycle = _double_pass(F, H)
@@ -353,7 +357,8 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
         _, factors = F.to_sympy().factor_list()
         if len(factors) != 1 or factors[0][1] != 1:
             raise InputFormatError("form is reducible; the pipeline needs an irreducible curve")
-        F1, H1, U0, passes = _precondition(F)
+        H = hessian(F)
+        F1, H1, U0, passes = _precondition(F, H)
         inter = curve_intersection(F1, H1, seed=seed)
         # a singular point of F is singular on its Hessian curve too, so the
         # exact flag of curve_intersection finds the singular points of F
@@ -404,5 +409,5 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
                 nodes=r,
                 preconditioning=passes,
             ),
-            extras={"inflection_cluster": placed, "hessian": hessian(F)},
+            extras={"inflection_cluster": placed, "hessian": H},
         )

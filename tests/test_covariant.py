@@ -260,10 +260,11 @@ class TestMinimize:
 
     def test_unsettled_doubles_start_newton_from_their_last_iterate(self):
         # a clusters-benchmark input (seed 1) whose covariant is too
-        # ill-conditioned for Tyler's iteration in doubles to settle: its
-        # last iterate still leaves Newton a step or two, where one Tyler
-        # step from the identity left it five
-        from cluster_reduce.covariant import _tyler_in_doubles
+        # ill-conditioned for Tyler's iteration in doubles to settle: it
+        # returns its last iterate, positive definite, which still leaves
+        # Newton only a step or two
+        from cluster_reduce._precision import hermitian_cholesky
+        from cluster_reduce.covariant import _as_mp_matrix, _tyler_in_doubles
 
         Z = cluster_of(
             (mp.mpc(2, 26), mp.mpc(-19, -259), mp.mpc(12, 170)),
@@ -274,9 +275,7 @@ class TestMinimize:
         )
         with mp.workprec(212):
             rows = [[complex(c) for c in r] for r in normalize_cluster(Z).reps]
-            with pytest.raises(ConvergenceError) as info:
-                _tyler_in_doubles(rows)
-            assert info.value.best is not None
+            hermitian_cholesky(_as_mp_matrix(_tyler_in_doubles(rows)))
             res = minimize(Z)
         assert res.iterations <= 4
         assert res.stop == "tol"
@@ -295,6 +294,46 @@ class TestMinimize:
         assert matrices_close_mod_scaling(
             res.z.mat(), mp.matrix(PENCIL_COVARIANT), mp.mpf("1e-3")
         )
+
+
+class TestStart:
+    """The solver starts from the closed form for n+2 points in general
+    position, from Tyler's covariant in doubles otherwise, and from the
+    identity where either fails."""
+
+    def test_n_plus_two_points_off_general_position_start_from_tyler(self, monkeypatch):
+        from cluster_reduce import covariant
+
+        calls = []
+        real = covariant._tyler_in_doubles
+
+        def counted(points):
+            calls.append(len(points))
+            return real(points)
+
+        monkeypatch.setattr(covariant, "_tyler_in_doubles", counted)
+        # three of the four points lie on a line: unstable, so Newton fails,
+        # but it starts from Tyler's last iterate
+        Z = cluster_of((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 3))
+        with pytest.raises(ConvergenceError):
+            minimize(Z, check_stability=False, max_iter=5)
+        assert calls == [4]
+        reps = normalize_cluster(Z).reps
+        start = covariant._start(Z, reps)
+        tyler = real([[complex(c) for c in r] for r in reps])
+        assert start.tolist() == covariant._as_mp_matrix(tyler).tolist()
+
+    def test_arithmetic_error_in_doubles_starts_from_the_identity(self, monkeypatch):
+        from cluster_reduce import covariant
+
+        def overflow(points):
+            raise OverflowError("forced")
+
+        monkeypatch.setattr(covariant, "_tyler_in_doubles", overflow)
+        Z = cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, -1, 5))
+        start = covariant._start(Z, normalize_cluster(Z).reps)
+        assert start.tolist() == mp.eye(3).tolist()
+        assert minimize(Z).stop == "tol"
 
 
 @st.composite

@@ -435,8 +435,9 @@ class TestPreconditioning:
 
     def test_each_flex_is_found_once(self, monkeypatch):
         # at each of the 24 flexes, F(U0 x) and its Hessian are evaluated
-        # once, to accept it and to report its residual; one Hessian per
-        # pass plus the reported one of F
+        # once, to accept it and to report its residual; the Hessian of F,
+        # which the first pass uses and the report carries, and one per
+        # later pass
         calls = {"evaluate": 0, "hessian": 0}
         evaluate, hess = MultiPoly.evaluate, pipelines.hessian
 
@@ -453,13 +454,13 @@ class TestPreconditioning:
         report = reduce_ternary_form(QUARTIC)
         assert [list(r) for r in report.transform.matrix] == QUARTIC_LLL
         assert report.diagnostics["preconditioning"]["passes"] == 6
-        assert calls == {"evaluate": 48, "hessian": 7}
+        assert calls == {"evaluate": 48, "hessian": 6}
 
     def test_misplaced_flex_is_rejected(self, monkeypatch):
         # a flex moved by 1e-20 relative keeps a residual far below 2^-106 on
         # the height-1.7e12 quartic, so a root is judged on F(P x) and its
         # Hessian, the forms that the projection conditions
-        _, _, U0, _ = pipelines._precondition(QUARTIC)
+        _, _, U0, _ = pipelines._precondition(QUARTIC, hessian(QUARTIC))
         roots = polyalg.aberth_roots
 
         def moved(coeffs, prec):
@@ -695,7 +696,7 @@ def test_reference_pencil_low_precision_is_not_instability(bits):
         assert not isinstance(exc, StabilityError), exc
 
 
-@pytest.mark.parametrize("bits, iteration", [(53, 2), (64, 4)])
+@pytest.mark.parametrize("bits, iteration", [(53, 2), (64, 0)])
 def test_reference_pencil_low_precision_names_the_precision(bits, iteration):
     # the Newton step leaves the positive definite cone: a shortfall of the
     # working precision, not of the gradient tolerance
@@ -721,9 +722,41 @@ def test_reference_pencil_gives_its_transform_or_names_the_precision(bits):
         assert [list(r) for r in report.transform.matrix] == PENCIL_LLL
 
 
+DISTORTED = {
+    # an already reduced binary quintic substituted by [[a, a-1], [a+1, a]], a = 10^6
+    "binary": (
+        (MultiPoly.from_dict(2, {(5, 0): 1, (4, 1): -1, (3, 2): -2, (1, 4): 1, (0, 5): 3}),),
+        ((10**6, 10**6 - 1), (10**6 + 1, 10**6)),
+    ),
+    # the reduced reference pencil, substituted to height 5.8e17
+    "pencil": (
+        (PENCIL_FINAL_1, -PENCIL_FINAL_2),
+        (
+            (623189299, -104123662, -21378106),
+            (253984611, -42436411, -8712821),
+            (-88583435, 14800794, 3038823),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DISTORTED))
+def test_imaginary_covariant_names_the_precision(kind):
+    # integer forms have a cluster fixed by conjugation, so an imaginary part
+    # of its covariant is rounding; both inputs reduce at 424 bits
+    from cluster_reduce import UnimodularTransform
+
+    forms, V = DISTORTED[kind]
+    forms = [substitute(F, UnimodularTransform(V)) for F in forms]
+    reduce = reduce_binary_form if kind == "binary" else reduce_quadric_pencil
+    with pytest.raises(ConvergenceError) as info:
+        reduce(*forms, prec=212)
+    assert str(info.value).endswith("at the working precision of 212 bits"), info.value
+
+
 class TestClassifyCost:
-    """One classify normalizes each point once, takes no SVD, and builds one
-    adapted basis: the split test's."""
+    """One classify normalizes each point once, takes no SVD, and builds no
+    adapted basis for a stable cluster, which is never split."""
 
     def test_unit_vectors_once_and_no_svd(self, monkeypatch):
         rnd = random.Random(24)
@@ -747,7 +780,8 @@ class TestClassifyCost:
         assert calls["svd"] == 0
 
     def test_one_adapted_basis(self, monkeypatch):
-        # the flats are walked from residuals, not from a basis per subset
+        # the flats are walked from residuals, not from a basis per subset,
+        # and the counts alone prove a stable cluster unsplit
         rnd = random.Random(24)
         Z = cluster_of(*(tuple(rnd.randint(-9, 9) or 1 for _ in range(4)) for _ in range(9)))
         calls = []
@@ -759,7 +793,7 @@ class TestClassifyCost:
 
         monkeypatch.setattr(cluster_core, "_adapted_basis", adapted_basis)
         assert classify(Z).is_stable
-        assert calls == [Z.degree]
+        assert calls == []
 
 
 class TestPencilCubic:
