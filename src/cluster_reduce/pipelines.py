@@ -35,10 +35,10 @@ from .lattice import GramMatrix, UnimodularTransform, congruence, lll_reduce
 from .polyalg import (
     MultiPoly,
     _binary_form_roots,
-    _det3,
     _intersection_in_doubles,
     curve_intersection,
     hessian,
+    pencil_cubic,
     substitute,
 )
 
@@ -187,15 +187,6 @@ def reduce_binary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA) -> Reductio
         )
 
 
-def pencil_cubic(Q1: MultiPoly, Q2: MultiPoly) -> MultiPoly:
-    """det(x * M1 + y * M2) for the second-partial matrices of two quadrics."""
-    x = MultiPoly.variable(2, 0)
-    y = MultiPoly.variable(2, 1)
-    E = [[x * Q1.diff(i).diff(j).coeff((0, 0, 0)) + y * Q2.diff(i).diff(j).coeff((0, 0, 0))
-          for j in range(3)] for i in range(3)]
-    return _det3(E)
-
-
 def reduce_quadric_pencil(
     Q1: MultiPoly,
     Q2: MultiPoly,
@@ -213,8 +204,6 @@ def reduce_quadric_pencil(
     pencil transform commute and are reported separately.
     """
     for Q in (Q1, Q2):
-        if Q.nvars != 3 or not Q.is_homogeneous() or Q.total_degree() != 2:
-            raise InputFormatError("pencil members must be ternary quadrics")
         _require_exact_integer(Q, "pencil quadrics")
     with working_precision(prec):
         cubic = pencil_cubic(Q1, Q2)

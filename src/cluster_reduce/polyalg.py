@@ -1,8 +1,9 @@
 """Exact multivariate polynomials and multiprecision root finding.
 
-MultiPoly stores a sparse exponent-to-coefficient map with exact integer or
-rational coefficients. The exact layer (arithmetic, Hessians, resultants and
-subresultants, substitution) never rounds; the numeric layer (Aberth-Ehrlich
+MultiPoly is a value type: sorted terms with exact integer or rational
+coefficients. Its arithmetic, Hessians, pencil cubics and substitutions run in
+sympy's sparse ring (``sympy.polys.rings``, over ZZ unless a coefficient is a
+fraction). The exact layer never rounds; the numeric layer (Aberth-Ehrlich
 iteration, and the points of a curve intersection evaluated from its exact
 representation) works at a caller-chosen binary precision with residual
 certificates on every reported root. One Aberth kernel runs in two phases:
@@ -14,6 +15,7 @@ points of the preconditioning passes of the ternary pipeline.
 from __future__ import annotations
 
 import cmath
+import functools
 import random
 import re
 from dataclasses import dataclass
@@ -22,6 +24,8 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 import sympy as sp
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.rings import PolyRing
 
 from ._precision import half_eps, to_mpc, working_precision
 from .cluster_core import PointCluster, ProjectivePoint
@@ -40,20 +44,34 @@ _VAR_ALIASES = {"x": 0, "y": 1, "z": 2, "w": 3}
 def _coerce_coeff(c):
     if isinstance(c, int):
         return c
+    if isinstance(c, str):
+        try:
+            c = Fraction(c if "/" in c else int(c))
+        except (ValueError, ZeroDivisionError):
+            pass
+    if isinstance(c, sp.Rational):
+        c = Fraction(int(c.p), int(c.q))
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
-    if isinstance(c, str):
-        return int(c) if "/" not in c else Fraction(c)
-    if isinstance(c, sp.Integer):
-        return int(c)
-    if isinstance(c, sp.Rational):
-        return Fraction(int(c.p), int(c.q))
     raise InputFormatError(f"coefficient {c!r} is not an exact integer or rational")
+
+
+@functools.lru_cache(maxsize=None)
+def _ring(nvars: int, domain) -> PolyRing:
+    """sympy's sparse polynomial ring over ``domain`` in x0 ... x(nvars-1)."""
+    return PolyRing([f"x{i}" for i in range(nvars)], domain)
+
+
+def _from_ring(p) -> "MultiPoly":
+    """The MultiPoly of an element of a ring from :func:`_ring`."""
+    dom = p.ring.domain
+    conv = int if dom.is_ZZ else (lambda c: Fraction(int(dom.numer(c)), int(dom.denom(c))))
+    return MultiPoly(p.ring.ngens, tuple((e, conv(c)) for e, c in p.items()))
 
 
 @dataclass(frozen=True)
 class MultiPoly:
-    """Sparse exact polynomial in ``nvars`` variables x0, x1, ..."""
+    """Exact polynomial in ``nvars`` variables x0, x1, ...; it computes in sympy's sparse ring."""
 
     nvars: int
     terms: tuple  # tuple of (exponent tuple, coefficient), sorted, no zeros
@@ -136,74 +154,54 @@ class MultiPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _binop(self, other, sign):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, other)
-        if self.nvars != other.nvars:
-            raise DimensionError("mixed variable counts")
-        d = dict(self.terms)
-        for e, c in other.terms:
-            d[e] = d.get(e, 0) + sign * c
-        return MultiPoly(self.nvars, tuple(d.items()))
+    def _in_ring(self, *others) -> tuple:
+        """``self`` and ``others`` (MultiPolys or exact numbers) as elements of
+        one sparse ring: over ZZ, or over QQ where some coefficient is a Fraction."""
+        polys = [self]
+        for o in others:
+            o = o if isinstance(o, MultiPoly) else MultiPoly.constant(self.nvars, o)
+            if o.nvars != self.nvars:
+                raise DimensionError("mixed variable counts")
+            polys.append(o)
+        if any(isinstance(c, Fraction) for p in polys for _, c in p.terms):
+            ring = _ring(self.nvars, QQ)
+            return tuple(
+                ring.from_dict({e: QQ(c.numerator, c.denominator) for e, c in p.terms}) for p in polys
+            )
+        ring = _ring(self.nvars, ZZ)
+        return tuple(ring.from_dict(dict(p.terms)) for p in polys)
 
     def __add__(self, other):
-        return self._binop(other, 1)
+        a, b = self._in_ring(other)
+        return _from_ring(a + b)
 
     def __sub__(self, other):
-        return self._binop(other, -1)
+        a, b = self._in_ring(other)
+        return _from_ring(a - b)
 
     def __neg__(self):
-        return MultiPoly(self.nvars, tuple((e, -c) for e, c in self.terms))
+        return _from_ring(-self._in_ring()[0])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly(self.nvars, tuple((e, c * other) for e, c in self.terms))
-        if self.nvars != other.nvars:
-            raise DimensionError("mixed variable counts")
-        d = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                d[e] = d.get(e, 0) + c1 * c2
-        return MultiPoly(self.nvars, tuple(d.items()))
+        a, b = self._in_ring(other)
+        return _from_ring(a * b)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        out = MultiPoly.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        (p,) = self._in_ring()
+        return _from_ring(p**k if k else p.ring.one)
 
     def diff(self, var: int) -> "MultiPoly":
-        d = {}
-        for e, c in self.terms:
-            if e[var] == 0:
-                continue
-            ne = tuple(v - 1 if i == var else v for i, v in enumerate(e))
-            d[ne] = d.get(ne, 0) + c * e[var]
-        return MultiPoly(self.nvars, tuple(d.items()))
+        return _from_ring(self._in_ring()[0].diff(var))
 
     def primitive(self) -> "MultiPoly":
         """Divide by the integer content (sign preserved)."""
-        if not self.terms:
-            return self
-        from math import gcd
-
         if any(isinstance(c, Fraction) for _, c in self.terms):
             return self
-        g = 0
-        for _, c in self.terms:
-            g = gcd(g, abs(c))
-        if g <= 1:
-            return self
-        return MultiPoly(self.nvars, tuple((e, c // g) for e, c in self.terms))
+        return _from_ring(self._in_ring()[0].primitive()[1])
 
     # -- evaluation --------------------------------------------------------
 
@@ -241,10 +239,7 @@ class MultiPoly:
     def from_sympy(cls, poly, nvars: int) -> "MultiPoly":
         if not isinstance(poly, sp.Poly):
             poly = sp.Poly(poly, *sp.symbols(f"x0:{nvars}"))
-        terms = {}
-        for exp, c in poly.as_dict().items():
-            terms[tuple(exp)] = _coerce_coeff(sp.nsimplify(c) if not isinstance(c, (sp.Integer, sp.Rational)) else c)
-        return cls(nvars, tuple(terms.items()))
+        return cls(nvars, tuple(poly.as_dict().items()))
 
     def to_text(self) -> str:
         if not self.terms:
@@ -351,11 +346,23 @@ def hessian(F: MultiPoly) -> MultiPoly:
         raise InputFormatError("hessian input must be homogeneous")
     if F.total_degree() < 2:
         raise InputFormatError("hessian needs degree at least 2")
-    return _det3([[F.diff(i).diff(j) for j in range(3)] for i in range(3)])
+    (f,) = F._in_ring()
+    return _from_ring(_det3([[f.diff(i).diff(j) for j in range(3)] for i in range(3)]))
+
+
+def pencil_cubic(Q1: MultiPoly, Q2: MultiPoly) -> MultiPoly:
+    """det(x * M1 + y * M2) for the second-partial matrices of two ternary quadrics."""
+    for Q in (Q1, Q2):
+        if Q.nvars != 3 or not Q.is_homogeneous() or Q.total_degree() != 2:
+            raise InputFormatError("pencil members must be ternary quadrics")
+    q1, q2 = Q1._in_ring(Q2)
+    x, y = _ring(2, q1.ring.domain).gens
+    return _from_ring(_det3([[x * q1.diff(i).diff(j).LC + y * q2.diff(i).diff(j).LC
+                              for j in range(3)] for i in range(3)]))
 
 
 def _det3(E):
-    """Cofactor expansion of a 3x3 determinant, exact for MultiPoly entries."""
+    """Cofactor expansion of a 3x3 determinant, exact for ring elements."""
     return (
         E[0][0] * (E[1][1] * E[2][2] - E[1][2] * E[2][1])
         - E[0][1] * (E[1][0] * E[2][2] - E[1][2] * E[2][0])
@@ -394,34 +401,9 @@ def substitute(F: MultiPoly, U) -> MultiPoly:
     n = F.nvars
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DimensionError("substitution matrix size must equal nvars")
-    linear = []
-    for i in range(n):
-        d = {}
-        for j, v in enumerate(rows[i]):
-            v = _coerce_coeff(v)
-            if v:
-                e = tuple(1 if t == j else 0 for t in range(n))
-                d[e] = v
-        linear.append(MultiPoly(n, tuple(d.items())))
-    # cache powers of each substituted variable
-    max_deg = [0] * n
-    for e, _ in F.terms:
-        for i, k in enumerate(e):
-            max_deg[i] = max(max_deg[i], k)
-    powers = []
-    for i in range(n):
-        plist = [MultiPoly.constant(n, 1)]
-        for _ in range(max_deg[i]):
-            plist.append(plist[-1] * linear[i])
-        powers.append(plist)
-    out = MultiPoly.zero(n)
-    for e, c in F.terms:
-        term = MultiPoly.constant(n, c)
-        for i, k in enumerate(e):
-            if k:
-                term = term * powers[i][k]
-        out = out + term
-    return out
+    unit = [tuple(int(t == j) for t in range(n)) for j in range(n)]
+    f, *linear = F._in_ring(*(MultiPoly(n, tuple(zip(unit, row))) for row in rows))
+    return _from_ring(f.compose(list(zip(f.ring.gens, linear))))
 
 
 # ---------------------------------------------------------------------------

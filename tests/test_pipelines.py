@@ -799,3 +799,12 @@ class TestClassifyCost:
 class TestPencilCubic:
     def test_reference_value(self):
         assert pencil_cubic(PENCIL_Q1, PENCIL_Q2) == PENCIL_CUBIC
+
+    @pytest.mark.parametrize(
+        "texts, nvars",
+        [(("x0^3 + x1 x2^2", "x0^2 + x1^2 - x2^2"), 3), (("x0^2 + x1^2", "x0 x1"), 2)],
+        ids=["cubic-and-quadric", "binary-quadrics"],
+    )
+    def test_rejects_what_is_not_two_ternary_quadrics(self, texts, nvars):
+        with pytest.raises(InputFormatError):
+            pencil_cubic(*(poly(t, nvars=nvars) for t in texts))

@@ -5,6 +5,9 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cluster_reduce import (
     CommonComponentError,
@@ -70,6 +73,84 @@ class TestMultiPoly:
         # rejected, not truncated to x0 x1^2
         with pytest.raises(InputFormatError):
             MultiPoly(2, (((1.5, 2), 1),))
+
+    @pytest.mark.parametrize("text", ["1/0", "1.5", "abc"])
+    def test_malformed_string_coefficient_rejected(self, text):
+        with pytest.raises(InputFormatError):
+            MultiPoly(1, (((1,), text),))
+
+    def test_string_coefficient_in_lowest_terms(self):
+        # "6/3" is the integer 2, not a Fraction with denominator 1
+        (term,) = MultiPoly(1, (((1,), "6/3"),)).terms
+        assert term == ((1,), 2) and type(term[1]) is int
+
+    @pytest.mark.parametrize("value", ["0.3333333333", "0.1"])
+    def test_from_sympy_rejects_a_float(self, value):
+        # no rational is guessed for a float coefficient
+        x0 = sp.Symbol("x0")
+        with pytest.raises(InputFormatError):
+            MultiPoly.from_sympy(sp.Poly(sp.Float(value) * x0, x0), 1)
+
+
+def _coefficients():
+    return st.one_of(
+        st.integers(-30, 30),
+        st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6)),
+    )
+
+
+@st.composite
+def _ring_operands(draw):
+    """Two polynomials in the same 1-3 variables, a scalar, a power, a variable
+    and a substitution matrix, with integer and rational coefficients."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    p, q = (MultiPoly.from_dict(n, draw(st.dictionaries(exps, _coefficients(), max_size=5))) for _ in "pq")
+    U = draw(st.lists(st.lists(_coefficients(), min_size=n, max_size=n), min_size=n, max_size=n))
+    return p, q, draw(_coefficients()), draw(st.integers(0, 3)), draw(st.integers(0, n - 1)), U
+
+
+def _expr(c):
+    if isinstance(c, MultiPoly):
+        return c.to_sympy().as_expr()
+    return sp.Rational(c.numerator, c.denominator)
+
+
+def _assert_canonical(p):
+    exps = [e for e, _ in p.terms]
+    assert exps == sorted(set(exps), reverse=True)
+    for _, c in p.terms:
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+class TestRingDelegation:
+    """MultiPoly's arithmetic against sympy's expression arithmetic, a separate code path."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(_ring_operands())
+    def test_operations_match_expression_arithmetic(self, operands):
+        p, q, c, k, var, U = operands
+        P, Q, C = _expr(p), _expr(q), _expr(c)
+        xs = sp.symbols(f"x0:{p.nvars}")
+        linear = [sum(_expr(u) * x for u, x in zip(row, xs)) for row in U]
+        cases = [
+            (p + q, P + Q),
+            (p - q, P - Q),
+            (p + c, P + C),
+            (p - c, P - C),
+            (-p, -P),
+            (p * q, P * Q),
+            (p * c, P * C),
+            (c * p, C * P),
+            (p**k, P**k),
+            (p.diff(var), sp.diff(P, xs[var])),
+            (substitute(p, U), P.xreplace(dict(zip(xs, linear)))),
+        ]
+        for got, want in cases:
+            _assert_canonical(got)
+            assert got.nvars == p.nvars
+            assert sp.expand(got.to_sympy().as_expr() - want) == 0
 
 
 class TestHessian:
