@@ -6,9 +6,16 @@ Entry points that accept a ``prec`` argument (in bits) wrap their body in
 identification, conjugation matching, root certificates, LLL ties) compares
 against :func:`half_eps` of the ambient precision, so the precision is the
 only numeric setting.
+
+One Cholesky factorization, :func:`hermitian_cholesky`, serves the working
+precision and hardware doubles alike: it takes rows and computes in the
+arithmetic of their entries, and its one pivot test rejects every pivot
+that is not positive and finite.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath as mp
 
@@ -49,33 +56,30 @@ def hermitize(M):
     return (M + M.transpose_conj()) / 2
 
 
-def real_part(M):
-    R = mp.matrix(M.rows, M.cols)
-    for i in range(M.rows):
-        for j in range(M.cols):
-            R[i, j] = mp.re(M[i, j])
-    return R
-
-
 def max_imag_entry(M):
     return max(abs(mp.im(M[i, j])) for i in range(M.rows) for j in range(M.cols))
 
 
 def hermitian_cholesky(A):
-    """Lower triangular L with A = L L^H for Hermitian positive definite A.
+    """Rows of the lower triangular L with A = L L^H, for the rows of a
+    Hermitian positive definite A, of which A[i][j] is read for j <= i only;
+    L has 0 above the diagonal.
 
-    Unlike the library routine this uses no absolute pivot threshold, so
+    It computes in the arithmetic of the entries: mpmath numbers at the
+    working precision, or built-in complex and float in hardware doubles.
+    Unlike the library routine it uses no absolute pivot threshold, so
     matrices with entries spanning thousands of orders of magnitude factor
-    fine; a nonpositive pivot raises NotPositiveDefiniteError.
+    fine. Its one pivot test raises NotPositiveDefiniteError unless
+    0 < d < inf for the pivot d = A[j][j] - sum_k |L[j][k]|^2, which rejects
+    zero, negative, NaN and infinite pivots alike.
     """
-    n = A.rows
-    rows = [[] for _ in range(n)]  # rows[i] holds L[i, :j] at step j
+    n = len(A)
+    L = [[0] * n for _ in range(n)]
     for j in range(n):
-        d = mp.re(A[j, j]) - mp.fsum(rows[j], absolute=True, squared=True)
-        if d <= 0:
+        d = A[j][j].real - sum((v * v.conjugate()).real for v in L[j][:j])
+        if not 0 < d < math.inf:
             raise NotPositiveDefiniteError("matrix is not positive-definite")
-        ljj = mp.sqrt(d)
+        L[j][j] = d**0.5
         for i in range(j + 1, n):
-            rows[i].append((A[i, j] - mp.fdot(rows[i], rows[j], conjugate=True)) / ljj)
-        rows[j].append(ljj)
-    return mp.matrix([row + [0] * (n - len(row)) for row in rows])
+            L[i][j] = (A[i][j] - sum(L[i][k] * L[j][k].conjugate() for k in range(j))) / L[j][j]
+    return L

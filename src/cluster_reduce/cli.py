@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 stability error, 3 numerical convergence error,
-4 input format error, a malformed or out-of-range option or argument
-included (one line on stderr).
+4 input error: a malformed input, a malformed or out-of-range option or
+argument, or a cluster not fixed by conjugation given to reduce-cluster (one
+line on stderr).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import (
     ClusterReduceError,
     ConvergenceError,
     InputFormatError,
+    RealityError,
     StabilityError,
 )
 from .pipelines import (
@@ -74,7 +76,7 @@ def _run(fn):
     except ConvergenceError as exc:
         click.echo(f"convergence error: {exc}", err=True)
         sys.exit(EXIT_CONVERGENCE)
-    except (InputFormatError, json.JSONDecodeError, OSError) as exc:
+    except (InputFormatError, RealityError, json.JSONDecodeError, OSError) as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(EXIT_FORMAT)
     except ClusterReduceError as exc:

@@ -265,14 +265,7 @@ def normalize_cluster(cluster: PointCluster) -> ScaledCluster:
 
 
 def _as_matrix(g, size):
-    if isinstance(g, mp.matrix):
-        M = g
-    else:
-        rows = list(g)
-        M = mp.matrix(len(rows), len(rows[0]))
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                M[i, j] = to_mpc(v)
+    M = mp.matrix(g)
     if M.rows != M.cols:
         raise DimensionError("transformation matrix must be square")
     if M.rows != size:

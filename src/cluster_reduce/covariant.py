@@ -32,8 +32,11 @@ n+2 points in general position scaled by simplex weights, which is exact,
 and otherwise the covariant in hardware doubles: Tyler's fixed-point
 iteration in the same chart, in Python's built-in complex, which the
 preconditioning passes of the ternary pipeline run too, or its last iterate
-where it does not settle; the identity where either fails. Newton then only
-refines it, gaining 45 to 50 bits per iteration.
+where it does not settle; the identity where either fails or is not
+positive definite and finite. Newton then only refines it, gaining 45 to 50
+bits per iteration. Every Cholesky factor, of an iterate at the working
+precision or of a matrix in doubles, comes from the one
+:func:`hermitian_cholesky` as rows.
 """
 
 from __future__ import annotations
@@ -73,14 +76,6 @@ from .errors import (
 )
 
 
-def _as_mp_matrix(rows):
-    M = mp.matrix(len(rows), len(rows[0]))
-    for i, r in enumerate(rows):
-        for j, v in enumerate(r):
-            M[i, j] = to_mpc(v)
-    return M
-
-
 @dataclass(frozen=True)
 class HermitianForm:
     """Positive definite Hermitian matrix, considered modulo positive scaling.
@@ -101,25 +96,25 @@ class HermitianForm:
 
     @classmethod
     def from_matrix(cls, M) -> "HermitianForm":
-        return cls(tuple(tuple(M[i, j] for j in range(M.cols)) for i in range(M.rows)))
+        return cls(M.tolist())
 
     @property
     def n(self) -> int:
         return len(self.matrix) - 1
 
     def mat(self):
-        return _as_mp_matrix(self.matrix)
+        return mp.matrix(self.matrix)
 
     def check(self):
         """Validate Hermitian symmetry and positive definiteness."""
         tol = half_eps()
-        M = self.mat()
-        scale = max(abs(M[i, j]) for i in range(M.rows) for j in range(M.cols))
-        for i in range(M.rows):
-            for j in range(M.cols):
-                if abs(M[i, j] - mp.conj(M[j, i])) > tol * (1 + scale):
+        rows = self.matrix
+        scale = max(abs(v) for r in rows for v in r)
+        for i, r in enumerate(rows):
+            for j, v in enumerate(r):
+                if abs(v - mp.conj(rows[j][i])) > tol * (1 + scale):
                     raise NotPositiveDefiniteError("matrix is not Hermitian")
-        hermitian_cholesky(M)
+        hermitian_cholesky(rows)
         return self
 
     def det(self):
@@ -162,7 +157,7 @@ class TangentDirection:
         object.__setattr__(self, "matrix", rows)
 
     def mat(self):
-        return _as_mp_matrix(self.matrix)
+        return mp.matrix(self.matrix)
 
     def check(self):
         tol = half_eps()
@@ -225,7 +220,7 @@ class DivergenceWitness:
         mixing eigenvalue scales beyond the working precision loses the small
         eigenvalues to rounding."""
         lam = mp.mpf(lam)
-        B = _as_mp_matrix(self.basis)
+        B = mp.matrix(self.basis)
         M = B * mp.diag(self._eigenvalues(lam)) * B.transpose_conj()
         return HermitianForm.from_matrix(hermitize(M))
 
@@ -239,7 +234,7 @@ class DivergenceWitness:
         amplify it without bound.
         """
         lam = mp.mpf(lam)
-        B = _as_mp_matrix(self.basis)
+        B = mp.matrix(self.basis)
         n1 = B.rows
         evals = self._eigenvalues(lam)
         chop = half_eps() ** 2
@@ -264,21 +259,21 @@ class ThetaResult:
     witness: Optional[DivergenceWitness] = None
 
 
-def _log_det_from_cholesky(L):
-    return 2 * mp.fsum(mp.log(mp.re(L[i, i])) for i in range(L.rows))
+def _log_det(L):
+    """log det Q for Q = L L^H, from the rows of its Cholesky factor L."""
+    return 2 * mp.fsum(mp.log(row[i]) for i, row in enumerate(L))
 
 
 def _images(L, reps):
-    """Unit images w_j = L^H P_j / |L^H P_j| and D at Q = L L^H."""
-    n1 = L.rows
-    cols = [[L[a, i] for a in range(n1)] for i in range(n1)]
-    ws, logs = [], []
+    """Unit images w_j = L^H P_j / |L^H P_j| and D at Q = L L^H, for the rows
+    of the Cholesky factor L."""
+    cols, ws, logs = list(zip(*L)), [], []
     for row in reps:
         u = [mp.fdot(row, col, conjugate=True) for col in cols]
         nrm2 = mp.fsum(u, absolute=True, squared=True)
         ws.append([c / mp.sqrt(nrm2) for c in u])
         logs.append(mp.log(nrm2))
-    return ws, mp.fsum(logs) - mp.mpf(len(reps)) / n1 * _log_det_from_cholesky(L)
+    return ws, mp.fsum(logs) - mp.mpf(len(reps)) / len(L) * _log_det(L)
 
 
 def _outer_sum(rows, n1):
@@ -306,10 +301,10 @@ def eval_D(zc: ScaledCluster, Q: HermitianForm):
     Invariant under positive scaling of Q; rescaling one row by lambda adds
     log |lambda|^2.
     """
-    M = Q.mat() if isinstance(Q, HermitianForm) else _as_mp_matrix(Q)
-    if M.rows != zc.n + 1:
+    rows = (Q if isinstance(Q, HermitianForm) else HermitianForm(Q)).matrix
+    if len(rows) != zc.n + 1:
         raise DimensionError("form size does not match cluster dimension")
-    return _images(hermitian_cholesky(M), zc.reps)[1]
+    return _images(hermitian_cholesky(rows), zc.reps)[1]
 
 
 def grad_D(zc: ScaledCluster, Q: HermitianForm) -> TangentDirection:
@@ -319,11 +314,11 @@ def grad_D(zc: ScaledCluster, Q: HermitianForm) -> TangentDirection:
     derivative of D along lambda -> S^H exp(lambda B) S equals the Frobenius
     pairing of the returned matrix with B, for every trace-free Hermitian B.
     """
-    M = Q.mat() if isinstance(Q, HermitianForm) else _as_mp_matrix(Q)
-    if M.rows != zc.n + 1:
+    rows = (Q if isinstance(Q, HermitianForm) else HermitianForm(Q)).matrix
+    if len(rows) != zc.n + 1:
         raise DimensionError("form size does not match cluster dimension")
-    G, _ = _gradient(_images(hermitian_cholesky(M), zc.reps)[0], M.rows)
-    return TangentDirection(tuple(tuple(G[i, j] for j in range(G.cols)) for i in range(G.rows)))
+    G, _ = _gradient(_images(hermitian_cholesky(rows), zc.reps)[0], len(rows))
+    return TangentDirection(G.tolist())
 
 
 def _trace_free_basis(n1):
@@ -364,7 +359,7 @@ def _newton_direction(wd, G, basis):
                 c * c2 * M[f][a] for a, b, c in Ek for b2, f, c2 in basis[l] if b2 == b
             ).real - sum(x * y for x, y in zip(t[k], t[l]))
     try:
-        C = _cholesky_in_doubles(H)
+        C = hermitian_cholesky(H)
         y = []
         for k in range(d):
             y.append((-g[k] - sum(C[k][l] * y[l] for l in range(k))) / C[k][k])
@@ -422,8 +417,8 @@ def _change_in_doubles(wd, Y):
     logs of its Cholesky diagonal, which raises NotPositiveDefiniteError
     where I + Y is not positive definite in doubles."""
     n1, m = len(Y), len(wd)
-    K = _cholesky_in_doubles([[Y[a][b] + (a == b) for b in range(n1)] for a in range(n1)])
-    total = -4 * m / n1 * sum(math.log(K[a][a].real) for a in range(n1))
+    K = hermitian_cholesky([[Y[a][b] + (a == b) for b in range(n1)] for a in range(n1)])
+    total = -4 * m / n1 * sum(math.log(K[a][a]) for a in range(n1))
     for w in wd:
         v = [w[a] + sum(Y[a][b] * w[b] for b in range(n1)) for a in range(n1)]
         total += math.log(sum(abs(c) ** 2 for c in v) / sum(abs(c) ** 2 for c in w))
@@ -449,7 +444,7 @@ def _start(cluster: PointCluster, reps):
     closed form (sum_j g_j g_j^H)^-1 over :func:`_simplex_rows`, which is the
     covariant, and otherwise :func:`_tyler_in_doubles` over the unit rows
     ``reps``; the identity where either fails at the working precision or in
-    doubles, or is not positive definite there."""
+    doubles, or is not positive definite and finite there."""
     n1 = cluster.n + 1
     rows = None
     if cluster.degree == n1 + 1:
@@ -457,10 +452,10 @@ def _start(cluster: PointCluster, reps):
             rows = _simplex_rows(cluster, reps)
     try:
         if rows is None:
-            initial = _as_mp_matrix(_tyler_in_doubles([[complex(c) for c in r] for r in reps]))
+            initial = mp.matrix(_tyler_in_doubles([[complex(c) for c in r] for r in reps]))
         else:
             initial = hermitize(_outer_sum(rows, n1) ** -1)
-        hermitian_cholesky(initial)
+        hermitian_cholesky(initial.tolist())
     except (ArithmeticError, NotPositiveDefiniteError):
         initial = mp.eye(n1)
     return initial
@@ -483,8 +478,7 @@ def _resolution(L):
     tr(Q) tr(Q^-1) = (|L|_F |L^-1|_F)^2: the gradient norm below which the
     rounding of Q itself decides G, since L is the exact factor only of a
     form within 2^(-prec) |Q| of Q."""
-    rows = [[L[i, k] for k in range(i + 1)] for i in range(L.rows)]
-    norm2 = [mp.fsum((x for r in M for x in r), absolute=True, squared=True) for M in (rows, _lower_inverse(rows))]
+    norm2 = [mp.fsum((x for r in M for x in r), absolute=True, squared=True) for M in (L, _lower_inverse(L))]
     return mp.eps * norm2[0] * norm2[1]
 
 
@@ -533,9 +527,9 @@ def _newton(reps, n1, tol, max_iter, initial, record=False):
       B = -G, f''(0) = sum_j Var_j(B) <= m |G|^2 = -m slope, and lambda <= 1/m
       gives the same bound.
     """
-    L = hermitian_cholesky(initial)
-    scale = mp.exp(-_log_det_from_cholesky(L) / (2 * n1))
-    Q, L = initial * scale**2, L * scale
+    L = hermitian_cholesky(initial.tolist())
+    scale = mp.exp(-_log_det(L) / (2 * n1))
+    Q, L = initial * scale**2, [[v * scale for v in row] for row in L]
     basis = _trace_free_basis(n1)
     m = len(reps)
     transcript, step, stop, failure = [], None, None, None
@@ -575,18 +569,18 @@ def _newton(reps, n1, tol, max_iter, initial, record=False):
                 certified_by = "armijo"
                 break
         Y, f = _expm1_in_doubles(B, e - h - 1)
-        unit, rows = mp.ldexp(1, f), L.tolist()
+        unit = mp.ldexp(1, f)
         Y = [[mp.mpc(y) * unit for y in row] for row in Y]
         # Q1 = L (I+Y) (I+Y)^H L^H, summed over the columns of L (I+Y)
-        cols = [[rows[a][k] + mp.fdot(rows[a], [r[k] for r in Y]) for a in range(n1)] for k in range(n1)]
+        cols = [[L[a][k] + mp.fdot(L[a], [r[k] for r in Y]) for a in range(n1)] for k in range(n1)]
         Q1 = _outer_sum(cols, n1)
         try:
-            L = hermitian_cholesky(Q1)
+            L = hermitian_cholesky(Q1.tolist())
         except NotPositiveDefiniteError:
             failure = f"the Newton step left the positive definite cone at iteration {it}"
             break
-        scale = mp.exp(-_log_det_from_cholesky(L) / (2 * n1))
-        Q, L = Q1 * scale**2, L * scale
+        scale = mp.exp(-_log_det(L) / (2 * n1))
+        Q, L = Q1 * scale**2, [[v * scale for v in row] for row in L]
         step = NewtonStep(mp.ldexp(1, -h), mp.ldexp(slope, 2 * e), mp.ldexp(norm, e - h), certified_by)
     if failure is not None:
         failure += f", at the working precision of {mp.mp.prec} bits"
@@ -633,7 +627,7 @@ def minimize(
         elif isinstance(initial, HermitianForm):
             initial = initial.mat()
         else:
-            initial = _as_mp_matrix(initial)
+            initial = mp.matrix(initial)
         result, failure = _newton(zc.reps, cluster.n + 1, tol, max_iter, initial, record=record_transcript)
         if failure is not None:
             raise ConvergenceError(failure, best=result)
@@ -708,22 +702,6 @@ def simplex_covariant(cluster: PointCluster, prec=None) -> HermitianForm:
         return HermitianForm.from_matrix(z).normalized()
 
 
-def _cholesky_in_doubles(A):
-    """Lower triangular L with A = L L^H for a small Hermitian positive
-    definite matrix of built-in numbers; a nonpositive pivot raises
-    NotPositiveDefiniteError."""
-    n = len(A)
-    L = [[0j] * n for _ in range(n)]
-    for j in range(n):
-        d = A[j][j].real - sum(abs(v) ** 2 for v in L[j][:j])
-        if not d > 0:
-            raise NotPositiveDefiniteError("matrix is not positive-definite in doubles")
-        L[j][j] = complex(d**0.5)
-        for i in range(j + 1, n):
-            L[i][j] = (A[i][j] - sum(L[i][k] * L[j][k].conjugate() for k in range(j))) / L[j][j]
-    return L
-
-
 def _tyler_in_doubles(points):
     """The covariant of a cluster in built-in complex, by Tyler's fixed-point
     iteration Q^-1 <- sum_j u_j u_j^H / (u_j^H Q u_j) over the unit rows u_j
@@ -758,6 +736,6 @@ def _tyler_in_doubles(points):
         last = gnorm
         for a in range(n1):
             M[a][a] += 2.0**-45 * m
-        X = _lower_inverse(_cholesky_in_doubles(M))
+        X = _lower_inverse(hermitian_cholesky(M))
         L = [[sum(L[a][k] * X[b][k].conjugate() for k in range(n1)) for b in range(n1)] for a in range(n1)]
     return [[sum(L[a][k] * L[b][k].conjugate() for k in range(n1)) for b in range(n1)] for a in range(n1)]

@@ -45,18 +45,15 @@ class GramMatrix:
 
     @classmethod
     def from_matrix(cls, M) -> "GramMatrix":
-        return cls(tuple(tuple(mp.re(M[i, j]) for j in range(M.cols)) for i in range(M.rows)))
+        """The real parts of the entries of an mpmath matrix."""
+        return cls([[mp.re(v) for v in r] for r in M.tolist()])
 
     @property
     def size(self) -> int:
         return len(self.matrix)
 
     def mat(self):
-        M = mp.matrix(self.size, self.size)
-        for i in range(self.size):
-            for j in range(self.size):
-                M[i, j] = self.matrix[i][j]
-        return M
+        return mp.matrix(self.matrix)
 
     def check(self):
         _gso(self)
@@ -92,7 +89,7 @@ class UnimodularTransform:
 
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.matrix)
-        if not all(isinstance(v, int) for r in rows for v in r):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for r in rows for v in r):
             raise InputFormatError("unimodular transform entries must be integers")
         size = len(rows)
         if any(len(r) != size for r in rows):
@@ -142,11 +139,7 @@ class UnimodularTransform:
         )
 
     def mat(self):
-        M = mp.matrix(self.size, self.size)
-        for i in range(self.size):
-            for j in range(self.size):
-                M[i, j] = self.matrix[i][j]
-        return M
+        return mp.matrix(self.matrix)
 
     def negate_column(self, j: int) -> "UnimodularTransform":
         rows = [list(r) for r in self.matrix]
@@ -173,16 +166,16 @@ def _gso(G: GramMatrix):
     B_i = L_ii^2. Raises NotPositiveDefiniteError unless G is symmetric to
     2^(-prec/2) and positive definite."""
     tol = half_eps()
-    M = G.mat()
+    g = G.matrix
     n = G.size
-    scale = max(abs(M[i, j]) for i in range(n) for j in range(n))
+    scale = max(abs(v) for r in g for v in r)
     for i in range(n):
         for j in range(i):
-            if abs(M[i, j] - M[j, i]) > tol * (1 + scale):
+            if abs(g[i][j] - g[j][i]) > tol * (1 + scale):
                 raise NotPositiveDefiniteError("Gram matrix is not symmetric")
-    L = hermitian_cholesky(M)
-    mu = [[L[i, j] / L[j, j] for j in range(i)] for i in range(n)]
-    return mu, [L[i, i] ** 2 for i in range(n)]
+    L = hermitian_cholesky(g)
+    mu = [[L[i][j] / L[j][j] for j in range(i)] for i in range(n)]
+    return mu, [L[i][i] ** 2 for i in range(n)]
 
 
 def _round_half_toward_zero(x, tie):

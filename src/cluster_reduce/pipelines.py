@@ -18,7 +18,6 @@ from ._precision import (
     half_eps,
     max_abs_entry,
     max_imag_entry,
-    real_part,
     working_precision,
 )
 from .cluster_core import PointCluster, ProjectivePoint, StabilityClass, act, classify
@@ -75,7 +74,7 @@ def _real_gram(z: HermitianForm) -> GramMatrix:
             f"covariant of a cluster fixed by conjugation has an imaginary part of {mp.nstr(imag, 3)}, "
             f"above 2^(-prec/2), at the working precision of {mp.mp.prec} bits"
         )
-    return GramMatrix.from_matrix(real_part(M))
+    return GramMatrix.from_matrix(M)
 
 
 def _gram_height(G: GramMatrix):

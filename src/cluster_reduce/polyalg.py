@@ -42,6 +42,8 @@ _VAR_ALIASES = {"x": 0, "y": 1, "z": 2, "w": 3}
 
 
 def _coerce_coeff(c):
+    if isinstance(c, bool):
+        raise InputFormatError(f"coefficient {c!r} is a boolean, not an integer")
     if isinstance(c, int):
         return c
     if isinstance(c, str):
@@ -80,7 +82,7 @@ class MultiPoly:
         clean = {}
         for exp, c in (self.terms.items() if isinstance(self.terms, dict) else self.terms):
             exp = tuple(exp)
-            if not all(isinstance(e, int) for e in exp):
+            if not all(isinstance(e, int) and not isinstance(e, bool) for e in exp):
                 raise InputFormatError("exponents must be integers")
             if len(exp) != self.nvars:
                 raise DimensionError("exponent vector length does not match nvars")
@@ -765,7 +767,8 @@ def curve_intersection(F: MultiPoly, G: MultiPoly, prec=None, seed=0) -> RootSet
     S is not returned, but the same seed reproduces it.
     Points singular on both curves, which only parts with j ≥ 2 can hold, are
     split off by an exact gcd with the partial derivatives at x0 = ξ, flagged
-    in ``singular``.
+    in ``singular``. Curves that share a component raise CommonComponentError
+    from the first projection off both of them.
     """
     for P in (F, G):
         if P.nvars != 3:
@@ -773,9 +776,6 @@ def curve_intersection(F: MultiPoly, G: MultiPoly, prec=None, seed=0) -> RootSet
         if not P.is_homogeneous() or P.total_degree() < 1:
             raise InputFormatError("inputs must be homogeneous of positive degree")
     d1, d2 = F.total_degree(), G.total_degree()
-    gcd_poly = sp.gcd(F.to_sympy(), G.to_sympy())
-    if sp.Poly(gcd_poly, *sp.symbols("x0:3")).total_degree() > 0:
-        raise CommonComponentError("curves share a common component")
     with working_precision(prec):
         last_error = None
         for S in _shears(random.Random(seed), 12):
@@ -874,6 +874,10 @@ def _eliminate(F, G, S, d1, d2):
     # the last member of an abnormal sequence is not the resultant, so take
     # both from one call
     R, prs = Fd.resultant(Gd, includePRS=True)
+    # with (1:0:0) off both curves each factor of each keeps its full degree
+    # in x0, so the resultant vanishes exactly when the curves share a component
+    if R.is_zero:
+        raise CommonComponentError("curves share a common component")
     if R.degree() != d1 * d2:
         raise _ShearFailure("resultant dropped degree or has a root at infinity")
     return F, G, Fd, Gd, R, [P for P in reversed(prs[1:]) if P.degree(_X0) > 0]
@@ -898,7 +902,8 @@ def _intersection_in_doubles(F: MultiPoly, G: MultiPoly) -> tuple:
     coordinates does not change the conditioning, unlike a shear. Returns
     (that projection, the points). For a cheap preconditioning pass; raises
     EliminationError, ConvergenceError or ArithmeticError where doubles do
-    not suffice."""
+    not suffice, and CommonComponentError where the curves share a
+    component."""
     d1, d2 = F.total_degree(), G.total_degree()
     for S in _CYCLES:
         try:

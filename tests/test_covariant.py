@@ -264,7 +264,7 @@ class TestMinimize:
         # returns its last iterate, positive definite, which still leaves
         # Newton only a step or two
         from cluster_reduce._precision import hermitian_cholesky
-        from cluster_reduce.covariant import _as_mp_matrix, _tyler_in_doubles
+        from cluster_reduce.covariant import _tyler_in_doubles
 
         Z = cluster_of(
             (mp.mpc(2, 26), mp.mpc(-19, -259), mp.mpc(12, 170)),
@@ -275,7 +275,7 @@ class TestMinimize:
         )
         with mp.workprec(212):
             rows = [[complex(c) for c in r] for r in normalize_cluster(Z).reps]
-            hermitian_cholesky(_as_mp_matrix(_tyler_in_doubles(rows)))
+            hermitian_cholesky(_tyler_in_doubles(rows))
             res = minimize(Z)
         assert res.iterations <= 4
         assert res.stop == "tol"
@@ -321,7 +321,7 @@ class TestStart:
         reps = normalize_cluster(Z).reps
         start = covariant._start(Z, reps)
         tyler = real([[complex(c) for c in r] for r in reps])
-        assert start.tolist() == covariant._as_mp_matrix(tyler).tolist()
+        assert start.tolist() == mp.matrix(tyler).tolist()
 
     def test_arithmetic_error_in_doubles_starts_from_the_identity(self, monkeypatch):
         from cluster_reduce import covariant
@@ -334,6 +334,63 @@ class TestStart:
         start = covariant._start(Z, normalize_cluster(Z).reps)
         assert start.tolist() == mp.eye(3).tolist()
         assert minimize(Z).stop == "tol"
+
+
+def _hermitian_3x3():
+    """B B^H + I for a fixed Gaussian-integer B: Hermitian positive definite
+    with exact entries."""
+    B = [[mp.mpc(1, 2), mp.mpc(-3, 1), 2], [0, mp.mpc(2, -1), mp.mpc(1, 1)], [mp.mpc(-1, 0), 4, mp.mpc(0, -3)]]
+    return [[sum(B[i][k] * mp.conj(B[j][k]) for k in range(3)) + (i == j) for j in range(3)] for i in range(3)]
+
+
+class TestHermitianCholesky:
+    """One factorization, in the arithmetic of the entries: mpmath at the
+    working precision or built-in numbers in doubles. Its pivot test rejects
+    every pivot that is not positive and finite."""
+
+    @pytest.mark.parametrize("arithmetic", ["mpmath", "built-in"])
+    @pytest.mark.parametrize(
+        "where",
+        [(0, 0), (2, 2), (1, 0), (2, 1)],
+        ids=["first-pivot", "last-pivot", "below-first-pivot", "below-last-pivot"],
+    )
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_entry_is_not_positive_definite(self, arithmetic, where, bad):
+        from cluster_reduce._precision import hermitian_cholesky
+
+        A = _hermitian_3x3()
+        i, j = where
+        A[i][j] = A[j][i] = mp.mpf(bad)
+        if arithmetic == "built-in":
+            A = [[complex(v) for v in row] for row in A]
+        with pytest.raises(NotPositiveDefiniteError):
+            hermitian_cholesky(A)
+
+    def test_same_factor_in_doubles_and_at_the_working_precision(self):
+        from cluster_reduce._precision import hermitian_cholesky
+
+        with mp.workprec(212):
+            A = _hermitian_3x3()
+            L = hermitian_cholesky(A)
+            Ld = hermitian_cholesky([[complex(v) for v in row] for row in A])
+            scale = max(abs(v) for row in L for v in row)
+            for i in range(3):
+                assert isinstance(L[i][i], mp.mpf) and isinstance(Ld[i][i], float)
+                for j in range(3):
+                    if j > i:
+                        assert L[i][j] == Ld[i][j] == 0
+                    assert abs(complex(L[i][j]) - Ld[i][j]) <= 1e-14 * scale
+            for i in range(3):
+                for j in range(3):
+                    entry = mp.fsum(L[i][k] * mp.conj(L[j][k]) for k in range(3))
+                    assert abs(entry - A[i][j]) <= mp.mpf(2) ** -200 * abs(A[0][0])
+
+    def test_reads_the_lower_triangle_only(self):
+        from cluster_reduce._precision import hermitian_cholesky
+
+        A = _hermitian_3x3()
+        upper_garbage = [[A[i][j] if j <= i else mp.nan for j in range(3)] for i in range(3)]
+        assert hermitian_cholesky(upper_garbage) == hermitian_cholesky(A)
 
 
 @st.composite

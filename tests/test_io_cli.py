@@ -29,6 +29,15 @@ def cluster_of(*coords):
     return PointCluster(tuple(ProjectivePoint(c) for c in coords))
 
 
+# x0^5 - x0^4 x1 - 2 x0^3 x1^2 + x0 x1^4 + 3 x1^5 substituted by
+# [[a, a-1], [a+1, a]], a = 10^12: its roots agree to about 1e-20
+_A = 10**12
+QUINTIC = substitute(
+    MultiPoly.from_dict(2, {(5, 0): 1, (4, 1): -1, (3, 2): -2, (1, 4): 1, (0, 5): 3}),
+    ((_A, _A - 1), (_A + 1, _A)),
+)
+
+
 class TestJsonRoundTrips:
     def test_cluster(self):
         Z = cluster_of((1, mp.mpc(2, -1), 0), (0, 1, mp.mpf("0.5")))
@@ -353,6 +362,29 @@ class TestCli:
             assert len(lines) == 1 and lines[0].startswith("input error:")
         else:
             assert lines[0].startswith("Usage:") and "reduce-pencil" in result.output
+
+    @pytest.mark.parametrize(
+        "command, content, args, code",
+        [
+            ("reduce-binary", "x0^3 + 2 x0^2 x1 - x0 x1^2 + 5 x1^3", [], 0),
+            ("reduce-binary", "x0^2 x1", [], 2),
+            ("reduce-binary", QUINTIC.to_text(), ["--prec", "300"], 3),
+            ("reduce-cluster", '{"n": 1, "points": [["1", "0"], ["0", "1"], ["1", "1"], [["0", "1"], "1"]]}', [], 4),
+            ("reduce-cluster", '{"n": 1, "points": [["1", "0"], ["0", "1"], ["1", "1"]]}', ["--delta", "1.5"], 4),
+        ],
+        ids=["good-cubic", "unstable-form", "quintic-short-of-precision", "complex-cluster", "bad-option"],
+    )
+    def test_exit_code_and_one_line_on_stderr(self, tmp_path, command, content, args, code):
+        path = self._write(tmp_path, "input", content)
+        result = CliRunner().invoke(main, [command, path, *args])
+        assert result.exit_code == code, result.output
+        # an exception the command does not map to an exit code escapes as
+        # itself, not as SystemExit
+        assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+        if code == 0:
+            assert result.stderr == ""
+        else:
+            assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
 
     def test_unstable_binary_exit_code(self, tmp_path):
         path = self._write(tmp_path, "bad.txt", "x0^2 x1")

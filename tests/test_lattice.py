@@ -47,6 +47,11 @@ class TestUnimodularTransform:
         with pytest.raises(InputFormatError):
             UnimodularTransform(((1.5, 0), (0, 1)))
 
+    def test_boolean_entry_rejected(self):
+        # rejected, not read as the integers 1 and 0
+        with pytest.raises(InputFormatError):
+            UnimodularTransform(((True, False), (False, True)))
+
     def test_inverse_exact(self, rnd):
         from conftest import random_unimodular_int
 
@@ -140,7 +145,7 @@ class TestLllReduce:
         real = lattice.hermitian_cholesky
 
         def counted(M):
-            calls.append(M.rows)
+            calls.append(len(M))
             return real(M)
 
         monkeypatch.setattr(lattice, "hermitian_cholesky", counted)

@@ -740,6 +740,19 @@ DISTORTED = {
 }
 
 
+def test_overflowed_doubles_start_names_the_precision():
+    # the quintic of DISTORTED with a = 10^12: its roots agree to about 1e-20,
+    # so Tyler's iteration in doubles overflows. Its non-finite last iterate
+    # fails the Cholesky pivot test and Newton starts from the identity; at
+    # 300 bits that is too little precision, and the error says so
+    (R,), _ = DISTORTED["binary"]
+    a = 10**12
+    F = substitute(R, ((a, a - 1), (a + 1, a)))
+    with pytest.raises(ConvergenceError) as info:
+        reduce_binary_form(F, prec=300)
+    assert str(info.value).endswith("at the working precision of 300 bits"), info.value
+
+
 @pytest.mark.parametrize("kind", sorted(DISTORTED))
 def test_imaginary_covariant_names_the_precision(kind):
     # integer forms have a cluster fixed by conjugation, so an imaginary part

@@ -74,6 +74,14 @@ class TestMultiPoly:
         with pytest.raises(InputFormatError):
             MultiPoly(2, (((1.5, 2), 1),))
 
+    @pytest.mark.parametrize(
+        "terms", [(((1,), True),), (((True,), 3),)], ids=["boolean-coefficient", "boolean-exponent"]
+    )
+    def test_boolean_rejected(self, terms):
+        # rejected, not read as the integer 1 (x0 and 3 x0 respectively)
+        with pytest.raises(InputFormatError):
+            MultiPoly(1, terms)
+
     @pytest.mark.parametrize("text", ["1/0", "1.5", "abc"])
     def test_malformed_string_coefficient_rejected(self, text):
         with pytest.raises(InputFormatError):
@@ -405,6 +413,23 @@ class TestCurveIntersection:
         G = poly("x^2 x0 - y^2 x0", nvars=3)  # (x - y)(x + y) x
         with pytest.raises(CommonComponentError):
             curve_intersection(F, G)
+
+    def test_common_component_through_the_projection_center_rejected(self, monkeypatch):
+        # the shared line x1 = 0 passes through (1:0:0), which the identity
+        # projects from, so the component is found after a random shear
+        F = poly("x0^2 x1 + x1^3 + x1 x2^2", nvars=3)
+        G = poly("x0 x1 + x1 x2", nvars=3)
+        shears = []
+        real = polyalg._random_shear
+
+        def counted(rng, n):
+            shears.append(real(rng, n))
+            return shears[-1]
+
+        monkeypatch.setattr(polyalg, "_random_shear", counted)
+        with pytest.raises(CommonComponentError):
+            curve_intersection(F, G)
+        assert shears
 
     def test_tangent_line_multiplicity(self):
         # the line y = 0 is tangent to the conic x^2 = yz at (0:0:1)
