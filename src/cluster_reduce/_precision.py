@@ -7,10 +7,14 @@ identification, conjugation matching, root certificates, LLL ties) compares
 against :func:`half_eps` of the ambient precision, so the precision is the
 only numeric setting.
 
-One Cholesky factorization, :func:`hermitian_cholesky`, serves the working
-precision and hardware doubles alike: it takes rows and computes in the
-arithmetic of their entries, and its one pivot test rejects every pivot
-that is not positive and finite.
+Hermitian matrices travel as rows. One Cholesky factorization,
+:func:`hermitian_cholesky`, serves the working precision and hardware
+doubles alike: it takes rows and computes in the arithmetic of their
+entries, and its one pivot test rejects every pivot that is not positive
+and finite. It gives the factor, the determinant (twice the sum of the logs
+of its diagonal) and, with the covariant's ``_lower_inverse``, the inverse
+X^H X for X = L^-1; no other determinant or inverse is taken of a Hermitian
+form. :func:`check_hermitian` is the one symmetry test beside it.
 """
 
 from __future__ import annotations
@@ -43,23 +47,6 @@ def to_mpc(value):
     return mp.mpc(mp.mpmathify(value))
 
 
-def frobenius_norm(M):
-    return mp.sqrt(sum(abs(M[i, j]) ** 2 for i in range(M.rows) for j in range(M.cols)))
-
-
-def max_abs_entry(M):
-    return max(abs(M[i, j]) for i in range(M.rows) for j in range(M.cols))
-
-
-def hermitize(M):
-    """Average a nearly Hermitian matrix with its conjugate transpose."""
-    return (M + M.transpose_conj()) / 2
-
-
-def max_imag_entry(M):
-    return max(abs(mp.im(M[i, j])) for i in range(M.rows) for j in range(M.cols))
-
-
 def hermitian_cholesky(A):
     """Rows of the lower triangular L with A = L L^H, for the rows of a
     Hermitian positive definite A, of which A[i][j] is read for j <= i only;
@@ -83,3 +70,12 @@ def hermitian_cholesky(A):
         for i in range(j + 1, n):
             L[i][j] = (A[i][j] - sum(L[i][k] * L[j][k].conjugate() for k in range(j))) / L[j][j]
     return L
+
+
+def check_hermitian(rows, error):
+    """Raise ``error`` unless rows[i][j] and conj(rows[j][i]) agree to
+    2^(-prec/2) (1 + max |entry|) for all i and j; returns that bound."""
+    bound = half_eps() * (1 + max(abs(v) for r in rows for v in r))
+    if any(abs(r[j] - mp.conj(rows[j][i])) > bound for i, r in enumerate(rows) for j in range(i + 1)):
+        raise error
+    return bound

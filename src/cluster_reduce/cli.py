@@ -1,9 +1,11 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 stability error, 3 numerical convergence error,
-4 input error: a malformed input, a malformed or out-of-range option or
-argument, or a cluster not fixed by conjugation given to reduce-cluster (one
-line on stderr).
+Exit codes: 0 success, 1 any other library error (for example, an
+elimination that no shear resolves), 2 stability error: an input that is not
+stable or a degenerate pencil, 3 numerical convergence error, 4 input error:
+a malformed input, a malformed or out-of-range option or argument, or a
+cluster not fixed by conjugation given to reduce-cluster (one line on
+stderr).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .covariant import minimize
 from .errors import (
     ClusterReduceError,
     ConvergenceError,
+    DegeneratePencilError,
     InputFormatError,
     RealityError,
     StabilityError,
@@ -70,7 +73,7 @@ def _run(fn):
         fn()
     except BrokenPipeError:
         sys.exit(0)  # downstream consumer closed the pipe; not our error
-    except StabilityError as exc:
+    except (StabilityError, DegeneratePencilError) as exc:
         click.echo(f"stability error: {exc}", err=True)
         sys.exit(EXIT_STABILITY)
     except ConvergenceError as exc:

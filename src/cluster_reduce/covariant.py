@@ -29,14 +29,16 @@ decides it, provided its square is at most 2^(-prec/2); a gradient stuck
 above that is a shortfall of the working precision and raises
 ConvergenceError. The start is the closed form (sum_j g_j g_j^H)^-1 over
 n+2 points in general position scaled by simplex weights, which is exact,
-and otherwise the covariant in hardware doubles: Tyler's fixed-point
-iteration in the same chart, in Python's built-in complex, which the
-preconditioning passes of the ternary pipeline run too, or its last iterate
-where it does not settle; the identity where either fails or is not
-positive definite and finite. Newton then only refines it, gaining 45 to 50
-bits per iteration. Every Cholesky factor, of an iterate at the working
-precision or of a matrix in doubles, comes from the one
-:func:`hermitian_cholesky` as rows.
+taken as X^H X for X = K^-1 and the Cholesky factor K of the sum, and
+otherwise the covariant in hardware doubles: Tyler's fixed-point iteration
+in the same chart, in Python's built-in complex, which the preconditioning
+passes of the ternary pipeline run too, or its last iterate where it does
+not settle; the identity where either fails or is not positive definite
+and finite. Newton then only refines it, gaining 45 to 50 bits per
+iteration. Every Hermitian form is kept as rows, and every Cholesky factor,
+of an iterate at the working precision or of a matrix in doubles, comes
+from the one :func:`hermitian_cholesky`, which gives the determinants and
+the inverses too.
 """
 
 from __future__ import annotations
@@ -50,10 +52,9 @@ from typing import Optional
 import mpmath as mp
 
 from ._precision import (
-    frobenius_norm,
+    check_hermitian,
     half_eps,
     hermitian_cholesky,
-    hermitize,
     to_mpc,
     working_precision,
 )
@@ -107,40 +108,30 @@ class HermitianForm:
 
     def check(self):
         """Validate Hermitian symmetry and positive definiteness."""
-        tol = half_eps()
-        rows = self.matrix
-        scale = max(abs(v) for r in rows for v in r)
-        for i, r in enumerate(rows):
-            for j, v in enumerate(r):
-                if abs(v - mp.conj(rows[j][i])) > tol * (1 + scale):
-                    raise NotPositiveDefiniteError("matrix is not Hermitian")
-        hermitian_cholesky(rows)
+        check_hermitian(self.matrix, NotPositiveDefiniteError("matrix is not Hermitian"))
+        hermitian_cholesky(self.matrix)
         return self
 
     def det(self):
-        return mp.re(mp.det(self.mat()))
+        """The determinant, from the Cholesky diagonal of the lower triangle.
+        Raises NotPositiveDefiniteError unless the form is positive definite:
+        an indefinite matrix of positive determinant is no form."""
+        return mp.exp(_log_det(hermitian_cholesky(self.matrix)))
 
     def normalized(self) -> "HermitianForm":
-        """Determinant-1 representative (divide by det^(1/(n+1)))."""
-        d = self.det()
-        if d <= 0:
-            raise NotPositiveDefiniteError("determinant is not positive")
-        M = self.mat() / mp.root(d, self.n + 1)
-        return HermitianForm.from_matrix(M)
+        """Determinant-1 representative (divide by det^(1/(n+1))); raises
+        NotPositiveDefiniteError unless the form is positive definite."""
+        root = mp.root(self.det(), self.n + 1)
+        return HermitianForm([[v / root for v in r] for r in self.matrix])
 
     def same_form(self, other: "HermitianForm") -> bool:
         """Equality modulo positive real scaling."""
-        tol = half_eps()
-        A = self.normalized().mat()
-        B = other.normalized().mat()
-        if A.rows != B.rows:
+        A = self.normalized().matrix
+        B = other.normalized().matrix
+        if len(A) != len(B):
             return False
-        scale = max(abs(A[i, j]) for i in range(A.rows) for j in range(A.cols))
-        return all(
-            abs(A[i, j] - B[i, j]) <= tol * (1 + scale)
-            for i in range(A.rows)
-            for j in range(A.cols)
-        )
+        bound = half_eps() * (1 + max(abs(v) for r in A for v in r))
+        return all(abs(a - b) <= bound for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
     def __repr__(self):
         return f"HermitianForm(n={self.n})"
@@ -160,19 +151,13 @@ class TangentDirection:
         return mp.matrix(self.matrix)
 
     def check(self):
-        tol = half_eps()
-        M = self.mat()
-        scale = 1 + max(abs(M[i, j]) for i in range(M.rows) for j in range(M.cols))
-        for i in range(M.rows):
-            for j in range(M.cols):
-                if abs(M[i, j] - mp.conj(M[j, i])) > tol * scale:
-                    raise ValueError("tangent direction is not Hermitian")
-        if abs(sum(M[i, i] for i in range(M.rows))) > tol * scale * M.rows:
+        bound = check_hermitian(self.matrix, ValueError("tangent direction is not Hermitian"))
+        if abs(sum(r[i] for i, r in enumerate(self.matrix))) > bound * len(self.matrix):
             raise ValueError("tangent direction has nonzero trace")
         return self
 
     def norm(self):
-        return frobenius_norm(self.mat())
+        return _frobenius_norm(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -219,10 +204,8 @@ class DivergenceWitness:
         """Q_lambda as a dense matrix; usable for moderate lambda only, since
         mixing eigenvalue scales beyond the working precision loses the small
         eigenvalues to rounding."""
-        lam = mp.mpf(lam)
-        B = mp.matrix(self.basis)
-        M = B * mp.diag(self._eigenvalues(lam)) * B.transpose_conj()
-        return HermitianForm.from_matrix(hermitize(M))
+        evals = self._eigenvalues(mp.mpf(lam))
+        return HermitianForm(_outer_sum([[mp.sqrt(e) * r[k] for r in self.basis] for k, e in enumerate(evals)]))
 
     def distance_at(self, zc: ScaledCluster, lam):
         """D(zc, Q_lambda), evaluated in the eigenbasis so arbitrarily large
@@ -233,18 +216,13 @@ class DivergenceWitness:
         into the complementary eigendirections, where lambda^(k+1) would
         amplify it without bound.
         """
-        lam = mp.mpf(lam)
-        B = mp.matrix(self.basis)
-        n1 = B.rows
-        evals = self._eigenvalues(lam)
+        B = self.basis
+        evals = self._eigenvalues(mp.mpf(lam))
         chop = half_eps() ** 2
         total = mp.mpf(0)
         for row in zc.reps:
             nrm2 = sum(abs(c) ** 2 for c in row)
-            w2 = [
-                abs(sum(mp.conj(B[a, i]) * row[a] for a in range(n1))) ** 2
-                for i in range(n1)
-            ]
+            w2 = [abs(sum(mp.conj(b[i]) * c for b, c in zip(B, row))) ** 2 for i in range(len(B))]
             total += mp.log(
                 mp.fsum(e * w for e, w in zip(evals, w2) if w > chop * nrm2)
             )
@@ -276,23 +254,29 @@ def _images(L, reps):
     return ws, mp.fsum(logs) - mp.mpf(len(reps)) / len(L) * _log_det(L)
 
 
-def _outer_sum(rows, n1):
-    """sum_j r_j r_j^H, Hermitian by construction."""
-    M = mp.matrix(n1, n1)
-    for a in range(n1):
-        for b in range(a, n1):
-            M[a, b] = mp.fdot([r[a] for r in rows], [r[b] for r in rows], conjugate=True)
-            M[b, a] = mp.conj(M[a, b])
-        M[a, a] = mp.re(M[a, a])
+def _outer_sum(rows):
+    """The rows of sum_j r_j r_j^H, Hermitian by construction."""
+    cols = list(zip(*rows))
+    M = [[None] * len(cols) for _ in cols]
+    for a, ca in enumerate(cols):
+        for b in range(a, len(cols)):
+            M[a][b] = mp.fdot(ca, cols[b], conjugate=True)
+            M[b][a] = mp.conj(M[a][b])
+        M[a][a] = mp.re(M[a][a])
     return M
 
 
+def _frobenius_norm(rows):
+    return mp.sqrt(sum(abs(v) ** 2 for r in rows for v in r))
+
+
 def _gradient(ws, n1):
-    """G = sum_j w_j w_j^H - m/(n+1) I for the unit images; returns (G, norm)."""
-    G = _outer_sum(ws, n1)
+    """G = sum_j w_j w_j^H - m/(n+1) I for the unit images, as rows; returns
+    (G, norm)."""
+    G = _outer_sum(ws)
     for a in range(n1):
-        G[a, a] -= mp.mpf(len(ws)) / n1
-    return G, frobenius_norm(G)
+        G[a][a] -= mp.mpf(len(ws)) / n1
+    return G, _frobenius_norm(G)
 
 
 def eval_D(zc: ScaledCluster, Q: HermitianForm):
@@ -318,7 +302,7 @@ def grad_D(zc: ScaledCluster, Q: HermitianForm) -> TangentDirection:
     if len(rows) != zc.n + 1:
         raise DimensionError("form size does not match cluster dimension")
     G, _ = _gradient(_images(hermitian_cholesky(rows), zc.reps)[0], len(rows))
-    return TangentDirection(G.tolist())
+    return TangentDirection(G)
 
 
 def _trace_free_basis(n1):
@@ -344,11 +328,11 @@ def _newton_direction(wd, G, basis):
     same number, cancels to 2^-53 m in doubles. B = -G (``fallback``) where the
     Cholesky factorization of H fails or B is not a finite descent direction.
     """
-    n1, m = G.rows, len(wd)
-    e = int(max(mp.mag(G[a, b]) for a in range(n1) for b in range(n1)))
+    n1, m = len(G), len(wd)
+    e = int(max(mp.mag(v) for row in G for v in row))
     unit = mp.ldexp(1, -e)
-    Gd = [[complex(G[a, b] * unit) for b in range(n1)] for a in range(n1)]
-    M = [[complex(G[a, b]) + (m / n1 if a == b else 0) for b in range(n1)] for a in range(n1)]
+    Gd = [[complex(v * unit) for v in row] for row in G]
+    M = [[complex(v) + (m / n1 if a == b else 0) for b, v in enumerate(row)] for a, row in enumerate(G)]
     t = [[sum(c * w[b] * w[a].conjugate() for a, b, c in E).real for w in wd] for E in basis]
     g = [sum(c * Gd[b][a] for a, b, c in E).real for E in basis]
     d = len(basis)
@@ -439,12 +423,20 @@ def _simplex_rows(cluster: PointCluster, units):
     return [[coeff[i] * c for c in units[i]] for i in range(n1)] + [units[n1]]
 
 
+def _inverse_outer_sum(rows):
+    """The rows of (sum_j g_j g_j^H)^-1 = X^H X over the rows g_j, for X the
+    inverse of the Cholesky factor of the sum; Hermitian by construction."""
+    X = _lower_inverse(hermitian_cholesky(_outer_sum(rows)))
+    return _outer_sum([[mp.conj(v) for v in row] for row in X])
+
+
 def _start(cluster: PointCluster, reps):
-    """The solver's starting form: for n+2 points in general position the
-    closed form (sum_j g_j g_j^H)^-1 over :func:`_simplex_rows`, which is the
-    covariant, and otherwise :func:`_tyler_in_doubles` over the unit rows
-    ``reps``; the identity where either fails at the working precision or in
-    doubles, or is not positive definite and finite there."""
+    """The rows of the solver's starting form: for n+2 points in general
+    position the closed form (sum_j g_j g_j^H)^-1 over :func:`_simplex_rows`,
+    which is the covariant, and otherwise :func:`_tyler_in_doubles` over the
+    unit rows ``reps``; the identity where either fails at the working
+    precision or in doubles, or is not positive definite and finite at the
+    working precision."""
     n1 = cluster.n + 1
     rows = None
     if cluster.degree == n1 + 1:
@@ -452,12 +444,13 @@ def _start(cluster: PointCluster, reps):
             rows = _simplex_rows(cluster, reps)
     try:
         if rows is None:
-            initial = mp.matrix(_tyler_in_doubles([[complex(c) for c in r] for r in reps]))
+            tyler = _tyler_in_doubles([[complex(c) for c in r] for r in reps])
+            initial = [[mp.mpc(v) for v in r] for r in tyler]
         else:
-            initial = hermitize(_outer_sum(rows, n1) ** -1)
-        hermitian_cholesky(initial.tolist())
+            initial = _inverse_outer_sum(rows)
+        hermitian_cholesky(initial)
     except (ArithmeticError, NotPositiveDefiniteError):
-        initial = mp.eye(n1)
+        initial = [[mp.mpf(a == b) for b in range(n1)] for a in range(n1)]
     return initial
 
 
@@ -527,13 +520,13 @@ def _newton(reps, n1, tol, max_iter, initial, record=False):
       B = -G, f''(0) = sum_j Var_j(B) <= m |G|^2 = -m slope, and lambda <= 1/m
       gives the same bound.
     """
-    L = hermitian_cholesky(initial.tolist())
-    scale = mp.exp(-_log_det(L) / (2 * n1))
-    Q, L = initial * scale**2, [[v * scale for v in row] for row in L]
+    Q, L = initial, hermitian_cholesky(initial)
     basis = _trace_free_basis(n1)
     m = len(reps)
     transcript, step, stop, failure = [], None, None, None
     for it in range(max_iter + 1):
+        scale = mp.exp(-_log_det(L) / (2 * n1))
+        Q, L = [[v * scale**2 for v in row] for row in Q], [[v * scale for v in row] for row in L]
         ws, D = _images(L, reps)
         G, gnorm = _gradient(ws, n1)
         if record:
@@ -573,18 +566,17 @@ def _newton(reps, n1, tol, max_iter, initial, record=False):
         Y = [[mp.mpc(y) * unit for y in row] for row in Y]
         # Q1 = L (I+Y) (I+Y)^H L^H, summed over the columns of L (I+Y)
         cols = [[L[a][k] + mp.fdot(L[a], [r[k] for r in Y]) for a in range(n1)] for k in range(n1)]
-        Q1 = _outer_sum(cols, n1)
+        Q1 = _outer_sum(cols)
         try:
-            L = hermitian_cholesky(Q1.tolist())
+            L = hermitian_cholesky(Q1)
         except NotPositiveDefiniteError:
             failure = f"the Newton step left the positive definite cone at iteration {it}"
             break
-        scale = mp.exp(-_log_det(L) / (2 * n1))
-        Q, L = Q1 * scale**2, [[v * scale for v in row] for row in L]
+        Q = Q1
         step = NewtonStep(mp.ldexp(1, -h), mp.ldexp(slope, 2 * e), mp.ldexp(norm, e - h), certified_by)
     if failure is not None:
         failure += f", at the working precision of {mp.mp.prec} bits"
-    z = HermitianForm.from_matrix(Q)
+    z = HermitianForm(Q)
     return CovariantResult(z, mp.e**D, it, gnorm, stop, tuple(transcript) if record else None), failure
 
 
@@ -624,11 +616,11 @@ def minimize(
         zc = normalize_cluster(cluster)
         if initial is None:
             initial = _start(cluster, zc.reps)
-        elif isinstance(initial, HermitianForm):
-            initial = initial.mat()
-        else:
-            initial = mp.matrix(initial)
-        result, failure = _newton(zc.reps, cluster.n + 1, tol, max_iter, initial, record=record_transcript)
+        if isinstance(initial, mp.matrix):
+            initial = initial.tolist()
+        if not isinstance(initial, HermitianForm):
+            initial = HermitianForm(initial)
+        result, failure = _newton(zc.reps, cluster.n + 1, tol, max_iter, initial.matrix, record=record_transcript)
         if failure is not None:
             raise ConvergenceError(failure, best=result)
         return result
@@ -698,8 +690,7 @@ def simplex_covariant(cluster: PointCluster, prec=None) -> HermitianForm:
         if m != n + 2:
             raise DimensionError(f"need exactly n+2 = {n + 2} points, got {m}")
         rows = _simplex_rows(cluster, normalize_cluster(cluster).reps)
-        z = hermitize(_outer_sum(rows, n + 1) ** -1)
-        return HermitianForm.from_matrix(z).normalized()
+        return HermitianForm(_inverse_outer_sum(rows)).normalized()
 
 
 def _tyler_in_doubles(points):

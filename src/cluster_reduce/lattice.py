@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from ._precision import half_eps, hermitian_cholesky
+from ._precision import check_hermitian, half_eps, hermitian_cholesky
 from .errors import (
     ConvergenceError,
     DimensionError,
@@ -165,15 +165,9 @@ def _gso(G: GramMatrix):
     factorization G = L L^T: mu_ij = L_ij / L_jj (row i holds j < i) and
     B_i = L_ii^2. Raises NotPositiveDefiniteError unless G is symmetric to
     2^(-prec/2) and positive definite."""
-    tol = half_eps()
-    g = G.matrix
     n = G.size
-    scale = max(abs(v) for r in g for v in r)
-    for i in range(n):
-        for j in range(i):
-            if abs(g[i][j] - g[j][i]) > tol * (1 + scale):
-                raise NotPositiveDefiniteError("Gram matrix is not symmetric")
-    L = hermitian_cholesky(g)
+    check_hermitian(G.matrix, NotPositiveDefiniteError("Gram matrix is not symmetric"))
+    L = hermitian_cholesky(G.matrix)
     mu = [[L[i][j] / L[j][j] for j in range(i)] for i in range(n)]
     return mu, [L[i][i] ** 2 for i in range(n)]
 

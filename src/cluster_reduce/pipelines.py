@@ -14,14 +14,9 @@ from typing import Optional
 
 import mpmath as mp
 
-from ._precision import (
-    half_eps,
-    max_abs_entry,
-    max_imag_entry,
-    working_precision,
-)
+from ._precision import half_eps, hermitian_cholesky, working_precision
 from .cluster_core import PointCluster, ProjectivePoint, StabilityClass, act, classify
-from .covariant import HermitianForm, _tyler_in_doubles, minimize
+from .covariant import HermitianForm, _log_det, _tyler_in_doubles, minimize
 from .errors import (
     ClusterReduceError,
     ConvergenceError,
@@ -67,22 +62,21 @@ def _require_exact_integer(F: MultiPoly, what: str):
 def _real_gram(z: HermitianForm) -> GramMatrix:
     """The real Gram of the covariant of a cluster fixed by conjugation (forms
     are integral, :func:`reduce_cluster` checks): an imaginary part is rounding."""
-    M = z.mat()
-    imag = max_imag_entry(M)
-    if imag > half_eps() * (1 + max_abs_entry(M)):
+    rows = z.matrix
+    imag = max(abs(mp.im(v)) for r in rows for v in r)
+    if imag > half_eps() * (1 + max(abs(v) for r in rows for v in r)):
         raise ConvergenceError(
             f"covariant of a cluster fixed by conjugation has an imaginary part of {mp.nstr(imag, 3)}, "
             f"above 2^(-prec/2), at the working precision of {mp.mp.prec} bits"
         )
-    return GramMatrix.from_matrix(M)
+    return GramMatrix([[mp.re(v) for v in r] for r in rows])
 
 
 def _gram_height(G: GramMatrix):
-    """Spread of the determinant-1 normalized Gram: max absolute entry."""
-    M = G.mat()
-    d = mp.det(M)
-    M = M / mp.root(d, G.size)
-    return max_abs_entry(M)
+    """Spread of the determinant-1 normalized Gram: max absolute entry, with
+    the determinant from the Cholesky diagonal."""
+    root = mp.exp(_log_det(hermitian_cholesky(G.matrix)) / G.size)
+    return max(abs(v) for r in G.matrix for v in r) / root
 
 
 def _reduce_core(cls, cluster: PointCluster, what: str, delta, back=None):

@@ -321,7 +321,7 @@ class TestStart:
         reps = normalize_cluster(Z).reps
         start = covariant._start(Z, reps)
         tyler = real([[complex(c) for c in r] for r in reps])
-        assert start.tolist() == mp.matrix(tyler).tolist()
+        assert start == tyler
 
     def test_arithmetic_error_in_doubles_starts_from_the_identity(self, monkeypatch):
         from cluster_reduce import covariant
@@ -332,7 +332,7 @@ class TestStart:
         monkeypatch.setattr(covariant, "_tyler_in_doubles", overflow)
         Z = cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, -1, 5))
         start = covariant._start(Z, normalize_cluster(Z).reps)
-        assert start.tolist() == mp.eye(3).tolist()
+        assert start == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert minimize(Z).stop == "tol"
 
 
@@ -391,6 +391,61 @@ class TestHermitianCholesky:
         A = _hermitian_3x3()
         upper_garbage = [[A[i][j] if j <= i else mp.nan for j in range(3)] for i in range(3)]
         assert hermitian_cholesky(upper_garbage) == hermitian_cholesky(A)
+
+
+class TestHermitianForm:
+    """Determinant, normalization and comparison of a form all come from its
+    Cholesky factor, so a matrix that is not positive definite is no form,
+    whatever the sign of its determinant."""
+
+    @pytest.mark.parametrize("method", ["det", "normalized", "same_form"])
+    def test_indefinite_matrix_of_positive_determinant_is_rejected(self, method):
+        Q = HermitianForm([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
+        with pytest.raises(NotPositiveDefiniteError):
+            getattr(Q, method)(*([Q] if method == "same_form" else []))
+
+    def test_det_and_normalized_of_a_positive_definite_form(self):
+        Q = HermitianForm(_hermitian_3x3())
+        assert abs(Q.det() / mp.re(mp.det(Q.mat())) - 1) < mp.mpf(2) ** -200
+        assert abs(Q.normalized().det() - 1) < mp.mpf(2) ** -200
+        assert Q.same_form(HermitianForm([[3 * v for v in row] for row in Q.matrix]))
+
+
+def _off_hermitian(kind, delta):
+    """A form, Gram matrix or tangent direction of size 3 whose (1, 0) entry
+    is off by ``delta`` from the conjugate of its (0, 1) entry, or, for
+    "trace", a tangent direction of trace ``delta``; and how to check it."""
+    from cluster_reduce import GramMatrix, TangentDirection, lll_reduce
+
+    A = [[2, 0, 0], [delta, 3, 0], [0, 0, 4]]
+    if kind == "form":
+        return HermitianForm(A).check, NotPositiveDefiniteError
+    if kind == "gram":
+        return GramMatrix(A).check, NotPositiveDefiniteError
+    if kind == "lll":
+        return lambda: lll_reduce(GramMatrix(A)), NotPositiveDefiniteError
+    B = [[1, 0, 0], [delta, 0, 0], [0, 0, -1]]
+    if kind == "trace":
+        B = [[delta, 0, 0], [0, 1, 0], [0, 0, -1]]
+    return TangentDirection(B).check, ValueError
+
+
+class TestHermitianSymmetry:
+    """One symmetry test, at 2^(-prec/2) (1 + max |entry|), for forms, Gram
+    matrices and tangent directions."""
+
+    KINDS = ["form", "gram", "lll", "tangent", "trace"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_off_by_a_quarter_of_the_precision_is_rejected(self, kind):
+        check, error = _off_hermitian(kind, mp.mpf(2) ** (-mp.mp.prec // 4))
+        with pytest.raises(error):
+            check()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_off_by_the_precision_is_accepted(self, kind):
+        check, _ = _off_hermitian(kind, mp.mpf(2) ** -mp.mp.prec)
+        check()
 
 
 @st.composite

@@ -371,8 +371,17 @@ class TestCli:
             ("reduce-binary", QUINTIC.to_text(), ["--prec", "300"], 3),
             ("reduce-cluster", '{"n": 1, "points": [["1", "0"], ["0", "1"], ["1", "1"], [["0", "1"], "1"]]}', [], 4),
             ("reduce-cluster", '{"n": 1, "points": [["1", "0"], ["0", "1"], ["1", "1"]]}', ["--delta", "1.5"], 4),
+            # two lines: the determinant cubic of the pencil vanishes
+            ("reduce-pencil", "x0^2\nx1^2", [], 2),
         ],
-        ids=["good-cubic", "unstable-form", "quintic-short-of-precision", "complex-cluster", "bad-option"],
+        ids=[
+            "good-cubic",
+            "unstable-form",
+            "quintic-short-of-precision",
+            "complex-cluster",
+            "bad-option",
+            "degenerate-pencil",
+        ],
     )
     def test_exit_code_and_one_line_on_stderr(self, tmp_path, command, content, args, code):
         path = self._write(tmp_path, "input", content)
