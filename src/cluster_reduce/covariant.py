@@ -279,16 +279,29 @@ def _gradient(ws, n1):
     return G, _frobenius_norm(G)
 
 
+def _form_rows(Q, n1, check=True):
+    """The rows of a form Q, given as a HermitianForm, an mpmath matrix or
+    rows. Raises DimensionError unless Q is n1 x n1 and, with ``check``,
+    NotPositiveDefiniteError unless it is Hermitian: the Cholesky
+    factorization reads only the lower triangle, so a caller's form is
+    checked, while the solver's own start is Hermitian by construction."""
+    if isinstance(Q, mp.matrix):
+        Q = Q.tolist()
+    rows = (Q if isinstance(Q, HermitianForm) else HermitianForm(Q)).matrix
+    if len(rows) != n1:
+        raise DimensionError("form size does not match cluster dimension")
+    if check:
+        check_hermitian(rows, NotPositiveDefiniteError("matrix is not Hermitian"))
+    return rows
+
+
 def eval_D(zc: ScaledCluster, Q: HermitianForm):
     """Distance of a scaled cluster from a positive definite Hermitian form.
 
     Invariant under positive scaling of Q; rescaling one row by lambda adds
     log |lambda|^2.
     """
-    rows = (Q if isinstance(Q, HermitianForm) else HermitianForm(Q)).matrix
-    if len(rows) != zc.n + 1:
-        raise DimensionError("form size does not match cluster dimension")
-    return _images(hermitian_cholesky(rows), zc.reps)[1]
+    return _images(hermitian_cholesky(_form_rows(Q, zc.n + 1)), zc.reps)[1]
 
 
 def grad_D(zc: ScaledCluster, Q: HermitianForm) -> TangentDirection:
@@ -298,9 +311,7 @@ def grad_D(zc: ScaledCluster, Q: HermitianForm) -> TangentDirection:
     derivative of D along lambda -> S^H exp(lambda B) S equals the Frobenius
     pairing of the returned matrix with B, for every trace-free Hermitian B.
     """
-    rows = (Q if isinstance(Q, HermitianForm) else HermitianForm(Q)).matrix
-    if len(rows) != zc.n + 1:
-        raise DimensionError("form size does not match cluster dimension")
+    rows = _form_rows(Q, zc.n + 1)
     G, _ = _gradient(_images(hermitian_cholesky(rows), zc.reps)[0], len(rows))
     return TangentDirection(G)
 
@@ -593,9 +604,10 @@ def minimize(
 
     The input must be stable unless ``check_stability`` is disabled (useful to
     observe divergence). ``initial`` optionally seeds the solver with a
-    positive definite matrix, by default :func:`_start`: the closed form for
-    n+2 points in general position, else Tyler's covariant in doubles, else
-    the identity. The minimizer does not depend on it. The solver is Newton
+    positive definite Hermitian matrix (a HermitianForm, an mpmath matrix or
+    rows; NotPositiveDefiniteError if it is not Hermitian), by default
+    :func:`_start`: the closed form for n+2 points in general position, else
+    Tyler's covariant in doubles, else the identity. The minimizer does not depend on it. The solver is Newton
     with the gradient and the stop tests at the working precision and each
     correction in doubles (:func:`_newton`), and theta is reported for the
     unit-norm scaling of the cluster. ``record_transcript`` keeps, per
@@ -615,12 +627,10 @@ def minimize(
         tol = mp.mpf(10) ** -12 if tol is None else mp.mpf(tol)
         zc = normalize_cluster(cluster)
         if initial is None:
-            initial = _start(cluster, zc.reps)
-        if isinstance(initial, mp.matrix):
-            initial = initial.tolist()
-        if not isinstance(initial, HermitianForm):
-            initial = HermitianForm(initial)
-        result, failure = _newton(zc.reps, cluster.n + 1, tol, max_iter, initial.matrix, record=record_transcript)
+            initial = _form_rows(_start(cluster, zc.reps), cluster.n + 1, check=False)
+        else:
+            initial = _form_rows(initial, cluster.n + 1)
+        result, failure = _newton(zc.reps, cluster.n + 1, tol, max_iter, initial, record=record_transcript)
         if failure is not None:
             raise ConvergenceError(failure, best=result)
         return result

@@ -118,17 +118,24 @@ def hermitian_to_json(form: HermitianForm) -> dict:
     }
 
 
-def hermitian_from_json(data) -> HermitianForm:
+def _square_from_json(data, what, parse):
+    """The rows of the field 'matrix', n+1 lists of n+1 entries read by
+    ``parse``, of a JSON object whose field 'n' gives n >= 0."""
     data = _decode(data)
     try:
         n = _parse_int(data["n"], "'n'")
         raw = data["matrix"]
     except (KeyError, TypeError) as exc:
-        raise InputFormatError("Hermitian form JSON needs fields 'n' and 'matrix'") from exc
-    rows = tuple(tuple(_parse_complex(v) for v in row) for row in raw)
-    if len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
-        raise InputFormatError("matrix size does not match n")
-    return HermitianForm(rows)
+        raise InputFormatError(f"{what} JSON needs fields 'n' and 'matrix'") from exc
+    if n < 0 or not isinstance(raw, (list, tuple)) or len(raw) != n + 1 or any(
+        not isinstance(r, (list, tuple)) or len(r) != n + 1 for r in raw
+    ):
+        raise InputFormatError(f"{what} matrix must be n+1 lists of n+1 entries, n >= 0")
+    return tuple(tuple(parse(v) for v in row) for row in raw)
+
+
+def hermitian_from_json(data) -> HermitianForm:
+    return HermitianForm(_square_from_json(data, "Hermitian form", _parse_complex))
 
 
 def gram_to_json(G: GramMatrix) -> dict:
@@ -139,16 +146,7 @@ def gram_to_json(G: GramMatrix) -> dict:
 
 
 def gram_from_json(data) -> GramMatrix:
-    data = _decode(data)
-    try:
-        n = _parse_int(data["n"], "'n'")
-        raw = data["matrix"]
-    except (KeyError, TypeError) as exc:
-        raise InputFormatError("Gram JSON needs fields 'n' and 'matrix'") from exc
-    rows = tuple(tuple(_parse_real(v) for v in row) for row in raw)
-    if len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
-        raise InputFormatError("matrix size does not match n")
-    return GramMatrix(rows)
+    return GramMatrix(_square_from_json(data, "Gram", _parse_real))
 
 
 def transform_to_json(U: UnimodularTransform) -> list:

@@ -16,9 +16,10 @@ in the Lovasz comparison prefer not swapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from ._precision import check_hermitian, half_eps, hermitian_cholesky
 from .errors import (
@@ -60,25 +61,20 @@ class GramMatrix:
         return self
 
 
+def _int_matrix(rows) -> DomainMatrix:
+    """An integer matrix as sympy's DomainMatrix over ZZ, which takes every
+    determinant, inverse and product of one exactly."""
+    return DomainMatrix.from_list([list(r) for r in rows], ZZ)
+
+
+def _int_rows(M: DomainMatrix) -> tuple:
+    return tuple(tuple(int(v) for v in r) for r in M.to_list())
+
+
 def _int_det(rows):
-    """Exact determinant of a square integer matrix (fraction-free)."""
-    n = len(rows)
-    M = [[Fraction(v) for v in r] for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = M[col][col]
-        for r in range(col + 1, n):
-            factor = M[r][col] / inv
-            M[r] = [M[r][k] - factor * M[col][k] for k in range(n)]
-    assert det.denominator == 1
-    return int(det)
+    """Exact determinant of a square integer matrix (Bareiss's fraction-free
+    elimination)."""
+    return int(_int_matrix(rows).det())
 
 
 @dataclass(frozen=True)
@@ -106,21 +102,9 @@ class UnimodularTransform:
         return _int_det(self.matrix)
 
     def inverse(self) -> "UnimodularTransform":
-        """Exact integer inverse (adjugate divided by the +-1 determinant)."""
-        n = self.size
-        d = self.det()
-        rows = self.matrix
-        adj = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = [
-                    [rows[a][b] for b in range(n) if b != j]
-                    for a in range(n)
-                    if a != i
-                ]
-                cof = _int_det(minor) if n > 1 else 1
-                adj[j][i] = (-1) ** (i + j) * cof
-        return UnimodularTransform(tuple(tuple(v * d for v in r) for r in adj))
+        """Exact integer inverse: the adjugate times the +-1 determinant."""
+        adj, det = _int_matrix(self.matrix).adj_det()
+        return UnimodularTransform(_int_rows(adj * det))
 
     def transpose(self) -> "UnimodularTransform":
         return UnimodularTransform(tuple(zip(*self.matrix)))
@@ -129,14 +113,7 @@ class UnimodularTransform:
         return self.inverse().transpose()
 
     def __matmul__(self, other: "UnimodularTransform") -> "UnimodularTransform":
-        n = self.size
-        a, b = self.matrix, other.matrix
-        return UnimodularTransform(
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                for i in range(n)
-            )
-        )
+        return UnimodularTransform(_int_rows(_int_matrix(self.matrix) * _int_matrix(other.matrix)))
 
     def mat(self):
         return mp.matrix(self.matrix)

@@ -532,7 +532,10 @@ def _strip_zero_roots(coeffs):
     return coeffs, zero_roots
 
 
-def aberth_roots(coeffs, prec=None, maxsteps=500):
+ABERTH_SWEEPS = 500
+
+
+def aberth_roots(coeffs, prec=None):
     """Aberth-Ehrlich simultaneous iteration for all complex roots.
 
     ``coeffs`` is a descending coefficient list (exact numbers or mpmath
@@ -551,7 +554,8 @@ def aberth_roots(coeffs, prec=None, maxsteps=500):
     coefficient underflows, or the first phase fails with no finite
     approximations. Raises ConvergenceError, with the current
     approximations as ``best``, when some root meets neither test within
-    ``maxsteps`` sweeps of the second phase.
+    ``ABERTH_SWEEPS`` sweeps of the second phase (the module constant, read
+    at each call).
     """
     with working_precision(prec):
         target_prec = mp.mp.prec
@@ -562,7 +566,7 @@ def aberth_roots(coeffs, prec=None, maxsteps=500):
         with mp.workprec(target_prec + 20 + 2 * d):
             cs = [to_mpc(c) for c in coeffs]
             try:
-                z = _aberth(cs, _starts(cs), mp.mp.prec, mp.mpf(2) ** (-target_prec), maxsteps)
+                z = _aberth(cs, _starts(cs), mp.mp.prec, mp.mpf(2) ** (-target_prec), ABERTH_SWEEPS)
             except ConvergenceError as exc:
                 exc.best = [mp.mpc(r) for r in exc.best] + [mp.mpc(0)] * zero_roots
                 raise

@@ -205,6 +205,49 @@ def oracle_lll_transform(G, delta=Fraction(0.99)):
     return tuple(tuple(row) for row in U)
 
 
+def oracle_int_det(rows):
+    """Determinant of a square integer matrix by Gaussian elimination in
+    exact rationals."""
+    n = len(rows)
+    M = [[Fraction(v) for v in r] for r in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            M[col], M[pivot] = M[pivot], M[col]
+            det = -det
+        det *= M[col][col]
+        for r in range(col + 1, n):
+            factor = M[r][col] / M[col][col]
+            M[r] = [M[r][k] - factor * M[col][k] for k in range(n)]
+    assert det.denominator == 1
+    return int(det)
+
+
+def oracle_int_inverse(rows):
+    """Inverse of a nonsingular integer matrix by Gauss-Jordan elimination in
+    exact rationals, as rows of Fractions."""
+    n = len(rows)
+    M = [[Fraction(v) for v in r] + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if M[r][col] != 0)
+        M[col], M[pivot] = M[pivot], M[col]
+        M[col] = [v / M[col][col] for v in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                factor = M[r][col]
+                M[r] = [a - factor * b for a, b in zip(M[r], M[col])]
+    return tuple(tuple(r[n:]) for r in M)
+
+
+def oracle_int_product(a, b):
+    """The product of two square integer matrices, one sum per entry."""
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
+
+
 def transported_curve(Q, B, lam):
     """S^H exp(lam B) S with Q = S^H S, via mpmath eigendecomposition."""
     L = mp.cholesky(Q)

@@ -37,7 +37,7 @@ def test_walk_covers_the_api():
 
 
 def test_only_the_solver_takes_a_tolerance_or_budget():
-    assert _takers("tol", "max_iter") == {"minimize", "theta"}
+    assert _takers("tol", "max_iter", "maxsteps") == {"minimize", "theta"}
 
 
 def test_only_the_lll_check_takes_a_slack():

@@ -414,10 +414,18 @@ class TestHermitianForm:
 def _off_hermitian(kind, delta):
     """A form, Gram matrix or tangent direction of size 3 whose (1, 0) entry
     is off by ``delta`` from the conjugate of its (0, 1) entry, or, for
-    "trace", a tangent direction of trace ``delta``; and how to check it."""
+    "trace", a tangent direction of trace ``delta``; and how to check it.
+    The form is also given to eval_D, grad_D and minimize, as rows, a
+    HermitianForm and an mpmath matrix."""
     from cluster_reduce import GramMatrix, TangentDirection, lll_reduce
 
     A = [[2, 0, 0], [delta, 3, 0], [0, 0, 4]]
+    if kind == "eval_D":
+        return lambda: eval_D(normalize_cluster(standard_simplex(2)), A), NotPositiveDefiniteError
+    if kind == "grad_D":
+        return lambda: grad_D(normalize_cluster(standard_simplex(2)), HermitianForm(A)), NotPositiveDefiniteError
+    if kind == "minimize":
+        return lambda: minimize(standard_simplex(2), initial=mp.matrix(A)), NotPositiveDefiniteError
     if kind == "form":
         return HermitianForm(A).check, NotPositiveDefiniteError
     if kind == "gram":
@@ -432,9 +440,10 @@ def _off_hermitian(kind, delta):
 
 class TestHermitianSymmetry:
     """One symmetry test, at 2^(-prec/2) (1 + max |entry|), for forms, Gram
-    matrices and tangent directions."""
+    matrices and tangent directions, and for the forms that callers give
+    eval_D, grad_D and minimize."""
 
-    KINDS = ["form", "gram", "lll", "tangent", "trace"]
+    KINDS = ["form", "gram", "lll", "tangent", "trace", "eval_D", "grad_D", "minimize"]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_off_by_a_quarter_of_the_precision_is_rejected(self, kind):

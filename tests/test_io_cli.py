@@ -146,6 +146,20 @@ _CLUSTER_JSON = st.integers(0, 3).flatmap(
     )
 )
 
+_MATRIX_JSON = st.integers(0, 3).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {
+            "n": st.just(n) | _REAL | _JSON,
+            "matrix": st.lists(
+                st.lists(_REAL | st.lists(_REAL, min_size=2, max_size=2), min_size=n + 1, max_size=n + 1),
+                min_size=n + 1,
+                max_size=n + 1,
+            )
+            | _JSON,
+        }
+    )
+)
+
 
 class TestMalformedInputProperties:
     """Whatever the text, the parsers return a value or raise InputFormatError,
@@ -171,6 +185,19 @@ class TestMalformedInputProperties:
         except InputFormatError:
             return
         assert all(mp.isfinite(c) for p in cluster.points for c in p.coords)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.one_of(_MATRIX_JSON.map(json.dumps), _JSON.map(json.dumps), st.text(max_size=20)),
+        st.sampled_from([cio.hermitian_from_json, cio.gram_from_json]),
+    )
+    def test_hermitian_and_gram_from_json(self, text, reader):
+        try:
+            form = reader(text)
+        except InputFormatError:
+            return
+        assert len(form.matrix) >= 1
+        assert all(len(r) == len(form.matrix) and all(mp.isfinite(v) for v in r) for r in form.matrix)
 
 
 class TestCli:

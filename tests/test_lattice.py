@@ -4,11 +4,15 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cluster_reduce import (
+    DimensionError,
     GramMatrix,
     InputFormatError,
     NotPositiveDefiniteError,
+    SingularMatrixError,
     UnimodularTransform,
     congruence,
     is_lll_reduced,
@@ -16,7 +20,13 @@ from cluster_reduce import (
 )
 
 from conftest import PENCIL_COVARIANT_PRECISE, PENCIL_LLL
-from oracles import oracle_best_diagonal, oracle_lll_transform
+from oracles import (
+    oracle_best_diagonal,
+    oracle_int_det,
+    oracle_int_inverse,
+    oracle_int_product,
+    oracle_lll_transform,
+)
 
 
 def int_gram(rnd, size=3, spread=5):
@@ -31,6 +41,28 @@ def int_gram(rnd, size=3, spread=5):
         G = [[S[i][j] + (shift if i == j else 0) for j in range(size)] for i in range(size)]
         if min(np.linalg.eigvalsh(np.array(G, dtype=float))) > 0.1:
             return G
+
+
+# entries up to 2^64, often small, so that determinants 0, +-1 and +-2 occur
+_ENTRY = st.one_of(st.integers(-2, 2), st.integers(-(2**64), 2**64))
+
+
+@st.composite
+def unimodular_rows(draw, size):
+    """Rows of a unimodular integer matrix of the given size: a diagonal of
+    signs under a sequence of row additions and swaps, entries up to 2^64."""
+    U = [[draw(st.sampled_from([1, -1])) if i == j else 0 for j in range(size)] for i in range(size)]
+    for _ in range(draw(st.integers(0, 3 * size))):
+        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        if i == j:
+            continue
+        if draw(st.booleans()):
+            U[i], U[j] = U[j], U[i]
+        else:
+            k = draw(st.integers(-(2**40), 2**40))
+            if max(abs(a + k * b) for a, b in zip(U[i], U[j])) <= 2**64:
+                U[i] = [a + k * b for a, b in zip(U[i], U[j])]
+    return tuple(map(tuple, U))
 
 
 class TestUnimodularTransform:
@@ -59,6 +91,31 @@ class TestUnimodularTransform:
         V = U.inverse()
         prod = U @ V
         assert prod.matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(unimodular_rows(n), unimodular_rows(n))))
+    def test_matches_the_rational_oracle(self, pair):
+        a, b = pair
+        U, V = UnimodularTransform(a), UnimodularTransform(b)
+        identity = tuple(tuple(int(i == j) for j in range(U.size)) for i in range(U.size))
+        assert U.det() == oracle_int_det(a)
+        assert U.inverse().matrix == oracle_int_inverse(a)
+        assert (U @ V).matrix == oracle_int_product(a, b)
+        assert (U @ U.inverse()).matrix == (U.inverse() @ U).matrix == identity
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_other_determinants_are_rejected(self, rows):
+        if oracle_int_det(rows) in (1, -1):
+            assert UnimodularTransform(rows).det() == oracle_int_det(rows)
+        else:
+            with pytest.raises(SingularMatrixError):
+                UnimodularTransform(rows)
+
+    @pytest.mark.parametrize("rows", [((1, 0),), ((1, 0), (0,)), ((1,), (0,))])
+    def test_non_square_rejected(self, rows):
+        with pytest.raises(DimensionError):
+            UnimodularTransform(rows)
 
 
 class TestLllReduce:

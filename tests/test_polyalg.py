@@ -580,35 +580,38 @@ class TestAberthInternals:
             for want in roots():
                 assert min(abs(r - want) for r in got) < mp.mpf(2) ** -200 * abs(want)
 
-    def test_quartic_hessian_resultant_starts_from_its_roots_in_doubles(self):
+    def test_quartic_hessian_resultant_starts_from_its_roots_in_doubles(self, monkeypatch):
         # the exact pass of the reference quartic: from its roots in doubles
         # all 24 roots stop within 4 sweeps at 424 bits (15 from the Bini
         # points)
         coeffs = _hessian_resultant(QUARTIC_REDUCED)
-        roots = aberth_roots(coeffs, prec=424, maxsteps=5)
+        monkeypatch.setattr(polyalg, "ABERTH_SWEEPS", 5)
+        roots = aberth_roots(coeffs, prec=424)
         assert len(roots) == 24
 
     def test_leading_zero_rejected(self):
         with pytest.raises(InputFormatError):
             aberth_roots([mp.mpf(0), mp.mpf(1)], prec=50)
 
-    def test_quartic_hessian_resultant_stops_at_rounding_level(self):
+    def test_quartic_hessian_resultant_stops_at_rounding_level(self, monkeypatch):
         # the degree-24 resultant of the reference quartic and its Hessian:
         # conditioning eats the guard bits, so a correction-size test alone
-        # runs every root to maxsteps, while the Horner rounding test stops
+        # runs every root to the sweep cap, while the Horner rounding test stops
         # them all
         coeffs = _hessian_resultant(QUARTIC)
-        roots = aberth_roots(coeffs, prec=424, maxsteps=150)
+        monkeypatch.setattr(polyalg, "ABERTH_SWEEPS", 150)
+        roots = aberth_roots(coeffs, prec=424)
         assert len(roots) == 24
         with mp.workprec(424):
             exact = [mp.mpc(c) for c in coeffs]
             for r in roots:
                 assert polyalg._poly_residual(exact, r) < mp.mpf(2) ** -212
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
         # (x - 1)(x - 2)...(x - 6): one sweep cannot converge every root
         coeffs = [1, -21, 175, -735, 1624, -1764, 720]
+        monkeypatch.setattr(polyalg, "ABERTH_SWEEPS", 1)
         with pytest.raises(ConvergenceError) as info:
-            aberth_roots(coeffs, prec=100, maxsteps=1)
+            aberth_roots(coeffs, prec=100)
         assert "of 6 roots did not converge" in str(info.value)
         assert len(info.value.best) == 6
