@@ -23,7 +23,7 @@ import math
 
 import mpmath as mp
 
-from .errors import NotPositiveDefiniteError
+from .errors import InputFormatError, NotPositiveDefiniteError
 
 DEFAULT_PREC = 212
 
@@ -38,13 +38,21 @@ def half_eps():
     return mp.mpf(2) ** (-mp.mp.prec // 2)
 
 
+def to_mpf(value, kind=mp.mpf):
+    """An mpf, or a ``kind``, from an int, Fraction, string, float or mpmath
+    number; a boolean is no number (InputFormatError)."""
+    if isinstance(value, bool):
+        raise InputFormatError(f"{value!r} is a boolean, not a number")
+    return kind(mp.mpmathify(value))
+
+
 def to_mpc(value):
-    """Convert ints, Fractions, strings, floats or mpmath numbers to mpc."""
+    """:func:`to_mpf` to mpc, of a number or of a (re, im) pair of reals."""
     if isinstance(value, mp.mpc):
         return value
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return mp.mpc(mp.mpmathify(value[0]), mp.mpmathify(value[1]))
-    return mp.mpc(mp.mpmathify(value))
+        return mp.mpc(to_mpf(value[0]), to_mpf(value[1]))
+    return to_mpf(value, mp.mpc)
 
 
 def hermitian_cholesky(A):

@@ -170,14 +170,12 @@ def classify_cmd(input_path, prec, as_json):
 @main.command("covariant")
 @click.argument("input_path")
 @_common_options()
-@click.option("--tol", type=click.FloatRange(min=0, min_open=True), help="gradient tolerance for the minimizer")
-@click.option("--max-iter", type=click.IntRange(min=0), default=1000, show_default=True)
-def covariant_cmd(input_path, prec, tol, max_iter, as_json, report_path):
+def covariant_cmd(input_path, prec, as_json, report_path):
     """Covariant z(Z) and theta of a stable cluster (JSON file)."""
 
     def body():
         cluster = cio.cluster_from_json(_read(input_path))
-        result = minimize(cluster, tol=tol, max_iter=max_iter, prec=prec)
+        result = minimize(cluster, prec=prec)
         with working_precision(prec):
             payload = cio.covariant_result_to_json(result)
         _emit(

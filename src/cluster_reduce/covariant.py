@@ -24,21 +24,22 @@ diagonal (log det Q = 2 sum_i log L_ii). The step length halves from 1
 until the change of D, evaluated in doubles, meets Armijo's 1/4 by more than
 its rounding, or until lambda |B|_F <= 1/10, which proves that decrease
 without an evaluation. It stops once the Frobenius norm of G is at most the
-tolerance, or at most 2^(1-prec) kappa(Q), below which the rounding of Q
-decides it, provided its square is at most 2^(-prec/2); a gradient stuck
-above that is a shortfall of the working precision and raises
-ConvergenceError. The start is the closed form (sum_j g_j g_j^H)^-1 over
-n+2 points in general position scaled by simplex weights, which is exact,
-taken as X^H X for X = K^-1 and the Cholesky factor K of the sum, and
-otherwise the covariant in hardware doubles: Tyler's fixed-point iteration
-in the same chart, in Python's built-in complex, which the preconditioning
-passes of the ternary pipeline run too, or its last iterate where it does
-not settle; the identity where either fails or is not positive definite
-and finite. Newton then only refines it, gaining 45 to 50 bits per
-iteration. Every Hermitian form is kept as rows, and every Cholesky factor,
-of an iterate at the working precision or of a matrix in doubles, comes
-from the one :func:`hermitian_cholesky`, which gives the determinants and
-the inverses too.
+tolerance, by default 2^(-3 prec/4), or at most 2^(1-prec) kappa(Q), below
+which the rounding of Q decides it, provided its square is at most
+2^(-prec/2); a gradient stuck above that, or above the tolerance after
+NEWTON_ITERATIONS iterations, raises ConvergenceError. The start is the
+closed form (sum_j g_j g_j^H)^-1 over n+2 points in general position scaled
+by simplex weights, which is exact, taken as X^H X for X = K^-1 and the
+Cholesky factor K of the sum, and otherwise the covariant in hardware
+doubles: Tyler's fixed-point iteration in the same chart, in Python's
+built-in complex, which the preconditioning passes of the ternary pipeline
+run too, or its last iterate where it does not settle; the identity where
+either fails or is not positive definite and finite. Newton then only
+refines it, gaining 45 to 50 bits per iteration. Every Hermitian form is
+kept as rows, and every Cholesky factor, of an iterate at the working
+precision or of a matrix in doubles, comes from the one
+:func:`hermitian_cholesky`, which gives the determinants and the inverses
+too.
 """
 
 from __future__ import annotations
@@ -75,6 +76,11 @@ from .errors import (
     NotPositiveDefiniteError,
     StabilityError,
 )
+
+NEWTON_ITERATIONS = 1000  # the solver's budget, read at each call
+# theta's stop on semi-stable clusters that are not stable, where the gradient
+# falls only sublinearly: 2^(-3 prec/4) lies beyond NEWTON_ITERATIONS there
+SEMI_STABLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -167,7 +173,7 @@ class CovariantResult:
     iterations: int
     final_gradient_norm: object
     stop: Optional[str]  # what stopped Newton: "tol", "resolution", or None if it failed
-    transcript: Optional[tuple] = None
+    transcript: tuple  # (iteration, D, step) per iterate, step the NewtonStep that reached it
 
 
 @dataclass(frozen=True)
@@ -279,20 +285,16 @@ def _gradient(ws, n1):
     return G, _frobenius_norm(G)
 
 
-def _form_rows(Q, n1, check=True):
-    """The rows of a form Q, given as a HermitianForm, an mpmath matrix or
-    rows. Raises DimensionError unless Q is n1 x n1 and, with ``check``,
-    NotPositiveDefiniteError unless it is Hermitian: the Cholesky
-    factorization reads only the lower triangle, so a caller's form is
-    checked, while the solver's own start is Hermitian by construction."""
-    if isinstance(Q, mp.matrix):
-        Q = Q.tolist()
+def _form_factor(Q, n1):
+    """The Cholesky factor of a caller's form Q, given as a HermitianForm or
+    rows. Raises DimensionError unless Q is n1 x n1 and
+    NotPositiveDefiniteError unless it is Hermitian (the factorization reads
+    only the lower triangle) and positive definite."""
     rows = (Q if isinstance(Q, HermitianForm) else HermitianForm(Q)).matrix
     if len(rows) != n1:
         raise DimensionError("form size does not match cluster dimension")
-    if check:
-        check_hermitian(rows, NotPositiveDefiniteError("matrix is not Hermitian"))
-    return rows
+    check_hermitian(rows, NotPositiveDefiniteError("matrix is not Hermitian"))
+    return hermitian_cholesky(rows)
 
 
 def eval_D(zc: ScaledCluster, Q: HermitianForm):
@@ -301,7 +303,7 @@ def eval_D(zc: ScaledCluster, Q: HermitianForm):
     Invariant under positive scaling of Q; rescaling one row by lambda adds
     log |lambda|^2.
     """
-    return _images(hermitian_cholesky(_form_rows(Q, zc.n + 1)), zc.reps)[1]
+    return _images(_form_factor(Q, zc.n + 1), zc.reps)[1]
 
 
 def grad_D(zc: ScaledCluster, Q: HermitianForm) -> TangentDirection:
@@ -311,8 +313,7 @@ def grad_D(zc: ScaledCluster, Q: HermitianForm) -> TangentDirection:
     derivative of D along lambda -> S^H exp(lambda B) S equals the Frobenius
     pairing of the returned matrix with B, for every trace-free Hermitian B.
     """
-    rows = _form_rows(Q, zc.n + 1)
-    G, _ = _gradient(_images(hermitian_cholesky(rows), zc.reps)[0], len(rows))
+    G, _ = _gradient(_images(_form_factor(Q, zc.n + 1), zc.reps)[0], zc.n + 1)
     return TangentDirection(G)
 
 
@@ -486,12 +487,12 @@ def _resolution(L):
     return mp.eps * norm2[0] * norm2[1]
 
 
-def _newton(reps, n1, tol, max_iter, initial, record=False):
-    """Damped Riemannian Newton loop; returns the :class:`CovariantResult`
-    at the last iterate and ``failure``, None once the loop has converged and
-    otherwise why it stopped. With ``record`` the result's transcript lists
-    (iteration, D, step) per iterate, ``step`` the :class:`NewtonStep` that
-    reached it (None at the start).
+def _newton(reps, n1, tol, initial):
+    """Damped Riemannian Newton loop from the rows ``initial``; returns the
+    :class:`CovariantResult` at the last iterate and ``failure``, None once
+    the loop has converged and otherwise why it stopped. The result's
+    transcript lists (iteration, D, step) per iterate, ``step`` the
+    :class:`NewtonStep` that reached it (None at the start).
 
     The start is scaled to determinant 1. Each iteration is a step of
     iterative refinement: the residual and the stop tests at the working
@@ -502,7 +503,8 @@ def _newton(reps, n1, tol, max_iter, initial, record=False):
     is at most 2^(-prec/2) (stop "resolution"): one more Newton step would
     then move Q by about that square, inside LLL's tie window. A gradient at
     the resolution but above 2^(-prec/4) is a shortfall of the working
-    precision, and a failure. Otherwise the Newton direction B comes from
+    precision, and a failure, as is a gradient above ``tol`` after
+    NEWTON_ITERATIONS iterations. Otherwise the Newton direction B comes from
     :func:`_newton_direction`, good to about 50 bits, so that each iteration
     gains 45 to 50 bits; Y = exp(lambda B/2) - I in doubles is applied at the
     working precision as L <- L (I + Y), and L L^H is factored again and
@@ -533,15 +535,14 @@ def _newton(reps, n1, tol, max_iter, initial, record=False):
     """
     Q, L = initial, hermitian_cholesky(initial)
     basis = _trace_free_basis(n1)
-    m = len(reps)
+    m, max_iter = len(reps), NEWTON_ITERATIONS
     transcript, step, stop, failure = [], None, None, None
     for it in range(max_iter + 1):
         scale = mp.exp(-_log_det(L) / (2 * n1))
         Q, L = [[v * scale**2 for v in row] for row in Q], [[v * scale for v in row] for row in L]
         ws, D = _images(L, reps)
         G, gnorm = _gradient(ws, n1)
-        if record:
-            transcript.append((it, D, step))
+        transcript.append((it, D, step))
         if gnorm <= tol:
             stop = "tol"
             break
@@ -588,49 +589,36 @@ def _newton(reps, n1, tol, max_iter, initial, record=False):
     if failure is not None:
         failure += f", at the working precision of {mp.mp.prec} bits"
     z = HermitianForm(Q)
-    return CovariantResult(z, mp.e**D, it, gnorm, stop, tuple(transcript) if record else None), failure
+    return CovariantResult(z, mp.e**D, it, gnorm, stop, tuple(transcript)), failure
 
 
-def minimize(
-    cluster: PointCluster,
-    tol=None,
-    max_iter=1000,
-    prec=None,
-    initial=None,
-    check_stability=True,
-    record_transcript=False,
-) -> CovariantResult:
+def minimize(cluster: PointCluster, tol=None, prec=None, check_stability=True) -> CovariantResult:
     """Minimize D over determinant-1 Hermitian forms; returns the covariant.
 
-    The input must be stable unless ``check_stability`` is disabled (useful to
-    observe divergence). ``initial`` optionally seeds the solver with a
-    positive definite Hermitian matrix (a HermitianForm, an mpmath matrix or
-    rows; NotPositiveDefiniteError if it is not Hermitian), by default
-    :func:`_start`: the closed form for n+2 points in general position, else
-    Tyler's covariant in doubles, else the identity. The minimizer does not depend on it. The solver is Newton
-    with the gradient and the stop tests at the working precision and each
-    correction in doubles (:func:`_newton`), and theta is reported for the
-    unit-norm scaling of the cluster. ``record_transcript`` keeps, per
-    iteration, D and the :class:`NewtonStep` that reached it, and ``stop``
-    names the criterion that ended Newton; a gradient that the working
-    precision cannot bring inside LLL's tie window raises ConvergenceError.
+    The input must be stable unless ``check_stability`` is disabled; one
+    that is not then needs ``tol=SEMI_STABLE_TOL``, as :func:`theta` passes,
+    to stop. The solver starts from :func:`_start`: the closed form for n+2
+    points in general position, else Tyler's covariant in doubles, else the
+    identity; the minimizer does not depend on it. It is Newton with the
+    gradient and the stop tests at the working precision and each correction
+    in doubles (:func:`_newton`), and theta is reported for the unit-norm
+    scaling of the cluster. It stops once the gradient norm is at most
+    ``tol``, by default 2^(-3 prec/4), well inside LLL's 2^(-prec/2) tie
+    window; ``stop`` names the criterion that ended Newton, and the
+    transcript keeps, per iteration, D and the :class:`NewtonStep` that
+    reached it. A gradient that the working precision cannot bring inside
+    the tie window, or that is above ``tol`` after NEWTON_ITERATIONS
+    iterations, raises ConvergenceError.
     """
     with working_precision(prec):
         if check_stability:
             cls = classify(cluster)
             if not cls.is_stable:
-                raise StabilityError(
-                    "cluster is not stable; the distance function has no minimizer",
-                    classification=cls,
-                    witness=cls.witness,
-                )
-        tol = mp.mpf(10) ** -12 if tol is None else mp.mpf(tol)
+                message = "cluster is not stable; the distance function has no minimizer"
+                raise StabilityError(message, classification=cls, witness=cls.witness)
+        tol = half_eps() ** 1.5 if tol is None else mp.mpf(tol)
         zc = normalize_cluster(cluster)
-        if initial is None:
-            initial = _form_rows(_start(cluster, zc.reps), cluster.n + 1, check=False)
-        else:
-            initial = _form_rows(initial, cluster.n + 1)
-        result, failure = _newton(zc.reps, cluster.n + 1, tol, max_iter, initial, record=record_transcript)
+        result, failure = _newton(zc.reps, cluster.n + 1, tol, _start(cluster, zc.reps))
         if failure is not None:
             raise ConvergenceError(failure, best=result)
         return result
@@ -642,14 +630,15 @@ def _witness_from_subspace(witness_points):
     return DivergenceWitness(basis=tuple(zip(*basis)), subspace_dim=len(kept))
 
 
-def theta(zc: ScaledCluster, tol=None, max_iter=1000, prec=None) -> ThetaResult:
+def theta(zc: ScaledCluster, prec=None) -> ThetaResult:
     """Infimum of exp(D) for the given scaling, with degenerate cases flagged.
 
     D is evaluated for that scaling at the covariant of :func:`minimize`.
     Stable input: the attained minimum, or ConvergenceError naming the
     working precision where Newton fails. Semi-stable but not stable: the
-    infimum, estimated at minimize's last iterate and by the witness family,
-    and attained exactly when the cluster is polystable.
+    infimum, estimated at minimize's last iterate, which stops at
+    SEMI_STABLE_TOL, and by the witness family, and attained exactly when the
+    cluster is polystable.
     Unstable: value 0 together with a witness family along which D diverges
     to -infinity.
     """
@@ -659,8 +648,9 @@ def theta(zc: ScaledCluster, tol=None, max_iter=1000, prec=None) -> ThetaResult:
         if not cls.is_semi_stable:
             witness = _witness_from_subspace(cls.witness.spanning_points)
             return ThetaResult(value=mp.mpf(0), attained=False, stability=cls, witness=witness)
+        tol = None if cls.is_stable else SEMI_STABLE_TOL
         try:
-            result, failure = minimize(cluster, tol, max_iter, check_stability=False), None
+            result, failure = minimize(cluster, tol, check_stability=False), None
         except ConvergenceError as exc:
             result, failure = exc.best, exc
         value = mp.e ** eval_D(zc, result.z)
@@ -671,12 +661,9 @@ def theta(zc: ScaledCluster, tol=None, max_iter=1000, prec=None) -> ThetaResult:
         # semi-stable, not stable: Newton may run out of iterations on its
         # way to an infimum at infinity, so its failure is no error here.
         # The infimum is attained iff the cluster is polystable, a direct
-        # sum of clusters each stable in its own span;
-        # either way the witness family decreases to it (D is convex and
-        # bounded along that geodesic)
-        attained = cls.is_split and all(
-            classify(c).is_stable for c in _component_clusters(cluster)
-        )
+        # sum of clusters each stable in its own span; either way the witness
+        # family decreases to it (D is convex and bounded along that geodesic)
+        attained = cls.is_split and all(classify(c).is_stable for c in _component_clusters(cluster))
         witness = None
         if cls.witness is not None:
             witness = _witness_from_subspace(cls.witness.spanning_points)

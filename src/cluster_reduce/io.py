@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from ._precision import to_mpf
 from .cluster_core import PointCluster, ProjectivePoint
 from .covariant import CovariantResult, HermitianForm
 from .errors import DimensionError, InputFormatError, InvalidPointError
@@ -37,12 +38,14 @@ def _decode(data):
 
 
 def _parse_real(s):
+    """A finite real number: a number, a decimal or a fraction string; a
+    boolean or a complex string such as "1j" is no real number."""
     try:
         if isinstance(s, str) and "/" in s:
             f = Fraction(s)
             x = mp.mpf(f.numerator) / f.denominator
         else:
-            x = mp.mpmathify(s)
+            x = to_mpf(s)
     except Exception as exc:
         raise InputFormatError(f"cannot parse number {s!r}") from exc
     if not mp.isfinite(x):
@@ -74,6 +77,14 @@ def _parse_complex(entry):
     return mp.mpc(_parse_real(entry))
 
 
+def _rows(raw, what):
+    """``raw`` if it is a list of lists, else InputFormatError: a string where
+    a list is expected is malformed, never read one character per entry."""
+    if not isinstance(raw, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in raw):
+        raise InputFormatError(f"{what} must be a list of lists")
+    return raw
+
+
 def _complex_to_pair(c):
     c = mp.mpc(c)
     return [_num_to_str(mp.re(c)), _num_to_str(mp.im(c))]
@@ -98,13 +109,13 @@ def cluster_from_json(data) -> PointCluster:
         raise InputFormatError("cluster JSON needs fields 'n' and 'points'") from exc
     points = []
     try:
-        for row in raw:
+        for row in _rows(raw, "cluster points"):
             coords = tuple(_parse_complex(e) for e in row)
             if len(coords) != n + 1:
                 raise InputFormatError(f"point {row!r} does not have n+1 = {n + 1} coordinates")
             points.append(ProjectivePoint(coords))
         return PointCluster(tuple(points))
-    except (InvalidPointError, TypeError) as exc:
+    except InvalidPointError as exc:
         raise InputFormatError(f"bad cluster: {exc}") from exc
 
 
@@ -127,11 +138,10 @@ def _square_from_json(data, what, parse):
         raw = data["matrix"]
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"{what} JSON needs fields 'n' and 'matrix'") from exc
-    if n < 0 or not isinstance(raw, (list, tuple)) or len(raw) != n + 1 or any(
-        not isinstance(r, (list, tuple)) or len(r) != n + 1 for r in raw
-    ):
+    rows = _rows(raw, f"{what} matrix")
+    if n < 0 or len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
         raise InputFormatError(f"{what} matrix must be n+1 lists of n+1 entries, n >= 0")
-    return tuple(tuple(parse(v) for v in row) for row in raw)
+    return tuple(tuple(parse(v) for v in row) for row in rows)
 
 
 def hermitian_from_json(data) -> HermitianForm:
@@ -154,12 +164,8 @@ def transform_to_json(U: UnimodularTransform) -> list:
 
 
 def transform_from_json(data) -> UnimodularTransform:
-    data = _decode(data)
-    try:
-        rows = tuple(tuple(_parse_int(v, "transform entry") for v in row) for row in data)
-    except TypeError as exc:
-        raise InputFormatError("transform JSON must be a list of integer rows") from exc
-    return UnimodularTransform(rows)
+    rows = _rows(_decode(data), "transform JSON")
+    return UnimodularTransform(tuple(tuple(_parse_int(v, "transform entry") for v in row) for row in rows))
 
 
 # -- polynomials --------------------------------------------------------------

@@ -21,7 +21,7 @@ import mpmath as mp
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from ._precision import check_hermitian, half_eps, hermitian_cholesky
+from ._precision import check_hermitian, half_eps, hermitian_cholesky, to_mpf
 from .errors import (
     ConvergenceError,
     DimensionError,
@@ -38,7 +38,7 @@ class GramMatrix:
     matrix: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(mp.mpf(mp.mpmathify(v)) for v in r) for r in self.matrix)
+        rows = tuple(tuple(to_mpf(v) for v in r) for r in self.matrix)
         size = len(rows)
         if any(len(r) != size for r in rows):
             raise DimensionError("Gram matrix must be square")

@@ -83,15 +83,15 @@ def _reduce_core(cls, cluster: PointCluster, what: str, delta, back=None):
     """The reduction shared by every pipeline: requires the caller's class
     ``cls`` stable (from :func:`classify` for numeric input, from exact facts
     for forms), takes the covariant from :func:`minimize`, which starts from
-    the closed form for n+2 points, and LLL-reduces the real Gram matrix.
+    the closed form for n+2 points and stops at a gradient well inside LLL's
+    tie window, and LLL-reduces the real Gram matrix.
     A cluster found on F(U0 x) comes with ``back`` = U0^-1, which carries
     its Gram G' to the input's coordinates as G = U0^-T G' U0^-1 before LLL,
     so that U does not depend on U0.
     Returns (covariant result, G, reduced Gram, U), U from LLL unchanged."""
     if not cls.is_stable:
         raise StabilityError(f"{what} is not stable", classification=cls, witness=cls.witness)
-    # a gradient tolerance well inside LLL's 2^(-prec/2) tie window
-    result = minimize(cluster, tol=half_eps() ** 1.5, check_stability=False)
+    result = minimize(cluster, check_stability=False)
     G = _real_gram(result.z)
     if back is not None:
         G = congruence(G, back)

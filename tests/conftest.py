@@ -178,6 +178,17 @@ def random_unimodular_int(rnd, size, max_entry=1000):
     return U
 
 
+def start_newton_from(patch, rows):
+    """Make the covariant solver start from the form ``rows`` (an mpmath
+    matrix or rows) instead of its own start, through the monkeypatch
+    ``patch``; the start is converted at the precision of this call."""
+    from cluster_reduce import covariant
+
+    rows = rows.tolist() if isinstance(rows, mp.matrix) else rows
+    start = [[mp.mpc(v) for v in row] for row in rows]
+    patch.setattr(covariant, "_start", lambda cluster, reps: start)
+
+
 def matrices_close_mod_scaling(A, B, rel_tol):
     """Relative distance of two matrices after optimal positive scaling."""
     A = mp.matrix(A) if not isinstance(A, mp.matrix) else A

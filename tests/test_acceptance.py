@@ -54,6 +54,7 @@ from conftest import (
     random_trace_free_hermitian,
     random_unimodular_int,
     signed_permutations,
+    start_newton_from,
 )
 from oracles import (
     fd_directional_derivative,
@@ -122,7 +123,7 @@ def test_criterion_2_quartic_end_to_end():
     )
 
 
-def test_criterion_3_closed_form_oracle():
+def test_criterion_3_closed_form_oracle(monkeypatch):
     rnd = random.Random(3003)
     t0 = time.time()
     failures = 0
@@ -133,7 +134,8 @@ def test_criterion_3_closed_form_oracle():
         if not classify(Z).is_stable:
             continue
         closed = simplex_covariant(Z)
-        descended = minimize(Z, initial=HermitianForm.from_matrix(mp.eye(n + 1)))
+        start_newton_from(monkeypatch, mp.eye(n + 1))
+        descended = minimize(Z)
         trials += 1
         if not matrices_close_mod_scaling(closed.mat(), descended.z.mat(), mp.mpf("1e-8")):
             failures += 1

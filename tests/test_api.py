@@ -2,8 +2,10 @@
 
 Tolerances and iteration budgets are derived from the precision, so no
 exported function or method takes one, apart from the covariant solver's
-stated stopping rule (``minimize``, ``theta``) and the slack of the
-independent LLL check.
+gradient tolerance (``minimize``, by default 2^(-3 prec/4), which theta sets
+to a fixed 10^-12 on semi-stable clusters that are not stable) and the slack
+of the independent LLL check. No function takes a start, a budget or a
+switch for its record either.
 """
 
 import inspect
@@ -37,7 +39,9 @@ def test_walk_covers_the_api():
 
 
 def test_only_the_solver_takes_a_tolerance_or_budget():
-    assert _takers("tol", "max_iter", "maxsteps") == {"minimize", "theta"}
+    # and the solver takes no budget, start or record switch either
+    assert _takers("tol") == {"minimize"}
+    assert _takers("max_iter", "maxsteps", "initial", "record_transcript") == set()
 
 
 def test_only_the_lll_check_takes_a_slack():
@@ -46,6 +50,11 @@ def test_only_the_lll_check_takes_a_slack():
 
 def test_no_derived_threshold_is_a_parameter():
     assert _takers("rank_tol", "det_tol", "max_shears") == set()
+
+
+def test_solver_takes_its_cluster_tolerance_precision_and_stability_check():
+    assert SIGNATURES["minimize"] == ["cluster", "tol", "prec", "check_stability"]
+    assert SIGNATURES["theta"] == ["zc", "prec"]
 
 
 def test_pipelines_take_their_object_precision_delta_and_seed():

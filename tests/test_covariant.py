@@ -34,6 +34,7 @@ from conftest import (
     random_sl,
     random_trace_free_hermitian,
     random_unimodular_int,
+    start_newton_from,
 )
 from oracles import (
     fd_directional_derivative,
@@ -197,13 +198,13 @@ class TestMinimize:
         with pytest.raises(StabilityError):
             minimize(Z)
 
-    def test_unique_minimizer_many_starts(self, rnd):
+    def test_unique_minimizer_many_starts(self, rnd, monkeypatch):
         Z = random_cluster(rnd, 2, 4)
         assert classify(Z).is_stable
         base = minimize(Z).z.mat()
         for _ in range(10):
-            init = random_pd_hermitian(rnd, 3)
-            res = minimize(Z, initial=HermitianForm.from_matrix(init))
+            start_newton_from(monkeypatch, random_pd_hermitian(rnd, 3))
+            res = minimize(Z)
             assert matrices_close_mod_scaling(res.z.mat(), base, mp.mpf("1e-6"))
 
     def test_theta_consistency(self, rnd):
@@ -238,15 +239,33 @@ class TestMinimize:
 
     @pytest.mark.parametrize("Z", TYLER_CASES)
     def test_transcript_monotone_in_few_newton_steps(self, Z):
-        res = minimize(Z, record_transcript=True)
+        res = minimize(Z, tol=mp.mpf(10) ** -12)
         assert res.iterations <= 12
         values = [D for _, D, _ in res.transcript]
         assert [it for it, _, _ in res.transcript] == list(range(res.iterations + 1))
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert abs(values[-1] - mp.log(res.theta)) < mp.mpf("1e-40")
 
+    @pytest.mark.parametrize("bits", [106, 212, 424])
+    @pytest.mark.parametrize("Z", TYLER_CASES)
+    def test_default_stop_comes_from_the_precision(self, Z, bits):
+        # with no tolerance given, Newton stops at a gradient norm of at most
+        # 2^(-3 prec/4), or at the resolution of the iterate; the steps it
+        # takes below 2^(-prec/2) move D by less than its rounding
+        from cluster_reduce._precision import half_eps
+
+        with mp.workprec(bits):
+            res = minimize(Z)
+            assert res.stop in ("tol", "resolution")
+            if res.stop == "tol":
+                assert res.final_gradient_norm <= half_eps() ** 1.5
+            values = [D for _, D, _ in res.transcript]
+            assert len(values) == res.iterations + 1
+            rounding = mp.mpf(2) ** (24 - bits)
+            assert all(b <= a + rounding for a, b in zip(values, values[1:]))
+
     @pytest.mark.parametrize("bits", [53, 212])
-    def test_steps_keep_determinant_one(self, bits):
+    def test_steps_keep_determinant_one(self, bits, monkeypatch):
         # only the start is scaled; the trace-free steps must keep det z = 1.
         # The default start is Tyler's covariant in doubles, which leaves too
         # few steps to test, so the identity starts the solver
@@ -254,7 +273,8 @@ class TestMinimize:
 
         Z = cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, -1, 5))
         with mp.workprec(bits):
-            res = minimize(Z, initial=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+            start_newton_from(monkeypatch, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+            res = minimize(Z)
             assert res.iterations >= 3
             assert abs(res.z.det() - 1) < half_eps()
 
@@ -312,11 +332,12 @@ class TestStart:
             return real(points)
 
         monkeypatch.setattr(covariant, "_tyler_in_doubles", counted)
+        monkeypatch.setattr(covariant, "NEWTON_ITERATIONS", 5)
         # three of the four points lie on a line: unstable, so Newton fails,
         # but it starts from Tyler's last iterate
         Z = cluster_of((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 3))
         with pytest.raises(ConvergenceError):
-            minimize(Z, check_stability=False, max_iter=5)
+            minimize(Z, check_stability=False)
         assert calls == [4]
         reps = normalize_cluster(Z).reps
         start = covariant._start(Z, reps)
@@ -415,8 +436,8 @@ def _off_hermitian(kind, delta):
     """A form, Gram matrix or tangent direction of size 3 whose (1, 0) entry
     is off by ``delta`` from the conjugate of its (0, 1) entry, or, for
     "trace", a tangent direction of trace ``delta``; and how to check it.
-    The form is also given to eval_D, grad_D and minimize, as rows, a
-    HermitianForm and an mpmath matrix."""
+    The form is also given to eval_D as rows and to grad_D as a
+    HermitianForm."""
     from cluster_reduce import GramMatrix, TangentDirection, lll_reduce
 
     A = [[2, 0, 0], [delta, 3, 0], [0, 0, 4]]
@@ -424,8 +445,6 @@ def _off_hermitian(kind, delta):
         return lambda: eval_D(normalize_cluster(standard_simplex(2)), A), NotPositiveDefiniteError
     if kind == "grad_D":
         return lambda: grad_D(normalize_cluster(standard_simplex(2)), HermitianForm(A)), NotPositiveDefiniteError
-    if kind == "minimize":
-        return lambda: minimize(standard_simplex(2), initial=mp.matrix(A)), NotPositiveDefiniteError
     if kind == "form":
         return HermitianForm(A).check, NotPositiveDefiniteError
     if kind == "gram":
@@ -441,9 +460,9 @@ def _off_hermitian(kind, delta):
 class TestHermitianSymmetry:
     """One symmetry test, at 2^(-prec/2) (1 + max |entry|), for forms, Gram
     matrices and tangent directions, and for the forms that callers give
-    eval_D, grad_D and minimize."""
+    eval_D and grad_D."""
 
-    KINDS = ["form", "gram", "lll", "tangent", "trace", "eval_D", "grad_D", "minimize"]
+    KINDS = ["form", "gram", "lll", "tangent", "trace", "eval_D", "grad_D"]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_off_by_a_quarter_of_the_precision_is_rejected(self, kind):
@@ -476,10 +495,15 @@ def stable_clusters_off_the_minimizer(draw):
 
 def _iterate(Z, start, k):
     """The k-th Newton iterate from ``start``."""
-    try:
-        return minimize(Z, initial=start, max_iter=k, check_stability=False).z
-    except ConvergenceError as exc:
-        return exc.best.z
+    from cluster_reduce import covariant
+
+    with pytest.MonkeyPatch.context() as patch:
+        start_newton_from(patch, start)
+        patch.setattr(covariant, "NEWTON_ITERATIONS", k)
+        try:
+            return minimize(Z, check_stability=False).z
+        except ConvergenceError as exc:
+            return exc.best.z
 
 
 class TestNewtonStep:
@@ -490,9 +514,14 @@ class TestNewtonStep:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(stable_clusters_off_the_minimizer())
     def test_every_step_lowers_D_by_a_quarter_of_its_slope(self, case):
+        from cluster_reduce import covariant
+
         Z, start = case
         zc = normalize_cluster(Z)
-        res = minimize(Z, initial=start, max_iter=40, record_transcript=True, check_stability=False)
+        with pytest.MonkeyPatch.context() as patch:
+            start_newton_from(patch, start)
+            patch.setattr(covariant, "NEWTON_ITERATIONS", 40)
+            res = minimize(Z, check_stability=False)
         assert res.stop == "tol"
         D = [eval_D(zc, _iterate(Z, start, k)) for k in range(res.iterations + 1)]
         rounding = mp.mpf(2) ** (24 - mp.mp.prec)  # of D at the working precision
@@ -504,15 +533,17 @@ class TestNewtonStep:
                 assert step.length <= mp.mpf(1) / 10
 
     @pytest.mark.parametrize("bits", [212, 424, 848, 1600])
-    def test_pipeline_tolerance_is_met_at_high_precision(self, bits):
-        # the pipelines' tolerance 2^(-3 prec/4) is 2^-1200 at 1600 bits, far
-        # below the range of doubles: G is scaled by a power of two before it
-        # is rounded, or the correction underflows
+    def test_pipeline_tolerance_is_met_at_high_precision(self, bits, monkeypatch):
+        # the pipelines' tolerance, minimize's default 2^(-3 prec/4), is
+        # 2^-1200 at 1600 bits, far below the range of doubles: G is scaled
+        # by a power of two before it is rounded, or the correction underflows
+        from cluster_reduce import covariant
         from cluster_reduce._precision import half_eps
 
+        monkeypatch.setattr(covariant, "NEWTON_ITERATIONS", 60)
         Z = cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, -1, 5))
         with mp.workprec(bits):
-            res = minimize(Z, tol=half_eps() ** 1.5, max_iter=60)
+            res = minimize(Z)
             assert res.stop == "tol"
             assert res.final_gradient_norm <= half_eps() ** 1.5
 
@@ -520,8 +551,7 @@ class TestNewtonStep:
         # seven points of P^3 distorted by a unimodular matrix: from the
         # identity the first steps are damped, certified by the change of D
         # in doubles, and the reduction is the one from Tyler's start
-        from cluster_reduce import covariant, reduce_cluster
-        from cluster_reduce._precision import half_eps
+        from cluster_reduce import reduce_cluster
 
         rnd = random.Random(18)
         base = cluster_of(
@@ -529,13 +559,12 @@ class TestNewtonStep:
         )
         V = random_unimodular_int(rnd, 4, max_entry=500)
         Z = act(base, [[mp.mpf(v) for v in row] for row in V])
-        identity = [[int(a == b) for b in range(4)] for a in range(4)]
-        res = minimize(Z, initial=identity, tol=half_eps() ** 1.5, record_transcript=True)
+        report = reduce_cluster(Z)
+        start_newton_from(monkeypatch, mp.eye(4))
+        res = minimize(Z)
         steps = [step for _, _, step in res.transcript[1:]]
         assert any(step.certified_by == "armijo" and step.lam < 1 for step in steps)
         assert res.stop == "tol"
-        report = reduce_cluster(Z)
-        monkeypatch.setattr(covariant, "_start", lambda cluster, reps: mp.eye(cluster.n + 1))
         from_identity = reduce_cluster(Z)
         assert from_identity.diagnostics["iterations"] > report.diagnostics["iterations"]
         assert from_identity.transform.matrix == report.transform.matrix
@@ -615,16 +644,21 @@ class TestTheta:
         assert res.value == minimize(Z, prec=212).theta
 
     @pytest.mark.parametrize("index", range(len(SEMI_STABLE_CASES)))
-    def test_semistable_solver_stops_by_the_gradient_test(self, index):
+    def test_semistable_solver_stops_by_the_gradient_test(self, index, monkeypatch):
+        from cluster_reduce import covariant
+
         Z = SEMI_STABLE_CASES[index]
         cls = classify(Z)
         assert cls.is_semi_stable and not cls.is_stable
         # where the infimum is not attained the gradient still tends to 0
-        # along the way to it: the solver must meet the ordinary stop test in
-        # 60 steps
-        res = minimize(Z, check_stability=False, max_iter=60)
-        assert res.final_gradient_norm <= mp.mpf(10) ** -12
+        # along the way to it, but only sublinearly: theta's solver must meet
+        # its fixed stop test 10^-12 in 60 steps
+        monkeypatch.setattr(covariant, "NEWTON_ITERATIONS", 60)
+        calls = []
+        monkeypatch.setattr(covariant, "minimize", lambda *a, **k: calls.append(minimize(*a, **k)) or calls[-1])
         assert theta(normalize_cluster(Z)).attained == SEMI_STABLE_ATTAINED[index]
+        (res,) = calls
+        assert res.stop == "tol" and res.final_gradient_norm <= mp.mpf(10) ** -12
         if index == 0:
             assert abs(res.theta - mp.mpf("0.5")) < mp.mpf("1e-10")
 

@@ -87,6 +87,70 @@ class TestJsonRoundTrips:
         )
         assert cio.poly_from_any(json.dumps(cio.poly_to_json(PENCIL_CUBIC))) == PENCIL_CUBIC
 
+    @pytest.mark.parametrize(
+        "reader, data",
+        [
+            (cio.transform_from_json, '["10", "01"]'),
+            (cio.transform_from_json, '"11"'),
+            (cio.cluster_from_json, {"n": 0, "points": "123"}),
+            (cio.cluster_from_json, {"n": 1, "points": ["12", "34", "11"]}),
+            (cio.hermitian_from_json, {"n": 0, "matrix": ["1"]}),
+            (cio.gram_from_json, {"n": 0, "matrix": "1"}),
+        ],
+        ids=["transform-rows", "transform", "cluster-points", "cluster-rows", "hermitian-rows", "gram"],
+    )
+    def test_strings_are_not_lists(self, reader, data):
+        # a string where a list is expected is malformed, never read one
+        # character per entry
+        with pytest.raises(InputFormatError):
+            reader(data)
+
+    @pytest.mark.parametrize(
+        "reader, data",
+        [
+            (cio.cluster_from_json, {"n": 1, "points": [[True, False], ["0", "1"], ["1", "1"]]}),
+            (cio.cluster_from_json, {"n": 1, "points": [[["1", True], "0"], ["0", "1"], ["1", "1"]]}),
+            (cio.gram_from_json, {"n": 1, "matrix": [[True, False], [False, True]]}),
+            (cio.hermitian_from_json, {"n": 0, "matrix": [[True]]}),
+        ],
+        ids=["cluster", "cluster-imaginary-part", "gram", "hermitian"],
+    )
+    def test_booleans_are_not_numbers_in_json(self, reader, data):
+        with pytest.raises(InputFormatError):
+            reader(data)
+        # the same document with numbers is read
+        numbers = json.loads(json.dumps(data).replace("true", "1").replace("false", "0"))
+        reader(numbers)
+
+    @pytest.mark.parametrize(
+        "reader, data",
+        [
+            (cio.cluster_from_json, {"n": 0, "points": [["1j"]]}),
+            (cio.cluster_from_json, {"n": 0, "points": [[["1", "1j"]]]}),
+            (cio.gram_from_json, {"n": 0, "matrix": [["1j"]]}),
+            (cio.hermitian_from_json, {"n": 0, "matrix": [[["1", "1j"]]]}),
+        ],
+        ids=["cluster", "cluster-imaginary-part", "gram", "hermitian"],
+    )
+    def test_complex_strings_are_not_real_numbers(self, reader, data):
+        # a complex entry is a [re, im] pair of reals
+        with pytest.raises(InputFormatError):
+            reader(data)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ProjectivePoint((True, 1)),
+            lambda: ProjectivePoint(((1, False), 1)),
+            lambda: HermitianForm(((True, 0), (0, 1))),
+            lambda: GramMatrix(((True, 0), (0, 1))),
+        ],
+        ids=["point", "point-imaginary-part", "hermitian", "gram"],
+    )
+    def test_booleans_are_not_numbers_in_constructors(self, build):
+        with pytest.raises(InputFormatError):
+            build()
+
     def test_bad_cluster_rejected(self):
         with pytest.raises(InputFormatError):
             cio.cluster_from_json({"points": [[["1", "0"]]]})
@@ -198,6 +262,23 @@ class TestMalformedInputProperties:
             return
         assert len(form.matrix) >= 1
         assert all(len(r) == len(form.matrix) and all(mp.isfinite(v) for v in r) for r in form.matrix)
+
+
+class TestCliExitCodes:
+    """Whatever the cluster document, the cluster commands end with exit 0,
+    2, 3 or 4, never with exit 1 or a traceback, and write at most one line
+    on stderr."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.one_of(_CLUSTER_JSON.map(json.dumps), _JSON.map(json.dumps), st.text(max_size=20)),
+        st.sampled_from(["classify", "covariant", "reduce-cluster"]),
+    )
+    def test_cluster_commands(self, text, command):
+        result = CliRunner().invoke(main, [command, "-"], input=text)
+        assert result.exit_code in (0, 2, 3, 4), (result.exit_code, result.stderr, result.exception)
+        assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+        assert len(result.stderr.splitlines()) <= 1 and "Traceback" not in result.stderr
 
 
 class TestCli:
@@ -314,6 +395,8 @@ class TestCli:
             ("reduce-binary", '{"nvars": 2.5, "terms": [{"exp": [3, 0], "coeff": 1}, {"exp": [0, 3], "coeff": 1}]}'),
             ("classify", '{"n": 1.9, "points": [["1", "0"], ["0", "1"], ["1", "1"]]}'),
             ("reduce-cluster", '{"n": true, "points": [["1", "0"], ["0", "1"], ["1", "1"]]}'),
+            ("covariant", '{"n": 0, "points": "123"}'),
+            ("classify", '{"n": 1, "points": [[true, false], ["0", "1"], ["1", "1"]]}'),
             ("reduce-binary", '{"nvars": 2, "terms": [{"exp": [3, 0], "coeff": 12345678901234567891.0}, {"exp": [0, 3], "coeff": 1}]}'),
         ],
         ids=[
@@ -336,6 +419,8 @@ class TestCli:
             "non-integral-nvars",
             "non-integral-n",
             "boolean-n",
+            "string-points",
+            "boolean-coordinate",
             "coefficient-rounded-as-a-double",
         ],
     )
@@ -351,17 +436,12 @@ class TestCli:
         [
             ("reduce-cluster", ["--delta", "1.5"]),
             ("reduce-cluster", ["--prec", "0"]),
-            # only the covariant command takes the solver's options
-            ("covariant", ["--tol", "-1"]),
-            ("covariant", ["--max-iter", "-1"]),
             ("reduce-cluster", ["--prec", "abc"]),
             ("reduce-cluster", None),
         ],
         ids=[
             "delta-above-1",
             "prec-0",
-            "negative-tol",
-            "negative-max-iter",
             "prec-not-an-integer",
             "missing-input-path",
         ],
@@ -373,6 +453,18 @@ class TestCli:
         assert result.exit_code == 4
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:")
+
+    @pytest.mark.parametrize("option", ["--tol", "--max-iter"])
+    def test_covariant_takes_no_solver_options(self, tmp_path, option):
+        # the solver's stop comes from the working precision: the command
+        # lists no tolerance or budget, and either is an unknown option
+        Z = cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 5, 1))
+        path = self._write(tmp_path, "cluster.json", json.dumps(cio.cluster_to_json(Z)))
+        assert option not in CliRunner().invoke(main, ["covariant", "--help"]).output
+        result = CliRunner().invoke(main, ["covariant", path, option, "5"])
+        assert result.exit_code == 4
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:") and option in lines[0]
 
     @pytest.mark.parametrize(
         "args, code",
