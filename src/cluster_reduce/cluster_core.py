@@ -8,10 +8,19 @@ subsets of the cluster's own points, which is enough because a maximizing
 subspace can always be shrunk to the span of the points it contains. One
 depth-first walk over those subsets (:func:`_flats`) counts the points on
 each span from residuals that every extension of a subset shares.
+
+The walk runs in hardware doubles first, with a rounding bound e on every
+residual: a few units of 2^-53, raised by 1 + 2/nu at each new direction of
+norm nu, which an error tilts by 1/nu. A residual above 2e is off the span
+for certain; one inside the band is decided at the working precision, and
+one found off there, or a cluster not in doubles, reruns the walk at it.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,26 +31,30 @@ from .errors import DimensionError, InvalidPointError, SingularMatrixError
 
 
 def _dot(a, b):
-    """Hermitian inner product sum conj(a_i) b_i."""
+    """Hermitian inner product sum conj(a_i) b_i, in the arithmetic of the
+    entries: hardware doubles for built-in complex, else one rounding at the
+    working precision."""
+    if isinstance(a[0], complex):
+        return sum(x.conjugate() * y for x, y in zip(a, b))
     return mp.fdot(b, a, conjugate=True)
 
 
-def _same_direction(a, b):
-    """Projective equality of unit vectors: the sine of their angle is below
-    2^(-prec/2)."""
-    inner = _dot(a, b)
-    # sine of the angle as a projection residual (no cancellation)
-    resid2 = mp.fsum((y - inner * x for x, y in zip(a, b)), absolute=True, squared=True)
-    return mp.sqrt(resid2) < half_eps()
+def _project_out(w, basis, passes=2):
+    """w less its components along the orthonormal ``basis``: modified
+    Gram-Schmidt, by default with a second pass."""
+    for _ in range(passes):
+        for b in basis:
+            c = _dot(b, w)
+            w = [y - c * x for x, y in zip(b, w)]
+    return w
 
 
-def _distinct(units):
-    """Index of the first of each group of projectively equal unit vectors."""
-    reps = []
-    for i, u in enumerate(units):
-        if not any(_same_direction(u, units[r]) for r in reps):
-            reps.append(i)
-    return reps
+def _same_direction(a, b, tol2=None):
+    """Projective equality of unit vectors: the squared sine of their angle,
+    a projection residual (no cancellation), is below ``tol2``, by default
+    2^(-prec)."""
+    w = _project_out(b, [a], 1)
+    return _dot(w, w).real < (half_eps() ** 2 if tol2 is None else tol2)
 
 
 @dataclass(frozen=True)
@@ -320,11 +333,7 @@ def _adapted_basis(units):
     for idx, v in enumerate(list(units) + axes):
         if len(basis) == n1:
             break
-        w = list(v)
-        for _ in range(2):
-            for b in basis:
-                c = _dot(b, w)
-                w = [y - c * x for x, y in zip(b, w)]
+        w = _project_out(list(v), basis)
         nrm = mp.sqrt(mp.fsum(w, absolute=True, squared=True))
         if nrm < rank_tol:
             continue
@@ -353,66 +362,123 @@ def phi(cluster: PointCluster, k: int) -> int:
         return 0
     if k == n:
         return cluster.degree
-    units = [p.unit() for p in cluster.points]
-    return _flats(units, _distinct(units), k + 1)[k][0]
+    return _walk(cluster.points, k + 1)[k][0]
 
 
-def _flats(units, distinct, depth):
+class _Rerun(Exception):
+    """A decision that hardware doubles cannot carry."""
+
+
+def _walk(points, depth):
+    """:func:`_flats` of the points, in doubles unless a coordinate does not
+    convert to a finite double or a norm to a normal one."""
+    vectors = [[complex(c) for c in p.coords] for p in points]
+    norms = [math.hypot(*map(abs, v)) for v in vectors]
+    if all(sys.float_info.min <= nrm < math.inf for nrm in norms):
+        return _flats([[c / nrm for c in v] for v, nrm in zip(vectors, norms)], depth, points)
+    return _flats([p.unit() for p in points], depth)
+
+
+def _flats(units, depth, points=None):
     """phi(k) for k < ``depth``, each with the indices of distinct points
     spanning a subspace that attains it: a list of ``(count, subset)``.
 
-    ``units`` are the cluster's unit vectors and ``distinct`` indexes one of
-    each group of equal points. One depth-first walk visits the subsets of at
-    most ``depth`` distinct points in lexicographic order. Each node carries
+    ``units`` are the cluster's unit vectors; equal points are grouped under
+    their first index. One depth-first walk visits the subsets of at most
+    ``depth`` distinct points in lexicographic order. Each node carries
     every unit's residual against the span of its subset; a child adding
     point i takes the parent's residual of u_i, with a second Gram-Schmidt
     pass against the path's basis, as its new direction, and every residual
-    loses its component along it. A unit lies on the span when its residual
-    has squared norm below 2^(-prec), so a point whose residual is that small
-    adds no direction and the child keeps its parent's span. A subset of
-    s points is a candidate for phi(s-1), and the subset of every distinct
-    point for every higher k too: extending a subset by one more distinct
-    point spans a subspace containing the old one, so it never holds fewer
-    points. Each level keeps its first strict maximizer.
+    loses its component along it. A point on the span adds no direction and
+    the child keeps its parent's span. A subset of s points is a candidate
+    for phi(s-1), and the subset of every distinct point for every higher k
+    too: extending a subset by one more distinct point spans a subspace
+    containing the old one, so it never holds fewer points. Each level keeps
+    its first strict maximizer.
+
+    The walk computes in the arithmetic of ``units``. At the working
+    precision a unit is on a span when its residual's squared norm is below
+    tol2 = 2^(-prec). Units in doubles, given with their ``points``, carry a
+    rounding bound e on every residual: it starts at c = 8 (n+1) 2^-53, and
+    a new direction of norm nu raises it to e (1 + 2/nu) + c/nu, since an
+    error in a residual tilts the direction made from it by 1/nu. A residual
+    above 2e (and 2^(-prec/2)) is off the span for certain, and a subset's
+    points and their equals are on it by construction. Any other residual,
+    and a sine of two units inside the band of a one-point span, is decided
+    from the points at the working precision: by the rank test of
+    :func:`_adapted_basis` against the subset's points, whose basis is made
+    once per subset, or by :meth:`ProjectivePoint.is_same`. "On" joins the
+    unit to the span. "Off" is a direction that the doubles cannot carry:
+    the walk then reruns on the points' working-precision units.
     """
     tol2 = half_eps() ** 2
+    e0 = 0 if points is None else 2.0**-50 * len(units[0])
     best = [(0, None)] * depth
+    exact_unit = functools.cache(lambda i: points[i].unit())
 
-    def visit(start, subset, basis, resid, resid2):
+    @functools.cache
+    def exact_basis(subset):
+        """Orthonormal basis of the subset's span at the working precision."""
+        if not subset:
+            return ()
+        w = _project_out(exact_unit(subset[-1]), exact_basis(subset[:-1]))
+        nrm2 = _dot(w, w).real
+        return exact_basis(subset[:-1]) + (() if nrm2 < tol2 else ([y / nrm2**0.5 for y in w],))
+
+    def visit(start, subset, basis, resid, resid2, e):
         for j in range(start, len(distinct)):
             i = distinct[j]
             child = subset + (i,)
-            if resid2[i] < tol2:
-                child_basis, child_resid, child_resid2 = basis, resid, resid2
+            if resid2[i] == 0:
+                child_basis, child_resid, child_resid2, child_e = basis, resid, resid2, e
             else:
-                w = resid[i]
-                for b in basis:
-                    c = _dot(b, w)
-                    w = [y - c * x for x, y in zip(b, w)]
-                nrm = mp.sqrt(mp.fsum(w, absolute=True, squared=True))
+                w = _project_out(resid[i], basis, 1)
+                nrm = _dot(w, w).real ** 0.5
                 q = [y / nrm for y in w]
+                child_e = e * (1 + 2 / nrm) + e0 / nrm
+                band2 = max(tol2, 4 * child_e * child_e)
                 child_basis, child_resid, child_resid2 = basis + [q], [], []
-                for r, r2 in zip(resid, resid2):
-                    if r2 >= tol2:
+                for idx, (r, r2) in enumerate(zip(resid, resid2)):
+                    if r2:
                         c = _dot(q, r)
                         # |r - c q|^2 = |r|^2 - |c|^2 up to a few units of
-                        # 2^(-prec) |r|^2; no child reads a leaf's residuals,
-                        # so a leaf forms one only near the threshold
-                        r2 -= mp.re(c) ** 2 + mp.im(c) ** 2
-                        if len(child) < depth or r2 <= 16 * tol2:
+                        # tol2 and of e; no child reads a leaf's residuals,
+                        # so a leaf forms one only near the band
+                        r2 -= c.real * c.real + c.imag * c.imag
+                        if len(child) < depth or r2 <= 16 * max(tol2, child_e):
                             r = [y - c * x for x, y in zip(q, r)]
-                            r2 = mp.fsum(r, absolute=True, squared=True)
+                            r2 = _dot(r, r).real
+                        if reps[idx] in child:
+                            r2 = 0
+                        elif r2 < band2:
+                            if points is not None:
+                                v = _project_out(exact_unit(idx), exact_basis(child))
+                                if _dot(v, v).real >= tol2:
+                                    raise _Rerun
+                            r2 = 0
                     child_resid.append(r)
                     child_resid2.append(r2)
-            count = sum(1 for r2 in child_resid2 if r2 < tol2)
+            count = child_resid2.count(0)
             last = depth if len(child) == len(distinct) else len(child)
             for k in range(len(child) - 1, last):
                 if count > best[k][0]:
                     best[k] = (count, child)
             if len(child) < depth:
-                visit(j + 1, child, child_basis, child_resid, child_resid2)
+                visit(j + 1, child, child_basis, child_resid, child_resid2, child_e)
 
-    visit(0, (), [], [list(u) for u in units], [mp.mpf(1)] * len(units))
+    band2 = max(tol2, 64 * e0 * e0)  # 2e after a first direction (nu = 1)
+    reps, distinct = [], []
+    try:
+        for k, u in enumerate(units):
+            r = next((r for r in distinct if _same_direction(units[r], u, band2)), k)
+            if r == k:
+                distinct.append(k)
+            elif points is not None and not points[r].is_same(points[k]):
+                raise _Rerun
+            reps.append(r)
+        visit(0, (), [], [list(u) for u in units], [1] * len(units), e0)
+    except _Rerun:
+        return _flats([p.unit() for p in points], depth)
     return best
 
 
@@ -504,8 +570,7 @@ def classify(cluster: PointCluster) -> StabilityClass:
     stable = True
     witness = None
     margin = None
-    units = [p.unit() for p in cluster.points]
-    for k, (count, subset) in enumerate(_flats(units, _distinct(units), n)):
+    for k, (count, subset) in enumerate(_walk(cluster.points, n)):
         lhs = (n + 1) * count
         rhs = (k + 1) * m
         slack = rhs - lhs
@@ -517,7 +582,7 @@ def classify(cluster: PointCluster) -> StabilityClass:
         if lhs > rhs:
             semi = False
             break
-    split = not stable and _is_split(units)
+    split = not stable and _is_split([p.unit() for p in cluster.points])
     return StabilityClass(
         is_split=split,
         is_semi_stable=semi,

@@ -15,7 +15,7 @@ import mpmath as mp
 from ._precision import to_mpf
 from .cluster_core import PointCluster, ProjectivePoint
 from .covariant import CovariantResult, HermitianForm
-from .errors import DimensionError, InputFormatError, InvalidPointError
+from .errors import DimensionError, InputFormatError, InvalidPointError, SingularMatrixError
 from .lattice import GramMatrix, UnimodularTransform
 from .polyalg import MultiPoly
 from .pipelines import ReductionReport
@@ -164,8 +164,15 @@ def transform_to_json(U: UnimodularTransform) -> list:
 
 
 def transform_from_json(data) -> UnimodularTransform:
+    """n >= 1 lists of n integers of determinant +-1; any other document,
+    a ragged, empty or singular one too, is malformed."""
     rows = _rows(_decode(data), "transform JSON")
-    return UnimodularTransform(tuple(tuple(_parse_int(v, "transform entry") for v in row) for row in rows))
+    if not rows or any(len(r) != len(rows) for r in rows):
+        raise InputFormatError("transform JSON must be n lists of n integers, n >= 1")
+    try:
+        return UnimodularTransform(tuple(tuple(_parse_int(v, "transform entry") for v in row) for row in rows))
+    except SingularMatrixError as exc:
+        raise InputFormatError(f"bad transform: {exc}") from exc
 
 
 # -- polynomials --------------------------------------------------------------

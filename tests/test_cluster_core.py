@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cluster_reduce import cluster_core
 from cluster_reduce import (
     DimensionError,
     InvalidPointError,
@@ -246,6 +247,114 @@ class TestFlats:
         assert (w.dim, w.contained) == (1, 3)
         assert w.spanning_points == (Z.points[0], Z.points[3])
         assert [phi(Z, k) for k in range(4)] == [1, 3, 4, 6]
+
+
+def _distorted(Z, seed):
+    """Z moved by a unimodular integer matrix of height at most 1000, as the
+    benchmark's clusters are."""
+    V = random_unimodular_int(random.Random(seed), Z.n + 1)
+    return act(Z, [[mp.mpf(v) for v in row] for row in V])
+
+
+def _mp_walk(Z, depth):
+    return cluster_core._flats([p.unit() for p in Z.points], depth)
+
+
+def _line_cluster(offset):
+    """Three points of the line x2 = 0 of P^2, a fourth off it by ``offset``
+    relative, and two generic points."""
+    return cluster_of((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, offset), (1, 1, 1), (2, -1, 3))
+
+
+class TestWalkInDoubles:
+    """The walk runs in hardware doubles and decides at the working precision
+    only inside the rounding band."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(small_integer_clusters(), st.integers(0, 2**32))
+    def test_distorted_clusters_match_the_working_precision_walk(self, Z, seed):
+        # the counts are invariant under the group, so the oracle reads the
+        # undistorted integer points, where its double rank test is safe
+        W = _distorted(Z, seed)
+        walk = cluster_core._walk(W.points, W.n)
+        assert walk == _mp_walk(W, W.n)
+        assert [count for count, _ in walk] == [oracle_phi(Z, k) for k in range(Z.n)]
+        assert [phi(W, k) for k in range(W.n)] == [oracle_phi(Z, k) for k in range(Z.n)]
+        cls = classify(W)
+        assert (cls.is_split, cls.is_semi_stable, cls.is_stable) == oracle_classify(Z)
+        # classify stops at the first violated bound
+        slack = [(k + 1) * Z.degree - (Z.n + 1) * oracle_phi(Z, k) for k in range(Z.n)]
+        last = next((k for k, v in enumerate(slack) if v < 0), Z.n - 1)
+        assert cls.margin == min(slack[: last + 1])
+        if cls.witness is not None:
+            w = cls.witness
+            subset = walk[w.dim][1]
+            assert w.spanning_points == tuple(W.points[i] for i in subset)
+            assert w.contained == oracle_count_on_span(Z, [Z.points[i] for i in subset])
+
+    def _walks(self, monkeypatch):
+        calls = []
+        flats = cluster_core._flats
+
+        def spy(units, depth, points=None):
+            calls.append("doubles" if points is not None else "working precision")
+            return flats(units, depth, points)
+
+        monkeypatch.setattr(cluster_core, "_flats", spy)
+        return calls
+
+    def test_point_off_a_line_by_2_to_the_minus_60_reruns(self, monkeypatch):
+        calls = self._walks(monkeypatch)
+        Z = _line_cluster(mp.mpf(2) ** -60)
+        assert phi(Z, 1) == 3
+        assert calls == ["doubles", "working precision"]
+        # two points of P^1 that only the working precision tells apart
+        calls.clear()
+        assert phi(cluster_of((1, 0), (1, mp.mpf(2) ** -60), (0, 1)), 0) == 1
+        assert calls == ["doubles", "working precision"]
+
+    def test_point_off_a_line_by_2_to_the_minus_150_is_on_it(self, monkeypatch):
+        calls = self._walks(monkeypatch)
+        Z = _line_cluster(mp.mpf(2) ** -150)
+        assert phi(Z, 1) == 4
+        cls = classify(Z)
+        assert cls.is_semi_stable and not cls.is_stable and cls.witness.contained == 4
+        assert calls == ["doubles", "doubles"]
+
+    def test_small_pivot_widens_the_band(self):
+        # a and b = 10^8 a + v span the line <a, v> with a pivot of about
+        # 1e-8, which tilts the line's direction in doubles by about 1e-8:
+        # v and a + v lie on it although their residuals in doubles do not
+        # vanish, and (a, b) is the first subset of four points
+        a, v = (3, 5, 7), (2, -1, 4)
+        b = tuple(10**8 * x + y for x, y in zip(a, v))
+        Z = cluster_of(a, b, v, tuple(x + y for x, y in zip(a, v)), (1, 0, 0), (0, 1, 1))
+        assert cluster_core._walk(Z.points, 2) == _mp_walk(Z, 2)
+        cls = classify(Z)
+        assert cls.is_semi_stable and not cls.is_stable
+        assert cls.witness.spanning_points == Z.points[:2] and cls.witness.contained == 4
+
+    @pytest.mark.parametrize("scale", ["1e400", "1e-400"])
+    def test_coordinates_beyond_doubles(self, monkeypatch, scale):
+        # points that do not convert to doubles of a normal norm take the
+        # working-precision walk, and count as their unscaled equals
+        calls = self._walks(monkeypatch)
+        s = mp.mpf(scale)
+        pts = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1), (2, -1, 3)]
+        Z = cluster_of(*[tuple(s * c for c in p) if i % 2 else p for i, p in enumerate(pts)])
+        cls = classify(Z)
+        assert calls == ["working precision"]
+        assert (cls.is_split, cls.is_semi_stable, cls.is_stable, cls.margin) == (False, True, True, 1)
+        assert [phi(Z, k) for k in range(2)] == [1, 3]
+
+    def test_generic_stable_cluster_forms_no_working_precision_unit(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("working-precision unit formed")
+
+        Z = _distorted(cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)), 7)
+        monkeypatch.setattr(ProjectivePoint, "unit", refuse)
+        cls = classify(Z)
+        assert cls.is_stable and cls.margin == 2
 
 
 class TestClassify:

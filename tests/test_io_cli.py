@@ -88,6 +88,13 @@ class TestJsonRoundTrips:
         assert cio.poly_from_any(json.dumps(cio.poly_to_json(PENCIL_CUBIC))) == PENCIL_CUBIC
 
     @pytest.mark.parametrize(
+        "data", ["[[1, 0], [0]]", "[[2, 0], [0, 1]]", "[]"], ids=["ragged", "determinant-2", "empty"]
+    )
+    def test_malformed_transform(self, data):
+        with pytest.raises(InputFormatError):
+            cio.transform_from_json(data)
+
+    @pytest.mark.parametrize(
         "reader, data",
         [
             (cio.transform_from_json, '["10", "01"]'),
@@ -210,6 +217,22 @@ _CLUSTER_JSON = st.integers(0, 3).flatmap(
     )
 )
 
+# well-formed clusters of n+2..n+4 small integer points of P^1..P^3: real, so
+# fixed by conjugation, and often stable, so they reach classify, the
+# covariant's Newton iteration and LLL
+_INTEGER_CLUSTER_JSON = st.integers(1, 3).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {
+            "n": st.just(n),
+            "points": st.lists(
+                st.lists(st.integers(-3, 3).map(str), min_size=n + 1, max_size=n + 1),
+                min_size=n + 2,
+                max_size=n + 4,
+            ),
+        }
+    )
+)
+
 _MATRIX_JSON = st.integers(0, 3).flatmap(
     lambda n: st.fixed_dictionaries(
         {
@@ -271,7 +294,12 @@ class TestCliExitCodes:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
-        st.one_of(_CLUSTER_JSON.map(json.dumps), _JSON.map(json.dumps), st.text(max_size=20)),
+        st.one_of(
+            _INTEGER_CLUSTER_JSON.map(json.dumps),
+            _CLUSTER_JSON.map(json.dumps),
+            _JSON.map(json.dumps),
+            st.text(max_size=20),
+        ),
         st.sampled_from(["classify", "covariant", "reduce-cluster"]),
     )
     def test_cluster_commands(self, text, command):
