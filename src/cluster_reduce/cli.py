@@ -144,9 +144,8 @@ def classify_cmd(input_path, prec, as_json):
     """Stability classification of a cluster (JSON file)."""
 
     def body():
-        cluster = cio.cluster_from_json(_read(input_path))
         with working_precision(prec):
-            cls = classify_cluster(cluster)
+            cls = classify_cluster(cio.cluster_from_json(_read(input_path)))
         payload = {
             "schema": cio.SCHEMA,
             "is_split": cls.is_split,
@@ -174,7 +173,8 @@ def covariant_cmd(input_path, prec, as_json, report_path):
     """Covariant z(Z) and theta of a stable cluster (JSON file)."""
 
     def body():
-        cluster = cio.cluster_from_json(_read(input_path))
+        with working_precision(prec):
+            cluster = cio.cluster_from_json(_read(input_path))
         result = minimize(cluster, prec=prec)
         with working_precision(prec):
             payload = cio.covariant_result_to_json(result)
@@ -202,7 +202,8 @@ def reduce_cluster_cmd(input_path, prec, delta, as_json, report_path):
     """LLL-reduce a conjugation-fixed stable cluster (JSON file)."""
 
     def body():
-        cluster = cio.cluster_from_json(_read(input_path))
+        with working_precision(prec):
+            cluster = cio.cluster_from_json(_read(input_path))
         report = reduce_cluster(cluster, prec=prec, delta=delta)
         _emit_report(
             report, as_json, report_path, tail=["reduced cluster:"] + ["  " + repr(p) for p in report.reduced.points]

@@ -47,6 +47,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -712,12 +713,17 @@ def _tyler_in_doubles(points):
     last = float("inf")
     for _ in range(100):
         M = [[0j] * n1 for _ in range(n1)]
+        # the conjugated columns of L; M is Hermitian, so only b >= a is summed
+        Lc = [[L[a][i].conjugate() for a in range(n1)] for i in range(n1)]
         for p in points:
-            w = [sum(L[a][i].conjugate() * p[a] for a in range(n1)) for i in range(n1)]
+            w = [sum(map(operator.mul, col, p)) for col in Lc]
             nrm2 = sum(abs(c) ** 2 for c in w)
             for a in range(n1):
-                for b in range(n1):
+                for b in range(a, n1):
                     M[a][b] += w[a] * w[b].conjugate() / nrm2
+        for a in range(n1):
+            for b in range(a):
+                M[a][b] = M[b][a].conjugate()
         gnorm = sum(abs(M[a][b] - (m / n1 if a == b else 0)) ** 2 for a in range(n1) for b in range(n1)) ** 0.5
         if gnorm <= 2.0**-40 * m or last <= gnorm <= 2.0**-20 * m:
             break

@@ -6,16 +6,20 @@ sympy's sparse ring (``sympy.polys.rings``, over ZZ unless a coefficient is a
 fraction). The exact layer never rounds; the numeric layer (Aberth-Ehrlich
 iteration, and the points of a curve intersection evaluated from its exact
 representation) works at a caller-chosen binary precision with residual
-certificates on every reported root. One Aberth kernel runs in two phases:
-first in Python's built-in complex, then at the working precision from the
-roots that doubles gave. The first phase alone, uncertified, finds the
-points of the preconditioning passes of the ternary pipeline.
+certificates on every reported root. Aberth's iteration runs in two
+arithmetics: first in Python's built-in complex, then, from the roots that
+doubles gave, in Python integers: fixed-point iterates at the working
+precision plus guard bits, on the coefficients made exact Gaussian integers,
+so that Horner's rounding error does not grow with the coefficients. The
+first phase alone, uncertified, finds the points of the preconditioning
+passes of the ternary pipeline.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -208,16 +212,23 @@ class MultiPoly:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, values: Sequence) -> mp.mpc:
-        """Numeric value at the given coordinates (mpmath arithmetic)."""
+        """Numeric value at the given coordinates (mpmath arithmetic), from one
+        table of powers v, v^2, ..., v^d per coordinate."""
         vals = [to_mpc(v) for v in values]
         if len(vals) != self.nvars:
             raise DimensionError("wrong number of coordinates")
+        powers = []
+        for i, v in enumerate(vals):
+            table = [mp.mpc(1)]
+            for _ in range(self.degree_in(i)):
+                table.append(table[-1] * v)
+            powers.append(table)
         total = mp.mpc(0)
         for e, c in self.terms:
             term = mp.mpc(int(c.numerator), 0) / int(c.denominator) if isinstance(c, Fraction) else mp.mpc(c)
-            for v, k in zip(vals, e):
+            for table, k in zip(powers, e):
                 if k:
-                    term *= v**k
+                    term *= table[k]
             total += term
         return total
 
@@ -451,33 +462,33 @@ def _horner_pair(coeffs, x):
     return p, dp
 
 
-def _at_rounding_level(p, abs_coeffs, x, bits):
-    """Stopping test of MPSolve: is |p(x)| within Horner's rounding error at x?
+def _at_rounding_level(p, abs_coeffs, x):
+    """Stopping test of MPSolve in doubles: is |p(x)| within Horner's
+    rounding error at x?
 
-    Evaluating p at x with unit roundoff u = 2^-bits is off by up to about
+    Evaluating p at x with unit roundoff u = 2^-53 is off by up to about
     2d u sum |a_i| |x|^i, so once |p(x)| <= 4(d+1) u sum |a_i| |x|^i the point
     x is an exact root of a polynomial whose coefficients differ from p's by
-    a few ulps, and no further iteration at this precision can improve it
-    (Bini & Fiorentino, Numer. Algorithms 23, 2000). ``abs_coeffs`` are the
-    descending |a_i|; the test runs in the arithmetic of x.
+    a few ulps, and no further iteration in doubles can improve it (Bini &
+    Fiorentino, Numer. Algorithms 23, 2000). ``abs_coeffs`` are the
+    descending |a_i|.
     """
     r = abs(x)
     bound = 0
     for a in abs_coeffs:
         bound = bound * r + a
-    return abs(p) <= 4 * len(abs_coeffs) * bound / 2**bits
+    return abs(p) <= 4 * len(abs_coeffs) * bound / 2**53
 
 
-def _aberth(cs, z, bits, eps, maxsteps):
-    """Aberth-Ehrlich sweeps over the descending coefficients ``cs`` from the
-    start points ``z``, in their arithmetic (mpmath at ``bits``, or built-in
-    complex at 53). A root stops once ``_at_rounding_level`` holds at ``bits``
-    or its correction falls below eps max(1, |z|); raises ConvergenceError,
-    with the current approximations as ``best``, when some root meets
-    neither test within ``maxsteps`` sweeps."""
+def _aberth(cs, z, maxsteps):
+    """Aberth-Ehrlich sweeps in built-in complex over the descending
+    coefficients ``cs`` from the start points ``z``. A root stops once
+    ``_at_rounding_level`` holds or its correction falls below
+    2^-53 max(1, |z|); raises ConvergenceError, with the current
+    approximations as ``best``, when some root meets neither test within
+    ``maxsteps`` sweeps."""
     d = len(z)
     abs_cs = [abs(c) for c in cs]
-    jitter = mp.mpf("1e-8") if isinstance(eps, mp.mpf) else 1e-8
     converged = [False] * d
     rnd = random.Random(1729)
     for _ in range(maxsteps):
@@ -487,11 +498,11 @@ def _aberth(cs, z, bits, eps, maxsteps):
             if converged[i]:
                 continue
             p, dp = _horner_pair(cs, z[i])
-            if _at_rounding_level(p, abs_cs, z[i], bits):
+            if _at_rounding_level(p, abs_cs, z[i]):
                 converged[i] = True
                 continue
             if dp == 0:
-                z[i] *= 1 + jitter * (1 + 1j) * rnd.random()
+                z[i] *= 1 + 1e-8 * (1 + 1j) * rnd.random()
                 continue
             newton = p / dp
             s = 0
@@ -505,12 +516,12 @@ def _aberth(cs, z, bits, eps, maxsteps):
                     break
                 s += 1 / diff
             if collide:
-                z[i] *= 1 + jitter * (1 - 1j) * rnd.random()
+                z[i] *= 1 + 1e-8 * (1 - 1j) * rnd.random()
                 continue
             denom = 1 - newton * s
             w = newton if denom == 0 else newton / denom
             z[i] = z[i] - w
-            if abs(w) <= eps * max(1, abs(z[i])):
+            if abs(w) <= 2.0**-53 * max(1, abs(z[i])):
                 converged[i] = True
     if not all(converged):
         raise ConvergenceError(
@@ -518,6 +529,123 @@ def _aberth(cs, z, bits, eps, maxsteps):
             best=z,
         )
     return z
+
+
+def _dyadic(x) -> Fraction:
+    """A finite mpf as an exact Fraction, read from its ``_mpf_`` = (sign,
+    mantissa, exponent, bits); ``man_exp`` would drop the sign."""
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:
+        raise InputFormatError(f"coefficient {x} is not finite")
+    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return -v if sign else v
+
+
+def _gaussian_integers(coeffs) -> list:
+    """The coefficients (ints, Fractions or mpmath numbers) times the one
+    positive integer that makes them all integral, as exact Gaussian
+    integers (re, im). An int or a Fraction is kept exact; an mpmath number
+    is read as the mpc it gives at the ambient precision, whose parts are
+    dyadic rationals."""
+    parts = []
+    for c in coeffs:
+        if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
+            parts.append((Fraction(c), Fraction(0)))
+        else:
+            z = to_mpc(c)
+            parts.append((_dyadic(z.real), _dyadic(z.imag)))
+    scale = math.lcm(*(x.denominator for pair in parts for x in pair))
+    return [(int(a * scale), int(b * scale)) for a, b in parts]
+
+
+def _aberth_fixed(A, z, prec, guard, maxsteps):
+    """Aberth-Ehrlich sweeps in Python integers over the descending Gaussian
+    integers ``A`` from the start points ``z`` (nonzero mpc); returns the
+    roots as mpc at the ambient precision.
+
+    Each iterate is a pair of integers (X, Y) for (X + iY) 2^-S, where S is
+    the target precision ``prec`` plus ``guard`` bits, widened by log2 of the
+    largest start and by -log2 of the smallest, so that the roots and the
+    Aberth sums s = sum_j 1/(z - z_j) keep prec + guard bits. Horner's pair,
+    s and the correction w = p / (p' - p s) (the Newton step p / p' over
+    1 - (p / p') s) are integer products, shifts and floor divisions. Each
+    step of Horner's rule truncates by under sqrt(2) units of 2^-S, so p(x)
+    is off by under sqrt(2) sum_{k<d} |x|^k units, whatever the size of the
+    coefficients. A root stops once |p(x)| is within four times that
+    (MPSolve's rule, Bini & Fiorentino, Numer. Algorithms 23, 2000, restated
+    for this arithmetic), or once |w| <= 2^-prec max(1, |x|). Raises
+    ConvergenceError, with the current approximations as ``best``, when some
+    root meets neither test within ``maxsteps`` sweeps."""
+    d = len(z)
+    mags = [mp.mag(r) for r in z]
+    S = prec + guard + max([0, *mags]) + max([0, *(-m for m in mags)])
+    one = 1 << S
+    A = [(a << S, b << S) for a, b in A]
+    X = [int(mp.ldexp(r.real, S)) for r in z]
+    Y = [int(mp.ldexp(r.imag, S)) for r in z]
+    converged = [False] * d
+    rnd = random.Random(1729)
+
+    def jitter(i, sign):
+        # z *= 1 + t (1 + sign i), 0 <= t < 2^-27
+        t = rnd.getrandbits(20)
+        x, y = X[i], Y[i]
+        X[i] += ((x - sign * y) * t) >> 47
+        Y[i] += ((y + sign * x) * t) >> 47
+
+    for _ in range(maxsteps):
+        if all(converged):
+            break
+        for i in range(d):
+            if converged[i]:
+                continue
+            x, y = X[i], Y[i]
+            p = q = dp = dq = 0
+            for a, b in A:
+                dp, dq = ((dp * x - dq * y) >> S) + p, ((dp * y + dq * x) >> S) + q
+                p, q = ((p * x - q * y) >> S) + a, ((p * y + q * x) >> S) + b
+            # sum_{k<d} |x|^k at scale 2^-S, |x| rounded up
+            r = math.isqrt(x * x + y * y) + 1
+            bound = one
+            for _k in range(d - 1):
+                bound = ((bound * r) >> S) + one
+            if (p * p + q * q) << (2 * S) <= 16 * bound * bound:
+                converged[i] = True
+                continue
+            if not (dp or dq):
+                jitter(i, 1)
+                continue
+            sr = si = 0
+            collide = False
+            for j in range(d):
+                if j == i:
+                    continue
+                ex, ey = x - X[j], y - Y[j]
+                n = ex * ex + ey * ey
+                if not n:
+                    collide = True
+                    break
+                sr += (ex << (2 * S)) // n
+                si -= (ey << (2 * S)) // n
+            if collide:
+                jitter(i, -1)
+                continue
+            er, ei = dp - ((p * sr - q * si) >> S), dq - ((p * si + q * sr) >> S)
+            if not (er or ei):
+                er, ei = dp, dq
+            n = er * er + ei * ei
+            wr = ((p * er + q * ei) << S) // n
+            wi = ((q * er - p * ei) << S) // n
+            X[i], Y[i] = x - wr, y - wi
+            if (wr * wr + wi * wi) << (2 * prec) <= max(one * one, X[i] ** 2 + Y[i] ** 2):
+                converged[i] = True
+    roots = [mp.mpc(mp.ldexp(x, -S), mp.ldexp(y, -S)) for x, y in zip(X, Y)]
+    if not all(converged):
+        raise ConvergenceError(
+            f"{d - sum(converged)} of {d} roots did not converge in {maxsteps} Aberth sweeps",
+            best=roots,
+        )
+    return roots
 
 
 def _strip_zero_roots(coeffs):
@@ -541,21 +669,26 @@ def aberth_roots(coeffs, prec=None):
     ``coeffs`` is a descending coefficient list (exact numbers or mpmath
     values) with nonzero leading coefficient. Zero roots are stripped exactly
     and come last as exact zeros; the others are raw approximations, one per
-    root with multiplicity, at ``prec`` bits plus guard digits.
+    root with multiplicity, at ``prec`` bits.
 
-    The one :func:`_aberth` kernel runs in two phases. The first, in
-    built-in complex, is :func:`_roots_in_doubles`; its roots start the
-    second, at the working precision, where a root stops once |p(z)| is
-    within the rounding error of Horner's rule at z (``_at_rounding_level``)
-    or its correction falls below 2^-prec max(1, |z|), so a root inside the
-    unit disc is accurate relative to 1, as the point (z : 1) needs. The
-    Bini points at the working precision start the second phase instead
-    where doubles do not give exactly one finite start per root: a nonzero
-    coefficient underflows, or the first phase fails with no finite
-    approximations. Raises ConvergenceError, with the current
-    approximations as ``best``, when some root meets neither test within
-    ``ABERTH_SWEEPS`` sweeps of the second phase (the module constant, read
-    at each call).
+    The iteration runs in two phases. The first, in built-in complex, is
+    :func:`_roots_in_doubles`; its roots start the second, :func:`_aberth_fixed`,
+    in Python integers on the coefficients as exact Gaussian integers (an
+    mpmath value is the dyadic rational it holds at ``prec`` plus guard
+    bits), with fixed-point iterates at 2^-S for S of ``prec`` plus
+    20 + 2d guard bits, widened to the magnitudes of the starts. There a
+    root stops once its correction falls below 2^-prec max(1, |z|), so a
+    root inside the unit disc is accurate relative to 1, as the point (z : 1)
+    needs, or once |p(z)| is within the truncation error of fixed-point
+    Horner at z, a few units of 2^-S times sum_{k<d} |z|^k: z is then an
+    exact root of a polynomial within a few units of 2^-S, coefficient by
+    coefficient, of the integral one. The Bini points start the second phase
+    instead where doubles do not give exactly one finite nonzero start per
+    root: a nonzero coefficient or a root underflows, or the first phase
+    fails with no finite approximations. Raises ConvergenceError, with the
+    current approximations (mpc) as ``best``, when some root meets neither
+    test within ``ABERTH_SWEEPS`` sweeps of the second phase (the module
+    constant, read at each call).
     """
     with working_precision(prec):
         target_prec = mp.mp.prec
@@ -563,28 +696,32 @@ def aberth_roots(coeffs, prec=None):
         d = len(coeffs) - 1
         if d == 0:
             return [mp.mpc(0)] * zero_roots
-        with mp.workprec(target_prec + 20 + 2 * d):
-            cs = [to_mpc(c) for c in coeffs]
-            try:
-                z = _aberth(cs, _starts(cs), mp.mp.prec, mp.mpf(2) ** (-target_prec), ABERTH_SWEEPS)
-            except ConvergenceError as exc:
-                exc.best = [mp.mpc(r) for r in exc.best] + [mp.mpc(0)] * zero_roots
-                raise
-        return [mp.mpc(r) for r in z] + [mp.mpc(0)] * zero_roots
+        guard = 20 + 2 * d
+        with mp.workprec(target_prec + guard):
+            A = _gaussian_integers(coeffs)
+            z = _starts([to_mpc(c) for c in coeffs])
+        try:
+            roots = _aberth_fixed(A, z, target_prec, guard, ABERTH_SWEEPS)
+        except ConvergenceError as exc:
+            exc.best = exc.best + [mp.mpc(0)] * zero_roots
+            raise
+        return roots + [mp.mpc(0)] * zero_roots
 
 
 def _starts(cs):
     """Start points for the second phase of :func:`aberth_roots` on the
     coefficients ``cs`` (no zero root): the roots in doubles, or the best
     approximations of a first phase that did not converge, when these are
-    one finite point per root; otherwise the Bini points."""
+    one finite nonzero point per root; otherwise the Bini points. A root
+    that is 0 in doubles has underflowed, and would give the fixed point of
+    the second phase no scale."""
     try:
         z = _roots_in_doubles(cs)
     except ConvergenceError as exc:
         z = exc.best
     except ArithmeticError:
         z = None
-    if z is None or not all(cmath.isfinite(r) for r in z):
+    if z is None or not all(cmath.isfinite(r) and r for r in z):
         return _bini_initial_points(cs)
     return [mp.mpc(r) for r in z]
 
@@ -614,7 +751,7 @@ def _roots_in_doubles(coeffs):
         raise ArithmeticError("a coefficient underflows in doubles")
     with mp.workprec(53):
         z = [complex(r) for r in _bini_initial_points(cs)]
-    return _aberth(cs, z, 53, 2.0**-53, 100) + [0j] * zero_roots
+    return _aberth(cs, z, 100) + [0j] * zero_roots
 
 
 def _poly_residual(coeffs, root):

@@ -270,3 +270,35 @@ def fd_second_difference(eval_fn, Q, B, eps):
     f0 = eval_fn(Q)
     fm = eval_fn(transported_curve(Q, B, -eps))
     return (fp - 2 * f0 + fm) / eps**2
+
+
+def oracle_tyler_in_doubles(points):
+    """Tyler's iteration in doubles as ``covariant._tyler_in_doubles`` ran it
+    before it summed only half of M: every entry of M summed over the points,
+    and the conjugated columns of L taken once per point. The library's
+    Cholesky factor and triangular inverse are shared on purpose, so that the
+    two loops can be compared for equality, not to a tolerance."""
+    from cluster_reduce._precision import hermitian_cholesky
+    from cluster_reduce.covariant import _lower_inverse
+
+    n1 = len(points[0])
+    m = len(points)
+    L = [[complex(a == b) for b in range(n1)] for a in range(n1)]
+    last = float("inf")
+    for _ in range(100):
+        M = [[0j] * n1 for _ in range(n1)]
+        for p in points:
+            w = [sum(L[a][i].conjugate() * p[a] for a in range(n1)) for i in range(n1)]
+            nrm2 = sum(abs(c) ** 2 for c in w)
+            for a in range(n1):
+                for b in range(n1):
+                    M[a][b] += w[a] * w[b].conjugate() / nrm2
+        gnorm = sum(abs(M[a][b] - (m / n1 if a == b else 0)) ** 2 for a in range(n1) for b in range(n1)) ** 0.5
+        if gnorm <= 2.0**-40 * m or last <= gnorm <= 2.0**-20 * m:
+            break
+        last = gnorm
+        for a in range(n1):
+            M[a][a] += 2.0**-45 * m
+        X = _lower_inverse(hermitian_cholesky(M))
+        L = [[sum(L[a][k] * X[b][k].conjugate() for k in range(n1)) for b in range(n1)] for a in range(n1)]
+    return [[sum(L[a][k] * L[b][k].conjugate() for k in range(n1)) for b in range(n1)] for a in range(n1)]

@@ -40,6 +40,7 @@ from oracles import (
     fd_directional_derivative,
     fd_second_difference,
     oracle_tyler_covariant,
+    oracle_tyler_in_doubles,
     transported_curve,
 )
 
@@ -299,6 +300,35 @@ class TestMinimize:
             res = minimize(Z)
         assert res.iterations <= 4
         assert res.stop == "tol"
+
+    def test_tyler_in_doubles_equals_the_full_sum(self):
+        # summing half of M and conjugating the rest changes no bit: 40
+        # random clusters of 3 to 24 points in P^1 .. P^3, and the unsettled
+        # cluster above, which runs all 100 sweeps
+        from cluster_reduce.covariant import _tyler_in_doubles
+
+        rnd = random.Random(40)
+        clusters = []
+        for _ in range(40):
+            n1 = rnd.randint(2, 4)
+            rows = []
+            for _ in range(rnd.randint(n1 + 1, 24)):
+                v = [complex(rnd.randint(-9, 9), rnd.choice([0, rnd.randint(-9, 9)])) for _ in range(n1)]
+                v[0] = v[0] or 1
+                norm = sum(abs(c) ** 2 for c in v) ** 0.5
+                rows.append([c / norm for c in v])
+            clusters.append(rows)
+        Z = cluster_of(
+            (mp.mpc(2, 26), mp.mpc(-19, -259), mp.mpc(12, 170)),
+            (mp.mpc(2, -26), mp.mpc(-19, 259), mp.mpc(12, -170)),
+            (mp.mpc(-180, 98), mp.mpc(1781, -969), mp.mpc(-1162, 632)),
+            (mp.mpc(-180, -98), mp.mpc(1781, 969), mp.mpc(-1162, -632)),
+            (-107, 1059, -691),
+        )
+        clusters.append([[complex(c) for c in r] for r in normalize_cluster(Z).reps])
+        for rows in clusters:
+            got, want = _tyler_in_doubles(rows), oracle_tyler_in_doubles(rows)
+            assert got == want and repr(got) == repr(want)
 
     def test_pencil_base_points_match_published_covariant(self):
         # the four base points of the reference pencil: the solver must cross

@@ -15,6 +15,7 @@ from cluster_reduce import (
     PointCluster,
     ProjectivePoint,
     UnimodularTransform,
+    classify,
     reduce_ternary_form,
     substitute,
 )
@@ -30,7 +31,7 @@ def cluster_of(*coords):
 
 
 # x0^5 - x0^4 x1 - 2 x0^3 x1^2 + x0 x1^4 + 3 x1^5 substituted by
-# [[a, a-1], [a+1, a]], a = 10^12: its roots agree to about 1e-20
+# [[a, a-1], [a+1, a]], a = 10^12: its roots agree to about 1e-24
 _A = 10**12
 QUINTIC = substitute(
     MultiPoly.from_dict(2, {(5, 0): 1, (4, 1): -1, (3, 2): -2, (1, 4): 1, (0, 5): 3}),
@@ -322,6 +323,50 @@ class TestCli:
         assert result.exit_code == 0
         assert "stable: True" in result.output
 
+    # six points of P^2, four on a line, moved by a unimodular of height 983,
+    # with the third point moved off the line by 1e-20 first: its coordinates
+    # carry 23 significant digits, which 53 bits drop
+    MOVED = json.dumps({"n": 2, "points": [
+        ["-425", "20", "104"], ["-552", "26", "135"],
+        ["-977.00000000000000000983", "46.00000000000000000047", "239.00000000000000000238"],
+        ["127", "-6", "-31"], ["-983", "47", "238"], ["-4478", "213", "1088"],
+    ]})
+
+    def test_classify_reads_at_the_working_precision(self, tmp_path):
+        path = self._write(tmp_path, "moved.json", self.MOVED)
+        # mpmath's 53 bits, as in a fresh process
+        with mp.workprec(53):
+            result = CliRunner().invoke(main, ["classify", path, "--prec", "212"])
+        assert result.exit_code == 0, result.output
+        with mp.workprec(212):
+            cls = classify(cio.cluster_from_json(self.MOVED))
+        # the move takes the third point off the line, so the class is stable
+        assert cls.is_stable
+        assert result.output.splitlines() == [
+            f"split: {cls.is_split}",
+            f"semi-stable: {cls.is_semi_stable}",
+            f"stable: {cls.is_stable}",
+        ]
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("classify", "classify_cluster"), ("covariant", "minimize"), ("reduce-cluster", "reduce_cluster")],
+    )
+    def test_cluster_commands_keep_thirty_digits(self, tmp_path, monkeypatch, command, name):
+        from cluster_reduce import cli
+
+        digits = "1.23456789012345678901234567891"
+        data = {"n": 1, "points": [["1", "0"], ["0", "1"], ["1", "1"], [digits, "1"]]}
+        path = self._write(tmp_path, "cluster.json", json.dumps(data))
+        seen = []
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda cluster, **kw: seen.append(cluster) or real(cluster, **kw))
+        with mp.workprec(53):
+            result = CliRunner().invoke(main, [command, path, "--prec", "212"])
+        assert result.exit_code == 0, result.output
+        with mp.workprec(212):
+            assert abs(seen[0].points[3].coords[0] - mp.mpf(digits)) < mp.mpf("1e-40")
+
     def test_covariant_json_output(self, tmp_path):
         Z = cluster_of((1, 0), (0, 1), (1, 1), (1, -1))
         path = self._write(tmp_path, "cluster.json", json.dumps(cio.cluster_to_json(Z)))
@@ -515,7 +560,8 @@ class TestCli:
         [
             ("reduce-binary", "x0^3 + 2 x0^2 x1 - x0 x1^2 + 5 x1^3", [], 0),
             ("reduce-binary", "x0^2 x1", [], 2),
-            ("reduce-binary", QUINTIC.to_text(), ["--prec", "300"], 3),
+            ("reduce-binary", QUINTIC.to_text(), ["--prec", "180"], 3),
+            ("reduce-binary", QUINTIC.to_text(), ["--prec", "300"], 0),
             ("reduce-cluster", '{"n": 1, "points": [["1", "0"], ["0", "1"], ["1", "1"], [["0", "1"], "1"]]}', [], 4),
             ("reduce-cluster", '{"n": 1, "points": [["1", "0"], ["0", "1"], ["1", "1"]]}', ["--delta", "1.5"], 4),
             # two lines: the determinant cubic of the pencil vanishes
@@ -525,6 +571,7 @@ class TestCli:
             "good-cubic",
             "unstable-form",
             "quintic-short-of-precision",
+            "quintic-at-300-bits",
             "complex-cluster",
             "bad-option",
             "degenerate-pencil",

@@ -696,7 +696,7 @@ def test_reference_pencil_low_precision_is_not_instability(bits):
         assert not isinstance(exc, StabilityError), exc
 
 
-@pytest.mark.parametrize("bits, iteration", [(53, 2), (64, 0)])
+@pytest.mark.parametrize("bits, iteration", [(54, 4), (64, 0)])
 def test_reference_pencil_low_precision_names_the_precision(bits, iteration):
     # the Newton step leaves the positive definite cone: a shortfall of the
     # working precision, not of the gradient tolerance
@@ -722,48 +722,91 @@ def test_reference_pencil_gives_its_transform_or_names_the_precision(bits):
         assert [list(r) for r in report.transform.matrix] == PENCIL_LLL
 
 
-DISTORTED = {
-    # an already reduced binary quintic substituted by [[a, a-1], [a+1, a]], a = 10^6
-    "binary": (
-        (MultiPoly.from_dict(2, {(5, 0): 1, (4, 1): -1, (3, 2): -2, (1, 4): 1, (0, 5): 3}),),
-        ((10**6, 10**6 - 1), (10**6 + 1, 10**6)),
-    ),
-    # the reduced reference pencil, substituted to height 5.8e17
-    "pencil": (
-        (PENCIL_FINAL_1, -PENCIL_FINAL_2),
-        (
-            (623189299, -104123662, -21378106),
-            (253984611, -42436411, -8712821),
-            (-88583435, 14800794, 3038823),
-        ),
-    ),
-}
+_QUINTIC = MultiPoly.from_dict(2, {(5, 0): 1, (4, 1): -1, (3, 2): -2, (1, 4): 1, (0, 5): 3})
+
+# the reduced reference pencil, substituted to height 5.8e17
+_PENCIL_V = (
+    (623189299, -104123662, -21378106),
+    (253984611, -42436411, -8712821),
+    (-88583435, 14800794, 3038823),
+)
+# the transform that undoes it, found at 424 bits
+_PENCIL_V_LLL = [
+    [73004379, 435913662, -736252936],
+    [2664832718, 15911880967, -26874975713],
+    [-10851129349, -64792764436, 109434200407],
+]
+
+
+def _distorted_quintic(a):
+    """The reduced binary quintic substituted by [[a, a-1], [a+1, a]]; its
+    roots agree to about a^-2."""
+    return substitute(_QUINTIC, ((a, a - 1), (a + 1, a)))
+
+
+def _distorted_pencil(V):
+    from cluster_reduce import UnimodularTransform
+
+    return [substitute(F, UnimodularTransform(V)) for F in (PENCIL_FINAL_1, -PENCIL_FINAL_2)]
 
 
 def test_overflowed_doubles_start_names_the_precision():
-    # the quintic of DISTORTED with a = 10^12: its roots agree to about 1e-20,
-    # so Tyler's iteration in doubles overflows. Its non-finite last iterate
-    # fails the Cholesky pivot test and Newton starts from the identity; at
-    # 300 bits that is too little precision, and the error says so
-    (R,), _ = DISTORTED["binary"]
-    a = 10**12
-    F = substitute(R, ((a, a - 1), (a + 1, a)))
+    # the quintic with a = 10^12: its roots agree to about 1e-24, and at 180
+    # bits Tyler's iteration in doubles on them overflows, so Newton starts
+    # from the identity; that is too little precision (it reduces from 216
+    # bits), and the error says so
     with pytest.raises(ConvergenceError) as info:
-        reduce_binary_form(F, prec=300)
-    assert str(info.value).endswith("at the working precision of 300 bits"), info.value
+        reduce_binary_form(_distorted_quintic(10**12), prec=180)
+    assert str(info.value).endswith("at the working precision of 180 bits"), info.value
 
 
-@pytest.mark.parametrize("kind", sorted(DISTORTED))
-def test_imaginary_covariant_names_the_precision(kind):
-    # integer forms have a cluster fixed by conjugation, so an imaginary part
-    # of its covariant is rounding; both inputs reduce at 424 bits
-    from cluster_reduce import UnimodularTransform
-
-    forms, V = DISTORTED[kind]
-    forms = [substitute(F, UnimodularTransform(V)) for F in forms]
-    reduce = reduce_binary_form if kind == "binary" else reduce_quadric_pencil
+@pytest.mark.parametrize("kind", ["binary", "pencil"])
+def test_distorted_forms_name_the_precision(kind):
+    # the quintic with a = 10^15 and the pencil substituted twice by V, to
+    # height about 1e35: at 212 bits Newton cannot resolve the covariant of
+    # their roots or base points, and the error says so; both reduce at 424
+    # bits
+    if kind == "binary":
+        forms = [_distorted_quintic(10**15)]
+        reduce = reduce_binary_form
+    else:
+        VV = [[sum(_PENCIL_V[i][k] * _PENCIL_V[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+        forms = _distorted_pencil(VV)
+        reduce = reduce_quadric_pencil
     with pytest.raises(ConvergenceError) as info:
         reduce(*forms, prec=212)
+    assert str(info.value).endswith("at the working precision of 212 bits"), info.value
+
+
+@pytest.mark.parametrize(
+    "kind, a, bits",
+    [("binary", 10**6, 212), ("binary", 10**12, 300), ("pencil", None, 212)],
+    ids=["quintic-1e6-at-212", "quintic-1e12-at-300", "pencil-at-212"],
+)
+def test_distorted_forms_reduce_at_fewer_bits(kind, a, bits):
+    # roots refined on the exact integer coefficients are accurate to the
+    # fixed point whatever the coefficients' size, so these inputs reduce, to
+    # the transform that undoes the distortion, at precisions that once fell
+    # short of them
+    if kind == "binary":
+        report = reduce_binary_form(_distorted_quintic(a), prec=bits)
+        assert [list(r) for r in report.transform.matrix] == [[-a, a - 1], [a + 1, -a]]
+    else:
+        report = reduce_quadric_pencil(*_distorted_pencil(_PENCIL_V), prec=bits)
+        assert [list(r) for r in report.transform.matrix] == _PENCIL_V_LLL
+
+
+def test_imaginary_covariant_names_the_precision():
+    # an integer form has a cluster fixed by conjugation, so an imaginary
+    # part of its covariant above 2^(-prec/2) is rounding, which the real
+    # Gram reports as missing precision
+    from cluster_reduce import HermitianForm
+
+    z = HermitianForm([[2, mp.mpc(1, 2.0**-90)], [mp.mpc(1, -(2.0**-90)), 1]])
+    with mp.workprec(106):
+        assert pipelines._real_gram(z).matrix[0][1] == 1
+    with pytest.raises(ConvergenceError) as info:
+        pipelines._real_gram(z)
     assert str(info.value).endswith("at the working precision of 212 bits"), info.value
 
 

@@ -99,6 +99,26 @@ class TestMultiPoly:
         with pytest.raises(InputFormatError):
             MultiPoly.from_sympy(sp.Poly(sp.Float(value) * x0, x0), 1)
 
+    @pytest.mark.parametrize("which", ["quartic", "hessian", "rational"])
+    def test_evaluate_matches_exact_arithmetic(self, which):
+        # the power tables give the exact value at a Gaussian-rational point
+        # to the working precision
+        F = {
+            "quartic": QUARTIC,
+            "hessian": hessian(QUARTIC),
+            "rational": poly("1/3 x0^3 x2 - 5/7 x1^2 x2^2 + x0 x1 x2^2", nvars=3),
+        }[which]
+        point = [sp.Rational(3, 7) - sp.Rational(5, 11) * sp.I, sp.Rational(-13, 9) + sp.Rational(2, 5) * sp.I, 1]
+        exact = sp.expand(F.to_sympy().as_expr().subs(dict(zip(sp.symbols("x0:3"), point))))
+
+        def mpc(c):
+            re, im = (sp.Rational(v) for v in sp.sympify(c).as_real_imag())
+            return mp.mpc(mp.mpf(re.p) / re.q, mp.mpf(im.p) / im.q)
+
+        with mp.workprec(424):
+            want = mpc(exact)
+            assert abs(F.evaluate([mpc(c) for c in point]) - want) <= mp.mpf(2) ** -400 * abs(want)
+
 
 def _coefficients():
     return st.one_of(
@@ -552,7 +572,60 @@ def _hessian_resultant(F):
     return coeffs
 
 
+@st.composite
+def _integer_polynomials(draw):
+    """Descending integer coefficients of degree 1 to 30, entries of up to 64
+    bits, with up to 3 zero roots planted."""
+    d = draw(st.integers(1, 30))
+    zeros = draw(st.integers(0, min(3, d - 1)))
+    entry = st.integers(-(2**64), 2**64)
+    middle = draw(st.lists(entry, min_size=d - zeros - 1, max_size=d - zeros - 1))
+    ends = draw(st.lists(entry.filter(bool), min_size=2, max_size=2))
+    return [ends[0], *middle, ends[1]] + [0] * zeros
+
+
 class TestAberthInternals:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_integer_polynomials())
+    def test_roots_match_numpy(self, coeffs):
+        # numpy.roots, in doubles, is the oracle. Discs about its roots e_i
+        # with radii d |W_i|, for the Weierstrass corrections
+        # W_i = p(e_i) / (a_0 prod_{j != i} (e_i - e_j)), hold all the roots,
+        # m of them in each connected union of m discs (Carstensen's
+        # inclusion theorem), so each such union must hold as many roots of
+        # the kernel. The roots of a real polynomial are closed under
+        # conjugation to 2^(-prec/2), and planted zero roots are exact zeros
+        prec = 106
+        zeros = len(coeffs) - len(np.trim_zeros(coeffs, "b"))
+        cs = coeffs[: len(coeffs) - zeros]
+        with mp.workprec(prec):
+            got = aberth_roots(coeffs)
+            assert len(got) == len(coeffs) - 1
+            assert all(r == 0 for r in got[len(cs) - 1:])
+            got = got[: len(cs) - 1]
+            for r in got:
+                assert min(abs(mp.conj(r) - s) for s in got) <= mp.mpf(2) ** (-prec // 2) * max(1, abs(r))
+        with mp.workprec(212):
+            e = [mp.mpc(complex(x)) for x in np.roots([float(c) for c in cs])]
+            d = len(e)
+            radii = []
+            for i in range(d):
+                den = cs[0] * mp.fprod(e[i] - e[j] for j in range(d) if j != i)
+                radii.append(d * abs(mp.polyval(cs, e[i]) / den) if den else mp.inf)
+            component = list(range(d))
+            for i in range(d):
+                for j in range(i):
+                    if abs(e[i] - e[j]) <= radii[i] + radii[j]:
+                        old, new = component[i], component[j]
+                        component = [new if c == old else c for c in component]
+            count = {c: component.count(c) for c in component}
+            for r in got:
+                slack = mp.mpf(2) ** -90 * max(1, abs(r))
+                inside = [component[i] for i in range(d) if abs(r - e[i]) <= radii[i] + slack]
+                assert inside, f"root {r} lies in no disc"
+                count[inside[0]] -= 1
+            assert not any(count.values())
+
     def test_wide_magnitude_coefficients(self):
         # roots at 1e-3 and 1e3: the convex hull initialization must find both
         coeffs = [mp.mpf(1), -(mp.mpf(1000) + mp.mpf("0.001")), mp.mpf(1)]
@@ -580,6 +653,39 @@ class TestAberthInternals:
             for want in roots():
                 assert min(abs(r - want) for r in got) < mp.mpf(2) ** -200 * abs(want)
 
+    @pytest.mark.parametrize(
+        "coeffs, roots",
+        [
+            ([mp.mpf(1), mp.mpf(-3), mp.mpf(2)], [1, 2]),
+            ([mp.mpf(2), mp.mpc(-1, -3)], [mp.mpc(0.5, 1.5)]),
+        ],
+        ids=["real", "complex"],
+    )
+    def test_negative_mpmath_coefficients_keep_their_sign(self, coeffs, roots):
+        # mpf.man_exp drops the sign, so the kernel reads _mpf_: without the
+        # signs, x^2 + 3x + 2 has the roots -1 and -2
+        got = aberth_roots(coeffs, prec=106)
+        for want in roots:
+            assert min(abs(r - want) for r in got) < mp.mpf(2) ** -100
+
+    def test_roots_near_two_to_the_600(self):
+        # from doubles, the Aberth sum at either root of x^2 + 2^1200 is about
+        # 2^-601, which floor-rounds to -1 unit unless S is widened by log2 of
+        # the largest start; a Newton step of about 2^600 turns that unit
+        # into a false stop
+        with mp.workprec(212):
+            got = aberth_roots([1, 0, 2**1200])
+            for want in (mp.mpc(0, 2**600), mp.mpc(0, -(2**600))):
+                assert min(abs(r - want) for r in got) < mp.mpf(2) ** -200 * 2**600
+
+    def test_root_near_two_to_the_minus_1100(self):
+        # 2^-200 relative accuracy at 2^-1100 needs S >= prec + 1100, so S is
+        # widened by log2 of the smallest start; the root underflows to 0 in
+        # doubles, so the Bini points start
+        with mp.workprec(212):
+            (got,) = aberth_roots([2**1100, -1])
+            assert abs(got - mp.mpf(2) ** -1100) < mp.mpf(2) ** -1300
+
     def test_quartic_hessian_resultant_starts_from_its_roots_in_doubles(self, monkeypatch):
         # the exact pass of the reference quartic: from its roots in doubles
         # all 24 roots stop within 4 sweeps at 424 bits (15 from the Bini
@@ -592,6 +698,12 @@ class TestAberthInternals:
     def test_leading_zero_rejected(self):
         with pytest.raises(InputFormatError):
             aberth_roots([mp.mpf(0), mp.mpf(1)], prec=50)
+
+    @pytest.mark.parametrize("bad", [mp.inf, mp.nan, mp.mpc(1, mp.inf)], ids=["inf", "nan", "complex-inf"])
+    def test_non_finite_coefficient_rejected(self, bad):
+        # an exact Gaussian integer has no such value
+        with pytest.raises(InputFormatError):
+            aberth_roots([1, bad], prec=60)
 
     def test_quartic_hessian_resultant_stops_at_rounding_level(self, monkeypatch):
         # the degree-24 resultant of the reference quartic and its Hessian:
