@@ -256,7 +256,8 @@ def _images(L, reps):
     for row in reps:
         u = [mp.fdot(row, col, conjugate=True) for col in cols]
         nrm2 = mp.fsum(u, absolute=True, squared=True)
-        ws.append([c / mp.sqrt(nrm2) for c in u])
+        nrm = mp.sqrt(nrm2)
+        ws.append([c / nrm for c in u])
         logs.append(mp.log(nrm2))
     return ws, mp.fsum(logs) - mp.mpf(len(reps)) / len(L) * _log_det(L)
 

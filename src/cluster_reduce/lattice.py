@@ -149,10 +149,15 @@ def _gso(G: GramMatrix):
     return mu, [L[i][i] ** 2 for i in range(n)]
 
 
+# exact at every precision, made once
+_HALF = mp.mpf(0.5)
+_QUARTER = mp.mpf(0.25)
+
+
 def _round_half_toward_zero(x, tie):
     """Nearest integer to x, rounding toward zero any x within ``tie`` of a
     half-integer: sign(x) * ceil(|x| - 1/2 - tie)."""
-    q = int(mp.ceil(abs(x) - mp.mpf("0.5") - tie))
+    q = int(mp.ceil(abs(x) - _HALF - tie))
     return -q if x < 0 else q
 
 
@@ -166,7 +171,7 @@ def lll_reduce(G: GramMatrix, delta=0.99):
     """
     if not isinstance(G, GramMatrix):
         G = GramMatrix(tuple(tuple(r) for r in G))
-    if not (mp.mpf("0.25") < mp.mpf(delta) < 1):
+    if not (_QUARTER < mp.mpf(delta) < 1):
         raise ValueError("delta must lie in (1/4, 1)")
     delta = mp.mpf(delta)
     mu, B = _gso(G)
@@ -223,7 +228,7 @@ def is_lll_reduced(G: GramMatrix, delta=0.99, slack=mp.mpf("1e-9")) -> bool:
     n = G.size
     for i in range(n):
         for j in range(i):
-            if abs(mu[i][j]) > mp.mpf("0.5") * (1 + slack):
+            if abs(mu[i][j]) > _HALF * (1 + slack):
                 return False
     for k in range(1, n):
         lhs = B[k]

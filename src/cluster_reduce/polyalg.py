@@ -7,12 +7,14 @@ fraction). The exact layer never rounds; the numeric layer (Aberth-Ehrlich
 iteration, and the points of a curve intersection evaluated from its exact
 representation) works at a caller-chosen binary precision with residual
 certificates on every reported root. Aberth's iteration runs in two
-arithmetics: first in Python's built-in complex, then, from the roots that
-doubles gave, in Python integers: fixed-point iterates at the working
-precision plus guard bits, on the coefficients made exact Gaussian integers,
-so that Horner's rounding error does not grow with the coefficients. The
-first phase alone, uncertified, finds the points of the preconditioning
-passes of the ternary pipeline.
+arithmetics: first in Python's built-in complex, from Bini points computed
+with ``math`` and ``cmath``, then, from the roots that doubles gave, in
+Python integers: fixed-point iterates at the working precision plus guard
+bits, on the coefficients made exact Gaussian integers, so that Horner's
+rounding error does not grow with the coefficients. The first phase alone,
+uncertified, finds the points of the preconditioning passes of the ternary
+pipeline. The fiber points and residuals of a curve intersection are
+fixed-point Gaussian integers too; mpmath holds only the results.
 """
 
 from __future__ import annotations
@@ -212,25 +214,43 @@ class MultiPoly:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, values: Sequence) -> mp.mpc:
-        """Numeric value at the given coordinates (mpmath arithmetic), from one
-        table of powers v, v^2, ..., v^d per coordinate."""
+        """Numeric value at the given coordinates as an mpc at the ambient
+        precision prec, computed on Gaussian integers at scale 2^-S: one
+        table of powers v, v^2, ..., v^d per coordinate and each term's
+        product are truncated to 2^-S, the terms times the integers
+        c * scale (scale clears the denominators) are summed exactly, and
+        only the sum over scale is rounded. For total degree d and nonzero
+        coordinates of at least 2^-lo, S = prec + 20 + d (lo + 2) keeps each
+        term within 2^-(prec+4) |c_e v^e|, so the value is within a few units
+        of 2^-prec sum |c_e v^e|."""
         vals = [to_mpc(v) for v in values]
         if len(vals) != self.nvars:
             raise DimensionError("wrong number of coordinates")
+        if not self.terms:
+            return mp.mpc(0)
+        exps = [e for e, _ in self.terms]
+        lo = max([0, *(-mp.mag(v) for v in vals if v)])
+        S = mp.mp.prec + 20 + max(map(sum, exps)) * (lo + 2)
+        one = 1 << S
         powers = []
-        for i, v in enumerate(vals):
-            table = [mp.mpc(1)]
-            for _ in range(self.degree_in(i)):
-                table.append(table[-1] * v)
+        for v, top in zip(vals, map(max, zip(*exps))):
+            x, y = _fixed(v, S)
+            table = [(one, 0)]
+            for _ in range(top):
+                a, b = table[-1]
+                table.append(((a * x - b * y) >> S, (a * y + b * x) >> S))
             powers.append(table)
-        total = mp.mpc(0)
+        scale = math.lcm(*(c.denominator for _, c in self.terms))
+        re = im = 0
         for e, c in self.terms:
-            term = mp.mpc(int(c.numerator), 0) / int(c.denominator) if isinstance(c, Fraction) else mp.mpc(c)
-            for table, k in zip(powers, e):
-                if k:
-                    term *= table[k]
-            total += term
-        return total
+            factors = [table[k] for table, k in zip(powers, e) if k]
+            a, b = factors.pop() if factors else (one, 0)
+            for x, y in factors:
+                a, b = (a * x - b * y) >> S, (a * y + b * x) >> S
+            c = c.numerator * (scale // c.denominator)
+            re += c * a
+            im += c * b
+        return _from_fixed(re, im, S) / scale
 
     def coeff_norm(self):
         """Euclidean norm of the coefficient vector as an mpf."""
@@ -423,14 +443,17 @@ def substitute(F: MultiPoly, U) -> MultiPoly:
 # numeric root finding
 
 
-def _bini_initial_points(coeffs):
-    """Starting points for the simultaneous iteration.
+def _bini_initial_points(log_abs):
+    """Starting points for the simultaneous iteration, in ``math`` and
+    ``cmath``, from ``log_abs``: log2 |a_k| for the descending coefficients
+    a_k, None where a_k = 0.
 
-    Radii come from the upper convex hull of (k, log |a_k|); angles are spread
-    uniformly with an irrational offset per hull segment to break symmetry.
+    Radii come from the upper convex hull of (k, log2 |a_k|), k counted from
+    the constant term; angles are spread uniformly with an irrational offset
+    per hull segment to break symmetry. Each point r e^(i theta) is the pair
+    (log2 r, e^(i theta)), since r may lie outside the double range.
     """
-    d = len(coeffs) - 1
-    pts = [(k, mp.log(abs(c))) for k, c in enumerate(reversed(coeffs)) if c != 0]
+    pts = [(k, h) for k, h in enumerate(reversed(log_abs)) if h is not None]
     # upper convex hull (pts sorted by k already): drop points below a chord
     hull = []
     for p in pts:
@@ -442,15 +465,12 @@ def _bini_initial_points(coeffs):
                 break
         hull.append(p)
     out = []
-    seg = 0
-    for (k1, h1), (k2, h2) in zip(hull, hull[1:]):
-        r = mp.e ** ((h1 - h2) / (k2 - k1))
+    for seg, ((k1, h1), (k2, h2)) in enumerate(zip(hull, hull[1:])):
         width = k2 - k1
         for j in range(width):
-            theta = 2 * mp.pi * (j + mp.mpf("0.25")) / width + mp.mpf("0.6180339887") * (seg + 1)
-            out.append(r * (mp.cos(theta) + 1j * mp.sin(theta)))
-        seg += 1
-    return out[:d]
+            theta = 2 * math.pi * (j + 0.25) / width + 0.6180339887 * (seg + 1)
+            out.append(((h1 - h2) / width, complex(math.cos(theta), math.sin(theta))))
+    return out
 
 
 def _horner_pair(coeffs, x):
@@ -531,14 +551,44 @@ def _aberth(cs, z, maxsteps):
     return z
 
 
-def _dyadic(x) -> Fraction:
-    """A finite mpf as an exact Fraction, read from its ``_mpf_`` = (sign,
-    mantissa, exponent, bits); ``man_exp`` would drop the sign."""
+def _man_exp(x) -> tuple:
+    """(m, e) with x = m 2^e exactly for a finite mpf x, read from its
+    ``_mpf_`` = (sign, mantissa, exponent, bits); ``man_exp`` would drop the
+    sign. Raises InputFormatError on an infinity or a NaN."""
     sign, man, exp, _ = x._mpf_
     if not man and exp:
-        raise InputFormatError(f"coefficient {x} is not finite")
-    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    return -v if sign else v
+        raise InputFormatError(f"{x} is not finite")
+    return (-man if sign else man), exp
+
+
+def _fixed(z, S) -> tuple:
+    """The finite mpc z as the Gaussian integer (X, Y) with
+    (X + iY) 2^-S = z, each part rounded toward zero."""
+    out = []
+    for m, e in (_man_exp(z.real), _man_exp(z.imag)):
+        e += S
+        v = abs(m) << e if e >= 0 else abs(m) >> -e
+        out.append(-v if m < 0 else v)
+    return tuple(out)
+
+
+def _from_fixed(X, Y, S):
+    """(X + iY) 2^-S as an mpc at the ambient precision."""
+    return mp.mpc(mp.ldexp(X, -S), mp.ldexp(Y, -S))
+
+
+def _horner_fixed(A, x, y, S) -> tuple:
+    """p(z) and p'(z) at z = (x + iy) 2^-S by a joint Horner scheme in Python
+    integers, for the descending Gaussian integers ``A`` of p at scale 2^-S
+    (each (a, b) stands for (a + ib) 2^-S); returns (P, Q, dP, dQ) for
+    p(z) = (P + iQ) 2^-S and p'(z) = (dP + i dQ) 2^-S. Each step truncates
+    by under sqrt(2) units of 2^-S, so p(z) is off by under
+    sqrt(2) sum_{k<d} |z|^k units, whatever the size of the coefficients."""
+    p = q = dp = dq = 0
+    for a, b in A:
+        dp, dq = ((dp * x - dq * y) >> S) + p, ((dp * y + dq * x) >> S) + q
+        p, q = ((p * x - q * y) >> S) + a, ((p * y + q * x) >> S) + b
+    return p, q, dp, dq
 
 
 def _gaussian_integers(coeffs) -> list:
@@ -553,7 +603,7 @@ def _gaussian_integers(coeffs) -> list:
             parts.append((Fraction(c), Fraction(0)))
         else:
             z = to_mpc(c)
-            parts.append((_dyadic(z.real), _dyadic(z.imag)))
+            parts.append(tuple(m * Fraction(2) ** e for m, e in (_man_exp(z.real), _man_exp(z.imag))))
     scale = math.lcm(*(x.denominator for pair in parts for x in pair))
     return [(int(a * scale), int(b * scale)) for a, b in parts]
 
@@ -566,12 +616,11 @@ def _aberth_fixed(A, z, prec, guard, maxsteps):
     Each iterate is a pair of integers (X, Y) for (X + iY) 2^-S, where S is
     the target precision ``prec`` plus ``guard`` bits, widened by log2 of the
     largest start and by -log2 of the smallest, so that the roots and the
-    Aberth sums s = sum_j 1/(z - z_j) keep prec + guard bits. Horner's pair,
-    s and the correction w = p / (p' - p s) (the Newton step p / p' over
-    1 - (p / p') s) are integer products, shifts and floor divisions. Each
-    step of Horner's rule truncates by under sqrt(2) units of 2^-S, so p(x)
-    is off by under sqrt(2) sum_{k<d} |x|^k units, whatever the size of the
-    coefficients. A root stops once |p(x)| is within four times that
+    Aberth sums s = sum_j 1/(z - z_j) keep prec + guard bits. Horner's pair
+    (:func:`_horner_fixed`), s and the correction w = p / (p' - p s) (the
+    Newton step p / p' over 1 - (p / p') s) are integer products, shifts and
+    floor divisions. A root stops once |p(x)| is within four times the
+    truncation bound of :func:`_horner_fixed`
     (MPSolve's rule, Bini & Fiorentino, Numer. Algorithms 23, 2000, restated
     for this arithmetic), or once |w| <= 2^-prec max(1, |x|). Raises
     ConvergenceError, with the current approximations as ``best``, when some
@@ -581,8 +630,7 @@ def _aberth_fixed(A, z, prec, guard, maxsteps):
     S = prec + guard + max([0, *mags]) + max([0, *(-m for m in mags)])
     one = 1 << S
     A = [(a << S, b << S) for a, b in A]
-    X = [int(mp.ldexp(r.real, S)) for r in z]
-    Y = [int(mp.ldexp(r.imag, S)) for r in z]
+    X, Y = (list(t) for t in zip(*(_fixed(r, S) for r in z)))
     converged = [False] * d
     rnd = random.Random(1729)
 
@@ -600,10 +648,7 @@ def _aberth_fixed(A, z, prec, guard, maxsteps):
             if converged[i]:
                 continue
             x, y = X[i], Y[i]
-            p = q = dp = dq = 0
-            for a, b in A:
-                dp, dq = ((dp * x - dq * y) >> S) + p, ((dp * y + dq * x) >> S) + q
-                p, q = ((p * x - q * y) >> S) + a, ((p * y + q * x) >> S) + b
+            p, q, dp, dq = _horner_fixed(A, x, y, S)
             # sum_{k<d} |x|^k at scale 2^-S, |x| rounded up
             r = math.isqrt(x * x + y * y) + 1
             bound = one
@@ -639,7 +684,7 @@ def _aberth_fixed(A, z, prec, guard, maxsteps):
             X[i], Y[i] = x - wr, y - wi
             if (wr * wr + wi * wi) << (2 * prec) <= max(one * one, X[i] ** 2 + Y[i] ** 2):
                 converged[i] = True
-    roots = [mp.mpc(mp.ldexp(x, -S), mp.ldexp(y, -S)) for x, y in zip(X, Y)]
+    roots = [_from_fixed(x, y, S) for x, y in zip(X, Y)]
     if not all(converged):
         raise ConvergenceError(
             f"{d - sum(converged)} of {d} roots did not converge in {maxsteps} Aberth sweeps",
@@ -699,7 +744,7 @@ def aberth_roots(coeffs, prec=None):
         guard = 20 + 2 * d
         with mp.workprec(target_prec + guard):
             A = _gaussian_integers(coeffs)
-            z = _starts([to_mpc(c) for c in coeffs])
+            z = _starts([to_mpc(c) for c in coeffs], A)
         try:
             roots = _aberth_fixed(A, z, target_prec, guard, ABERTH_SWEEPS)
         except ConvergenceError as exc:
@@ -708,13 +753,14 @@ def aberth_roots(coeffs, prec=None):
         return roots + [mp.mpc(0)] * zero_roots
 
 
-def _starts(cs):
+def _starts(cs, A):
     """Start points for the second phase of :func:`aberth_roots` on the
-    coefficients ``cs`` (no zero root): the roots in doubles, or the best
-    approximations of a first phase that did not converge, when these are
-    one finite nonzero point per root; otherwise the Bini points. A root
-    that is 0 in doubles has underflowed, and would give the fixed point of
-    the second phase no scale."""
+    coefficients ``cs`` (no zero root), the Gaussian integers ``A`` up to
+    one factor: the roots in doubles, or the best approximations of a first
+    phase that did not converge, when these are one finite nonzero point per
+    root; otherwise the Bini points of A, whose radii may lie outside the
+    double range. A root that is 0 in doubles has underflowed, and would
+    give the fixed point of the second phase no scale."""
     try:
         z = _roots_in_doubles(cs)
     except ConvergenceError as exc:
@@ -722,7 +768,8 @@ def _starts(cs):
     except ArithmeticError:
         z = None
     if z is None or not all(cmath.isfinite(r) and r for r in z):
-        return _bini_initial_points(cs)
+        logs = [math.log2(a * a + b * b) / 2 if a or b else None for a, b in A]
+        return [mp.ldexp(1, math.floor(h)) * mp.mpc(2.0 ** (h % 1) * u) for h, u in _bini_initial_points(logs)]
     return [mp.mpc(r) for r in z]
 
 
@@ -741,16 +788,15 @@ def _roots_in_doubles(coeffs):
     :func:`_doubles`, zero roots stripped exactly. Uncertified: it is the
     first phase of :func:`aberth_roots` and the root finder of the
     preconditioning passes. Raises ArithmeticError where a nonzero
-    coefficient underflows to 0 in doubles, and ConvergenceError as
-    :func:`_aberth` does."""
+    coefficient underflows to 0 in doubles or a start point overflows, and
+    ConvergenceError as :func:`_aberth` does."""
     coeffs, zero_roots = _strip_zero_roots(coeffs)
     if len(coeffs) == 1:
         return [0j] * zero_roots
     (cs,) = _doubles(coeffs)
     if any(c == 0 and a != 0 for a, c in zip(coeffs, cs)):
         raise ArithmeticError("a coefficient underflows in doubles")
-    with mp.workprec(53):
-        z = [complex(r) for r in _bini_initial_points(cs)]
+    z = [2.0**h * u for h, u in _bini_initial_points([math.log2(abs(c)) if c else None for c in cs])]
     return _aberth(cs, z, 100) + [0j] * zero_roots
 
 
@@ -1065,10 +1111,32 @@ def _intersection_in_doubles(F: MultiPoly, G: MultiPoly) -> tuple:
     return S, points
 
 
+def _fiber_points(num, den, roots, bits):
+    """x0 = -num(beta)/den(beta) as mpc at each of the ``roots`` beta, for the
+    integer coefficients of :func:`_fiber_point`: :func:`_horner_fixed` at
+    scale 2^-T, T = ``bits`` + 20, and one complex floor division. The
+    truncation, under 2^-T sqrt(2) sum_{k<deg} |beta|^k, is below 2^-bits
+    times the leading term where |beta| >= 1 and below 2^-bits, against the
+    point (x0, beta, 1) of norm at least 1, where |beta| < 1."""
+    T = bits + 20
+    num, den = ([(a << T, 0) for a in cs] for cs in (num, den))
+    out = []
+    for beta in roots:
+        x, y = _fixed(beta, T)
+        p, q, *_ = _horner_fixed(num, x, y, T)
+        r, s, *_ = _horner_fixed(den, x, y, T)
+        n = r * r + s * s
+        out.append(_from_fixed(-((p * r + q * s) << T) // n, -((q * r - p * s) << T) // n, T))
+    return out
+
+
 def _intersect_with_shear(F, G, S, d1, d2, bits):
     """The RootSet of F and G from the projection S. Each root is a zero v of
     F(S x) and G(S x), placed at S v, and is accepted on, and carries, its
-    residual on those forms, which the projection conditions."""
+    residual on those forms, which the projection conditions: for v =
+    (x0, beta, 1), x0 from :func:`_fiber_points`, and its unit vector u,
+    max(|F(S u)|, |G(S u)|) over the larger coefficient norm, from
+    :meth:`MultiPoly.evaluate`, must be below 2^(-bits/2)."""
     Fs, Gs, Fd, Gd, R, levels = _eliminate(F, G, S, d1, d2)
     D = d1 * d2
     found, singular = [], []
@@ -1077,9 +1145,9 @@ def _intersect_with_shear(F, G, S, d1, d2, bits):
     _, factors = R.sqf_list()
     for fac, mult in factors:
         for part, c, sing in _fiber_parts(fac, levels, Fd, Gd):
-            num, den = _fiber_point(c)
-            for beta in aberth_roots(_int_coeffs(part), prec=bits):
-                v = (-mp.polyval(num, beta) / mp.polyval(den, beta), beta, mp.mpc(1))
+            betas = aberth_roots(_int_coeffs(part), prec=bits)
+            for beta, x0 in zip(betas, _fiber_points(*_fiber_point(c), betas, bits)):
+                v = (x0, beta, mp.mpc(1))
                 u = ProjectivePoint(v).unit()
                 resid = max(abs(Fs.evaluate(u)), abs(Gs.evaluate(u))) / norm
                 if resid >= half:

@@ -302,3 +302,49 @@ def oracle_tyler_in_doubles(points):
         X = _lower_inverse(hermitian_cholesky(M))
         L = [[sum(L[a][k] * X[b][k].conjugate() for k in range(n1)) for b in range(n1)] for a in range(n1)]
     return [[sum(L[a][k] * L[b][k].conjugate() for k in range(n1)) for b in range(n1)] for a in range(n1)]
+
+
+def oracle_evaluate(F, values):
+    """``MultiPoly.evaluate`` as it ran in mpmath arithmetic at the ambient
+    precision before it ran in Python integers: one table of powers
+    v, v^2, ..., v^d per coordinate, each term a product of mpc."""
+    vals = [mp.mpc(v) for v in values]
+    powers = []
+    for i, v in enumerate(vals):
+        table = [mp.mpc(1)]
+        for _ in range(F.degree_in(i)):
+            table.append(table[-1] * v)
+        powers.append(table)
+    total = mp.mpc(0)
+    for e, c in F.terms:
+        term = mp.mpc(int(c.numerator), 0) / int(c.denominator) if isinstance(c, Fraction) else mp.mpc(c)
+        for table, k in zip(powers, e):
+            if k:
+                term *= table[k]
+        total += term
+    return total
+
+
+def oracle_bini_initial_points(coeffs):
+    """The Bini points as ``polyalg._bini_initial_points`` computed them in
+    mpmath at the ambient precision before it ran in ``math`` and ``cmath``:
+    radii from the upper convex hull of (k, ln |a_k|) as mpf, angles from
+    mpmath's cos and sin; returns the points as mpc."""
+    pts = [(k, mp.log(abs(c))) for k, c in enumerate(reversed(coeffs)) if c != 0]
+    hull = []
+    for p in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (p[0] - x1) <= (p[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    out = []
+    for seg, ((k1, h1), (k2, h2)) in enumerate(zip(hull, hull[1:])):
+        r = mp.e ** ((h1 - h2) / (k2 - k1))
+        width = k2 - k1
+        for j in range(width):
+            theta = 2 * mp.pi * (j + mp.mpf("0.25")) / width + mp.mpf("0.6180339887") * (seg + 1)
+            out.append(r * (mp.cos(theta) + 1j * mp.sin(theta)))
+    return out

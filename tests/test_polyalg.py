@@ -1,5 +1,7 @@
 """Exact polynomial layer and multiprecision root finding."""
 
+import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -27,10 +29,40 @@ from cluster_reduce import (
 from cluster_reduce import polyalg
 
 from conftest import PENCIL_CUBIC, PENCIL_Q1, PENCIL_Q2, QUARTIC, QUARTIC_LLL, QUARTIC_REDUCED
+from oracles import oracle_bini_initial_points, oracle_evaluate
 
 
 def poly(text, nvars=None):
     return MultiPoly.from_text(text, nvars=nvars)
+
+
+def _exact(x):
+    """The exact rational value of an mpf (``man_exp`` drops the sign)."""
+    m, e = x.man_exp
+    return (-1 if x < 0 else 1) * sp.Integer(m) * sp.Rational(2) ** e
+
+
+@st.composite
+def _evaluation_cases(draw):
+    """A polynomial in 1-3 variables of total degree at most 8, homogeneous
+    or not, with integer and rational coefficients; a point whose
+    coordinates have real and imaginary parts of 2^-300 to 2^300 in absolute
+    value, or 0, as Fractions; and a working precision."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 8)] * n).filter(lambda e: sum(e) <= 8)
+    coeff = st.one_of(
+        st.integers(-(2**64), 2**64),
+        st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+    )
+    F = MultiPoly.from_dict(n, draw(st.dictionaries(exps, coeff.filter(bool), min_size=1, max_size=12)))
+    part = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(lambda m, q, k: Fraction(m, q) * Fraction(2) ** k,
+                  st.integers(1, 2**40).flatmap(lambda m: st.sampled_from([m, -m])),
+                  st.integers(1, 2**40), st.integers(-260, 260)),
+    )
+    point = draw(st.lists(st.tuples(part, part), min_size=n, max_size=n))
+    return F, point, draw(st.sampled_from([53, 106, 212, 424]))
 
 
 class TestMultiPoly:
@@ -118,6 +150,28 @@ class TestMultiPoly:
         with mp.workprec(424):
             want = mpc(exact)
             assert abs(F.evaluate([mpc(c) for c in point]) - want) <= mp.mpf(2) ** -400 * abs(want)
+
+    @pytest.mark.parametrize("evaluate", [MultiPoly.evaluate, oracle_evaluate], ids=["integers", "mpmath"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=_evaluation_cases())
+    def test_evaluate_within_units_of_the_term_sum(self, evaluate, case):
+        # sympy's exact value at the point the mpc coordinates hold is the
+        # oracle; the error must be within a few units of 2^-prec
+        # sum |c_e| |v^e|, for the fixed-point evaluation as for the mpmath
+        # one it replaced, whatever the magnitudes of the coordinates
+        F, point, prec = case
+        with mp.workprec(prec):
+            vals = [mp.mpc(mp.mpf(a.numerator) / a.denominator, mp.mpf(b.numerator) / b.denominator) for a, b in point]
+            got = evaluate(F, vals)
+        xs = [_exact(v.real) + sp.I * _exact(v.imag) for v in vals]
+        exact = sp.expand(F.to_sympy().as_expr().subs(dict(zip(sp.symbols(f"x0:{F.nvars}"), xs)), simultaneous=True))
+        re, im = (sp.Rational(t) for t in exact.as_real_imag())
+        with mp.workprec(prec + 64):
+            want = mp.mpc(mp.mpf(re.p) / re.q, mp.mpf(im.p) / im.q)
+            size = mp.fsum(abs(mp.mpf(c.numerator) / c.denominator) * mp.fprod(abs(v) ** k for v, k in zip(vals, e))
+                           for e, c in F.terms)
+            assert abs(got - want) <= 8 * mp.mpf(2) ** -prec * size
+
 
 
 def _coefficients():
@@ -625,6 +679,35 @@ class TestAberthInternals:
                 assert inside, f"root {r} lies in no disc"
                 count[inside[0]] -= 1
             assert not any(count.values())
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_integer_polynomials())
+    def test_bini_points_match_the_mpmath_oracle(self, coeffs):
+        # the hull and points in math and cmath, as the first phase takes
+        # them, against the mpmath computation at 53 bits they replaced
+        cs = polyalg._doubles(polyalg._strip_zero_roots(coeffs)[0])[0]
+        got = [2.0**h * u for h, u in polyalg._bini_initial_points([math.log2(abs(c)) if c else None for c in cs])]
+        with mp.workprec(53):
+            want = [complex(w) for w in oracle_bini_initial_points(cs)]
+        assert len(got) == len(want) == len(cs) - 1
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-14 * abs(w)
+
+    def test_fiber_points_match_horner_at_four_times_the_precision(self):
+        # x0 = -num(beta)/den(beta) from fixed-point Horner at 212 bits
+        # against mpmath's polyval at 848 bits, for roots of 2^-40 to 2^40
+        rnd = random.Random(27)
+        for _ in range(30):
+            deg = rnd.randint(1, 24)
+            num, den = ([rnd.randint(-(2**64), 2**64) for _ in range(deg + 1)] for _ in "nd")
+            with mp.workprec(212):
+                betas = [mp.mpc(rnd.uniform(-1, 1), rnd.uniform(-1, 1)) * mp.mpf(2) ** rnd.randint(-40, 40)
+                         for _ in range(5)]
+                got = polyalg._fiber_points(num, den, betas, 212)
+            with mp.workprec(848):
+                for beta, x0 in zip(betas, got):
+                    want = -mp.polyval(num, beta) / mp.polyval(den, beta)
+                    assert abs(x0 - want) <= mp.mpf(2) ** -200 * max(1, abs(want))
 
     def test_wide_magnitude_coefficients(self):
         # roots at 1e-3 and 1e3: the convex hull initialization must find both
