@@ -6,7 +6,11 @@ sympy's sparse ring (``sympy.polys.rings``, over ZZ unless a coefficient is a
 fraction). The exact layer never rounds; the numeric layer (Aberth-Ehrlich
 iteration, and the points of a curve intersection evaluated from its exact
 representation) works at a caller-chosen binary precision with residual
-certificates on every reported root. Aberth's iteration runs in two
+certificates on every reported root. A binary form has one root path: the
+squarefree split that its pipeline already made, Aberth on each factor, and
+one residual gate against the whole form. There is no public univariate root
+finder or resultant; curve intersection takes its resultant and
+subresultants from sympy in one sequence. Aberth's iteration runs in two
 arithmetics: first in Python's built-in complex, from Bini points computed
 with ``math`` and ``cmath``, then, from the roots that doubles gave, in
 Python integers: fixed-point iterates at the working precision plus guard
@@ -268,12 +272,6 @@ class MultiPoly:
             return sp.Poly(0, *gens)
         return sp.Poly.from_dict(d, *gens)
 
-    @classmethod
-    def from_sympy(cls, poly, nvars: int) -> "MultiPoly":
-        if not isinstance(poly, sp.Poly):
-            poly = sp.Poly(poly, *sp.symbols(f"x0:{nvars}"))
-        return cls(nvars, tuple(poly.as_dict().items()))
-
     def to_text(self) -> str:
         if not self.terms:
             return "0"
@@ -401,31 +399,6 @@ def _det3(E):
         - E[0][1] * (E[1][0] * E[2][2] - E[1][2] * E[2][0])
         + E[0][2] * (E[1][0] * E[2][1] - E[1][1] * E[2][0])
     )
-
-
-def resultant(p: MultiPoly, q: MultiPoly, var: int) -> MultiPoly:
-    """Exact resultant eliminating variable ``var`` (subresultant arithmetic).
-
-    Follows the classical convention res(p, q) = lc(p)^deg(q) * prod q(roots
-    of p); swapping the arguments multiplies by (-1)^(deg p * deg q). The
-    backing computation normalizes the argument order, so the sign is
-    restored here when p has the smaller degree.
-    """
-    if p.nvars != q.nvars:
-        raise DimensionError("mixed variable counts")
-    dp = p.degree_in(var)
-    dq = q.degree_in(var)
-    if dp < 1 or dq < 1:
-        raise EliminationError(
-            "both inputs must have positive degree in the eliminated variable; "
-            "apply a linear change of variables first"
-        )
-    gens = sp.symbols(f"x0:{p.nvars}")
-    res = sp.resultant(p.to_sympy().as_expr(), q.to_sympy().as_expr(), gens[var])
-    out = MultiPoly.from_sympy(sp.Poly(res, *gens), p.nvars)
-    if dp < dq and (dp * dq) % 2 == 1:
-        out = -out
-    return out
 
 
 def substitute(F: MultiPoly, U) -> MultiPoly:
@@ -800,58 +773,6 @@ def _roots_in_doubles(coeffs):
     return _aberth(cs, z, 100) + [0j] * zero_roots
 
 
-def _poly_residual(coeffs, root):
-    """|p(root)| / (||p|| * max(1, |root|)^deg)."""
-    norm = mp.sqrt(mp.fsum(abs(c) ** 2 for c in coeffs))
-    p, _ = _horner_pair(coeffs, root)
-    return abs(p) / (norm * max(mp.mpf(1), abs(root)) ** (len(coeffs) - 1))
-
-
-def _certified_roots(full, factors, bits):
-    """[(root, k)] for the squarefree factors ``factors`` = [(f_k, k)] (descending
-    integer coefficients) of the polynomial with descending coefficients
-    ``full``: :func:`aberth_roots` finds the roots of each f_k, each root
-    carries its factor's multiplicity k, and each must meet the normalized
-    residual bound 2^(-bits/2) against the polynomial itself, or
-    EliminationError is raised."""
-    full = [to_mpc(c) for c in full]
-    result = []
-    for coeffs, mult in factors:
-        for r in aberth_roots(coeffs, prec=bits):
-            if _poly_residual(full, r) >= half_eps():
-                raise EliminationError(
-                    f"root {mp.nstr(r, 8)} failed the residual certificate"
-                )
-            result.append((r, mult))
-    return result
-
-
-def univariate_roots(p: MultiPoly, prec=None):
-    """All complex roots of an exact univariate polynomial, with multiplicity.
-
-    One exact squarefree decomposition p = c f_1 f_2^2 f_3^3 ... gives
-    coprime factors with simple roots; :func:`aberth_roots` finds the roots of
-    each f_k (a factor t included: it strips zero roots exactly), and each
-    root carries its factor's exact multiplicity k. Nothing is merged, since
-    no two of these roots coincide. Every root must meet the normalized
-    residual bound 2^(-prec/2) against p itself, or EliminationError is
-    raised.
-    """
-    if p.is_zero():
-        raise InputFormatError("zero polynomial has no well-defined roots")
-    active = [i for i in range(p.nvars) if p.degree_in(i) > 0]
-    if len(active) > 1:
-        raise DimensionError("polynomial is not univariate")
-    if not active:
-        raise InputFormatError("constant polynomial has no roots")
-    with working_precision(prec):
-        spoly = p.to_sympy().exclude()
-        factors = [(_int_coeffs(f), k) for f, k in spoly.sqf_list()[1]]
-        result = _certified_roots(_int_coeffs(spoly), factors, mp.mp.prec)
-        assert sum(m for _, m in result) == spoly.degree()
-        return result
-
-
 # ---------------------------------------------------------------------------
 # curve intersection
 
@@ -874,47 +795,43 @@ class RootSet:
         return PointCluster(tuple(pts))
 
 
-def binary_form_roots(F: MultiPoly, prec=None) -> PointCluster:
-    """Root cluster in P^1 of a binary form, multiplicities included.
-
-    Finite roots come from the dehomogenization; the point (1 : 0) picks up
-    the degree drop.
-    """
-    if F.nvars != 2:
-        raise DimensionError("binary form must have exactly 2 variables")
-    if F.is_zero():
-        raise InputFormatError("zero form")
-    if not F.is_homogeneous():
-        raise InputFormatError("input must be homogeneous")
-    if F.total_degree() < 1:
-        raise InputFormatError("degree must be at least 1")
-    with working_precision(prec):
-        return _binary_form_roots(F, F.to_sympy().sqf_list()[1])
-
-
 def _binary_form_roots(F: MultiPoly, factors) -> PointCluster:
-    """:func:`binary_form_roots` from the squarefree split ``factors`` =
-    [(f(x0, x1), k)] of F (sympy Polys), at the ambient precision: each
-    factor, at x1 = 1, is a squarefree factor of the dehomogenization, so
-    the form is factored once."""
+    """Root cluster in P^1 of a binary form F, multiplicities included, at
+    the ambient precision, from its squarefree split ``factors`` =
+    [(f(x0, x1), k)] (sympy Polys), so that the form is factored once.
+
+    The point (1 : 0) takes the degree drop of the dehomogenization
+    p(t) = F(t, 1). Each factor of positive degree at x1 = 1 is a squarefree
+    factor of p; :func:`aberth_roots` finds its simple roots (a factor t
+    included: it strips zero roots exactly), and each root carries the
+    factor's exact multiplicity k. Nothing is merged, since no two of these
+    roots coincide. Every root r must meet the normalized residual bound
+    |p(r)| / (||p|| max(1, |r|)^deg p) < 2^(-prec/2) against p scaled to
+    coprime integers, or EliminationError is raised.
+    """
     d = F.total_degree()
     # coefficients of t^k where t = x0 and x1 = 1
     coeffs = [0] * (d + 1)
     for (a, b), c in F.terms:
         coeffs[a] += c
     e = max(k for k in range(d + 1) if coeffs[k] != 0)
-    points = []
-    if e < d:
-        points.extend([ProjectivePoint((1, 0))] * (d - e))
-    if e > 0:
-        dehom = MultiPoly(1, tuple(((k,), coeffs[k]) for k in range(e + 1) if coeffs[k]))
-        x1 = sp.Symbol("x1")
-        finite = [(f.eval(x1, 1), k) for f, k in factors]
-        finite = [(_int_coeffs(f), k) for f, k in finite if f.degree() > 0]
-        roots = _certified_roots(_int_coeffs(dehom.to_sympy().exclude()), finite, mp.mp.prec)
-        assert sum(m for _, m in roots) == e
-        for r, mult in roots:
-            points.extend([ProjectivePoint((r, 1))] * mult)
+    points = [ProjectivePoint((1, 0))] * (d - e)
+    # p descending, divided by its content gcd(numerators) / lcm(denominators)
+    p = [Fraction(c) for c in coeffs[e::-1]]
+    content = Fraction(math.gcd(*(c.numerator for c in p)), math.lcm(*(c.denominator for c in p)))
+    p = [mp.mpc(int(c / content)) for c in p]
+    norm = mp.sqrt(mp.fsum(abs(c) ** 2 for c in p))
+    x1 = sp.Symbol("x1")
+    for f, k in factors:
+        f = f.eval(x1, 1)
+        if f.degree() < 1:
+            continue
+        for r in aberth_roots(_int_coeffs(f)):
+            value, _ = _horner_pair(p, r)
+            if abs(value) / (norm * max(mp.mpf(1), abs(r)) ** e) >= half_eps():
+                raise EliminationError(f"root {mp.nstr(r, 8)} failed the residual certificate")
+            points.extend([ProjectivePoint((r, 1))] * k)
+    assert len(points) == d
     return PointCluster(tuple(points))
 
 

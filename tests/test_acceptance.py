@@ -488,10 +488,10 @@ def _random_binary_form(rnd):
         F = MultiPoly.from_dict(2, terms)
         if F.is_zero() or F.total_degree() != d:
             continue
-        from cluster_reduce import binary_form_roots
+        from cluster_reduce.polyalg import _binary_form_roots
 
         try:
-            if classify(binary_form_roots(F)).is_stable:
+            if classify(_binary_form_roots(F, F.to_sympy().sqf_list()[1])).is_stable:
                 return F
         except Exception:
             continue

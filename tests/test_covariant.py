@@ -577,6 +577,37 @@ class TestNewtonStep:
             assert res.stop == "tol"
             assert res.final_gradient_norm <= half_eps() ** 1.5
 
+    @pytest.mark.parametrize("bits", [53, 212])
+    def test_step_out_of_the_cone_names_the_precision(self, bits, monkeypatch):
+        # a Newton update that fails its Cholesky factorization is a
+        # shortfall of the working precision: the error names it, and the
+        # last iterate, here the start, comes back as ``best``
+        from cluster_reduce import covariant
+        from cluster_reduce._precision import hermitian_cholesky
+
+        factored = []
+
+        def cholesky(A):
+            if isinstance(A[0][0], (mp.mpf, mp.mpc)):
+                factored.append(A)
+                if len(factored) == 2:  # the start's, then iteration 0's update
+                    raise NotPositiveDefiniteError("pivot is not positive")
+            return hermitian_cholesky(A)
+
+        Z = cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, -1, 5))
+        identity = [[int(a == b) for b in range(3)] for a in range(3)]
+        with mp.workprec(bits):
+            start_newton_from(monkeypatch, identity)
+            monkeypatch.setattr(covariant, "hermitian_cholesky", cholesky)
+            with pytest.raises(ConvergenceError) as info:
+                minimize(Z)
+        assert str(info.value) == (
+            f"the Newton step left the positive definite cone at iteration 0, at the working precision of {bits} bits"
+        )
+        best = info.value.best
+        assert best.iterations == 0 and best.stop is None and len(best.transcript) == 1
+        assert [list(row) for row in best.z.matrix] == identity
+
     def test_damped_steps_from_the_identity_give_the_transform_of_the_tyler_start(self, monkeypatch):
         # seven points of P^3 distorted by a unimodular matrix: from the
         # identity the first steps are damped, certified by the change of D

@@ -234,6 +234,15 @@ _INTEGER_CLUSTER_JSON = st.integers(1, 3).flatmap(
     )
 )
 
+# binary forms of degree 3..6 with coefficients in [-3, 3]: stable ones, roots
+# at infinity included, reach root finding, the covariant and LLL; the others
+# are unstable or zero
+_BINARY_FORM = st.integers(3, 6).flatmap(
+    lambda d: st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1).map(
+        lambda cs: MultiPoly.from_dict(2, {(d - i, i): c for i, c in enumerate(cs)})
+    )
+)
+
 _MATRIX_JSON = st.integers(0, 3).flatmap(
     lambda n: st.fixed_dictionaries(
         {
@@ -289,9 +298,9 @@ class TestMalformedInputProperties:
 
 
 class TestCliExitCodes:
-    """Whatever the cluster document, the cluster commands end with exit 0,
-    2, 3 or 4, never with exit 1 or a traceback, and write at most one line
-    on stderr."""
+    """Whatever the document, the cluster commands and reduce-binary end with
+    exit 0, 2, 3 or 4, never with exit 1 or a traceback, and write at most
+    one line on stderr."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -305,6 +314,22 @@ class TestCliExitCodes:
     )
     def test_cluster_commands(self, text, command):
         result = CliRunner().invoke(main, [command, "-"], input=text)
+        assert result.exit_code in (0, 2, 3, 4), (result.exit_code, result.stderr, result.exception)
+        assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+        assert len(result.stderr.splitlines()) <= 1 and "Traceback" not in result.stderr
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            _BINARY_FORM.map(MultiPoly.to_text),
+            _BINARY_FORM.map(lambda F: json.dumps(cio.poly_to_json(F))),
+            _POLY_JSON.map(json.dumps),
+            _JSON.map(json.dumps),
+            st.text(max_size=20),
+        )
+    )
+    def test_reduce_binary(self, text):
+        result = CliRunner().invoke(main, ["reduce-binary", "-"], input=text)
         assert result.exit_code in (0, 2, 3, 4), (result.exit_code, result.stderr, result.exception)
         assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
         assert len(result.stderr.splitlines()) <= 1 and "Traceback" not in result.stderr

@@ -19,14 +19,12 @@ from cluster_reduce import (
     MultiPoly,
     ProjectivePoint,
     aberth_roots,
-    binary_form_roots,
     curve_intersection,
     hessian,
-    resultant,
     substitute,
-    univariate_roots,
 )
-from cluster_reduce import polyalg
+from cluster_reduce import polyalg, reduce_binary_form
+from cluster_reduce._precision import working_precision
 
 from conftest import PENCIL_CUBIC, PENCIL_Q1, PENCIL_Q2, QUARTIC, QUARTIC_LLL, QUARTIC_REDUCED
 from oracles import oracle_bini_initial_points, oracle_evaluate
@@ -114,22 +112,20 @@ class TestMultiPoly:
         with pytest.raises(InputFormatError):
             MultiPoly(1, terms)
 
-    @pytest.mark.parametrize("text", ["1/0", "1.5", "abc"])
-    def test_malformed_string_coefficient_rejected(self, text):
+    @pytest.mark.parametrize(
+        "value",
+        ["1/0", "1.5", "abc", sp.Float("0.3333333333"), sp.Float("0.1")],
+        ids=["1/0", "1.5", "abc", "sympy-float-0.3333333333", "sympy-float-0.1"],
+    )
+    def test_malformed_or_float_coefficient_rejected(self, value):
+        # no rational is guessed for a float coefficient
         with pytest.raises(InputFormatError):
-            MultiPoly(1, (((1,), text),))
+            MultiPoly(1, (((1,), value),))
 
     def test_string_coefficient_in_lowest_terms(self):
         # "6/3" is the integer 2, not a Fraction with denominator 1
         (term,) = MultiPoly(1, (((1,), "6/3"),)).terms
         assert term == ((1,), 2) and type(term[1]) is int
-
-    @pytest.mark.parametrize("value", ["0.3333333333", "0.1"])
-    def test_from_sympy_rejects_a_float(self, value):
-        # no rational is guessed for a float coefficient
-        x0 = sp.Symbol("x0")
-        with pytest.raises(InputFormatError):
-            MultiPoly.from_sympy(sp.Poly(sp.Float(value) * x0, x0), 1)
 
     @pytest.mark.parametrize("which", ["quartic", "hessian", "rational"])
     def test_evaluate_matches_exact_arithmetic(self, which):
@@ -269,72 +265,40 @@ class TestHessian:
             hessian(poly("x^2 + y", nvars=3))
 
 
-class TestResultant:
-    def test_product_of_values(self):
-        # (x-1)(x-2) against (x-3): eliminating x leaves (3-1)(3-2) = 2
-        p = poly("x0^2 - 3 x0 + 2", nvars=2)
-        q = poly("x0 - 3", nvars=2)
-        with pytest.raises(EliminationError):
-            resultant(p, q, 1)  # q has degree 0 in x1
-        r = resultant(p, q, 0)
-        assert r == MultiPoly.constant(2, 2)
-
-    def test_shared_factor_vanishes(self):
-        p = poly("x0^2 - x1^2", nvars=2)
-        q = poly("x0 - x1", nvars=2)
-        assert resultant(p, q, 0).is_zero()
-
-    def test_vs_companion_matrix_oracle(self, rnd):
-        for _ in range(5):
-            a = [rnd.randint(1, 6)] + [rnd.randint(-6, 6) for _ in range(3)]
-            b = [rnd.randint(1, 6)] + [rnd.randint(-6, 6) for _ in range(3)]
-            p = MultiPoly.from_dict(1, {(3 - i,): c for i, c in enumerate(a)})
-            q = MultiPoly.from_dict(1, {(3 - i,): c for i, c in enumerate(b)})
-            r = resultant(p, q, 0)
-            # oracle: lead(p)^deg(q) * prod q(alpha) over eigenvalues of the
-            # companion matrix of p
-            comp = np.diag(np.ones(2), -1).astype(complex)
-            comp[:, -1] = [-c / a[0] for c in reversed(a[1:])]
-            eig = np.linalg.eigvals(comp)
-            val = a[0] ** 3 * np.prod([np.polyval(b, al) for al in eig])
-            got = int(r.coeff((0,)))
-            assert abs(got - val) < 1e-4 * max(1.0, abs(val))
-
-    def test_sign_swap(self, rnd):
-        p = poly("x0^2 x1 + x0 - 1", nvars=2)
-        q = poly("x0^3 - x1", nvars=2)
-        a = resultant(p, q, 0)
-        b = resultant(q, p, 0)
-        assert a == b * ((-1) ** (2 * 3))
-        # odd-degree pair flips sign
-        p2 = poly("x0 - x1", nvars=2)
-        assert resultant(p2, q, 0) == resultant(q, p2, 0) * ((-1) ** (1 * 3))
-
-    def test_multiplicativity(self):
-        p = poly("x0^2 - x1^2", nvars=2)
-        r = poly("x0 + 2 x1", nvars=2)
-        q = poly("x0^2 + x1^2", nvars=2)
-        assert resultant(p * r, q, 0) == resultant(p, q, 0) * resultant(r, q, 0)
+def _form_roots(F, prec=None):
+    """The root cluster of a binary form, from the squarefree split that
+    :func:`reduce_binary_form` makes."""
+    with working_precision(prec):
+        return polyalg._binary_form_roots(F, F.to_sympy().sqf_list()[1])
 
 
-class TestUnivariateRoots:
-    def test_x2_plus_1(self):
-        roots = univariate_roots(poly("x0^2 + 1", nvars=1))
+def _finite_roots(cluster):
+    """[(root, multiplicity)] of the points (r : 1), by real, then imaginary part."""
+    roots = {}
+    for p in cluster.points:
+        if p.coords[1] == 1:
+            roots[p.coords[0]] = roots.get(p.coords[0], 0) + 1
+    return sorted(roots.items(), key=lambda t: (mp.re(t[0]), mp.im(t[0])))
+
+
+class TestBinaryFormRoots:
+    def test_x2_plus_y2(self):
+        roots = _finite_roots(_form_roots(poly("x0^2 + x1^2", nvars=2)))
+        assert [m for _, m in roots] == [1, 1]
         vals = sorted([complex(r) for r, _ in roots], key=lambda z: z.imag)
         assert abs(vals[0] + 1j) < 1e-50
         assert abs(vals[1] - 1j) < 1e-50
 
     def test_planted_integers(self):
-        # (x-1)(x-2)(x-3)(x-4)(x-5)
-        p = MultiPoly.from_dict(1, {(5,): 1, (4,): -15, (3,): 85, (2,): -225, (1,): 274, (0,): -120})
-        roots = univariate_roots(p, prec=212)
-        got = sorted(mp.re(r) for r, _ in roots)
-        for r, k in zip(got, range(1, 6)):
+        # (x0 - x1)(x0 - 2 x1)(x0 - 3 x1)(x0 - 4 x1)(x0 - 5 x1)
+        F = MultiPoly.from_dict(2, {(5, 0): 1, (4, 1): -15, (3, 2): 85, (2, 3): -225, (1, 4): 274, (0, 5): -120})
+        roots = _finite_roots(_form_roots(F, prec=212))
+        assert [m for _, m in roots] == [1] * 5
+        for (r, _), k in zip(roots, range(1, 6)):
             assert abs(r - k) < mp.mpf("1e-20")
 
     def test_pencil_cubic_residuals(self):
-        dehom = MultiPoly.from_dict(1, {(3 - i,): c for i, (e, c) in enumerate(sorted(PENCIL_CUBIC.terms, reverse=True))})
-        roots = univariate_roots(dehom, prec=212)
+        roots = _finite_roots(_form_roots(PENCIL_CUBIC, prec=212))
         assert len(roots) == 3
         coeffs = [mp.mpf(c) for _, c in sorted(PENCIL_CUBIC.terms, reverse=True)]
         norm = mp.sqrt(mp.fsum(c**2 for c in coeffs))
@@ -344,33 +308,30 @@ class TestUnivariateRoots:
             assert abs(val) / norm < mp.mpf("1e-30")
 
     def test_close_roots_stay_simple(self):
-        # (x - 1)(2^60 x - 2^60 - 1): two coprime squarefree roots 2^-60
-        # apart, far closer than 2^(-212/4), are two simple roots
-        x = MultiPoly.variable(1, 0)
-        roots = sorted(univariate_roots((x - 1) * (2**60 * x - 2**60 - 1), prec=212),
-                       key=lambda t: mp.re(t[0]))
+        # (x0 - x1)(2^60 x0 - (2^60 + 1) x1): two coprime squarefree roots
+        # 2^-60 apart, far closer than 2^(-212/4), are two simple roots
+        x0, x1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        roots = _finite_roots(_form_roots((x0 - x1) * (2**60 * x0 - (2**60 + 1) * x1), prec=212))
         assert [m for _, m in roots] == [1, 1]
         with mp.workprec(212):
             assert abs(roots[0][0] - 1) < mp.mpf(2) ** -150
             assert abs(roots[1][0] - 1 - mp.mpf(2) ** -60) < mp.mpf(2) ** -150
 
     def test_multiplicity_exact(self):
-        # (x-1)^2 (x+2)
-        p = MultiPoly.from_dict(1, {(3,): 1, (2,): 0, (1,): -3, (0,): 2})
-        roots = sorted(univariate_roots(p), key=lambda t: mp.re(t[0]))
+        # (x0 - x1)^2 (x0 + 2 x1)
+        roots = _finite_roots(_form_roots(poly("x0^3 - 3 x0 x1^2 + 2 x1^3", nvars=2)))
         assert [m for _, m in roots] == [1, 2]
         assert abs(roots[1][0] - 1) < mp.mpf("1e-30")
 
     def test_zero_roots_stripped_exactly(self):
-        p = poly("x0^3 + x0^2", nvars=1)
-        roots = sorted(univariate_roots(p), key=lambda t: mp.re(t[0]))
+        roots = _finite_roots(_form_roots(poly("x0^3 + x0^2 x1", nvars=2)))
         assert [m for _, m in roots] == [1, 2]
         assert roots[1][0] == 0
 
     def test_coefficient_reconstruction(self, rnd):
         coeffs = [rnd.randint(1, 8)] + [rnd.randint(-8, 8) for _ in range(4)]
-        p = MultiPoly.from_dict(1, {(4 - i,): c for i, c in enumerate(coeffs)})
-        roots = univariate_roots(p, prec=212)
+        F = MultiPoly.from_dict(2, {(4 - i, i): c for i, c in enumerate(coeffs)})
+        roots = _finite_roots(_form_roots(F, prec=212))
         assert sum(m for _, m in roots) == 4
         prod = [mp.mpc(coeffs[0])]
         for r, m in roots:
@@ -381,40 +342,40 @@ class TestUnivariateRoots:
         for got, want in zip(prod, coeffs):
             assert abs(got - want) < mp.mpf("1e-40")
 
-    def test_zero_poly_rejected(self):
-        with pytest.raises(InputFormatError):
-            univariate_roots(MultiPoly.zero(1))
-
-    def test_clustered_inexact_input(self):
-        # double root given only approximately: aberth_roots returns both
-        roots = aberth_roots([mp.mpf(1), mp.mpf(-2), mp.mpf(1) + mp.mpf(2) ** -200], prec=150)
-        assert len(roots) == 2
-        for r in roots:
-            assert abs(r - 1) < mp.mpf("1e-20")
-
-
-class TestBinaryFormRoots:
     def test_xy(self):
-        cluster = binary_form_roots(poly("x0 x1", nvars=2))
+        cluster = _form_roots(poly("x0 x1", nvars=2))
         assert cluster.degree == 2
         assert ProjectivePoint((0, 1)) in list(cluster.points)
         assert ProjectivePoint((1, 0)) in list(cluster.points)
 
     def test_double_root(self):
-        cluster = binary_form_roots(poly("x0^2 - 2 x0 x1 + x1^2", nvars=2))
+        cluster = _form_roots(poly("x0^2 - 2 x0 x1 + x1^2", nvars=2))
         assert cluster.degree == 2
         assert all(p == ProjectivePoint((1, 1)) for p in cluster.points)
 
     def test_pencil_cubic_conjugation_closed(self):
-        cluster = binary_form_roots(PENCIL_CUBIC)
+        cluster = _form_roots(PENCIL_CUBIC)
         assert cluster.degree == 3
         assert cluster.is_conjugation_fixed()
 
     def test_root_at_infinity(self):
-        cluster = binary_form_roots(poly("x1^2 x0", nvars=2))
+        cluster = _form_roots(poly("x1^2 x0", nvars=2))
         pts = list(cluster.points)
         assert sum(1 for p in pts if p == ProjectivePoint((1, 0))) == 2
         assert sum(1 for p in pts if p == ProjectivePoint((0, 1))) == 1
+
+    def test_misplaced_root_fails_the_residual_certificate(self, monkeypatch):
+        # one root of a stable cubic moved by 2^-40 at 212 bits is far
+        # outside the gate's 2^-106, whatever the iteration reported
+        real = polyalg.aberth_roots
+
+        def moved(coeffs, prec=None):
+            roots = real(coeffs, prec)
+            return [roots[0] + mp.mpf(2) ** -40, *roots[1:]]
+
+        monkeypatch.setattr(polyalg, "aberth_roots", moved)
+        with pytest.raises(EliminationError, match="failed the residual certificate"):
+            reduce_binary_form(poly("x0^3 + 2 x0^2 x1 - x0 x1^2 + 5 x1^3", nvars=2), prec=212)
 
 
 class TestSubstitute:
@@ -614,13 +575,8 @@ class TestCurveIntersection:
 def _hessian_resultant(F):
     """Descending integer coefficients of the squarefree part of the degree-24
     resultant in x0 of a ternary quartic and its Hessian."""
-    import sympy as sp
-
-    R = resultant(F, hessian(F), 0).primitive()
-    coeffs = [0] * 25
-    for (_, b, _), c in R.terms:
-        coeffs[24 - b] += c
-    sqf = sp.Poly(coeffs, sp.Symbol("t")).sqf_part()
+    R = F.to_sympy().resultant(hessian(F).to_sympy())  # a form in x1, x2
+    sqf = R.eval(sp.Symbol("x2"), 1).sqf_part()
     coeffs = [int(c) for c in sqf.all_coeffs()]
     assert len(coeffs) == 25
     return coeffs
@@ -782,6 +738,13 @@ class TestAberthInternals:
         with pytest.raises(InputFormatError):
             aberth_roots([mp.mpf(0), mp.mpf(1)], prec=50)
 
+    def test_clustered_inexact_input(self):
+        # double root given only approximately: aberth_roots returns both
+        roots = aberth_roots([mp.mpf(1), mp.mpf(-2), mp.mpf(1) + mp.mpf(2) ** -200], prec=150)
+        assert len(roots) == 2
+        for r in roots:
+            assert abs(r - 1) < mp.mpf("1e-20")
+
     @pytest.mark.parametrize("bad", [mp.inf, mp.nan, mp.mpc(1, mp.inf)], ids=["inf", "nan", "complex-inf"])
     def test_non_finite_coefficient_rejected(self, bad):
         # an exact Gaussian integer has no such value
@@ -798,9 +761,11 @@ class TestAberthInternals:
         roots = aberth_roots(coeffs, prec=424)
         assert len(roots) == 24
         with mp.workprec(424):
-            exact = [mp.mpc(c) for c in coeffs]
+            exact = [mp.mpf(c) for c in coeffs]
+            norm = mp.sqrt(mp.fsum(c**2 for c in exact))
             for r in roots:
-                assert polyalg._poly_residual(exact, r) < mp.mpf(2) ** -212
+                residual = abs(mp.polyval(exact, r)) / (norm * max(1, abs(r)) ** 24)
+                assert residual < mp.mpf(2) ** -212
 
     def test_nonconvergence_raises(self, monkeypatch):
         # (x - 1)(x - 2)...(x - 6): one sweep cannot converge every root
