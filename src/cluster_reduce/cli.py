@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 any other library error (for example, an
 elimination that no shear resolves), 2 stability error: an input that is not
-stable or a degenerate pencil, 3 numerical convergence error, 4 input error:
+stable or a degenerate pencil, 3 numerical convergence error: a working
+precision too low for the input, 4 input error:
 a malformed input, a malformed or out-of-range option or argument, or a
 cluster not fixed by conjugation given to reduce-cluster (one line on
 stderr).
@@ -102,11 +103,6 @@ def _common_options(prec=DEFAULT_PREC):
     return decorate
 
 
-_delta_option = click.option("--delta", type=click.FloatRange(0.25, 1, min_open=True, max_open=True),
-                             default=0.99, show_default=True, help="LLL parameter")
-_seed_option = click.option("--seed", type=int, default=0, show_default=True, help="seed for shear randomness")
-
-
 class _Group(click.Group):
     """A malformed command, option or argument, of the group or of a
     subcommand, is malformed input: exit 4 with one line, not click's usage
@@ -197,14 +193,13 @@ def covariant_cmd(input_path, prec, as_json, report_path):
 @main.command("reduce-cluster")
 @click.argument("input_path")
 @_common_options()
-@_delta_option
-def reduce_cluster_cmd(input_path, prec, delta, as_json, report_path):
+def reduce_cluster_cmd(input_path, prec, as_json, report_path):
     """LLL-reduce a conjugation-fixed stable cluster (JSON file)."""
 
     def body():
         with working_precision(prec):
             cluster = cio.cluster_from_json(_read(input_path))
-        report = reduce_cluster(cluster, prec=prec, delta=delta)
+        report = reduce_cluster(cluster, prec=prec)
         _emit_report(
             report, as_json, report_path, tail=["reduced cluster:"] + ["  " + repr(p) for p in report.reduced.points]
         )
@@ -215,13 +210,12 @@ def reduce_cluster_cmd(input_path, prec, delta, as_json, report_path):
 @main.command("reduce-binary")
 @click.argument("input_path")
 @_common_options()
-@_delta_option
-def reduce_binary_cmd(input_path, prec, delta, as_json, report_path):
+def reduce_binary_cmd(input_path, prec, as_json, report_path):
     """Reduce a binary form (text or JSON polynomial file)."""
 
     def body():
         F = cio.poly_from_any(_read(input_path), nvars=2)
-        report = reduce_binary_form(F, prec=prec, delta=delta)
+        report = reduce_binary_form(F, prec=prec)
         _emit_report(report, as_json, report_path, [f"reduced form: {report.reduced.to_text()}"])
 
     _run(body)
@@ -230,9 +224,7 @@ def reduce_binary_cmd(input_path, prec, delta, as_json, report_path):
 @main.command("reduce-pencil")
 @click.argument("input_path")
 @_common_options()
-@_delta_option
-@_seed_option
-def reduce_pencil_cmd(input_path, prec, delta, seed, as_json, report_path):
+def reduce_pencil_cmd(input_path, prec, as_json, report_path):
     """Reduce a pencil of two ternary quadrics.
 
     Input: JSON object {"q1": <poly>, "q2": <poly>} where <poly> is either a
@@ -256,7 +248,7 @@ def reduce_pencil_cmd(input_path, prec, delta, seed, as_json, report_path):
                 raise InputFormatError("pencil text input needs exactly two lines")
             Q1 = cio.poly_from_any(lines[0], nvars=3)
             Q2 = cio.poly_from_any(lines[1], nvars=3)
-        report = reduce_quadric_pencil(Q1, Q2, prec=prec, delta=delta, seed=seed)
+        report = reduce_quadric_pencil(Q1, Q2, prec=prec)
         _emit_report(
             report,
             as_json,
@@ -275,14 +267,12 @@ def reduce_pencil_cmd(input_path, prec, delta, seed, as_json, report_path):
 @main.command("reduce-ternary")
 @click.argument("input_path")
 @_common_options(prec=None)
-@_delta_option
-@_seed_option
-def reduce_ternary_cmd(input_path, prec, delta, seed, as_json, report_path):
+def reduce_ternary_cmd(input_path, prec, as_json, report_path):
     """Reduce an irreducible ternary form via its inflection cluster."""
 
     def body():
         F = cio.poly_from_any(_read(input_path), nvars=3)
-        report = reduce_ternary_form(F, prec=prec, delta=delta, seed=seed)
+        report = reduce_ternary_form(F, prec=prec)
         _emit_report(report, as_json, report_path, [f"reduced form: {report.reduced.to_text()}"])
 
     _run(body)

@@ -7,10 +7,12 @@ basis vectors. The Gram-Schmidt data is read off the Cholesky factor L of G
 once, as mu_ij = L_ij / L_jj and B_i = L_ii^2; after that size reduction
 updates one row of mu and a swap updates mu and B in O(n) (Cohen, A Course in
 Computational Algebraic Number Theory, 1993, Algorithm 2.6.3), so no Gram
-matrix is kept between steps. Deterministic conventions: size reduction
-rounds half-integers toward zero, where any mu within 2^(-prec/2) of a
-half-integer counts as one (so rounding noise cannot decide a tie), and ties
-in the Lovasz comparison prefer not swapping.
+matrix is kept between steps. The Lovasz parameter is fixed at delta = 0.99:
+LLL stands in for the fundamental domain of the reduction theory, so delta is
+a convention of the program, not an input. Deterministic conventions: size
+reduction rounds half-integers toward zero, where any mu within 2^(-prec/2)
+of a half-integer counts as one (so rounding noise cannot decide a tie), and
+ties in the Lovasz comparison prefer not swapping.
 """
 
 from __future__ import annotations
@@ -149,9 +151,11 @@ def _gso(G: GramMatrix):
     return mu, [L[i][i] ** 2 for i in range(n)]
 
 
-# exact at every precision, made once
+# made once: 1/2; DELTA, the double nearest 0.99, which no precision rounds;
+# and the relative slack of is_lll_reduced
 _HALF = mp.mpf(0.5)
-_QUARTER = mp.mpf(0.25)
+DELTA = mp.mpf(0.99)
+_SLACK = mp.mpf("1e-9")
 
 
 def _round_half_toward_zero(x, tie):
@@ -161,19 +165,14 @@ def _round_half_toward_zero(x, tie):
     return -q if x < 0 else q
 
 
-def lll_reduce(G: GramMatrix, delta=0.99):
+def lll_reduce(G: GramMatrix):
     """LLL reduction of a positive definite Gram matrix.
 
     Returns ``(reduced, U)`` with ``reduced = U^T G U`` satisfying size
     reduction (|mu_ij| <= 1/2 + 2^(-prec/2)) and the Lovasz condition at
-    ``delta``. U has determinant +-1; callers needing determinant +1 may flip
-    a column sign, which preserves both conditions.
+    ``DELTA`` = 0.99. U has determinant +-1; callers needing determinant +1
+    may flip a column sign, which preserves both conditions.
     """
-    if not isinstance(G, GramMatrix):
-        G = GramMatrix(tuple(tuple(r) for r in G))
-    if not (_QUARTER < mp.mpf(delta) < 1):
-        raise ValueError("delta must lie in (1/4, 1)")
-    delta = mp.mpf(delta)
     mu, B = _gso(G)
     n = G.size
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -200,7 +199,7 @@ def lll_reduce(G: GramMatrix, delta=0.99):
                 mu[k][j] -= q
         # strict inequality: on ties prefer not swapping
         m = mu[k][k - 1]
-        if B[k] < (delta - m**2) * B[k - 1]:
+        if B[k] < (DELTA - m**2) * B[k - 1]:
             for a in range(n):
                 U[a][k], U[a][k - 1] = U[a][k - 1], U[a][k]
             # exchange b_{k-1} and b_k (Cohen, Algorithm 2.6.3, sub-algorithm SWAP)
@@ -218,21 +217,18 @@ def lll_reduce(G: GramMatrix, delta=0.99):
     return congruence(G, transform), transform
 
 
-def is_lll_reduced(G: GramMatrix, delta=0.99, slack=mp.mpf("1e-9")) -> bool:
-    """Check size reduction and the Lovasz condition, with relative slack."""
-    if not isinstance(G, GramMatrix):
-        G = GramMatrix(tuple(tuple(r) for r in G))
-    delta = mp.mpf(delta)
-    slack = mp.mpf(slack)
+def is_lll_reduced(G: GramMatrix) -> bool:
+    """Check size reduction and the Lovasz condition at ``DELTA``, with a
+    relative slack of 1e-9."""
     mu, B = _gso(G)
     n = G.size
     for i in range(n):
         for j in range(i):
-            if abs(mu[i][j]) > _HALF * (1 + slack):
+            if abs(mu[i][j]) > _HALF * (1 + _SLACK):
                 return False
     for k in range(1, n):
         lhs = B[k]
-        rhs = (delta - mu[k][k - 1] ** 2) * B[k - 1]
-        if lhs < rhs * (1 - slack) - slack * B[k - 1]:
+        rhs = (DELTA - mu[k][k - 1] ** 2) * B[k - 1]
+        if lhs < rhs * (1 - _SLACK) - _SLACK * B[k - 1]:
             return False
     return True

@@ -36,8 +36,6 @@ from .polyalg import (
     substitute,
 )
 
-DEFAULT_DELTA = 0.99
-
 
 @dataclass(frozen=True)
 class ReductionReport:
@@ -79,7 +77,7 @@ def _gram_height(G: GramMatrix):
     return max(abs(v) for r in G.matrix for v in r) / root
 
 
-def _reduce_core(cls, cluster: PointCluster, what: str, delta, back=None):
+def _reduce_core(cls, cluster: PointCluster, what: str, back=None):
     """The reduction shared by every pipeline: requires the caller's class
     ``cls`` stable (from :func:`classify` for numeric input, from exact facts
     for forms), takes the covariant from :func:`minimize`, which starts from
@@ -95,7 +93,7 @@ def _reduce_core(cls, cluster: PointCluster, what: str, delta, back=None):
     G = _real_gram(result.z)
     if back is not None:
         G = congruence(G, back)
-    reduced_gram, U = lll_reduce(G, delta=delta)
+    reduced_gram, U = lll_reduce(G)
     return result, G, reduced_gram, U
 
 
@@ -114,7 +112,7 @@ def _diagnostics(cls, result, before, after, residuals=(), **extra) -> dict:
     }
 
 
-def reduce_cluster(cluster: PointCluster, prec=None, delta=DEFAULT_DELTA) -> ReductionReport:
+def reduce_cluster(cluster: PointCluster, prec=None) -> ReductionReport:
     """LLL-reduced representative of the SL(n+1, Z)-orbit of a real stable cluster.
 
     The cluster must be fixed by complex conjugation, since the reduction
@@ -126,7 +124,7 @@ def reduce_cluster(cluster: PointCluster, prec=None, delta=DEFAULT_DELTA) -> Red
         cls = classify(cluster)
         if cls.is_stable and not cluster.is_conjugation_fixed():
             raise RealityError("cluster is not fixed by conjugation; no integral reduction")
-        result, G, reduced_gram, U = _reduce_core(cls, cluster, "cluster", delta)
+        result, G, reduced_gram, U = _reduce_core(cls, cluster, "cluster")
         if U.det() == -1:
             U = U.negate_column(U.size - 1)
             reduced_gram = congruence(G, U)
@@ -146,7 +144,7 @@ def reduce_cluster(cluster: PointCluster, prec=None, delta=DEFAULT_DELTA) -> Red
         )
 
 
-def reduce_binary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA) -> ReductionReport:
+def reduce_binary_form(F: MultiPoly, prec=None) -> ReductionReport:
     """Reduce a binary form through the covariant of its root cluster in P^1.
 
     Cubics use the closed-form covariant of three points in general position;
@@ -167,7 +165,7 @@ def reduce_binary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA) -> Reductio
         if not cls.is_stable:  # before any root finding
             raise StabilityError("root cluster is not stable", classification=cls)
         cluster = _binary_form_roots(F, factors)
-        result, G, reduced_gram, U = _reduce_core(cls, cluster, "root cluster", delta)
+        result, G, reduced_gram, U = _reduce_core(cls, cluster, "root cluster")
         reduced = substitute(F, U)
         return ReductionReport(
             kind="binary-form",
@@ -180,13 +178,7 @@ def reduce_binary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA) -> Reductio
         )
 
 
-def reduce_quadric_pencil(
-    Q1: MultiPoly,
-    Q2: MultiPoly,
-    prec=None,
-    delta=DEFAULT_DELTA,
-    seed=0,
-) -> ReductionReport:
+def reduce_quadric_pencil(Q1: MultiPoly, Q2: MultiPoly, prec=None) -> ReductionReport:
     """Reduce a pencil of ternary quadrics whose generic member is smooth.
 
     Stages: (a) the binary cubic det(x M1 + y M2); (b) its reduction gives a
@@ -203,7 +195,7 @@ def reduce_quadric_pencil(
         if cubic.is_zero() or cubic.total_degree() != 3:
             raise DegeneratePencilError("pencil determinant cubic is degenerate")
         try:  # a binary cubic is stable exactly when its roots are distinct
-            binary_report = reduce_binary_form(cubic, delta=delta)
+            binary_report = reduce_binary_form(cubic)
         except StabilityError as exc:
             raise DegeneratePencilError("pencil determinant cubic has repeated roots") from exc
         Ub = binary_report.transform
@@ -217,7 +209,7 @@ def reduce_quadric_pencil(
                 W[i] = [-W[i][0], -W[i][1]]
             members.append(member)
         Q1p, Q2p = members
-        base = curve_intersection(Q1p, Q2p, seed=seed)
+        base = curve_intersection(Q1p, Q2p)
         if len(base.roots) < 4 or any(m != 1 for _, m, _ in base.roots):
             raise DegeneratePencilError(
                 "pencil has fewer than four distinct base points"
@@ -225,7 +217,7 @@ def reduce_quadric_pencil(
         # four distinct base points are stable with margin 1: were three on a
         # line, every member would contain it and the cubic would vanish
         cls = StabilityClass(False, True, True, margin=1)
-        result, G, reduced_gram, U = _reduce_core(cls, base.cluster(), "base point cluster", delta)
+        result, G, reduced_gram, U = _reduce_core(cls, base.cluster(), "base point cluster")
         finals = (substitute(Q1p, U), substitute(Q2p, U))
         return ReductionReport(
             kind="quadric-pencil",
@@ -304,7 +296,7 @@ def _precondition(F: MultiPoly, H: MultiPoly):
     return F, H, U0, {"passes": len(heights), "heights": heights, "stop": stop, "transform": U0}
 
 
-def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) -> ReductionReport:
+def reduce_ternary_form(F: MultiPoly, prec=None, seed=0) -> ReductionReport:
     """Reduce an irreducible ternary form through its inflection-point cluster.
 
     The inflection points are the intersections of the curve with its Hessian
@@ -368,9 +360,7 @@ def reduce_ternary_form(F: MultiPoly, prec=None, delta=DEFAULT_DELTA, seed=0) ->
         # the flexes of a smooth curve are stable: a line holds at most
         # d(d-2) of the 3d(d-2), a point at most d-2
         cls = classify(cluster) if r else StabilityClass(False, True, True)
-        result, G, reduced_gram, U = _reduce_core(
-            cls, cluster, "inflection cluster", delta, back=U0.inverse()
-        )
+        result, G, reduced_gram, U = _reduce_core(cls, cluster, "inflection cluster", back=U0.inverse())
         reduced = substitute(F, U)
         placed = PointCluster(tuple(
             ProjectivePoint(tuple(mp.fsum(U0.matrix[k][a] * v.coords[a] for a in range(3)) for k in range(3)))

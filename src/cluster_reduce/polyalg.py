@@ -867,8 +867,10 @@ def curve_intersection(F: MultiPoly, G: MultiPoly, prec=None, seed=0) -> RootSet
     shears, the identity first, is tried. Root finding runs once per part, on β
     alone. A zero v of F(S x) and G(S x) is reported at S v with its
     normalized residual max(|F(S v)|, |G(S v)|)/||v||^deg over the larger
-    coefficient norm of the sheared forms, which must be below 2^(-prec/2);
-    S is not returned, but the same seed reproduces it.
+    coefficient norm of the sheared forms, which must be below 2^(-prec/2):
+    a residual above it is missing precision, not a bad projection, and
+    raises ConvergenceError naming the working precision, with no further
+    shear. S is not returned, but the same seed reproduces it.
     Points singular on both curves, which only parts with j ≥ 2 can hold, are
     split off by an exact gcd with the partial derivatives at x0 = ξ, flagged
     in ``singular``. Curves that share a component raise CommonComponentError
@@ -1053,7 +1055,8 @@ def _intersect_with_shear(F, G, S, d1, d2, bits):
     residual on those forms, which the projection conditions: for v =
     (x0, beta, 1), x0 from :func:`_fiber_points`, and its unit vector u,
     max(|F(S u)|, |G(S u)|) over the larger coefficient norm, from
-    :meth:`MultiPoly.evaluate`, must be below 2^(-bits/2)."""
+    :meth:`MultiPoly.evaluate`, must be below 2^(-bits/2), or ConvergenceError
+    is raised."""
     Fs, Gs, Fd, Gd, R, levels = _eliminate(F, G, S, d1, d2)
     D = d1 * d2
     found, singular = [], []
@@ -1068,8 +1071,9 @@ def _intersect_with_shear(F, G, S, d1, d2, bits):
                 u = ProjectivePoint(v).unit()
                 resid = max(abs(Fs.evaluate(u)), abs(Gs.evaluate(u))) / norm
                 if resid >= half:
-                    raise _ShearFailure(
-                        f"residual {mp.nstr(resid, 5)} too large at beta={mp.nstr(beta, 8)}"
+                    raise ConvergenceError(
+                        f"intersection residual {mp.nstr(resid, 5)} at beta={mp.nstr(beta, 8)} is not below "
+                        f"2^({-bits // 2}) at the working precision of {bits} bits"
                     )
                 point = ProjectivePoint(tuple(mp.fsum(S[k][a] * v[a] for a in range(3)) for k in range(3)))
                 found.append((point, mult, resid))

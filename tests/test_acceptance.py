@@ -423,8 +423,8 @@ def test_criterion_6_lattice_layer():
         for _ in range(1000):
             size = rnd.randint(2, 6)
             G = GramMatrix(tuple(tuple(int(v) for v in row) for row in rand_gram(size)))
-            red, U = lll_reduce(G, delta=0.99)
-            if not is_lll_reduced(red, delta=0.99):
+            red, U = lll_reduce(G)
+            if not is_lll_reduced(red):
                 ok_conditions = False
             rebuilt = congruence(G, U)
             scale = max(abs(v) for row in red.matrix for v in row)

@@ -3,9 +3,9 @@
 Tolerances and iteration budgets are derived from the precision, so no
 exported function or method takes one, apart from the covariant solver's
 gradient tolerance (``minimize``, by default 2^(-3 prec/4), which theta sets
-to a fixed 10^-12 on semi-stable clusters that are not stable) and the slack
-of the independent LLL check. No function takes a start, a budget or a
-switch for its record either.
+to a fixed 10^-12 on semi-stable clusters that are not stable). LLL's
+Lovasz parameter and the slack of its check are constants of ``lattice``.
+No function takes a start, a budget or a switch for its record either.
 """
 
 import inspect
@@ -44,8 +44,8 @@ def test_only_the_solver_takes_a_tolerance_or_budget():
     assert _takers("max_iter", "maxsteps", "initial", "record_transcript") == set()
 
 
-def test_only_the_lll_check_takes_a_slack():
-    assert _takers("slack") == {"is_lll_reduced"}
+def test_no_function_takes_an_lll_parameter():
+    assert _takers("delta", "slack") == set()
 
 
 def test_no_derived_threshold_is_a_parameter():
@@ -57,8 +57,9 @@ def test_solver_takes_its_cluster_tolerance_precision_and_stability_check():
     assert SIGNATURES["theta"] == ["zc", "prec"]
 
 
-def test_pipelines_take_their_object_precision_delta_and_seed():
-    assert SIGNATURES["reduce_cluster"] == ["cluster", "prec", "delta"]
-    assert SIGNATURES["reduce_binary_form"] == ["F", "prec", "delta"]
-    assert SIGNATURES["reduce_quadric_pencil"] == ["Q1", "Q2", "prec", "delta", "seed"]
-    assert SIGNATURES["reduce_ternary_form"] == ["F", "prec", "delta", "seed"]
+def test_pipelines_take_their_object_and_precision():
+    assert SIGNATURES["reduce_cluster"] == ["cluster", "prec"]
+    assert SIGNATURES["reduce_binary_form"] == ["F", "prec"]
+    assert SIGNATURES["reduce_quadric_pencil"] == ["Q1", "Q2", "prec"]
+    # the shear seed of the intersection stays on the ternary pipeline
+    assert SIGNATURES["reduce_ternary_form"] == ["F", "prec", "seed"]

@@ -257,6 +257,14 @@ _MATRIX_JSON = st.integers(0, 3).flatmap(
     )
 )
 
+# pairs of ternary quadrics with coefficients in [-3, 3]: most meet in four
+# distinct points and reach the pencil cubic's reduction, the intersection,
+# the covariant and LLL; the others are degenerate pencils
+_QUADRIC = st.lists(st.integers(-3, 3), min_size=6, max_size=6).map(
+    lambda cs: MultiPoly.from_dict(3, dict(zip([(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)], cs)))
+)
+_QUADRIC_PAIR = st.tuples(_QUADRIC, _QUADRIC)
+
 
 class TestMalformedInputProperties:
     """Whatever the text, the parsers return a value or raise InputFormatError,
@@ -297,10 +305,16 @@ class TestMalformedInputProperties:
         assert all(len(r) == len(form.matrix) and all(mp.isfinite(v) for v in r) for r in form.matrix)
 
 
+def _assert_clean_exit(result):
+    assert result.exit_code in (0, 2, 3, 4), (result.exit_code, result.stderr, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert len(result.stderr.splitlines()) <= 1 and "Traceback" not in result.stderr
+
+
 class TestCliExitCodes:
-    """Whatever the document, the cluster commands and reduce-binary end with
-    exit 0, 2, 3 or 4, never with exit 1 or a traceback, and write at most
-    one line on stderr."""
+    """Whatever the document, the cluster commands, reduce-binary and
+    reduce-pencil end with exit 0, 2, 3 or 4, never with exit 1 or a
+    traceback, and write at most one line on stderr."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -314,9 +328,7 @@ class TestCliExitCodes:
     )
     def test_cluster_commands(self, text, command):
         result = CliRunner().invoke(main, [command, "-"], input=text)
-        assert result.exit_code in (0, 2, 3, 4), (result.exit_code, result.stderr, result.exception)
-        assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
-        assert len(result.stderr.splitlines()) <= 1 and "Traceback" not in result.stderr
+        _assert_clean_exit(result)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -330,9 +342,21 @@ class TestCliExitCodes:
     )
     def test_reduce_binary(self, text):
         result = CliRunner().invoke(main, ["reduce-binary", "-"], input=text)
-        assert result.exit_code in (0, 2, 3, 4), (result.exit_code, result.stderr, result.exception)
-        assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
-        assert len(result.stderr.splitlines()) <= 1 and "Traceback" not in result.stderr
+        _assert_clean_exit(result)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            _QUADRIC_PAIR.map(lambda qs: "\n".join(q.to_text() for q in qs)),
+            _QUADRIC_PAIR.map(lambda qs: json.dumps({"q1": cio.poly_to_json(qs[0]), "q2": cio.poly_to_json(qs[1])})),
+            st.fixed_dictionaries({"q1": _POLY_JSON | _JSON, "q2": _POLY_JSON | _JSON}).map(json.dumps),
+            _JSON.map(json.dumps),
+            st.text(max_size=20),
+        )
+    )
+    def test_reduce_pencil(self, text):
+        result = CliRunner().invoke(main, ["reduce-pencil", "-"], input=text)
+        _assert_clean_exit(result)
 
 
 class TestCli:
@@ -532,13 +556,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, args",
         [
-            ("reduce-cluster", ["--delta", "1.5"]),
             ("reduce-cluster", ["--prec", "0"]),
             ("reduce-cluster", ["--prec", "abc"]),
             ("reduce-cluster", None),
         ],
         ids=[
-            "delta-above-1",
             "prec-0",
             "prec-not-an-integer",
             "missing-input-path",
@@ -560,6 +582,18 @@ class TestCli:
         path = self._write(tmp_path, "cluster.json", json.dumps(cio.cluster_to_json(Z)))
         assert option not in CliRunner().invoke(main, ["covariant", "--help"]).output
         result = CliRunner().invoke(main, ["covariant", path, option, "5"])
+        assert result.exit_code == 4
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:") and option in lines[0]
+
+    @pytest.mark.parametrize("command", ["reduce-cluster", "reduce-binary", "reduce-pencil", "reduce-ternary"])
+    @pytest.mark.parametrize("option, value", [("--delta", "0.99"), ("--delta", "1.5"), ("--seed", "1")])
+    def test_reduce_commands_take_no_lll_or_shear_options(self, tmp_path, command, option, value):
+        # LLL's parameter is a constant and the shear sequence starts from
+        # the identity: the precision is the only numeric option
+        path = self._write(tmp_path, "input", "x0^3 + x1^3")
+        assert option not in CliRunner().invoke(main, [command, "--help"]).output
+        result = CliRunner().invoke(main, [command, path, option, value])
         assert result.exit_code == 4
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:") and option in lines[0]
@@ -588,7 +622,6 @@ class TestCli:
             ("reduce-binary", QUINTIC.to_text(), ["--prec", "180"], 3),
             ("reduce-binary", QUINTIC.to_text(), ["--prec", "300"], 0),
             ("reduce-cluster", '{"n": 1, "points": [["1", "0"], ["0", "1"], ["1", "1"], [["0", "1"], "1"]]}', [], 4),
-            ("reduce-cluster", '{"n": 1, "points": [["1", "0"], ["0", "1"], ["1", "1"]]}', ["--delta", "1.5"], 4),
             # two lines: the determinant cubic of the pencil vanishes
             ("reduce-pencil", "x0^2\nx1^2", [], 2),
         ],
@@ -598,7 +631,6 @@ class TestCli:
             "quintic-short-of-precision",
             "quintic-at-300-bits",
             "complex-cluster",
-            "bad-option",
             "degenerate-pencil",
         ],
     )

@@ -18,6 +18,7 @@ from cluster_reduce import (
     is_lll_reduced,
     lll_reduce,
 )
+from cluster_reduce.lattice import DELTA
 
 from conftest import PENCIL_COVARIANT_PRECISE, PENCIL_LLL
 from oracles import (
@@ -127,9 +128,9 @@ class TestLllReduce:
 
     def test_reference_gram_reproduces_known_transform(self):
         G = GramMatrix(tuple(tuple(v) for v in PENCIL_COVARIANT_PRECISE))
-        red, U = lll_reduce(G, delta=0.99)
+        red, U = lll_reduce(G)
         assert [list(r) for r in U.matrix] == PENCIL_LLL
-        assert is_lll_reduced(red, delta=0.99)
+        assert is_lll_reduced(red)
 
     def test_congruence_identity(self, rnd):
         G = GramMatrix(tuple(tuple(v) for v in int_gram(rnd)))
@@ -146,7 +147,7 @@ class TestLllReduce:
     def test_diagonal_matches_exhaustive_search(self, rnd):
         for _ in range(8):
             G = int_gram(rnd)
-            red, U = lll_reduce(GramMatrix(tuple(map(tuple, G))), delta=0.99)
+            red, U = lll_reduce(GramMatrix(tuple(map(tuple, G))))
             got = tuple(sorted(int(mp.nint(red.matrix[i][i])) for i in range(3)))
             assert got == oracle_best_diagonal(G)
 
@@ -176,9 +177,12 @@ class TestLllReduce:
         with pytest.raises(NotPositiveDefiniteError):
             lll_reduce(GramMatrix(((1, 2), (2, 1))))
 
-    def test_bad_delta_rejected(self):
-        with pytest.raises(ValueError):
-            lll_reduce(GramMatrix(((1, 0), (0, 1))), delta=1.5)
+    def test_delta_is_the_double_nearest_0_99(self):
+        # from the float literal: the decimal 0.99 differs beyond the 53rd
+        # bit, where a Lovasz comparison above 53 bits could see it
+        assert DELTA == 0.99
+        with mp.workprec(113):
+            assert DELTA != mp.mpf("0.99")
 
     def test_transform_matches_exact_oracle(self):
         # pins U itself, not only the LLL conditions: the oracle runs the
@@ -230,14 +234,12 @@ class TestIsLllReduced:
 
     def test_lovasz_orders_the_basis(self):
         # a strongly decreasing diagonal violates the Lovasz condition ...
-        assert not is_lll_reduced(GramMatrix(((1, 0), (0, mp.mpf("1e-6")))), delta=0.99)
+        assert not is_lll_reduced(GramMatrix(((1, 0), (0, mp.mpf("1e-6")))))
         # ... while the increasing order satisfies it
-        assert is_lll_reduced(GramMatrix(((mp.mpf("1e-6"), 0), (0, 1))), delta=0.99)
+        assert is_lll_reduced(GramMatrix(((mp.mpf("1e-6"), 0), (0, 1))))
 
     def test_size_reduction_violation(self):
-        assert not is_lll_reduced(
-            GramMatrix(((1, mp.mpf("0.9")), (mp.mpf("0.9"), 1))), delta=0.99
-        )
+        assert not is_lll_reduced(GramMatrix(((1, mp.mpf("0.9")), (mp.mpf("0.9"), 1))))
 
     def test_output_of_reduce_is_reduced(self, rnd):
         for _ in range(5):

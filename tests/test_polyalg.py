@@ -493,6 +493,23 @@ class TestCurveIntersection:
         assert rs.total_multiplicity == 4
         assert calls == []
 
+    def test_residual_failure_is_missing_precision(self, monkeypatch):
+        # a root moved by 1e-10 gives a residual near 2e-29, above the
+        # 2^-106 = 1.2e-32 gate at 212 bits: more bits cure that, another
+        # projection does not, so no random shear is built and the error
+        # names the precision
+        roots, shear, built = polyalg.aberth_roots, polyalg._random_shear, []
+
+        def moved(coeffs, prec):
+            first, *rest = roots(coeffs, prec=prec)
+            return [first + mp.mpf(10) ** -10] + rest
+
+        monkeypatch.setattr(polyalg, "aberth_roots", moved)
+        monkeypatch.setattr(polyalg, "_random_shear", lambda rng, n: built.append(n) or shear(rng, n))
+        with pytest.raises(ConvergenceError, match="residual .* working precision of 212 bits"):
+            curve_intersection(PENCIL_Q1, PENCIL_Q2, prec=212)
+        assert built == []
+
     def test_two_points_on_one_fiber_rejected_exactly(self, monkeypatch):
         # x^2 - y^2, x^2 - z^2 meet in (1 : ±1 : ±1): the identity projection
         # puts two points on each fiber y = ±z
