@@ -5,20 +5,22 @@ coefficients. Its arithmetic, Hessians, pencil cubics and substitutions run in
 sympy's sparse ring (``sympy.polys.rings``, over ZZ unless a coefficient is a
 fraction). The exact layer never rounds; the numeric layer (Aberth-Ehrlich
 iteration, and the points of a curve intersection evaluated from its exact
-representation) works at a caller-chosen binary precision with residual
-certificates on every reported root. A binary form has one root path: the
-squarefree split that its pipeline already made, Aberth on each factor, and
-one residual gate against the whole form. There is no public univariate root
-finder or resultant; curve intersection takes its resultant and
-subresultants from sympy in one sequence. Aberth's iteration runs in two
+representation) works at the ambient mpmath precision, which the pipelines
+set, with residual certificates on every reported root. A binary form has
+one root path: the squarefree split that its pipeline already made, Aberth
+on each factor, and one residual gate against the whole form. There is no
+public univariate root finder or resultant; curve intersection takes its
+resultant and subresultants from sympy in one sequence. Every polynomial
+whose roots are sought reaches Aberth's iteration as coprime Python
+integers, and it takes no other coefficients. The iteration runs in two
 arithmetics: first in Python's built-in complex, from Bini points computed
 with ``math`` and ``cmath``, then, from the roots that doubles gave, in
 Python integers: fixed-point iterates at the working precision plus guard
-bits, on the coefficients made exact Gaussian integers, so that Horner's
-rounding error does not grow with the coefficients. The first phase alone,
-uncertified, finds the points of the preconditioning passes of the ternary
-pipeline. The fiber points and residuals of a curve intersection are
-fixed-point Gaussian integers too; mpmath holds only the results.
+bits, on the exact integer coefficients, so that Horner's rounding error
+does not grow with the coefficients. The first phase alone, uncertified,
+finds the points of the preconditioning passes of the ternary pipeline. The
+fiber points and residuals of a curve intersection are fixed-point Gaussian
+integers too; mpmath holds only the results.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import sympy as sp
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.rings import PolyRing
 
-from ._precision import half_eps, to_mpc, working_precision
+from ._precision import half_eps, to_mpc
 from .cluster_core import PointCluster, ProjectivePoint
 from .errors import (
     CommonComponentError,
@@ -107,10 +109,6 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars, ())
-
-    @classmethod
     def constant(cls, nvars: int, c) -> "MultiPoly":
         return cls(nvars, (((0,) * nvars, c),))
 
@@ -161,9 +159,6 @@ class MultiPoly:
             return 0
         return max(abs(c) for _, c in self.terms)
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def _in_ring(self, *others) -> tuple:
@@ -208,12 +203,6 @@ class MultiPoly:
 
     def diff(self, var: int) -> "MultiPoly":
         return _from_ring(self._in_ring()[0].diff(var))
-
-    def primitive(self) -> "MultiPoly":
-        """Divide by the integer content (sign preserved)."""
-        if any(isinstance(c, Fraction) for _, c in self.terms):
-            return self
-        return _from_ring(self._in_ring()[0].primitive()[1])
 
     # -- evaluation --------------------------------------------------------
 
@@ -552,39 +541,22 @@ def _from_fixed(X, Y, S):
 
 def _horner_fixed(A, x, y, S) -> tuple:
     """p(z) and p'(z) at z = (x + iy) 2^-S by a joint Horner scheme in Python
-    integers, for the descending Gaussian integers ``A`` of p at scale 2^-S
-    (each (a, b) stands for (a + ib) 2^-S); returns (P, Q, dP, dQ) for
-    p(z) = (P + iQ) 2^-S and p'(z) = (dP + i dQ) 2^-S. Each step truncates
-    by under sqrt(2) units of 2^-S, so p(z) is off by under
-    sqrt(2) sum_{k<d} |z|^k units, whatever the size of the coefficients."""
+    integers, for the descending integers ``A`` of p at scale 2^-S (each a
+    stands for a 2^-S); returns (P, Q, dP, dQ) for p(z) = (P + iQ) 2^-S and
+    p'(z) = (dP + i dQ) 2^-S. Each step truncates by under sqrt(2) units of
+    2^-S, so p(z) is off by under sqrt(2) sum_{k<d} |z|^k units, whatever
+    the size of the coefficients."""
     p = q = dp = dq = 0
-    for a, b in A:
+    for a in A:
         dp, dq = ((dp * x - dq * y) >> S) + p, ((dp * y + dq * x) >> S) + q
-        p, q = ((p * x - q * y) >> S) + a, ((p * y + q * x) >> S) + b
+        p, q = ((p * x - q * y) >> S) + a, (p * y + q * x) >> S
     return p, q, dp, dq
 
 
-def _gaussian_integers(coeffs) -> list:
-    """The coefficients (ints, Fractions or mpmath numbers) times the one
-    positive integer that makes them all integral, as exact Gaussian
-    integers (re, im). An int or a Fraction is kept exact; an mpmath number
-    is read as the mpc it gives at the ambient precision, whose parts are
-    dyadic rationals."""
-    parts = []
-    for c in coeffs:
-        if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
-            parts.append((Fraction(c), Fraction(0)))
-        else:
-            z = to_mpc(c)
-            parts.append(tuple(m * Fraction(2) ** e for m, e in (_man_exp(z.real), _man_exp(z.imag))))
-    scale = math.lcm(*(x.denominator for pair in parts for x in pair))
-    return [(int(a * scale), int(b * scale)) for a, b in parts]
-
-
 def _aberth_fixed(A, z, prec, guard, maxsteps):
-    """Aberth-Ehrlich sweeps in Python integers over the descending Gaussian
-    integers ``A`` from the start points ``z`` (nonzero mpc); returns the
-    roots as mpc at the ambient precision.
+    """Aberth-Ehrlich sweeps in Python integers over the descending integers
+    ``A`` from the start points ``z`` (nonzero mpc); returns the roots as mpc
+    at the ambient precision.
 
     Each iterate is a pair of integers (X, Y) for (X + iY) 2^-S, where S is
     the target precision ``prec`` plus ``guard`` bits, widened by log2 of the
@@ -602,7 +574,7 @@ def _aberth_fixed(A, z, prec, guard, maxsteps):
     mags = [mp.mag(r) for r in z]
     S = prec + guard + max([0, *mags]) + max([0, *(-m for m in mags)])
     one = 1 << S
-    A = [(a << S, b << S) for a, b in A]
+    A = [a << S for a in A]
     X, Y = (list(t) for t in zip(*(_fixed(r, S) for r in z)))
     converged = [False] * d
     rnd = random.Random(1729)
@@ -681,84 +653,81 @@ def _strip_zero_roots(coeffs):
 ABERTH_SWEEPS = 500
 
 
-def aberth_roots(coeffs, prec=None):
-    """Aberth-Ehrlich simultaneous iteration for all complex roots.
+def aberth_roots(coeffs):
+    """Aberth-Ehrlich simultaneous iteration for all complex roots, at the
+    ambient precision prec.
 
-    ``coeffs`` is a descending coefficient list (exact numbers or mpmath
-    values) with nonzero leading coefficient. Zero roots are stripped exactly
-    and come last as exact zeros; the others are raw approximations, one per
-    root with multiplicity, at ``prec`` bits.
+    ``coeffs`` is a descending list of Python ints with nonzero leading
+    coefficient; any other coefficient (a bool, float, Fraction or mpmath
+    number) raises InputFormatError. Zero roots are stripped exactly and
+    come last as exact zeros; the others are raw approximations, one per
+    root with multiplicity.
 
     The iteration runs in two phases. The first, in built-in complex, is
     :func:`_roots_in_doubles`; its roots start the second, :func:`_aberth_fixed`,
-    in Python integers on the coefficients as exact Gaussian integers (an
-    mpmath value is the dyadic rational it holds at ``prec`` plus guard
-    bits), with fixed-point iterates at 2^-S for S of ``prec`` plus
-    20 + 2d guard bits, widened to the magnitudes of the starts. There a
-    root stops once its correction falls below 2^-prec max(1, |z|), so a
-    root inside the unit disc is accurate relative to 1, as the point (z : 1)
-    needs, or once |p(z)| is within the truncation error of fixed-point
-    Horner at z, a few units of 2^-S times sum_{k<d} |z|^k: z is then an
-    exact root of a polynomial within a few units of 2^-S, coefficient by
-    coefficient, of the integral one. The Bini points start the second phase
-    instead where doubles do not give exactly one finite nonzero start per
-    root: a nonzero coefficient or a root underflows, or the first phase
-    fails with no finite approximations. Raises ConvergenceError, with the
-    current approximations (mpc) as ``best``, when some root meets neither
-    test within ``ABERTH_SWEEPS`` sweeps of the second phase (the module
-    constant, read at each call).
+    in Python integers on the exact coefficients, with fixed-point iterates
+    at 2^-S for S of prec plus 20 + 2d guard bits, widened to the magnitudes
+    of the starts. There a root stops once its correction falls below
+    2^-prec max(1, |z|), so a root inside the unit disc is accurate relative
+    to 1, as the point (z : 1) needs, or once |p(z)| is within the truncation
+    error of fixed-point Horner at z, a few units of 2^-S times
+    sum_{k<d} |z|^k: z is then an exact root of a polynomial within a few
+    units of 2^-S, coefficient by coefficient, of the integral one. The Bini
+    points start the second phase instead where doubles do not give exactly
+    one finite nonzero start per root: a nonzero coefficient or a root
+    underflows, or the first phase fails with no finite approximations.
+    Raises ConvergenceError, with the current approximations (mpc) as
+    ``best``, when some root meets neither test within ``ABERTH_SWEEPS``
+    sweeps of the second phase (the module constant, read at each call).
     """
-    with working_precision(prec):
-        target_prec = mp.mp.prec
-        coeffs, zero_roots = _strip_zero_roots(coeffs)
-        d = len(coeffs) - 1
-        if d == 0:
-            return [mp.mpc(0)] * zero_roots
-        guard = 20 + 2 * d
-        with mp.workprec(target_prec + guard):
-            A = _gaussian_integers(coeffs)
-            z = _starts([to_mpc(c) for c in coeffs], A)
-        try:
-            roots = _aberth_fixed(A, z, target_prec, guard, ABERTH_SWEEPS)
-        except ConvergenceError as exc:
-            exc.best = exc.best + [mp.mpc(0)] * zero_roots
-            raise
-        return roots + [mp.mpc(0)] * zero_roots
-
-
-def _starts(cs, A):
-    """Start points for the second phase of :func:`aberth_roots` on the
-    coefficients ``cs`` (no zero root), the Gaussian integers ``A`` up to
-    one factor: the roots in doubles, or the best approximations of a first
-    phase that did not converge, when these are one finite nonzero point per
-    root; otherwise the Bini points of A, whose radii may lie outside the
-    double range. A root that is 0 in doubles has underflowed, and would
-    give the fixed point of the second phase no scale."""
+    for c in coeffs:
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise InputFormatError(f"coefficient {c!r} is not a Python int")
+    coeffs, zero_roots = _strip_zero_roots(coeffs)
+    d = len(coeffs) - 1
+    if d == 0:
+        return [mp.mpc(0)] * zero_roots
     try:
-        z = _roots_in_doubles(cs)
+        roots = _aberth_fixed(coeffs, _starts(coeffs), mp.mp.prec, 20 + 2 * d, ABERTH_SWEEPS)
+    except ConvergenceError as exc:
+        exc.best = exc.best + [mp.mpc(0)] * zero_roots
+        raise
+    return roots + [mp.mpc(0)] * zero_roots
+
+
+def _starts(coeffs):
+    """Start points for the second phase of :func:`aberth_roots` on the
+    integer coefficients ``coeffs`` (no zero root): the roots in doubles, or
+    the best approximations of a first phase that did not converge, when
+    these are one finite nonzero point per root; otherwise the Bini points
+    of the integers, whose radii may lie outside the double range. A root
+    that is 0 in doubles has underflowed, and would give the fixed point of
+    the second phase no scale."""
+    try:
+        z = _roots_in_doubles(coeffs)
     except ConvergenceError as exc:
         z = exc.best
     except ArithmeticError:
         z = None
     if z is None or not all(cmath.isfinite(r) and r for r in z):
-        logs = [math.log2(a * a + b * b) / 2 if a or b else None for a, b in A]
+        logs = [math.log2(abs(a)) if a else None for a in coeffs]
         return [mp.ldexp(1, math.floor(h)) * mp.mpc(2.0 ** (h % 1) * u) for h, u in _bini_initial_points(logs)]
     return [mp.mpc(r) for r in z]
 
 
 def _doubles(*coeff_lists):
-    """The lists of integers or mpmath numbers as built-in complex, all
-    divided by one power of two that puts the largest entry near 2^52, so
-    that no entry overflows."""
+    """The lists of integers as built-in complex, all divided by one power
+    of two that puts the largest entry near 2^52, so that no entry
+    overflows."""
     scale = mp.ldexp(1, max(mp.mag(c) for cs in coeff_lists for c in cs) - 53)
     return [[complex(c / scale) for c in cs] for cs in coeff_lists]
 
 
 def _roots_in_doubles(coeffs):
-    """All complex roots of a polynomial (descending coefficients, integers
-    or mpmath numbers) in built-in complex: :func:`_aberth` at 53 bits, at
-    most 100 sweeps, from the Bini points of the coefficients scaled by
-    :func:`_doubles`, zero roots stripped exactly. Uncertified: it is the
+    """All complex roots of a polynomial (descending integer coefficients)
+    in built-in complex: :func:`_aberth` at 53 bits, at most 100 sweeps,
+    from the Bini points of the coefficients scaled by :func:`_doubles`,
+    zero roots stripped exactly. Uncertified: it is the
     first phase of :func:`aberth_roots` and the root finder of the
     preconditioning passes. Raises ArithmeticError where a nonzero
     coefficient underflows to 0 in doubles or a start point overflows, and
@@ -853,7 +822,7 @@ def _random_shear(rng, n):
             return rows
 
 
-def curve_intersection(F: MultiPoly, G: MultiPoly, prec=None, seed=0) -> RootSet:
+def curve_intersection(F: MultiPoly, G: MultiPoly, seed=0) -> RootSet:
     """All intersection points of two coprime ternary curves, with multiplicity.
 
     After an integer shear S keeping (1:0:0) off both curves, one exact
@@ -867,10 +836,11 @@ def curve_intersection(F: MultiPoly, G: MultiPoly, prec=None, seed=0) -> RootSet
     shears, the identity first, is tried. Root finding runs once per part, on β
     alone. A zero v of F(S x) and G(S x) is reported at S v with its
     normalized residual max(|F(S v)|, |G(S v)|)/||v||^deg over the larger
-    coefficient norm of the sheared forms, which must be below 2^(-prec/2):
-    a residual above it is missing precision, not a bad projection, and
-    raises ConvergenceError naming the working precision, with no further
-    shear. S is not returned, but the same seed reproduces it.
+    coefficient norm of the sheared forms, which must be below 2^(-prec/2)
+    at the ambient precision prec: a residual above it is missing precision,
+    not a bad projection, and raises ConvergenceError naming the working
+    precision, with no further shear. S is not returned, but the same seed
+    reproduces it.
     Points singular on both curves, which only parts with j ≥ 2 can hold, are
     split off by an exact gcd with the partial derivatives at x0 = ξ, flagged
     in ``singular``. Curves that share a component raise CommonComponentError
@@ -882,13 +852,12 @@ def curve_intersection(F: MultiPoly, G: MultiPoly, prec=None, seed=0) -> RootSet
         if not P.is_homogeneous() or P.total_degree() < 1:
             raise InputFormatError("inputs must be homogeneous of positive degree")
     d1, d2 = F.total_degree(), G.total_degree()
-    with working_precision(prec):
-        last_error = None
-        for S in _shears(random.Random(seed), 12):
-            try:
-                return _intersect_with_shear(F, G, S, d1, d2, mp.mp.prec)
-            except _ShearFailure as exc:
-                last_error = exc
+    last_error = None
+    for S in _shears(random.Random(seed), 12):
+        try:
+            return _intersect_with_shear(F, G, S, d1, d2)
+        except _ShearFailure as exc:
+            last_error = exc
     raise EliminationError(f"no shear produced a clean elimination: {last_error}")
 
 
@@ -1030,15 +999,16 @@ def _intersection_in_doubles(F: MultiPoly, G: MultiPoly) -> tuple:
     return S, points
 
 
-def _fiber_points(num, den, roots, bits):
+def _fiber_points(num, den, roots):
     """x0 = -num(beta)/den(beta) as mpc at each of the ``roots`` beta, for the
     integer coefficients of :func:`_fiber_point`: :func:`_horner_fixed` at
-    scale 2^-T, T = ``bits`` + 20, and one complex floor division. The
-    truncation, under 2^-T sqrt(2) sum_{k<deg} |beta|^k, is below 2^-bits
-    times the leading term where |beta| >= 1 and below 2^-bits, against the
-    point (x0, beta, 1) of norm at least 1, where |beta| < 1."""
-    T = bits + 20
-    num, den = ([(a << T, 0) for a in cs] for cs in (num, den))
+    scale 2^-T, T = prec + 20 for the ambient precision prec, and one complex
+    floor division. The truncation, under 2^-T sqrt(2) sum_{k<deg} |beta|^k,
+    is below 2^-prec times the leading term where |beta| >= 1 and below
+    2^-prec, against the point (x0, beta, 1) of norm at least 1, where
+    |beta| < 1."""
+    T = mp.mp.prec + 20
+    num, den = ([a << T for a in cs] for cs in (num, den))
     out = []
     for beta in roots:
         x, y = _fixed(beta, T)
@@ -1049,14 +1019,14 @@ def _fiber_points(num, den, roots, bits):
     return out
 
 
-def _intersect_with_shear(F, G, S, d1, d2, bits):
-    """The RootSet of F and G from the projection S. Each root is a zero v of
-    F(S x) and G(S x), placed at S v, and is accepted on, and carries, its
-    residual on those forms, which the projection conditions: for v =
-    (x0, beta, 1), x0 from :func:`_fiber_points`, and its unit vector u,
-    max(|F(S u)|, |G(S u)|) over the larger coefficient norm, from
-    :meth:`MultiPoly.evaluate`, must be below 2^(-bits/2), or ConvergenceError
-    is raised."""
+def _intersect_with_shear(F, G, S, d1, d2):
+    """The RootSet of F and G from the projection S, at the ambient precision
+    prec. Each root is a zero v of F(S x) and G(S x), placed at S v, and is
+    accepted on, and carries, its residual on those forms, which the
+    projection conditions: for v = (x0, beta, 1), x0 from
+    :func:`_fiber_points`, and its unit vector u, max(|F(S u)|, |G(S u)|)
+    over the larger coefficient norm, from :meth:`MultiPoly.evaluate`, must
+    be below 2^(-prec/2), or ConvergenceError is raised."""
     Fs, Gs, Fd, Gd, R, levels = _eliminate(F, G, S, d1, d2)
     D = d1 * d2
     found, singular = [], []
@@ -1065,15 +1035,15 @@ def _intersect_with_shear(F, G, S, d1, d2, bits):
     _, factors = R.sqf_list()
     for fac, mult in factors:
         for part, c, sing in _fiber_parts(fac, levels, Fd, Gd):
-            betas = aberth_roots(_int_coeffs(part), prec=bits)
-            for beta, x0 in zip(betas, _fiber_points(*_fiber_point(c), betas, bits)):
+            betas = aberth_roots(_int_coeffs(part))
+            for beta, x0 in zip(betas, _fiber_points(*_fiber_point(c), betas)):
                 v = (x0, beta, mp.mpc(1))
                 u = ProjectivePoint(v).unit()
                 resid = max(abs(Fs.evaluate(u)), abs(Gs.evaluate(u))) / norm
                 if resid >= half:
                     raise ConvergenceError(
                         f"intersection residual {mp.nstr(resid, 5)} at beta={mp.nstr(beta, 8)} is not below "
-                        f"2^({-bits // 2}) at the working precision of {bits} bits"
+                        f"2^({-mp.mp.prec // 2}) at the working precision of {mp.mp.prec} bits"
                     )
                 point = ProjectivePoint(tuple(mp.fsum(S[k][a] * v[a] for a in range(3)) for k in range(3)))
                 found.append((point, mult, resid))

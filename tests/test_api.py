@@ -5,7 +5,9 @@ exported function or method takes one, apart from the covariant solver's
 gradient tolerance (``minimize``, by default 2^(-3 prec/4), which theta sets
 to a fixed 10^-12 on semi-stable clusters that are not stable). LLL's
 Lovasz parameter and the slack of its check are constants of ``lattice``.
-No function takes a start, a budget or a switch for its record either.
+No function takes a start, a budget or a switch for its record either. Root
+finding takes no precision: ``aberth_roots`` and ``curve_intersection`` run
+at the ambient one, which the pipelines set.
 """
 
 import inspect
@@ -63,3 +65,9 @@ def test_pipelines_take_their_object_and_precision():
     assert SIGNATURES["reduce_quadric_pencil"] == ["Q1", "Q2", "prec"]
     # the shear seed of the intersection stays on the ternary pipeline
     assert SIGNATURES["reduce_ternary_form"] == ["F", "prec", "seed"]
+
+
+def test_root_finding_takes_no_precision():
+    assert SIGNATURES["aberth_roots"] == ["coeffs"]
+    # the shear seed stays with the pipeline's
+    assert SIGNATURES["curve_intersection"] == ["F", "G", "seed"]

@@ -265,6 +265,13 @@ _QUADRIC = st.lists(st.integers(-3, 3), min_size=6, max_size=6).map(
 )
 _QUADRIC_PAIR = st.tuples(_QUADRIC, _QUADRIC)
 
+# ternary cubics with coefficients in [-3, 3]: most are smooth and reach the
+# flexes' intersection, the covariant and LLL; the others are singular,
+# reducible or zero
+_TERNARY_CUBIC = st.lists(st.integers(-3, 3), min_size=10, max_size=10).map(
+    lambda cs: MultiPoly.from_dict(3, dict(zip([(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)], cs)))
+)
+
 
 class TestMalformedInputProperties:
     """Whatever the text, the parsers return a value or raise InputFormatError,
@@ -312,9 +319,9 @@ def _assert_clean_exit(result):
 
 
 class TestCliExitCodes:
-    """Whatever the document, the cluster commands, reduce-binary and
-    reduce-pencil end with exit 0, 2, 3 or 4, never with exit 1 or a
-    traceback, and write at most one line on stderr."""
+    """Whatever the document, the cluster commands, reduce-binary,
+    reduce-pencil and reduce-ternary end with exit 0, 2, 3 or 4, never with
+    exit 1 or a traceback, and write at most one line on stderr."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -356,6 +363,20 @@ class TestCliExitCodes:
     )
     def test_reduce_pencil(self, text):
         result = CliRunner().invoke(main, ["reduce-pencil", "-"], input=text)
+        _assert_clean_exit(result)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            _TERNARY_CUBIC.map(MultiPoly.to_text),
+            _TERNARY_CUBIC.map(lambda F: json.dumps(cio.poly_to_json(F))),
+            _POLY_JSON.map(json.dumps),
+            _JSON.map(json.dumps),
+            st.text(max_size=20),
+        )
+    )
+    def test_reduce_ternary(self, text):
+        result = CliRunner().invoke(main, ["reduce-ternary", "-"], input=text)
         _assert_clean_exit(result)
 
 

@@ -466,15 +466,15 @@ class TestPreconditioning:
         _, _, U0, _ = pipelines._precondition(QUARTIC, hessian(QUARTIC))
         roots = polyalg.aberth_roots
 
-        def moved(coeffs, prec):
-            first, *rest = roots(coeffs, prec=prec)
+        def moved(coeffs):
+            first, *rest = roots(coeffs)
             return [first * (1 + mp.mpf(10) ** move)] + rest
 
         with mp.workprec(bits):
-            polyalg._intersect_with_shear(QUARTIC, hessian(QUARTIC), U0.matrix, 4, 6, bits)
+            polyalg._intersect_with_shear(QUARTIC, hessian(QUARTIC), U0.matrix, 4, 6)
         monkeypatch.setattr(polyalg, "aberth_roots", moved)
         with mp.workprec(bits), pytest.raises(ConvergenceError, match=f"residual .* {bits} bits"):
-            polyalg._intersect_with_shear(QUARTIC, hessian(QUARTIC), U0.matrix, 4, 6, bits)
+            polyalg._intersect_with_shear(QUARTIC, hessian(QUARTIC), U0.matrix, 4, 6)
 
     def test_exact_pass_is_one_public_intersection(self, monkeypatch):
         # the exact pass is the public curve_intersection of the forms the
@@ -659,7 +659,8 @@ class TestExactStability:
                 continue
             if any(k > 1 for _, k in cubic.to_sympy().sqf_list()[1]):
                 continue
-            base = curve_intersection(Q1, Q2, prec=212)
+            with mp.workprec(212):
+                base = curve_intersection(Q1, Q2)
             assert oracle_classify(base.cluster()) == (False, True, True)
             with mp.workprec(212):
                 assert classify(base.cluster()).margin == 1
@@ -674,7 +675,8 @@ class TestExactStability:
             if C.is_zero() or hessian(C).is_zero():
                 continue
             try:
-                inter = curve_intersection(C, hessian(C), prec=212)
+                with mp.workprec(212):
+                    inter = curve_intersection(C, hessian(C))
             except CommonComponentError:
                 continue  # reducible or a Hessian sharing a component
             if any(inter.singular):

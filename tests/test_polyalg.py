@@ -369,8 +369,8 @@ class TestBinaryFormRoots:
         # outside the gate's 2^-106, whatever the iteration reported
         real = polyalg.aberth_roots
 
-        def moved(coeffs, prec=None):
-            roots = real(coeffs, prec)
+        def moved(coeffs):
+            roots = real(coeffs)
             return [roots[0] + mp.mpf(2) ** -40, *roots[1:]]
 
         monkeypatch.setattr(polyalg, "aberth_roots", moved)
@@ -500,14 +500,14 @@ class TestCurveIntersection:
         # names the precision
         roots, shear, built = polyalg.aberth_roots, polyalg._random_shear, []
 
-        def moved(coeffs, prec):
-            first, *rest = roots(coeffs, prec=prec)
+        def moved(coeffs):
+            first, *rest = roots(coeffs)
             return [first + mp.mpf(10) ** -10] + rest
 
         monkeypatch.setattr(polyalg, "aberth_roots", moved)
         monkeypatch.setattr(polyalg, "_random_shear", lambda rng, n: built.append(n) or shear(rng, n))
-        with pytest.raises(ConvergenceError, match="residual .* working precision of 212 bits"):
-            curve_intersection(PENCIL_Q1, PENCIL_Q2, prec=212)
+        with mp.workprec(212), pytest.raises(ConvergenceError, match="residual .* working precision of 212 bits"):
+            curve_intersection(PENCIL_Q1, PENCIL_Q2)
         assert built == []
 
     def test_two_points_on_one_fiber_rejected_exactly(self, monkeypatch):
@@ -523,8 +523,8 @@ class TestCurveIntersection:
         with monkeypatch.context() as m:
             m.setattr(polyalg, "aberth_roots", no_root_finding)
             # at 8 bits no tolerance could decide: the congruence is exact
-            with pytest.raises(polyalg._ShearFailure, match="two intersection points on one fiber"):
-                polyalg._intersect_with_shear(F, G, identity, 2, 2, 8)
+            with mp.workprec(8), pytest.raises(polyalg._ShearFailure, match="two intersection points on one fiber"):
+                polyalg._intersect_with_shear(F, G, identity, 2, 2)
         built = []
         real = polyalg._random_shear
         monkeypatch.setattr(
@@ -676,7 +676,7 @@ class TestAberthInternals:
             with mp.workprec(212):
                 betas = [mp.mpc(rnd.uniform(-1, 1), rnd.uniform(-1, 1)) * mp.mpf(2) ** rnd.randint(-40, 40)
                          for _ in range(5)]
-                got = polyalg._fiber_points(num, den, betas, 212)
+                got = polyalg._fiber_points(num, den, betas)
             with mp.workprec(848):
                 for beta, x0 in zip(betas, got):
                     want = -mp.polyval(num, beta) / mp.polyval(den, beta)
@@ -684,51 +684,30 @@ class TestAberthInternals:
 
     def test_wide_magnitude_coefficients(self):
         # roots at 1e-3 and 1e3: the convex hull initialization must find both
-        coeffs = [mp.mpf(1), -(mp.mpf(1000) + mp.mpf("0.001")), mp.mpf(1)]
-        roots = aberth_roots(coeffs, prec=100)
-        mags = sorted(abs(r) for r in roots)
-        assert abs(mags[0] - mp.mpf("0.001")) < mp.mpf("1e-9")
-        assert abs(mags[1] - 1000) < mp.mpf("1e-3")
+        with mp.workprec(100):
+            roots = aberth_roots([1000, -1000001, 1000])
+            mags = sorted(abs(r) for r in roots)
+            assert abs(mags[0] - mp.mpf("0.001")) < mp.mpf("1e-9")
+            assert abs(mags[1] - 1000) < mp.mpf("1e-3")
 
-    @pytest.mark.parametrize(
-        "coeffs, roots",
-        [
-            # the root 2^1100 overflows doubles, so they give no finite start
-            (lambda: [1, -(mp.mpf(2) ** 1100 + mp.mpf(2) ** -1100), 1],
-             lambda: [mp.mpf(2) ** -1100, mp.mpf(2) ** 1100]),
-            # the leading coefficient underflows to 0 in doubles
-            (lambda: [mp.mpf(2) ** -1200, 0, 1],
-             lambda: [mp.mpc(0, -(mp.mpf(2) ** 600)), mp.mpc(0, mp.mpf(2) ** 600)]),
-        ],
-        ids=["overflow", "underflow"],
-    )
-    def test_roots_beyond_doubles_start_from_bini_points(self, coeffs, roots):
+    def test_roots_beyond_doubles_start_from_bini_points(self):
+        # the roots 2^-1100 and 2^1100: the coefficients overflow doubles
+        # unless scaled, and the root 2^1100 overflows even then, so they
+        # give no finite start
         with mp.workprec(212):
-            got = aberth_roots(coeffs())
+            got = aberth_roots([2**1100, -(2**2200 + 1), 2**1100])
             assert len(got) == 2
-            for want in roots():
+            for want in (mp.mpf(2) ** -1100, mp.mpf(2) ** 1100):
                 assert min(abs(r - want) for r in got) < mp.mpf(2) ** -200 * abs(want)
 
-    @pytest.mark.parametrize(
-        "coeffs, roots",
-        [
-            ([mp.mpf(1), mp.mpf(-3), mp.mpf(2)], [1, 2]),
-            ([mp.mpf(2), mp.mpc(-1, -3)], [mp.mpc(0.5, 1.5)]),
-        ],
-        ids=["real", "complex"],
-    )
-    def test_negative_mpmath_coefficients_keep_their_sign(self, coeffs, roots):
-        # mpf.man_exp drops the sign, so the kernel reads _mpf_: without the
-        # signs, x^2 + 3x + 2 has the roots -1 and -2
-        got = aberth_roots(coeffs, prec=106)
-        for want in roots:
-            assert min(abs(r - want) for r in got) < mp.mpf(2) ** -100
-
     def test_roots_near_two_to_the_600(self):
-        # from doubles, the Aberth sum at either root of x^2 + 2^1200 is about
-        # 2^-601, which floor-rounds to -1 unit unless S is widened by log2 of
-        # the largest start; a Newton step of about 2^600 turns that unit
-        # into a false stop
+        # scaled into doubles, the leading coefficient of x^2 + 2^1200
+        # underflows to 0, so the Bini points start. From those, the Aberth
+        # sum at either root is about 2^-601, which floor-rounds to -1 unit
+        # unless S is widened by log2 of the largest start; a Newton step of
+        # about 2^600 turns that unit into a false stop
+        with pytest.raises(ArithmeticError, match="underflows"):
+            polyalg._roots_in_doubles([1, 0, 2**1200])
         with mp.workprec(212):
             got = aberth_roots([1, 0, 2**1200])
             for want in (mp.mpc(0, 2**600), mp.mpc(0, -(2**600))):
@@ -748,25 +727,32 @@ class TestAberthInternals:
         # points)
         coeffs = _hessian_resultant(QUARTIC_REDUCED)
         monkeypatch.setattr(polyalg, "ABERTH_SWEEPS", 5)
-        roots = aberth_roots(coeffs, prec=424)
+        with mp.workprec(424):
+            roots = aberth_roots(coeffs)
         assert len(roots) == 24
 
     def test_leading_zero_rejected(self):
-        with pytest.raises(InputFormatError):
-            aberth_roots([mp.mpf(0), mp.mpf(1)], prec=50)
+        with pytest.raises(InputFormatError, match="leading coefficient"):
+            aberth_roots([0, 1])
 
     def test_clustered_inexact_input(self):
-        # double root given only approximately: aberth_roots returns both
-        roots = aberth_roots([mp.mpf(1), mp.mpf(-2), mp.mpf(1) + mp.mpf(2) ** -200], prec=150)
-        assert len(roots) == 2
-        for r in roots:
-            assert abs(r - 1) < mp.mpf("1e-20")
+        # a double root at 1 moved apart: 2^200 (x - 1)^2 + 1 has two roots
+        # 2^-100 = 7.9e-31 from 1, and aberth_roots returns both
+        with mp.workprec(150):
+            roots = aberth_roots([2**200, -(2**201), 2**200 + 1])
+            assert len(roots) == 2
+            for r in roots:
+                assert abs(r - 1) < mp.mpf("1e-20")
 
-    @pytest.mark.parametrize("bad", [mp.inf, mp.nan, mp.mpc(1, mp.inf)], ids=["inf", "nan", "complex-inf"])
-    def test_non_finite_coefficient_rejected(self, bad):
-        # an exact Gaussian integer has no such value
-        with pytest.raises(InputFormatError):
-            aberth_roots([1, bad], prec=60)
+    @pytest.mark.parametrize(
+        "bad",
+        [1.5, True, Fraction(1, 2), mp.mpf(1), mp.mpc(1, 1), mp.inf, mp.nan, mp.mpc(1, mp.inf)],
+        ids=["float", "bool", "fraction", "mpf", "mpc", "inf", "nan", "complex-inf"],
+    )
+    def test_non_integer_coefficient_rejected(self, bad):
+        # every pipeline passes coprime Python ints; no other number is read
+        with pytest.raises(InputFormatError, match="is not a Python int"):
+            aberth_roots([1, bad])
 
     def test_quartic_hessian_resultant_stops_at_rounding_level(self, monkeypatch):
         # the degree-24 resultant of the reference quartic and its Hessian:
@@ -775,9 +761,9 @@ class TestAberthInternals:
         # them all
         coeffs = _hessian_resultant(QUARTIC)
         monkeypatch.setattr(polyalg, "ABERTH_SWEEPS", 150)
-        roots = aberth_roots(coeffs, prec=424)
-        assert len(roots) == 24
         with mp.workprec(424):
+            roots = aberth_roots(coeffs)
+            assert len(roots) == 24
             exact = [mp.mpf(c) for c in coeffs]
             norm = mp.sqrt(mp.fsum(c**2 for c in exact))
             for r in roots:
@@ -788,7 +774,7 @@ class TestAberthInternals:
         # (x - 1)(x - 2)...(x - 6): one sweep cannot converge every root
         coeffs = [1, -21, 175, -735, 1624, -1764, 720]
         monkeypatch.setattr(polyalg, "ABERTH_SWEEPS", 1)
-        with pytest.raises(ConvergenceError) as info:
-            aberth_roots(coeffs, prec=100)
+        with mp.workprec(100), pytest.raises(ConvergenceError) as info:
+            aberth_roots(coeffs)
         assert "of 6 roots did not converge" in str(info.value)
         assert len(info.value.best) == 6
