@@ -15,6 +15,13 @@ and finite. It gives the factor, the determinant (twice the sum of the logs
 of its diagonal) and, with the covariant's ``_lower_inverse``, the inverse
 X^H X for X = L^-1; no other determinant or inverse is taken of a Hermitian
 form. :func:`check_hermitian` is the one symmetry test beside it.
+
+The fixed-point kernels (Aberth's second phase, the fiber points and
+``MultiPoly.evaluate`` in ``polyalg``, the covariant's Newton residual, and
+LLL's exact Gram) hold numbers as integers at a scale 2^-S. They share the
+three conversions: :func:`_man_exp` reads an mpf or float as m 2^e exactly,
+:func:`_fixed` truncates a number to a Gaussian integer at 2^-S, and
+:func:`_from_fixed` rounds one back to the working precision.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import math
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import InputFormatError, NotPositiveDefiniteError
 
@@ -53,6 +61,40 @@ def to_mpc(value):
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return mp.mpc(to_mpf(value[0]), to_mpf(value[1]))
     return to_mpf(value, mp.mpc)
+
+
+def _man_exp(x) -> tuple:
+    """(m, e) with x = m 2^e exactly for a finite mpf or float x, read from
+    the mpf's ``_mpf_`` = (sign, mantissa, exponent, bits), where
+    ``man_exp`` would drop the sign, or from the float's integer ratio.
+    Raises InputFormatError on an infinity or a NaN."""
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise InputFormatError(f"{x} is not finite")
+        m, d = x.as_integer_ratio()
+        return m, 1 - d.bit_length()
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:
+        raise InputFormatError(f"{x} is not finite")
+    return (-man if sign else man), exp
+
+
+def _fixed(z, S) -> tuple:
+    """The finite mpc, mpf or built-in complex z as the Gaussian integer
+    (X, Y) with (X + iY) 2^-S = z, each part rounded toward zero."""
+    out = []
+    for m, e in (_man_exp(z.real), _man_exp(z.imag)):
+        e += S
+        v = abs(m) << e if e >= 0 else abs(m) >> -e
+        out.append(-v if m < 0 else v)
+    return tuple(out)
+
+
+def _from_fixed(X, Y, S):
+    """(X + iY) 2^-S as an mpc at the ambient precision, each part rounded to
+    nearest, as mpmath's constructors round."""
+    prec = mp.mp.prec
+    return mp.mp.make_mpc((from_man_exp(X, -S, prec, round_nearest), from_man_exp(Y, -S, prec, round_nearest)))
 
 
 def hermitian_cholesky(A):

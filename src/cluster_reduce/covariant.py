@@ -14,13 +14,20 @@ images w_j = S P_j^T / |S P_j^T|, the gradient and the Hessian are
     G = sum_j W_j - m/(n+1) * I,   H[B] = sum_j ((W_j B + B W_j)/2 - tr(B W_j) W_j).
 
 The minimizer is found by damped Riemannian Newton in mixed precision, as
-iterative refinement: the unit images, D, G and the stop tests at the
-working precision, the correction in hardware doubles. Each iteration solves
+iterative refinement: the residual in Python integers, the stop tests at the
+working precision, the correction in hardware doubles. The residual is one
+fixed-point kernel: the images, their norms (``math.isqrt``), the unit
+images, D and G are Gaussian integers at a scale 2^-S that follows the
+magnitudes of the Cholesky factor L of Q, so that they keep 20 bits beyond
+the working precision however ill-conditioned Q is. Each iteration solves
 H[B] = -G over a real basis of the trace-free Hermitian B in doubles, with G
 scaled by a power of two, and steps along the geodesic by
-Y = exp(lambda B/2) - I in doubles, applied as L <- L (I + Y) at the working
-precision and scaled back to determinant 1 through the new Cholesky
-diagonal (log det Q = 2 sum_i log L_ii). The step length halves from 1
+Y = exp(lambda B/2) - I in doubles, applied as L <- L (I + Y) in the same
+kernel, whose outer sum gives the new Q exactly at 2^-2S, factored again at
+the working precision. D and G do not depend on the scale of Q, and the
+steps are trace-free, so only the last iterate is scaled to determinant 1,
+through its Cholesky diagonal (log det Q = 2 sum_i log L_ii). The step
+length halves from 1
 until the change of D, evaluated in doubles, meets Armijo's 1/4 by more than
 its rounding, or until lambda |B|_F <= 1/10, which proves that decrease
 without an evaluation. It stops once the Frobenius norm of G is at most the
@@ -54,6 +61,8 @@ from typing import Optional
 import mpmath as mp
 
 from ._precision import (
+    _fixed,
+    _from_fixed,
     check_hermitian,
     half_eps,
     hermitian_cholesky,
@@ -212,7 +221,7 @@ class DivergenceWitness:
         mixing eigenvalue scales beyond the working precision loses the small
         eigenvalues to rounding."""
         evals = self._eigenvalues(mp.mpf(lam))
-        return HermitianForm(_outer_sum([[mp.sqrt(e) * r[k] for r in self.basis] for k, e in enumerate(evals)]))
+        return HermitianForm(_outer_sum_mp([[mp.sqrt(e) * r[k] for r in self.basis] for k, e in enumerate(evals)]))
 
     def distance_at(self, zc: ScaledCluster, lam):
         """D(zc, Q_lambda), evaluated in the eigenbasis so arbitrarily large
@@ -249,42 +258,106 @@ def _log_det(L):
     return 2 * mp.fsum(mp.log(row[i]) for i, row in enumerate(L))
 
 
+def _factor_bits(L):
+    """The scale 2^-S at which the fixed-point kernel holds the factor L and
+    the unit rows it meets, S = prec + 20 + c: the truncation of L and of a
+    unit row P to 2^-S then moves L^H P by less than 2^-(prec+20) |L^H P|,
+    however ill-conditioned L is, so the kernel keeps 20 guard bits. A fixed
+    S would lose the small entries of an ill-conditioned factor.
+
+    c follows the magnitudes (mpmath's ``mag``) of L: hi of its largest
+    entry, lo of its smallest diagonal entry, which is real. The truncation
+    moves L^H P by under sqrt(2) 2^-S (n1 + sqrt(n1) |L|), and
+    |L^H P| >= 1 / |L^-1|. With L = diag (I + N) for N strictly lower,
+    |N| < sqrt(n1 (n1-1) / 2) 2^(hi-lo+1) =: nu and
+    |L^-1| <= n1 max(1, nu)^(n1-1) 2^(1-lo), so for n1 of bit length b
+    c = max(hi, 0) - lo + 2b + 3 + (n1 - 1) max(0, hi - lo + b)."""
+    n1 = len(L)
+    b = n1.bit_length()
+    hi = max(mp.mag(v) for i, row in enumerate(L) for v in row[: i + 1] if v)
+    lo = min(mp.mag(row[i]) for i, row in enumerate(L))
+    return mp.mp.prec + 20 + max(hi, 0) - lo + 2 * b + 3 + (n1 - 1) * max(0, hi - lo + b)
+
+
+def _fixed_factor(L, S):
+    """The lower triangle of L as Gaussian integers at scale 2^-S; 0 above."""
+    return [[_fixed(v, S) for v in row[: i + 1]] + [(0, 0)] * (len(L) - i - 1) for i, row in enumerate(L)]
+
+
 def _images(L, reps):
-    """Unit images w_j = L^H P_j / |L^H P_j| and D at Q = L L^H, for the rows
-    of the Cholesky factor L."""
-    cols, ws, logs = list(zip(*L)), [], []
+    """(ws, S, D): the unit images w_j = L^H P_j / |L^H P_j| as rows of
+    Gaussian integers (x, y) at scale 2^-S, S from :func:`_factor_bits`, and
+    D at Q = L L^H, for the rows of the Cholesky factor L.
+
+    L and the unit rows P_j are truncated to 2^-S, so each L^H P_j is exact at
+    2^-2S and |L^H P_j|^2 at 2^-4S; its norm is ``math.isqrt`` of that, and
+    the unit image one floor division per entry, within 2^-S. Since
+    det Q = (prod_i L_ii)^2, n1 D is one logarithm, taken 20 bits above the
+    working precision, of (prod_j |L^H P_j|^2)^n1 / (prod_i L_ii)^(2m)."""
+    n1, m = len(L), len(reps)
+    S = _factor_bits(L)
+    cols = list(zip(*_fixed_factor(L, S)))
+    ws, prod = [], 1
     for row in reps:
-        u = [mp.fdot(row, col, conjugate=True) for col in cols]
-        nrm2 = mp.fsum(u, absolute=True, squared=True)
-        nrm = mp.sqrt(nrm2)
-        ws.append([c / nrm for c in u])
-        logs.append(mp.log(nrm2))
-    return ws, mp.fsum(logs) - mp.mpf(len(reps)) / len(L) * _log_det(L)
+        P = [_fixed(c, S) for c in row]
+        u = []
+        for k, col in enumerate(cols):  # L is lower triangular: L_ak = 0 for a < k
+            re = im = 0
+            for (x, y), (a, b) in zip(P[k:], col[k:]):
+                re += x * a + y * b
+                im += y * a - x * b
+            u.append((re, im))
+        nrm2 = sum(x * x + y * y for x, y in u)
+        nrm = math.isqrt(nrm2)
+        ws.append([((x << S) // nrm, (y << S) // nrm) for x, y in u])
+        prod *= nrm2
+    with mp.extraprec(20):
+        D = mp.log(mp.mpf((prod, -4 * S * m)) ** n1 / mp.fprod(row[i] for i, row in enumerate(L)) ** (2 * m)) / n1
+    return ws, S, +D
 
 
 def _outer_sum(rows):
-    """The rows of sum_j r_j r_j^H, Hermitian by construction."""
+    """sum_j r_j r_j^H for rows of Gaussian integers (x, y) at scale 2^-S, as
+    rows of Gaussian integers at 2^-2S: exact, and Hermitian by
+    construction."""
     cols = list(zip(*rows))
     M = [[None] * len(cols) for _ in cols]
     for a, ca in enumerate(cols):
-        for b in range(a, len(cols)):
-            M[a][b] = mp.fdot(ca, cols[b], conjugate=True)
-            M[b][a] = mp.conj(M[a][b])
-        M[a][a] = mp.re(M[a][a])
+        M[a][a] = (sum(x * x + y * y for x, y in ca), 0)
+        for b in range(a + 1, len(cols)):
+            re = im = 0
+            for (x, y), (u, v) in zip(ca, cols[b]):
+                re += x * u + y * v
+                im += y * u - x * v
+            M[a][b], M[b][a] = (re, im), (re, -im)
     return M
+
+
+def _outer_sum_mp(rows):
+    """:func:`_outer_sum` of rows of mpmath numbers, as mpc rows: every
+    nonzero entry is truncated to 2^-S with S = prec + 20 - the magnitude of
+    the smallest, so each keeps prec + 18 bits."""
+    S = mp.mp.prec + 20 - min(mp.mag(v) for r in rows for v in r if v)
+    return _from_fixed_rows(_outer_sum([[_fixed(v, S) for v in r] for r in rows]), 2 * S)
+
+
+def _from_fixed_rows(M, S):
+    return [[_from_fixed(x, y, S) for x, y in r] for r in M]
 
 
 def _frobenius_norm(rows):
     return mp.sqrt(sum(abs(v) ** 2 for r in rows for v in r))
 
 
-def _gradient(ws, n1):
-    """G = sum_j w_j w_j^H - m/(n+1) I for the unit images, as rows; returns
+def _gradient(ws, S, n1):
+    """G = sum_j w_j w_j^H - m/(n+1) I for the unit images at 2^-S, as rows
+    of Gaussian integers at 2^-2S, and its Frobenius norm as an mpf: returns
     (G, norm)."""
     G = _outer_sum(ws)
+    diag = (len(ws) << (2 * S)) // n1
     for a in range(n1):
-        G[a][a] -= mp.mpf(len(ws)) / n1
-    return G, _frobenius_norm(G)
+        G[a][a] = (G[a][a][0] - diag, 0)
+    return G, mp.mpf((math.isqrt(sum(x * x + y * y for row in G for x, y in row)), -2 * S))
 
 
 def _form_factor(Q, n1):
@@ -305,7 +378,7 @@ def eval_D(zc: ScaledCluster, Q: HermitianForm):
     Invariant under positive scaling of Q; rescaling one row by lambda adds
     log |lambda|^2.
     """
-    return _images(_form_factor(Q, zc.n + 1), zc.reps)[1]
+    return _images(_form_factor(Q, zc.n + 1), zc.reps)[2]
 
 
 def grad_D(zc: ScaledCluster, Q: HermitianForm) -> TangentDirection:
@@ -315,8 +388,9 @@ def grad_D(zc: ScaledCluster, Q: HermitianForm) -> TangentDirection:
     derivative of D along lambda -> S^H exp(lambda B) S equals the Frobenius
     pairing of the returned matrix with B, for every trace-free Hermitian B.
     """
-    G, _ = _gradient(_images(_form_factor(Q, zc.n + 1), zc.reps)[0], zc.n + 1)
-    return TangentDirection(G)
+    ws, S, _ = _images(_form_factor(Q, zc.n + 1), zc.reps)
+    G, _ = _gradient(ws, S, zc.n + 1)
+    return TangentDirection(_from_fixed_rows(G, 2 * S))
 
 
 def _trace_free_basis(n1):
@@ -329,10 +403,11 @@ def _trace_free_basis(n1):
     return basis
 
 
-def _newton_direction(wd, G, basis):
+def _newton_direction(wd, G, T, basis):
     """The Newton direction in hardware doubles: (B, e, slope, norm, fallback)
     for the direction 2^e B solving H[B] = -G, whose slope <G, 2^e B> is
-    2^(2e) ``slope`` and whose Frobenius norm is 2^e ``norm``.
+    2^(2e) ``slope`` and whose Frobenius norm is 2^e ``norm``, for G as rows
+    of Gaussian integers at 2^-T.
 
     G is divided by the power of two 2^e of its largest entry before it is
     rounded (the equation is linear in G), so that a gradient far below the
@@ -343,10 +418,11 @@ def _newton_direction(wd, G, basis):
     Cholesky factorization of H fails or B is not a finite descent direction.
     """
     n1, m = len(G), len(wd)
-    e = int(max(mp.mag(v) for row in G for v in row))
-    unit = mp.ldexp(1, -e)
-    Gd = [[complex(v * unit) for v in row] for row in G]
-    M = [[complex(v) + (m / n1 if a == b else 0) for b, v in enumerate(row)] for a, row in enumerate(G)]
+    e = max(max(abs(x), abs(y)).bit_length() for row in G for x, y in row) - T
+    unit, one = 1 << (T + e), 1 << T
+    Gd = [[complex(x / unit, y / unit) for x, y in row] for row in G]
+    M = [[complex(x / one, y / one) + (m / n1 if a == b else 0) for b, (x, y) in enumerate(row)]
+         for a, row in enumerate(G)]
     t = [[sum(c * w[b] * w[a].conjugate() for a, b, c in E).real for w in wd] for E in basis]
     g = [sum(c * Gd[b][a] for a, b, c in E).real for E in basis]
     d = len(basis)
@@ -410,8 +486,7 @@ def _expm1_in_doubles(B, p):
 def _change_in_doubles(wd, Y):
     """The change of D from Q = L L^H to L (I+Y) (I+Y)^H L^H, in doubles:
     sum_j log |(I+Y) w_j|^2 - 2m/(n+1) log det(I+Y) over the rounded unit
-    images w_j. D is invariant under scaling, so the step's rescaling to
-    determinant 1 does not change it. log det(I+Y) is twice the sum of the
+    images w_j. log det(I+Y) is twice the sum of the
     logs of its Cholesky diagonal, which raises NotPositiveDefiniteError
     where I + Y is not positive definite in doubles."""
     n1, m = len(Y), len(wd)
@@ -440,8 +515,8 @@ def _simplex_rows(cluster: PointCluster, units):
 def _inverse_outer_sum(rows):
     """The rows of (sum_j g_j g_j^H)^-1 = X^H X over the rows g_j, for X the
     inverse of the Cholesky factor of the sum; Hermitian by construction."""
-    X = _lower_inverse(hermitian_cholesky(_outer_sum(rows)))
-    return _outer_sum([[mp.conj(v) for v in row] for row in X])
+    X = _lower_inverse(hermitian_cholesky(_outer_sum_mp(rows)))
+    return _outer_sum_mp([[mp.conj(v) for v in row] for row in X])
 
 
 def _start(cluster: PointCluster, reps):
@@ -484,9 +559,22 @@ def _resolution(L):
     """2^(1-prec) * kappa(Q) for Q = L L^H, with kappa(Q) bounded by
     tr(Q) tr(Q^-1) = (|L|_F |L^-1|_F)^2: the gradient norm below which the
     rounding of Q itself decides G, since L is the exact factor only of a
-    form within 2^(-prec) |Q| of Q."""
-    norm2 = [mp.fsum((x for r in M for x in r), absolute=True, squared=True) for M in (L, _lower_inverse(L))]
-    return mp.eps * norm2[0] * norm2[1]
+    form within 2^(-prec) |Q| of Q. L^-1 comes by substitution in the
+    integers of :func:`_fixed_factor`, each entry truncated to 2^-S."""
+    S = _factor_bits(L)
+    Lf = _fixed_factor(L, S)
+    X = [[(0, 0)] * len(L) for _ in L]
+    for i, row in enumerate(Lf):
+        d = row[i][0]  # the real diagonal entry
+        X[i][i] = ((1 << (2 * S)) // d, 0)
+        for j in range(i):
+            re = im = 0
+            for (a, b), (x, y) in zip(row[j:i], (r[j] for r in X[j:i])):
+                re += a * x - b * y
+                im += a * y + b * x
+            X[i][j] = (-re // d, -im // d)
+    norm2 = [sum(x * x + y * y for r in M for x, y in r) for M in (Lf, X)]
+    return mp.mpf((norm2[0] * norm2[1], 1 - mp.mp.prec - 4 * S))
 
 
 def _newton(reps, n1, tol, initial):
@@ -496,8 +584,9 @@ def _newton(reps, n1, tol, initial):
     transcript lists (iteration, D, step) per iterate, ``step`` the
     :class:`NewtonStep` that reached it (None at the start).
 
-    The start is scaled to determinant 1. Each iteration is a step of
-    iterative refinement: the residual and the stop tests at the working
+    Each iteration is a step of
+    iterative refinement: the residual in the fixed-point kernel of
+    :func:`_images` and :func:`_gradient`, the stop tests at the working
     precision, the correction in hardware doubles. The loop has converged
     once the gradient norm is at most ``tol`` (stop "tol"), or once it is at
     most the resolution of Q = L L^H at the working precision
@@ -508,9 +597,12 @@ def _newton(reps, n1, tol, initial):
     precision, and a failure, as is a gradient above ``tol`` after
     NEWTON_ITERATIONS iterations. Otherwise the Newton direction B comes from
     :func:`_newton_direction`, good to about 50 bits, so that each iteration
-    gains 45 to 50 bits; Y = exp(lambda B/2) - I in doubles is applied at the
-    working precision as L <- L (I + Y), and L L^H is factored again and
-    scaled to determinant 1 through its Cholesky diagonal.
+    gains 45 to 50 bits; Y = exp(lambda B/2) - I in doubles is applied in
+    the kernel's integers as L <- L (I + Y), and L L^H, exact there, is
+    factored again at the working precision. D, G and the resolution do not
+    depend on the scale of Q, which the trace-free steps keep to about
+    2^-50 each, so only the last iterate is scaled to determinant 1, through
+    its Cholesky diagonal.
 
     The step length lambda halves from 1 until one of two tests holds; a
     value that overflows or is not finite in doubles rejects that lambda.
@@ -540,10 +632,8 @@ def _newton(reps, n1, tol, initial):
     m, max_iter = len(reps), NEWTON_ITERATIONS
     transcript, step, stop, failure = [], None, None, None
     for it in range(max_iter + 1):
-        scale = mp.exp(-_log_det(L) / (2 * n1))
-        Q, L = [[v * scale**2 for v in row] for row in Q], [[v * scale for v in row] for row in L]
-        ws, D = _images(L, reps)
-        G, gnorm = _gradient(ws, n1)
+        ws, S, D = _images(L, reps)
+        G, gnorm = _gradient(ws, S, n1)
         transcript.append((it, D, step))
         if gnorm <= tol:
             stop = "tol"
@@ -558,8 +648,9 @@ def _newton(reps, n1, tol, initial):
         if it == max_iter:
             failure = f"gradient norm {mp.nstr(gnorm, 8)} above tolerance after {it} iterations"
             break
-        wd = [[complex(c) for c in w] for w in ws]
-        B, e, slope, norm, fallback = _newton_direction(wd, G, basis)
+        one = 1 << S
+        wd = [[complex(x / one, y / one) for x, y in w] for w in ws]
+        B, e, slope, norm, fallback = _newton_direction(wd, G, 2 * S, basis)
         for h in itertools.count():
             length = math.ldexp(norm, e - h)  # lambda |B|_F at lambda = 2^-h
             if length <= 0.1:
@@ -576,11 +667,21 @@ def _newton(reps, n1, tol, initial):
                 certified_by = "armijo"
                 break
         Y, f = _expm1_in_doubles(B, e - h - 1)
-        unit = mp.ldexp(1, f)
-        Y = [[mp.mpc(y) * unit for y in row] for row in Y]
-        # Q1 = L (I+Y) (I+Y)^H L^H, summed over the columns of L (I+Y)
-        cols = [[L[a][k] + mp.fdot(L[a], [r[k] for r in Y]) for a in range(n1)] for k in range(n1)]
-        Q1 = _outer_sum(cols)
+        # Q1 = L (I+Y) (I+Y)^H L^H, exact at 2^-2S over the columns of
+        # L (I+Y), each entry L_ak + sum_c L_ac Y_ck truncated to 2^-S
+        Lf = _fixed_factor(L, S)
+        Yf = [[_fixed(y, S + f) for y in row] for row in Y]
+        cols = []
+        for k in range(n1):
+            col = []
+            for a, row in enumerate(Lf):
+                re = im = 0
+                for (x, y), (u, v) in zip(row[: a + 1], (r[k] for r in Yf)):
+                    re += x * u - y * v
+                    im += x * v + y * u
+                col.append((row[k][0] + (re >> S), row[k][1] + (im >> S)))
+            cols.append(col)
+        Q1 = _from_fixed_rows(_outer_sum(cols), 2 * S)
         try:
             L = hermitian_cholesky(Q1)
         except NotPositiveDefiniteError:
@@ -590,7 +691,8 @@ def _newton(reps, n1, tol, initial):
         step = NewtonStep(mp.ldexp(1, -h), mp.ldexp(slope, 2 * e), mp.ldexp(norm, e - h), certified_by)
     if failure is not None:
         failure += f", at the working precision of {mp.mp.prec} bits"
-    z = HermitianForm(Q)
+    scale = mp.exp(-_log_det(L) / n1)
+    z = HermitianForm([[v * scale for v in row] for row in Q])
     return CovariantResult(z, mp.e**D, it, gnorm, stop, tuple(transcript)), failure
 
 

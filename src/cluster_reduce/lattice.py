@@ -1,18 +1,17 @@
 """LLL reduction of positive definite Gram matrices with exact transform tracking.
 
-The algorithm works directly on the quadratic form: Gram-Schmidt data is kept
-in multiprecision floats while the accumulated basis change U is kept in exact
-integers, so U^T G U is exact in the congruence sense. Columns of U are the
-basis vectors. The Gram-Schmidt data is read off the Cholesky factor L of G
-once, as mu_ij = L_ij / L_jj and B_i = L_ii^2; after that size reduction
-updates one row of mu and a swap updates mu and B in O(n) (Cohen, A Course in
-Computational Algebraic Number Theory, 1993, Algorithm 2.6.3), so no Gram
-matrix is kept between steps. The Lovasz parameter is fixed at delta = 0.99:
-LLL stands in for the fundamental domain of the reduction theory, so delta is
-a convention of the program, not an input. Deterministic conventions: size
-reduction rounds half-integers toward zero, where any mu within 2^(-prec/2)
-of a half-integer counts as one (so rounding noise cannot decide a tie), and
-ties in the Lovasz comparison prefer not swapping.
+The algorithm works on the quadratic form in exact integers: the entries of
+G are dyadic, so G 2^-e is an integer matrix for their smallest exponent e,
+and the integral LLL of Cohen (A Course in Computational Algebraic Number
+Theory, 1993, Algorithm 2.6.7) decides every step on it by exact integer
+comparisons. The basis change U (its columns are the basis vectors) is kept
+in exact integers too, so U^T G U is exact in the congruence sense. The
+Lovasz parameter is fixed at delta = 0.99: LLL stands in for the fundamental
+domain of the reduction theory, so delta is a convention of the program, not
+an input. Deterministic conventions: size reduction rounds half-integers
+toward zero, where any mu within 2^(-prec/2) of a half-integer counts as one
+(so the error of a covariant cannot decide a tie), and ties in the Lovasz
+comparison prefer not swapping.
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ import mpmath as mp
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from ._precision import check_hermitian, half_eps, hermitian_cholesky, to_mpf
+from ._precision import _man_exp, check_hermitian, hermitian_cholesky, to_mpf
 from .errors import (
-    ConvergenceError,
     DimensionError,
     InputFormatError,
     NotPositiveDefiniteError,
@@ -127,15 +125,22 @@ class UnimodularTransform:
         return UnimodularTransform(tuple(tuple(r) for r in rows))
 
 
+def _integers(G: GramMatrix):
+    """(C, e) with C = G 2^-e exact integers, e the smallest exponent in G."""
+    me = [[_man_exp(v) for v in r] for r in G.matrix]
+    e = min(x for r in me for _, x in r)
+    return [[m << (x - e) for m, x in r] for r in me], e
+
+
 def congruence(G: GramMatrix, U: UnimodularTransform) -> GramMatrix:
-    """U^T G U, evaluated with the exact integer U: the upper triangle as one
-    fsum per entry, mirrored into the lower."""
-    n = G.size
-    g, u = G.matrix, U.matrix
+    """U^T G U with the exact integer U: each entry of the upper triangle is
+    exact over :func:`_integers`, then rounded once and mirrored."""
+    n, (g, e), u = G.size, _integers(G), U.matrix
     out = [[None] * n for _ in range(n)]
     for i in range(n):
+        gu = [sum(ga[b] * u[b][i] for b in range(n)) for ga in g]  # column i of G U
         for j in range(i, n):
-            out[i][j] = out[j][i] = mp.fsum(u[a][i] * g[a][b] * u[b][j] for a in range(n) for b in range(n))
+            out[i][j] = out[j][i] = mp.ldexp(sum(u[a][j] * gu[a] for a in range(n)), e)
     return GramMatrix(out)
 
 
@@ -151,18 +156,10 @@ def _gso(G: GramMatrix):
     return mu, [L[i][i] ** 2 for i in range(n)]
 
 
-# made once: 1/2; DELTA, the double nearest 0.99, which no precision rounds;
-# and the relative slack of is_lll_reduced
-_HALF = mp.mpf(0.5)
+# made once: DELTA, the double nearest 0.99, which no precision rounds, and
+# the relative slack of is_lll_reduced
 DELTA = mp.mpf(0.99)
 _SLACK = mp.mpf("1e-9")
-
-
-def _round_half_toward_zero(x, tie):
-    """Nearest integer to x, rounding toward zero any x within ``tie`` of a
-    half-integer: sign(x) * ceil(|x| - 1/2 - tie)."""
-    q = int(mp.ceil(abs(x) - _HALF - tie))
-    return -q if x < 0 else q
 
 
 def lll_reduce(G: GramMatrix):
@@ -172,48 +169,51 @@ def lll_reduce(G: GramMatrix):
     reduction (|mu_ij| <= 1/2 + 2^(-prec/2)) and the Lovasz condition at
     ``DELTA`` = 0.99. U has determinant +-1; callers needing determinant +1
     may flip a column sign, which preserves both conditions.
+
+    On C of :func:`_integers`, d[i+1] is the leading minor of size i+1 and
+    lam[i][j] = d[j+1] mu_ij: size reduction rounds mu = lam_kj / d_(j+1),
+    and b_(k-1), b_k swap where d_(k+1) d_(k-1) < DELTA d_k^2 - lam_k(k-1)^2.
     """
-    mu, B = _gso(G)
-    n = G.size
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    tie = half_eps()
-    rounds = 0
-    round_limit = 1000 * n * n * max(mp.mp.prec, 64)
+    _gso(G)
+    C, n, h = _integers(G)[0], G.size, mp.mp.prec // 2  # mu within 2^-h of a half-integer rounds toward zero
+    d, lam = [1] * (n + 1), [[0] * n for _ in range(n)]
+    for k in range(n):  # Cohen, Algorithm 2.6.7, step 2, on the lower triangle
+        for j in range(k + 1):
+            u = C[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            lam[k][j] = u
+        d[k + 1] = u
+        if u <= 0:
+            raise NotPositiveDefiniteError("Gram matrix is not positive definite")
+    U = [[int(i == j) for i in range(n)] for j in range(n)]  # the columns
     k = 1
     while k < n:
-        rounds += 1
-        if rounds > round_limit:
-            raise ConvergenceError(
-                "LLL failed to terminate; the Gram matrix is likely too "
-                "ill-conditioned for the working precision"
-            )
-        # size-reduce column k; this leaves all Gram-Schmidt vectors and all
-        # mu rows other than row k untouched, so only row k needs updating
+        # size-reduce column k, which changes row k of lam only
         for j in range(k - 1, -1, -1):
-            q = _round_half_toward_zero(mu[k][j], tie)
-            if q:
-                for a in range(n):
-                    U[a][k] -= q * U[a][j]
+            x, dj = lam[k][j], d[j + 1]
+            # ceil(|x| / dj - 1/2 - 2^-h), as minus the floor of its negative
+            q = -(((dj << h) + 2 * dj - (abs(x) << (h + 1))) // (dj << (h + 1)))
+            if q > 0:
+                q = -q if x < 0 else q
+                U[k] = [a - q * b for a, b in zip(U[k], U[j])]
                 for i in range(j):
-                    mu[k][i] -= q * mu[j][i]
-                mu[k][j] -= q
-        # strict inequality: on ties prefer not swapping
-        m = mu[k][k - 1]
-        if B[k] < (DELTA - m**2) * B[k - 1]:
-            for a in range(n):
-                U[a][k], U[a][k - 1] = U[a][k - 1], U[a][k]
-            # exchange b_{k-1} and b_k (Cohen, Algorithm 2.6.3, sub-algorithm SWAP)
-            Bnew = B[k] + m**2 * B[k - 1]
-            mu[k - 1], mu[k] = mu[k][: k - 1], mu[k - 1] + [m * B[k - 1] / Bnew]
-            B[k - 1], B[k] = Bnew, B[k - 1] * B[k] / Bnew
-            for row in mu[k + 1 :]:
-                t = row[k]
-                row[k] = row[k - 1] - m * t
-                row[k - 1] = t + mu[k][k - 1] * row[k]
+                    lam[k][i] -= q * lam[j][i]
+                lam[k][j] -= q * dj
+        m = lam[k][k - 1]  # the Lovasz test is strict: on ties prefer not swapping
+        if (d[k + 1] * d[k - 1] + m * m) << -DELTA.exp < DELTA.man * d[k] * d[k]:
+            U[k - 1], U[k] = U[k], U[k - 1]
+            # exchange b_(k-1) and b_k (Cohen, Algorithm 2.6.7, sub-algorithm SWAP)
+            lam[k - 1][: k - 1], lam[k][: k - 1] = lam[k][: k - 1], lam[k - 1][: k - 1]
+            new = (d[k - 1] * d[k + 1] + m * m) // d[k]
+            for row in lam[k + 1 :]:
+                t, row[k] = row[k], (d[k + 1] * row[k - 1] - m * row[k]) // d[k]
+                row[k - 1] = (new * t + m * row[k]) // d[k + 1]
+            d[k] = new
             k = max(k - 1, 1)
         else:
             k += 1
-    transform = UnimodularTransform(tuple(tuple(row) for row in U))
+    transform = UnimodularTransform(tuple(zip(*U)))
     return congruence(G, transform), transform
 
 
@@ -224,7 +224,7 @@ def is_lll_reduced(G: GramMatrix) -> bool:
     n = G.size
     for i in range(n):
         for j in range(i):
-            if abs(mu[i][j]) > _HALF * (1 + _SLACK):
+            if abs(mu[i][j]) > (1 + _SLACK) / 2:
                 return False
     for k in range(1, n):
         lhs = B[k]

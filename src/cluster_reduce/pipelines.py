@@ -51,6 +51,18 @@ class ReductionReport:
     extras: dict = field(default_factory=dict)
 
 
+# the largest degrees the form pipelines take, checked before any exact
+# algebra: x0^N + x1^N takes about 1 s at N = 100 and 16 s at N = 400, and
+# a ternary form with small coefficients about 4 s at degree 8 (README)
+MAX_BINARY_DEGREE = 100
+MAX_TERNARY_DEGREE = 8
+
+
+def _require_degree_at_most(F: MultiPoly, bound: int, what: str):
+    if F.total_degree() > bound:
+        raise InputFormatError(f"{what} of degree {F.total_degree()} is above the bound of {bound}")
+
+
 def _require_exact_integer(F: MultiPoly, what: str):
     for _, c in F.terms:
         if not isinstance(c, int):
@@ -149,12 +161,14 @@ def reduce_binary_form(F: MultiPoly, prec=None) -> ReductionReport:
 
     Cubics use the closed-form covariant of three points in general position;
     higher degrees run the covariant solver. The returned transform U
-    substitutes into the form: reduced = F(U x).
+    substitutes into the form: reduced = F(U x). A degree above
+    ``MAX_BINARY_DEGREE`` raises InputFormatError.
     """
     if F.nvars != 2:
         raise InputFormatError("binary form must have 2 variables")
     if not F.is_homogeneous() or F.total_degree() < 3:
         raise InputFormatError("need a homogeneous binary form of degree >= 3")
+    _require_degree_at_most(F, MAX_BINARY_DEGREE, "binary form")
     with working_precision(prec):
         # the exact class from one squarefree split (a factor x1 counts roots
         # at infinity): classify's margin d - 2 max k; split at <= 2 roots
@@ -317,13 +331,15 @@ def reduce_ternary_form(F: MultiPoly, prec=None, seed=0) -> ReductionReport:
     covariant, flexes (placed at U0 v), H and transform refer to F.
     ``diagnostics["preconditioning"]`` records the passes and U0.
 
-    Default precision is 212 bits for degree <= 3 and 424 bits above.
+    Default precision is 212 bits for degree <= 3 and 424 bits above. A
+    degree above ``MAX_TERNARY_DEGREE`` raises InputFormatError.
     """
     if F.nvars != 3:
         raise InputFormatError("ternary form must have 3 variables")
     d = F.total_degree()
     if not F.is_homogeneous() or d < 3:
         raise InputFormatError("need a homogeneous ternary form of degree >= 3")
+    _require_degree_at_most(F, MAX_TERNARY_DEGREE, "ternary form")
     _require_exact_integer(F, "ternary form")
     if prec is None:
         prec = 212 if d <= 3 else 424

@@ -39,7 +39,7 @@ import sympy as sp
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.rings import PolyRing
 
-from ._precision import half_eps, to_mpc
+from ._precision import _fixed, _from_fixed, half_eps, to_mpc
 from .cluster_core import PointCluster, ProjectivePoint
 from .errors import (
     CommonComponentError,
@@ -513,32 +513,6 @@ def _aberth(cs, z, maxsteps):
     return z
 
 
-def _man_exp(x) -> tuple:
-    """(m, e) with x = m 2^e exactly for a finite mpf x, read from its
-    ``_mpf_`` = (sign, mantissa, exponent, bits); ``man_exp`` would drop the
-    sign. Raises InputFormatError on an infinity or a NaN."""
-    sign, man, exp, _ = x._mpf_
-    if not man and exp:
-        raise InputFormatError(f"{x} is not finite")
-    return (-man if sign else man), exp
-
-
-def _fixed(z, S) -> tuple:
-    """The finite mpc z as the Gaussian integer (X, Y) with
-    (X + iY) 2^-S = z, each part rounded toward zero."""
-    out = []
-    for m, e in (_man_exp(z.real), _man_exp(z.imag)):
-        e += S
-        v = abs(m) << e if e >= 0 else abs(m) >> -e
-        out.append(-v if m < 0 else v)
-    return tuple(out)
-
-
-def _from_fixed(X, Y, S):
-    """(X + iY) 2^-S as an mpc at the ambient precision."""
-    return mp.mpc(mp.ldexp(X, -S), mp.ldexp(Y, -S))
-
-
 def _horner_fixed(A, x, y, S) -> tuple:
     """p(z) and p'(z) at z = (x + iy) 2^-S by a joint Horner scheme in Python
     integers, for the descending integers ``A`` of p at scale 2^-S (each a
@@ -553,15 +527,15 @@ def _horner_fixed(A, x, y, S) -> tuple:
     return p, q, dp, dq
 
 
-def _aberth_fixed(A, z, prec, guard, maxsteps):
+def _aberth_fixed(A, z):
     """Aberth-Ehrlich sweeps in Python integers over the descending integers
-    ``A`` from the start points ``z`` (nonzero mpc); returns the roots as mpc
-    at the ambient precision.
+    ``A`` of degree d from the start points ``z`` (nonzero mpc); returns the
+    roots as mpc at the ambient precision prec.
 
     Each iterate is a pair of integers (X, Y) for (X + iY) 2^-S, where S is
-    the target precision ``prec`` plus ``guard`` bits, widened by log2 of the
-    largest start and by -log2 of the smallest, so that the roots and the
-    Aberth sums s = sum_j 1/(z - z_j) keep prec + guard bits. Horner's pair
+    prec plus 20 + 2d guard bits, widened by log2 of the largest start and
+    by -log2 of the smallest, so that the roots and the Aberth sums
+    s = sum_j 1/(z - z_j) keep prec + 20 + 2d bits. Horner's pair
     (:func:`_horner_fixed`), s and the correction w = p / (p' - p s) (the
     Newton step p / p' over 1 - (p / p') s) are integer products, shifts and
     floor divisions. A root stops once |p(x)| is within four times the
@@ -569,10 +543,11 @@ def _aberth_fixed(A, z, prec, guard, maxsteps):
     (MPSolve's rule, Bini & Fiorentino, Numer. Algorithms 23, 2000, restated
     for this arithmetic), or once |w| <= 2^-prec max(1, |x|). Raises
     ConvergenceError, with the current approximations as ``best``, when some
-    root meets neither test within ``maxsteps`` sweeps."""
-    d = len(z)
+    root meets neither test within ``ABERTH_SWEEPS`` sweeps (the module
+    constant, read at each call)."""
+    d, prec = len(z), mp.mp.prec
     mags = [mp.mag(r) for r in z]
-    S = prec + guard + max([0, *mags]) + max([0, *(-m for m in mags)])
+    S = prec + 20 + 2 * d + max([0, *mags]) + max([0, *(-m for m in mags)])
     one = 1 << S
     A = [a << S for a in A]
     X, Y = (list(t) for t in zip(*(_fixed(r, S) for r in z)))
@@ -586,7 +561,7 @@ def _aberth_fixed(A, z, prec, guard, maxsteps):
         X[i] += ((x - sign * y) * t) >> 47
         Y[i] += ((y + sign * x) * t) >> 47
 
-    for _ in range(maxsteps):
+    for _ in range(ABERTH_SWEEPS):
         if all(converged):
             break
         for i in range(d):
@@ -632,7 +607,7 @@ def _aberth_fixed(A, z, prec, guard, maxsteps):
     roots = [_from_fixed(x, y, S) for x, y in zip(X, Y)]
     if not all(converged):
         raise ConvergenceError(
-            f"{d - sum(converged)} of {d} roots did not converge in {maxsteps} Aberth sweeps",
+            f"{d - sum(converged)} of {d} roots did not converge in {ABERTH_SWEEPS} Aberth sweeps",
             best=roots,
         )
     return roots
@@ -688,7 +663,7 @@ def aberth_roots(coeffs):
     if d == 0:
         return [mp.mpc(0)] * zero_roots
     try:
-        roots = _aberth_fixed(coeffs, _starts(coeffs), mp.mp.prec, 20 + 2 * d, ABERTH_SWEEPS)
+        roots = _aberth_fixed(coeffs, _starts(coeffs))
     except ConvergenceError as exc:
         exc.best = exc.best + [mp.mpc(0)] * zero_roots
         raise

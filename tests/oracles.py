@@ -131,13 +131,21 @@ def oracle_tyler_covariant(cluster, tol=1e-13, max_iter=100000):
 
 def oracle_best_diagonal(G, bound=3):
     """Lexicographically smallest sorted diagonal of U^T G U over integer U
-    with |entries| <= bound and det = +-1 (exhaustive, numpy)."""
+    with |entries| <= bound and det = +-1 (exhaustive, numpy).
+
+    The vectors v_i are visited in increasing q_i = v_i^T G v_i; each is
+    tried with every pair v_j, v_k, as the smallest entry of the diagonals
+    it gives. The search stops once q_i exceeds the first entry of the best
+    diagonal so far: a column v_i there only makes diagonals whose smallest
+    entry is larger."""
     G = np.asarray(G, dtype=np.int64)
     rng = range(-bound, bound + 1)
     vecs = np.array(list(itertools.product(rng, repeat=3)), dtype=np.int64)
     q = np.einsum("vi,ij,vj->v", vecs, G, vecs)
     best = None
-    for i in range(len(vecs)):
+    for i in np.argsort(q, kind="stable"):
+        if best is not None and q[i] > best[0]:
+            break
         cross_i = np.cross(np.broadcast_to(vecs[i], vecs.shape), vecs)
         dets = cross_i @ vecs.T  # dets[j, k] = det(v_i, v_j, v_k)
         jj, kk = np.nonzero(np.abs(dets) == 1)
@@ -348,3 +356,74 @@ def oracle_bini_initial_points(coeffs):
             theta = 2 * mp.pi * (j + mp.mpf("0.25")) / width + mp.mpf("0.6180339887") * (seg + 1)
             out.append(r * (mp.cos(theta) + 1j * mp.sin(theta)))
     return out
+
+
+def oracle_images(L, reps):
+    """``covariant._images`` as it ran in mpmath at the ambient precision
+    before it ran in Python integers: the images u_j = L^H P_j by ``fdot``,
+    their squared norms by ``fsum``, the unit images u_j / |u_j|, and
+    D = sum_j log |u_j|^2 - m/(n+1) log det(L L^H); returns (ws, D)."""
+    cols, ws, logs = list(zip(*L)), [], []
+    for row in reps:
+        u = [mp.fdot(row, col, conjugate=True) for col in cols]
+        nrm2 = mp.fsum(u, absolute=True, squared=True)
+        nrm = mp.sqrt(nrm2)
+        ws.append([c / nrm for c in u])
+        logs.append(mp.log(nrm2))
+    log_det = 2 * mp.fsum(mp.log(row[i]) for i, row in enumerate(L))
+    return ws, mp.fsum(logs) - mp.mpf(len(reps)) / len(L) * log_det
+
+
+def oracle_gradient(ws, n1):
+    """``covariant._gradient`` as it ran in mpmath: G = sum_j w_j w_j^H -
+    m/(n+1) I, each entry one ``fdot`` over the unit images, and its
+    Frobenius norm; returns (G, norm)."""
+    cols = list(zip(*ws))
+    G = [[mp.fdot(ca, cb, conjugate=True) for cb in cols] for ca in cols]
+    for a in range(n1):
+        G[a][a] = mp.re(G[a][a]) - mp.mpf(len(ws)) / n1
+    return G, mp.sqrt(sum(abs(v) ** 2 for r in G for v in r))
+
+
+def oracle_lll_in_mpmath(G):
+    """The transform of ``lattice.lll_reduce`` as it ran in mpmath before it
+    ran on the rounded integer Gram: mu and B read off the library's Cholesky
+    factor of the rows ``G`` at the ambient precision (shared on purpose, so
+    that the transforms can be compared for equality), size reduction
+    toward zero within 2^(-prec/2) of a half-integer, and Cohen's
+    Algorithm 2.6.3 swap on mu and B at the working precision."""
+    from cluster_reduce._precision import hermitian_cholesky
+
+    n = len(G)
+    L = hermitian_cholesky([[mp.mpf(v) for v in r] for r in G])
+    mu = [[L[i][j] / L[j][j] for j in range(i)] for i in range(n)]
+    B = [L[i][i] ** 2 for i in range(n)]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    tie, delta = mp.mpf(2) ** (-mp.mp.prec // 2), mp.mpf(0.99)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            x = mu[k][j]
+            q = int(mp.ceil(abs(x) - mp.mpf(0.5) - tie))
+            q = -q if x < 0 else q
+            if q:
+                for a in range(n):
+                    U[a][k] -= q * U[a][j]
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
+        m = mu[k][k - 1]
+        if B[k] < (delta - m**2) * B[k - 1]:
+            for a in range(n):
+                U[a][k], U[a][k - 1] = U[a][k - 1], U[a][k]
+            Bnew = B[k] + m**2 * B[k - 1]
+            mu[k - 1], mu[k] = mu[k][: k - 1], mu[k - 1] + [m * B[k - 1] / Bnew]
+            B[k - 1], B[k] = Bnew, B[k - 1] * B[k] / Bnew
+            for row in mu[k + 1 :]:
+                t = row[k]
+                row[k] = row[k - 1] - m * t
+                row[k - 1] = t + mu[k][k - 1] * row[k]
+            k = max(k - 1, 1)
+        else:
+            k += 1
+    return tuple(tuple(row) for row in U)

@@ -39,6 +39,8 @@ from conftest import (
 from oracles import (
     fd_directional_derivative,
     fd_second_difference,
+    oracle_gradient,
+    oracle_images,
     oracle_tyler_covariant,
     oracle_tyler_in_doubles,
     transported_curve,
@@ -185,6 +187,97 @@ class TestGradD:
         zc = normalize_cluster(random_cluster(rnd, 2, 4))
         G = grad_D(zc, HermitianForm.from_matrix(random_pd_hermitian(rnd, 3)))
         G.check()
+
+
+_UNIT = st.floats(-1, 1, allow_nan=False)
+
+
+@st.composite
+def factors_and_rows(draw):
+    """(prec, L, reps): a lower triangular factor L at prec bits whose entries
+    span 2^+-spread, and m unit rows, of which those drawn ``toward_kernel``
+    are L^-H v normalized, so that their images L^H P are as small as L
+    allows and the sums that make them cancel."""
+    from cluster_reduce.covariant import _lower_inverse
+
+    prec = draw(st.sampled_from([53, 212, 424]))
+    n1 = draw(st.integers(2, 4))
+    spread = draw(st.sampled_from([0, 10, 100]))
+    expo = st.integers(-spread, spread)
+    with mp.workprec(prec):
+        L = [[mp.mpc(0)] * n1 for _ in range(n1)]
+        for i in range(n1):
+            L[i][i] = mp.ldexp(draw(st.floats(0.5, 1.5)), draw(expo))
+            for j in range(i):
+                e = draw(expo)
+                L[i][j] = mp.mpc(mp.ldexp(draw(_UNIT), e), mp.ldexp(draw(_UNIT), e))
+        X = _lower_inverse(L)
+        reps = []
+        for _ in range(n1 + draw(st.integers(1, 3))):
+            v = [mp.mpc(draw(_UNIT), draw(_UNIT)) for _ in range(n1)]
+            if draw(st.booleans()):  # toward_kernel
+                v = [mp.fsum(mp.conj(X[b][a]) * v[b] for b in range(n1)) for a in range(n1)]
+            norm = mp.sqrt(mp.fsum(abs(c) ** 2 for c in v))
+            assume(norm > 0)
+            reps.append([c / norm for c in v])
+    return prec, L, reps
+
+
+class TestFixedPointKernel:
+    """The images, D and G in Python integers against their mpmath form."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(factors_and_rows())
+    def test_no_less_accurate_than_mpmath(self, case):
+        # both against the mpmath form at 4x the precision on the same
+        # inputs; "no less accurate" up to 2^-10 units of the precision:
+        # both round their results to prec bits, and a part far below the
+        # rest is truncated at 2^-S, where mpmath keeps its relative digits
+        from cluster_reduce.covariant import _from_fixed_rows, _gradient, _images
+
+        prec, L, reps = case
+        n1 = len(L)
+        with mp.workprec(prec):
+            w_mp, D_mp = oracle_images(L, reps)
+            G_mp, norm_mp = oracle_gradient(w_mp, n1)
+            w_fx, S, D_fx = _images(L, reps)
+            G_fx, norm_fx = _gradient(w_fx, S, n1)
+            w_fx, G_fx = _from_fixed_rows(w_fx, S), _from_fixed_rows(G_fx, 2 * S)
+        with mp.workprec(4 * prec):
+            w, D = oracle_images(L, reps)
+            G, norm = oracle_gradient(w, n1)
+
+            def err(A, B):
+                return max(abs(a - b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+
+            floor = mp.ldexp(1, -prec - 10)
+            assert err(w_fx, w) <= err(w_mp, w) + floor
+            assert abs(D_fx - D) <= abs(D_mp - D) + floor * max(1, abs(D))
+            assert err(G_fx, G) <= err(G_mp, G) + floor * len(reps)
+            assert abs(norm_fx - norm) <= abs(norm_mp - norm) + floor * len(reps)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(factors_and_rows())
+    def test_keeps_twenty_guard_bits(self, case):
+        # the integers themselves, before any rounding to prec bits: each
+        # image L^H P_j is within 2^-(prec+20) of its norm, so the unit
+        # images are within 2^-(prec+18) and G within m 2^-(prec+16)
+        from cluster_reduce.covariant import _from_fixed_rows, _gradient, _images
+
+        prec, L, reps = case
+        n1, m = len(L), len(reps)
+        with mp.workprec(prec):
+            w_fx, S, _ = _images(L, reps)
+            G_fx, _ = _gradient(w_fx, S, n1)
+        with mp.workprec(4 * prec):
+            w, _ = oracle_images(L, reps)
+            G, _ = oracle_gradient(w, n1)
+
+            def err(A, B):
+                return max(abs(a - b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+
+            assert err(_from_fixed_rows(w_fx, S), w) <= mp.ldexp(1, -prec - 18)
+            assert err(_from_fixed_rows(G_fx, 2 * S), G) <= m * mp.ldexp(1, -prec - 16)
 
 
 class TestMinimize:

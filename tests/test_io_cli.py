@@ -22,6 +22,7 @@ from cluster_reduce import (
 from cluster_reduce import io as cio
 from cluster_reduce.cli import main
 from cluster_reduce.errors import InputFormatError
+from cluster_reduce.pipelines import MAX_BINARY_DEGREE, MAX_TERNARY_DEGREE
 
 from conftest import PENCIL_CUBIC, PENCIL_Q1, PENCIL_Q2
 
@@ -482,6 +483,25 @@ class TestCli:
         path = self._write(tmp_path, "cubic.txt", "x^3 + y^3 + z^3 + x y z")
         result = CliRunner().invoke(main, ["reduce-ternary", path, "--prec", "212"])
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize(
+        "command, form, bound",
+        [
+            ("reduce-binary", "x0^{d} + x1^{d}", MAX_BINARY_DEGREE),
+            ("reduce-ternary", "x0^{d} + x1^{d} + x2^{d}", MAX_TERNARY_DEGREE),
+        ],
+    )
+    def test_degree_bound(self, tmp_path, command, form, bound, monkeypatch):
+        # at the bound the form reduces; one degree above it is an input
+        # error, one line and exit 4, raised before any exact algebra
+        from cluster_reduce import polyalg
+
+        at = CliRunner().invoke(main, [command, self._write(tmp_path, "at.txt", form.format(d=bound))])
+        assert at.exit_code == 0, at.output
+        monkeypatch.setattr(polyalg.MultiPoly, "to_sympy", None)
+        above = CliRunner().invoke(main, [command, self._write(tmp_path, "above.txt", form.format(d=bound + 1))])
+        assert above.exit_code == 4
+        assert above.output.splitlines() == [f"input error: {command[7:]} form of degree {bound + 1} is above the bound of {bound}"]
 
     def test_report_carries_theta_and_nodes(self, tmp_path):
         Z = cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 5, 1))

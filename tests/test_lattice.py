@@ -1,10 +1,11 @@
 """Gram-matrix LLL with exact unimodular bookkeeping."""
 
+import math
 import random
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cluster_reduce import (
@@ -26,6 +27,7 @@ from oracles import (
     oracle_int_det,
     oracle_int_inverse,
     oracle_int_product,
+    oracle_lll_in_mpmath,
     oracle_lll_transform,
 )
 
@@ -198,6 +200,50 @@ class TestLllReduce:
                 ]
                 _, U = lll_reduce(GramMatrix(tuple(map(tuple, G))))
                 assert U.matrix == oracle_lll_transform(G), G
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([113, 212]),
+        st.integers(2, 6).flatmap(
+            lambda n: st.integers(1, 20).flatmap(
+                lambda k: st.lists(st.lists(st.integers(-(2**k), 2**k), min_size=n, max_size=n), min_size=n, max_size=n)
+            )
+        ),
+    )
+    def test_integral_lll_matches_the_exact_oracle(self, bits, A):
+        # G = A^T A + I is exact at the working precision, so its integers
+        # only scale it by a power of two
+        n = len(A)
+        G = [[sum(A[t][i] * A[t][j] for t in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+        with mp.workprec(bits):
+            _, U = lll_reduce(GramMatrix(tuple(map(tuple, G))))
+        assert U.matrix == oracle_lll_transform(G)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.lists(st.floats(-1, 1), min_size=3, max_size=3), min_size=3, max_size=3),
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+        st.integers(-300, 300),
+    )
+    def test_double_pass_grams_keep_the_mpmath_transform(self, A, shear, scale):
+        # the Grams of the ternary pipeline's passes in doubles: a real form
+        # in doubles at any scale, floored at 2^-45 of its largest diagonal
+        # entry and reduced at 53 bits. The integer Gram follows the scale
+        # of the entries; at a fixed scale a Gram far below 1 would round to
+        # the zero matrix. A is kept away from singular: where doubles
+        # resolve the form only to its floor, the floor decides LLL in
+        # either arithmetic
+        det = sum(A[0][i] * (A[1][(i + 1) % 3] * A[2][(i + 2) % 3] - A[1][(i + 2) % 3] * A[2][(i + 1) % 3]) for i in range(3))
+        assume(abs(det) >= 0.05)
+        a, b, c = shear
+        V = [[1, 0, 0], [a, 1, 0], [b, c, 1]]
+        rows = [[sum(A[i][k] * V[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+        Q = [[math.ldexp(sum(r[i] * r[j] for r in rows), scale) for j in range(3)] for i in range(3)]
+        floor = 2.0**-45 * max(Q[i][i] for i in range(3))
+        with mp.workprec(53):
+            G = [[Q[i][j] + (floor if i == j else 0) for j in range(3)] for i in range(3)]
+            _, U = lll_reduce(GramMatrix(G))
+            assert U.matrix == oracle_lll_in_mpmath(G)
 
     def test_factors_the_gram_matrix_once(self, monkeypatch, rnd):
         import cluster_reduce.lattice as lattice

@@ -486,8 +486,8 @@ class TestPreconditioning:
         intersect, sub = pipelines.curve_intersection, polyalg.substitute
         gradient, norms = covariant._gradient, []
 
-        def recorded_gradient(ws, n1):
-            G, gnorm = gradient(ws, n1)
+        def recorded_gradient(ws, S, n1):
+            G, gnorm = gradient(ws, S, n1)
             norms.append(gnorm)
             return G, gnorm
 
