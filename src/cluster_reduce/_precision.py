@@ -13,13 +13,13 @@ doubles alike: it takes rows and computes in the arithmetic of their
 entries, and its one pivot test rejects every pivot that is not positive
 and finite. It gives the factor, the determinant (twice the sum of the logs
 of its diagonal) and, with the covariant's ``_lower_inverse``, the inverse
-X^H X for X = L^-1; no other determinant or inverse is taken of a Hermitian
-form. :func:`check_hermitian` is the one symmetry test beside it.
+factor L^-1; no other determinant or inverse is taken of a Hermitian form.
+:func:`check_hermitian` is the one symmetry test beside it.
 
 The fixed-point kernels (Aberth's second phase, the fiber points and
-``MultiPoly.evaluate`` in ``polyalg``, the covariant's Newton residual, and
-LLL's exact Gram) hold numbers as integers at a scale 2^-S. They share the
-three conversions: :func:`_man_exp` reads an mpf or float as m 2^e exactly,
+``MultiPoly.evaluate`` in ``polyalg``, the covariant's Newton residual and
+closed form, and LLL's exact Gram) hold numbers as integers at a scale
+2^-S. They share the three conversions: :func:`_man_exp` reads an mpf or float as m 2^e exactly,
 :func:`_fixed` truncates a number to a Gaussian integer at 2^-S, and
 :func:`_from_fixed` rounds one back to the working precision.
 """

@@ -81,7 +81,9 @@ class ProjectivePoint:
         return len(self.coords) - 1
 
     def norm(self):
-        return mp.sqrt(sum(abs(c) ** 2 for c in self.coords))
+        """The Hermitian norm: one square root of the sum of squares, which
+        ``fsum`` forms exactly and rounds once."""
+        return mp.sqrt(mp.fsum(self.coords, absolute=True, squared=True))
 
     def unit(self) -> tuple:
         """Coordinates rescaled to Hermitian norm 1."""
@@ -341,11 +343,6 @@ def _adapted_basis(units):
         if idx < len(units):
             kept.append(idx)
     return basis, kept
-
-
-def rank_of(points) -> int:
-    """Numerical rank of the coordinate vectors of the given points."""
-    return len(_adapted_basis([p.unit() for p in points])[1])
 
 
 def phi(cluster: PointCluster, k: int) -> int:

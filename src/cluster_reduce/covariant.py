@@ -36,10 +36,12 @@ which the rounding of Q decides it, provided its square is at most
 2^(-prec/2); a gradient stuck above that, or above the tolerance after
 NEWTON_ITERATIONS iterations, raises ConvergenceError. The start is the
 closed form (sum_j g_j g_j^H)^-1 over n+2 points in general position scaled
-by simplex weights, which is exact, taken as X^H X for X = K^-1 and the
-Cholesky factor K of the sum, and otherwise the covariant in hardware
-doubles: Tyler's fixed-point iteration in the same chart, in Python's
-built-in complex, which the preconditioning passes of the ternary pipeline
+by simplex weights, which is exact: a second fixed-point kernel inverts the
+first n+1 points by Gauss-Jordan elimination in Gaussian integers at a
+scale widened by the magnitudes of its pivots, and forms the inverse of the
+sum exactly there as an outer sum. Otherwise the start is the covariant in
+hardware doubles: Tyler's fixed-point iteration in the same chart, in
+Python's built-in complex, which the preconditioning passes of the ternary pipeline
 run too, or its last iterate where it does not settle; the identity where
 either fails or is not positive definite and finite. Newton then only
 refines it, gaining 45 to 50 bits per iteration. Every Hermitian form is
@@ -73,11 +75,9 @@ from .cluster_core import (
     PointCluster,
     ScaledCluster,
     _adapted_basis,
-    _column_matrix,
     _component_clusters,
     classify,
     normalize_cluster,
-    rank_of,
 )
 from .errors import (
     ConvergenceError,
@@ -237,7 +237,7 @@ class DivergenceWitness:
         chop = half_eps() ** 2
         total = mp.mpf(0)
         for row in zc.reps:
-            nrm2 = sum(abs(c) ** 2 for c in row)
+            nrm2 = mp.fsum(row, absolute=True, squared=True)
             w2 = [abs(sum(mp.conj(b[i]) * c for b, c in zip(B, row))) ** 2 for i in range(len(B))]
             total += mp.log(
                 mp.fsum(e * w for e, w in zip(evals, w2) if w > chop * nrm2)
@@ -346,7 +346,7 @@ def _from_fixed_rows(M, S):
 
 
 def _frobenius_norm(rows):
-    return mp.sqrt(sum(abs(v) ** 2 for r in rows for v in r))
+    return mp.sqrt(mp.fsum((v for r in rows for v in r), absolute=True, squared=True))
 
 
 def _gradient(ws, S, n1):
@@ -498,45 +498,87 @@ def _change_in_doubles(wd, Y):
     return total
 
 
-def _simplex_rows(cluster: PointCluster, units):
-    """Rows c_0 u_0, ..., c_n u_n, u_(n+1) for the unit points u_j of n+2
-    points, with u_(n+1) = sum_i c_i u_i: over these rows g_j,
-    (sum_j g_j g_j^H)^-1 is the covariant. Raises DegeneratePositionError
-    unless the points are in general position."""
-    n1 = cluster.n + 1
-    if rank_of(cluster.points[:n1]) < n1:
-        raise DegeneratePositionError("the first n+1 points are linearly dependent")
-    coeff = mp.lu_solve(_column_matrix(units[:n1]), mp.matrix(units[n1]))
-    if any(abs(coeff[i]) < half_eps() for i in range(n1)):
-        raise DegeneratePositionError("the last point lies in a coordinate subspace of the others")
-    return [[coeff[i] * c for c in units[i]] for i in range(n1)] + [units[n1]]
+def _simplex_form(units):
+    """n+2 times the closed-form covariant of n+2 unit points u_0, ...,
+    u_(n+1) in general position, as mpc rows: conj(Y) ((n+2) I - J) Y^T for
+    Y = V^-1 diag(1/c), V the rows u_0, ..., u_n and c = u_(n+1) V^-1. Over
+    the rows g_i = c_i u_i and g_(n+1) = u_(n+1) this is (n+2) times
+    (sum_j g_j g_j^H)^-1, since the sum is V^T diag(c) (I + J) diag(conj c)
+    conj(V) and (I + J)^-1 = I - J/(n+2).
 
+    It runs on Gaussian integers at scale 2^-T: V^-1 by Gauss-Jordan
+    elimination with partial pivoting, c exact at 2^-2T, Y by one division
+    per entry, and the form exact at 2^-2T as the outer sum over the columns
+    y_i of Y and their differences y_i - y_k, i < k, which is
+    (n+2) sum_i y_i y_i^H - s s^H for s = sum_i y_i: positive definite by
+    construction. A pivot or a c_i of modulus below 2^(-prec/2) raises
+    DegeneratePositionError.
 
-def _inverse_outer_sum(rows):
-    """The rows of (sum_j g_j g_j^H)^-1 = X^H X over the rows g_j, for X the
-    inverse of the Cholesky factor of the sum; Hermitian by construction."""
-    X = _lower_inverse(hermitian_cholesky(_outer_sum_mp(rows)))
-    return _outer_sum_mp([[mp.conj(v) for v in row] for row in X])
+    T = prec + 20 + 2b + 3 + w, with the guard bits of :func:`_factor_bits`.
+    The truncation moves V by about 2^-T. V has unit rows, so its cofactors
+    are at most 1 (Hadamard) and |V^-1| <= 1/|det V| <= 2^(n1 - sum_k mag p_k)
+    over the pivots p_k; each column of Y then moves, relative to itself, by
+    about 2^-T |V^-1| max|c| / min|c|, hence w = n1 - sum_k mag p_k +
+    mag max|c| - mag min|c|. w is read off an elimination with 32 bits to
+    spare, which is repeated, again with 32 to spare, only where w exceeds
+    them."""
+    n1, prec = len(units) - 1, mp.mp.prec
+    base = prec + 20 + 2 * n1.bit_length() + 3
+    T = base + 32
+    while True:
+        one = 1 << T
+        pts = [[_fixed(c, T) for c in u] for u in units]
+        A = [row + [(one if a == i else 0, 0) for a in range(n1)] for i, row in enumerate(pts[:n1])]
+        w = n1
+        for k in range(n1):
+            r = max(range(k, n1), key=lambda i: A[i][k][0] ** 2 + A[i][k][1] ** 2)
+            A[k], A[r] = A[r], A[k]
+            px, py = A[k][k]
+            p2 = px * px + py * py
+            if p2 < 1 << (2 * T - 2 * (prec // 2)):
+                raise DegeneratePositionError("the first n+1 points are linearly dependent")
+            w -= (p2.bit_length() + 1) // 2 - T
+            # columns before k are 0 in every row but their own pivot's
+            piv = A[k][k:] = [(((x * px + y * py) << T) // p2, ((y * px - x * py) << T) // p2)
+                              for x, y in A[k][k:]]
+            for row in A[:k] + A[k + 1 :]:
+                a, b = row[k]
+                row[k:] = [(x - ((a * u - b * v) >> T), y - ((a * v + b * u) >> T))
+                           for (x, y), (u, v) in zip(row[k:], piv)]
+        cols = list(zip(*(row[n1:] for row in A)))  # of V^-1
+        c = [(sum(x * u - y * v for (x, y), (u, v) in zip(pts[n1], col)),
+              sum(x * v + y * u for (x, y), (u, v) in zip(pts[n1], col))) for col in cols]
+        c2 = [x * x + y * y for x, y in c]
+        if min(c2) < 1 << (4 * T - 2 * (prec // 2)):
+            raise DegeneratePositionError("the last point lies in a coordinate subspace of the others")
+        mags = [(v.bit_length() + 1) // 2 - 2 * T for v in c2]
+        w += max(mags) - min(mags)
+        if base + w <= T:
+            break
+        T = base + w + 32
+    # the rows conj(y_i): their outer sum has entries sum_i conj(Y_ai) Y_bi
+    rows = [[(((x * cx + y * cy) << (2 * T)) // d, -(((y * cx - x * cy) << (2 * T)) // d)) for x, y in col]
+            for (cx, cy), d, col in zip(c, c2, cols)]
+    rows += [[(x - u, y - v) for (x, y), (u, v) in zip(a, b)] for a, b in itertools.combinations(rows, 2)]
+    return _from_fixed_rows(_outer_sum(rows), 2 * T)
 
 
 def _start(cluster: PointCluster, reps):
     """The rows of the solver's starting form: for n+2 points in general
-    position the closed form (sum_j g_j g_j^H)^-1 over :func:`_simplex_rows`,
-    which is the covariant, and otherwise :func:`_tyler_in_doubles` over the
-    unit rows ``reps``; the identity where either fails at the working
-    precision or in doubles, or is not positive definite and finite at the
-    working precision."""
+    position the closed form of :func:`_simplex_form` over the unit rows
+    ``reps``, which is the covariant, and otherwise
+    :func:`_tyler_in_doubles` over them; the identity where either fails at
+    the working precision or in doubles, or is not positive definite and
+    finite at the working precision."""
     n1 = cluster.n + 1
-    rows = None
+    initial = None
     if cluster.degree == n1 + 1:
         with contextlib.suppress(DegeneratePositionError):
-            rows = _simplex_rows(cluster, reps)
+            initial = _simplex_form(reps)
     try:
-        if rows is None:
+        if initial is None:
             tyler = _tyler_in_doubles([[complex(c) for c in r] for r in reps])
             initial = [[mp.mpc(v) for v in r] for r in tyler]
-        else:
-            initial = _inverse_outer_sum(rows)
         hermitian_cholesky(initial)
     except (ArithmeticError, NotPositiveDefiniteError):
         initial = [[mp.mpf(a == b) for b in range(n1)] for a in range(n1)]
@@ -783,15 +825,18 @@ def simplex_covariant(cluster: PointCluster, prec=None) -> HermitianForm:
     the last point u_(n+1). The covariant is (sum_i |c_i|^2 u_i u_i^H +
     u_(n+1) u_(n+1)^H)^-1: the Tyler step with simplex weights, since the
     standard simplex has covariant (n+2) I - J, proportional to (I + J)^-1.
-    Agrees with :func:`minimize` up to the solver tolerance.
+    It is formed exactly in Python integers by :func:`_simplex_form`, the
+    start of :func:`minimize` on such clusters, and rounded once to the
+    working precision. Agrees with :func:`minimize` up to the solver
+    tolerance. Raises DegeneratePositionError unless the points are in
+    general position at the working precision.
     """
     with working_precision(prec):
         n = cluster.n
         m = cluster.degree
         if m != n + 2:
             raise DimensionError(f"need exactly n+2 = {n + 2} points, got {m}")
-        rows = _simplex_rows(cluster, normalize_cluster(cluster).reps)
-        return HermitianForm(_inverse_outer_sum(rows)).normalized()
+        return HermitianForm(_simplex_form(normalize_cluster(cluster).reps)).normalized()
 
 
 def _tyler_in_doubles(points):

@@ -764,7 +764,7 @@ def _binary_form_roots(F: MultiPoly, factors) -> PointCluster:
     p = [Fraction(c) for c in coeffs[e::-1]]
     content = Fraction(math.gcd(*(c.numerator for c in p)), math.lcm(*(c.denominator for c in p)))
     p = [mp.mpc(int(c / content)) for c in p]
-    norm = mp.sqrt(mp.fsum(abs(c) ** 2 for c in p))
+    norm = mp.sqrt(mp.fsum(p, absolute=True, squared=True))
     x1 = sp.Symbol("x1")
     for f, k in factors:
         f = f.eval(x1, 1)

@@ -385,6 +385,41 @@ def oracle_gradient(ws, n1):
     return G, mp.sqrt(sum(abs(v) ** 2 for r in G for v in r))
 
 
+def oracle_simplex_form(units):
+    """``covariant._simplex_form`` as it ran in mpmath before it ran in
+    Python integers, without the factor n+2: the rank of the first n+1 unit
+    points by Gram-Schmidt with a second pass (rank below n+1 at
+    2^(-prec/2) raises DegeneratePositionError), c from ``mp.lu_solve`` with
+    u_(n+1) = sum_i c_i u_i (|c_i| below 2^(-prec/2) raises it too), and
+    the covariant (sum_j g_j g_j^H)^-1 over g_i = c_i u_i and
+    g_(n+1) = u_(n+1) as X^H X for X = K^-1 and the Cholesky factor K of the
+    sum. Returns mpc rows."""
+    from cluster_reduce import DegeneratePositionError
+    from cluster_reduce._precision import half_eps, hermitian_cholesky
+    from cluster_reduce.covariant import _lower_inverse
+
+    n1 = len(units) - 1
+    basis = []
+    for v in units[:n1]:
+        w = list(v)
+        for _ in range(2):
+            for b in basis:
+                d = mp.fdot(w, b, conjugate=True)
+                w = [y - d * x for x, y in zip(b, w)]
+        nrm = mp.sqrt(mp.fsum(w, absolute=True, squared=True))
+        if nrm < half_eps():
+            raise DegeneratePositionError("the first n+1 points are linearly dependent")
+        basis.append([y / nrm for y in w])
+    V = mp.matrix([list(r) for r in zip(*units[:n1])])
+    coeff = mp.lu_solve(V, mp.matrix(list(units[n1])))
+    if any(abs(coeff[i]) < half_eps() for i in range(n1)):
+        raise DegeneratePositionError("the last point lies in a coordinate subspace of the others")
+    g = [[coeff[i] * c for c in units[i]] for i in range(n1)] + [list(units[n1])]
+    M = [[mp.fsum(r[a] * mp.conj(r[b]) for r in g) for b in range(n1)] for a in range(n1)]
+    X = _lower_inverse(hermitian_cholesky(M))
+    return [[mp.fsum(mp.conj(X[k][a]) * X[k][b] for k in range(n1)) for b in range(n1)] for a in range(n1)]
+
+
 def oracle_lll_in_mpmath(G):
     """The transform of ``lattice.lll_reduce`` as it ran in mpmath before it
     ran on the rounded integer Gram: mu and B read off the library's Cholesky

@@ -1,6 +1,7 @@
 """Cluster types, group action, subspace degrees, stability classification."""
 
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -42,6 +43,41 @@ class TestProjectivePoint:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionError):
             cluster_of((1, 0), (1, 0, 0))
+
+
+def _fraction(x):
+    """The mpf x as an exact Fraction."""
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def _sum_of_squares(coords):
+    return sum(_fraction(mp.re(c)) ** 2 + _fraction(mp.im(c)) ** 2 for c in coords)
+
+
+def _within(r, q, u):
+    """|r - sqrt(q)| <= u, for r > u, decided on squares exactly."""
+    return (r - u) ** 2 <= q <= (r + u) ** 2
+
+
+class TestNorm:
+    """The Hermitian norm against the exact rational sum of squares."""
+
+    @pytest.mark.parametrize("prec", [53, 212, 424])
+    def test_norm_within_one_unit_in_the_last_place(self, prec):
+        # coordinates whose parts span 2^-200 to 2^200, so that most squares
+        # are far below the largest: one exact sum and one rounding of its root
+        rnd = random.Random(prec)
+        with mp.workprec(prec):
+            for _ in range(200):
+                n = rnd.randint(1, 3)
+                parts = [mp.ldexp(rnd.getrandbits(prec) * rnd.choice([1, -1]), rnd.randint(-200, 200) - prec)
+                         for _ in range(2 * n + 2)]
+                p = ProjectivePoint(tuple(mp.mpc(re, im) for re, im in zip(parts[::2], parts[1::2])))
+                norm = p.norm()
+                ulp = Fraction(2) ** (mp.mag(norm) - prec)
+                assert _within(_fraction(norm), _sum_of_squares(p.coords), ulp)
+                assert _within(Fraction(1), _sum_of_squares(p.unit()), Fraction(2) ** (1 - prec))
 
 
 class TestNormalize:

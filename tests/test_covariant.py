@@ -1,5 +1,6 @@
 """Distance function, gradient, minimizer, theta, closed form."""
 
+import itertools
 import random
 
 import mpmath as mp
@@ -41,6 +42,7 @@ from oracles import (
     fd_second_difference,
     oracle_gradient,
     oracle_images,
+    oracle_simplex_form,
     oracle_tyler_covariant,
     oracle_tyler_in_doubles,
     transported_curve,
@@ -861,6 +863,97 @@ class TestSimplexCovariant:
         moved = simplex_covariant(act(Z, ginv_t)).mat()
         zg = g.transpose_conj() * simplex_covariant(Z).mat() * g
         assert matrices_close_mod_scaling(moved, zg, mp.mpf("1e-20"))
+
+
+def _gaussian_det(rows):
+    """Determinant by Laplace expansion along the first row; exact for the
+    small Gaussian integers of :func:`simplex_units`, whose products stay far
+    below 2^53 in built-in complex."""
+    if len(rows) == 1:
+        return rows[0][0]
+    minors = ([r[:j] + r[j + 1 :] for r in rows[1:]] for j in range(len(rows)))
+    return sum((-1) ** j * a * _gaussian_det(minor) for j, (a, minor) in enumerate(zip(rows[0], minors)))
+
+
+@st.composite
+def simplex_units(draw):
+    """(prec, units): n+2 Gaussian-integer points of P^n in general position,
+    every n+1 of them independent (exact determinants), moved by a
+    unimodular integer matrix with entries up to 2^20 (2^4 at 53 bits, where
+    more would reach the rank threshold 2^-26) and each coordinate scaled by
+    a power of two up to 2^+-(prec/64), as unit rows at prec bits."""
+    prec = draw(st.sampled_from([53, 212, 424]))
+    n = draw(st.integers(1, 3))
+    coord = st.integers(-9, 9)
+    pts = [[complex(draw(coord), draw(coord)) for _ in range(n + 1)] for _ in range(n + 2)]
+    assume(all(_gaussian_det(list(sub)) != 0 for sub in itertools.combinations(pts, n + 1)))
+    height = 2**4 if prec == 53 else 2**20
+    U = random_unimodular_int(random.Random(draw(st.integers(0, 2**32))), n + 1, height)
+    spread = prec // 64
+    scale = [draw(st.integers(-spread, spread)) for _ in range(n + 1)]
+    with mp.workprec(prec):
+        rows = [[mp.mpc(sum(p[a] * U[a][b] for a in range(n + 1))) * mp.ldexp(1, e) for b, e in enumerate(scale)]
+                for p in pts]
+        units = normalize_cluster(cluster_of(*rows)).reps
+    return prec, units
+
+
+def _equilibrated_error(K, O):
+    """max_ab |K_ab - s O_ab| / sqrt(O_aa O_bb) for the scale s = mean of
+    K_aa / O_aa: the relative error modulo positive scaling after the
+    diagonal scaling that gives O a unit diagonal, so that small entries
+    count as much as large ones."""
+    n1 = len(O)
+    s = mp.fsum(mp.re(K[a][a]) / mp.re(O[a][a]) for a in range(n1)) / n1
+    return max(abs(K[a][b] - s * O[a][b]) / (s * mp.sqrt(mp.re(O[a][a]) * mp.re(O[b][b])))
+               for a in range(n1) for b in range(n1))
+
+
+def _degenerate_cluster(n, kind, move):
+    """n+2 points of P^n that are in general position exactly when ``move``
+    is nonzero, moved by the unimodular I + N, N the ones above the
+    diagonal. "dependent": the point e_0 + ... + e_(n-1) + move e_n after
+    the axes e_0, ..., e_(n-1). "subspace": the axes e_0, ..., e_n and then
+    the point with coordinates move, 1, ..., 1, in the coordinate subspace of
+    e_1, ..., e_n when move is 0."""
+    axes = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    if kind == "dependent":
+        pts = axes[:n] + [[1] * n + [move], list(range(1, n + 2))]
+    else:
+        pts = axes + [[move] + [1] * n]
+    sheared = [[p[b] + (p[b - 1] if b else 0) for b in range(n + 1)] for p in pts]
+    return cluster_of(*sheared)
+
+
+class TestSimplexForm:
+    """The closed form in Python integers against the mpmath path it
+    replaced, run at 4x the precision."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(simplex_units())
+    def test_matches_the_mpmath_closed_form_at_four_times_the_precision(self, case):
+        from cluster_reduce.covariant import _simplex_form
+
+        prec, units = case
+        with mp.workprec(prec):
+            K = _simplex_form(units)
+        with mp.workprec(4 * prec):
+            O = oracle_simplex_form(units)
+            assert _equilibrated_error(K, O) <= mp.ldexp(1, 10 - prec)
+
+    @pytest.mark.parametrize("kind", ["dependent", "subspace"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("prec", [53, 212, 424])
+    def test_degenerate_position_is_rejected_and_a_quarter_of_the_precision_off_it_is_not(self, prec, n, kind):
+        with mp.workprec(prec):
+            exact = _degenerate_cluster(n, kind, 0)
+            moved = _degenerate_cluster(n, kind, mp.ldexp(1, -(prec // 4)))
+        with pytest.raises(DegeneratePositionError):
+            simplex_covariant(exact, prec=prec)
+        z = simplex_covariant(moved, prec=prec)
+        with mp.workprec(4 * prec):
+            O = oracle_simplex_form(normalize_cluster(moved).reps)
+            assert _equilibrated_error(z.matrix, O) <= mp.ldexp(1, 10 - prec)
 
 
 class TestConvexity:

@@ -266,6 +266,23 @@ class TestReduceQuadricPencil:
         assert substitute(Q1p, U) == report.reduced[0]
         assert substitute(Q2p, U) == report.reduced[1]
 
+    def test_reference_transform_or_convergence_error_from_40_to_128_bits(self):
+        # the outcome is not monotone in the precision: below 94 bits some
+        # precisions give the reference transform and others fall short of
+        # LLL's tie window, but none may give another transform; 56 bits
+        # fails (the command line's exit 3 there is checked in CI), and every
+        # precision from 94 bits up gives the reference one
+        succeeded = []
+        for prec in range(40, 129):
+            try:
+                report = reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2, prec=prec)
+            except ConvergenceError:
+                continue
+            assert [list(r) for r in report.transform.matrix] == PENCIL_LLL, prec
+            succeeded.append(prec)
+        assert 56 not in succeeded
+        assert set(range(94, 129)) <= set(succeeded)
+
     def test_already_small_pair(self):
         Q1 = poly("x^2 + y^2 + z^2", nvars=3)
         Q2 = poly("x y + 2 y^2 + 3 z^2 - x z", nvars=3)
