@@ -5,16 +5,21 @@ U is a single coordinate change: it acts on forms by substitution
 F -> F(U x) and on point rows by the contragredient P -> P * U^(-T); the
 covariant Gram transforms as G -> U^T G U, which is what the LLL step
 reduces.
+
+A pencil's base points need no elimination: at each root of its
+determinant cubic, which its binary reduction has found, the member is a
+line pair, and the lines of two pairs cross at the four points.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 import mpmath as mp
 
-from ._precision import half_eps, hermitian_cholesky, working_precision
+from ._precision import _fixed, _from_fixed, half_eps, hermitian_cholesky, working_precision
 from .cluster_core import PointCluster, ProjectivePoint, StabilityClass, act, classify
 from .covariant import HermitianForm, _log_det, _tyler_in_doubles, minimize
 from .errors import (
@@ -28,8 +33,10 @@ from .errors import (
 from .lattice import GramMatrix, UnimodularTransform, congruence, lll_reduce
 from .polyalg import (
     MultiPoly,
+    RootSet,
     _binary_form_roots,
     _intersection_in_doubles,
+    _second_partials,
     curve_intersection,
     hessian,
     pencil_cubic,
@@ -192,15 +199,104 @@ def reduce_binary_form(F: MultiPoly, prec=None) -> ReductionReport:
         )
 
 
+def _short_of_precision(what: str):
+    return ConvergenceError(f"{what} at the working precision of {mp.mp.prec} bits")
+
+
+def _norm2(z) -> int:
+    return z[0] * z[0] + z[1] * z[1]
+
+
+def _quotient(z, w, shift) -> tuple:
+    """(z / w) 2^shift for Gaussian integers z and w != 0, floored."""
+    n = _norm2(w)
+    return ((z[0] * w[0] + z[1] * w[1]) << shift) // n, ((z[1] * w[0] - z[0] * w[1]) << shift) // n
+
+
+def _cross(u, v) -> list:
+    """u x v for vectors of Gaussian integers (x, y), exact."""
+    out = []
+    for k in range(3):
+        (a, b), (c, d) = u[(k + 1) % 3], v[(k + 2) % 3]
+        (e, f), (g, h) = u[(k + 2) % 3], v[(k + 1) % 3]
+        out.append((a * c - b * d - e * g + f * h, a * d + b * c - e * h - f * g))
+    return out
+
+
+def _line_pair(C, T) -> tuple:
+    """The two lines (g, h) of a symmetric 3x3 matrix C of rank 2 with
+    Gaussian-integer entries at scale 2^-T, which is proportional to
+    g h^T + h g^T: its adjugate, exact at 2^-2T, is -p p^T for the lines'
+    meeting point p = g x h. With i the index of the largest |adj(C)_ii|,
+    p = adj(C)_i / sqrt(-adj(C)_ii) up to sign, at 2^-T, and C + [p]_x,
+    where [p]_x x = p x x, is 2 h g^T or 2 g h^T: its row and its column at
+    its largest entry are the two lines (Richter-Gebert, Perspectives on
+    Projective Geometry, 11.3). A pivot whose root is zero at 2^-T is
+    missing precision, since the exact adjugate of a rank-2 matrix is not
+    zero."""
+    B = [_cross(C[(i + 1) % 3], C[(i + 2) % 3]) for i in range(3)]
+    i = max(range(3), key=lambda k: _norm2(B[k][k]))
+    root = _fixed(mp.sqrt(-_from_fixed(*B[i][i], 2 * T)), T)
+    if root == (0, 0):
+        raise _short_of_precision("a degenerate pencil member has a zero adjugate")
+    (ax, ay), (bx, by), (cx, cy) = (_quotient(b, root, 0) for b in B[i])
+    skew = (((0, 0), (-cx, -cy), (bx, by)), ((cx, cy), (0, 0), (-ax, -ay)), ((-bx, -by), (ax, ay), (0, 0)))
+    R = [[(x + u, y + v) for (x, y), (u, v) in zip(r, q)] for r, q in zip(C, skew)]
+    a, b = divmod(max(range(9), key=lambda k: _norm2(R[k // 3][k % 3])), 3)
+    return R[a], [row[b] for row in R]
+
+
+def _base_points(roots: PointCluster, pencil, basis) -> RootSet:
+    """The four base points of a ``pencil`` (Q1, Q2) from two roots (s : t)
+    of its squarefree cubic det(s M1 + t M2), on Gaussian integers at scale
+    2^-T, T = prec + 20 for the ambient precision prec. As max(|s|, |t|) >= 1,
+    the scale keeps every bit of the roots, and only a square root and the
+    divisions round. Each root gives s M1 + t M2 exactly, a member of rank 2
+    that :func:`_line_pair` splits into two opposite sides of the base
+    points' quadrangle. (Exact arithmetic needs no change to the reduced
+    basis.) The lines of one pair cross those of the other at the four
+    points, each divided by its coordinate of largest modulus, which becomes
+    1. As in :func:`curve_intersection`, a point carries its residual on the
+    reduced ``basis`` (Q1p, Q2p): for its unit vector u, max(|Q1p(u)|,
+    |Q2p(u)|) over the larger coefficient norm, from
+    :meth:`MultiPoly.evaluate`, which must be below 2^(-prec/2), or
+    ConvergenceError is raised."""
+    T = mp.mp.prec + 20
+    M1, M2 = (_second_partials(Q) for Q in pencil)
+    pairs = []
+    for root in roots.points[:2]:
+        (sx, sy), (tx, ty) = (_fixed(c, T) for c in root.coords)
+        C = [[(sx * a + tx * b, sy * a + ty * b) for a, b in zip(r1, r2)] for r1, r2 in zip(M1, M2)]
+        pairs.append(_line_pair(C, T))
+    norm = max(Q.coeff_norm() for Q in basis)
+    found = []
+    for line, other in itertools.product(*pairs):
+        v = _cross(line, other)
+        k = max(range(3), key=lambda j: _norm2(v[j]))
+        if v[k] == (0, 0):
+            raise _short_of_precision("two lines of degenerate pencil members coincide")
+        point = ProjectivePoint(tuple(
+            mp.mpc(1) if j == k else _from_fixed(*_quotient(z, v[k], T), T) for j, z in enumerate(v)
+        ))
+        u = point.unit()
+        resid = max(abs(Q.evaluate(u)) for Q in basis) / norm
+        if resid >= half_eps():
+            raise _short_of_precision(f"base point residual {mp.nstr(resid, 5)} is not below 2^({-mp.mp.prec // 2})")
+        found.append((point, 1, resid))
+    return RootSet(tuple(found), (False,) * 4)
+
+
 def reduce_quadric_pencil(Q1: MultiPoly, Q2: MultiPoly, prec=None) -> ReductionReport:
     """Reduce a pencil of ternary quadrics whose generic member is smooth.
 
     Stages: (a) the binary cubic det(x M1 + y M2); (b) its reduction gives a
     new pencil basis (rows of the 2x2 pencil transform combine Q1, Q2, signs
     normalized so each new member has positive leading coefficient); (c) the
-    four base points; (d) the closed-form covariant of the base points; (e)
-    LLL; (f) substitution into both quadrics. The coordinate transform and the
-    pencil transform commute and are reported separately.
+    four base points, where the line pairs of the members at two of the
+    cubic's roots cross (:func:`_base_points`); (d) the closed-form
+    covariant of the base points; (e) LLL; (f) substitution into both
+    quadrics. The coordinate transform and the pencil transform commute and
+    are reported separately.
     """
     for Q in (Q1, Q2):
         _require_exact_integer(Q, "pencil quadrics")
@@ -223,13 +319,10 @@ def reduce_quadric_pencil(Q1: MultiPoly, Q2: MultiPoly, prec=None) -> ReductionR
                 W[i] = [-W[i][0], -W[i][1]]
             members.append(member)
         Q1p, Q2p = members
-        base = curve_intersection(Q1p, Q2p)
-        if len(base.roots) < 4 or any(m != 1 for _, m, _ in base.roots):
-            raise DegeneratePencilError(
-                "pencil has fewer than four distinct base points"
-            )
-        # four distinct base points are stable with margin 1: were three on a
-        # line, every member would contain it and the cubic would vanish
+        base = _base_points(binary_report.extras["root_cluster"], (Q1, Q2), (Q1p, Q2p))
+        # the cubic is squarefree, so the four base points are distinct, and
+        # they are stable with margin 1: were three on a line, every member
+        # would contain it and the cubic would vanish
         cls = StabilityClass(False, True, True, margin=1)
         result, G, reduced_gram, U = _reduce_core(cls, base.cluster(), "base point cluster")
         finals = (substitute(Q1p, U), substitute(Q2p, U))

@@ -375,10 +375,15 @@ def pencil_cubic(Q1: MultiPoly, Q2: MultiPoly) -> MultiPoly:
     for Q in (Q1, Q2):
         if Q.nvars != 3 or not Q.is_homogeneous() or Q.total_degree() != 2:
             raise InputFormatError("pencil members must be ternary quadrics")
-    q1, q2 = Q1._in_ring(Q2)
-    x, y = _ring(2, q1.ring.domain).gens
-    return _from_ring(_det3([[x * q1.diff(i).diff(j).LC + y * q2.diff(i).diff(j).LC
-                              for j in range(3)] for i in range(3)]))
+    x, y = _ring(2, QQ if any(isinstance(c, Fraction) for Q in (Q1, Q2) for _, c in Q.terms) else ZZ).gens
+    M1, M2 = _second_partials(Q1), _second_partials(Q2)
+    return _from_ring(_det3([[x * a + y * b for a, b in zip(r1, r2)] for r1, r2 in zip(M1, M2)]))
+
+
+def _second_partials(Q: MultiPoly) -> list:
+    """The 3x3 matrix of second partials of a ternary quadric: entry (i, j)
+    sums c e_i (e_j - [i = j]) over the terms c x^e."""
+    return [[sum(c * e[i] * (e[j] - (i == j)) for e, c in Q.terms) for j in range(3)] for i in range(3)]
 
 
 def _det3(E):

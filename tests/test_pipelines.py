@@ -290,11 +290,25 @@ class TestReduceQuadricPencil:
         assert report.diagnostics["height_after"] <= 2 * report.diagnostics["height_before"]
 
     def test_common_factor_rejected(self):
+        # (x - y)(x + y) and x (x + y) share the line x + y, which makes every
+        # member singular: the determinant cubic vanishes
         Q1 = poly("x^2 - y^2", nvars=3)
-        Q2 = poly("x^2 + x y", nvars=3)  # shares the factor x + y? no: x(x+y)
-        Q2b = MultiPoly.from_dict(3, {(2, 0, 0): 1, (1, 1, 0): 1})
-        with pytest.raises((CommonComponentError, DegeneratePencilError, StabilityError)):
-            reduce_quadric_pencil(Q1, Q2b)
+        Q2 = poly("x^2 + x y", nvars=3)
+        assert pencil_cubic(Q1, Q2).is_zero()
+        with pytest.raises(DegeneratePencilError):
+            reduce_quadric_pencil(Q1, Q2)
+
+    def test_pencil_runs_no_elimination(self, monkeypatch):
+        # the base points come from the line pairs of two degenerate members,
+        # with no resultant and no root finding beyond the cubic's
+        def fail(*args, **kwargs):
+            raise AssertionError("elimination in the pencil pipeline")
+
+        for module, name in ((pipelines, "curve_intersection"), (polyalg, "curve_intersection"),
+                             (polyalg, "_eliminate")):
+            monkeypatch.setattr(module, name, fail)
+        report = reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2, prec=212)
+        assert [list(r) for r in report.transform.matrix] == PENCIL_LLL
 
     @pytest.mark.parametrize(
         "q1, q2",
@@ -313,6 +327,78 @@ class TestReduceQuadricPencil:
     def test_non_quadric_rejected(self):
         with pytest.raises(InputFormatError):
             reduce_quadric_pencil(poly("x^3", nvars=3), poly("y^2", nvars=3))
+
+
+def _planted_pencil(rnd):
+    """Two ternary quadrics with coefficients in [-3, 3] and a squarefree
+    determinant cubic of degree 3, substituted by one unimodular matrix with
+    entries up to 1000, as the benchmark plants them; about a third of the
+    first quadrics are products of two lines, so that the cubic has a root
+    at infinity. Returns the quadrics and the kind of the cubic's roots."""
+    exps = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+    while True:
+        if rnd.random() < 1 / 3:
+            g, h = (MultiPoly.from_dict(3, {e: rnd.randint(-3, 3) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))})
+                    for _ in "gh")
+            Q1 = g * h
+        else:
+            Q1 = MultiPoly.from_dict(3, {e: rnd.randint(-3, 3) for e in exps})
+        Q2 = MultiPoly.from_dict(3, {e: rnd.randint(-3, 3) for e in exps})
+        if Q1.is_zero() or Q2.is_zero() or Q1.total_degree() != 2 or Q2.total_degree() != 2:
+            continue
+        cubic = pencil_cubic(Q1, Q2).to_sympy()
+        if cubic.is_zero or cubic.total_degree() != 3 or any(k > 1 for _, k in cubic.sqf_list()[1]):
+            continue
+        x0, x1 = cubic.gens
+        if cubic.coeff_monomial(x0**3) == 0:
+            kind = "root at infinity"
+        else:
+            kind = "three real" if cubic.subs(x1, 1).as_poly(x0).discriminant() > 0 else "one real"
+        V = random_unimodular_int(rnd, 3)
+        return substitute(Q1, V), substitute(Q2, V), kind
+
+
+def test_split_base_points_match_the_intersection():
+    # the four points crossed from two line pairs are the intersection of
+    # the reduced pencil basis, one to one, each scaled to largest
+    # coordinate 1 and with its residual below 2^(-prec/2)
+    rnd = random.Random(3434)
+    kinds = []
+    for case in range(48):
+        Q1, Q2, kind = _planted_pencil(rnd)
+        kinds.append(kind)
+        bits = (106, 212, 424)[case % 3]
+        report = reduce_quadric_pencil(Q1, Q2, prec=bits)
+        split = [p for p, _, _ in report.extras["base_points"].roots]
+        with mp.workprec(bits):
+            found = [p for p, _, _ in curve_intersection(*report.extras["pencil_basis"]).roots]
+            assert len(split) == len(found) == 4
+            assert sorted(sum(p.is_same(q) for q in found) for p in split) == [1] * 4, case
+            assert sorted(sum(p.is_same(q) for p in split) for q in found) == [1] * 4, case
+            for p in split:
+                assert max(abs(c) for c in p.coords) == 1 and 1 in p.coords
+        assert all(mp.mpf(r) < mp.mpf(2) ** -(bits // 2) for _, _, r in report.extras["base_points"].roots)
+    assert all(kinds.count(kind) >= 5 for kind in ("three real", "one real", "root at infinity")), kinds
+
+
+def test_line_pair_splits_a_product_of_lines():
+    # g h^T + h g^T for integer lines g, h, at scale 2^-T: the split gives
+    # lines proportional to g and h
+    T = 40
+    g, h = [2, -1, 3], [1, 4, -2]
+    C = [[((g[a] * h[b] + h[a] * g[b]) << T, 0) for b in range(3)] for a in range(3)]
+    with mp.workprec(212):
+        got = [ProjectivePoint(tuple(mp.mpc(x, y) for x, y in line)) for line in pipelines._line_pair(C, T)]
+        want = [ProjectivePoint(tuple(line)) for line in (g, h)]
+        assert [sum(p.is_same(q) for p in got) for q in want] == [1, 1]
+
+
+def test_zero_adjugate_names_the_precision():
+    # a member whose adjugate rounds to zero has lost its rank to the
+    # working precision: the split says so instead of dividing by zero
+    with pytest.raises(ConvergenceError) as info:
+        pipelines._line_pair([[(0, 0)] * 3 for _ in range(3)], 232)
+    assert str(info.value).endswith("at the working precision of 212 bits"), info.value
 
 
 class TestReduceTernaryForm:
@@ -722,7 +808,7 @@ def test_reference_pencil_low_precision_is_not_instability(bits):
 
 @pytest.mark.parametrize("bits", [*range(40, 97, 2), 55, 62, 212])
 def test_reference_pencil_gives_its_transform_or_names_the_precision(bits):
-    # below 91 bits the working precision does not resolve the base points'
+    # below 92 bits the working precision does not resolve the base points'
     # covariant: the Newton step leaves the cone, or the gradient sticks
     # outside LLL's 2^(-prec/2) tie window. Which of the two a precision
     # meets depends on the last bits of the base points. The solver says so
