@@ -40,10 +40,11 @@ by simplex weights, which is exact: a second fixed-point kernel inverts the
 first n+1 points by Gauss-Jordan elimination in Gaussian integers at a
 scale widened by the magnitudes of its pivots, and forms the inverse of the
 sum exactly there as an outer sum. Otherwise the start is the covariant in
-hardware doubles: Tyler's fixed-point iteration in the same chart, in
-Python's built-in complex, which the preconditioning passes of the ternary pipeline
-run too, or its last iterate where it does not settle; the identity where
-either fails or is not positive definite and finite. Newton then only
+hardware doubles, in the same chart and in Python's built-in complex, which
+the preconditioning passes of the ternary pipeline run too: Tyler's
+fixed-point iteration until the gradient is small, then Newton steps in
+doubles, or the last iterate where it does not settle; the identity where
+either start fails or is not positive definite and finite. Newton then only
 refines it, gaining 45 to 50 bits per iteration. Every Hermitian form is
 kept as rows, and every Cholesky factor, of an iterate at the working
 precision or of a matrix in doubles, comes from the one
@@ -423,7 +424,9 @@ def _newton_direction(wd, G, T, basis):
     Gd = [[complex(x / unit, y / unit) for x, y in row] for row in G]
     M = [[complex(x / one, y / one) + (m / n1 if a == b else 0) for b, (x, y) in enumerate(row)]
          for a, row in enumerate(G)]
-    t = [[sum(c * w[b] * w[a].conjugate() for a, b, c in E).real for w in wd] for E in basis]
+    # each E_k has two entries (a, b, c): t_jk = Re(c w_b conj(w_a) + c2 w_b2 conj(w_a2))
+    wc = [[v.conjugate() for v in w] for w in wd]
+    t = [[(c * w[b] * v[a] + c2 * w[b2] * v[a2]).real for w, v in zip(wd, wc)] for (a, b, c), (a2, b2, c2) in basis]
     g = [sum(c * Gd[b][a] for a, b, c in E).real for E in basis]
     d = len(basis)
     H = [[0.0] * d for _ in range(d)]
@@ -431,7 +434,7 @@ def _newton_direction(wd, G, T, basis):
         for l in range(k, d):
             H[k][l] = H[l][k] = sum(
                 c * c2 * M[f][a] for a, b, c in Ek for b2, f, c2 in basis[l] if b2 == b
-            ).real - sum(x * y for x, y in zip(t[k], t[l]))
+            ).real - sum(map(operator.mul, t[k], t[l]))
     try:
         C = hermitian_cholesky(H)
         y = []
@@ -566,10 +569,11 @@ def _simplex_form(units):
 def _start(cluster: PointCluster, reps):
     """The rows of the solver's starting form: for n+2 points in general
     position the closed form of :func:`_simplex_form` over the unit rows
-    ``reps``, which is the covariant, and otherwise
-    :func:`_tyler_in_doubles` over them; the identity where either fails at
-    the working precision or in doubles, or is not positive definite and
-    finite at the working precision."""
+    ``reps``, which is the covariant, and otherwise the covariant in doubles
+    of :func:`_tyler_in_doubles` over them (Tyler's sweeps, finished by
+    Newton steps in doubles); the identity where either fails at the working
+    precision or in doubles, or is not positive definite and finite at the
+    working precision."""
     n1 = cluster.n + 1
     initial = None
     if cluster.degree == n1 + 1:
@@ -744,8 +748,9 @@ def minimize(cluster: PointCluster, tol=None, prec=None, check_stability=True) -
     The input must be stable unless ``check_stability`` is disabled; one
     that is not then needs ``tol=SEMI_STABLE_TOL``, as :func:`theta` passes,
     to stop. The solver starts from :func:`_start`: the closed form for n+2
-    points in general position, else Tyler's covariant in doubles, else the
-    identity; the minimizer does not depend on it. It is Newton with the
+    points in general position, else the covariant in doubles (Tyler's
+    sweeps finished by Newton steps), else the identity; the minimizer does
+    not depend on it, only the number of iterations does. It is Newton with the
     gradient and the stop tests at the working precision and each correction
     in doubles (:func:`_newton`), and theta is reported for the unit-norm
     scaling of the cluster. It stops once the gradient norm is at most
@@ -840,32 +845,45 @@ def simplex_covariant(cluster: PointCluster, prec=None) -> HermitianForm:
 
 
 def _tyler_in_doubles(points):
-    """The covariant of a cluster in built-in complex, by Tyler's fixed-point
+    """The covariant of a cluster in built-in complex: Tyler's fixed-point
     iteration Q^-1 <- sum_j u_j u_j^H / (u_j^H Q u_j) over the unit rows u_j
-    of ``points``, from the identity. As in :func:`minimize`, Q = L L^H is
-    kept as a factor and the iteration runs on the unit images w_j of
-    L^H u_j, where it reads L <- L K^-H for the Cholesky factor K of
-    M = sum_j w_j w_j^H (so no ill-conditioned matrix is inverted). K factors
-    M + 2^-45 m I: the ridge keeps K invertible where the points are
-    collinear to the resolution of doubles, and, being a multiple of I, it
-    does not move the fixed point M = m/(n+1) I. It stops once the gradient
-    M - m/(n+1) I has Frobenius norm at most 2^-40 m, or at most 2^-20 m and
-    no smaller than at the step before, where the rounding of doubles
-    decides it, and otherwise after 100 iterations. Returns the last iterate
-    Q = L L^H, which Newton refines like any other start. It is the start of
-    :func:`minimize` for clusters other than n+2 points in general position,
-    and the covariant of the preconditioning passes."""
+    of ``points``, from the identity, finished by Newton steps. As in
+    :func:`minimize`, Q = L L^H is kept as a factor and each step reads the
+    unit images w_j of L^H u_j and the gradient G = M - m/(n+1) I, where
+    M = sum_j w_j w_j^H.
+
+    While |G|_F is above 2^-7 m a step is a Tyler sweep, which converges
+    from anywhere but only linearly: L <- L K^-H for the Cholesky factor K
+    of M + 2^-45 m I (so no ill-conditioned matrix is inverted). The ridge
+    keeps K invertible where the points are collinear to the resolution of
+    doubles, and, being a multiple of I, it does not move the fixed point
+    M = m/(n+1) I. From 2^-7 m on a step is Newton's, as in :func:`_newton`:
+    B from :func:`_newton_direction` and L <- L (I + Y) for
+    Y = exp(lambda B/2) - I from :func:`_expm1_in_doubles`, lambda halved
+    from 1 until lambda |B|_F <= 1/10, which decreases D with no evaluation;
+    a Tyler sweep stands in where the direction falls back to -G. A Newton
+    step that overflows or is not finite ends the iteration at the last
+    finite iterate. It stops once |G|_F is at most 2^-40 m, or at most
+    2^-20 m and no smaller than at the step before, where the rounding of
+    doubles decides it, and otherwise after 100 steps of either kind.
+    Returns the last iterate Q = L L^H, which Newton at the working
+    precision refines like any other start. It is the start of
+    :func:`minimize` for clusters other than n+2 points in general
+    position, and the covariant of the preconditioning passes."""
     n1 = len(points[0])
     m = len(points)
+    basis = _trace_free_basis(n1)
     L = [[complex(a == b) for b in range(n1)] for a in range(n1)]
     last = float("inf")
     for _ in range(100):
         M = [[0j] * n1 for _ in range(n1)]
+        images = []
         # the conjugated columns of L; M is Hermitian, so only b >= a is summed
         Lc = [[L[a][i].conjugate() for a in range(n1)] for i in range(n1)]
         for p in points:
             w = [sum(map(operator.mul, col, p)) for col in Lc]
             nrm2 = sum(abs(c) ** 2 for c in w)
+            images.append((w, nrm2))
             for a in range(n1):
                 for b in range(a, n1):
                     M[a][b] += w[a] * w[b].conjugate() / nrm2
@@ -876,6 +894,25 @@ def _tyler_in_doubles(points):
         if gnorm <= 2.0**-40 * m or last <= gnorm <= 2.0**-20 * m:
             break
         last = gnorm
+        if gnorm <= 2.0**-7 * m:
+            # G as Gaussian integers at 2^-1074, where every double is exact
+            G = [[_fixed(M[a][b] - (m / n1 if a == b else 0), 1074) for b in range(n1)] for a in range(n1)]
+            wd = [[c / math.sqrt(nrm2) for c in w] for w, nrm2 in images]
+            B, e, _, norm, fallback = _newton_direction(wd, G, 1074, basis)
+            if not fallback:
+                h = 0
+                while math.ldexp(norm, e - h) > 0.1:
+                    h += 1
+                try:
+                    Y, f = _expm1_in_doubles(B, e - h - 1)
+                    scale = math.ldexp(1.0, f)
+                    L1 = [[u + v * scale for u, v in zip(r, q)] for r, q in zip(L, _matmul_in_doubles(L, Y))]
+                    if not math.isfinite(sum(abs(v) ** 2 for row in L1 for v in row)):
+                        break
+                except (ArithmeticError, ValueError):
+                    break
+                L = L1
+                continue
         for a in range(n1):
             M[a][a] += 2.0**-45 * m
         X = _lower_inverse(hermitian_cholesky(M))

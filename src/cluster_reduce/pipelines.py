@@ -27,6 +27,7 @@ from .errors import (
     ConvergenceError,
     DegeneratePencilError,
     InputFormatError,
+    NotPositiveDefiniteError,
     RealityError,
     StabilityError,
 )
@@ -104,7 +105,9 @@ def _reduce_core(cls, cluster: PointCluster, what: str, back=None):
     tie window, and LLL-reduces the real Gram matrix.
     A cluster found on F(U0 x) comes with ``back`` = U0^-1, which carries
     its Gram G' to the input's coordinates as G = U0^-T G' U0^-1 before LLL,
-    so that U does not depend on U0.
+    so that U does not depend on U0. The real part of the positive definite
+    covariant is positive definite, so a Gram that LLL finds otherwise is
+    the rounding of the working precision: ConvergenceError says so.
     Returns (covariant result, G, reduced Gram, U), U from LLL unchanged."""
     if not cls.is_stable:
         raise StabilityError(f"{what} is not stable", classification=cls, witness=cls.witness)
@@ -112,7 +115,10 @@ def _reduce_core(cls, cluster: PointCluster, what: str, back=None):
     G = _real_gram(result.z)
     if back is not None:
         G = congruence(G, back)
-    reduced_gram, U = lll_reduce(G)
+    try:
+        reduced_gram, U = lll_reduce(G)
+    except NotPositiveDefiniteError as exc:
+        raise _short_of_precision(f"LLL of the real Gram of the covariant failed ({exc})") from exc
     return result, G, reduced_gram, U
 
 
@@ -354,13 +360,13 @@ PRECONDITIONING_PASSES = 8
 
 def _double_pass(F: MultiPoly, H: MultiPoly):
     """One reduction of a ternary form F with Hessian H in hardware doubles:
-    its flexes from :func:`_intersection_in_doubles`, Tyler's covariant in
-    doubles, and LLL at 53 bits, with a column negated for determinant +1.
-    Doubles resolve the Gram only down to about 2^-45 of its largest diagonal
-    entry, so it is floored there: a form too distorted for doubles stays
-    positive definite at 53 bits and is reduced as far as they resolve it,
-    and the next pass goes on from there. Returns U and the coordinate cycle
-    that projected."""
+    its flexes from :func:`_intersection_in_doubles`, their covariant in
+    doubles from :func:`_tyler_in_doubles`, and LLL at 53 bits, with a
+    column negated for determinant +1. Doubles resolve the Gram only down
+    to about 2^-45 of its largest diagonal entry, so it is floored there: a
+    form too distorted for doubles stays positive definite at 53 bits and is
+    reduced as far as they resolve it, and the next pass goes on from there.
+    Returns U and the coordinate cycle that projected."""
     cycle, points = _intersection_in_doubles(F, H)
     Q = _tyler_in_doubles(points)
     floor = 2.0**-45 * max(Q[a][a].real for a in range(3))

@@ -281,13 +281,17 @@ def fd_second_difference(eval_fn, Q, B, eps):
 
 
 def oracle_tyler_in_doubles(points):
-    """Tyler's iteration in doubles as ``covariant._tyler_in_doubles`` ran it
-    before it summed only half of M: every entry of M summed over the points,
-    and the conjugated columns of L taken once per point. The library's
-    Cholesky factor and triangular inverse are shared on purpose, so that the
-    two loops can be compared for equality, not to a tolerance."""
-    from cluster_reduce._precision import hermitian_cholesky
-    from cluster_reduce.covariant import _lower_inverse
+    """Tyler's iteration in doubles finished by Newton steps, as
+    ``covariant._tyler_in_doubles`` runs it, but with every entry of M summed
+    over the points, the conjugated columns of L taken once per point and the
+    Newton update L (I + 2^f Y) as full sums over the entries. The library's
+    Cholesky factor, triangular inverse, Newton direction and exponential are
+    shared on purpose, so that the two loops can be compared for equality,
+    not to a tolerance."""
+    import math
+
+    from cluster_reduce._precision import _fixed, hermitian_cholesky
+    from cluster_reduce.covariant import _expm1_in_doubles, _lower_inverse, _newton_direction, _trace_free_basis
 
     n1 = len(points[0])
     m = len(points)
@@ -295,9 +299,11 @@ def oracle_tyler_in_doubles(points):
     last = float("inf")
     for _ in range(100):
         M = [[0j] * n1 for _ in range(n1)]
+        units = []
         for p in points:
             w = [sum(L[a][i].conjugate() * p[a] for a in range(n1)) for i in range(n1)]
             nrm2 = sum(abs(c) ** 2 for c in w)
+            units.append([c / math.sqrt(nrm2) for c in w])
             for a in range(n1):
                 for b in range(n1):
                     M[a][b] += w[a] * w[b].conjugate() / nrm2
@@ -305,6 +311,23 @@ def oracle_tyler_in_doubles(points):
         if gnorm <= 2.0**-40 * m or last <= gnorm <= 2.0**-20 * m:
             break
         last = gnorm
+        if gnorm <= 2.0**-7 * m:
+            G = [[_fixed(M[a][b] - (m / n1 if a == b else 0), 1074) for b in range(n1)] for a in range(n1)]
+            B, e, _, norm, fallback = _newton_direction(units, G, 1074, _trace_free_basis(n1))
+            if not fallback:
+                h = 0
+                while math.ldexp(norm, e - h) > 0.1:
+                    h += 1
+                try:
+                    Y, f = _expm1_in_doubles(B, e - h - 1)
+                    step = [[sum(L[a][k] * Y[k][b] for k in range(n1)) for b in range(n1)] for a in range(n1)]
+                    L1 = [[L[a][b] + step[a][b] * math.ldexp(1.0, f) for b in range(n1)] for a in range(n1)]
+                    if not math.isfinite(sum(abs(L1[a][b]) ** 2 for a in range(n1) for b in range(n1))):
+                        break
+                except (ArithmeticError, ValueError):
+                    break
+                L = L1
+                continue
         for a in range(n1):
             M[a][a] += 2.0**-45 * m
         X = _lower_inverse(hermitian_cholesky(M))

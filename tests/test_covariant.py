@@ -75,6 +75,37 @@ def _tyler_cases():
 
 TYLER_CASES = _tyler_cases()
 
+
+def _unsettled_cluster():
+    """A clusters-benchmark input (seed 1) whose covariant is too
+    ill-conditioned for 100 Tyler sweeps in doubles to settle."""
+    return cluster_of(
+        (mp.mpc(2, 26), mp.mpc(-19, -259), mp.mpc(12, 170)),
+        (mp.mpc(2, -26), mp.mpc(-19, 259), mp.mpc(12, -170)),
+        (mp.mpc(-180, 98), mp.mpc(1781, -969), mp.mpc(-1162, 632)),
+        (mp.mpc(-180, -98), mp.mpc(1781, 969), mp.mpc(-1162, -632)),
+        (-107, 1059, -691),
+    )
+
+
+def _clusters_in_doubles():
+    """Unit rows in built-in complex of 40 random clusters of 3 to 24 points
+    in P^1 .. P^3 and of the unsettled cluster."""
+    rnd = random.Random(40)
+    clusters = []
+    for _ in range(40):
+        n1 = rnd.randint(2, 4)
+        rows = []
+        for _ in range(rnd.randint(n1 + 1, 24)):
+            v = [complex(rnd.randint(-9, 9), rnd.choice([0, rnd.randint(-9, 9)])) for _ in range(n1)]
+            v[0] = v[0] or 1
+            norm = sum(abs(c) ** 2 for c in v) ** 0.5
+            rows.append([c / norm for c in v])
+        clusters.append(rows)
+    clusters.append([[complex(c) for c in r] for r in normalize_cluster(_unsettled_cluster()).reps])
+    return clusters
+
+
 SEMI_STABLE_CASES = [
     cluster_of((1, 0), (1, 0), (0, 1), (1, 1)),
     cluster_of((1, 0), (1, 0), (0, 1), (0, 1)),
@@ -376,19 +407,13 @@ class TestMinimize:
 
     def test_unsettled_doubles_start_newton_from_their_last_iterate(self):
         # a clusters-benchmark input (seed 1) whose covariant is too
-        # ill-conditioned for Tyler's iteration in doubles to settle: it
-        # returns its last iterate, positive definite, which still leaves
-        # Newton only a step or two
+        # ill-conditioned for Tyler's sweeps alone to settle in 100: the
+        # Newton steps in doubles settle it, and the start, positive
+        # definite, leaves Newton at the working precision a step or two
         from cluster_reduce._precision import hermitian_cholesky
         from cluster_reduce.covariant import _tyler_in_doubles
 
-        Z = cluster_of(
-            (mp.mpc(2, 26), mp.mpc(-19, -259), mp.mpc(12, 170)),
-            (mp.mpc(2, -26), mp.mpc(-19, 259), mp.mpc(12, -170)),
-            (mp.mpc(-180, 98), mp.mpc(1781, -969), mp.mpc(-1162, 632)),
-            (mp.mpc(-180, -98), mp.mpc(1781, 969), mp.mpc(-1162, -632)),
-            (-107, 1059, -691),
-        )
+        Z = _unsettled_cluster()
         with mp.workprec(212):
             rows = [[complex(c) for c in r] for r in normalize_cluster(Z).reps]
             hermitian_cholesky(_tyler_in_doubles(rows))
@@ -397,33 +422,65 @@ class TestMinimize:
         assert res.stop == "tol"
 
     def test_tyler_in_doubles_equals_the_full_sum(self):
-        # summing half of M and conjugating the rest changes no bit: 40
-        # random clusters of 3 to 24 points in P^1 .. P^3, and the unsettled
-        # cluster above, which runs all 100 sweeps
+        # summing half of M and conjugating the rest, and the Newton update as
+        # one matrix product, change no bit; every call takes Newton steps
         from cluster_reduce.covariant import _tyler_in_doubles
 
-        rnd = random.Random(40)
-        clusters = []
-        for _ in range(40):
-            n1 = rnd.randint(2, 4)
-            rows = []
-            for _ in range(rnd.randint(n1 + 1, 24)):
-                v = [complex(rnd.randint(-9, 9), rnd.choice([0, rnd.randint(-9, 9)])) for _ in range(n1)]
-                v[0] = v[0] or 1
-                norm = sum(abs(c) ** 2 for c in v) ** 0.5
-                rows.append([c / norm for c in v])
-            clusters.append(rows)
-        Z = cluster_of(
-            (mp.mpc(2, 26), mp.mpc(-19, -259), mp.mpc(12, 170)),
-            (mp.mpc(2, -26), mp.mpc(-19, 259), mp.mpc(12, -170)),
-            (mp.mpc(-180, 98), mp.mpc(1781, -969), mp.mpc(-1162, 632)),
-            (mp.mpc(-180, -98), mp.mpc(1781, 969), mp.mpc(-1162, -632)),
-            (-107, 1059, -691),
-        )
-        clusters.append([[complex(c) for c in r] for r in normalize_cluster(Z).reps])
-        for rows in clusters:
+        for rows in _clusters_in_doubles():
             got, want = _tyler_in_doubles(rows), oracle_tyler_in_doubles(rows)
             assert got == want and repr(got) == repr(want)
+
+    def test_tyler_in_doubles_meets_its_stop_before_the_cap(self, monkeypatch):
+        # with Tyler's sweeps alone the unsettled cluster runs all 100; with
+        # Newton steps from a gradient of 2^-7 m every call stops by the rule
+        # (2^-40 m, or stagnation below 2^-20 m) within 20 steps of either kind
+        from cluster_reduce import covariant
+
+        sweep, direction, steps = covariant._lower_inverse, covariant._newton_direction, []
+
+        def counted_sweep(K):
+            steps[-1] += 1
+            return sweep(K)
+
+        def counted_direction(*args):
+            out = direction(*args)
+            steps[-1] += not out[4]  # a fallback direction leaves the step to a sweep
+            return out
+
+        monkeypatch.setattr(covariant, "_lower_inverse", counted_sweep)
+        monkeypatch.setattr(covariant, "_newton_direction", counted_direction)
+        for rows in _clusters_in_doubles():
+            steps.append(0)
+            covariant._tyler_in_doubles(rows)
+        assert max(steps) <= 20, steps
+
+    @pytest.mark.parametrize("bad", ["scale", "square", "nan"])
+    def test_overflowing_newton_step_ends_at_the_last_finite_iterate(self, monkeypatch, bad):
+        # a Newton step whose scale 2^f overflows, whose factor's squared
+        # norm overflows, or which is NaN ends the iteration at the iterate it
+        # started from: finite, positive definite, and the one where Tyler's
+        # sweeps brought the gradient below 2^-7 m, not the identity
+        import math
+
+        from cluster_reduce import covariant
+        from cluster_reduce._precision import hermitian_cholesky
+
+        expm1 = covariant._expm1_in_doubles
+
+        def broken(B, p):
+            Y, f = expm1(B, p)
+            if bad == "nan":
+                return [[math.nan] * len(Y) for _ in Y], f
+            return Y, f + (1100 if bad == "scale" else 600)
+
+        monkeypatch.setattr(covariant, "_expm1_in_doubles", broken)
+        Z = cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, -1, 5))
+        zc = normalize_cluster(Z)
+        Q = covariant._tyler_in_doubles([[complex(c) for c in r] for r in zc.reps])
+        assert all(math.isfinite(v.real) and math.isfinite(v.imag) for r in Q for v in r)
+        hermitian_cholesky(Q)
+        gnorm = grad_D(zc, HermitianForm([[mp.mpc(v) for v in r] for r in Q])).norm()
+        assert 2**-20 * 6 < gnorm <= 2**-7 * 6
 
     def test_pencil_base_points_match_published_covariant(self):
         # the four base points of the reference pencil: the solver must cross

@@ -267,21 +267,37 @@ class TestReduceQuadricPencil:
         assert substitute(Q2p, U) == report.reduced[1]
 
     def test_reference_transform_or_convergence_error_from_40_to_128_bits(self):
-        # the outcome is not monotone in the precision: below 94 bits some
-        # precisions give the reference transform and others fall short of
-        # LLL's tie window, but none may give another transform; 56 bits
-        # fails (the command line's exit 3 there is checked in CI), and every
-        # precision from 94 bits up gives the reference one
-        succeeded = []
-        for prec in range(40, 129):
-            try:
-                report = reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2, prec=prec)
-            except ConvergenceError:
-                continue
+        # the precision profile of the base points split from two line
+        # pairs: up to 91 bits the covariant falls short of LLL's tie window
+        # (the command line's exit 3 at 56 bits is checked in CI), and from
+        # 92 bits every precision gives the reference transform
+        for prec in range(40, 92):
+            with pytest.raises(ConvergenceError):
+                reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2, prec=prec)
+        for prec in range(92, 129):
+            report = reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2, prec=prec)
             assert [list(r) for r in report.transform.matrix] == PENCIL_LLL, prec
-            succeeded.append(prec)
-        assert 56 not in succeeded
-        assert set(range(94, 129)) <= set(succeeded)
+
+    def test_missing_precision_below_40_bits_is_a_convergence_error(self):
+        # from 4 to 39 bits the reference pencil is short of precision at
+        # every one, and no failure may be reported as a property of the
+        # input or of a matrix
+        for prec in range(4, 40):
+            with pytest.raises(ConvergenceError, match=f"at the working precision of {prec} bits"):
+                reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2, prec=prec)
+
+    def test_real_gram_that_lll_cannot_factor_is_missing_precision(self, monkeypatch):
+        # the real part of a positive definite covariant is positive
+        # definite, so LLL failing to factor it is the working precision's
+        # rounding, whichever pipeline reaches it
+        from cluster_reduce.errors import NotPositiveDefiniteError
+
+        def not_positive_definite(G):
+            raise NotPositiveDefiniteError("matrix is not positive-definite")
+
+        monkeypatch.setattr(pipelines, "lll_reduce", not_positive_definite)
+        with pytest.raises(ConvergenceError, match="LLL .* at the working precision of 80 bits"):
+            reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2, prec=80)
 
     def test_already_small_pair(self):
         Q1 = poly("x^2 + y^2 + z^2", nvars=3)
