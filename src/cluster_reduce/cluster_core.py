@@ -28,6 +28,7 @@ import mpmath as mp
 
 from ._precision import half_eps, to_mpc
 from .errors import DimensionError, InvalidPointError, SingularMatrixError
+from .lattice import UnimodularTransform
 
 
 def _dot(a, b):
@@ -91,7 +92,7 @@ class ProjectivePoint:
         return tuple(c / nrm for c in self.coords)
 
     def conjugate(self) -> "ProjectivePoint":
-        return ProjectivePoint(tuple(mp.conj(c) for c in self.coords))
+        return ProjectivePoint(tuple(c.conjugate() for c in self.coords))
 
     def is_same(self, other: "ProjectivePoint") -> bool:
         """Projective equality: the sine of the angle between coordinate
@@ -145,20 +146,22 @@ class PointCluster:
         return self.same_cluster(self.conjugate())
 
     def same_cluster(self, other: "PointCluster") -> bool:
-        """Multiset equality via greedy matching of projectively equal points."""
+        """Multiset equality by greedy matching: each point of ``self`` in
+        turn takes the first remaining equal point of ``other``. Equal
+        coordinates are equal; other pairs are tested by
+        :func:`_same_direction`, on units made when first needed."""
         if not isinstance(other, PointCluster):
             return NotImplemented
         if self.n != other.n or self.degree != other.degree:
             return False
-        remaining = [q.unit() for q in other.points]
-        for p in self.points:
-            u = p.unit()
-            for i, v in enumerate(remaining):
-                if _same_direction(u, v):
-                    remaining.pop(i)
-                    break
-            else:
+        unit = functools.cache(lambda side, i: (self, other)[side].points[i].unit())
+        remaining = list(range(other.degree))
+        for k, p in enumerate(self.points):
+            same = (i for i in remaining if p.coords == other.points[i].coords or _same_direction(unit(0, k), unit(1, i)))
+            match = next(same, None)
+            if match is None:
                 return False
+            remaining.remove(match)
         return True
 
     def __eq__(self, other):
@@ -292,20 +295,26 @@ def act(cluster: PointCluster, g) -> PointCluster:
     """Apply the coordinate change sending each row vector P to P * g.
 
     ``g`` must be an (n+1) x (n+1) matrix of determinant 1 (up to 2^(-prec/2)).
+    A :class:`UnimodularTransform` acts by its integer rows, with its exact
+    determinant in place of ``mp.det``.
     Composition satisfies act(act(Z, g), h) = act(Z, g*h).
     """
-    M = _as_matrix(g, cluster.n + 1)
-    det = mp.det(M)
+    size = cluster.n + 1
+    if isinstance(g, UnimodularTransform):
+        if g.size != size:
+            raise DimensionError(f"matrix size {g.size} does not match ambient dimension {size - 1}")
+        rows, det = g.matrix, g.det()
+    else:
+        M = _as_matrix(g, size)
+        rows, det = M.tolist(), mp.det(M)
     det_tol = half_eps()
     if abs(det) < det_tol:
         raise SingularMatrixError("transformation matrix is singular")
     if abs(det - 1) > det_tol * (1 + abs(det)):
         raise SingularMatrixError(f"determinant {mp.nstr(mp.mpc(det), 8)} is not 1")
-    new_points = []
-    for p in cluster.points:
-        row = [sum(p.coords[a] * M[a, j] for a in range(cluster.n + 1)) for j in range(cluster.n + 1)]
-        new_points.append(ProjectivePoint(tuple(row)))
-    return PointCluster(tuple(new_points))
+    return PointCluster(tuple(
+        ProjectivePoint(tuple(sum(c * r[j] for c, r in zip(p.coords, rows)) for j in range(size))) for p in cluster.points
+    ))
 
 
 def conjugate(cluster: PointCluster) -> PointCluster:

@@ -19,9 +19,9 @@ from typing import Optional
 
 import mpmath as mp
 
-from ._precision import _fixed, _from_fixed, half_eps, hermitian_cholesky, working_precision
+from ._precision import _fixed, _from_fixed, half_eps, working_precision
 from .cluster_core import PointCluster, ProjectivePoint, StabilityClass, act, classify
-from .covariant import HermitianForm, _log_det, _tyler_in_doubles, minimize
+from .covariant import HermitianForm, _tyler_in_doubles, minimize
 from .errors import (
     ClusterReduceError,
     ConvergenceError,
@@ -91,10 +91,10 @@ def _real_gram(z: HermitianForm) -> GramMatrix:
 
 
 def _gram_height(G: GramMatrix):
-    """Spread of the determinant-1 normalized Gram: max absolute entry, with
-    the determinant from the Cholesky diagonal."""
-    root = mp.exp(_log_det(hermitian_cholesky(G.matrix)) / G.size)
-    return max(abs(v) for r in G.matrix for v in r) / root
+    """Spread of the Gram: its largest absolute entry. Its determinant is 1
+    up to rounding, so it needs no normalization: :func:`minimize` scales
+    the covariant to determinant 1 and the transforms are unimodular."""
+    return max(abs(v) for r in G.matrix for v in r)
 
 
 def _reduce_core(cls, cluster: PointCluster, what: str, back=None):
@@ -158,7 +158,7 @@ def reduce_cluster(cluster: PointCluster, prec=None) -> ReductionReport:
             covariant=G,
             reduced_gram=reduced_gram,
             transform=U,
-            reduced=act(cluster, U.inverse_transpose().mat()),
+            reduced=act(cluster, U.inverse_transpose()),
             diagnostics=_diagnostics(
                 cls,
                 result,

@@ -485,3 +485,34 @@ def oracle_lll_in_mpmath(G):
         else:
             k += 1
     return tuple(tuple(row) for row in U)
+
+
+def oracle_same_cluster(a, b):
+    """Multiset equality of two point clusters by the greedy O(m^2) match
+    that ``PointCluster.same_cluster`` made before it took equal coordinates
+    as equal: every point of ``a`` in turn takes the first remaining point of ``b``
+    whose unit vector has a squared sine to its own below 2^(-prec), every
+    pair at the working precision."""
+    if a.n != b.n or a.degree != b.degree:
+        return False
+    tol2 = (mp.mpf(2) ** (-mp.mp.prec // 2)) ** 2
+
+    def unit(p):
+        nrm = mp.sqrt(mp.fsum(p.coords, absolute=True, squared=True))
+        return [c / nrm for c in p.coords]
+
+    def sin2(u, v):
+        c = mp.fdot(v, u, conjugate=True)
+        w = [y - c * x for x, y in zip(u, v)]
+        return mp.fdot(w, w, conjugate=True).real
+
+    remaining = [unit(q) for q in b.points]
+    for p in a.points:
+        u = unit(p)
+        for i, v in enumerate(remaining):
+            if sin2(u, v) < tol2:
+                remaining.pop(i)
+                break
+        else:
+            return False
+    return True

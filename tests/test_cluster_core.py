@@ -15,6 +15,7 @@ from cluster_reduce import (
     PointCluster,
     ProjectivePoint,
     SingularMatrixError,
+    UnimodularTransform,
     act,
     classify,
     conjugate,
@@ -22,8 +23,8 @@ from cluster_reduce import (
     phi,
 )
 
-from conftest import random_cluster, random_point, random_sl, random_unimodular_int
-from oracles import oracle_classify, oracle_count_on_span, oracle_phi
+from conftest import random_cluster, random_point, random_real_cluster, random_sl, random_unimodular_int
+from oracles import oracle_classify, oracle_count_on_span, oracle_phi, oracle_same_cluster
 
 
 def cluster_of(*coords):
@@ -148,6 +149,115 @@ class TestAct:
         Z = cluster_of((1, 0), (0, 1))
         with pytest.raises(DimensionError):
             act(Z, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    def test_transform_acts_by_its_integer_rows_without_mp_det(self, rnd, monkeypatch):
+        # the same product loop as the mpmath matrix, bit for bit, and no
+        # mp.det: the determinant of a UnimodularTransform is an exact integer
+        cases = []
+        for n in (1, 2, 3):
+            U = UnimodularTransform(random_unimodular_int(rnd, n + 1))
+            cases.append((random_cluster(rnd, n, n + 3), U if U.det() == 1 else U.negate_column(0)))
+        expected = [act(Z, U.mat()) for Z, U in cases]
+
+        def no_det(*args):
+            raise AssertionError("mp.det called")
+
+        monkeypatch.setattr(mp, "det", no_det)
+        got = [act(Z, U) for Z, U in cases]
+        assert [[p.coords for p in W.points] for W in got] == [[p.coords for p in W.points] for W in expected]
+
+    def test_transform_of_determinant_minus_one_rejected(self, rnd):
+        # as its mpmath matrix is: not in SL(n+1, Z)
+        for n in (1, 2, 3):
+            Z = random_cluster(rnd, n, n + 3)
+            U = UnimodularTransform(tuple(tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1))).negate_column(0)
+            for g in (U, U.mat()):
+                with pytest.raises(SingularMatrixError, match="is not 1"):
+                    act(Z, g)
+
+    def test_transform_of_the_wrong_size_rejected(self):
+        Z = cluster_of((1, 0), (0, 1))
+        with pytest.raises(DimensionError):
+            act(Z, UnimodularTransform(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+
+
+def _moved_pair_cluster(rnd, n, move):
+    """A cluster of real points and conjugate pairs of P^n with one
+    coordinate of one conjugate point moved by ``move`` relative."""
+    while True:
+        Z = random_real_cluster(rnd, n, n + 3)
+        pairs = [i for i, p in enumerate(Z.points) if any(c.imag for c in p.coords)]
+        if pairs:
+            break
+    i, j = rnd.choice(pairs), rnd.randrange(n + 1)
+    coords = list(Z.points[i].coords)
+    coords[j] += mp.mpf(move) * abs(coords[j])
+    points = list(Z.points)
+    points[i] = ProjectivePoint(tuple(coords))
+    return PointCluster(tuple(points))
+
+
+class TestConjugationMatch:
+    """same_cluster, and is_conjugation_fixed through it, decide as the
+    greedy match at the working precision did (oracles.oracle_same_cluster),
+    while points with equal coordinates take no working-precision test."""
+
+    @pytest.mark.parametrize("bits", [53, 106, 212])
+    def test_matches_the_greedy_oracle(self, bits):
+        rnd = random.Random(bits)
+        outcomes = []
+        with mp.workprec(bits):
+            for trial in range(30):
+                n = 1 + trial % 3
+                Z = random_cluster(rnd, n, n + 2 + trial % 3)
+                R = random_real_cluster(rnd, n, n + 3)
+                for W in (Z, R):
+                    points = list(W.points)
+                    rnd.shuffle(points)
+                    shuffled = PointCluster(tuple(points))
+                    for a, b in ((W, shuffled), (W, W.conjugate()), (Z, R), (W, PointCluster(W.points[:1] * W.degree))):
+                        outcomes.append(oracle_same_cluster(a, b))
+                        assert a.same_cluster(b) == outcomes[-1]
+                    assert W.is_conjugation_fixed() == oracle_same_cluster(W, W.conjugate())
+                for move in ("1e-20", "1e-40"):
+                    M = _moved_pair_cluster(rnd, n, move)
+                    outcomes.append(oracle_same_cluster(M, M.conjugate()))
+                    assert M.is_conjugation_fixed() == outcomes[-1]
+                    assert (M == R) == oracle_same_cluster(M, R)
+        assert True in outcomes and False in outcomes
+
+    def test_moves_decided_at_the_working_precision(self):
+        # doubles cannot see either move; 212 bits see 1e-20 and not 1e-40
+        rnd = random.Random(5)
+        with mp.workprec(212):
+            for move, fixed in (("1e-20", False), ("1e-40", True)):
+                for n in (1, 2, 3):
+                    assert _moved_pair_cluster(rnd, n, move).is_conjugation_fixed() is fixed
+
+    def _count_tests(self, monkeypatch):
+        calls = []
+        real = cluster_core._same_direction
+        monkeypatch.setattr(cluster_core, "_same_direction", lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    def test_at_most_one_working_precision_test_per_point(self, rnd, monkeypatch):
+        # two conjugate pairs in general position: the greedy scan meets
+        # conj(p) before p's partner, and only that pair takes a test, where
+        # the match on units alone made 7 tests on these 5 points
+        p, q = random_point(rnd, 2), random_point(rnd, 2)
+        r = ProjectivePoint(tuple(mp.mpf(rnd.uniform(-1, 1)) for _ in range(3)))
+        Z = PointCluster((p, p.conjugate(), q, q.conjugate(), r))
+        calls = self._count_tests(monkeypatch)
+        assert Z.is_conjugation_fixed()
+        assert len(calls) <= Z.degree
+        # real points equal their conjugates' coordinates and take no test
+        del calls[:]
+        R = PointCluster(tuple(ProjectivePoint(tuple(mp.mpf(rnd.uniform(-1, 1)) for _ in range(3))) for _ in range(5)))
+        assert R.is_conjugation_fixed()
+        assert calls == []
+        # partners given with a scaling are found at the working precision
+        scaled = [ProjectivePoint(tuple(f * c for c in x.conjugate().coords)) for f, x in ((mp.mpc(1, 2), p), (3, q))]
+        assert PointCluster((p, scaled[0], q, scaled[1], r)).is_conjugation_fixed()
 
 
 class TestConjugate:

@@ -121,6 +121,16 @@ class TestUnimodularTransform:
             UnimodularTransform(rows)
 
 
+@pytest.mark.parametrize(
+    "x", [math.inf, -math.inf, math.nan, mp.inf, -mp.inf, mp.nan], ids=["inf", "-inf", "nan", "mpf-inf", "mpf--inf", "mpf-nan"]
+)
+def test_man_exp_rejects_what_is_not_finite(x):
+    from cluster_reduce._precision import _man_exp
+
+    with pytest.raises(InputFormatError):
+        _man_exp(x)
+
+
 class TestLllReduce:
     def test_identity(self):
         G = GramMatrix(((1, 0), (0, 1)))

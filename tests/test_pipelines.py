@@ -3,6 +3,7 @@
 import os
 import pathlib
 import random
+from fractions import Fraction
 import subprocess
 import sys
 
@@ -56,7 +57,7 @@ from conftest import (
     random_real_cluster,
     random_unimodular_int,
 )
-from oracles import oracle_classify
+from oracles import oracle_classify, oracle_int_det
 
 
 def poly(text, nvars=None):
@@ -924,6 +925,38 @@ def test_imaginary_covariant_names_the_precision():
     with pytest.raises(ConvergenceError) as info:
         pipelines._real_gram(z)
     assert str(info.value).endswith("at the working precision of 212 bits"), info.value
+
+
+def _exact_det(G):
+    """det G, exactly, from the dyadic entries m 2^e of the Gram G: the
+    determinant of an integer matrix times a power of 2."""
+    parts = [[(-man if sign else man, exp) for sign, man, exp, _ in (v._mpf_ for v in r)] for r in G.matrix]
+    e = min(x for r in parts for _, x in r)
+    return oracle_int_det([[m << (x - e) for m, x in r] for r in parts]) * Fraction(2) ** (e * G.size)
+
+
+@pytest.mark.parametrize("case", ["cluster-1", "cluster-2", "cluster-3", "quintic-1e6", "pencil", "quartic"])
+def test_reported_grams_have_determinant_one(case):
+    # the premise of the reported heights, which are the largest entries of
+    # the Grams with no normalization by their determinants
+    from cluster_reduce import UnimodularTransform
+
+    if case.startswith("cluster"):
+        n = int(case[-1])
+        rnd = random.Random(n)
+        V = UnimodularTransform(random_unimodular_int(rnd, n + 1, max_entry=300))
+        report = reduce_cluster(act(random_real_cluster(rnd, n, n + 3), V))
+        for G, height in ((report.covariant, "height_before"), (report.reduced_gram, "height_after")):
+            assert report.diagnostics[height] == max(abs(v) for r in G.matrix for v in r)
+    elif case == "quintic-1e6":
+        report = reduce_binary_form(_distorted_quintic(10**6))
+    elif case == "pencil":
+        report = reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2)
+    else:
+        report = reduce_ternary_form(QUARTIC)
+    bound = Fraction(1, 2 ** (report.diagnostics["precision"] // 2))
+    for G in (report.covariant, report.reduced_gram):
+        assert abs(_exact_det(G) - 1) <= bound
 
 
 class TestClassifyCost:

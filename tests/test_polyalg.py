@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cluster_reduce import (
     CommonComponentError,
     ConvergenceError,
+    DimensionError,
     EliminationError,
     InputFormatError,
     MultiPoly,
@@ -64,6 +65,10 @@ def _evaluation_cases(draw):
 
 
 class TestMultiPoly:
+    def test_evaluate_needs_one_coordinate_per_variable(self):
+        with pytest.raises(DimensionError):
+            QUARTIC.evaluate([1, 2])
+
     def test_text_round_trip(self):
         p = poly("3 * x0^2 x1 - x2^3 + 7", nvars=3)
         assert p.coeff((2, 1, 0)) == 3
@@ -263,6 +268,14 @@ class TestHessian:
     def test_non_homogeneous_rejected(self):
         with pytest.raises(InputFormatError):
             hessian(poly("x^2 + y", nvars=3))
+
+    def test_binary_form_rejected(self):
+        with pytest.raises(DimensionError):
+            hessian(poly("x0^3 + x1^3", nvars=2))
+
+    def test_linear_form_rejected(self):
+        with pytest.raises(InputFormatError):
+            hessian(poly("x + y + z", nvars=3))
 
 
 def _form_roots(F, prec=None):
