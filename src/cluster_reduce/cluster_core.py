@@ -164,11 +164,7 @@ class PointCluster:
             remaining.remove(match)
         return True
 
-    def __eq__(self, other):
-        if not isinstance(other, PointCluster):
-            return NotImplemented
-        return self.same_cluster(other)
-
+    __eq__ = same_cluster
     __hash__ = None
 
     def __repr__(self):

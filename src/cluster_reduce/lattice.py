@@ -16,7 +16,7 @@ comparison prefer not swapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath as mp
 from sympy import ZZ
@@ -79,9 +79,10 @@ def _int_det(rows):
 
 @dataclass(frozen=True)
 class UnimodularTransform:
-    """Integer matrix of determinant +-1, stored exactly."""
+    """Integer matrix of determinant +-1, stored exactly, with that determinant."""
 
     matrix: tuple
+    _det: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.matrix)
@@ -91,7 +92,8 @@ class UnimodularTransform:
         if any(len(r) != size for r in rows):
             raise DimensionError("unimodular transform must be square")
         object.__setattr__(self, "matrix", rows)
-        if _int_det(rows) not in (1, -1):
+        object.__setattr__(self, "_det", _int_det(rows))
+        if self._det not in (1, -1):
             raise SingularMatrixError("matrix determinant is not +-1")
 
     @property
@@ -99,7 +101,7 @@ class UnimodularTransform:
         return len(self.matrix)
 
     def det(self) -> int:
-        return _int_det(self.matrix)
+        return self._det
 
     def inverse(self) -> "UnimodularTransform":
         """Exact integer inverse num / den from sympy's fraction-free
@@ -147,9 +149,10 @@ def congruence(G: GramMatrix, U: UnimodularTransform) -> GramMatrix:
 
 def _gso(G: GramMatrix):
     """Gram-Schmidt data (mu, B) of the basis underlying G, from one Cholesky
-    factorization G = L L^T: mu_ij = L_ij / L_jj (row i holds j < i) and
-    B_i = L_ii^2. Raises NotPositiveDefiniteError unless G is symmetric to
-    2^(-prec/2) and positive definite."""
+    factorization G = L L^T at the working precision: mu_ij = L_ij / L_jj
+    (row i holds j < i) and B_i = L_ii^2. Raises NotPositiveDefiniteError
+    unless G is symmetric to 2^(-prec/2) and the factorization succeeds;
+    :func:`lll_reduce` decides on the exact leading minors instead."""
     n = G.size
     check_hermitian(G.matrix, NotPositiveDefiniteError("Gram matrix is not symmetric"))
     L = hermitian_cholesky(G.matrix)
@@ -174,9 +177,16 @@ def lll_reduce(G: GramMatrix):
     On C of :func:`_integers`, d[i+1] is the leading minor of size i+1 and
     lam[i][j] = d[j+1] mu_ij: size reduction rounds mu = lam_kj / d_(j+1),
     and b_(k-1), b_k swap where d_(k+1) d_(k-1) < DELTA d_k^2 - lam_k(k-1)^2.
+    Positive definiteness is decided once, exactly, by Sylvester's criterion
+    on these minors before any step: NotPositiveDefiniteError is raised
+    unless G is also symmetric to 2^(-prec/2) and finite.
     """
-    _gso(G)
-    C, n, h = _integers(G)[0], G.size, mp.mp.prec // 2  # mu within 2^-h of a half-integer rounds toward zero
+    check_hermitian(G.matrix, NotPositiveDefiniteError("Gram matrix is not symmetric"))
+    try:
+        C = _integers(G)[0]
+    except InputFormatError as exc:
+        raise NotPositiveDefiniteError(f"Gram matrix entry {exc}") from None
+    n, h = G.size, mp.mp.prec // 2  # mu within 2^-h of a half-integer rounds toward zero
     d, lam = [1] * (n + 1), [[0] * n for _ in range(n)]
     for k in range(n):  # Cohen, Algorithm 2.6.7, step 2, on the lower triangle
         for j in range(k + 1):

@@ -14,7 +14,9 @@ from cluster_reduce import (
     InvalidPointError,
     PointCluster,
     ProjectivePoint,
+    ScaledCluster,
     SingularMatrixError,
+    StabilityClass,
     UnimodularTransform,
     act,
     classify,
@@ -44,6 +46,53 @@ class TestProjectivePoint:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionError):
             cluster_of((1, 0), (1, 0, 0))
+
+    def test_no_coordinates_rejected(self):
+        with pytest.raises(InvalidPointError, match="at least one coordinate"):
+            ProjectivePoint(())
+
+    def test_points_of_different_spaces_differ(self):
+        # as do a point and what is no point
+        assert not ProjectivePoint((1, 0)).is_same(ProjectivePoint((1, 0, 0)))
+        assert ProjectivePoint((1, 0)) != (1, 0)
+
+
+class TestPointClusterEquality:
+    def test_what_is_no_cluster_differs(self):
+        Z = cluster_of((1, 0), (0, 1))
+        assert Z.same_cluster(Z.points) is NotImplemented
+        assert Z != Z.points and Z == cluster_of((0, 1), (1, 0))
+
+    def test_repr_lists_the_points(self):
+        P, Q = ProjectivePoint((1, 0)), ProjectivePoint((0, 1))
+        assert repr(PointCluster((P, Q))) == f"PointCluster({P!r} + {Q!r})"
+
+
+class TestScaledCluster:
+    @pytest.mark.parametrize(
+        "reps, error",
+        [((), InvalidPointError), (((1, 0), (1, 0, 0)), DimensionError), (((1, 0), (0, 0)), InvalidPointError)],
+        ids=["empty", "ragged", "zero-row"],
+    )
+    def test_malformed_rows_rejected(self, reps, error):
+        with pytest.raises(error):
+            ScaledCluster(reps)
+
+    def test_rows_that_are_not_rescalings_differ(self):
+        zc = ScaledCluster(((1, 0), (1, 1)))
+        assert not zc.same_scaled(ScaledCluster(((1, 0, 0), (1, 1, 0))))  # another space
+        assert not zc.same_scaled(ScaledCluster(((1, 0), (1, 1), (0, 1))))  # another degree
+        assert not zc.same_scaled(ScaledCluster(((0, 1), (1, 1))))  # zero where the row is largest
+        assert not zc.same_scaled(ScaledCluster(((1, 0), (1, 2))))  # not proportional
+        assert repr(zc) == "ScaledCluster(m=2, n=1)"
+
+
+@pytest.mark.parametrize(
+    "split, semi_stable", [(False, False), (True, True)], ids=["not-semi-stable", "split"]
+)
+def test_stable_class_must_be_semi_stable_and_not_split(split, semi_stable):
+    with pytest.raises(ValueError):
+        StabilityClass(split, semi_stable, True)
 
 
 def _fraction(x):
@@ -149,6 +198,8 @@ class TestAct:
         Z = cluster_of((1, 0), (0, 1))
         with pytest.raises(DimensionError):
             act(Z, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(DimensionError, match="must be square"):
+            act(Z, [[1, 0], [0, 1], [1, 1]])
 
     def test_transform_acts_by_its_integer_rows_without_mp_det(self, rnd, monkeypatch):
         # the same product loop as the mpmath matrix, bit for bit, and no

@@ -613,6 +613,25 @@ class TestHermitianForm:
         assert abs(Q.normalized().det() - 1) < mp.mpf(2) ** -200
         assert Q.same_form(HermitianForm([[3 * v for v in row] for row in Q.matrix]))
 
+    def test_non_square_rejected(self):
+        from cluster_reduce import DimensionError
+
+        with pytest.raises(DimensionError, match="must be square"):
+            HermitianForm([[1, 0], [0]])
+
+    def test_forms_of_different_sizes_differ(self):
+        Q = HermitianForm(_hermitian_3x3())
+        assert not Q.same_form(HermitianForm([[1, 0], [0, 1]]))
+        assert repr(Q) == "HermitianForm(n=2)"
+
+    @pytest.mark.parametrize("fn", [eval_D, grad_D])
+    def test_form_of_another_size_than_the_cluster_rejected(self, fn):
+        from cluster_reduce import DimensionError
+
+        zc = normalize_cluster(PointCluster(tuple(ProjectivePoint(p) for p in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])))
+        with pytest.raises(DimensionError, match="does not match"):
+            fn(zc, HermitianForm([[1, 0], [0, 1]]))
+
 
 def _off_hermitian(kind, delta):
     """A form, Gram matrix or tangent direction of size 3 whose (1, 0) entry

@@ -146,6 +146,19 @@ class TestJsonRoundTrips:
         with pytest.raises(InputFormatError):
             reader(data)
 
+    def test_complex_entry_of_three_parts_rejected(self):
+        with pytest.raises(InputFormatError, match=r"must be a \[re, im\] pair"):
+            cio.cluster_from_json({"n": 0, "points": [[["1", "0", "0"]]]})
+
+    def test_report_of_an_unknown_reduced_object_rejected(self):
+        import dataclasses
+
+        from cluster_reduce import reduce_cluster
+
+        report = reduce_cluster(cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+        with pytest.raises(TypeError, match="cannot serialize reduced object"):
+            cio.report_to_json(dataclasses.replace(report, reduced=object()))
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -561,6 +574,7 @@ class TestCli:
             ("covariant", '{"n": 0, "points": "123"}'),
             ("classify", '{"n": 1, "points": [[true, false], ["0", "1"], ["1", "1"]]}'),
             ("reduce-binary", '{"nvars": 2, "terms": [{"exp": [3, 0], "coeff": 12345678901234567891.0}, {"exp": [0, 3], "coeff": 1}]}'),
+            ("reduce-ternary", "x0^3 + x0 x1^2 + x1^3"),
         ],
         ids=[
             "bad-coefficient",
@@ -585,6 +599,7 @@ class TestCli:
             "string-points",
             "boolean-coordinate",
             "coefficient-rounded-as-a-double",
+            "cone",
         ],
     )
     def test_malformed_input_one_line_exit_4(self, tmp_path, command, content):
@@ -686,6 +701,47 @@ class TestCli:
             assert result.stderr == ""
         else:
             assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
+
+    def test_elimination_that_no_shear_resolves_exits_1(self, tmp_path, monkeypatch):
+        # forced: each of the 12 projections fails as one whose center lies
+        # on a curve would, and the EliminationError that ends the
+        # intersection has no exit code of its own
+        from cluster_reduce import polyalg
+
+        def fails(F, G, S, d1, d2):
+            raise polyalg._ShearFailure("projection center lies on a curve")
+
+        monkeypatch.setattr(polyalg, "_intersect_with_shear", fails)
+        path = self._write(tmp_path, "cubic.txt", "x0^3 + x1^3 + x2^3 + x0 x1 x2")
+        result = CliRunner().invoke(main, ["reduce-ternary", path])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == ["error: no shear produced a clean elimination: projection center lies on a curve"]
+
+    def test_closed_pipe_exits_0_quietly(self, tmp_path, monkeypatch):
+        # a consumer that closed the pipe is no error of the command
+        from cluster_reduce import cli
+
+        def closed(*args):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "_emit", closed)
+        path = self._write(tmp_path, "cluster.json", '{"n": 1, "points": [["1", "0"], ["0", "1"], ["1", "1"]]}')
+        result = CliRunner().invoke(main, ["classify", path])
+        assert result.exit_code == 0 and result.output == ""
+
+    def test_module_entry_point(self, tmp_path, monkeypatch, capsys):
+        # python -m cluster_reduce.cli runs the same group as the installed script
+        import runpy
+        import sys
+        import warnings
+
+        path = self._write(tmp_path, "cluster.json", '{"n": 1, "points": [["1", "0"], ["0", "1"], ["1", "1"]]}')
+        monkeypatch.setattr(sys, "argv", ["cluster-reduce", "classify", path])
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as info:
+            warnings.simplefilter("ignore", RuntimeWarning)  # the module is imported already
+            runpy.run_module("cluster_reduce.cli", run_name="__main__")
+        assert info.value.code == 0
+        assert capsys.readouterr().out.splitlines() == ["split: False", "semi-stable: True", "stable: True"]
 
     def test_unstable_binary_exit_code(self, tmp_path):
         path = self._write(tmp_path, "bad.txt", "x0^2 x1")

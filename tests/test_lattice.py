@@ -120,6 +120,26 @@ class TestUnimodularTransform:
         with pytest.raises(DimensionError):
             UnimodularTransform(rows)
 
+    def test_one_determinant_per_construction(self, monkeypatch):
+        # det() returns the determinant that construction checked; every
+        # transform that inverse, transpose, negate_column and @ build is
+        # checked again, once
+        import cluster_reduce.lattice as lattice
+
+        calls = []
+        real = lattice._int_det
+        monkeypatch.setattr(lattice, "_int_det", lambda rows: calls.append(rows) or real(rows))
+        U = UnimodularTransform(((2, 1), (1, 1)))
+        assert U.det() == U.det() == 1 and len(calls) == 1
+        assert U.inverse().det() == U.transpose().det() == 1 and len(calls) == 3
+        assert U.negate_column(0).det() == (U @ U).det() * -1 == -1 and len(calls) == 5
+        assert U == UnimodularTransform(((2, 1), (1, 1))) and "_det" not in repr(U)
+
+
+def test_gram_matrix_must_be_square():
+    with pytest.raises(DimensionError):
+        GramMatrix(((1, 0), (0,)))
+
 
 @pytest.mark.parametrize(
     "x", [math.inf, -math.inf, math.nan, mp.inf, -mp.inf, mp.nan], ids=["inf", "-inf", "nan", "mpf-inf", "mpf--inf", "mpf-nan"]
@@ -255,7 +275,10 @@ class TestLllReduce:
             _, U = lll_reduce(GramMatrix(G))
             assert U.matrix == oracle_lll_in_mpmath(G)
 
-    def test_factors_the_gram_matrix_once(self, monkeypatch, rnd):
+    def test_takes_no_cholesky_factorization(self, monkeypatch, rnd):
+        # positive definiteness is decided on the exact leading minors that
+        # the integral LLL computes anyway: no factorization at the working
+        # precision runs
         import cluster_reduce.lattice as lattice
 
         calls = []
@@ -268,7 +291,26 @@ class TestLllReduce:
         monkeypatch.setattr(lattice, "hermitian_cholesky", counted)
         _, U = lll_reduce(GramMatrix(tuple(map(tuple, int_gram(rnd, 5, spread=40)))))
         assert U.matrix != tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
-        assert calls == [5]
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((1, 2), (2, 1)),
+            ((1, 0, 0), (0, 2, 1), (0, 1, mp.mpf("0.5"))),
+            ((2, 1), (0, 2)),
+            ((1, 0), (0, mp.inf)),
+            ((1, mp.nan), (mp.nan, 1)),
+            ((mp.nan, 0), (0, 1)),
+            ((1, 0), (0, 0)),
+        ],
+        ids=["indefinite", "singular-3x3", "not-symmetric", "infinite", "nan-off-diagonal", "nan-diagonal", "zero-minor"],
+    )
+    def test_not_positive_definite_rejected_exactly(self, rows):
+        # symmetry to 2^(-prec/2), finite entries and positive exact
+        # leading minors, each as the parent's Cholesky decided them
+        with pytest.raises(NotPositiveDefiniteError):
+            lll_reduce(GramMatrix(rows))
 
     @pytest.mark.parametrize("twice_mu", [1, 3, -3])
     def test_size_reduction_tie_ignores_rounding_noise(self, twice_mu):

@@ -418,7 +418,60 @@ def test_zero_adjugate_names_the_precision():
     assert str(info.value).endswith("at the working precision of 212 bits"), info.value
 
 
+def _pencil_roots():
+    """The root cluster of the reference pencil's cubic at 212 bits."""
+    with mp.workprec(212):
+        return reduce_binary_form(pencil_cubic(PENCIL_Q1, PENCIL_Q2)).extras["root_cluster"]
+
+
+def test_base_points_from_one_root_twice_name_the_precision():
+    # one member split twice gives the same two lines twice, and a line
+    # crossed with itself is exactly zero: no point
+    once = _pencil_roots().points[0]
+    with mp.workprec(212), pytest.raises(ConvergenceError, match="coincide at the working precision of 212 bits"):
+        pipelines._base_points(PointCluster((once, once)), (PENCIL_Q1, PENCIL_Q2), (PENCIL_Q1, PENCIL_Q2))
+
+
+def test_base_points_of_a_moved_root_fail_their_residual_gate():
+    # a root of the cubic moved by 1e-10 gives a member of full rank, whose
+    # split crosses at points off the pencil by far more than 2^-106
+    first, second = _pencil_roots().points[:2]
+    moved = ProjectivePoint((first.coords[0] + mp.mpf(10) ** -10, first.coords[1]))
+    with mp.workprec(212), pytest.raises(ConvergenceError, match=r"residual .* is not below 2\^\(-106\) at the working"):
+        pipelines._base_points(PointCluster((moved, second)), (PENCIL_Q1, PENCIL_Q2), (PENCIL_Q1, PENCIL_Q2))
+
+
+@pytest.mark.parametrize(
+    "reduce, forms",
+    [
+        (reduce_ternary_form, ("1/2 x^3 + y^3 + z^3 + x y z",)),
+        (reduce_quadric_pencil, ("1/2 x^2 + y^2 - z^2", "x y + z^2")),
+    ],
+    ids=["ternary", "pencil"],
+)
+def test_rational_coefficients_rejected(reduce, forms):
+    # root finding takes integer coefficients only
+    with pytest.raises(InputFormatError, match="must have integer coefficients"):
+        reduce(*(poly(f, nvars=3) for f in forms))
+
+
 class TestReduceTernaryForm:
+    @pytest.mark.parametrize(
+        "F",
+        [
+            poly("x0^3 + x0 x1^2 + x1^3", nvars=3),
+            substitute(poly("x0^3 + x0 x1^2 + x1^3", nvars=3), ((1, 2, 3), (0, 1, 4), (0, 0, 1))),
+            poly("x0^4 + x0 x1^3 + 2 x1^4", nvars=3),
+        ],
+        ids=["cubic", "moved-cubic", "quartic"],
+    )
+    def test_cone_rejected_by_its_vanishing_hessian(self, F):
+        # irreducible over Q, so the factorization passes it, but over C a
+        # union of concurrent lines, whose Hessian is identically zero
+        assert F.to_sympy().is_irreducible and hessian(F).is_zero()
+        with pytest.raises(InputFormatError, match="the Hessian vanishes: the curve is a union of concurrent lines"):
+            reduce_ternary_form(F)
+
     def test_fermat_cubic_identity_covariant(self):
         F = poly("x^3 + y^3 + z^3", nvars=3)
         report = reduce_ternary_form(F)

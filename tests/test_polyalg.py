@@ -127,6 +127,32 @@ class TestMultiPoly:
         with pytest.raises(InputFormatError):
             MultiPoly(1, (((1,), value),))
 
+    def test_sympy_rational_coefficient_read_exactly(self):
+        (a,), (b,) = MultiPoly(1, (((1,), sp.Rational(1, 2)),)).terms, MultiPoly(1, (((1,), sp.Integer(3)),)).terms
+        assert a == ((1,), Fraction(1, 2)) and b == ((1,), 3) and type(b[1]) is int
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(InputFormatError, match="negative exponent"):
+            MultiPoly(2, (((1, -1), 1),))
+
+    def test_mixed_variable_counts_rejected(self):
+        with pytest.raises(DimensionError, match="mixed variable counts"):
+            MultiPoly.variable(2, 0) + MultiPoly.variable(3, 0)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="negative power"):
+            MultiPoly.variable(2, 0) ** -1
+
+    def test_zero_polynomial(self):
+        zero = MultiPoly(3, ())
+        assert zero.degree_in(1) == zero.total_degree() == -1
+        assert zero.height() == 0 and repr(zero) == "0"
+        assert zero.evaluate([1, 2, 3]) == 0
+
+    def test_constant_text_has_one_variable(self):
+        assert MultiPoly.from_text("7") == MultiPoly.constant(1, 7)
+        assert repr(poly("x0^2 - 3 x1")) == "x0^2 - 3 * x1"
+
     def test_string_coefficient_in_lowest_terms(self):
         # "6/3" is the integer 2, not a Fraction with denominator 1
         (term,) = MultiPoly(1, (((1,), "6/3"),)).terms
@@ -589,6 +615,37 @@ class TestCurveIntersection:
         eager += [polyalg._random_shear(rng, 3) for _ in range(11)]
         assert list(polyalg._shears(random.Random(5), 12)) == eager
 
+    @pytest.mark.parametrize(
+        "F, error",
+        [(poly("x^2 + y^2"), DimensionError), (poly("x^2 + y z + z", nvars=3), InputFormatError)],
+        ids=["binary", "not-homogeneous"],
+    )
+    def test_inputs_must_be_ternary_forms(self, F, error):
+        with pytest.raises(error):
+            curve_intersection(F, PENCIL_Q2)
+
+    def test_no_clean_shear_is_an_elimination_error(self, monkeypatch):
+        # every one of the 12 projections forced to fail, as a center on a
+        # curve, a resultant of dropped degree or two points on one fiber
+        # would: the intersection gives up with EliminationError
+        tried = []
+
+        def fails(F, G, S, d1, d2):
+            tried.append(S)
+            raise polyalg._ShearFailure("projection center lies on a curve")
+
+        monkeypatch.setattr(polyalg, "_intersect_with_shear", fails)
+        with pytest.raises(EliminationError, match="no shear produced a clean elimination: projection center"):
+            curve_intersection(PENCIL_Q1, PENCIL_Q2)
+        assert len(tried) == 12 and tried[0] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+    def test_pass_in_doubles_rejects_a_point_that_is_not_finite(self, monkeypatch):
+        # a root of the resultant that overflows doubles gives no point; the
+        # preconditioning pass that called it stops there
+        monkeypatch.setattr(polyalg, "_roots_in_doubles", lambda coeffs: [complex(math.inf, 0)] * (len(coeffs) - 1))
+        with pytest.raises(ArithmeticError, match="not finite in doubles"):
+            polyalg._intersection_in_doubles(QUARTIC, hessian(QUARTIC))
+
     def test_shear_retry_when_projection_center_on_curve(self):
         # F vanishes at (1:0:0), so the identity projection is rejected and a
         # sheared coordinate system must be used
@@ -782,6 +839,48 @@ class TestAberthInternals:
             for r in roots:
                 residual = abs(mp.polyval(exact, r)) / (norm * max(1, abs(r)) ** 24)
                 assert residual < mp.mpf(2) ** -212
+
+    def test_doubles_move_a_start_at_a_critical_point_and_coincident_starts(self):
+        # x^3 - 3x has p'(1) = 0, so the start 1 takes no Newton step, and the
+        # two starts at 2 give no Aberth sum: each is moved by a jitter, and
+        # the sweeps go on to 0 and +-sqrt(3)
+        roots = polyalg._aberth([1, 0, -3, 0], [1 + 0j, 2 + 0j, 2 + 0j], 100)
+        for got, want in zip(sorted(roots, key=lambda z: z.real), (-math.sqrt(3), 0, math.sqrt(3))):
+            assert abs(got - want) < 1e-12
+
+    def test_doubles_raise_with_the_current_approximations(self):
+        starts = [4 + 1j, -4 + 1j, 3j]
+        with pytest.raises(ConvergenceError, match="of 3 roots did not converge in 1 Aberth sweeps") as info:
+            polyalg._aberth([1, 0, -3, 0], list(starts), 1)
+        assert len(info.value.best) == 3 and info.value.best != starts
+
+    def test_constant_in_doubles_has_no_roots_but_its_zero_roots(self):
+        assert polyalg._roots_in_doubles([5]) == []
+        assert polyalg._roots_in_doubles([5, 0, 0]) == [0j, 0j]
+
+    @pytest.mark.parametrize(
+        "starts",
+        [(4, 10), (3, -1)],
+        ids=["critical-point", "zero-aberth-denominator"],
+    )
+    def test_fixed_point_sweeps_recover_from_degenerate_starts(self, starts):
+        # (x - 1)(x - 7): p'(4) = 0 takes no Newton step, so the start moves
+        # by a jitter. From 3 and -1, p'/p = 1/4 = 1/(3 - (-1)) at 3 makes
+        # p' - p s exactly 0, so the step is Newton's p/p' = 4; it lands on
+        # the other start, which the collision then moves by a jitter
+        with mp.workprec(106):
+            roots = polyalg._aberth_fixed([1, -8, 7], [mp.mpc(z) for z in starts])
+            assert sorted(mp.nint(r.real) for r in roots) == [1, 7]
+            assert all(min(abs(r - 1), abs(r - 7)) < mp.mpf(2) ** -100 for r in roots)
+
+    def test_fixed_point_step_lands_on_the_other_start(self, monkeypatch):
+        # the Newton fallback above, seen after one sweep: the first iterate
+        # moved from 3 to -1, onto the second start, and the second was jittered
+        monkeypatch.setattr(polyalg, "ABERTH_SWEEPS", 1)
+        with mp.workprec(106), pytest.raises(ConvergenceError) as info:
+            polyalg._aberth_fixed([1, -8, 7], [mp.mpc(3), mp.mpc(-1)])
+        first, second = info.value.best
+        assert first == -1 and second != -1 and abs(second + 1) < mp.mpf(2) ** -26
 
     def test_nonconvergence_raises(self, monkeypatch):
         # (x - 1)(x - 2)...(x - 6): one sweep cannot converge every root
