@@ -414,8 +414,10 @@ def reduce_ternary_form(F: MultiPoly, prec=None, seed=0) -> ReductionReport:
 
     The inflection points are the intersections of the curve with its Hessian
     curve. Points singular on the curve are removed, found exactly by
-    :func:`curve_intersection`; only plain nodes are accepted (each absorbs
-    intersection multiplicity 6), and the classical genus conditions g > 0 and
+    :func:`curve_intersection`; only nodes with uninflected branches are
+    accepted (each absorbs intersection multiplicity 6; a cusp, a tacnode or
+    a node with a flex on a branch, a flecnode, absorbs more and raises
+    StabilityError), and the classical genus conditions g > 0 and
     r < d(d-2)/4 are enforced. A smooth curve's flexes are stable, a nodal
     curve's are classified; their covariant drives the LLL reduction.
 
@@ -423,12 +425,13 @@ def reduce_ternary_form(F: MultiPoly, prec=None, seed=0) -> ReductionReport:
     whole reductions in hardware doubles (:func:`_precondition`), and the
     flexes are found by :func:`curve_intersection` of the well-conditioned
     F(U0 x) with its Hessian. The residuals refer to these forms after the
-    shear that succeeded (the identity unless it failed), which the same
-    call and seed reproduce. By equivariance,
+    projection that succeeded (the identity unless it failed), which the
+    same call reproduces: the projections are fixed. By equivariance,
     z(F(U0 x)) = U0^T z(F) U0, their Gram is carried back exactly by U0^-1
     and LLL-reduced from the identity, so U does not depend on U0. The
     covariant, flexes (placed at U0 v), H and transform refer to F.
-    ``diagnostics["preconditioning"]`` records the passes and U0.
+    ``diagnostics["preconditioning"]`` records the passes and U0. Nothing
+    reads ``seed``; it stays in the signature for callers that still pass it.
 
     Default precision is 212 bits for degree <= 3 and 424 bits above. A
     degree above ``MAX_TERNARY_DEGREE``, a form reducible over Q and a cone,
@@ -451,23 +454,22 @@ def reduce_ternary_form(F: MultiPoly, prec=None, seed=0) -> ReductionReport:
         if H.is_zero():
             raise InputFormatError("the Hessian vanishes: the curve is a union of concurrent lines")
         F1, H1, U0, passes = _precondition(F, H)
-        inter = curve_intersection(F1, H1, seed=seed)
+        inter = curve_intersection(F1, H1)
         # a singular point of F is singular on its Hessian curve too, so the
         # exact flag of curve_intersection finds the singular points of F
         flexes = [root for root, sing in zip(inter.roots, inter.singular) if not sing]
         nodes = [mult for (_, mult, _), sing in zip(inter.roots, inter.singular) if sing]
+        for mult in nodes:
+            if mult != 6:
+                raise StabilityError(
+                    f"a singular point meets the Hessian with multiplicity {mult}, not 6: it is not a node with "
+                    "uninflected branches (it may be a cusp, a tacnode or a flecnode); no inflection cluster"
+                )
+        # a smooth curve (r = 0, d >= 3) has genus >= 1
         r = len(nodes)
-        if r:
-            if any(mult != 6 for mult in nodes):
-                raise StabilityError(
-                    "curve has a non-nodal singularity; the inflection cluster "
-                    "is not defined by this pipeline"
-                )
-            genus = (d - 1) * (d - 2) // 2 - r
-            if genus <= 0 or 4 * r >= d * (d - 2):
-                raise StabilityError(
-                    f"nodal curve out of range: genus {genus}, {r} nodes"
-                )
+        genus = (d - 1) * (d - 2) // 2 - r
+        if genus <= 0 or 4 * r >= d * (d - 2):
+            raise StabilityError(f"nodal curve out of range: genus {genus}, {r} nodes")
         # by Bezout's total d 3(d-2) and 6 per node, the flexes number
         # 3d(d-2) - 6r with multiplicity, so they are not counted
         pts = tuple(v for v, mult, _ in flexes for _ in range(mult))

@@ -48,7 +48,6 @@ from .errors import (
     EliminationError,
     InputFormatError,
 )
-from .lattice import _int_det
 
 _VAR_ALIASES = {"x": 0, "y": 1, "z": 2, "w": 3}
 
@@ -469,7 +468,8 @@ def _aberth(cs, z, maxsteps):
     ``_at_rounding_level`` holds or its correction falls below
     2^-53 max(1, |z|); raises ConvergenceError, with the current
     approximations as ``best``, when some root meets neither test within
-    ``maxsteps`` sweeps."""
+    ``maxsteps`` sweeps. A root at a critical point or on another root is
+    moved by 1 + t(1 ± i), 0 <= t < 1e-8, or to t(1 ± i) where it is 0."""
     d = len(z)
     abs_cs = [abs(c) for c in cs]
     converged = [False] * d
@@ -483,7 +483,8 @@ def _aberth(cs, z, maxsteps):
                 converged[i] = True
                 continue
             if dp == 0:
-                z[i] *= 1 + 1e-8 * (1 + 1j) * rnd.random()
+                t = 1e-8 * (1 + 1j) * rnd.random()
+                z[i] = z[i] * (1 + t) if z[i] else t
                 continue
             newton = p / dp
             s = 0
@@ -497,7 +498,8 @@ def _aberth(cs, z, maxsteps):
                     break
                 s += 1 / diff
             if collide:
-                z[i] *= 1 + 1e-8 * (1 - 1j) * rnd.random()
+                t = 1e-8 * (1 - 1j) * rnd.random()
+                z[i] = z[i] * (1 + t) if z[i] else t
                 continue
             denom = 1 - newton * s
             w = newton if denom == 0 else newton / denom
@@ -554,9 +556,10 @@ def _aberth_fixed(A, z):
     rnd = random.Random(1729)
 
     def jitter(i, sign):
-        # z *= 1 + t (1 + sign i), 0 <= t < 2^-27
+        # z *= 1 + t (1 + sign i), 0 <= t < 2^-27, or z = t (1 + sign i)
+        # where z = 0, which no factor moves
         t = rnd.getrandbits(20)
-        x, y = X[i], Y[i]
+        x, y = (X[i], Y[i]) if X[i] or Y[i] else (one, 0)
         X[i] += ((x - sign * y) * t) >> 47
         Y[i] += ((y + sign * x) * t) >> 47
 
@@ -777,25 +780,25 @@ def _binary_form_roots(F: MultiPoly, factors) -> PointCluster:
     return PointCluster(tuple(points))
 
 
-def _shears(rng, count):
-    """The identity, then random shears; each is built only once the one
-    before it has failed, so a seed always gives the same sequence."""
-    yield [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    for _ in range(count - 1):
-        yield _random_shear(rng, 3)
+# the projections of an intersection in the order tried: the identity, the two
+# coordinate cycles (all that the passes in doubles try), then nine shears
+_PROJECTIONS = (
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+    ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+    ((-2, -2, 3), (0, -1, 1), (-1, 2, -1)),
+    ((-3, 1, 0), (-2, 1, 0), (2, 2, -1)),
+    ((-1, 0, -1), (1, 2, -2), (-2, -3, 2)),
+    ((-2, -1, 2), (2, 2, -1), (-1, 1, 3)),
+    ((3, -1, 2), (3, -2, 3), (1, 1, -1)),
+    ((-2, 2, 1), (-1, -1, 0), (2, -3, -1)),
+    ((-2, -2, -3), (1, -1, -2), (-3, 0, 1)),
+    ((1, 0, 1), (3, 1, -2), (2, 0, 1)),
+    ((1, -1, 1), (-3, -2, -2), (3, 3, 2)),
+)
 
 
-def _random_shear(rng, n):
-    """Random unimodular integer matrix with entries in [-3, 3]."""
-    while True:
-        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = rng.choice([1, -1]) if rows[i][i] == 0 else rows[i][i]
-        if _int_det(rows) in (1, -1):
-            return rows
-
-
-def curve_intersection(F: MultiPoly, G: MultiPoly, seed=0) -> RootSet:
+def curve_intersection(F: MultiPoly, G: MultiPoly) -> RootSet:
     """All intersection points of two coprime ternary curves, with multiplicity.
 
     After an integer shear S keeping (1:0:0) off both curves, one exact
@@ -805,15 +808,15 @@ def curve_intersection(F: MultiPoly, G: MultiPoly, seed=0) -> RootSet:
     where c_j is the first that does not vanish, the fiber x1 = β holds the
     one point x0 = ξ = −c_{j−1}/(j c_j); for j = 1 this is the rational
     univariate representation x0 = −a0/a1. For j ≥ 2 the exact congruence
-    S_j ≡ c_j (x0 − ξ)^j modulo the part certifies it, or the next of at most 12
-    shears, the identity first, is tried. Root finding runs once per part, on β
-    alone. A zero v of F(S x) and G(S x) is reported at S v with its
+    S_j ≡ c_j (x0 − ξ)^j modulo the part certifies it, or the next of the 12
+    fixed ``_PROJECTIONS``, the identity first, is tried. Root finding runs
+    once per part, on β alone. A zero v of F(S x) and G(S x) is reported at S v with its
     normalized residual max(|F(S v)|, |G(S v)|)/||v||^deg over the larger
     coefficient norm of the sheared forms, which must be below 2^(-prec/2)
     at the ambient precision prec: a residual above it is missing precision,
     not a bad projection, and raises ConvergenceError naming the working
-    precision, with no further shear. S is not returned, but the same seed
-    reproduces it.
+    precision, with no further shear. S is not returned, but the sequence is
+    fixed, so the same call reproduces it.
     Points singular on both curves, which only parts with j ≥ 2 can hold, are
     split off by an exact gcd with the partial derivatives at x0 = ξ, flagged
     in ``singular``. Curves that share a component raise CommonComponentError
@@ -826,7 +829,7 @@ def curve_intersection(F: MultiPoly, G: MultiPoly, seed=0) -> RootSet:
             raise InputFormatError("inputs must be homogeneous of positive degree")
     d1, d2 = F.total_degree(), G.total_degree()
     last_error = None
-    for S in _shears(random.Random(seed), 12):
+    for S in _PROJECTIONS:
         try:
             return _intersect_with_shear(F, G, S, d1, d2)
         except _ShearFailure as exc:
@@ -914,7 +917,7 @@ def _fiber_point(c):
 def _eliminate(F, G, S, d1, d2):
     """F(S x), G(S x), their dehomogenizations, their resultant R(β) and their
     subresultants S_1, S_2, ... by degree in x0 (``levels``)."""
-    if S != _CYCLES[0]:
+    if S != _PROJECTIONS[0]:
         F, G = substitute(F, S), substitute(G, S)
     if F.coeff((d1, 0, 0)) == 0 or G.coeff((d2, 0, 0)) == 0:
         raise _ShearFailure("projection center lies on a curve")
@@ -931,14 +934,6 @@ def _eliminate(F, G, S, d1, d2):
     return F, G, Fd, Gd, R, [P for P in reversed(prs[1:]) if P.degree(_X0) > 0]
 
 
-# the identity and the two cyclic permutations of the coordinates
-_CYCLES = (
-    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-    [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
-    [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
-)
-
-
 def _intersection_in_doubles(F: MultiPoly, G: MultiPoly) -> tuple:
     """Approximate intersection points of two ternary curves, in built-in
     complex: one point (x0, β, 1) per root β of the resultant, with x0 from
@@ -946,14 +941,15 @@ def _intersection_in_doubles(F: MultiPoly, G: MultiPoly) -> tuple:
     fiber certificate and no residual test. It projects from the first
     coordinate point that lies off both curves and gives a squarefree
     resultant, so that every fiber holds one simple point; at a singular
-    point, such as a node, none does. A cyclic permutation of the
-    coordinates does not change the conditioning, unlike a shear. Returns
+    point, such as a node, none does, whatever the shear. So it tries only
+    the first three ``_PROJECTIONS``, the identity and the coordinate
+    cycles, which do not change the conditioning, unlike a shear. Returns
     (that projection, the points). For a cheap preconditioning pass; raises
     EliminationError, ConvergenceError or ArithmeticError where doubles do
     not suffice, and CommonComponentError where the curves share a
     component."""
     d1, d2 = F.total_degree(), G.total_degree()
-    for S in _CYCLES:
+    for S in _PROJECTIONS[:3]:
         try:
             *_, R, levels = _eliminate(F, G, S, d1, d2)
         except _ShearFailure:

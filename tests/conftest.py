@@ -232,6 +232,22 @@ def rnd():
     return random.Random(20260810)
 
 
+@pytest.fixture
+def tried_projections(monkeypatch):
+    """The projections that curve intersections try, in order: each call of
+    ``polyalg._intersect_with_shear`` from here on records its ``S``."""
+    from cluster_reduce import polyalg
+
+    tried, real = [], polyalg._intersect_with_shear
+
+    def recorded(F, G, S, d1, d2):
+        tried.append(S)
+        return real(F, G, S, d1, d2)
+
+    monkeypatch.setattr(polyalg, "_intersect_with_shear", recorded)
+    return tried
+
+
 @pytest.fixture(autouse=True)
 def _default_precision():
     with mp.workprec(212):

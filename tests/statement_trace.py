@@ -1,4 +1,4 @@
-"""Report the statements of ``src/cluster_reduce`` that the Tier-1 suite never runs.
+"""Gate: every statement of ``src/cluster_reduce`` is run by the Tier-1 suite.
 
 Run from the repository root::
 
@@ -9,8 +9,9 @@ The suite runs in this process under ``sys.settrace``, which makes it several
 times slower. A statement is an ``ast`` statement of a module in the package,
 without ``def``, ``class``, imports, ``global`` and string-only expressions
 (docstrings), counted at its first line. The script prints every unreached
-``file:line`` and the total; it is a report, not a gate. pytest does not
-collect this file, since its name does not start with ``test_``.
+``file:line`` and the total, and exits 1 when pytest fails or any statement
+is unreached, 0 otherwise. pytest does not collect this file, since its name
+does not start with ``test_``.
 """
 import ast
 import sys
@@ -64,7 +65,7 @@ def main(args):
             missed += 1
     total = sum(len(lines) for lines in files.values())
     print(f"{missed} of {total} statements unreached; pytest exit status {int(status)}")
-    return 0
+    return int(bool(missed or status))
 
 
 if __name__ == "__main__":

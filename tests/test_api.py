@@ -7,7 +7,9 @@ to a fixed 10^-12 on semi-stable clusters that are not stable). LLL's
 Lovasz parameter and the slack of its check are constants of ``lattice``.
 No function takes a start, a budget or a switch for its record either. Root
 finding takes no precision: ``aberth_roots`` and ``curve_intersection`` run
-at the ambient one, which the pipelines set.
+at the ambient one, which the pipelines set. No function but the ternary
+pipeline takes a seed, and nothing reads that one: a reduction depends only
+on its input and its precision.
 """
 
 import inspect
@@ -63,11 +65,15 @@ def test_pipelines_take_their_object_and_precision():
     assert SIGNATURES["reduce_cluster"] == ["cluster", "prec"]
     assert SIGNATURES["reduce_binary_form"] == ["F", "prec"]
     assert SIGNATURES["reduce_quadric_pencil"] == ["Q1", "Q2", "prec"]
-    # the shear seed of the intersection stays on the ternary pipeline
+    # the ternary pipeline keeps a seed keyword that nothing reads
     assert SIGNATURES["reduce_ternary_form"] == ["F", "prec", "seed"]
 
 
 def test_root_finding_takes_no_precision():
     assert SIGNATURES["aberth_roots"] == ["coeffs"]
-    # the shear seed stays with the pipeline's
-    assert SIGNATURES["curve_intersection"] == ["F", "G", "seed"]
+    # the intersection tries a fixed sequence of projections: it takes no seed
+    assert SIGNATURES["curve_intersection"] == ["F", "G"]
+
+
+def test_no_function_but_the_ternary_pipeline_takes_a_seed():
+    assert _takers("seed") == {"reduce_ternary_form"}

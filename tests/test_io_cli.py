@@ -717,6 +717,13 @@ class TestCli:
         assert result.exit_code == 1
         assert result.stderr.splitlines() == ["error: no shear produced a clean elimination: projection center lies on a curve"]
 
+    def test_flecnode_exits_2_naming_its_multiplicity(self, tmp_path):
+        path = self._write(tmp_path, "flecnode.txt", "z^2 x^2 + z^2 y^2 + x^4 + x y^3 + 2 y^4")
+        result = CliRunner().invoke(main, ["reduce-ternary", path])
+        assert result.exit_code == 2
+        (line,) = result.stderr.splitlines()
+        assert "multiplicity 8, not 6" in line and "flecnode" in line
+
     def test_closed_pipe_exits_0_quietly(self, tmp_path, monkeypatch):
         # a consumer that closed the pipe is no error of the command
         from cluster_reduce import cli

@@ -471,7 +471,7 @@ class TestCurveIntersection:
                 continue
             if sp.Poly(sp.gcd(F.to_sympy(), G.to_sympy())).total_degree() > 0:
                 continue
-            rs = curve_intersection(F, G, seed=count)
+            rs = curve_intersection(F, G)
             assert rs.total_multiplicity == 9
             count += 1
 
@@ -488,22 +488,15 @@ class TestCurveIntersection:
         with pytest.raises(CommonComponentError):
             curve_intersection(F, G)
 
-    def test_common_component_through_the_projection_center_rejected(self, monkeypatch):
+    def test_common_component_through_the_projection_center_rejected(self, tried_projections):
         # the shared line x1 = 0 passes through (1:0:0), which the identity
-        # projects from, so the component is found after a random shear
+        # projects from, so the component is found from a later projection
         F = poly("x0^2 x1 + x1^3 + x1 x2^2", nvars=3)
         G = poly("x0 x1 + x1 x2", nvars=3)
-        shears = []
-        real = polyalg._random_shear
-
-        def counted(rng, n):
-            shears.append(real(rng, n))
-            return shears[-1]
-
-        monkeypatch.setattr(polyalg, "_random_shear", counted)
         with pytest.raises(CommonComponentError):
             curve_intersection(F, G)
-        assert shears
+        n = len(tried_projections)
+        assert n > 1 and tried_projections == list(polyalg._PROJECTIONS[:n])
 
     def test_tangent_line_multiplicity(self):
         # the line y = 0 is tangent to the conic x^2 = yz at (0:0:1)
@@ -522,39 +515,33 @@ class TestCurveIntersection:
         mults = sorted(m for _, m, _ in rs.roots)
         assert mults == [1, 1, 2]
 
-    def test_no_random_shear_built_when_identity_works(self, monkeypatch):
-        calls = []
-        real = polyalg._random_shear
-        monkeypatch.setattr(
-            polyalg, "_random_shear", lambda rng, n: calls.append(n) or real(rng, n)
-        )
+    def test_only_the_identity_tried_when_it_works(self, tried_projections):
         rs = curve_intersection(PENCIL_Q1, PENCIL_Q2)
         assert rs.total_multiplicity == 4
-        assert calls == []
+        assert tried_projections == [polyalg._PROJECTIONS[0]]
 
-    def test_residual_failure_is_missing_precision(self, monkeypatch):
+    def test_residual_failure_is_missing_precision(self, monkeypatch, tried_projections):
         # a root moved by 1e-10 gives a residual near 2e-29, above the
         # 2^-106 = 1.2e-32 gate at 212 bits: more bits cure that, another
-        # projection does not, so no random shear is built and the error
-        # names the precision
-        roots, shear, built = polyalg.aberth_roots, polyalg._random_shear, []
+        # projection does not, so no projection but the identity is tried
+        # and the error names the precision
+        roots = polyalg.aberth_roots
 
         def moved(coeffs):
             first, *rest = roots(coeffs)
             return [first + mp.mpf(10) ** -10] + rest
 
         monkeypatch.setattr(polyalg, "aberth_roots", moved)
-        monkeypatch.setattr(polyalg, "_random_shear", lambda rng, n: built.append(n) or shear(rng, n))
         with mp.workprec(212), pytest.raises(ConvergenceError, match="residual .* working precision of 212 bits"):
             curve_intersection(PENCIL_Q1, PENCIL_Q2)
-        assert built == []
+        assert tried_projections == [polyalg._PROJECTIONS[0]]
 
-    def test_two_points_on_one_fiber_rejected_exactly(self, monkeypatch):
+    def test_two_points_on_one_fiber_rejected_exactly(self, monkeypatch, tried_projections):
         # x^2 - y^2, x^2 - z^2 meet in (1 : ±1 : ±1): the identity projection
         # puts two points on each fiber y = ±z
         F = poly("x^2 - y^2", nvars=3)
         G = poly("x^2 - z^2", nvars=3)
-        identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        identity = polyalg._PROJECTIONS[0]
 
         def no_root_finding(*args, **kwargs):
             raise AssertionError("root finding ran on a rejected shear")
@@ -564,18 +551,16 @@ class TestCurveIntersection:
             # at 8 bits no tolerance could decide: the congruence is exact
             with mp.workprec(8), pytest.raises(polyalg._ShearFailure, match="two intersection points on one fiber"):
                 polyalg._intersect_with_shear(F, G, identity, 2, 2)
-        built = []
-        real = polyalg._random_shear
-        monkeypatch.setattr(
-            polyalg, "_random_shear", lambda rng, n: built.append(n) or real(rng, n)
-        )
+        # the coordinate cycles, by the symmetry of the pair, do the same,
+        # and the first shear resolves it
+        tried_projections.clear()
         rs = curve_intersection(F, G)
-        assert built == [3]
+        assert tried_projections == list(polyalg._PROJECTIONS[:4])
         assert rs.total_multiplicity == 4
         for e in [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]:
             assert any(p == ProjectivePoint(e) for p, _, _ in rs.roots)
 
-    def test_one_factor_split_by_the_first_subresultant(self, monkeypatch):
+    def test_one_factor_split_by_the_first_subresultant(self, monkeypatch, tried_projections):
         # a conic bitangent to the unit circle at (0:1:1), where the common
         # tangent y = z is the fiber, and at (1:0:1), where it is not: both
         # points have multiplicity 2, so one squarefree factor beta (beta - 1)
@@ -589,8 +574,8 @@ class TestCurveIntersection:
             "aberth_roots",
             lambda coeffs, **kw: degrees.append(len(coeffs) - 1) or real(coeffs, **kw),
         )
-        monkeypatch.setattr(polyalg, "_random_shear", lambda rng, n: pytest.fail("shear"))
         rs = curve_intersection(F, G)
+        assert tried_projections == [polyalg._PROJECTIONS[0]]
         assert degrees == [1, 1]
         assert sorted(m for _, m, _ in rs.roots) == [2, 2]
         for e in [(0, 1, 1), (1, 0, 1)]:
@@ -607,13 +592,13 @@ class TestCurveIntersection:
         flagged = [(p, m) for (p, m, _), s in zip(rs.roots, rs.singular) if s]
         assert flagged == [(ProjectivePoint((0, 0, 1)), 4)]
 
-    def test_lazy_shears_follow_the_seeded_sequence(self):
-        import random
+    def test_projections_are_twelve_distinct_unimodular_matrices(self):
+        from cluster_reduce.lattice import _int_det
 
-        rng = random.Random(5)
-        eager = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
-        eager += [polyalg._random_shear(rng, 3) for _ in range(11)]
-        assert list(polyalg._shears(random.Random(5), 12)) == eager
+        projections = polyalg._PROJECTIONS
+        assert len(projections) == 12 == len(set(projections))
+        assert projections[0] == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert all(_int_det(S) in (1, -1) for S in projections)
 
     @pytest.mark.parametrize(
         "F, error",
@@ -637,7 +622,7 @@ class TestCurveIntersection:
         monkeypatch.setattr(polyalg, "_intersect_with_shear", fails)
         with pytest.raises(EliminationError, match="no shear produced a clean elimination: projection center"):
             curve_intersection(PENCIL_Q1, PENCIL_Q2)
-        assert len(tried) == 12 and tried[0] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert tried == list(polyalg._PROJECTIONS)
 
     def test_pass_in_doubles_rejects_a_point_that_is_not_finite(self, monkeypatch):
         # a root of the resultant that overflows doubles gives no point; the
@@ -651,7 +636,7 @@ class TestCurveIntersection:
         # sheared coordinate system must be used
         F = poly("x y - z^2", nvars=3)
         G = poly("x^2 + y^2 - 3 z^2", nvars=3)
-        rs = curve_intersection(F, G, seed=5)
+        rs = curve_intersection(F, G)
         assert rs.total_multiplicity == 4
         for p, _, _ in rs.roots:
             u = p.unit()
@@ -847,6 +832,21 @@ class TestAberthInternals:
         roots = polyalg._aberth([1, 0, -3, 0], [1 + 0j, 2 + 0j, 2 + 0j], 100)
         for got, want in zip(sorted(roots, key=lambda z: z.real), (-math.sqrt(3), 0, math.sqrt(3))):
             assert abs(got - want) < 1e-12
+
+    def test_doubles_move_a_start_at_zero(self):
+        # 0 is the critical point of x^2 + 1: a jitter that multiplies the
+        # iterate would leave it there
+        roots = polyalg._aberth([1, 0, 1], [0j, 2 + 1j], 100)
+        assert sorted(roots, key=lambda z: z.imag) == pytest.approx([-1j, 1j], abs=1e-12)
+
+    def test_fixed_point_sweeps_move_an_iterate_at_zero(self):
+        # x^3 + 2 from 1, -i and i: at 1, p = p' = 3 and the Aberth sum is
+        # exactly 1, so p' - p s = 0 and Newton's step lands on 0, the
+        # critical point, which a jitter must move off
+        with mp.workprec(106):
+            roots = polyalg._aberth_fixed([1, 0, 0, 2], [mp.mpc(1), mp.mpc(0, -1), mp.mpc(0, 1)])
+            assert all(abs(r**3 + 2) < mp.mpf(2) ** -100 for r in roots)
+            assert len({mp.nstr(r, 10) for r in roots}) == 3
 
     def test_doubles_raise_with_the_current_approximations(self):
         starts = [4 + 1j, -4 + 1j, 3j]
