@@ -78,7 +78,6 @@ from .cluster_core import (
     _adapted_basis,
     _component_clusters,
     classify,
-    normalize_cluster,
 )
 from .errors import (
     ConvergenceError,
@@ -768,8 +767,8 @@ def minimize(cluster: PointCluster, tol=None, prec=None, check_stability=True) -
                 message = "cluster is not stable; the distance function has no minimizer"
                 raise StabilityError(message, classification=cls, witness=cls.witness)
         tol = half_eps() ** 1.5 if tol is None else mp.mpf(tol)
-        zc = normalize_cluster(cluster)
-        result, failure = _newton(zc.reps, cluster.n + 1, tol, _start(cluster, zc.reps))
+        reps = tuple(p.unit() for p in cluster.points)
+        result, failure = _newton(reps, cluster.n + 1, tol, _start(cluster, reps))
         if failure is not None:
             raise ConvergenceError(failure, best=result)
         return result
@@ -841,7 +840,7 @@ def simplex_covariant(cluster: PointCluster, prec=None) -> HermitianForm:
         m = cluster.degree
         if m != n + 2:
             raise DimensionError(f"need exactly n+2 = {n + 2} points, got {m}")
-        return HermitianForm(_simplex_form(normalize_cluster(cluster).reps)).normalized()
+        return HermitianForm(_simplex_form([p.unit() for p in cluster.points])).normalized()
 
 
 def _tyler_in_doubles(points):

@@ -21,7 +21,7 @@ import mpmath as mp
 
 from ._precision import _fixed, _from_fixed, half_eps, working_precision
 from .cluster_core import PointCluster, ProjectivePoint, StabilityClass, act, classify
-from .covariant import HermitianForm, _tyler_in_doubles, minimize
+from .covariant import _tyler_in_doubles, minimize
 from .errors import (
     ClusterReduceError,
     ConvergenceError,
@@ -77,19 +77,6 @@ def _require_exact_integer(F: MultiPoly, what: str):
             raise InputFormatError(f"{what} must have integer coefficients")
 
 
-def _real_gram(z: HermitianForm) -> GramMatrix:
-    """The real Gram of the covariant of a cluster fixed by conjugation (forms
-    are integral, :func:`reduce_cluster` checks): an imaginary part is rounding."""
-    rows = z.matrix
-    imag = max(abs(mp.im(v)) for r in rows for v in r)
-    if imag > half_eps() * (1 + max(abs(v) for r in rows for v in r)):
-        raise ConvergenceError(
-            f"covariant of a cluster fixed by conjugation has an imaginary part of {mp.nstr(imag, 3)}, "
-            f"above 2^(-prec/2), at the working precision of {mp.mp.prec} bits"
-        )
-    return GramMatrix([[mp.re(v) for v in r] for r in rows])
-
-
 def _gram_height(G: GramMatrix):
     """Spread of the Gram: its largest absolute entry. Its determinant is 1
     up to rounding, so it needs no normalization: :func:`minimize` scales
@@ -102,7 +89,9 @@ def _reduce_core(cls, cluster: PointCluster, what: str, back=None):
     ``cls`` stable (from :func:`classify` for numeric input, from exact facts
     for forms), takes the covariant from :func:`minimize`, which starts from
     the closed form for n+2 points and stops at a gradient well inside LLL's
-    tie window, and LLL-reduces the real Gram matrix.
+    tie window, and LLL-reduces its real part, the Gram matrix: every
+    cluster here is fixed by conjugation, so the covariant is real and an
+    imaginary part is rounding, which is dropped unchecked.
     A cluster found on F(U0 x) comes with ``back`` = U0^-1, which carries
     its Gram G' to the input's coordinates as G = U0^-T G' U0^-1 before LLL,
     so that U does not depend on U0. The real part of the positive definite
@@ -112,7 +101,7 @@ def _reduce_core(cls, cluster: PointCluster, what: str, back=None):
     if not cls.is_stable:
         raise StabilityError(f"{what} is not stable", classification=cls, witness=cls.witness)
     result = minimize(cluster, check_stability=False)
-    G = _real_gram(result.z)
+    G = GramMatrix([[mp.re(v) for v in r] for r in result.z.matrix])
     if back is not None:
         G = congruence(G, back)
     try:

@@ -834,7 +834,7 @@ def curve_intersection(F: MultiPoly, G: MultiPoly) -> RootSet:
             return _intersect_with_shear(F, G, S, d1, d2)
         except _ShearFailure as exc:
             last_error = exc
-    raise EliminationError(f"no shear produced a clean elimination: {last_error}")
+    raise EliminationError(f"no projection produced a clean elimination: {last_error}")
 
 
 class _ShearFailure(Exception):

@@ -715,7 +715,7 @@ class TestCli:
         path = self._write(tmp_path, "cubic.txt", "x0^3 + x1^3 + x2^3 + x0 x1 x2")
         result = CliRunner().invoke(main, ["reduce-ternary", path])
         assert result.exit_code == 1
-        assert result.stderr.splitlines() == ["error: no shear produced a clean elimination: projection center lies on a curve"]
+        assert result.stderr.splitlines() == ["error: no projection produced a clean elimination: projection center lies on a curve"]
 
     def test_flecnode_exits_2_naming_its_multiplicity(self, tmp_path):
         path = self._write(tmp_path, "flecnode.txt", "z^2 x^2 + z^2 y^2 + x^4 + x y^3 + 2 y^4")

@@ -288,9 +288,9 @@ class TestReduceQuadricPencil:
                 reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2, prec=prec)
 
     def test_real_gram_that_lll_cannot_factor_is_missing_precision(self, monkeypatch):
-        # the real part of a positive definite covariant is positive
-        # definite, so LLL failing to factor it is the working precision's
-        # rounding, whichever pipeline reaches it
+        # the covariant is positive definite, so LLL failing to factor its
+        # Gram is the working precision's rounding, whichever pipeline
+        # reaches it
         from cluster_reduce.errors import NotPositiveDefiniteError
 
         def not_positive_definite(G):
@@ -534,9 +534,8 @@ class TestNodalCurves:
 
     def test_quartic_at_212_bits_passes_elimination_and_node_test(self):
         # after preconditioning the exact pass runs on a height-3 quartic, so
-        # curve intersection, the exact singular-point test and the
-        # imaginary-part test of the real Gram all hold well below 424 bits,
-        # and the transform is the reference one
+        # curve intersection and the exact singular-point test both hold
+        # well below 424 bits, and the transform is the reference one
         for bits in (212, 106):
             report = reduce_ternary_form(QUARTIC, prec=bits)
             assert [list(r) for r in report.transform.matrix] == QUARTIC_LLL, bits
@@ -993,20 +992,6 @@ def test_distorted_forms_reduce_at_fewer_bits(kind, a, bits):
         assert [list(r) for r in report.transform.matrix] == _PENCIL_V_LLL
 
 
-def test_imaginary_covariant_names_the_precision():
-    # an integer form has a cluster fixed by conjugation, so an imaginary
-    # part of its covariant above 2^(-prec/2) is rounding, which the real
-    # Gram reports as missing precision
-    from cluster_reduce import HermitianForm
-
-    z = HermitianForm([[2, mp.mpc(1, 2.0**-90)], [mp.mpc(1, -(2.0**-90)), 1]])
-    with mp.workprec(106):
-        assert pipelines._real_gram(z).matrix[0][1] == 1
-    with pytest.raises(ConvergenceError) as info:
-        pipelines._real_gram(z)
-    assert str(info.value).endswith("at the working precision of 212 bits"), info.value
-
-
 def _exact_det(G):
     """det G, exactly, from the dyadic entries m 2^e of the Gram G: the
     determinant of an integer matrix times a power of 2."""
@@ -1037,6 +1022,37 @@ def test_reported_grams_have_determinant_one(case):
     bound = Fraction(1, 2 ** (report.diagnostics["precision"] // 2))
     for G in (report.covariant, report.reduced_gram):
         assert abs(_exact_det(G) - 1) <= bound
+
+
+@pytest.mark.parametrize("case", ["cluster", "quintic-1e6", "pencil", "quartic"])
+def test_pipeline_covariant_is_real_up_to_rounding(case, monkeypatch):
+    # every cluster a pipeline reduces is fixed by conjugation, so its
+    # covariant is real and the Gram is its real part, taken unchecked: the
+    # imaginary part left by the Hermitian solver stays below 2^(-prec/2)
+    # of the largest entry, also for a conjugate pair off by 2^-150, as two
+    # roots found one at a time are, inside the conjugation test's window
+    from cluster_reduce._precision import half_eps
+
+    found = []
+    solve = pipelines.minimize
+
+    def recorded(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        rows = res.z.matrix
+        found.append((max(abs(mp.im(v)) for r in rows for v in r), half_eps() * max(abs(v) for r in rows for v in r)))
+        return res
+
+    monkeypatch.setattr(pipelines, "minimize", recorded)
+    if case == "cluster":
+        reduce_cluster(cluster_of((1, 0), (0, 1), (1, 3), (1, mp.mpc(2, 1)), (1, mp.mpc(2, -1 - mp.mpf(2) ** -150))))
+    elif case == "quintic-1e6":
+        reduce_binary_form(_distorted_quintic(10**6))
+    elif case == "pencil":
+        reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2)
+    else:
+        reduce_ternary_form(QUARTIC)
+    assert found
+    assert all(imag <= bound for imag, bound in found), found
 
 
 class TestClassifyCost:

@@ -620,7 +620,7 @@ class TestCurveIntersection:
             raise polyalg._ShearFailure("projection center lies on a curve")
 
         monkeypatch.setattr(polyalg, "_intersect_with_shear", fails)
-        with pytest.raises(EliminationError, match="no shear produced a clean elimination: projection center"):
+        with pytest.raises(EliminationError, match="no projection produced a clean elimination: projection center"):
             curve_intersection(PENCIL_Q1, PENCIL_Q2)
         assert tried == list(polyalg._PROJECTIONS)
 
