@@ -13,7 +13,8 @@ doubles alike: it takes rows and computes in the arithmetic of their
 entries, and its one pivot test rejects every pivot that is not positive
 and finite. It gives the factor, the determinant (twice the sum of the logs
 of its diagonal) and, with the covariant's ``_lower_inverse``, the inverse
-factor L^-1; no other determinant or inverse is taken of a Hermitian form.
+factor L^-1; the covariant's ``_resolution`` takes L^-1 in fixed point
+instead, and LLL decides on a Gram's exact leading minors.
 :func:`check_hermitian` is the one symmetry test beside it.
 
 The fixed-point kernels (Aberth's second phase, the fiber points and

@@ -407,11 +407,12 @@ def _flats(units, depth, points=None):
     above 2e (and 2^(-prec/2)) is off the span for certain, and a subset's
     points and their equals are on it by construction. Any other residual,
     and a sine of two units inside the band of a one-point span, is decided
-    from the points at the working precision: by the rank test of
-    :func:`_adapted_basis` against the subset's points, whose basis is made
-    once per subset, or by :meth:`ProjectivePoint.is_same`. "On" joins the
-    unit to the span. "Off" is a direction that the doubles cannot carry:
-    the walk then reruns on the points' working-precision units.
+    from the points at the working precision: by the unit's residual against
+    ``exact_basis``, the subset's basis by Gram-Schmidt, made once per subset,
+    with the norm threshold of :func:`_adapted_basis`, or by
+    :meth:`ProjectivePoint.is_same`. "On" joins the unit to the span. "Off"
+    is a direction that the doubles cannot carry: the walk then reruns on
+    the points' working-precision units.
     """
     tol2 = half_eps() ** 2
     e0 = 0 if points is None else 2.0**-50 * len(units[0])

@@ -49,7 +49,7 @@ refines it, gaining 45 to 50 bits per iteration. Every Hermitian form is
 kept as rows, and every Cholesky factor, of an iterate at the working
 precision or of a matrix in doubles, comes from the one
 :func:`hermitian_cholesky`, which gives the determinants and the inverses
-too.
+too, but for the fixed-point L^-1 of :func:`_resolution`.
 """
 
 from __future__ import annotations
@@ -570,22 +570,17 @@ def _start(cluster: PointCluster, reps):
     position the closed form of :func:`_simplex_form` over the unit rows
     ``reps``, which is the covariant, and otherwise the covariant in doubles
     of :func:`_tyler_in_doubles` over them (Tyler's sweeps, finished by
-    Newton steps in doubles); the identity where either fails at the working
-    precision or in doubles, or is not positive definite and finite at the
-    working precision."""
+    Newton steps in doubles), or the identity where that fails. :func:`_newton`
+    starts from the identity too where this start is not positive definite."""
     n1 = cluster.n + 1
-    initial = None
     if cluster.degree == n1 + 1:
         with contextlib.suppress(DegeneratePositionError):
-            initial = _simplex_form(reps)
+            return _simplex_form(reps)
     try:
-        if initial is None:
-            tyler = _tyler_in_doubles([[complex(c) for c in r] for r in reps])
-            initial = [[mp.mpc(v) for v in r] for r in tyler]
-        hermitian_cholesky(initial)
+        tyler = _tyler_in_doubles([[complex(c) for c in r] for r in reps])
     except (ArithmeticError, NotPositiveDefiniteError):
-        initial = [[mp.mpf(a == b) for b in range(n1)] for a in range(n1)]
-    return initial
+        return [[mp.mpf(a == b) for b in range(n1)] for a in range(n1)]
+    return [[mp.mpc(v) for v in r] for r in tyler]
 
 
 def _lower_inverse(K):
@@ -623,7 +618,8 @@ def _resolution(L):
 
 
 def _newton(reps, n1, tol, initial):
-    """Damped Riemannian Newton loop from the rows ``initial``; returns the
+    """Damped Riemannian Newton loop from the rows ``initial``, or from the
+    identity where their factorization fails; returns the
     :class:`CovariantResult` at the last iterate and ``failure``, None once
     the loop has converged and otherwise why it stopped. The result's
     transcript lists (iteration, D, step) per iterate, ``step`` the
@@ -672,7 +668,10 @@ def _newton(reps, n1, tol, initial):
       B = -G, f''(0) = sum_j Var_j(B) <= m |G|^2 = -m slope, and lambda <= 1/m
       gives the same bound.
     """
-    Q, L = initial, hermitian_cholesky(initial)
+    try:
+        Q, L = initial, hermitian_cholesky(initial)
+    except NotPositiveDefiniteError:
+        Q = L = [[mp.mpf(a == b) for b in range(n1)] for a in range(n1)]  # its own Cholesky factor
     basis = _trace_free_basis(n1)
     m, max_iter = len(reps), NEWTON_ITERATIONS
     transcript, step, stop, failure = [], None, None, None

@@ -11,7 +11,8 @@ domain of the reduction theory, so delta is a convention of the program, not
 an input. Deterministic conventions: size reduction rounds half-integers
 toward zero, where any mu within 2^(-prec/2) of a half-integer counts as one
 (so the error of a covariant cannot decide a tie), and ties in the Lovasz
-comparison prefer not swapping.
+comparison prefer not swapping. :func:`is_lll_reduced` and
+:meth:`GramMatrix.check` decide on the same exact minors by the same rules.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import mpmath as mp
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from ._precision import _man_exp, check_hermitian, hermitian_cholesky, to_mpf
+from ._precision import _man_exp, check_hermitian, to_mpf
 from .errors import (
     DimensionError,
     InputFormatError,
@@ -57,7 +58,8 @@ class GramMatrix:
         return mp.matrix(self.matrix)
 
     def check(self):
-        _gso(self)
+        """self, or NotPositiveDefiniteError as :func:`_minors` decides."""
+        _minors(self)
         return self
 
 
@@ -147,23 +149,32 @@ def congruence(G: GramMatrix, U: UnimodularTransform) -> GramMatrix:
     return GramMatrix(out)
 
 
-def _gso(G: GramMatrix):
-    """Gram-Schmidt data (mu, B) of the basis underlying G, from one Cholesky
-    factorization G = L L^T at the working precision: mu_ij = L_ij / L_jj
-    (row i holds j < i) and B_i = L_ii^2. Raises NotPositiveDefiniteError
-    unless G is symmetric to 2^(-prec/2) and the factorization succeeds;
-    :func:`lll_reduce` decides on the exact leading minors instead."""
-    n = G.size
+def _minors(G: GramMatrix):
+    """(d, lam) of Cohen's Algorithm 2.6.7, step 2, on C of :func:`_integers`:
+    the exact leading minors d[i] (d[0] = 1) and lam[i][j] = d[j+1] mu_ij.
+    NotPositiveDefiniteError unless G is symmetric to 2^(-prec/2), finite
+    and positive definite, which Sylvester's criterion on d decides."""
     check_hermitian(G.matrix, NotPositiveDefiniteError("Gram matrix is not symmetric"))
-    L = hermitian_cholesky(G.matrix)
-    mu = [[L[i][j] / L[j][j] for j in range(i)] for i in range(n)]
-    return mu, [L[i][i] ** 2 for i in range(n)]
+    try:
+        C = _integers(G)[0]
+    except InputFormatError as exc:
+        raise NotPositiveDefiniteError(f"Gram matrix entry {exc}") from None
+    n = G.size
+    d, lam = [1] * (n + 1), [[0] * n for _ in range(n)]
+    for k in range(n):  # on the lower triangle
+        for j in range(k + 1):
+            u = C[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            lam[k][j] = u
+        d[k + 1] = u
+        if u <= 0:
+            raise NotPositiveDefiniteError("Gram matrix is not positive definite")
+    return d, lam
 
 
-# made once: DELTA, the double nearest 0.99, which no precision rounds, and
-# the relative slack of is_lll_reduced
+# made once: DELTA, the double nearest 0.99, which no precision rounds
 DELTA = mp.mpf(0.99)
-_SLACK = mp.mpf("1e-9")
 
 
 def lll_reduce(G: GramMatrix):
@@ -174,29 +185,13 @@ def lll_reduce(G: GramMatrix):
     ``DELTA`` = 0.99. U has determinant +-1; callers needing determinant +1
     may flip a column sign, which preserves both conditions.
 
-    On C of :func:`_integers`, d[i+1] is the leading minor of size i+1 and
-    lam[i][j] = d[j+1] mu_ij: size reduction rounds mu = lam_kj / d_(j+1),
-    and b_(k-1), b_k swap where d_(k+1) d_(k-1) < DELTA d_k^2 - lam_k(k-1)^2.
-    Positive definiteness is decided once, exactly, by Sylvester's criterion
-    on these minors before any step: NotPositiveDefiniteError is raised
-    unless G is also symmetric to 2^(-prec/2) and finite.
+    It starts from the exact minors d and lam of :func:`_minors`, which
+    decide positive definiteness before any step: size reduction rounds
+    mu = lam_kj / d_(j+1), and b_(k-1), b_k swap where
+    d_(k+1) d_(k-1) < DELTA d_k^2 - lam_k(k-1)^2.
     """
-    check_hermitian(G.matrix, NotPositiveDefiniteError("Gram matrix is not symmetric"))
-    try:
-        C = _integers(G)[0]
-    except InputFormatError as exc:
-        raise NotPositiveDefiniteError(f"Gram matrix entry {exc}") from None
+    d, lam = _minors(G)
     n, h = G.size, mp.mp.prec // 2  # mu within 2^-h of a half-integer rounds toward zero
-    d, lam = [1] * (n + 1), [[0] * n for _ in range(n)]
-    for k in range(n):  # Cohen, Algorithm 2.6.7, step 2, on the lower triangle
-        for j in range(k + 1):
-            u = C[k][j]
-            for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-            lam[k][j] = u
-        d[k + 1] = u
-        if u <= 0:
-            raise NotPositiveDefiniteError("Gram matrix is not positive definite")
     U = [[int(i == j) for i in range(n)] for j in range(n)]  # the columns
     k = 1
     while k < n:
@@ -229,17 +224,14 @@ def lll_reduce(G: GramMatrix):
 
 
 def is_lll_reduced(G: GramMatrix) -> bool:
-    """Check size reduction and the Lovasz condition at ``DELTA``, with a
-    relative slack of 1e-9."""
-    mu, B = _gso(G)
-    n = G.size
-    for i in range(n):
-        for j in range(i):
-            if abs(mu[i][j]) > (1 + _SLACK) / 2:
-                return False
-    for k in range(1, n):
-        lhs = B[k]
-        rhs = (DELTA - mu[k][k - 1] ** 2) * B[k - 1]
-        if lhs < rhs * (1 - _SLACK) - _SLACK * B[k - 1]:
-            return False
-    return True
+    """Whether G meets the conditions that :func:`lll_reduce` guarantees, as
+    it decides them on the exact minors of :func:`_minors`: size reduction
+    |lam_ij| / d_(j+1) <= 1/2 + 2^-(prec//2), its tie window, and the Lovasz
+    condition d_(k+1) d_(k-1) + lam_k(k-1)^2 >= DELTA d_k^2, DELTA read
+    exactly. So it holds exactly when lll_reduce(G) keeps the basis."""
+    d, lam = _minors(G)
+    n, h = G.size, mp.mp.prec // 2
+    size = all(abs(lam[i][j]) << (h + 1) <= (d[j + 1] << h) + 2 * d[j + 1] for i in range(n) for j in range(i))
+    return size and all(
+        (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) << -DELTA.exp >= DELTA.man * d[k] ** 2 for k in range(1, n)
+    )

@@ -4,7 +4,7 @@ Tolerances and iteration budgets are derived from the precision, so no
 exported function or method takes one, apart from the covariant solver's
 gradient tolerance (``minimize``, by default 2^(-3 prec/4), which theta sets
 to a fixed 10^-12 on semi-stable clusters that are not stable). LLL's
-Lovasz parameter and the slack of its check are constants of ``lattice``.
+Lovasz parameter is a constant of ``lattice``, and its check has no slack.
 No function takes a start, a budget or a switch for its record either. Root
 finding takes no precision: ``aberth_roots`` and ``curve_intersection`` run
 at the ambient one, which the pipelines set. No function but the ternary

@@ -538,6 +538,43 @@ class TestStart:
         assert start == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert minimize(Z).stop == "tol"
 
+    def test_start_not_positive_definite_starts_newton_from_the_identity(self, monkeypatch):
+        # Newton's first factorization decides: a start that it rejects at
+        # the working precision gives the run from the identity
+        Z = cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, -1, 5))
+        start_newton_from(monkeypatch, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        from_identity = minimize(Z)
+        start_newton_from(monkeypatch, [[1, 2, 0], [2, 1, 0], [0, 0, 1]])
+        res = minimize(Z)
+        assert res.z.matrix == from_identity.z.matrix
+        assert res.transcript == from_identity.transcript and res.iterations >= 3
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)),
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, -1, 5)),
+        ],
+        ids=["closed-form", "doubles"],
+    )
+    def test_start_is_factored_once(self, monkeypatch, points):
+        # one factorization at the working precision per iterate, the
+        # start's included: none decides the start beforehand
+        from cluster_reduce import covariant
+        from cluster_reduce._precision import hermitian_cholesky
+
+        factored = []
+
+        def counted(A):
+            if isinstance(A[0][0], (mp.mpf, mp.mpc)):
+                factored.append(len(A))
+            return hermitian_cholesky(A)
+
+        monkeypatch.setattr(covariant, "hermitian_cholesky", counted)
+        res = minimize(cluster_of(*points))
+        assert res.stop == "tol"
+        assert factored == [3] * (res.iterations + 1)
+
 
 def _hermitian_3x3():
     """B B^H + I for a fixed Gaussian-integer B: Hermitian positive definite

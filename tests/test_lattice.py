@@ -68,6 +68,44 @@ def unimodular_rows(draw, size):
     return tuple(map(tuple, U))
 
 
+@st.composite
+def boundary_grams(draw):
+    """(kind, scale, params) of a Gram for :func:`boundary_gram`: a small
+    integer Gram A^T A + I, or LLL's output on one, or a basis b1 = (1, 0),
+    b2 = (mu, t) whose mu lies within 2^-(prec//2 + o) of a half-integer or
+    whose Lovasz ratio (mu^2 + t^2) / DELTA lies that close to 1, o in
+    [-4, 4], on either side; each scaled by 2^scale."""
+    scale = draw(st.integers(-60, 60))
+    kind = draw(st.sampled_from(["integer", "reduced", "size", "lovasz"]))
+    if kind in ("integer", "reduced"):
+        n = draw(st.integers(2, 4))
+        A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+        return kind, scale, A
+    side, o = draw(st.sampled_from([1, -1])), draw(st.integers(-4, 4))
+    half = draw(st.sampled_from([1, -1, 3, -3])) if kind == "size" else draw(st.sampled_from([0, 1, -3]))
+    return kind, scale, (half, side, o)
+
+
+def boundary_gram(kind, scale, params):
+    """The rows of a Gram from :func:`boundary_grams`, at the ambient
+    precision."""
+    if kind in ("integer", "reduced"):
+        n = len(params)
+        G = [[sum(params[t][i] * params[t][j] for t in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+        if kind == "reduced":
+            G = lll_reduce(GramMatrix(G))[0].matrix
+    else:
+        half, side, o = params
+        off = side * mp.ldexp(1, -(mp.mp.prec // 2 + o))
+        if kind == "size":  # b2 = (half/2 + off, 2)
+            mu = mp.mpf(half) / 2 + off
+            G = [[1, mu], [mu, mu * mu + 4]]
+        else:  # b2 = (half/8, t), t^2 = (DELTA - mu^2)(1 + off)
+            mu = mp.mpf(half) / 8
+            G = [[1, mu], [mu, mu * mu + (DELTA - mu * mu) * (1 + off)]]
+    return GramMatrix([[mp.ldexp(v, scale) for v in r] for r in G])
+
+
 class TestUnimodularTransform:
     def test_determinant_exact(self):
         U = UnimodularTransform(((3780, 19276, -12561), (-889, -4515, 2953), (12463, 63400, -41405)))
@@ -275,23 +313,17 @@ class TestLllReduce:
             _, U = lll_reduce(GramMatrix(G))
             assert U.matrix == oracle_lll_in_mpmath(G)
 
-    def test_takes_no_cholesky_factorization(self, monkeypatch, rnd):
+    def test_takes_no_cholesky_factorization(self, rnd):
         # positive definiteness is decided on the exact leading minors that
-        # the integral LLL computes anyway: no factorization at the working
-        # precision runs
+        # the integral LLL computes anyway: the lattice layer binds no
+        # factorization at the working precision
         import cluster_reduce.lattice as lattice
 
-        calls = []
-        real = lattice.hermitian_cholesky
-
-        def counted(M):
-            calls.append(len(M))
-            return real(M)
-
-        monkeypatch.setattr(lattice, "hermitian_cholesky", counted)
-        _, U = lll_reduce(GramMatrix(tuple(map(tuple, int_gram(rnd, 5, spread=40)))))
+        assert [name for name in vars(lattice) if "cholesky" in name.lower()] == []
+        G = GramMatrix(tuple(map(tuple, int_gram(rnd, 5, spread=40))))
+        _, U = lll_reduce(G)
         assert U.matrix != tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
-        assert calls == []
+        assert G.check() is G
 
     @pytest.mark.parametrize(
         "rows",
@@ -303,14 +335,26 @@ class TestLllReduce:
             ((1, mp.nan), (mp.nan, 1)),
             ((mp.nan, 0), (0, 1)),
             ((1, 0), (0, 0)),
+            ((2, 2), (2, 2)),
+            ((2, 2), (2, 2 - 2**-52)),
         ],
-        ids=["indefinite", "singular-3x3", "not-symmetric", "infinite", "nan-off-diagonal", "nan-diagonal", "zero-minor"],
+        ids=[
+            "indefinite", "singular-3x3", "not-symmetric", "infinite", "nan-off-diagonal", "nan-diagonal", "zero-minor",
+            "singular-2x2", "indefinite-by-2^-51",
+        ],
     )
     def test_not_positive_definite_rejected_exactly(self, rows):
         # symmetry to 2^(-prec/2), finite entries and positive exact
-        # leading minors, each as the parent's Cholesky decided them
-        with pytest.raises(NotPositiveDefiniteError):
-            lll_reduce(GramMatrix(rows))
+        # leading minors, decided alike by LLL and both checks, also at 53
+        # bits, where a Cholesky factorization rounds the last pivot of the
+        # last two Grams to a positive number (their exact d_2 are 0 and
+        # -2^-51)
+        for bits in (mp.mp.prec, 53):
+            with mp.workprec(bits):
+                G = GramMatrix(rows)
+                for decide in (lll_reduce, GramMatrix.check, is_lll_reduced):
+                    with pytest.raises(NotPositiveDefiniteError):
+                        decide(G)
 
     @pytest.mark.parametrize("twice_mu", [1, 3, -3])
     def test_size_reduction_tie_ignores_rounding_noise(self, twice_mu):
@@ -327,6 +371,42 @@ class TestLllReduce:
 
 
 class TestIsLllReduced:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from([53, 64, 106, 212]), boundary_grams())
+    def test_holds_exactly_when_lll_keeps_the_basis(self, bits, drawn):
+        # one rule for "LLL-reduced": the check and the reduction decide on
+        # the same exact minors with the same tie window, also within
+        # 2^-(prec//2 +- 4) of either boundary
+        with mp.workprec(bits):
+            G = boundary_gram(*drawn)
+            identity = tuple(tuple(int(i == j) for j in range(G.size)) for i in range(G.size))
+            assert is_lll_reduced(G) == (lll_reduce(G)[1].matrix == identity)
+
+    def test_size_reduction_inside_the_tie_window_at_53_bits(self):
+        # mu = 1/2 + 2^-30 is inside the window 2^-26: LLL keeps the basis,
+        # and its output is reduced
+        with mp.workprec(53):
+            mu = mp.mpf(0.5) + mp.mpf(2) ** -30
+            G = GramMatrix(((1, mu), (mu, 4)))
+            red, U = lll_reduce(G)
+            assert U.matrix == ((1, 0), (0, 1))
+            assert is_lll_reduced(G) and is_lll_reduced(red)
+
+    def test_size_reduction_outside_the_tie_window_at_212_bits(self):
+        # mu = 1/2 + 2^-60 is outside the window 2^-106: LLL size-reduces it
+        with mp.workprec(212):
+            mu = mp.mpf(0.5) + mp.mpf(2) ** -60
+            G = GramMatrix(((1, mu), (mu, 4)))
+            assert lll_reduce(G)[1].matrix == ((1, -1), (0, 1))
+            assert not is_lll_reduced(G)
+
+    def test_lovasz_condition_is_exact(self):
+        # B_2 = DELTA (1 - 2^-60) B_1 fails the Lovasz condition: LLL swaps
+        with mp.workprec(212):
+            G = GramMatrix(((1, 0), (0, DELTA * (1 - mp.mpf(2) ** -60))))
+            assert lll_reduce(G)[1].matrix == ((0, 1), (1, 0))
+            assert not is_lll_reduced(G)
+
     def test_identity_true(self):
         assert is_lll_reduced(GramMatrix(((1, 0), (0, 1))))
 
