@@ -19,8 +19,8 @@ instead, and LLL decides on a Gram's exact leading minors.
 
 The fixed-point kernels (Aberth's second phase, the fiber points and
 ``MultiPoly.evaluate`` in ``polyalg``, the covariant's Newton residual and
-closed form, and LLL's exact Gram) hold numbers as integers at a scale
-2^-S. They share the three conversions: :func:`_man_exp` reads an mpf or float as m 2^e exactly,
+closed form, LLL's exact Gram, and classify's integer rows of the points)
+hold numbers as integers at a scale 2^-S. They share the three conversions: :func:`_man_exp` reads an mpf or float as m 2^e exactly,
 :func:`_fixed` truncates a number to a Gaussian integer at 2^-S, and
 :func:`_from_fixed` rounds one back to the working precision.
 """

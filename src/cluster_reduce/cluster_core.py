@@ -9,62 +9,89 @@ subspace can always be shrunk to the span of the points it contains. One
 depth-first walk over those subsets (:func:`_flats`) counts the points on
 each span from residuals that every extension of a subset shares.
 
-The walk runs in hardware doubles first, with a rounding bound e on every
-residual: a few units of 2^-53, raised by 1 + 2/nu at each new direction of
-norm nu, which an error tilts by 1/nu. A residual above 2e is off the span
-for certain; one inside the band is decided at the working precision, and
-one found off there, or a cluster not in doubles, reruns the walk at it.
+Every rank question, "is u on span(S)?", is decided by :func:`_join` on
+exact integer minors of the points' coordinates at 2^-prec. The walk runs in
+hardware doubles and asks it only inside a rounding band: every residual
+carries a bound e, a few units of 2^-53 raised by 1 + 2/nu at each new
+direction of norm nu. Below a direction that doubles cannot carry, made from
+a residual inside the band, e is infinite and every decision is exact.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Optional
 
 import mpmath as mp
 
-from ._precision import half_eps, to_mpc
+from ._precision import _fixed, _man_exp, half_eps, to_mpc
 from .errors import DimensionError, InvalidPointError, SingularMatrixError
-from .lattice import UnimodularTransform
+from .lattice import UnimodularTransform, _extend
 
 
 def _dot(a, b):
-    """Hermitian inner product sum conj(a_i) b_i, in the arithmetic of the
-    entries: hardware doubles for built-in complex, else one rounding at the
-    working precision."""
-    if isinstance(a[0], complex):
-        return sum(x.conjugate() * y for x, y in zip(a, b))
-    return mp.fdot(b, a, conjugate=True)
+    """Hermitian inner product sum conj(a_i) b_i in hardware doubles."""
+    return sum(x.conjugate() * y for x, y in zip(a, b))
 
 
-def _project_out(w, basis, passes=2):
-    """w less its components along the orthonormal ``basis``: modified
-    Gram-Schmidt, by default with a second pass."""
-    for _ in range(passes):
-        for b in basis:
-            c = _dot(b, w)
-            w = [y - c * x for x, y in zip(b, w)]
+def _project_out(w, basis):
+    """w less its components along the orthonormal ``basis``, in doubles."""
+    for b in basis:
+        c = _dot(b, w)
+        w = [y - c * x for x, y in zip(b, w)]
     return w
 
 
-def _same_direction(a, b, tol2=None):
-    """Projective equality of unit vectors: the squared sine of their angle,
-    a projection residual (no cancellation), is below ``tol2``, by default
-    2^(-prec)."""
-    w = _project_out(b, [a], 1)
-    return _dot(w, w).real < (half_eps() ** 2 if tol2 is None else tol2)
+def _same_direction(a, b, tol2):
+    """Projective equality of unit vectors in doubles: the squared sine of
+    their angle, a projection residual (no cancellation), is below ``tol2``."""
+    w = _project_out(b, [a])
+    return _dot(w, w).real < tol2
+
+
+def _exact_rows(points):
+    """Each point as the rows (X, Y) and (-Y, X) of Z^(2n+2), for its
+    coordinates X + iY at 2^-prec of their largest real or imaginary part:
+    a complex span is the real span of its points' rows."""
+    prec, out = mp.mp.prec, []
+    for p in points:
+        top = max(e + abs(m).bit_length() for c in p.coords for m, e in map(_man_exp, (c.real, c.imag)) if m)
+        X, Y = zip(*(_fixed(c, prec - top) for c in p.coords))
+        out.append((X + Y, tuple(-y for y in Y) + X))
+    return out
+
+
+_NO_SPAN = ((), (1,), ())  # the empty span: no rows, the minor d_0 = 1, no lam rows
+
+
+def _join(span, rows):
+    """The span ``(basis rows, d, lam)`` grown by the point of ``rows``, or
+    None when the point is on it: when the squared sine of its row v against
+    the span, det G(S + v) / (det G(S) |v|^2) = d_(k+1) / (d_k |v|^2) on the
+    exact minors of :func:`lattice._extend`, is below 2^(-prec), the square
+    of the package's one threshold. The span is closed under i, so the
+    second row, i v, has the same sine."""
+    t = -2 * (-mp.mp.prec // 2)  # 2^-t = half_eps()^2
+    basis, d, lam = span
+    for v in rows:
+        row = [sum(map(operator.mul, v, b)) for b in basis + (v,)]
+        new = _extend(d, lam, row)
+        if new[-1] << t < d[-1] * row[-1]:
+            return None
+        basis, d, lam = basis + (v,), d + (new[-1],), lam + (new,)
+    return basis, d, lam
 
 
 @dataclass(frozen=True)
 class ProjectivePoint:
     """A point of P^n(C) given by n+1 homogeneous coordinates.
 
-    Coordinates are mpmath complex numbers; at least one must be nonzero.
-    Two points are equal when their coordinate vectors are proportional,
-    tested at the working precision (see :meth:`is_same`).
+    Coordinates are finite mpmath complex numbers; at least one must be
+    nonzero. Two points are equal when their coordinate vectors are
+    proportional to the package's threshold (see :meth:`is_same`).
     """
 
     coords: tuple
@@ -73,6 +100,8 @@ class ProjectivePoint:
         coords = tuple(to_mpc(c) for c in self.coords)
         if not coords:
             raise InvalidPointError("point needs at least one coordinate")
+        if not all(map(mp.isfinite, coords)):
+            raise InvalidPointError("a homogeneous coordinate is not finite")
         if all(c == 0 for c in coords):
             raise InvalidPointError("all homogeneous coordinates are zero")
         object.__setattr__(self, "coords", coords)
@@ -96,10 +125,11 @@ class ProjectivePoint:
 
     def is_same(self, other: "ProjectivePoint") -> bool:
         """Projective equality: the sine of the angle between coordinate
-        vectors is below 2^(-prec/2)."""
+        vectors is below 2^(-prec/2), as :func:`_join` decides it."""
         if self.n != other.n:
             return False
-        return _same_direction(self.unit(), other.unit())
+        a, b = _exact_rows((self, other))
+        return _join(_join(_NO_SPAN, a), b) is None
 
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
@@ -148,16 +178,17 @@ class PointCluster:
     def same_cluster(self, other: "PointCluster") -> bool:
         """Multiset equality by greedy matching: each point of ``self`` in
         turn takes the first remaining equal point of ``other``. Equal
-        coordinates are equal; other pairs are tested by
-        :func:`_same_direction`, on units made when first needed."""
+        coordinates are equal; other pairs are tested by :func:`_join`, on
+        rows and one-point spans made when first needed."""
         if not isinstance(other, PointCluster):
             return NotImplemented
         if self.n != other.n or self.degree != other.degree:
             return False
-        unit = functools.cache(lambda side, i: (self, other)[side].points[i].unit())
+        rows = functools.cache(lambda side: _exact_rows((self, other)[side].points))
+        span = functools.cache(lambda k: _join(_NO_SPAN, rows(0)[k]))
         remaining = list(range(other.degree))
         for k, p in enumerate(self.points):
-            same = (i for i in remaining if p.coords == other.points[i].coords or _same_direction(unit(0, k), unit(1, i)))
+            same = (i for i in remaining if p.coords == other.points[i].coords or _join(span(k), rows(1)[i]) is None)
             match = next(same, None)
             if match is None:
                 return False
@@ -318,38 +349,6 @@ def conjugate(cluster: PointCluster) -> PointCluster:
     return cluster.conjugate()
 
 
-def _column_matrix(vectors):
-    """Matrix whose columns are the given vectors."""
-    return mp.matrix([list(row) for row in zip(*vectors)])
-
-
-def _adapted_basis(units):
-    """Unitary basis of C^(n+1) whose leading vectors span the given unit vectors.
-
-    Modified Gram-Schmidt with a second pass runs over the unit vectors and
-    then over e_0..e_n; a vector within 2^(-prec/2) of the span so far adds
-    nothing. Returns ``(basis, kept)``: the first ``len(kept)`` basis vectors
-    span the input, so ``len(kept)`` is its numerical rank, and the rest span
-    the orthogonal complement. ``kept`` indexes the input vectors that added a
-    direction: a greedy basis of their linear matroid.
-    """
-    n1 = len(units[0])
-    rank_tol = half_eps()
-    axes = [tuple(mp.mpc(int(i == j)) for j in range(n1)) for i in range(n1)]
-    basis, kept = [], []
-    for idx, v in enumerate(list(units) + axes):
-        if len(basis) == n1:
-            break
-        w = _project_out(list(v), basis)
-        nrm = mp.sqrt(mp.fsum(w, absolute=True, squared=True))
-        if nrm < rank_tol:
-            continue
-        basis.append([y / nrm for y in w])
-        if idx < len(units):
-            kept.append(idx)
-    return basis, kept
-
-
 def phi(cluster: PointCluster, k: int) -> int:
     """Maximum number of cluster points on a common k-dimensional subspace.
 
@@ -367,98 +366,91 @@ def phi(cluster: PointCluster, k: int) -> int:
     return _walk(cluster.points, k + 1)[k][0]
 
 
-class _Rerun(Exception):
-    """A decision that hardware doubles cannot carry."""
-
-
 def _walk(points, depth):
-    """:func:`_flats` of the points, in doubles unless a coordinate does not
-    convert to a finite double or a norm to a normal one."""
-    vectors = [[complex(c) for c in p.coords] for p in points]
-    norms = [math.hypot(*map(abs, v)) for v in vectors]
-    if all(sys.float_info.min <= nrm < math.inf for nrm in norms):
-        return _flats([[c / nrm for c in v] for v, nrm in zip(vectors, norms)], depth, points)
-    return _flats([p.unit() for p in points], depth)
+    """:func:`_flats` of the points, on units in doubles rounded from their
+    :func:`_exact_rows`, whose largest part is about 1."""
+    rows = _exact_rows(points)
+    scale, units = 2**mp.mp.prec, []
+    for x, _ in rows:
+        v = [complex(a / scale, b / scale) for a, b in zip(x[: len(x) // 2], x[len(x) // 2 :])]
+        nrm = math.hypot(*map(abs, v))
+        units.append([c / nrm for c in v])
+    return _flats(units, depth, rows)
 
 
-def _flats(units, depth, points=None):
+def _flats(units, depth, rows):
     """phi(k) for k < ``depth``, each with the indices of distinct points
     spanning a subspace that attains it: a list of ``(count, subset)``.
 
-    ``units`` are the cluster's unit vectors; equal points are grouped under
-    their first index. One depth-first walk visits the subsets of at most
-    ``depth`` distinct points in lexicographic order. Each node carries
-    every unit's residual against the span of its subset; a child adding
-    point i takes the parent's residual of u_i, with a second Gram-Schmidt
-    pass against the path's basis, as its new direction, and every residual
-    loses its component along it. A point on the span adds no direction and
-    the child keeps its parent's span. A subset of s points is a candidate
-    for phi(s-1), and the subset of every distinct point for every higher k
+    ``units`` are the cluster's unit vectors in doubles and ``rows`` the
+    points' :func:`_exact_rows`; equal points are grouped under their first
+    index. One depth-first walk visits the subsets of at most ``depth``
+    distinct points in lexicographic order. Each node carries every unit's
+    residual against the span of its subset; a child adding point i takes
+    the parent's residual of u_i, with a second Gram-Schmidt pass against
+    the path's basis, as its new direction, and every residual loses its
+    component along it. A point on the span adds no direction and the child
+    keeps its parent's span. A subset of s points is a candidate for
+    phi(s-1), and the subset of every distinct point for every higher k
     too: extending a subset by one more distinct point spans a subspace
     containing the old one, so it never holds fewer points. Each level keeps
     its first strict maximizer.
 
-    The walk computes in the arithmetic of ``units``. At the working
-    precision a unit is on a span when its residual's squared norm is below
-    tol2 = 2^(-prec). Units in doubles, given with their ``points``, carry a
-    rounding bound e on every residual: it starts at c = 8 (n+1) 2^-53, and
-    a new direction of norm nu raises it to e (1 + 2/nu) + c/nu, since an
-    error in a residual tilts the direction made from it by 1/nu. A residual
-    above 2e (and 2^(-prec/2)) is off the span for certain, and a subset's
-    points and their equals are on it by construction. Any other residual,
-    and a sine of two units inside the band of a one-point span, is decided
-    from the points at the working precision: by the unit's residual against
-    ``exact_basis``, the subset's basis by Gram-Schmidt, made once per subset,
-    with the norm threshold of :func:`_adapted_basis`, or by
-    :meth:`ProjectivePoint.is_same`. "On" joins the unit to the span. "Off"
-    is a direction that the doubles cannot carry: the walk then reruns on
-    the points' working-precision units.
+    Every residual carries a rounding bound e: it starts at c = 8 (n+1)
+    2^-53, and a new direction of norm nu raises it to e (1 + 2/nu) + c/nu,
+    since an error in a residual tilts the direction made from it by 1/nu.
+    A residual above 2e (and 2^(-prec/2)) is off the span for certain, and a
+    subset's points and their equals are on it by construction. Any other
+    residual, and a sine of two units inside the band of a one-point span,
+    is decided by :func:`_join` against the subset's exact span, made once
+    per subset. A residual found off there keeps a positive r2. A child
+    whose new direction is such a residual, which doubles cannot carry,
+    takes e = inf: below it every decision is exact and no residual in
+    doubles is updated.
     """
-    tol2 = half_eps() ** 2
-    e0 = 0 if points is None else 2.0**-50 * len(units[0])
+    tol2 = float(half_eps() ** 2)  # 0.0 where it underflows, below every band
+    e0 = 2.0**-50 * len(units[0])
     best = [(0, None)] * depth
-    exact_unit = functools.cache(lambda i: points[i].unit())
 
     @functools.cache
-    def exact_basis(subset):
-        """Orthonormal basis of the subset's span at the working precision."""
+    def span(subset):
+        """The exact span of the subset's points."""
         if not subset:
-            return ()
-        w = _project_out(exact_unit(subset[-1]), exact_basis(subset[:-1]))
-        nrm2 = _dot(w, w).real
-        return exact_basis(subset[:-1]) + (() if nrm2 < tol2 else ([y / nrm2**0.5 for y in w],))
+            return _NO_SPAN
+        parent = span(subset[:-1])
+        return _join(parent, rows[subset[-1]]) or parent
 
     def visit(start, subset, basis, resid, resid2, e):
+        band2 = max(tol2, 4 * e * e)
         for j in range(start, len(distinct)):
             i = distinct[j]
             child = subset + (i,)
             if resid2[i] == 0:
                 child_basis, child_resid, child_resid2, child_e = basis, resid, resid2, e
             else:
-                w = _project_out(resid[i], basis, 1)
-                nrm = _dot(w, w).real ** 0.5
-                q = [y / nrm for y in w]
-                child_e = e * (1 + 2 / nrm) + e0 / nrm
-                band2 = max(tol2, 4 * child_e * child_e)
-                child_basis, child_resid, child_resid2 = basis + [q], [], []
+                child_basis, child_e = basis, math.inf
+                if resid2[i] >= band2:  # a direction that doubles carry
+                    w = _project_out(resid[i], basis)
+                    nrm = _dot(w, w).real ** 0.5
+                    q = [y / nrm for y in w]
+                    child_basis, child_e = basis + [q], e * (1 + 2 / nrm) + e0 / nrm
+                child_band2 = max(tol2, 4 * child_e * child_e)
+                child_resid, child_resid2 = [], []
                 for idx, (r, r2) in enumerate(zip(resid, resid2)):
                     if r2:
-                        c = _dot(q, r)
-                        # |r - c q|^2 = |r|^2 - |c|^2 up to a few units of
-                        # tol2 and of e; no child reads a leaf's residuals,
-                        # so a leaf forms one only near the band
-                        r2 -= c.real * c.real + c.imag * c.imag
-                        if len(child) < depth or r2 <= 16 * max(tol2, child_e):
-                            r = [y - c * x for x, y in zip(q, r)]
-                            r2 = _dot(r, r).real
+                        if child_e < math.inf:
+                            c = _dot(q, r)
+                            # |r - c q|^2 = |r|^2 - |c|^2 up to a few units of
+                            # tol2 and of e; no child reads a leaf's residuals,
+                            # so a leaf forms one only near the band
+                            r2 -= c.real * c.real + c.imag * c.imag
+                            if len(child) < depth or r2 <= 16 * max(tol2, child_e):
+                                r = [y - c * x for x, y in zip(q, r)]
+                                r2 = _dot(r, r).real
                         if reps[idx] in child:
                             r2 = 0
-                        elif r2 < band2:
-                            if points is not None:
-                                v = _project_out(exact_unit(idx), exact_basis(child))
-                                if _dot(v, v).real >= tol2:
-                                    raise _Rerun
-                            r2 = 0
+                        elif r2 < child_band2:
+                            r2 = 0 if _join(span(child), rows[idx]) is None else max(r2, math.ulp(0))
                     child_resid.append(r)
                     child_resid2.append(r2)
             count = child_resid2.count(0)
@@ -471,21 +463,29 @@ def _flats(units, depth, points=None):
 
     band2 = max(tol2, 64 * e0 * e0)  # 2e after a first direction (nu = 1)
     reps, distinct = [], []
-    try:
-        for k, u in enumerate(units):
-            r = next((r for r in distinct if _same_direction(units[r], u, band2)), k)
-            if r == k:
-                distinct.append(k)
-            elif points is not None and not points[r].is_same(points[k]):
-                raise _Rerun
-            reps.append(r)
-        visit(0, (), [], [list(u) for u in units], [1] * len(units), e0)
-    except _Rerun:
-        return _flats([p.unit() for p in points], depth)
+    for k, u in enumerate(units):
+        same = (r for r in distinct if _same_direction(units[r], u, band2) and _join(span((r,)), rows[k]) is None)
+        r = next(same, k)
+        if r == k:
+            distinct.append(k)
+        reps.append(r)
+    visit(0, (), [], [list(u) for u in units], [1] * len(units), e0)
     return best
 
 
-def _is_split(units):
+def _independent(rows):
+    """The indices of a greedy basis of the points of ``rows``: each point
+    that :func:`_join` finds off the span of the points kept before it."""
+    basis, span = [], _NO_SPAN
+    for i, r in enumerate(rows):
+        grown = _join(span, r)
+        if grown is not None:
+            basis.append(i)
+            span = grown
+    return basis
+
+
+def _is_split(rows):
     """Split detection.
 
     A cluster is split when two disjoint nonempty linear subspaces jointly
@@ -493,63 +493,42 @@ def _is_split(units):
     space, or when their linear matroid is disconnected. The components of
     the matroid are the connected components of its fundamental-circuit
     graph for any basis (Oxley, Matroid Theory, ch. 4), so one greedy basis
-    and one solve per remaining point decide the question for every m.
+    decides the question for every m.
     """
-    _, basis_idx = _adapted_basis(units)
-    if len(basis_idx) < len(units[0]):
-        return True
-    return len(_matroid_components(units, basis_idx)) > 1
+    components = _matroid_components(rows)
+    return len(components) > 1 or components[0][1] < len(rows[0][0]) // 2
 
 
-def _matroid_components(units, basis_idx):
-    """Connected components of the linear matroid of spanning unit vectors.
+def _matroid_components(rows):
+    """Connected components of the linear matroid of the points of ``rows``,
+    as ``(group, rank)`` pairs: lists of indices and their rank.
 
-    Links every vector outside the basis ``basis_idx`` to the basis vectors
-    appearing in its fundamental circuit. Returns lists of indices.
+    Links every point u outside the greedy basis B of :func:`_independent`
+    to the b of B in its fundamental circuit, those with u off span(B - b).
     """
-    m = len(units)
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    rank_tol = half_eps()
-    basis_cols = _column_matrix([units[j] for j in basis_idx])
-    for i in range(m):
-        if i in basis_idx:
-            continue
-        coeffs = mp.lu_solve(basis_cols, mp.matrix(units[i]))
-        for j, bi in enumerate(basis_idx):
-            if abs(coeffs[j]) > rank_tol:
-                union(i, bi)
+    basis = _independent(rows)
+    others = {b: functools.reduce(_join, [rows[c] for c in basis if c != b], _NO_SPAN) for b in basis}
+    label = list(range(len(rows)))
+    for u, row in enumerate(rows):
+        if u not in basis:
+            linked = {label[u]} | {label[b] for b in basis if _join(others[b], row) is not None}
+            label = [min(linked) if x in linked else x for x in label]
     groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    for i, x in enumerate(label):
+        groups.setdefault(x, []).append(i)
+    return [(group, sum(i in basis for i in group)) for group in groups.values()]
 
 
-def _component_clusters(cluster: PointCluster) -> list:
-    """The components of a spanning cluster's linear matroid, each as a
-    cluster in the coordinates of an orthonormal basis of its own span (the
-    spans are independent and fill the space: the cluster is their sum)."""
-    units = [p.unit() for p in cluster.points]
-    _, basis_idx = _adapted_basis(units)
-    out = []
-    for group in _matroid_components(units, basis_idx):
-        basis, kept = _adapted_basis([units[i] for i in group])
-        span = basis[: len(kept)]
-        out.append(PointCluster(tuple(
-            ProjectivePoint(tuple(_dot(b, units[i]) for b in span)) for i in group
-        )))
-    return out
+def _is_polystable(cluster: PointCluster) -> bool:
+    """Whether a spanning cluster is a direct sum of clusters each stable in
+    its own span: classify's strict bounds on each component of its linear
+    matroid, with its rank r in place of n+1, on its ambient coordinates."""
+    points = cluster.points
+    for group, rank in _matroid_components(_exact_rows(points)):
+        walk = _walk([points[i] for i in group], rank - 1) if rank > 1 else []
+        if any(rank * count >= (k + 1) * len(group) for k, (count, _) in enumerate(walk)):
+            return False
+    return True
 
 
 def classify(cluster: PointCluster) -> StabilityClass:
@@ -585,7 +564,7 @@ def classify(cluster: PointCluster) -> StabilityClass:
         if lhs > rhs:
             semi = False
             break
-    split = not stable and _is_split([p.unit() for p in cluster.points])
+    split = not stable and _is_split(_exact_rows(cluster.points))
     return StabilityClass(
         is_split=split,
         is_semi_stable=semi,

@@ -75,8 +75,9 @@ from ._precision import (
 from .cluster_core import (
     PointCluster,
     ScaledCluster,
-    _adapted_basis,
-    _component_clusters,
+    _exact_rows,
+    _independent,
+    _is_polystable,
     classify,
 )
 from .errors import (
@@ -774,9 +775,12 @@ def minimize(cluster: PointCluster, tol=None, prec=None, check_stability=True) -
 
 
 def _witness_from_subspace(witness_points):
-    """Orthonormal basis adapted to the witness span, extended to C^(n+1)."""
-    basis, kept = _adapted_basis([p.unit() for p in witness_points])
-    return DivergenceWitness(basis=tuple(zip(*basis)), subspace_dim=len(kept))
+    """Orthonormal basis adapted to the witness span, extended to C^(n+1):
+    the unitary Q of the QR factorization of the units of a greedy basis of
+    the witness points, whose leading columns span the witness."""
+    kept = _independent(_exact_rows(witness_points))
+    Q = mp.qr(mp.matrix([witness_points[i].unit() for i in kept]).T)[0]
+    return DivergenceWitness(basis=tuple(map(tuple, Q.tolist())), subspace_dim=len(kept))
 
 
 def theta(zc: ScaledCluster, prec=None) -> ThetaResult:
@@ -812,7 +816,7 @@ def theta(zc: ScaledCluster, prec=None) -> ThetaResult:
         # The infimum is attained iff the cluster is polystable, a direct
         # sum of clusters each stable in its own span; either way the witness
         # family decreases to it (D is convex and bounded along that geodesic)
-        attained = cls.is_split and all(classify(c).is_stable for c in _component_clusters(cluster))
+        attained = cls.is_split and _is_polystable(cluster)
         witness = None
         if cls.witness is not None:
             witness = _witness_from_subspace(cls.witness.spanning_points)

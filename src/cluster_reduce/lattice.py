@@ -149,9 +149,23 @@ def congruence(G: GramMatrix, U: UnimodularTransform) -> GramMatrix:
     return GramMatrix(out)
 
 
+def _extend(d, lam, row):
+    """One step of Cohen's Algorithm 2.6.7, step 2: the lam row of b_k from
+    the minors d[0..k], the lam rows of b_0..b_(k-1) and ``row``, the inner
+    products b_k . b_j for j <= k; its last entry is the next minor d[k+1]."""
+    out = []
+    for j, u in enumerate(row):
+        other = lam[j] if j < len(lam) else out  # b_j, or b_k itself
+        for i in range(j):
+            u = (d[i + 1] * u - out[i] * other[i]) // d[i]
+        out.append(u)
+    return out
+
+
 def _minors(G: GramMatrix):
     """(d, lam) of Cohen's Algorithm 2.6.7, step 2, on C of :func:`_integers`:
-    the exact leading minors d[i] (d[0] = 1) and lam[i][j] = d[j+1] mu_ij.
+    the exact leading minors d[i] (d[0] = 1) and the triangular rows
+    lam[i][j] = d[j+1] mu_ij (j <= i) of :func:`_extend`.
     NotPositiveDefiniteError unless G is symmetric to 2^(-prec/2), finite
     and positive definite, which Sylvester's criterion on d decides."""
     check_hermitian(G.matrix, NotPositiveDefiniteError("Gram matrix is not symmetric"))
@@ -159,16 +173,11 @@ def _minors(G: GramMatrix):
         C = _integers(G)[0]
     except InputFormatError as exc:
         raise NotPositiveDefiniteError(f"Gram matrix entry {exc}") from None
-    n = G.size
-    d, lam = [1] * (n + 1), [[0] * n for _ in range(n)]
-    for k in range(n):  # on the lower triangle
-        for j in range(k + 1):
-            u = C[k][j]
-            for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-            lam[k][j] = u
-        d[k + 1] = u
-        if u <= 0:
+    d, lam = [1], []
+    for k in range(G.size):  # on the lower triangle
+        lam.append(_extend(d, lam, C[k][: k + 1]))
+        d.append(lam[k][k])
+        if d[-1] <= 0:
             raise NotPositiveDefiniteError("Gram matrix is not positive definite")
     return d, lam
 

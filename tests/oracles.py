@@ -516,3 +516,52 @@ def oracle_same_cluster(a, b):
         else:
             return False
     return True
+
+
+def _gaussian_fraction(c):
+    """The mpc or mpf c as an exact (re, im) pair of Fractions."""
+    def exact(x):
+        sign, man, exp, _ = x._mpf_
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+    c = mp.mpc(c)
+    return exact(c.real), exact(c.imag)
+
+
+def _gaussian_det(M):
+    """Determinant of a square matrix over Q(i), entries (re, im) pairs of
+    Fractions, by Gaussian elimination without pivoting (the matrices here
+    are Gram matrices, whose leading minors vanish only when it does)."""
+    M = [list(r) for r in M]
+    det = (Fraction(1), Fraction(0))
+    for k in range(len(M)):
+        p = M[k][k]
+        norm = p[0] ** 2 + p[1] ** 2
+        if norm == 0:
+            return (Fraction(0), Fraction(0))
+        det = (det[0] * p[0] - det[1] * p[1], det[0] * p[1] + det[1] * p[0])
+        inv = (p[0] / norm, -p[1] / norm)
+        for i in range(k + 1, len(M)):
+            a = M[i][k]
+            f = (a[0] * inv[0] - a[1] * inv[1], a[0] * inv[1] + a[1] * inv[0])
+            for j in range(k, len(M)):
+                b = M[k][j]
+                M[i][j] = (M[i][j][0] - f[0] * b[0] + f[1] * b[1], M[i][j][1] - f[0] * b[1] - f[1] * b[0])
+    return det
+
+
+def oracle_sin2(span_points, point):
+    """The squared sine of ``point`` against the complex span of
+    ``span_points``, det G(S + u) / (det G(S) |u|^2) with G the Hermitian
+    Gram matrix of the exact coordinates, a Fraction."""
+    vectors = [[_gaussian_fraction(c) for c in p.coords] for p in (*span_points, point)]
+
+    def inner(a, b):  # sum conj(a_i) b_i
+        return (
+            sum(x[0] * y[0] + x[1] * y[1] for x, y in zip(a, b)),
+            sum(x[0] * y[1] - x[1] * y[0] for x, y in zip(a, b)),
+        )
+
+    gram = [[inner(a, b) for b in vectors] for a in vectors]
+    k = len(span_points)
+    return _gaussian_det(gram)[0] / (_gaussian_det([r[:k] for r in gram[:k]])[0] * gram[k][k][0])

@@ -26,7 +26,7 @@ from cluster_reduce import (
 )
 
 from conftest import random_cluster, random_point, random_real_cluster, random_sl, random_unimodular_int
-from oracles import oracle_classify, oracle_count_on_span, oracle_phi, oracle_same_cluster
+from oracles import oracle_classify, oracle_count_on_span, oracle_phi, oracle_same_cluster, oracle_sin2
 
 
 def cluster_of(*coords):
@@ -50,6 +50,12 @@ class TestProjectivePoint:
     def test_no_coordinates_rejected(self):
         with pytest.raises(InvalidPointError, match="at least one coordinate"):
             ProjectivePoint(())
+
+    @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan, mp.mpc(1, mp.inf)], ids=["inf", "-inf", "nan", "inf-imaginary"])
+    def test_non_finite_coordinate_rejected(self, bad):
+        # such a point has no direction: it was once counted as stable
+        with pytest.raises(InvalidPointError, match="not finite"):
+            ProjectivePoint((1, 1, bad))
 
     def test_points_of_different_spaces_differ(self):
         # as do a point and what is no point
@@ -251,7 +257,7 @@ def _moved_pair_cluster(rnd, n, move):
 class TestConjugationMatch:
     """same_cluster, and is_conjugation_fixed through it, decide as the
     greedy match at the working precision did (oracles.oracle_same_cluster),
-    while points with equal coordinates take no working-precision test."""
+    while points with equal coordinates take no exact test (_join)."""
 
     @pytest.mark.parametrize("bits", [53, 106, 212])
     def test_matches_the_greedy_oracle(self, bits):
@@ -285,12 +291,6 @@ class TestConjugationMatch:
                 for n in (1, 2, 3):
                     assert _moved_pair_cluster(rnd, n, move).is_conjugation_fixed() is fixed
 
-    def _count_tests(self, monkeypatch):
-        calls = []
-        real = cluster_core._same_direction
-        monkeypatch.setattr(cluster_core, "_same_direction", lambda *a: calls.append(a) or real(*a))
-        return calls
-
     def test_at_most_one_working_precision_test_per_point(self, rnd, monkeypatch):
         # two conjugate pairs in general position: the greedy scan meets
         # conj(p) before p's partner, and only that pair takes a test, where
@@ -298,15 +298,15 @@ class TestConjugationMatch:
         p, q = random_point(rnd, 2), random_point(rnd, 2)
         r = ProjectivePoint(tuple(mp.mpf(rnd.uniform(-1, 1)) for _ in range(3)))
         Z = PointCluster((p, p.conjugate(), q, q.conjugate(), r))
-        calls = self._count_tests(monkeypatch)
+        calls = _exact_decisions(monkeypatch)
         assert Z.is_conjugation_fixed()
-        assert len(calls) <= Z.degree
+        assert 0 < len(calls) <= Z.degree
         # real points equal their conjugates' coordinates and take no test
         del calls[:]
         R = PointCluster(tuple(ProjectivePoint(tuple(mp.mpf(rnd.uniform(-1, 1)) for _ in range(3))) for _ in range(5)))
         assert R.is_conjugation_fixed()
         assert calls == []
-        # partners given with a scaling are found at the working precision
+        # partners given with a scaling are found by the exact test
         scaled = [ProjectivePoint(tuple(f * c for c in x.conjugate().coords)) for f, x in ((mp.mpc(1, 2), p), (3, q))]
         assert PointCluster((p, scaled[0], q, scaled[1], r)).is_conjugation_fixed()
 
@@ -453,28 +453,55 @@ def _distorted(Z, seed):
     return act(Z, [[mp.mpf(v) for v in row] for row in V])
 
 
-def _mp_walk(Z, depth):
-    return cluster_core._flats([p.unit() for p in Z.points], depth)
-
-
 def _line_cluster(offset):
     """Three points of the line x2 = 0 of P^2, a fourth off it by ``offset``
     relative, and two generic points."""
     return cluster_of((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, offset), (1, 1, 1), (2, -1, 3))
 
 
+def _exact_decisions(monkeypatch):
+    """Spy on cluster_core._join: the list of (points spanned, point rows,
+    outcome) of every exact decision against the span of some points, the
+    outcome True where the point is on it; the making of a span from the
+    empty one is none."""
+    calls = []
+    real = cluster_core._join
+
+    def spy(span, rows):
+        grown = real(span, rows)
+        if span != cluster_core._NO_SPAN:
+            calls.append((len(span[0]) // 2, rows, grown is None))
+        return grown
+
+    monkeypatch.setattr(cluster_core, "_join", spy)
+    return calls
+
+
+def _rows_of(*coords):
+    return cluster_core._exact_rows([ProjectivePoint(c) for c in coords])
+
+
+def _refuse_working_precision(monkeypatch):
+    """Make mp.fdot, mp.lu_solve and ProjectivePoint.unit raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("working-precision arithmetic in classify")
+
+    for name in ("fdot", "lu_solve"):
+        monkeypatch.setattr(mp, name, refuse)
+    monkeypatch.setattr(ProjectivePoint, "unit", refuse)
+
+
 class TestWalkInDoubles:
-    """The walk runs in hardware doubles and decides at the working precision
-    only inside the rounding band."""
+    """The walk runs in hardware doubles and decides exactly, on integer
+    minors, only inside the rounding band."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(small_integer_clusters(), st.integers(0, 2**32))
-    def test_distorted_clusters_match_the_working_precision_walk(self, Z, seed):
+    def test_distorted_clusters_match_the_oracle(self, Z, seed):
         # the counts are invariant under the group, so the oracle reads the
         # undistorted integer points, where its double rank test is safe
         W = _distorted(Z, seed)
         walk = cluster_core._walk(W.points, W.n)
-        assert walk == _mp_walk(W, W.n)
         assert [count for count, _ in walk] == [oracle_phi(Z, k) for k in range(Z.n)]
         assert [phi(W, k) for k in range(W.n)] == [oracle_phi(Z, k) for k in range(Z.n)]
         cls = classify(W)
@@ -489,34 +516,24 @@ class TestWalkInDoubles:
             assert w.spanning_points == tuple(W.points[i] for i in subset)
             assert w.contained == oracle_count_on_span(Z, [Z.points[i] for i in subset])
 
-    def _walks(self, monkeypatch):
-        calls = []
-        flats = cluster_core._flats
-
-        def spy(units, depth, points=None):
-            calls.append("doubles" if points is not None else "working precision")
-            return flats(units, depth, points)
-
-        monkeypatch.setattr(cluster_core, "_flats", spy)
-        return calls
-
-    def test_point_off_a_line_by_2_to_the_minus_60_reruns(self, monkeypatch):
-        calls = self._walks(monkeypatch)
+    def test_point_off_a_line_by_2_to_the_minus_60_is_decided_exactly(self, monkeypatch):
+        calls = _exact_decisions(monkeypatch)
         Z = _line_cluster(mp.mpf(2) ** -60)
         assert phi(Z, 1) == 3
-        assert calls == ["doubles", "working precision"]
-        # two points of P^1 that only the working precision tells apart
+        assert (2, _rows_of(Z.points[3].coords)[0], False) in calls
+        # two points of P^1 that only the exact test tells apart
         calls.clear()
-        assert phi(cluster_of((1, 0), (1, mp.mpf(2) ** -60), (0, 1)), 0) == 1
-        assert calls == ["doubles", "working precision"]
+        Z = cluster_of((1, 0), (1, mp.mpf(2) ** -60), (0, 1))
+        assert phi(Z, 0) == 1
+        assert (1, _rows_of((1, mp.mpf(2) ** -60))[0], False) in calls
 
     def test_point_off_a_line_by_2_to_the_minus_150_is_on_it(self, monkeypatch):
-        calls = self._walks(monkeypatch)
+        calls = _exact_decisions(monkeypatch)
         Z = _line_cluster(mp.mpf(2) ** -150)
         assert phi(Z, 1) == 4
         cls = classify(Z)
         assert cls.is_semi_stable and not cls.is_stable and cls.witness.contained == 4
-        assert calls == ["doubles", "doubles"]
+        assert (2, _rows_of(Z.points[3].coords)[0], True) in calls
 
     def test_small_pivot_widens_the_band(self):
         # a and b = 10^8 a + v span the line <a, v> with a pivot of about
@@ -526,32 +543,100 @@ class TestWalkInDoubles:
         a, v = (3, 5, 7), (2, -1, 4)
         b = tuple(10**8 * x + y for x, y in zip(a, v))
         Z = cluster_of(a, b, v, tuple(x + y for x, y in zip(a, v)), (1, 0, 0), (0, 1, 1))
-        assert cluster_core._walk(Z.points, 2) == _mp_walk(Z, 2)
+        assert cluster_core._walk(Z.points, 2) == [(1, (0,)), (4, (0, 1))]
         cls = classify(Z)
         assert cls.is_semi_stable and not cls.is_stable
         assert cls.witness.spanning_points == Z.points[:2] and cls.witness.contained == 4
 
     @pytest.mark.parametrize("scale", ["1e400", "1e-400"])
     def test_coordinates_beyond_doubles(self, monkeypatch, scale):
-        # points that do not convert to doubles of a normal norm take the
-        # working-precision walk, and count as their unscaled equals
-        calls = self._walks(monkeypatch)
+        # points that do not convert to doubles of a normal norm walk in
+        # doubles all the same, from their integer rows, with no arithmetic
+        # at the working precision, and count as their unscaled equals
         s = mp.mpf(scale)
         pts = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1), (2, -1, 3)]
         Z = cluster_of(*[tuple(s * c for c in p) if i % 2 else p for i, p in enumerate(pts)])
+        _refuse_working_precision(monkeypatch)
         cls = classify(Z)
-        assert calls == ["working precision"]
         assert (cls.is_split, cls.is_semi_stable, cls.is_stable, cls.margin) == (False, True, True, 1)
         assert [phi(Z, k) for k in range(2)] == [1, 3]
 
-    def test_generic_stable_cluster_forms_no_working_precision_unit(self, monkeypatch):
+    def test_generic_stable_cluster_decides_nothing_exactly(self, monkeypatch):
         def refuse(self):
             raise AssertionError("working-precision unit formed")
 
         Z = _distorted(cluster_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)), 7)
         monkeypatch.setattr(ProjectivePoint, "unit", refuse)
+        calls = _exact_decisions(monkeypatch)
         cls = classify(Z)
         assert cls.is_stable and cls.margin == 2
+        assert calls == []
+
+
+class TestExactDecisions:
+    """Every rank question of classify is decided by _join on exact integer
+    minors; no arithmetic at the working precision decides one."""
+
+    @pytest.mark.parametrize("scale", ["1", "1e400", "1e-400"])
+    def test_planted_clusters_take_no_working_precision_arithmetic(self, monkeypatch, scale):
+        s = mp.mpf(scale)
+        V = [[mp.mpf(v) for v in row] for row in random_unimodular_int(random.Random(983), 3)]
+        line = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -2, 0)]
+        planted = {
+            # a point and a line of P^2: split, semi-stable, not stable
+            "split": ((0, 0, 1), (0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0)),
+            "semi-stable": (*line, (1, 1, 1), (2, -1, 3)),
+            "unstable": (*line, (1, 3, 0), (2, -1, 3)),
+        }
+        clusters = {name: act(cluster_of(*[tuple(s * c for c in p) for p in pts]), V) for name, pts in planted.items()}
+        expected = {name: oracle_classify(cluster_of(*pts)) for name, pts in planted.items()}
+        _refuse_working_precision(monkeypatch)
+        for name, Z in clusters.items():
+            cls = classify(Z)
+            assert (cls.is_split, cls.is_semi_stable, cls.is_stable) == expected[name], name
+        assert expected["split"] == (True, True, False)
+        assert expected["semi-stable"] == (False, True, False)
+        assert expected["unstable"][1] is False
+
+    @pytest.mark.parametrize("prec", [53, 106, 212])
+    def test_join_matches_the_exact_squared_sine(self, prec):
+        # points within 2^-(prec/2 +- 4) of the span of one to three random
+        # points: _join's decision on truncated rows is the exact Fraction
+        # oracle's comparison of the squared sine with 2^-prec
+        rnd = random.Random(prec)
+        outcomes = []
+        with mp.workprec(prec):
+            threshold = Fraction(1, 2 ** (-2 * (-prec // 2)))
+            for _ in range(60):
+                n = rnd.randint(2, 3)
+                span_points = [random_point(rnd, n) for _ in range(rnd.randint(1, n))]
+                off = random_point(rnd, n)
+                delta = mp.ldexp(1, -(prec // 2) + rnd.randint(-4, 4))
+                coeffs = [mp.mpc(rnd.uniform(-1, 1), rnd.uniform(-1, 1)) for _ in span_points]
+                point = ProjectivePoint(tuple(
+                    sum(c * p.coords[j] for c, p in zip(coeffs, span_points)) + delta * off.coords[j]
+                    for j in range(n + 1)
+                ))
+                span = cluster_core._NO_SPAN
+                for rows in cluster_core._exact_rows(span_points):
+                    span = cluster_core._join(span, rows)
+                on = cluster_core._join(span, cluster_core._exact_rows([point])[0]) is None
+                assert on == (oracle_sin2(span_points, point) < threshold)
+                outcomes.append(on)
+        assert True in outcomes and False in outcomes
+
+    @pytest.mark.parametrize("move, phis", [(-100, [1, 3]), (-120, [2, 4])])
+    def test_points_that_doubles_cannot_tell_apart(self, monkeypatch, move, phis):
+        # at 212 bits (1, 1 + 2^-100, 0) differs from (1, 1, 0), and the line
+        # they span is walked with e = inf: the exact test then finds even
+        # (0, 0, 1) off it, which doubles put far off; at 2^-120 they are
+        # equal and the line through them and (0, 0, 1) holds all four points
+        calls = _exact_decisions(monkeypatch)
+        with mp.workprec(212):
+            Z = cluster_of((1, 1, 0), (1, 1 + mp.ldexp(1, move), 0), (0, 0, 1), (1, 1, 1))
+            assert [phi(Z, k) for k in range(2)] == phis
+            far = (2, _rows_of((0, 0, 1))[0], False)
+            assert (far in calls) == (move == -100)
 
 
 class TestClassify:

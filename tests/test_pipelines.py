@@ -1056,8 +1056,8 @@ def test_pipeline_covariant_is_real_up_to_rounding(case, monkeypatch):
 
 
 class TestClassifyCost:
-    """One classify normalizes each point once, takes no SVD, and builds no
-    adapted basis for a stable cluster, which is never split."""
+    """One classify normalizes each point once, takes no SVD, and computes
+    no matroid components for a stable cluster, which is never split."""
 
     def test_unit_vectors_once_and_no_svd(self, monkeypatch):
         rnd = random.Random(24)
@@ -1080,19 +1080,19 @@ class TestClassifyCost:
         assert calls["unit"] <= 4 * Z.degree
         assert calls["svd"] == 0
 
-    def test_one_adapted_basis(self, monkeypatch):
+    def test_no_matroid_components_for_a_stable_cluster(self, monkeypatch):
         # the flats are walked from residuals, not from a basis per subset,
         # and the counts alone prove a stable cluster unsplit
         rnd = random.Random(24)
         Z = cluster_of(*(tuple(rnd.randint(-9, 9) or 1 for _ in range(4)) for _ in range(9)))
         calls = []
-        real = cluster_core._adapted_basis
+        real = cluster_core._matroid_components
 
-        def adapted_basis(units):
-            calls.append(len(units))
-            return real(units)
+        def matroid_components(rows):
+            calls.append(len(rows))
+            return real(rows)
 
-        monkeypatch.setattr(cluster_core, "_adapted_basis", adapted_basis)
+        monkeypatch.setattr(cluster_core, "_matroid_components", matroid_components)
         assert classify(Z).is_stable
         assert calls == []
 
