@@ -3,9 +3,10 @@
 All numerical code in this package runs at the ambient mpmath precision.
 Entry points that accept a ``prec`` argument (in bits) wrap their body in
 ``working_precision(prec)``. Every tolerance decision (rank, point
-identification, conjugation matching, root certificates, LLL ties) compares
-against :func:`half_eps` of the ambient precision, so the precision is the
-only numeric setting.
+identification, conjugation matching, scaled-cluster equality and the
+witness family's subspace, all by ``cluster_core._join``, root certificates,
+LLL ties) compares against :func:`half_eps` of the ambient precision, so the
+precision is the only numeric setting.
 
 Hermitian matrices travel as rows. One Cholesky factorization,
 :func:`hermitian_cholesky`, serves the working precision and hardware

@@ -214,16 +214,8 @@ class ScaledCluster:
     reps: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(to_mpc(c) for c in row) for row in self.reps)
-        if not rows:
-            raise InvalidPointError("a scaled cluster must contain at least one row")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise DimensionError("all rows must have the same length")
-        for r in rows:
-            if all(c == 0 for c in r):
-                raise InvalidPointError("zero row in scaled cluster")
-        object.__setattr__(self, "reps", rows)
+        object.__setattr__(self, "reps", tuple(tuple(to_mpc(c) for c in row) for row in self.reps))
+        self.cluster()  # every row a point of one P^n, by the checks of PointCluster
 
     @property
     def n(self) -> int:
@@ -248,20 +240,18 @@ class ScaledCluster:
         return ScaledCluster(tuple(tuple(mp.conj(c) for c in row) for row in self.reps))
 
     def same_scaled(self, other: "ScaledCluster") -> bool:
-        """Equality modulo rescalings with product 1 (rows kept in order)."""
+        """Equality modulo rescalings with product 1 (rows kept in order): each
+        pair of rows is one point by :meth:`ProjectivePoint.is_same`, and the
+        ratios at ``self``'s largest entries multiply to 1 within 2^(-prec/2) m."""
         if self.n != other.n or self.degree != other.degree:
             return False
-        tol = half_eps()
         prod = mp.mpc(1)
         for a, b in zip(self.reps, other.reps):
+            if not ProjectivePoint(a).is_same(ProjectivePoint(b)):
+                return False
             j = max(range(len(a)), key=lambda i: abs(a[i]))
-            if abs(b[j]) == 0:
-                return False
-            lam = b[j] / a[j]
-            if any(abs(b[i] - lam * a[i]) > tol * (1 + abs(lam)) for i in range(len(a))):
-                return False
-            prod *= lam
-        return abs(prod - 1) < tol * self.degree
+            prod *= b[j] / a[j]
+        return abs(prod - 1) < half_eps() * self.degree
 
     def __repr__(self):
         return f"ScaledCluster(m={self.degree}, n={self.n})"
@@ -474,15 +464,16 @@ def _flats(units, depth, rows):
 
 
 def _independent(rows):
-    """The indices of a greedy basis of the points of ``rows``: each point
-    that :func:`_join` finds off the span of the points kept before it."""
+    """The indices of a greedy basis of the points of ``rows``, each point
+    that :func:`_join` finds off the span of the points kept before it, and
+    their span."""
     basis, span = [], _NO_SPAN
     for i, r in enumerate(rows):
         grown = _join(span, r)
         if grown is not None:
             basis.append(i)
             span = grown
-    return basis
+    return basis, span
 
 
 def _is_split(rows):
@@ -505,13 +496,17 @@ def _matroid_components(rows):
 
     Links every point u outside the greedy basis B of :func:`_independent`
     to the b of B in its fundamental circuit, those with u off span(B - b).
+    A point equal to a b of B links to b alone, as the walk groups equals,
+    also where span(B - b) comes within the threshold of it.
     """
-    basis = _independent(rows)
+    basis, _ = _independent(rows)
     others = {b: functools.reduce(_join, [rows[c] for c in basis if c != b], _NO_SPAN) for b in basis}
     label = list(range(len(rows)))
     for u, row in enumerate(rows):
         if u not in basis:
-            linked = {label[u]} | {label[b] for b in basis if _join(others[b], row) is not None}
+            equal = [b for b in basis if _join(_join(_NO_SPAN, rows[b]), row) is None][:1]
+            circuit = equal or [b for b in basis if _join(others[b], row) is not None]
+            linked = {label[u]} | {label[b] for b in circuit}
             label = [min(linked) if x in linked else x for x in label]
     groups = {}
     for i, x in enumerate(label):

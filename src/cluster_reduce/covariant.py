@@ -78,6 +78,7 @@ from .cluster_core import (
     _exact_rows,
     _independent,
     _is_polystable,
+    _join,
     classify,
 )
 from .errors import (
@@ -205,12 +206,18 @@ class DivergenceWitness:
     """One-parameter family Q_lambda pushing D to -infinity (or to its infimum).
 
     ``basis`` holds an orthonormal basis of C^(n+1) whose first ``subspace_dim``
-    columns span the offending subspace; Q_lambda has eigenvalue
-    lambda^-(n-k) there and lambda^(k+1) on the complement, so det Q_lambda = 1.
+    columns span the offending subspace, the span of the independent cluster
+    ``points``, where ``cluster_core._join`` decides which points lie; Q_lambda
+    has eigenvalue lambda^-(n-k) there and lambda^(k+1) on the complement, so
+    det Q_lambda = 1.
     """
 
     basis: tuple
-    subspace_dim: int  # linear dimension k+1
+    points: tuple
+
+    @property
+    def subspace_dim(self) -> int:  # linear dimension k+1
+        return len(self.points)
 
     def _eigenvalues(self, lam):
         n1 = len(self.basis)
@@ -228,21 +235,19 @@ class DivergenceWitness:
         """D(zc, Q_lambda), evaluated in the eigenbasis so arbitrarily large
         lambda works; det Q_lambda = 1 by construction.
 
-        Components below the rank threshold 2^(-prec/2) are treated as exact zeros:
-        points counted as lying on the subspace must not leak rounding noise
-        into the complementary eigendirections, where lambda^(k+1) would
-        amplify it without bound.
+        A row that ``cluster_core._join`` finds on the exact span of
+        ``points``, at the precision of the call, keeps only its components
+        on the subspace, so that no rounding noise leaks into the complement,
+        where lambda^(k+1) would amplify it without bound; other rows keep all.
         """
         B = self.basis
         evals = self._eigenvalues(mp.mpf(lam))
-        chop = half_eps() ** 2
+        _, span = _independent(_exact_rows(self.points))
         total = mp.mpf(0)
-        for row in zc.reps:
-            nrm2 = mp.fsum(row, absolute=True, squared=True)
-            w2 = [abs(sum(mp.conj(b[i]) * c for b, c in zip(B, row))) ** 2 for i in range(len(B))]
-            total += mp.log(
-                mp.fsum(e * w for e, w in zip(evals, w2) if w > chop * nrm2)
-            )
+        for row, exact in zip(zc.reps, _exact_rows(zc.cluster().points)):
+            size = self.subspace_dim if _join(span, exact) is None else len(B)
+            w2 = [abs(sum(mp.conj(b[i]) * c for b, c in zip(B, row))) ** 2 for i in range(size)]
+            total += mp.log(mp.fsum(e * w for e, w in zip(evals, w2)))
         return total
 
 
@@ -775,12 +780,12 @@ def minimize(cluster: PointCluster, tol=None, prec=None, check_stability=True) -
 
 
 def _witness_from_subspace(witness_points):
-    """Orthonormal basis adapted to the witness span, extended to C^(n+1):
-    the unitary Q of the QR factorization of the units of a greedy basis of
-    the witness points, whose leading columns span the witness."""
-    kept = _independent(_exact_rows(witness_points))
-    Q = mp.qr(mp.matrix([witness_points[i].unit() for i in kept]).T)[0]
-    return DivergenceWitness(basis=tuple(map(tuple, Q.tolist())), subspace_dim=len(kept))
+    """The witness family of the span of ``witness_points``: a greedy basis
+    of them, and the unitary Q of the QR factorization of its units, an
+    orthonormal basis of C^(n+1) whose leading columns span the witness."""
+    kept = tuple(witness_points[i] for i in _independent(_exact_rows(witness_points))[0])
+    Q = mp.qr(mp.matrix([p.unit() for p in kept]).T)[0]
+    return DivergenceWitness(basis=tuple(map(tuple, Q.tolist())), points=kept)
 
 
 def theta(zc: ScaledCluster, prec=None) -> ThetaResult:
@@ -798,8 +803,8 @@ def theta(zc: ScaledCluster, prec=None) -> ThetaResult:
     with working_precision(prec):
         cluster = zc.cluster()
         cls = classify(cluster)
+        witness = None if cls.is_stable else _witness_from_subspace(cls.witness.spanning_points)
         if not cls.is_semi_stable:
-            witness = _witness_from_subspace(cls.witness.spanning_points)
             return ThetaResult(value=mp.mpf(0), attained=False, stability=cls, witness=witness)
         tol = None if cls.is_stable else SEMI_STABLE_TOL
         try:
@@ -817,11 +822,7 @@ def theta(zc: ScaledCluster, prec=None) -> ThetaResult:
         # sum of clusters each stable in its own span; either way the witness
         # family decreases to it (D is convex and bounded along that geodesic)
         attained = cls.is_split and _is_polystable(cluster)
-        witness = None
-        if cls.witness is not None:
-            witness = _witness_from_subspace(cls.witness.spanning_points)
-            plateau = witness.distance_at(zc, mp.e ** mp.mpf(4 * mp.mp.prec))
-            value = min(value, mp.e**plateau)
+        value = min(value, mp.e ** witness.distance_at(zc, mp.e ** mp.mpf(4 * mp.mp.prec)))
         return ThetaResult(value=value, attained=attained, stability=cls, witness=witness)
 
 

@@ -201,6 +201,31 @@ def matrices_close_mod_scaling(A, B, rel_tol):
     return err / scale < rel_tol
 
 
+def near_threshold_cluster():
+    """(1,0,0) twice, (1,e,e), (0,1,0), (0,0,1) and (1,2,3) of P^2 with
+    e^2 = 0.75 2^-t at the ambient precision, where 2^-t = half_eps()^2:
+    semi-stable, not stable, with the double point as its witness. (1,e,e)
+    is another point, its squared sine to (1,0,0) about 1.5 2^-t, although
+    each of its two components off the witness is below 2^-t."""
+    t = -2 * (-mp.mp.prec // 2)
+    e = mp.sqrt(mp.mpf("0.75") * mp.mpf(2) ** -t)
+    coords = [(1, 0, 0), (1, 0, 0), (1, e, e), (0, 1, 0), (0, 0, 1), (1, 2, 3)]
+    return PointCluster(tuple(ProjectivePoint(c) for c in coords))
+
+
+def witness_slope_holds(zc, res):
+    """Whether D along theta's witness family has the slope k1 m - (n+1) c
+    per unit of log lambda far out, as (D(e^(2s)) - D(e^s)) / s at
+    s = 2 prec, within 2^-(prec/4): the c points that classify counts on the
+    witness subspace, of linear dimension k1, fall like lambda^-(n+1-k1), the
+    others grow like lambda^k1. It is 0 on a semi-stable witness."""
+    s = 2 * mp.mp.prec
+    w = res.witness
+    slope = (w.distance_at(zc, mp.e ** mp.mpf(2 * s)) - w.distance_at(zc, mp.e ** mp.mpf(s))) / s
+    expected = w.subspace_dim * zc.degree - (zc.n + 1) * res.stability.witness.contained
+    return abs(slope - expected) < mp.mpf(2) ** (-mp.mp.prec / 4)
+
+
 def signed_permutations(size):
     """All signed permutation matrices (rows of +-unit vectors)."""
     import itertools

@@ -3,7 +3,8 @@
 These deliberately use different arithmetic and different enumeration
 strategies than the library: numpy double precision for the stability
 classifier, the bounded unimodular search and Tyler's fixed point for the
-covariant, exact rationals for LLL, plain finite differences for derivatives.
+covariant, exact rationals for LLL and for the count on a witness span,
+plain finite differences for derivatives.
 They must never share code paths with the implementation they check.
 """
 
@@ -49,7 +50,12 @@ def _points_on_span(pts, subset):
 
 
 def oracle_phi(cluster, k):
-    """phi via enumeration of ALL nonempty subsets as subspace generators."""
+    """phi via enumeration of ALL nonempty subsets as subspace generators.
+
+    Rank is decided in numpy doubles against the fixed RANK_TOL = 1e-8 and a
+    residual of 1e-7, not against the precision: it resolves rank only to
+    about 1e-8, so points closer than that to a span count on it, and the
+    oracle checks only clusters whose points are much farther off."""
     pts = _np_points(cluster)
     m = len(pts)
     if k == -1:
@@ -66,11 +72,17 @@ def oracle_phi(cluster, k):
 
 
 def oracle_count_on_span(cluster, spanning_points):
-    """Number of cluster points on the span of the given points."""
-    pts = _np_points(cluster)
-    gens = [np.array([complex(c) for c in p.unit()], dtype=complex) for p in spanning_points]
-    hits = _points_on_span(pts + gens, range(len(pts), len(pts) + len(gens)))
-    return sum(1 for i in hits if i < len(pts))
+    """Number of cluster points on the span of the given points, in exact
+    rationals: each point whose :func:`oracle_sin2` against a greedy basis of
+    the spanning points (each kept where its own squared sine against the
+    points kept before it is not below the threshold) is below 2^-t,
+    t = 2 ceil(prec/2), the square of 2^(-prec/2) at the ambient precision."""
+    threshold = Fraction(1, 2 ** (-2 * (-mp.mp.prec // 2)))
+    basis = []
+    for p in spanning_points:
+        if oracle_sin2(basis, p) >= threshold:
+            basis.append(p)
+    return sum(oracle_sin2(basis, p) < threshold for p in cluster.points)
 
 
 def oracle_classify(cluster):

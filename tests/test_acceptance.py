@@ -45,6 +45,7 @@ from conftest import (
     QUARTIC_COVARIANT,
     QUARTIC_REDUCED,
     matrices_close_mod_scaling,
+    near_threshold_cluster,
     pair_matches_up_to_signed_permutation,
     rand_mpc,
     random_cluster,
@@ -55,6 +56,7 @@ from conftest import (
     random_unimodular_int,
     signed_permutations,
     start_newton_from,
+    witness_slope_holds,
 )
 from oracles import (
     fd_directional_derivative,
@@ -360,6 +362,7 @@ def test_criterion_5_unstable_behavior():
     built = 0
     ok_zero = True
     ok_diverge = True
+    ok_slope = True
     while built < 20:
         Z = _unstable_cluster(rnd)
         if Z is None:
@@ -373,6 +376,8 @@ def test_criterion_5_unstable_behavior():
         val = res.witness.distance_at(zc, mp.e ** mp.mpf(20000))
         if not val < -mp.mpf(10) ** 4:
             ok_diverge = False
+        # every witness falls with the slope of classify's count on it
+        ok_slope = ok_slope and witness_slope_holds(zc, res)
     # semi-stable but not stable: the same family must stay above the estimate
     ok_bounded = True
     # (cluster, infimum attained): only the polystable (1,0)^2 + (0,1)^2 attains it
@@ -381,6 +386,7 @@ def test_criterion_5_unstable_behavior():
         (cluster_of((1, 0), (1, 0), (0, 1), (0, 1)), True),
         (cluster_of((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)), False),
         (cluster_of((1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (0, 0, 1), (1, 1, 1)), False),
+        (near_threshold_cluster(), False),
     ]
     for Z, attained in sst_cases:
         cls = classify(Z)
@@ -395,9 +401,10 @@ def test_criterion_5_unstable_behavior():
         for t in (0, 1, 2, 5, 10, 20, 40):
             if res.witness.distance_at(zc, mp.e ** mp.mpf(t)) < floor:
                 ok_bounded = False
+        ok_slope = ok_slope and witness_slope_holds(zc, res)
     _line(
         "criterion 5: unstable theta=0 with divergence witness; semi-stable bounded",
-        ok_zero and ok_diverge and ok_bounded,
+        ok_zero and ok_diverge and ok_bounded and ok_slope,
         f"(20 unstable + {len(sst_cases)} semi-stable cases, {time.time() - t0:.1f}s)",
     )
 

@@ -25,7 +25,14 @@ from cluster_reduce import (
     phi,
 )
 
-from conftest import random_cluster, random_point, random_real_cluster, random_sl, random_unimodular_int
+from conftest import (
+    near_threshold_cluster,
+    random_cluster,
+    random_point,
+    random_real_cluster,
+    random_sl,
+    random_unimodular_int,
+)
 from oracles import oracle_classify, oracle_count_on_span, oracle_phi, oracle_same_cluster, oracle_sin2
 
 
@@ -77,8 +84,13 @@ class TestPointClusterEquality:
 class TestScaledCluster:
     @pytest.mark.parametrize(
         "reps, error",
-        [((), InvalidPointError), (((1, 0), (1, 0, 0)), DimensionError), (((1, 0), (0, 0)), InvalidPointError)],
-        ids=["empty", "ragged", "zero-row"],
+        [
+            ((), InvalidPointError),
+            (((1, 0), (1, 0, 0)), DimensionError),
+            (((1, 0), (0, 0)), InvalidPointError),
+            (((1, 0), (1, mp.nan)), InvalidPointError),
+        ],
+        ids=["empty", "ragged", "zero-row", "nan-row"],
     )
     def test_malformed_rows_rejected(self, reps, error):
         with pytest.raises(error):
@@ -91,6 +103,12 @@ class TestScaledCluster:
         assert not zc.same_scaled(ScaledCluster(((0, 1), (1, 1))))  # zero where the row is largest
         assert not zc.same_scaled(ScaledCluster(((1, 0), (1, 2))))  # not proportional
         assert repr(zc) == "ScaledCluster(m=2, n=1)"
+        # rows of size 1e-40 whose entries differ by less than the threshold,
+        # with ratios of product 1, but (1 : 2) and (1 : 3) are two points
+        tiny = mp.mpf("1e-40")
+        zc = ScaledCluster(((tiny, 2 * tiny), (1, 0)))
+        other = ScaledCluster(((tiny, 3 * tiny), (mp.mpf(2) / 3, 0)))
+        assert not zc.same_scaled(other) and zc.cluster() != other.cluster()
 
 
 @pytest.mark.parametrize(
@@ -173,8 +191,14 @@ class TestMultisetSemantics:
         zc = normalize_cluster(cluster_of((1, 0), (0, 1), (1, 1)))
         lam = mp.mpc(2, 1)
         other = zc.scale_point(0, lam).scale_point(1, 1 / lam)
-        assert zc.same_scaled(other)
+        assert zc.same_scaled(other) and zc.cluster() == other.cluster()
         assert not zc.same_scaled(zc.scale_point(0, 2))
+        # rows of size 1e40 that are one point, their ratios' product
+        # 1 + 2^-150, although their entries differ by about 1e-5
+        big = mp.mpf("1e40")
+        zc = ScaledCluster(((big, 2 * big), (1, 0)))
+        other = ScaledCluster(((big, 2 * big * (1 + mp.mpf(2) ** -150)), (1, 0)))
+        assert zc.same_scaled(other) and zc.cluster() == other.cluster()
 
 
 class TestAct:
@@ -547,6 +571,7 @@ class TestWalkInDoubles:
         cls = classify(Z)
         assert cls.is_semi_stable and not cls.is_stable
         assert cls.witness.spanning_points == Z.points[:2] and cls.witness.contained == 4
+        assert oracle_count_on_span(Z, cls.witness.spanning_points) == 4
 
     @pytest.mark.parametrize("scale", ["1e400", "1e-400"])
     def test_coordinates_beyond_doubles(self, monkeypatch, scale):
@@ -657,6 +682,19 @@ class TestClassify:
         assert not cls.is_stable
         split, semi, stable = oracle_classify(Z)
         assert (cls.is_split, cls.is_semi_stable, cls.is_stable) == (split, semi, stable)
+
+    @pytest.mark.parametrize("prec", [53, 106, 212])
+    def test_equal_points_are_one_point_in_the_split_test(self, prec):
+        # the second (1,0,0) equals the first, and is also within the
+        # threshold of the line through (1,e,e) and (0,1,0), the rest of the
+        # greedy basis: it links to its equal, not to no basis point at all
+        # as a component of rank 0, so the cluster is not split
+        with mp.workprec(prec):
+            Z = near_threshold_cluster()
+            cls = classify(Z)
+            assert cls.is_semi_stable and not cls.is_stable and not cls.is_split
+            components = cluster_core._matroid_components(cluster_core._exact_rows(Z.points))
+            assert components == [(list(range(6)), 3)]
 
     def test_margin_reported(self):
         stable = classify(cluster_of(*GENERAL_P2))

@@ -29,6 +29,7 @@ from cluster_reduce import (
 
 from conftest import (
     matrices_close_mod_scaling,
+    near_threshold_cluster,
     random_cluster,
     random_pd_hermitian,
     random_real_cluster,
@@ -36,10 +37,12 @@ from conftest import (
     random_trace_free_hermitian,
     random_unimodular_int,
     start_newton_from,
+    witness_slope_holds,
 )
 from oracles import (
     fd_directional_derivative,
     fd_second_difference,
+    oracle_count_on_span,
     oracle_gradient,
     oracle_images,
     oracle_simplex_form,
@@ -860,40 +863,62 @@ class TestTheta:
         Z = cluster_of(
             (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (1, 3, 0), (0, 0, 1)
         )
-        res = theta(normalize_cluster(Z))
+        zc = normalize_cluster(Z)
+        res = theta(zc)
         assert res.value == 0
         assert not res.attained
         assert res.witness is not None
+        assert witness_slope_holds(zc, res)
         # D diverges along the witness family
-        zc = normalize_cluster(Z)
         values = [eval_D(zc, res.witness.form_at(mp.e ** k)) for k in (1, 5, 20)]
         assert values[2] < values[1] < values[0]
 
     def test_semistable_not_attained_flag(self):
         Z = cluster_of((1, 0), (1, 0), (0, 1), (1, 1))
-        res = theta(normalize_cluster(Z))
+        zc = normalize_cluster(Z)
+        res = theta(zc)
         assert not res.attained
         assert res.value > 0
+        assert witness_slope_holds(zc, res)
         # for this configuration the infimum is exp(-log 2)
         assert abs(res.value - mp.mpf("0.5")) < mp.mpf("1e-10")
 
     def test_polystable_infimum_attained(self):
         # D is constant along the torus of the direct sum (1,0)^2 + (0,1)^2:
         # the infimum 1 is its value at the identity
-        res = theta(normalize_cluster(cluster_of((1, 0), (1, 0), (0, 1), (0, 1))))
+        zc = normalize_cluster(cluster_of((1, 0), (1, 0), (0, 1), (0, 1)))
+        res = theta(zc)
         assert res.attained
         assert abs(res.value - 1) < mp.mpf("1e-10")
+        assert witness_slope_holds(zc, res)
         # a double point of P^0 plus four points of a line of P^2 stable there
-        Z = cluster_of((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2))
-        assert theta(normalize_cluster(Z)).attained
+        zc = normalize_cluster(cluster_of((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2)))
+        res = theta(zc)
+        assert res.attained
+        assert witness_slope_holds(zc, res)
         # split as well, but one summand is only semi-stable in its span P^2
-        Z = cluster_of(
+        zc = normalize_cluster(cluster_of(
             (1, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0),
             (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 1, 1), (0, 1, 2, 3),
-        )
-        res = theta(normalize_cluster(Z))
+        ))
+        res = theta(zc)
         assert res.stability.is_split and res.stability.is_semi_stable
         assert not res.attained
+        assert witness_slope_holds(zc, res)
+
+    @pytest.mark.parametrize("prec", [53, 106, 212])
+    def test_point_off_the_witness_near_the_threshold(self, prec):
+        # (1,e,e) is off the double point for classify, although each of its
+        # components off it is below the threshold: the witness family must
+        # count it off too, or D falls along the family without bound
+        with mp.workprec(prec):
+            Z = near_threshold_cluster()
+            zc = normalize_cluster(Z)
+            res = theta(zc)
+            w = res.stability.witness
+            assert w.contained == oracle_count_on_span(Z, w.spanning_points) == 2
+            assert res.value > mp.mpf(2) ** (-2 * prec)
+            assert witness_slope_holds(zc, res)
 
     def test_stable_newton_failure_names_the_precision(self):
         # at 76 bits the reference pencil's base points are classified stable
@@ -925,7 +950,10 @@ class TestTheta:
         monkeypatch.setattr(covariant, "NEWTON_ITERATIONS", 60)
         calls = []
         monkeypatch.setattr(covariant, "minimize", lambda *a, **k: calls.append(minimize(*a, **k)) or calls[-1])
-        assert theta(normalize_cluster(Z)).attained == SEMI_STABLE_ATTAINED[index]
+        zc = normalize_cluster(Z)
+        theta_res = theta(zc)
+        assert theta_res.attained == SEMI_STABLE_ATTAINED[index]
+        assert witness_slope_holds(zc, theta_res)
         (res,) = calls
         assert res.stop == "tol" and res.final_gradient_norm <= mp.mpf(10) ** -12
         if index == 0:
@@ -937,6 +965,7 @@ class TestTheta:
         )
         zc = normalize_cluster(Z)
         res = theta(zc)
+        assert witness_slope_holds(zc, res)
         for t in (0, 1, 3):
             lam = mp.e ** mp.mpf(t)
             direct = res.witness.distance_at(zc, lam)
