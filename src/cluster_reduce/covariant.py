@@ -291,9 +291,9 @@ def _fixed_factor(L, S):
 
 
 def _images(L, reps):
-    """(ws, S, D): the unit images w_j = L^H P_j / |L^H P_j| as rows of
-    Gaussian integers (x, y) at scale 2^-S, S from :func:`_factor_bits`, and
-    D at Q = L L^H, for the rows of the Cholesky factor L.
+    """(ws, S, D, Lf): the unit images w_j = L^H P_j / |L^H P_j| as rows of
+    Gaussian integers (x, y) at scale 2^-S, S from :func:`_factor_bits`, D
+    at Q = L L^H for the rows of the Cholesky factor L, and L at 2^-S (Lf).
 
     L and the unit rows P_j are truncated to 2^-S, so each L^H P_j is exact at
     2^-2S and |L^H P_j|^2 at 2^-4S; its norm is ``math.isqrt`` of that, and
@@ -302,7 +302,8 @@ def _images(L, reps):
     working precision, of (prod_j |L^H P_j|^2)^n1 / (prod_i L_ii)^(2m)."""
     n1, m = len(L), len(reps)
     S = _factor_bits(L)
-    cols = list(zip(*_fixed_factor(L, S)))
+    Lf = _fixed_factor(L, S)
+    cols = list(zip(*Lf))
     ws, prod = [], 1
     for row in reps:
         P = [_fixed(c, S) for c in row]
@@ -319,7 +320,7 @@ def _images(L, reps):
         prod *= nrm2
     with mp.extraprec(20):
         D = mp.log(mp.mpf((prod, -4 * S * m)) ** n1 / mp.fprod(row[i] for i, row in enumerate(L)) ** (2 * m)) / n1
-    return ws, S, +D
+    return ws, S, +D, Lf
 
 
 def _outer_sum(rows):
@@ -394,7 +395,7 @@ def grad_D(zc: ScaledCluster, Q: HermitianForm) -> TangentDirection:
     derivative of D along lambda -> S^H exp(lambda B) S equals the Frobenius
     pairing of the returned matrix with B, for every trace-free Hermitian B.
     """
-    ws, S, _ = _images(_form_factor(Q, zc.n + 1), zc.reps)
+    ws, S, _, _ = _images(_form_factor(Q, zc.n + 1), zc.reps)
     G, _ = _gradient(ws, S, zc.n + 1)
     return TangentDirection(_from_fixed_rows(G, 2 * S))
 
@@ -601,15 +602,13 @@ def _lower_inverse(K):
     return X
 
 
-def _resolution(L):
+def _resolution(Lf, S):
     """2^(1-prec) * kappa(Q) for Q = L L^H, with kappa(Q) bounded by
     tr(Q) tr(Q^-1) = (|L|_F |L^-1|_F)^2: the gradient norm below which the
     rounding of Q itself decides G, since L is the exact factor only of a
     form within 2^(-prec) |Q| of Q. L^-1 comes by substitution in the
-    integers of :func:`_fixed_factor`, each entry truncated to 2^-S."""
-    S = _factor_bits(L)
-    Lf = _fixed_factor(L, S)
-    X = [[(0, 0)] * len(L) for _ in L]
+    integers ``Lf`` of L at 2^-S, each entry truncated to 2^-S."""
+    X = [[(0, 0)] * len(Lf) for _ in Lf]
     for i, row in enumerate(Lf):
         d = row[i][0]  # the real diagonal entry
         X[i][i] = ((1 << (2 * S)) // d, 0)
@@ -682,13 +681,13 @@ def _newton(reps, n1, tol, initial):
     m, max_iter = len(reps), NEWTON_ITERATIONS
     transcript, step, stop, failure = [], None, None, None
     for it in range(max_iter + 1):
-        ws, S, D = _images(L, reps)
+        ws, S, D, Lf = _images(L, reps)
         G, gnorm = _gradient(ws, S, n1)
         transcript.append((it, D, step))
         if gnorm <= tol:
             stop = "tol"
             break
-        if gnorm <= _resolution(L):
+        if gnorm <= _resolution(Lf, S):
             if gnorm**2 <= half_eps():
                 stop = "resolution"
             else:
@@ -719,7 +718,6 @@ def _newton(reps, n1, tol, initial):
         Y, f = _expm1_in_doubles(B, e - h - 1)
         # Q1 = L (I+Y) (I+Y)^H L^H, exact at 2^-2S over the columns of
         # L (I+Y), each entry L_ak + sum_c L_ac Y_ck truncated to 2^-S
-        Lf = _fixed_factor(L, S)
         Yf = [[_fixed(y, S + f) for y in row] for row in Y]
         cols = []
         for k in range(n1):

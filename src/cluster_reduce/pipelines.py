@@ -349,47 +349,43 @@ PRECONDITIONING_PASSES = 8
 
 def _double_pass(F: MultiPoly, H: MultiPoly):
     """One reduction of a ternary form F with Hessian H in hardware doubles:
-    its flexes from :func:`_intersection_in_doubles`, their covariant in
-    doubles from :func:`_tyler_in_doubles`, and LLL at 53 bits, with a
-    column negated for determinant +1. Doubles resolve the Gram only down
-    to about 2^-45 of its largest diagonal entry, so it is floored there: a
-    form too distorted for doubles stays positive definite at 53 bits and is
-    reduced as far as they resolve it, and the next pass goes on from there.
-    Returns U and the coordinate cycle that projected."""
-    cycle, points = _intersection_in_doubles(F, H)
-    Q = _tyler_in_doubles(points)
+    its flexes from :func:`_intersection_in_doubles`, by the exact pass's
+    projection rule, their covariant in doubles from
+    :func:`_tyler_in_doubles`, and LLL at 53 bits, with a column negated for
+    determinant +1. Doubles resolve the Gram only down to about 2^-45 of its
+    largest diagonal entry, so it is floored there: a form too distorted for
+    doubles stays positive definite at 53 bits and is reduced as far as they
+    resolve it, and the next pass goes on from there. Returns U."""
+    Q = _tyler_in_doubles(_intersection_in_doubles(F, H))
     floor = 2.0**-45 * max(Q[a][a].real for a in range(3))
     with mp.workprec(53):
         G = GramMatrix([[Q[a][b].real + (floor if a == b else 0) for b in range(3)] for a in range(3)])
         _, U = lll_reduce(G)
-    return (U if U.det() == 1 else U.negate_column(U.size - 1)), cycle
+    return U if U.det() == 1 else U.negate_column(U.size - 1)
 
 
 def _precondition(F: MultiPoly, H: MultiPoly):
     """An exact integer substitution U0 found in doubles: repeat
     :func:`_double_pass` on F(U0 x) and its Hessian, from U0 = I and the
     Hessian H of F, until a pass returns the identity or after
-    ``PRECONDITIONING_PASSES`` passes. The form height may rise on the way
-    while the covariant keeps improving, so it is recorded, not used to
-    stop. A pass that fails where doubles do not suffice (an arithmetic,
-    value or package error) ends preconditioning with the U0 found so far,
-    and the record says why: U0 only conditions the exact pass, whose result
-    does not depend on it. After a pass that returns the identity, U0 ends
-    with that pass's coordinate cycle, which gave a squarefree resultant on
-    F(U0 x). Returns F(U0 x), its Hessian, U0 and the record of the passes."""
+    ``PRECONDITIONING_PASSES`` passes, so that U0 is the product of the
+    passes' LLL transforms. The form height may rise on the way while the
+    covariant keeps improving, so it is recorded, not used to stop. A pass
+    that fails where doubles do not suffice (an arithmetic, value or package
+    error) ends preconditioning with the U0 found so far, and the record
+    says why: U0 only conditions the exact pass, whose result does not
+    depend on it. Returns F(U0 x), its Hessian, U0 and the record of the
+    passes."""
     identity = UnimodularTransform(tuple(tuple(int(i == j) for j in range(3)) for i in range(3)))
     U0, heights, stop = identity, [], "pass cap"
     for _ in range(PRECONDITIONING_PASSES):
         try:
-            U, cycle = _double_pass(F, H)
+            U = _double_pass(F, H)
         except (ArithmeticError, ValueError, ClusterReduceError) as exc:
             stop = f"pass failed: {type(exc).__name__}: {exc}"
             break
         if U == identity:
             heights.append(F.height())
-            cycle = UnimodularTransform(cycle)
-            if cycle != identity:
-                F, H, U0 = substitute(F, cycle), substitute(H, cycle), U0 @ cycle
             stop = "identity"
             break
         F, U0 = substitute(F, U), U0 @ U
@@ -413,12 +409,13 @@ def reduce_ternary_form(F: MultiPoly, prec=None, seed=0) -> ReductionReport:
     A preconditioning stage first finds an integer U0 of determinant 1 by
     whole reductions in hardware doubles (:func:`_precondition`), and the
     flexes are found by :func:`curve_intersection` of the well-conditioned
-    F(U0 x) with its Hessian. The residuals refer to these forms after the
-    projection that succeeded (the identity unless it failed), which the
-    same call reproduces: the projections are fixed. By equivariance,
-    z(F(U0 x)) = U0^T z(F) U0, their Gram is carried back exactly by U0^-1
-    and LLL-reduced from the identity, so U does not depend on U0. The
-    covariant, flexes (placed at U0 v), H and transform refer to F.
+    F(U0 x) with its Hessian, by the passes' projection rule (so a cycle
+    that the last pass took costs the exact pass one more elimination). The
+    residuals refer to these forms after the projection that succeeded,
+    which the same call reproduces: the projections are fixed. By
+    equivariance, z(F(U0 x)) = U0^T z(F) U0, their Gram is carried back
+    exactly by U0^-1 and LLL-reduced from the identity, so U does not depend
+    on U0. The covariant, flexes (placed at U0 v), H and transform refer to F.
     ``diagnostics["preconditioning"]`` records the passes and U0. Nothing
     reads ``seed``; it stays in the signature for callers that still pass it.
 

@@ -781,7 +781,7 @@ def _binary_form_roots(F: MultiPoly, factors) -> PointCluster:
 
 
 # the projections of an intersection in the order tried: the identity, the two
-# coordinate cycles (all that the passes in doubles try), then nine shears
+# coordinate cycles (all that the preconditioning passes try), then nine shears
 _PROJECTIONS = (
     ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
     ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
@@ -801,40 +801,32 @@ _PROJECTIONS = (
 def curve_intersection(F: MultiPoly, G: MultiPoly) -> RootSet:
     """All intersection points of two coprime ternary curves, with multiplicity.
 
-    After an integer shear S keeping (1:0:0) off both curves, one exact
-    subresultant sequence in x0 of F(S x) and G(S x) at x2 = 1 gives the
-    resultant R(β) and the subresultants S_j = Σ c_i(β) x0^i. Each squarefree
-    factor of R (exact multiplicities) is split by gcds with c_1, c_2, ...:
-    where c_j is the first that does not vanish, the fiber x1 = β holds the
-    one point x0 = ξ = −c_{j−1}/(j c_j); for j = 1 this is the rational
-    univariate representation x0 = −a0/a1. For j ≥ 2 the exact congruence
-    S_j ≡ c_j (x0 − ξ)^j modulo the part certifies it, or the next of the 12
-    fixed ``_PROJECTIONS``, the identity first, is tried. Root finding runs
-    once per part, on β alone. A zero v of F(S x) and G(S x) is reported at S v with its
-    normalized residual max(|F(S v)|, |G(S v)|)/||v||^deg over the larger
-    coefficient norm of the sheared forms, which must be below 2^(-prec/2)
-    at the ambient precision prec: a residual above it is missing precision,
-    not a bad projection, and raises ConvergenceError naming the working
-    precision, with no further shear. S is not returned, but the sequence is
-    fixed, so the same call reproduces it.
-    Points singular on both curves, which only parts with j ≥ 2 can hold, are
-    split off by an exact gcd with the partial derivatives at x0 = ξ, flagged
-    in ``singular``. Curves that share a component raise CommonComponentError
-    from the first projection off both of them.
+    The exact half (:func:`_projected`) tries the 12 fixed ``_PROJECTIONS``,
+    the identity first, until one gives a clean elimination: after an
+    integer shear S keeping (1:0:0) off both curves, one exact subresultant
+    sequence in x0 of F(S x) and G(S x) at x2 = 1 gives the resultant R(β)
+    and the subresultants S_j, and :func:`_fiber_parts` splits each
+    squarefree factor of R (exact multiplicities) into parts whose fibers
+    hold one point each, or the next projection is tried. The
+    preconditioning passes of the ternary pipeline run the same half over
+    the first three projections. The refinement (:func:`_refine`) finds the
+    roots once per part, on β alone. A zero v of F(S x) and G(S x) is
+    reported at S v with its normalized residual
+    max(|F(S v)|, |G(S v)|)/||v||^deg over the larger coefficient norm of
+    the sheared forms, which must be below 2^(-prec/2) at the ambient
+    precision prec: a residual above it is missing precision, not a bad
+    projection, and raises ConvergenceError naming the working precision,
+    with no further shear. S is not returned, but the sequence is fixed, so
+    the same call reproduces it. Points singular on both curves are flagged
+    in ``singular``. Curves that share a component raise
+    CommonComponentError from the first projection off both of them.
     """
     for P in (F, G):
         if P.nvars != 3:
             raise DimensionError("curve intersection needs ternary forms")
         if not P.is_homogeneous() or P.total_degree() < 1:
             raise InputFormatError("inputs must be homogeneous of positive degree")
-    d1, d2 = F.total_degree(), G.total_degree()
-    last_error = None
-    for S in _PROJECTIONS:
-        try:
-            return _intersect_with_shear(F, G, S, d1, d2)
-        except _ShearFailure as exc:
-            last_error = exc
-    raise EliminationError(f"no projection produced a clean elimination: {last_error}")
+    return _refine(*_projected(F, G, _PROJECTIONS))
 
 
 class _ShearFailure(Exception):
@@ -873,11 +865,23 @@ def _at(P, xi, h):
     return acc
 
 
-def _fiber_parts(f, levels, Fd, Gd):
-    """Split a squarefree factor f(β) of the resultant into (part, c, singular):
-    on each root of ``part`` the fiber's one point is x0 = −c[j−1]/(j c[j]),
-    j = len(c) − 1. ``levels`` are S_1, S_2, ... by degree; the last has a
-    constant leading coefficient, so every root of f is placed."""
+def _fiber_parts(f, mult, levels, Fd, Gd):
+    """Split a squarefree factor f(β) of R, of multiplicity ``mult``, into
+    (part, c, singular) by gcds with the leading coefficients c_j of
+    ``levels``, S_j = Σ c_i(β) x0^i by degree, the last with a constant c_j:
+    where c_j is the first that does not vanish, the fiber holds one point,
+    x0 = ξ = −c[j−1]/(j c[j]) (x0 = −a0/a1 for j = 1). For j ≥ 2 the exact
+    congruence S_j ≡ c_j (x0 − ξ)^j modulo the part certifies it, or
+    _ShearFailure is raised, and points singular on both curves are split
+    off by an exact gcd with the partials at ξ. A factor of multiplicity 1
+    is one part with c from S_1, and no gcd: as (1:0:0) lies off both
+    curves, the order of a root β of R is the sum of the intersection
+    multiplicities on the fiber x1 = β, so order 1 is one transversal point,
+    smooth on both curves, where F(x0, β) and G(x0, β), with constant
+    leading coefficients, have a gcd of degree 1: c_1(β) ≠ 0."""
+    if mult == 1:
+        yield f, _x0_coeffs(levels[0]), False
+        return
     for Sj in levels:
         if f.degree() < 1:
             return
@@ -914,9 +918,12 @@ def _fiber_point(c):
     return ([int(v) for v in p.all_coeffs()] for p in (c[j - 1], j * c[j]))
 
 
-def _eliminate(F, G, S, d1, d2):
-    """F(S x), G(S x), their dehomogenizations, their resultant R(β) and their
-    subresultants S_1, S_2, ... by degree in x0 (``levels``)."""
+def _intersect_with_shear(F, G, S, d1, d2):
+    """The exact half of the intersection of F and G from the projection S:
+    (S, F(S x), G(S x), parts), one (part, k, c, singular) per part that
+    :func:`_fiber_parts` splits from a squarefree factor, of multiplicity
+    k, of the resultant R(β) of F(S x) and G(S x) at x2 = 1 in x0. Raises
+    _ShearFailure where S gives no clean elimination."""
     if S != _PROJECTIONS[0]:
         F, G = substitute(F, S), substitute(G, S)
     if F.coeff((d1, 0, 0)) == 0 or G.coeff((d2, 0, 0)) == 0:
@@ -931,41 +938,45 @@ def _eliminate(F, G, S, d1, d2):
         raise CommonComponentError("curves share a common component")
     if R.degree() != d1 * d2:
         raise _ShearFailure("resultant dropped degree or has a root at infinity")
-    return F, G, Fd, Gd, R, [P for P in reversed(prs[1:]) if P.degree(_X0) > 0]
+    levels = [P for P in reversed(prs[1:]) if P.degree(_X0) > 0]
+    _, factors = R.sqf_list()
+    return S, F, G, [(part, k, c, sing) for f, k in factors for part, c, sing in _fiber_parts(f, k, levels, Fd, Gd)]
 
 
-def _intersection_in_doubles(F: MultiPoly, G: MultiPoly) -> tuple:
-    """Approximate intersection points of two ternary curves, in built-in
-    complex: one point (x0, β, 1) per root β of the resultant, with x0 from
-    the lowest subresultant as in :func:`curve_intersection`, but with no
-    fiber certificate and no residual test. It projects from the first
-    coordinate point that lies off both curves and gives a squarefree
-    resultant, so that every fiber holds one simple point; at a singular
-    point, such as a node, none does, whatever the shear. So it tries only
-    the first three ``_PROJECTIONS``, the identity and the coordinate
-    cycles, which do not change the conditioning, unlike a shear. Returns
-    (that projection, the points). For a cheap preconditioning pass; raises
-    EliminationError, ConvergenceError or ArithmeticError where doubles do
-    not suffice, and CommonComponentError where the curves share a
-    component."""
+def _projected(F, G, projections):
+    """:func:`_intersect_with_shear` from the first clean one of ``projections``."""
     d1, d2 = F.total_degree(), G.total_degree()
-    for S in _PROJECTIONS[:3]:
+    for S in projections:
         try:
-            *_, R, levels = _eliminate(F, G, S, d1, d2)
-        except _ShearFailure:
-            continue
-        if R.gcd(R.diff()).degree() == 0:
-            break
-    else:
-        raise EliminationError("no coordinate projection gives a squarefree resultant")
-    num, den = _doubles(*_fiber_point(_x0_coeffs(levels[0])))
+            return _intersect_with_shear(F, G, S, d1, d2)
+        except _ShearFailure as exc:
+            failure = exc
+    raise EliminationError(f"no projection produced a clean elimination: {failure}")
+
+
+def _intersection_in_doubles(F: MultiPoly, G: MultiPoly) -> list:
+    """Intersection points of two ternary curves in built-in complex, for a
+    preconditioning pass: the exact half of :func:`curve_intersection` over
+    the identity and the coordinate cycles, which keep the conditioning,
+    unlike a shear; then each part's roots β by :func:`_roots_in_doubles`
+    and x0 from its fiber formula, untested. EliminationError unless each
+    part has multiplicity 1, one transversal point per root (never at a
+    node); ConvergenceError or ArithmeticError where doubles do not do."""
+    try:
+        S, _, _, parts = _projected(F, G, _PROJECTIONS[:3])
+        if any(k > 1 for _, k, _, _ in parts):
+            raise EliminationError
+    except EliminationError:
+        raise EliminationError("no coordinate projection gives a squarefree resultant") from None
     points = []
-    for beta in _roots_in_doubles(_int_coeffs(R)):
-        v = (-_horner_pair(num, beta)[0] / _horner_pair(den, beta)[0], beta, 1)
-        points.append([sum(S[k][a] * v[a] for a in range(3)) for k in range(3)])
+    for part, _, c, _ in parts:
+        num, den = _doubles(*_fiber_point(c))
+        for beta in _roots_in_doubles(_int_coeffs(part)):
+            v = (-_horner_pair(num, beta)[0] / _horner_pair(den, beta)[0], beta, 1)
+            points.append([sum(S[k][a] * v[a] for a in range(3)) for k in range(3)])
     if not all(cmath.isfinite(c) for p in points for c in p):
         raise ArithmeticError("an intersection point is not finite in doubles")
-    return S, points
+    return points
 
 
 def _fiber_points(num, den, roots):
@@ -988,34 +999,26 @@ def _fiber_points(num, den, roots):
     return out
 
 
-def _intersect_with_shear(F, G, S, d1, d2):
-    """The RootSet of F and G from the projection S, at the ambient precision
-    prec. Each root is a zero v of F(S x) and G(S x), placed at S v, and is
-    accepted on, and carries, its residual on those forms, which the
-    projection conditions: for v = (x0, beta, 1), x0 from
-    :func:`_fiber_points`, and its unit vector u, max(|F(S u)|, |G(S u)|)
-    over the larger coefficient norm, from :meth:`MultiPoly.evaluate`, must
-    be below 2^(-prec/2), or ConvergenceError is raised. The multiplicities
-    total d1 d2 with no count: :func:`_eliminate` requires deg R = d1 d2, and
-    :func:`_fiber_parts` places every root of each squarefree factor of R."""
-    Fs, Gs, Fd, Gd, R, levels = _eliminate(F, G, S, d1, d2)
+def _refine(S, Fs, Gs, parts):
+    """The RootSet of the exact half (S, F(S x), G(S x), parts) of
+    :func:`curve_intersection`, at the ambient precision: β by
+    :func:`aberth_roots` on each part, x0 by :func:`_fiber_points`, and the
+    residual gate, from :meth:`MultiPoly.evaluate` on the unit vector of
+    v = (x0, β, 1). Every root of R, of degree d1 d2, is placed: no count."""
     found, singular = [], []
-    half = half_eps()
     norm = max(Fs.coeff_norm(), Gs.coeff_norm())
-    _, factors = R.sqf_list()
-    for fac, mult in factors:
-        for part, c, sing in _fiber_parts(fac, levels, Fd, Gd):
-            betas = aberth_roots(_int_coeffs(part))
-            for beta, x0 in zip(betas, _fiber_points(*_fiber_point(c), betas)):
-                v = (x0, beta, mp.mpc(1))
-                u = ProjectivePoint(v).unit()
-                resid = max(abs(Fs.evaluate(u)), abs(Gs.evaluate(u))) / norm
-                if resid >= half:
-                    raise ConvergenceError(
-                        f"intersection residual {mp.nstr(resid, 5)} at beta={mp.nstr(beta, 8)} is not below "
-                        f"2^({-mp.mp.prec // 2}) at the working precision of {mp.mp.prec} bits"
-                    )
-                point = ProjectivePoint(tuple(mp.fsum(S[k][a] * v[a] for a in range(3)) for k in range(3)))
-                found.append((point, mult, resid))
-                singular.append(sing)
+    for part, mult, c, sing in parts:
+        betas = aberth_roots(_int_coeffs(part))
+        for beta, x0 in zip(betas, _fiber_points(*_fiber_point(c), betas)):
+            v = (x0, beta, mp.mpc(1))
+            u = ProjectivePoint(v).unit()
+            resid = max(abs(Fs.evaluate(u)), abs(Gs.evaluate(u))) / norm
+            if resid >= half_eps():
+                raise ConvergenceError(
+                    f"intersection residual {mp.nstr(resid, 5)} at beta={mp.nstr(beta, 8)} is not below "
+                    f"2^({-mp.mp.prec // 2}) at the working precision of {mp.mp.prec} bits"
+                )
+            point = ProjectivePoint(tuple(mp.fsum(S[k][a] * v[a] for a in range(3)) for k in range(3)))
+            found.append((point, mult, resid))
+            singular.append(sing)
     return RootSet(tuple(found), tuple(singular))

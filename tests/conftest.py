@@ -259,8 +259,10 @@ def rnd():
 
 @pytest.fixture
 def tried_projections(monkeypatch):
-    """The projections that curve intersections try, in order: each call of
-    ``polyalg._intersect_with_shear`` from here on records its ``S``."""
+    """The projections that the exact half of a curve intersection tries, in
+    order, in ``curve_intersection`` and in the preconditioning passes alike:
+    each call of ``polyalg._intersect_with_shear`` from here on records its
+    ``S``."""
     from cluster_reduce import polyalg
 
     tried, real = [], polyalg._intersect_with_shear

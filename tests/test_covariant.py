@@ -276,7 +276,7 @@ class TestFixedPointKernel:
         with mp.workprec(prec):
             w_mp, D_mp = oracle_images(L, reps)
             G_mp, norm_mp = oracle_gradient(w_mp, n1)
-            w_fx, S, D_fx = _images(L, reps)
+            w_fx, S, D_fx, _ = _images(L, reps)
             G_fx, norm_fx = _gradient(w_fx, S, n1)
             w_fx, G_fx = _from_fixed_rows(w_fx, S), _from_fixed_rows(G_fx, 2 * S)
         with mp.workprec(4 * prec):
@@ -303,7 +303,7 @@ class TestFixedPointKernel:
         prec, L, reps = case
         n1, m = len(L), len(reps)
         with mp.workprec(prec):
-            w_fx, S, _ = _images(L, reps)
+            w_fx, S, _, _ = _images(L, reps)
             G_fx, _ = _gradient(w_fx, S, n1)
         with mp.workprec(4 * prec):
             w, _ = oracle_images(L, reps)

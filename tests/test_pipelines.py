@@ -1,5 +1,7 @@
 """End-to-end pipelines: clusters, binary forms, pencils, ternary forms."""
 
+import functools
+import operator
 import os
 import pathlib
 import random
@@ -322,7 +324,7 @@ class TestReduceQuadricPencil:
             raise AssertionError("elimination in the pencil pipeline")
 
         for module, name in ((pipelines, "curve_intersection"), (polyalg, "curve_intersection"),
-                             (polyalg, "_eliminate")):
+                             (polyalg, "_intersect_with_shear")):
             monkeypatch.setattr(module, name, fail)
         report = reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2, prec=212)
         assert [list(r) for r in report.transform.matrix] == PENCIL_LLL
@@ -613,13 +615,31 @@ class TestPreconditioning:
         assert passes["passes"] == 0
         assert passes["stop"] == "pass failed: ConvergenceError: no roots in doubles"
 
-    def test_permuted_cubic_needs_only_the_identity_projection(self, tried_projections):
-        # the passes end on a coordinate permutation; the exact pass projects
-        # through the cycle the last pass found, which gives a squarefree
-        # resultant, so the exact pass tries the identity projection only
+    def test_permuted_cubic_projects_through_the_last_passes_cycle(self, tried_projections):
+        # the first pass projects from the identity; on the form it leaves,
+        # the identity's resultant drops degree, so the second pass projects
+        # through the first coordinate cycle, and the exact pass, on the same
+        # forms, finds that cycle again after one more elimination
         report = reduce_ternary_form(self.CUBIC)
         assert report.transform.matrix == ((1, 0, 0), (0, 0, 1), (0, 1, 0))
-        assert tried_projections == [polyalg._PROJECTIONS[0]]
+        identity, cycle = polyalg._PROJECTIONS[:2]
+        assert tried_projections == [identity, identity, cycle, identity, cycle]
+
+    def test_planted_cubic_u0_is_the_product_of_the_passes(self, monkeypatch):
+        # U0 multiplies the passes' LLL transforms and nothing else, and the
+        # residuals are those of the public intersection of F(U0 x) with its
+        # Hessian, whichever projection that takes
+        F = substitute(self.CUBIC, random_unimodular_int(random.Random(2), 3, max_entry=30000))
+        transforms, double_pass = [], pipelines._double_pass
+        monkeypatch.setattr(pipelines, "_double_pass", lambda F, H: transforms.append(double_pass(F, H)) or transforms[-1])
+        report = reduce_ternary_form(F)
+        passes = report.diagnostics["preconditioning"]
+        assert passes["stop"] == "identity" and len(transforms) == passes["passes"] >= 2
+        assert passes["transform"] == functools.reduce(operator.matmul, transforms)
+        F1 = substitute(F, passes["transform"])
+        with mp.workprec(report.diagnostics["precision"]):
+            inter = curve_intersection(F1, hessian(F1))
+        assert report.diagnostics["residuals"] == tuple(r for _, _, r in inter.roots)
 
     def test_each_flex_is_found_once(self, monkeypatch):
         # at each of the 24 flexes, F(U0 x) and its Hessian are evaluated
@@ -658,11 +678,12 @@ class TestPreconditioning:
             first, *rest = roots(coeffs)
             return [first * (1 + mp.mpf(10) ** move)] + rest
 
+        half = polyalg._intersect_with_shear(QUARTIC, hessian(QUARTIC), U0.matrix, 4, 6)
         with mp.workprec(bits):
-            polyalg._intersect_with_shear(QUARTIC, hessian(QUARTIC), U0.matrix, 4, 6)
+            polyalg._refine(*half)
         monkeypatch.setattr(polyalg, "aberth_roots", moved)
         with mp.workprec(bits), pytest.raises(ConvergenceError, match=f"residual .* {bits} bits"):
-            polyalg._intersect_with_shear(QUARTIC, hessian(QUARTIC), U0.matrix, 4, 6)
+            polyalg._refine(*half)
 
     def test_exact_pass_is_one_public_intersection(self, monkeypatch):
         # the exact pass is the public curve_intersection of the forms the

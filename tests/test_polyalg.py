@@ -1,5 +1,6 @@
 """Exact polynomial layer and multiprecision root finding."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cluster_reduce import (
@@ -444,6 +445,25 @@ class TestSubstitute:
             substitute(QUARTIC, [[1, 0], [0, 1]])
 
 
+@st.composite
+def _planted_pairs(draw):
+    """Two ternary curves with (1:0:0) off both and coefficients in
+    [-3, 3]: F of degree d1 and G = A F + L^2 N of degree d2, d1, d2 in
+    {2, 3}, for a line L, so that G meets F with multiplicity 2 where L
+    does and with multiplicity 1 on N, generically."""
+
+    def form(d):
+        exps = [e for e in itertools.product(range(d + 1), repeat=3) if sum(e) == d]
+        cs = draw(st.lists(st.integers(-3, 3), min_size=len(exps), max_size=len(exps)))
+        return MultiPoly.from_dict(3, dict(zip(exps, cs)))
+
+    d1, d2 = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    F, L, N = form(d1), form(1), form(d2 - 2)
+    G = L * L * N + (form(d2 - d1) * F if d2 >= d1 else 0)
+    assume(F.coeff((d1, 0, 0)) != 0 and G.coeff((d2, 0, 0)) != 0)
+    return F, G
+
+
 class TestCurveIntersection:
     def test_line_pairs(self):
         F = poly("x^2 - y^2", nvars=3)
@@ -625,11 +645,46 @@ class TestCurveIntersection:
         assert tried == list(polyalg._PROJECTIONS)
 
     def test_pass_in_doubles_rejects_a_point_that_is_not_finite(self, monkeypatch):
-        # a root of the resultant that overflows doubles gives no point; the
-        # preconditioning pass that called it stops there
+        # a root in doubles of a part of the resultant that overflows gives no
+        # point; the preconditioning pass that called it stops there
         monkeypatch.setattr(polyalg, "_roots_in_doubles", lambda coeffs: [complex(math.inf, 0)] * (len(coeffs) - 1))
         with pytest.raises(ArithmeticError, match="not finite in doubles"):
             polyalg._intersection_in_doubles(QUARTIC, hessian(QUARTIC))
+
+    def test_transversal_flexes_take_no_gcd(self, monkeypatch):
+        # the 24 flexes of the reduced quartic are transversal points of the
+        # curve and its Hessian, so its resultant is one factor of
+        # multiplicity 1, which the exact half takes whole
+        calls, gcd = [], sp.Poly.gcd
+        monkeypatch.setattr(sp.Poly, "gcd", lambda f, g: calls.append((f, g)) or gcd(f, g))
+        rs = curve_intersection(QUARTIC_REDUCED, hessian(QUARTIC_REDUCED))
+        assert len(rs.roots) == rs.total_multiplicity == 24
+        assert calls == []
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_planted_pairs())
+    def test_simple_factor_is_coprime_to_the_first_subresultant(self, pair):
+        # the oracle for the exact half's shortcut, from sympy's own
+        # subresultants: where R(beta) has a factor of multiplicity 1, the
+        # subresultant of degree 1 in x0 exists and its leading coefficient
+        # c_1 is coprime to that factor, which the identity projection then
+        # takes whole
+        F, G = pair
+        x0, x1, x2 = sp.symbols("x0:3")
+        f, g = (P.to_sympy().as_expr().subs(x2, 1) for P in pair)
+        R = sp.Poly(sp.resultant(f, g, x0), x1)
+        assume(not R.is_zero)
+        simple = [h for h, k in R.sqf_list()[1] if k == 1]
+        if simple:
+            (S1,) = [s for s in sp.subresultants(f, g, x0) if sp.degree(s, x0) == 1]
+            c1 = sp.Poly(sp.Poly(S1, x0).coeff_monomial(x0), x1)
+            assert all(sp.gcd(h, c1).degree() == 0 for h in simple)
+        try:
+            *_, parts = polyalg._intersect_with_shear(F, G, polyalg._PROJECTIONS[0], F.total_degree(), G.total_degree())
+        except polyalg._ShearFailure:
+            return
+        whole = [part for part, k, _, _ in parts if k == 1]
+        assert [p.monic().all_coeffs() for p in whole] == [h.monic().all_coeffs() for h in simple]
 
     def test_shear_retry_when_projection_center_on_curve(self):
         # F vanishes at (1:0:0), so the identity projection is rejected and a
