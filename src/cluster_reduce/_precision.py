@@ -4,9 +4,11 @@ All numerical code in this package runs at the ambient mpmath precision.
 Entry points that accept a ``prec`` argument (in bits) wrap their body in
 ``working_precision(prec)``. Every tolerance decision (rank, point
 identification, conjugation matching, scaled-cluster equality and the
-witness family's subspace, all by ``cluster_core._join``, root certificates,
-LLL ties) compares against :func:`half_eps` of the ambient precision, so the
-precision is the only numeric setting.
+witness family's subspace, all by ``cluster_core._join``, the residual gate
+of every point a pipeline places, LLL ties) compares against
+:func:`half_eps` of the ambient precision, so the precision is the only
+numeric setting, and :func:`short_of_precision` makes the one error that
+says it falls short.
 
 Hermitian matrices travel as rows. One Cholesky factorization,
 :func:`hermitian_cholesky`, serves the working precision and hardware
@@ -33,7 +35,7 @@ import math
 import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .errors import InputFormatError, NotPositiveDefiniteError
+from .errors import ConvergenceError, InputFormatError, NotPositiveDefiniteError
 
 DEFAULT_PREC = 212
 
@@ -46,6 +48,12 @@ def working_precision(prec=None):
 def half_eps():
     """2^(-prec/2) at the ambient precision: the package's one threshold."""
     return mp.mpf(2) ** (-mp.mp.prec // 2)
+
+
+def short_of_precision(what: str, best=None):
+    """ConvergenceError("``what`` at the working precision of N bits") for
+    the ambient N, with ``best``: the one error that more bits cure."""
+    return ConvergenceError(f"{what} at the working precision of {mp.mp.prec} bits", best=best)
 
 
 def to_mpf(value, kind=mp.mpf):

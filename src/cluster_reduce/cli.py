@@ -2,12 +2,12 @@
 
 Exit codes: 0 success (a closed output pipe too), 1 any other library
 error: an EliminationError, from an intersection that none of its 12
-projections projects cleanly or a binary root that fails its residual certificate, 2
-stability error: an input that is not stable or a degenerate pencil, 3
-numerical convergence error: a working precision too low for the input, 4
-input error: a malformed input, a malformed or out-of-range option or
-argument, or a cluster not fixed by conjugation given to reduce-cluster (one
-line on stderr).
+projections projects cleanly, 2 stability error: an input that is not
+stable or a degenerate pencil, 3 numerical convergence error: a working
+precision too low for the input, a placed point that fails the residual
+gate included, 4 input error: a malformed input, a malformed or
+out-of-range option or argument, or a cluster not fixed by conjugation
+given to reduce-cluster (one line on stderr).
 """
 
 from __future__ import annotations

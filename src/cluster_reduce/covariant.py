@@ -69,6 +69,7 @@ from ._precision import (
     check_hermitian,
     half_eps,
     hermitian_cholesky,
+    short_of_precision,
     to_mpc,
     working_precision,
 )
@@ -737,8 +738,6 @@ def _newton(reps, n1, tol, initial):
             break
         Q = Q1
         step = NewtonStep(mp.ldexp(1, -h), mp.ldexp(slope, 2 * e), mp.ldexp(norm, e - h), certified_by)
-    if failure is not None:
-        failure += f", at the working precision of {mp.mp.prec} bits"
     scale = mp.exp(-_log_det(L) / n1)
     z = HermitianForm([[v * scale for v in row] for row in Q])
     return CovariantResult(z, mp.e**D, it, gnorm, stop, tuple(transcript)), failure
@@ -773,7 +772,7 @@ def minimize(cluster: PointCluster, tol=None, prec=None, check_stability=True) -
         reps = tuple(p.unit() for p in cluster.points)
         result, failure = _newton(reps, cluster.n + 1, tol, _start(cluster, reps))
         if failure is not None:
-            raise ConvergenceError(failure, best=result)
+            raise short_of_precision(failure, best=result)
         return result
 
 
@@ -812,7 +811,8 @@ def theta(zc: ScaledCluster, prec=None) -> ThetaResult:
         value = mp.e ** eval_D(zc, result.z)
         if cls.is_stable:
             if failure is not None:
-                raise ConvergenceError(str(failure), best=ThetaResult(value=value, attained=False, stability=cls))
+                failure.best = ThetaResult(value=value, attained=False, stability=cls)
+                raise failure
             return ThetaResult(value=value, attained=True, stability=cls)
         # semi-stable, not stable: Newton may run out of iterations on its
         # way to an infimum at infinity, so its failure is no error here.

@@ -44,7 +44,7 @@ class ConvergenceError(ClusterReduceError):
 
 
 class EliminationError(ClusterReduceError):
-    """Resultant-based elimination was inconclusive (leading coefficients degenerate)."""
+    """No projection of a curve intersection gives a clean elimination."""
 
 
 class CommonComponentError(ClusterReduceError):

@@ -19,12 +19,11 @@ from typing import Optional
 
 import mpmath as mp
 
-from ._precision import _fixed, _from_fixed, half_eps, working_precision
+from ._precision import _fixed, _from_fixed, short_of_precision, working_precision
 from .cluster_core import PointCluster, ProjectivePoint, StabilityClass, act, classify
 from .covariant import _tyler_in_doubles, minimize
 from .errors import (
     ClusterReduceError,
-    ConvergenceError,
     DegeneratePencilError,
     InputFormatError,
     NotPositiveDefiniteError,
@@ -36,6 +35,7 @@ from .polyalg import (
     MultiPoly,
     RootSet,
     _binary_form_roots,
+    _gate,
     _intersection_in_doubles,
     _second_partials,
     curve_intersection,
@@ -107,7 +107,7 @@ def _reduce_core(cls, cluster: PointCluster, what: str, back=None):
     try:
         reduced_gram, U = lll_reduce(G)
     except NotPositiveDefiniteError as exc:
-        raise _short_of_precision(f"LLL of the real Gram of the covariant failed ({exc})") from exc
+        raise short_of_precision(f"LLL of the real Gram of the covariant failed ({exc})") from exc
     return result, G, reduced_gram, U
 
 
@@ -180,7 +180,7 @@ def reduce_binary_form(F: MultiPoly, prec=None) -> ReductionReport:
         cls = StabilityClass(split, margin >= 0, margin > 0, margin=margin)
         if not cls.is_stable:  # before any root finding
             raise StabilityError("root cluster is not stable", classification=cls)
-        cluster = _binary_form_roots(F, factors)
+        cluster, residuals = _binary_form_roots(F, factors)
         result, G, reduced_gram, U = _reduce_core(cls, cluster, "root cluster")
         reduced = substitute(F, U)
         return ReductionReport(
@@ -189,13 +189,9 @@ def reduce_binary_form(F: MultiPoly, prec=None) -> ReductionReport:
             reduced_gram=reduced_gram,
             transform=U,
             reduced=reduced,
-            diagnostics=_diagnostics(cls, result, F.height(), reduced.height()),
+            diagnostics=_diagnostics(cls, result, F.height(), reduced.height(), residuals=residuals),
             extras={"root_cluster": cluster},
         )
-
-
-def _short_of_precision(what: str):
-    return ConvergenceError(f"{what} at the working precision of {mp.mp.prec} bits")
 
 
 def _norm2(z) -> int:
@@ -233,7 +229,7 @@ def _line_pair(C, T) -> tuple:
     i = max(range(3), key=lambda k: _norm2(B[k][k]))
     root = _fixed(mp.sqrt(-_from_fixed(*B[i][i], 2 * T)), T)
     if root == (0, 0):
-        raise _short_of_precision("a degenerate pencil member has a zero adjugate")
+        raise short_of_precision("a degenerate pencil member has a zero adjugate")
     (ax, ay), (bx, by), (cx, cy) = (_quotient(b, root, 0) for b in B[i])
     skew = (((0, 0), (-cx, -cy), (bx, by)), ((cx, cy), (0, 0), (-ax, -ay)), ((-bx, -by), (ax, ay), (0, 0)))
     R = [[(x + u, y + v) for (x, y), (u, v) in zip(r, q)] for r, q in zip(C, skew)]
@@ -251,11 +247,9 @@ def _base_points(roots: PointCluster, pencil, basis) -> RootSet:
     points' quadrangle. (Exact arithmetic needs no change to the reduced
     basis.) The lines of one pair cross those of the other at the four
     points, each divided by its coordinate of largest modulus, which becomes
-    1. As in :func:`curve_intersection`, a point carries its residual on the
-    reduced ``basis`` (Q1p, Q2p): for its unit vector u, max(|Q1p(u)|,
-    |Q2p(u)|) over the larger coefficient norm, from
-    :meth:`MultiPoly.evaluate`, which must be below 2^(-prec/2), or
-    ConvergenceError is raised."""
+    1. As in :func:`curve_intersection`, the points pass one call of
+    :func:`_gate` on the reduced ``basis`` (Q1p, Q2p), or ConvergenceError
+    is raised, and each carries its residual."""
     T = mp.mp.prec + 20
     M1, M2 = (_second_partials(Q) for Q in pencil)
     pairs = []
@@ -263,22 +257,16 @@ def _base_points(roots: PointCluster, pencil, basis) -> RootSet:
         (sx, sy), (tx, ty) = (_fixed(c, T) for c in root.coords)
         C = [[(sx * a + tx * b, sy * a + ty * b) for a, b in zip(r1, r2)] for r1, r2 in zip(M1, M2)]
         pairs.append(_line_pair(C, T))
-    norm = max(Q.coeff_norm() for Q in basis)
-    found = []
+    points = []
     for line, other in itertools.product(*pairs):
         v = _cross(line, other)
         k = max(range(3), key=lambda j: _norm2(v[j]))
         if v[k] == (0, 0):
-            raise _short_of_precision("two lines of degenerate pencil members coincide")
-        point = ProjectivePoint(tuple(
+            raise short_of_precision("two lines of degenerate pencil members coincide")
+        points.append(ProjectivePoint(tuple(
             mp.mpc(1) if j == k else _from_fixed(*_quotient(z, v[k], T), T) for j, z in enumerate(v)
-        ))
-        u = point.unit()
-        resid = max(abs(Q.evaluate(u)) for Q in basis) / norm
-        if resid >= half_eps():
-            raise _short_of_precision(f"base point residual {mp.nstr(resid, 5)} is not below 2^({-mp.mp.prec // 2})")
-        found.append((point, 1, resid))
-    return RootSet(tuple(found), (False,) * 4)
+        )))
+    return RootSet(tuple((p, 1, r) for p, r in zip(points, _gate(basis, points))), (False,) * 4)
 
 
 def reduce_quadric_pencil(Q1: MultiPoly, Q2: MultiPoly, prec=None) -> ReductionReport:

@@ -6,9 +6,11 @@ sympy's sparse ring (``sympy.polys.rings``, over ZZ unless a coefficient is a
 fraction). The exact layer never rounds; the numeric layer (Aberth-Ehrlich
 iteration, and the points of a curve intersection evaluated from its exact
 representation) works at the ambient mpmath precision, which the pipelines
-set, with residual certificates on every reported root. A binary form has
+set. Every point that a pipeline places (a root of a binary form, a point
+of a curve intersection, a base point of a pencil) passes one residual
+gate, :func:`_gate`, whose failure is missing precision. A binary form has
 one root path: the squarefree split that its pipeline already made, Aberth
-on each factor, and one residual gate against the whole form. There is no
+on each factor, and the gate against the whole form. There is no
 public univariate root finder or resultant; curve intersection takes its
 resultant and subresultants from sympy in one sequence. Every polynomial
 whose roots are sought reaches Aberth's iteration as coprime Python
@@ -39,7 +41,7 @@ import sympy as sp
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.rings import PolyRing
 
-from ._precision import _fixed, _from_fixed, half_eps, to_mpc
+from ._precision import _fixed, _from_fixed, half_eps, short_of_precision, to_mpc
 from .cluster_core import PointCluster, ProjectivePoint
 from .errors import (
     CommonComponentError,
@@ -436,7 +438,7 @@ def _bini_initial_points(log_abs):
 
 
 def _horner_pair(coeffs, x):
-    """p(x) and p'(x) by a joint Horner scheme, in the arithmetic of x."""
+    """p(x) and p'(x) by a joint Horner scheme in built-in complex."""
     p = dp = 0
     for c in coeffs:
         dp = dp * x + p
@@ -740,44 +742,47 @@ class RootSet:
         return PointCluster(tuple(pts))
 
 
-def _binary_form_roots(F: MultiPoly, factors) -> PointCluster:
+def _gate(forms, points) -> list:
+    """The one test of the points a pipeline places: the residual of each of
+    the ``points`` on the ``forms``, max_P |P(u)| / max_P ||P|| at its unit
+    vector u by :meth:`MultiPoly.evaluate`. One at or above 2^(-prec/2) at
+    the ambient precision is missing precision: :func:`short_of_precision`."""
+    norm = max(P.coeff_norm() for P in forms)
+    residuals = []
+    for point in points:
+        u = point.unit()
+        resid = max(abs(P.evaluate(u)) for P in forms) / norm
+        if resid >= half_eps():
+            raise short_of_precision(f"residual {mp.nstr(resid, 5)} at {point} is not below 2^({-mp.mp.prec // 2})")
+        residuals.append(resid)
+    return residuals
+
+
+def _binary_form_roots(F: MultiPoly, factors) -> tuple:
     """Root cluster in P^1 of a binary form F, multiplicities included, at
     the ambient precision, from its squarefree split ``factors`` =
-    [(f(x0, x1), k)] (sympy Polys), so that the form is factored once.
+    [(f(x0, x1), k)] (sympy Polys), so that the form is factored once, and
+    the residual of each distinct point.
 
     The point (1 : 0) takes the degree drop of the dehomogenization
     p(t) = F(t, 1). Each factor of positive degree at x1 = 1 is a squarefree
     factor of p; :func:`aberth_roots` finds its simple roots (a factor t
     included: it strips zero roots exactly), and each root carries the
     factor's exact multiplicity k. Nothing is merged, since no two of these
-    roots coincide. Every root r must meet the normalized residual bound
-    |p(r)| / (||p|| max(1, |r|)^deg p) < 2^(-prec/2) against p scaled to
-    coprime integers, or EliminationError is raised.
+    roots coincide. Each distinct point, (1 : 0) included, where F vanishes
+    exactly, passes :func:`_gate` on F, and carries its residual.
     """
-    d = F.total_degree()
-    # coefficients of t^k where t = x0 and x1 = 1
-    coeffs = [0] * (d + 1)
-    for (a, b), c in F.terms:
-        coeffs[a] += c
-    e = max(k for k in range(d + 1) if coeffs[k] != 0)
-    points = [ProjectivePoint((1, 0))] * (d - e)
-    # p descending, divided by its content gcd(numerators) / lcm(denominators)
-    p = [Fraction(c) for c in coeffs[e::-1]]
-    content = Fraction(math.gcd(*(c.numerator for c in p)), math.lcm(*(c.denominator for c in p)))
-    p = [mp.mpc(int(c / content)) for c in p]
-    norm = mp.sqrt(mp.fsum(p, absolute=True, squared=True))
+    d, e = F.total_degree(), F.degree_in(0)
+    found = [(ProjectivePoint((1, 0)), d - e)] if e < d else []
     x1 = sp.Symbol("x1")
     for f, k in factors:
         f = f.eval(x1, 1)
-        if f.degree() < 1:
-            continue
-        for r in aberth_roots(_int_coeffs(f)):
-            value, _ = _horner_pair(p, r)
-            if abs(value) / (norm * max(mp.mpf(1), abs(r)) ** e) >= half_eps():
-                raise EliminationError(f"root {mp.nstr(r, 8)} failed the residual certificate")
-            points.extend([ProjectivePoint((r, 1))] * k)
-    assert len(points) == d
-    return PointCluster(tuple(points))
+        if f.degree() >= 1:
+            found.extend((ProjectivePoint((r, 1)), k) for r in aberth_roots(_int_coeffs(f)))
+    residuals = _gate((F,), [p for p, _ in found])
+    cluster = PointCluster(tuple(p for p, k in found for _ in range(k)))
+    assert cluster.degree == d
+    return cluster, residuals
 
 
 # the projections of an intersection in the order tried: the identity, the two
@@ -811,12 +816,9 @@ def curve_intersection(F: MultiPoly, G: MultiPoly) -> RootSet:
     preconditioning passes of the ternary pipeline run the same half over
     the first three projections. The refinement (:func:`_refine`) finds the
     roots once per part, on β alone. A zero v of F(S x) and G(S x) is
-    reported at S v with its normalized residual
-    max(|F(S v)|, |G(S v)|)/||v||^deg over the larger coefficient norm of
-    the sheared forms, which must be below 2^(-prec/2) at the ambient
-    precision prec: a residual above it is missing precision, not a bad
-    projection, and raises ConvergenceError naming the working precision,
-    with no further shear. S is not returned, but the sequence is fixed, so
+    reported at S v with its residual on the sheared forms from
+    :func:`_gate`, whose failure is missing precision, not a bad projection:
+    no further shear. S is not returned, but the sequence is fixed, so
     the same call reproduces it. Points singular on both curves are flagged
     in ``singular``. Curves that share a component raise
     CommonComponentError from the first projection off both of them.
@@ -1002,23 +1004,18 @@ def _fiber_points(num, den, roots):
 def _refine(S, Fs, Gs, parts):
     """The RootSet of the exact half (S, F(S x), G(S x), parts) of
     :func:`curve_intersection`, at the ambient precision: β by
-    :func:`aberth_roots` on each part, x0 by :func:`_fiber_points`, and the
-    residual gate, from :meth:`MultiPoly.evaluate` on the unit vector of
-    v = (x0, β, 1). Every root of R, of degree d1 d2, is placed: no count."""
+    :func:`aberth_roots` on each part, x0 by :func:`_fiber_points`, and one
+    call of :func:`_gate` on Fs and Gs over the points v = (x0, β, 1), each
+    reported at S v with its residual. Every root of R, of degree d1 d2, is
+    placed: no count."""
     found, singular = [], []
-    norm = max(Fs.coeff_norm(), Gs.coeff_norm())
     for part, mult, c, sing in parts:
         betas = aberth_roots(_int_coeffs(part))
         for beta, x0 in zip(betas, _fiber_points(*_fiber_point(c), betas)):
-            v = (x0, beta, mp.mpc(1))
-            u = ProjectivePoint(v).unit()
-            resid = max(abs(Fs.evaluate(u)), abs(Gs.evaluate(u))) / norm
-            if resid >= half_eps():
-                raise ConvergenceError(
-                    f"intersection residual {mp.nstr(resid, 5)} at beta={mp.nstr(beta, 8)} is not below "
-                    f"2^({-mp.mp.prec // 2}) at the working precision of {mp.mp.prec} bits"
-                )
-            point = ProjectivePoint(tuple(mp.fsum(S[k][a] * v[a] for a in range(3)) for k in range(3)))
-            found.append((point, mult, resid))
+            found.append((ProjectivePoint((x0, beta, 1)), mult))
             singular.append(sing)
-    return RootSet(tuple(found), tuple(singular))
+    residuals = _gate((Fs, Gs), [v for v, _ in found])
+    return RootSet(tuple(
+        (ProjectivePoint(tuple(mp.fsum(S[k][a] * v.coords[a] for a in range(3)) for k in range(3))), mult, resid)
+        for (v, mult), resid in zip(found, residuals)
+    ), tuple(singular))

@@ -275,6 +275,26 @@ def tried_projections(monkeypatch):
     return tried
 
 
+@pytest.fixture
+def moved_root(monkeypatch):
+    """Every call of ``polyalg.aberth_roots`` from here on returns its first
+    root moved by 2^-40: at 212 bits, far outside the residual gate's
+    2^-106, whatever the iteration reported."""
+    from cluster_reduce import polyalg
+
+    real = polyalg.aberth_roots
+
+    def moved(coeffs):
+        first, *rest = real(coeffs)
+        return [first + mp.mpf(2) ** -40, *rest]
+
+    monkeypatch.setattr(polyalg, "aberth_roots", moved)
+
+
+# the one message of a placed point that fails the residual gate at 212 bits
+GATE_FAILURE_AT_212 = r"residual \S+ at \(.+\) is not below 2\^\(-106\) at the working precision of 212 bits"
+
+
 @pytest.fixture(autouse=True)
 def _default_precision():
     with mp.workprec(212):

@@ -498,7 +498,7 @@ def _random_binary_form(rnd):
         from cluster_reduce.polyalg import _binary_form_roots
 
         try:
-            if classify(_binary_form_roots(F, F.to_sympy().sqf_list()[1])).is_stable:
+            if classify(_binary_form_roots(F, F.to_sympy().sqf_list()[1])[0]).is_stable:
                 return F
         except Exception:
             continue

@@ -813,7 +813,7 @@ class TestNewtonStep:
             with pytest.raises(ConvergenceError) as info:
                 minimize(Z)
         assert str(info.value) == (
-            f"the Newton step left the positive definite cone at iteration 0, at the working precision of {bits} bits"
+            f"the Newton step left the positive definite cone at iteration 0 at the working precision of {bits} bits"
         )
         best = info.value.best
         assert best.iterations == 0 and best.stop is None and len(best.transcript) == 1

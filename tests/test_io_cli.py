@@ -1,6 +1,7 @@
 """Wire formats and the command line interface."""
 
 import json
+import re
 
 import mpmath as mp
 import pytest
@@ -24,7 +25,7 @@ from cluster_reduce.cli import main
 from cluster_reduce.errors import InputFormatError
 from cluster_reduce.pipelines import MAX_BINARY_DEGREE, MAX_TERNARY_DEGREE
 
-from conftest import PENCIL_CUBIC, PENCIL_Q1, PENCIL_Q2
+from conftest import GATE_FAILURE_AT_212, PENCIL_CUBIC, PENCIL_Q1, PENCIL_Q2
 
 
 def cluster_of(*coords):
@@ -716,6 +717,15 @@ class TestCli:
         result = CliRunner().invoke(main, ["reduce-ternary", path])
         assert result.exit_code == 1
         assert result.stderr.splitlines() == ["error: no projection produced a clean elimination: projection center lies on a curve"]
+
+    def test_a_root_off_its_form_exits_3(self, tmp_path, moved_root):
+        # a root moved by 2^-40 fails the residual gate at the default 212
+        # bits: missing precision, as any point off its forms is
+        path = self._write(tmp_path, "cubic.txt", "x0^3 + 2 x0^2 x1 - x0 x1^2 + 5 x1^3")
+        result = CliRunner().invoke(main, ["reduce-binary", path])
+        assert result.exit_code == 3
+        (line,) = result.stderr.splitlines()
+        assert re.fullmatch("convergence error: " + GATE_FAILURE_AT_212, line), line
 
     def test_flecnode_exits_2_naming_its_multiplicity(self, tmp_path):
         path = self._write(tmp_path, "flecnode.txt", "z^2 x^2 + z^2 y^2 + x^4 + x y^3 + 2 y^4")

@@ -5,6 +5,7 @@ import operator
 import os
 import pathlib
 import random
+import re
 from fractions import Fraction
 import subprocess
 import sys
@@ -44,6 +45,7 @@ from cluster_reduce.errors import (
 from cluster_reduce import cluster_core, covariant, pipelines, polyalg
 from cluster_reduce.polyalg import _binary_form_roots, curve_intersection, hessian
 from conftest import (
+    GATE_FAILURE_AT_212,
     PENCIL_CUBIC,
     PENCIL_FINAL_1,
     PENCIL_FINAL_2,
@@ -441,6 +443,24 @@ def test_base_points_of_a_moved_root_fail_their_residual_gate():
     moved = ProjectivePoint((first.coords[0] + mp.mpf(10) ** -10, first.coords[1]))
     with mp.workprec(212), pytest.raises(ConvergenceError, match=r"residual .* is not below 2\^\(-106\) at the working"):
         pipelines._base_points(PointCluster((moved, second)), (PENCIL_Q1, PENCIL_Q2), (PENCIL_Q1, PENCIL_Q2))
+
+
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda: reduce_binary_form(MultiPoly.from_text("x0^3 + 2 x0^2 x1 - x0 x1^2 + 5 x1^3"), prec=212),
+        lambda: curve_intersection(PENCIL_Q1, PENCIL_Q2),
+        lambda: reduce_quadric_pencil(PENCIL_Q1, PENCIL_Q2, prec=212),
+    ],
+    ids=["binary-form", "curve-intersection", "quadric-pencil"],
+)
+def test_a_moved_root_fails_one_gate_in_every_pipeline(moved_root, place):
+    # a root moved by 2^-40 is missing precision wherever it is placed: a
+    # root of a binary form, a point of an intersection and, through its
+    # cubic, the pencil pass one gate and fail it with one message
+    with mp.workprec(212), pytest.raises(ConvergenceError) as info:
+        place()
+    assert re.fullmatch(GATE_FAILURE_AT_212, str(info.value)), info.value
 
 
 @pytest.mark.parametrize(
@@ -849,7 +869,7 @@ class TestExactStability:
             except StabilityError as exc:
                 cls = exc.classification
             with mp.workprec(212):
-                cluster = _binary_form_roots(F, F.to_sympy().sqf_list()[1])
+                cluster, _ = _binary_form_roots(F, F.to_sympy().sqf_list()[1])
                 numeric = classify(cluster)
             flags = (cls.is_split, cls.is_semi_stable, cls.is_stable)
             assert flags == oracle_classify(cluster), F

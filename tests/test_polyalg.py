@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -28,7 +29,7 @@ from cluster_reduce import (
 from cluster_reduce import polyalg, reduce_binary_form
 from cluster_reduce._precision import working_precision
 
-from conftest import PENCIL_CUBIC, PENCIL_Q1, PENCIL_Q2, QUARTIC, QUARTIC_LLL, QUARTIC_REDUCED
+from conftest import GATE_FAILURE_AT_212, PENCIL_CUBIC, PENCIL_Q1, PENCIL_Q2, QUARTIC, QUARTIC_LLL, QUARTIC_REDUCED
 from oracles import oracle_bini_initial_points, oracle_evaluate
 
 
@@ -305,11 +306,31 @@ class TestHessian:
             hessian(poly("x + y + z", nvars=3))
 
 
+def _random_factored_form(rnd):
+    """A binary form of degree 3 to 6 with integer coefficients: a product of
+    random linear and quadratic factors, with repeats, and of x1, a root at
+    infinity."""
+    x0, x1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    d = rnd.randint(3, 6)
+    F, deg = MultiPoly.constant(2, rnd.choice([1, -2, 3])), 0
+    while deg < d:
+        u = rnd.random()
+        if u < 0.2:
+            f, df = x1, 1
+        elif u < 0.6 or d - deg < 2:
+            f, df = rnd.randint(1, 5) * x0 + rnd.randint(-5, 5) * x1, 1
+        else:
+            f, df = rnd.randint(1, 5) * x0 * x0 + rnd.randint(-5, 5) * x0 * x1 + rnd.randint(-5, 5) * x1 * x1, 2
+        k = min(rnd.choice([1, 1, 2, 3]), (d - deg) // df)
+        F, deg = F * f**k, deg + k * df
+    return F
+
+
 def _form_roots(F, prec=None):
     """The root cluster of a binary form, from the squarefree split that
     :func:`reduce_binary_form` makes."""
     with working_precision(prec):
-        return polyalg._binary_form_roots(F, F.to_sympy().sqf_list()[1])
+        return polyalg._binary_form_roots(F, F.to_sympy().sqf_list()[1])[0]
 
 
 def _finite_roots(cluster):
@@ -404,20 +425,56 @@ class TestBinaryFormRoots:
         assert sum(1 for p in pts if p == ProjectivePoint((1, 0))) == 2
         assert sum(1 for p in pts if p == ProjectivePoint((0, 1))) == 1
 
-    def test_misplaced_root_fails_the_residual_certificate(self, monkeypatch):
+    def test_misplaced_root_fails_the_residual_certificate(self, moved_root):
         # one root of a stable cubic moved by 2^-40 at 212 bits is far
-        # outside the gate's 2^-106, whatever the iteration reported
-        real = polyalg.aberth_roots
-
-        def moved(coeffs):
-            roots = real(coeffs)
-            return [roots[0] + mp.mpf(2) ** -40, *roots[1:]]
-
-        monkeypatch.setattr(polyalg, "aberth_roots", moved)
-        with pytest.raises(EliminationError, match="failed the residual certificate"):
+        # outside the gate's 2^-106, whatever the iteration reported: the
+        # gate's failure is missing precision, which names the 212 bits
+        with pytest.raises(ConvergenceError) as info:
             reduce_binary_form(poly("x0^3 + 2 x0^2 x1 - x0 x1^2 + 5 x1^3", nvars=2), prec=212)
+        assert re.fullmatch(GATE_FAILURE_AT_212, str(info.value)), info.value
 
-
+    @pytest.mark.parametrize("bits", [53, 106, 212])
+    def test_gate_is_never_stricter_than_the_content_rule(self, bits):
+        # the rule the gate replaced: |p(r)| / (||p|| max(1, |r|)^e) for
+        # p = F(t, 1) of degree e, divided by its content, which cancels. The
+        # gate's rule at (r : 1) is |p(r)| / (||p|| (1 + |r|^2)^(d/2)), at
+        # most that. Both are compared exactly at each returned root, and
+        # the gate's residual is its rule's value up to its rounding, under
+        # d 2^-prec: near a root both rules are at rounding level, where the
+        # computed values of either are noise
+        rnd = random.Random(4545)
+        repeated = at_infinity = 0
+        for _ in range(20):
+            F = _random_factored_form(rnd)
+            factors = F.to_sympy().sqf_list()[1]
+            repeated += any(k > 1 for _, k in factors)
+            d, e = F.total_degree(), F.degree_in(0)
+            at_infinity += e < d
+            coeffs = [F.coeff((k, d - k)) for k in range(e + 1)]
+            norm2 = sum(Fraction(c) ** 2 for c in coeffs)
+            with mp.workprec(bits):
+                cluster, residuals = polyalg._binary_form_roots(F, factors)
+            distinct = []
+            for point in cluster.points:
+                if not any(point is q for q in distinct):
+                    distinct.append(point)
+            assert len(residuals) == len(distinct)
+            for point, resid in zip(distinct, residuals):
+                assert resid < mp.mpf(2) ** -(bits // 2), F
+                if point.coords[1] == 0:
+                    assert point == ProjectivePoint((1, 0)) and resid == 0 and e < d, F
+                    continue
+                x, y = (Fraction(_exact(part)) for part in (point.coords[0].real, point.coords[0].imag))
+                re_, im_ = Fraction(0), Fraction(0)
+                for c in reversed(coeffs):  # Horner, exact
+                    re_, im_ = re_ * x - im_ * y + c, re_ * y + im_ * x
+                value2, r2 = re_ * re_ + im_ * im_, x * x + y * y
+                old2 = value2 / (norm2 * max(Fraction(1), r2) ** e)
+                gate2 = value2 / (norm2 * (1 + r2) ** d)
+                assert gate2 <= old2, F
+                with mp.workprec(4 * bits):
+                    assert abs(resid - mp.sqrt(mp.mpf(gate2.numerator) / gate2.denominator)) < d * mp.mpf(2) ** -bits
+        assert repeated and at_infinity
 class TestSubstitute:
     def test_identity(self):
         assert substitute(QUARTIC, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == QUARTIC
