@@ -20,10 +20,10 @@ factor L^-1; the covariant's ``_resolution`` takes L^-1 in fixed point
 instead, and LLL decides on a Gram's exact leading minors.
 :func:`check_hermitian` is the one symmetry test beside it.
 
-The fixed-point kernels (Aberth's second phase, the fiber points and
-``MultiPoly.evaluate`` in ``polyalg``, the covariant's Newton residual and
-closed form, LLL's exact Gram, and classify's integer rows of the points)
-hold numbers as integers at a scale 2^-S. They share the three conversions: :func:`_man_exp` reads an mpf or float as m 2^e exactly,
+The fixed-point kernels (Aberth's second phase and the fiber points in
+``polyalg``, the covariant's Newton residual and closed form, LLL's exact
+Gram, and classify's integer rows of the points) hold numbers as integers
+at a scale 2^-S. They share the three conversions: :func:`_man_exp` reads an mpf or float as m 2^e exactly,
 :func:`_fixed` truncates a number to a Gaussian integer at 2^-S, and
 :func:`_from_fixed` rounds one back to the working precision.
 """

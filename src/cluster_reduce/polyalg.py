@@ -8,7 +8,10 @@ iteration, and the points of a curve intersection evaluated from its exact
 representation) works at the ambient mpmath precision, which the pipelines
 set. Every point that a pipeline places (a root of a binary form, a point
 of a curve intersection, a base point of a pencil) passes one residual
-gate, :func:`_gate`, whose failure is missing precision. A binary form has
+gate, :func:`_gate`, whose failure is missing precision. The gate decides
+exactly on the point as placed: its coordinates are dyadic, so the point
+and the forms become Gaussian integers, and "residual below 2^(-prec/2)"
+is one integer comparison per form. A binary form has
 one root path: the squarefree split that its pipeline already made, Aberth
 on each factor, and the gate against the whole form. There is no
 public univariate root finder or resultant; curve intersection takes its
@@ -21,27 +24,29 @@ Python integers: fixed-point iterates at the working precision plus guard
 bits, on the exact integer coefficients, so that Horner's rounding error
 does not grow with the coefficients. The first phase alone, uncertified,
 finds the points of the preconditioning passes of the ternary pipeline. The
-fiber points and residuals of a curve intersection are fixed-point Gaussian
-integers too; mpmath holds only the results.
+fiber points of a curve intersection are fixed-point Gaussian integers
+too, and the gate's residuals exact ones; mpmath holds only the results.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import mpmath as mp
 import sympy as sp
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.rings import PolyRing
 
-from ._precision import _fixed, _from_fixed, half_eps, short_of_precision, to_mpc
+from ._precision import _fixed, _from_fixed, _man_exp, short_of_precision
 from .cluster_core import PointCluster, ProjectivePoint
 from .errors import (
     CommonComponentError,
@@ -204,53 +209,6 @@ class MultiPoly:
 
     def diff(self, var: int) -> "MultiPoly":
         return _from_ring(self._in_ring()[0].diff(var))
-
-    # -- evaluation --------------------------------------------------------
-
-    def evaluate(self, values: Sequence) -> mp.mpc:
-        """Numeric value at the given coordinates as an mpc at the ambient
-        precision prec, computed on Gaussian integers at scale 2^-S: one
-        table of powers v, v^2, ..., v^d per coordinate and each term's
-        product are truncated to 2^-S, the terms times the integers
-        c * scale (scale clears the denominators) are summed exactly, and
-        only the sum over scale is rounded. For total degree d and nonzero
-        coordinates of at least 2^-lo, S = prec + 20 + d (lo + 2) keeps each
-        term within 2^-(prec+4) |c_e v^e|, so the value is within a few units
-        of 2^-prec sum |c_e v^e|."""
-        vals = [to_mpc(v) for v in values]
-        if len(vals) != self.nvars:
-            raise DimensionError("wrong number of coordinates")
-        if not self.terms:
-            return mp.mpc(0)
-        exps = [e for e, _ in self.terms]
-        lo = max([0, *(-mp.mag(v) for v in vals if v)])
-        S = mp.mp.prec + 20 + max(map(sum, exps)) * (lo + 2)
-        one = 1 << S
-        powers = []
-        for v, top in zip(vals, map(max, zip(*exps))):
-            x, y = _fixed(v, S)
-            table = [(one, 0)]
-            for _ in range(top):
-                a, b = table[-1]
-                table.append(((a * x - b * y) >> S, (a * y + b * x) >> S))
-            powers.append(table)
-        scale = math.lcm(*(c.denominator for _, c in self.terms))
-        re = im = 0
-        for e, c in self.terms:
-            factors = [table[k] for table, k in zip(powers, e) if k]
-            a, b = factors.pop() if factors else (one, 0)
-            for x, y in factors:
-                a, b = (a * x - b * y) >> S, (a * y + b * x) >> S
-            c = c.numerator * (scale // c.denominator)
-            re += c * a
-            im += c * b
-        return _from_fixed(re, im, S) / scale
-
-    def coeff_norm(self):
-        """Euclidean norm of the coefficient vector as an mpf."""
-        return mp.sqrt(mp.fsum(mp.mpf(abs(int(c.numerator) if isinstance(c, Fraction) else c)) ** 2
-                               / (int(c.denominator) ** 2 if isinstance(c, Fraction) else 1)
-                               for _, c in self.terms)) if self.terms else mp.mpf(0)
 
     # -- conversion and display -------------------------------------------
 
@@ -731,10 +689,6 @@ class RootSet:
     roots: tuple  # (ProjectivePoint, multiplicity, residual)
     singular: tuple  # per root: singular on both curves (decided exactly)
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m, _ in self.roots)
-
     def cluster(self) -> PointCluster:
         pts = []
         for p, m, _ in self.roots:
@@ -743,17 +697,61 @@ class RootSet:
 
 
 def _gate(forms, points) -> list:
-    """The one test of the points a pipeline places: the residual of each of
-    the ``points`` on the ``forms``, max_P |P(u)| / max_P ||P|| at its unit
-    vector u by :meth:`MultiPoly.evaluate`. One at or above 2^(-prec/2) at
-    the ambient precision is missing precision: :func:`short_of_precision`."""
-    norm = max(P.coeff_norm() for P in forms)
+    """The one test of the points a pipeline places, decided exactly on each
+    point v as placed: max_P |P(v)| / |v|^(d_P) over max_P ||P|| must be
+    below 2^-k = :func:`half_eps`, or :func:`short_of_precision` is raised.
+    v's parts are dyadic (:func:`_man_exp`), so v 2^-e for their smallest
+    exponent e is a Gaussian-integer vector V, and a common denominator
+    makes the forms integral; both cancel, as the forms are homogeneous. So
+    the test is |P(V)|^2 4^k < max_P ||P||^2 |V|^(2 d_P) on integers, with
+    P(V) exact from one power table per coordinate, shared by the forms, and
+    one product with V_0^j per group of terms with x0^j. Each residual is
+    rounded once from the exact ratio: 0 for a point exactly on its forms.
+    The integers grow with the spread of a point's exponents, which the
+    forms' height bounds: zero roots are stripped exactly, other roots lie
+    within the height, base points and flexes have a coordinate 1."""
+    k = -(-mp.mp.prec // 2)
+    top = [max(P.degree_in(i) for P in forms) for i in range(forms[0].nvars)]
+    scale = math.lcm(*(c.denominator for P in forms for _, c in P.terms))
+    # the terms, sorted by exponent, come grouped by their power j of x0
+    groups = [(P.total_degree(), [(j, [(e[1:], c.numerator * (scale // c.denominator)) for e, c in terms])
+                                  for j, terms in itertools.groupby(P.terms, lambda t: t[0][0])]) for P in forms]
+    norm2 = max(sum(c * c for _, terms in form for _, c in terms) for _, form in groups)
     residuals = []
     for point in points:
-        u = point.unit()
-        resid = max(abs(P.evaluate(u)) for P in forms) / norm
-        if resid >= half_eps():
-            raise short_of_precision(f"residual {mp.nstr(resid, 5)} at {point} is not below 2^({-mp.mp.prec // 2})")
+        # each coordinate as (X + iY) 2^s, a zero part read as 0 2^0
+        parts = [(_man_exp(z.real), _man_exp(z.imag)) for z in point.coords]
+        lows = [min(f, g) for (_, f), (_, g) in parts]
+        coords = [(x << f - s, y << g - s) for ((x, f), (y, g)), s in zip(parts, lows)]
+        shifts = [s - min(lows) for s in lows]
+        size = sum((x * x + y * y) << 2 * h for (x, y), h in zip(coords, shifts))
+        tables = [[(1, 0)] for _ in coords]
+        for (x, y), n, table in zip(coords, top, tables):
+            while len(table) <= n:
+                a, b = table[-1]
+                table.append((a * x - b * y, a * y + b * x))
+        (first, *rest), (h, *shifts) = tables, shifts
+        num, den = 0, 1
+        for d, form in groups:
+            re = im = 0
+            for j, terms in form:
+                u = w = 0
+                for e, c in terms:
+                    a, b = c, 0
+                    for table, n in zip(rest, e):
+                        x, y = table[n]
+                        a, b = a * x - b * y, a * y + b * x
+                    shift = sum(map(operator.mul, e, shifts))
+                    u, w = u + (a << shift), w + (b << shift)
+                x, y = first[j]
+                re += (u * x - w * y) << j * h
+                im += (u * y + w * x) << j * h
+            p2, q2 = re * re + im * im, norm2 * size**d
+            if p2 * den > num * q2:
+                num, den = p2, q2
+        resid = mp.sqrt(mp.mpf(num) / den)
+        if num << 2 * k >= den:
+            raise short_of_precision(f"residual {mp.nstr(resid, 5)} at {point} is not below 2^(-{k})")
         residuals.append(resid)
     return residuals
 

@@ -348,9 +348,9 @@ def oracle_tyler_in_doubles(points):
 
 
 def oracle_evaluate(F, values):
-    """``MultiPoly.evaluate`` as it ran in mpmath arithmetic at the ambient
-    precision before it ran in Python integers: one table of powers
-    v, v^2, ..., v^d per coordinate, each term a product of mpc."""
+    """F at the coordinates ``values`` in mpmath arithmetic at the ambient
+    precision: one table of powers v, v^2, ..., v^d per coordinate, each
+    term a product of mpc, the terms summed in order."""
     vals = [mp.mpc(v) for v in values]
     powers = []
     for i, v in enumerate(vals):
@@ -366,6 +366,13 @@ def oracle_evaluate(F, values):
                 term *= table[k]
         total += term
     return total
+
+
+def oracle_norm(F):
+    """The Euclidean norm of F's coefficient vector, an mpf at the ambient
+    precision."""
+    coeffs = [Fraction(c) for _, c in F.terms]
+    return mp.sqrt(mp.fsum((mp.mpf(c.numerator) / c.denominator for c in coeffs), squared=True))
 
 
 def oracle_bini_initial_points(coeffs):
@@ -577,3 +584,24 @@ def oracle_sin2(span_points, point):
     gram = [[inner(a, b) for b in vectors] for a in vectors]
     k = len(span_points)
     return _gaussian_det(gram)[0] / (_gaussian_det([r[:k] for r in gram[:k]])[0] * gram[k][k][0])
+
+
+def oracle_residual2(forms, point):
+    """The square of the residual of ``point`` on ``forms`` that
+    ``polyalg._gate`` decides on, max_P |P(v)|^2 / |v|^(2 d_P) over
+    max_P ||P||^2, a Fraction from the exact coordinates v of the point as
+    placed, each term a product of its coefficient and one coordinate at a
+    time."""
+    v = [_gaussian_fraction(c) for c in point.coords]
+    size = sum(x * x + y * y for x, y in v)
+    worst = Fraction(0)
+    for P in forms:
+        re = im = Fraction(0)
+        for e, c in P.terms:
+            a, b = Fraction(c), Fraction(0)
+            for (x, y), k in zip(v, e):
+                for _ in range(k):
+                    a, b = a * x - b * y, a * y + b * x
+            re, im = re + a, im + b
+        worst = max(worst, (re * re + im * im) / size ** P.total_degree())
+    return worst / max(sum(Fraction(c) ** 2 for _, c in P.terms) for P in forms)

@@ -11,6 +11,7 @@ import mpmath as mp
 import pytest
 
 from cluster_reduce import (
+    ConvergenceError,
     GramMatrix,
     HermitianForm,
     PointCluster,
@@ -244,7 +245,7 @@ def test_criterion_4d_equivariance_of_minimizer():
         try:
             za = minimize(act(Z, ginv_t), tol=mp.mpf("1e-9")).z.mat()
             zb = _transform_form(minimize(Z, tol=mp.mpf("1e-9")).z.mat(), g)
-        except Exception:
+        except ConvergenceError:
             failures += 1
             continue
         if not matrices_close_mod_scaling(za, zb, mp.mpf("1e-6")):
@@ -469,39 +470,44 @@ def _int_cluster_height(cluster):
     return h
 
 
-def _plant_cluster_cases(rnd, count):
+def _plant_cluster_cases(rnd, count, attempts=100):
+    """``count`` stable clusters of 4 or 5 points of P^2 with coordinates in
+    [-3, 3], each point nonzero, drawn in at most ``attempts`` draws."""
     cases = []
-    while len(cases) < count:
+    for _ in range(attempts):
         n = 2
         m = rnd.randint(4, 5)
         pts = []
         for _ in range(m):
             v = tuple(rnd.randint(-3, 3) for _ in range(n + 1))
             pts.append(v if any(v) else (1, 0, 0))
-        try:
-            Z = cluster_of(*pts)
-        except Exception:
-            continue
-        if not classify(Z).is_stable:
-            continue
-        cases.append(Z)
-    return cases
+        Z = cluster_of(*pts)
+        if classify(Z).is_stable:
+            cases.append(Z)
+            if len(cases) == count:
+                return cases
+    raise AssertionError(f"fewer than {count} stable clusters in {attempts} draws")
 
 
-def _random_binary_form(rnd):
-    while True:
+def _random_binary_form(rnd, attempts=100):
+    """A binary form of degree 3 to 5 with coefficients in [-6, 6] whose
+    roots are stable, drawn in at most ``attempts`` draws; a draw whose roots
+    the working precision cannot place is skipped."""
+    from cluster_reduce.polyalg import _binary_form_roots
+
+    for _ in range(attempts):
         d = rnd.randint(3, 5)
         terms = {(d - i, i): rnd.randint(-6, 6) for i in range(d + 1)}
         F = MultiPoly.from_dict(2, terms)
         if F.is_zero() or F.total_degree() != d:
             continue
-        from cluster_reduce.polyalg import _binary_form_roots
-
         try:
-            if classify(_binary_form_roots(F, F.to_sympy().sqf_list()[1])[0]).is_stable:
-                return F
-        except Exception:
+            cluster, _ = _binary_form_roots(F, F.to_sympy().sqf_list()[1])
+        except ConvergenceError:
             continue
+        if classify(cluster).is_stable:
+            return F
+    raise AssertionError(f"no binary form with stable roots in {attempts} draws")
 
 
 def test_criterion_7_plant_and_recover():
@@ -525,7 +531,7 @@ def test_criterion_7_plant_and_recover():
             total += 1
             if _int_cluster_height(rec) <= 2 * h0:
                 good += 1
-        except Exception:
+        except ConvergenceError:
             total += 1
     # binary forms
     for _ in range(12):
@@ -539,7 +545,7 @@ def test_criterion_7_plant_and_recover():
             total += 1
             if rec.height() <= 2 * h0:
                 good += 1
-        except Exception:
+        except ConvergenceError:
             total += 1
     # pencils
     pencil_seeds = [
@@ -559,7 +565,7 @@ def test_criterion_7_plant_and_recover():
             total += 1
             if max(p.height() for p in rec.reduced) <= 2 * h0:
                 good += 1
-        except Exception:
+        except ConvergenceError:
             total += 1
     ratio = good / total if total else 0
     _line(

@@ -61,7 +61,7 @@ from conftest import (
     random_real_cluster,
     random_unimodular_int,
 )
-from oracles import oracle_classify, oracle_int_det
+from oracles import oracle_classify, oracle_evaluate, oracle_int_det, oracle_norm
 
 
 def poly(text, nvars=None):
@@ -662,27 +662,26 @@ class TestPreconditioning:
         assert report.diagnostics["residuals"] == tuple(r for _, _, r in inter.roots)
 
     def test_each_flex_is_found_once(self, monkeypatch):
-        # at each of the 24 flexes, F(U0 x) and its Hessian are evaluated
-        # once, to accept it and to report its residual; the Hessian of F,
-        # which the first pass uses and the report carries, and one per
-        # later pass
-        calls = {"evaluate": 0, "hessian": 0}
-        evaluate, hess = MultiPoly.evaluate, pipelines.hessian
+        # the 24 flexes pass one gate on F(U0 x) and its Hessian, which
+        # accepts each and reports its residual; the Hessian of F, which the
+        # first pass uses and the report carries, and one per later pass
+        calls = {"gate": [], "hessian": 0}
+        gate, hess = polyalg._gate, pipelines.hessian
 
-        def counted_evaluate(self, values):
-            calls["evaluate"] += 1
-            return evaluate(self, values)
+        def counted_gate(forms, points):
+            calls["gate"].append((len(forms), len(points)))
+            return gate(forms, points)
 
         def counted_hessian(F):
             calls["hessian"] += 1
             return hess(F)
 
-        monkeypatch.setattr(MultiPoly, "evaluate", counted_evaluate)
+        monkeypatch.setattr(polyalg, "_gate", counted_gate)
         monkeypatch.setattr(pipelines, "hessian", counted_hessian)
         report = reduce_ternary_form(QUARTIC)
         assert [list(r) for r in report.transform.matrix] == QUARTIC_LLL
         assert report.diagnostics["preconditioning"]["passes"] == 6
-        assert calls == {"evaluate": 48, "hessian": 6}
+        assert calls == {"gate": [(2, 24)], "hessian": 6}
 
     @pytest.mark.parametrize("bits, move", [(212, -20), (424, -60)])
     def test_misplaced_flex_is_rejected(self, monkeypatch, bits, move):
@@ -756,9 +755,9 @@ class TestPreconditioning:
         U0 = report.diagnostics["preconditioning"]["transform"]
         with mp.workprec(prec):
             for G in (F, hessian(F)):
-                norm = G.coeff_norm()
+                norm = oracle_norm(G)
                 for p in report.extras["inflection_cluster"].points:
-                    assert abs(G.evaluate(p.unit())) / norm < mp.mpf(2) ** (-prec // 2)
+                    assert abs(oracle_evaluate(G, p.unit())) / norm < mp.mpf(2) ** (-prec // 2)
             F1 = substitute(F, U0)
             again = curve_intersection(F1, hessian(F1))
         assert list(report.diagnostics["residuals"]) == [r for _, _, r in again.roots]
@@ -781,9 +780,9 @@ class TestPreconditioning:
         with mp.workprec(212):
             assert max(report.diagnostics["residuals"]) < mp.mpf(2) ** -106
             # the flexes lie on the input curve and its Hessian
-            norm = QUARTIC.coeff_norm()
+            norm = oracle_norm(QUARTIC)
             for p in report.extras["inflection_cluster"].points:
-                assert abs(QUARTIC.evaluate(p.unit())) / norm < mp.mpf(2) ** -106
+                assert abs(oracle_evaluate(QUARTIC, p.unit())) / norm < mp.mpf(2) ** -106
             # and the reported covariant is the input's: U^T G U is the reduced Gram
             assert matrices_close_mod_scaling(
                 congruence(report.covariant, report.transform).mat(),
