@@ -14,7 +14,6 @@ from .cluster_core import (
     SubspaceWitness,
     act,
     classify,
-    conjugate,
     normalize_cluster,
     phi,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "SubspaceWitness",
     "act",
     "classify",
-    "conjugate",
     "normalize_cluster",
     "phi",
     "CovariantResult",

@@ -206,9 +206,9 @@ class PointCluster:
 class ScaledCluster:
     """A point cluster with a chosen coordinate row vector for each point.
 
-    Equality is modulo rescaling the rows by factors whose product is 1, so a
-    scaled cluster carries exactly one more datum than the underlying cluster:
-    the product of the chosen scalings.
+    ``==`` compares the rows entry by entry. D depends on the rows only
+    through the cluster and the product of their scalings, the one datum a
+    scaled cluster carries beyond the underlying cluster.
     """
 
     reps: tuple
@@ -238,20 +238,6 @@ class ScaledCluster:
 
     def conjugate(self) -> "ScaledCluster":
         return ScaledCluster(tuple(tuple(mp.conj(c) for c in row) for row in self.reps))
-
-    def same_scaled(self, other: "ScaledCluster") -> bool:
-        """Equality modulo rescalings with product 1 (rows kept in order): each
-        pair of rows is one point by :meth:`ProjectivePoint.is_same`, and the
-        ratios at ``self``'s largest entries multiply to 1 within 2^(-prec/2) m."""
-        if self.n != other.n or self.degree != other.degree:
-            return False
-        prod = mp.mpc(1)
-        for a, b in zip(self.reps, other.reps):
-            if not ProjectivePoint(a).is_same(ProjectivePoint(b)):
-                return False
-            j = max(range(len(a)), key=lambda i: abs(a[i]))
-            prod *= b[j] / a[j]
-        return abs(prod - 1) < half_eps() * self.degree
 
     def __repr__(self):
         return f"ScaledCluster(m={self.degree}, n={self.n})"
@@ -332,11 +318,6 @@ def act(cluster: PointCluster, g) -> PointCluster:
     return PointCluster(tuple(
         ProjectivePoint(tuple(sum(c * r[j] for c, r in zip(p.coords, rows)) for j in range(size))) for p in cluster.points
     ))
-
-
-def conjugate(cluster: PointCluster) -> PointCluster:
-    """Replace every coordinate by its complex conjugate."""
-    return cluster.conjugate()
 
 
 def phi(cluster: PointCluster, k: int) -> int:

@@ -98,11 +98,10 @@ SEMI_STABLE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class HermitianForm:
-    """Positive definite Hermitian matrix, considered modulo positive scaling.
-
-    The stored representative need not have determinant 1; use
-    :meth:`normalized` for the determinant-1 representative. Equality tests
-    compare modulo positive real scaling.
+    """Positive definite Hermitian matrix, which matters only up to positive
+    real scaling: D does not depend on the scale. The stored representative
+    need not have determinant 1, and ``==`` compares it entry by entry; use
+    :meth:`normalized` for the determinant-1 representative.
     """
 
     matrix: tuple
@@ -142,15 +141,6 @@ class HermitianForm:
         NotPositiveDefiniteError unless the form is positive definite."""
         root = mp.root(self.det(), self.n + 1)
         return HermitianForm([[v / root for v in r] for r in self.matrix])
-
-    def same_form(self, other: "HermitianForm") -> bool:
-        """Equality modulo positive real scaling."""
-        A = self.normalized().matrix
-        B = other.normalized().matrix
-        if len(A) != len(B):
-            return False
-        bound = half_eps() * (1 + max(abs(v) for r in A for v in r))
-        return all(abs(a - b) <= bound for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
     def __repr__(self):
         return f"HermitianForm(n={self.n})"
@@ -224,13 +214,6 @@ class DivergenceWitness:
         n1 = len(self.basis)
         k1 = self.subspace_dim
         return [lam ** (-(n1 - k1))] * k1 + [lam**k1] * (n1 - k1)
-
-    def form_at(self, lam) -> HermitianForm:
-        """Q_lambda as a dense matrix; usable for moderate lambda only, since
-        mixing eigenvalue scales beyond the working precision loses the small
-        eigenvalues to rounding."""
-        evals = self._eigenvalues(mp.mpf(lam))
-        return HermitianForm(_outer_sum_mp([[mp.sqrt(e) * r[k] for r in self.basis] for k, e in enumerate(evals)]))
 
     def distance_at(self, zc: ScaledCluster, lam):
         """D(zc, Q_lambda), evaluated in the eigenbasis so arbitrarily large
@@ -339,14 +322,6 @@ def _outer_sum(rows):
                 im += y * u - x * v
             M[a][b], M[b][a] = (re, im), (re, -im)
     return M
-
-
-def _outer_sum_mp(rows):
-    """:func:`_outer_sum` of rows of mpmath numbers, as mpc rows: every
-    nonzero entry is truncated to 2^-S with S = prec + 20 - the magnitude of
-    the smallest, so each keeps prec + 18 bits."""
-    S = mp.mp.prec + 20 - min(mp.mag(v) for r in rows for v in r if v)
-    return _from_fixed_rows(_outer_sum([[_fixed(v, S) for v in r] for r in rows]), 2 * S)
 
 
 def _from_fixed_rows(M, S):

@@ -1,4 +1,5 @@
-"""JSON and text serialization for clusters, forms, Gram matrices and reports.
+"""JSON and text serialization: reads clusters and polynomials, and writes
+those plus Hermitian forms, Gram matrices, transforms and reports.
 
 Numbers travel as decimal strings so that round-trips keep the working
 precision; exact integers and rationals are accepted wherever a coordinate or
@@ -15,7 +16,7 @@ import mpmath as mp
 from ._precision import to_mpf
 from .cluster_core import PointCluster, ProjectivePoint
 from .covariant import CovariantResult, HermitianForm
-from .errors import DimensionError, InputFormatError, InvalidPointError, SingularMatrixError
+from .errors import DimensionError, InputFormatError, InvalidPointError
 from .lattice import GramMatrix, UnimodularTransform
 from .polyalg import MultiPoly
 from .pipelines import ReductionReport
@@ -129,25 +130,6 @@ def hermitian_to_json(form: HermitianForm) -> dict:
     }
 
 
-def _square_from_json(data, what, parse):
-    """The rows of the field 'matrix', n+1 lists of n+1 entries read by
-    ``parse``, of a JSON object whose field 'n' gives n >= 0."""
-    data = _decode(data)
-    try:
-        n = _parse_int(data["n"], "'n'")
-        raw = data["matrix"]
-    except (KeyError, TypeError) as exc:
-        raise InputFormatError(f"{what} JSON needs fields 'n' and 'matrix'") from exc
-    rows = _rows(raw, f"{what} matrix")
-    if n < 0 or len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
-        raise InputFormatError(f"{what} matrix must be n+1 lists of n+1 entries, n >= 0")
-    return tuple(tuple(parse(v) for v in row) for row in rows)
-
-
-def hermitian_from_json(data) -> HermitianForm:
-    return HermitianForm(_square_from_json(data, "Hermitian form", _parse_complex))
-
-
 def gram_to_json(G: GramMatrix) -> dict:
     return {
         "n": G.size - 1,
@@ -155,24 +137,8 @@ def gram_to_json(G: GramMatrix) -> dict:
     }
 
 
-def gram_from_json(data) -> GramMatrix:
-    return GramMatrix(_square_from_json(data, "Gram", _parse_real))
-
-
 def transform_to_json(U: UnimodularTransform) -> list:
     return [list(row) for row in U.matrix]
-
-
-def transform_from_json(data) -> UnimodularTransform:
-    """n >= 1 lists of n integers of determinant +-1; any other document,
-    a ragged, empty or singular one too, is malformed."""
-    rows = _rows(_decode(data), "transform JSON")
-    if not rows or any(len(r) != len(rows) for r in rows):
-        raise InputFormatError("transform JSON must be n lists of n integers, n >= 1")
-    try:
-        return UnimodularTransform(tuple(tuple(_parse_int(v, "transform entry") for v in row) for row in rows))
-    except SingularMatrixError as exc:
-        raise InputFormatError(f"bad transform: {exc}") from exc
 
 
 # -- polynomials --------------------------------------------------------------
@@ -197,6 +163,8 @@ def poly_from_json(data) -> MultiPoly:
     try:
         terms = {}
         for t in raw:
+            if not isinstance(t["exp"], (list, tuple)):
+                raise InputFormatError(f"exponent {t['exp']!r} must be a list")
             exp = tuple(_parse_int(e, "exponent") for e in t["exp"])
             c = t["coeff"]
             c = Fraction(c) if isinstance(c, str) and "/" in c else _parse_int(c, "coefficient")

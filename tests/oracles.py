@@ -55,7 +55,10 @@ def oracle_phi(cluster, k):
     Rank is decided in numpy doubles against the fixed RANK_TOL = 1e-8 and a
     residual of 1e-7, not against the precision: it resolves rank only to
     about 1e-8, so points closer than that to a span count on it, and the
-    oracle checks only clusters whose points are much farther off."""
+    oracle checks only clusters whose points are much farther off. It tests
+    all 2^m - 1 subsets for each k, so it checks only small clusters: the
+    largest that a test passes, directly or through :func:`oracle_classify`,
+    has m = 9 points (the flexes of a smooth plane cubic), 511 subsets."""
     pts = _np_points(cluster)
     m = len(pts)
     if k == -1:
@@ -276,6 +279,24 @@ def transported_curve(Q, B, lam):
     expB = V * E * V.transpose_conj()
     M = L * expB * L.transpose_conj()
     return (M + M.transpose_conj()) / 2
+
+
+def oracle_witness_form(witness, lam):
+    """Q_lambda = B diag(e) B^H of theta's witness family, formed densely in
+    mpmath: B has the rows ``witness.basis``, whose first ``subspace_dim``
+    columns span the offending subspace, and e is lambda^-(n-k) on those and
+    lambda^(k+1) on the rest, as ``DivergenceWitness`` states, so that
+    det Q_lambda = 1. The product runs with as many extra bits as the
+    eigenvalues span, so that the small ones survive the rounding of the
+    large ones, and only its entries are rounded to the ambient precision.
+    Returns mpc rows."""
+    n1, k1 = len(witness.basis), witness.subspace_dim
+    with mp.extraprec(20 + n1 * max(mp.mag(lam), 0)):
+        lam = mp.mpf(lam)
+        e = [lam ** -(n1 - k1)] * k1 + [lam**k1] * (n1 - k1)
+        B = mp.matrix([list(r) for r in witness.basis])
+        Q = B * mp.diag(e) * B.transpose_conj()
+    return [[+v for v in r] for r in Q.tolist()]
 
 
 def fd_directional_derivative(eval_fn, Q, B, eps):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cluster_reduce import cluster_core
 from cluster_reduce import (
     DimensionError,
+    HermitianForm,
     InvalidPointError,
     PointCluster,
     ProjectivePoint,
@@ -20,7 +21,7 @@ from cluster_reduce import (
     UnimodularTransform,
     act,
     classify,
-    conjugate,
+    eval_D,
     normalize_cluster,
     phi,
 )
@@ -98,17 +99,17 @@ class TestScaledCluster:
 
     def test_rows_that_are_not_rescalings_differ(self):
         zc = ScaledCluster(((1, 0), (1, 1)))
-        assert not zc.same_scaled(ScaledCluster(((1, 0, 0), (1, 1, 0))))  # another space
-        assert not zc.same_scaled(ScaledCluster(((1, 0), (1, 1), (0, 1))))  # another degree
-        assert not zc.same_scaled(ScaledCluster(((0, 1), (1, 1))))  # zero where the row is largest
-        assert not zc.same_scaled(ScaledCluster(((1, 0), (1, 2))))  # not proportional
+        assert zc.cluster() != ScaledCluster(((1, 0, 0), (1, 1, 0))).cluster()  # another space
+        assert zc.cluster() != ScaledCluster(((1, 0), (1, 1), (0, 1))).cluster()  # another degree
+        assert zc.cluster() != ScaledCluster(((0, 1), (1, 1))).cluster()  # zero where the row is largest
+        assert zc.cluster() != ScaledCluster(((1, 0), (1, 2))).cluster()  # not proportional
         assert repr(zc) == "ScaledCluster(m=2, n=1)"
         # rows of size 1e-40 whose entries differ by less than the threshold,
         # with ratios of product 1, but (1 : 2) and (1 : 3) are two points
         tiny = mp.mpf("1e-40")
         zc = ScaledCluster(((tiny, 2 * tiny), (1, 0)))
         other = ScaledCluster(((tiny, 3 * tiny), (mp.mpf(2) / 3, 0)))
-        assert not zc.same_scaled(other) and zc.cluster() != other.cluster()
+        assert zc.cluster() != other.cluster()
 
 
 @pytest.mark.parametrize(
@@ -188,17 +189,21 @@ class TestMultisetSemantics:
         assert a == b
 
     def test_scaled_equality_modulo_product_one(self):
+        # D sees the rows only through the cluster and the product of their
+        # scalings
+        Q = HermitianForm(((2, mp.mpc(0, 1)), (mp.mpc(0, -1), 3)))
         zc = normalize_cluster(cluster_of((1, 0), (0, 1), (1, 1)))
         lam = mp.mpc(2, 1)
         other = zc.scale_point(0, lam).scale_point(1, 1 / lam)
-        assert zc.same_scaled(other) and zc.cluster() == other.cluster()
-        assert not zc.same_scaled(zc.scale_point(0, 2))
+        assert abs(eval_D(other, Q) - eval_D(zc, Q)) < mp.mpf("1e-50") and zc.cluster() == other.cluster()
+        assert abs(eval_D(zc.scale_point(0, 2), Q) - eval_D(zc, Q) - mp.log(4)) < mp.mpf("1e-50")
         # rows of size 1e40 that are one point, their ratios' product
-        # 1 + 2^-150, although their entries differ by about 1e-5
+        # 1 + 2^-150, although their entries differ by about 1e-5: the row
+        # is moved by 2^-150 relative, and so is D
         big = mp.mpf("1e40")
         zc = ScaledCluster(((big, 2 * big), (1, 0)))
         other = ScaledCluster(((big, 2 * big * (1 + mp.mpf(2) ** -150)), (1, 0)))
-        assert zc.same_scaled(other) and zc.cluster() == other.cluster()
+        assert abs(eval_D(other, Q) - eval_D(zc, Q)) < mp.mpf(2) ** -148 and zc.cluster() == other.cluster()
 
 
 class TestAct:
@@ -338,15 +343,15 @@ class TestConjugationMatch:
 class TestConjugate:
     def test_real_cluster_fixed(self):
         Z = cluster_of((1, 2), (3, -4))
-        assert conjugate(Z) == Z
+        assert Z.conjugate() == Z
 
     def test_i_to_minus_i(self):
         Z = cluster_of((mp.mpc(0, 1), 1))
-        assert conjugate(Z) == cluster_of((mp.mpc(0, -1), 1))
+        assert Z.conjugate() == cluster_of((mp.mpc(0, -1), 1))
 
     def test_involution(self, rnd):
         Z = random_cluster(rnd, 2, 4)
-        assert conjugate(conjugate(Z)) == Z
+        assert Z.conjugate().conjugate() == Z
 
 
 GENERAL_P2 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
@@ -724,7 +729,7 @@ class TestClassify:
     def test_invariance_under_conjugation(self, rnd):
         for _ in range(5):
             Z = random_cluster(rnd, 2, 5)
-            a, b = classify(Z), classify(conjugate(Z))
+            a, b = classify(Z), classify(Z.conjugate())
             assert (a.is_split, a.is_semi_stable, a.is_stable) == (
                 b.is_split, b.is_semi_stable, b.is_stable)
 
