@@ -236,9 +236,6 @@ class ScaledCluster:
         rows[index] = tuple(factor * c for c in rows[index])
         return ScaledCluster(tuple(rows))
 
-    def conjugate(self) -> "ScaledCluster":
-        return ScaledCluster(tuple(tuple(mp.conj(c) for c in row) for row in self.reps))
-
     def __repr__(self):
         return f"ScaledCluster(m={self.degree}, n={self.n})"
 

@@ -124,12 +124,6 @@ class HermitianForm:
     def mat(self):
         return mp.matrix(self.matrix)
 
-    def check(self):
-        """Validate Hermitian symmetry and positive definiteness."""
-        check_hermitian(self.matrix, NotPositiveDefiniteError("matrix is not Hermitian"))
-        hermitian_cholesky(self.matrix)
-        return self
-
     def det(self):
         """The determinant, from the Cholesky diagonal of the lower triangle.
         Raises NotPositiveDefiniteError unless the form is positive definite:
@@ -158,12 +152,6 @@ class TangentDirection:
 
     def mat(self):
         return mp.matrix(self.matrix)
-
-    def check(self):
-        bound = check_hermitian(self.matrix, ValueError("tangent direction is not Hermitian"))
-        if abs(sum(r[i] for i, r in enumerate(self.matrix))) > bound * len(self.matrix):
-            raise ValueError("tangent direction has nonzero trace")
-        return self
 
     def norm(self):
         return _frobenius_norm(self.matrix)

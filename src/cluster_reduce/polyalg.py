@@ -15,7 +15,9 @@ is one integer comparison per form. A binary form has
 one root path: the squarefree split that its pipeline already made, Aberth
 on each factor, and the gate against the whole form. There is no
 public univariate root finder or resultant; curve intersection takes its
-resultant and subresultants from sympy in one sequence. Every polynomial
+resultant and subresultants from one univariate subresultant sequence over
+ZZ in sympy, on coefficients packed at β = 2^K (Kronecker substitution), K
+above the Sylvester minors' 1-norm bound, and unpacked exactly. Every polynomial
 whose roots are sought reaches Aberth's iteration as coprime Python
 integers, and it takes no other coefficients. The iteration runs in two
 arithmetics: first in Python's built-in complex, from Bini points computed
@@ -44,6 +46,7 @@ from typing import Optional
 import mpmath as mp
 import sympy as sp
 from sympy.polys.domains import QQ, ZZ
+from sympy.polys.polyclasses import DMP
 from sympy.polys.rings import PolyRing
 
 from ._precision import _fixed, _from_fixed, _man_exp, short_of_precision
@@ -808,8 +811,10 @@ def curve_intersection(F: MultiPoly, G: MultiPoly) -> RootSet:
     the identity first, until one gives a clean elimination: after an
     integer shear S keeping (1:0:0) off both curves, one exact subresultant
     sequence in x0 of F(S x) and G(S x) at x2 = 1 gives the resultant R(β)
-    and the subresultants S_j, and :func:`_fiber_parts` splits each
-    squarefree factor of R (exact multiplicities) into parts whose fibers
+    and the subresultants S_j (:func:`_subresultants`: one univariate sequence
+    over ZZ at β = 2^K, 2^(K-2) exceeding the bound ‖F‖₁^deg G ‖G‖₁^deg F
+    of every β-coefficient), and :func:`_fiber_parts` splits each squarefree
+    factor of R (exact multiplicities) into parts whose fibers
     hold one point each, or the next projection is tried. The
     preconditioning passes of the ternary pipeline run the same half over
     the first three projections. The refinement (:func:`_refine`) finds the
@@ -836,20 +841,25 @@ class _ShearFailure(Exception):
 _X0, _BETA = sp.symbols("x0 beta")
 
 
-def _dehom(P: MultiPoly):
-    """P(x0, β, 1) as an integer sympy Poly in (x0, β), denominators cleared."""
-    d = {}
-    for (a, b, _), c in P.terms:
-        d[(a, b)] = d.get((a, b), 0) + sp.Rational(c)
-    return sp.Poly.from_dict(d, _X0, _BETA).clear_denoms(convert=True)[1]
+def _cleared(P: MultiPoly) -> list:
+    """The terms ((a, b), c) of P(x0, β, 1) times the lcm of its
+    denominators, integers."""
+    L = math.lcm(*(c.denominator for _, c in P.terms if isinstance(c, Fraction)))
+    return [((a, b), int(c * L)) for (a, b, _), c in P.terms]
 
 
-def _x0_coeffs(P) -> list:
-    """Coefficients of P(x0, β) in x0, ascending, as Polys in β."""
-    cs = [{} for _ in range(max(P.degree(_X0), 0) + 1)]
-    for (a, b), c in P.as_dict().items():
+def _x0_coeffs(P: MultiPoly) -> list:
+    """The coefficients in x0 of P(x0, β, 1), denominators cleared,
+    ascending, as Polys in β."""
+    cs = [{} for _ in range(P.degree_in(0) + 1)]
+    for (a, b), c in _cleared(P):
         cs[a][(b,)] = c
     return [sp.Poly.from_dict(d or {(0,): 0}, _BETA) for d in cs]
+
+
+def _derivative(cs, k) -> list:
+    """The k-th derivative in x0 of Σ cs[i] x0^i, as its coefficients."""
+    return [math.perm(i, k) * c for i, c in enumerate(cs)][k:]
 
 
 def _int_coeffs(p) -> list:
@@ -857,15 +867,57 @@ def _int_coeffs(p) -> list:
     return [int(c) for c in p.clear_denoms(convert=True)[1].primitive()[1].all_coeffs()]
 
 
-def _at(P, xi, h):
-    """P(ξ(β), β) modulo h(β), by Horner's rule in x0."""
+def _unpacked(n: int, K: int):
+    """The Poly in β whose coefficients are the signed base-2^K digits of
+    n, each in [-2^(K-1), 2^(K-1)): the inverse of evaluation at β = 2^K."""
+    digits, half, mask = [], 1 << (K - 1), (1 << K) - 1
+    while n:
+        d = ((n + half) & mask) - half
+        digits.append(d)
+        n = (n - d) >> K
+    return sp.Poly.new(DMP.from_list(digits[::-1], 0, ZZ), _BETA)
+
+
+def _subresultants(F: MultiPoly, G: MultiPoly, d1: int, d2: int) -> tuple:
+    """R(β) and the members of positive degree of the subresultant sequence
+    in x0 of F and G at x2 = 1, denominators cleared, of degrees d1 and d2
+    in x0: (R, levels), each level a member's coefficients, ascending in x0,
+    as Polys in β, the last member first; bit for bit sympy's bivariate
+    ``Poly.resultant(includePRS=True)``, from one univariate sequence over
+    ZZ on the coefficients packed at β = 2^K (Kronecker substitution).
+
+    β ↦ 2^K is a ring map: it commutes with the sequence's sums, products,
+    exact quotients and pseudo-remainders (unique in Z[x0] where the
+    divisor's leading coefficient stays nonzero), and keeps a polynomial in
+    β nonzero when its coefficients lie below 2^(K-1), so it keeps every
+    degree on which the sequence branches. Every member, scalar
+    subresultant and R is a minor of the Sylvester matrix, of at most d2
+    rows of F and d1 of G, so each β-coefficient is at most the product of
+    the rows' 1-norms, ‖F‖₁^d2 ‖G‖₁^d1 < 2^(K-2), ‖P‖₁ the sum of
+    |coefficients|: each is its own signed digit."""
+    Ft, Gt = _cleared(F), _cleared(G)
+    K = (sum(abs(c) for _, c in Ft) ** d2 * sum(abs(c) for _, c in Gt) ** d1).bit_length() + 2
+
+    def packed(terms, d):
+        cs = [0] * (d + 1)
+        for (a, b), c in terms:
+            cs[d - a] += c << (K * b)
+        return sp.Poly(cs, _X0, domain=ZZ)
+
+    R, prs = packed(Ft, d1).resultant(packed(Gt, d2), includePRS=True)
+    levels = [[_unpacked(c, K) for c in reversed(P.rep.to_list())] for P in reversed(prs[1:]) if P.degree() > 0]
+    return _unpacked(int(R), K), levels
+
+
+def _at(cs, xi, h):
+    """Σ cs[i](β) ξ(β)^i modulo h(β), by Horner's rule."""
     acc = sp.Poly(0, _BETA, domain=sp.QQ)
-    for c in reversed(_x0_coeffs(P)):
+    for c in reversed(cs):
         acc = (acc * xi + c).rem(h)
     return acc
 
 
-def _fiber_parts(f, mult, levels, Fd, Gd):
+def _fiber_parts(f, mult, levels, curves):
     """Split a squarefree factor f(β) of R, of multiplicity ``mult``, into
     (part, c, singular) by gcds with the leading coefficients c_j of
     ``levels``, S_j = Σ c_i(β) x0^i by degree, the last with a constant c_j:
@@ -873,19 +925,19 @@ def _fiber_parts(f, mult, levels, Fd, Gd):
     x0 = ξ = −c[j−1]/(j c[j]) (x0 = −a0/a1 for j = 1). For j ≥ 2 the exact
     congruence S_j ≡ c_j (x0 − ξ)^j modulo the part certifies it, or
     _ShearFailure is raised, and points singular on both curves are split
-    off by an exact gcd with the partials at ξ. A factor of multiplicity 1
+    off by an exact gcd with the partials at ξ of ``curves``, F and G as
+    :func:`_x0_coeffs` gives them. A factor of multiplicity 1
     is one part with c from S_1, and no gcd: as (1:0:0) lies off both
     curves, the order of a root β of R is the sum of the intersection
     multiplicities on the fiber x1 = β, so order 1 is one transversal point,
     smooth on both curves, where F(x0, β) and G(x0, β), with constant
     leading coefficients, have a gcd of degree 1: c_1(β) ≠ 0."""
     if mult == 1:
-        yield f, _x0_coeffs(levels[0]), False
+        yield f, levels[0], False
         return
-    for Sj in levels:
+    for c in levels:
         if f.degree() < 1:
             return
-        c = _x0_coeffs(Sj)
         j = len(c) - 1
         g = f.gcd(c[j])
         part, f = f.quo(g), g
@@ -898,14 +950,14 @@ def _fiber_parts(f, mult, levels, Fd, Gd):
         xi = (-c[j - 1] * (j * c[j]).invert(h)).rem(h)
         # S_j = c_j (x0 - xi)^j iff its derivatives of order < j - 1 vanish at
         # xi (the one of order j - 1 does, by the choice of xi)
-        if any(not _at(Sj.diff((_X0, k)) if k else Sj, xi, h).is_zero for k in range(j - 1)):
+        if any(not _at(_derivative(c, k), xi, h).is_zero for k in range(j - 1)):
             raise _ShearFailure("two intersection points on one fiber")
         # F = 0 at the point, so by Euler's identity the x2-partial vanishes
         # with the other two
         s = h
-        for P in (Fd, Gd):
-            for v in (_X0, _BETA):
-                s = s.gcd(_at(P.diff(v), xi, h))
+        for cs in curves:
+            for partial in (_derivative(cs, 1), [a.diff() for a in cs]):
+                s = s.gcd(_at(partial, xi, h))
         for sub, singular in ((h.quo(s), False), (s, True)):
             if sub.degree() > 0:
                 yield sub, c, singular
@@ -922,25 +974,25 @@ def _intersect_with_shear(F, G, S, d1, d2):
     """The exact half of the intersection of F and G from the projection S:
     (S, F(S x), G(S x), parts), one (part, k, c, singular) per part that
     :func:`_fiber_parts` splits from a squarefree factor, of multiplicity
-    k, of the resultant R(β) of F(S x) and G(S x) at x2 = 1 in x0. Raises
-    _ShearFailure where S gives no clean elimination."""
+    k, of the resultant R(β) of F(S x) and G(S x) at x2 = 1 in x0, which
+    with its subresultants comes from the one packed univariate sequence of
+    :func:`_subresultants`; the coefficients in x0 of F and G, for the
+    partials at ξ, are built only where a factor has multiplicity above 1.
+    Raises _ShearFailure where S gives no clean elimination."""
     if S != _PROJECTIONS[0]:
         F, G = substitute(F, S), substitute(G, S)
     if F.coeff((d1, 0, 0)) == 0 or G.coeff((d2, 0, 0)) == 0:
         raise _ShearFailure("projection center lies on a curve")
-    Fd, Gd = _dehom(F), _dehom(G)
-    # the last member of an abnormal sequence is not the resultant, so take
-    # both from one call
-    R, prs = Fd.resultant(Gd, includePRS=True)
+    R, levels = _subresultants(F, G, d1, d2)
     # with (1:0:0) off both curves each factor of each keeps its full degree
     # in x0, so the resultant vanishes exactly when the curves share a component
     if R.is_zero:
         raise CommonComponentError("curves share a common component")
     if R.degree() != d1 * d2:
         raise _ShearFailure("resultant dropped degree or has a root at infinity")
-    levels = [P for P in reversed(prs[1:]) if P.degree(_X0) > 0]
     _, factors = R.sqf_list()
-    return S, F, G, [(part, k, c, sing) for f, k in factors for part, c, sing in _fiber_parts(f, k, levels, Fd, Gd)]
+    curves = [_x0_coeffs(P) for P in (F, G)] if any(k > 1 for _, k in factors) else None
+    return S, F, G, [(part, k, c, sing) for f, k in factors for part, c, sing in _fiber_parts(f, k, levels, curves)]
 
 
 def _projected(F, G, projections):

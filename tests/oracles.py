@@ -626,3 +626,29 @@ def oracle_residual2(forms, point):
             re, im = re + a, im + b
         worst = max(worst, (re * re + im * im) / size ** P.total_degree())
     return worst / max(sum(Fraction(c) ** 2 for _, c in P.terms) for P in forms)
+
+
+def oracle_subresultants(f, g, x):
+    """The subresultants S_j, 0 <= j < min(deg f, deg g), of two
+    polynomials in ``x`` (sympy expressions, other symbols in their
+    coefficients) from their determinantal definition: S_j is the
+    determinant polynomial of the (m + n - 2j)-row Sylvester matrix of
+    x^(n-j-1) f, ..., f and x^(m-j-1) g, ..., g, m = deg f, n = deg g, and
+    its coefficient of x^i is the determinant of its first m + n - 2j - 1
+    columns and the column of x^i, by ``sympy.Matrix.det`` (Bareiss). Returns
+    {j: [coefficient of x^j, ..., of x^0]}, expanded expressions."""
+    import sympy as sp
+
+    a, b = (sp.Poly(p, x).all_coeffs() for p in (f, g))
+    m, n = len(a) - 1, len(b) - 1
+    out = {}
+    for j in range(min(m, n)):
+        width = m + n - j
+        rows = [[0] * k + a + [0] * (width - m - 1 - k) for k in range(n - j)]
+        rows += [[0] * k + b + [0] * (width - n - 1 - k) for k in range(m - j)]
+        r = len(rows)
+        out[j] = [
+            sp.expand(sp.Matrix([row[: r - 1] + [row[width - 1 - i]] for row in rows]).det(method="bareiss"))
+            for i in range(j, -1, -1)
+        ]
+    return out

@@ -878,6 +878,147 @@ class TestCurveIntersection:
             assert abs(oracle_evaluate(G, u)) < mp.mpf("1e-30")
 
 
+def _ternary(rnd, d, h=3, x0_term=True):
+    """A ternary form of degree d with coefficients drawn from [-h, h], its
+    x0^d coefficient nonzero or, without ``x0_term``, zero."""
+    exps = [e for e in itertools.product(range(d + 1), repeat=3) if sum(e) == d]
+    terms = {e: rnd.randint(-h, h) for e in exps}
+    terms[(d, 0, 0)] = rnd.choice([-1, 1]) * rnd.randint(1, h) if x0_term else 0
+    return MultiPoly.from_dict(3, terms)
+
+
+def _elimination_cases():
+    """Seeded pairs of ternary forms of degrees up to 3 x 4, by what their
+    elimination from the identity projection meets."""
+    rnd = random.Random(20261022)
+    F, G = _ternary(rnd, 3), _ternary(rnd, 4)
+    L, A, B = _ternary(rnd, 1), _ternary(rnd, 2), _ternary(rnd, 2)
+    half = MultiPoly.from_dict(3, {(0, 0, 0): Fraction(1, 2)})
+    signs = [rnd.choice([-1, 1]) for _ in range(25)]
+    h = 10**6
+    # T meets F with multiplicity 2 where the line L does
+    T = L * L * A + _ternary(rnd, 1) * F
+    while T.coeff((4, 0, 0)) == 0:
+        T = L * L * A + _ternary(rnd, 1) * F
+    return {
+        "generic": (F, G),
+        "common-component": (L * A, L * B * _ternary(rnd, 1)),
+        "tangent": (F, T),
+        # nodes at (0:0:1) with no common tangent: a point of multiplicity 4
+        # on a fiber where S_1 vanishes, split off by the partials at xi
+        "node-on-both": (poly("x0^2 x2 - x1^2 x2 + x0^3 + x1^3", 3), poly("x0^2 x2 + 2 x0 x1 x2 + 3 x1^2 x2 + 2 x0^3 - x1^3", 3)),
+        "center-on-a-curve": (_ternary(rnd, 3, x0_term=False), G),
+        "rational": (half * F + _ternary(rnd, 3), G),
+        # the 1-norm bound at its largest for the height
+        "all-coefficients-h": tuple(
+            MultiPoly.from_dict(3, {e: h * sg for e, sg in zip((e for e in itertools.product(range(d + 1), repeat=3) if sum(e) == d), signs)})
+            for d in (3, 4)
+        ),
+    }
+
+
+_ELIMINATION_CASES = _elimination_cases()
+
+
+def _dehom(P):
+    """P(x0, beta, 1) as an integer sympy Poly in (x0, beta), denominators
+    cleared by sympy."""
+    d = {(a, b): sp.Rational(c) for (a, b, _), c in P.terms}
+    return sp.Poly.from_dict(d, polyalg._X0, polyalg._BETA).clear_denoms(convert=True)[1]
+
+
+def _bivariate(F, G, d1, d2):
+    """R and the levels of :func:`polyalg._subresultants` from sympy's
+    bivariate subresultant sequence of the two Polys of _dehom: each
+    member's coefficients in x0, ascending, as Polys in beta."""
+    R, prs = _dehom(F).resultant(_dehom(G), includePRS=True)
+    x0, beta = polyalg._X0, polyalg._BETA
+    levels = [[sp.Poly(c, beta, domain=sp.ZZ) for c in reversed(sp.Poly(P.as_expr(), x0).all_coeffs())] for P in reversed(prs[1:])]
+    return R, [level for level in levels if len(level) > 1]
+
+
+def _x0_degrees(F, G):
+    return F.degree_in(0), G.degree_in(0)
+
+
+def _one_norm_bound(F, G):
+    """||F||_1^deg_x0(G) ||G||_1^deg_x0(F) on P(x0, beta, 1) with denominators
+    cleared."""
+    n1, n2 = (sum(abs(int(c)) for c in _dehom(P).coeffs()) for P in (F, G))
+    d1, d2 = _x0_degrees(F, G)
+    return n1**d2 * n2**d1
+
+
+def _outcome(F, G):
+    try:
+        return polyalg._intersect_with_shear(F, G, polyalg._PROJECTIONS[0], F.total_degree(), G.total_degree())
+    except (polyalg._ShearFailure, CommonComponentError) as exc:
+        return type(exc), str(exc)
+
+
+class TestPackedSubresultants:
+    """The univariate sequence at beta = 2^K gives sympy's bivariate one bit
+    for bit, and, up to sign, the determinantal subresultants."""
+
+    CASES = [*_ELIMINATION_CASES.items(), ("reference-quartic", (QUARTIC, hessian(QUARTIC)))]
+
+    @pytest.mark.parametrize("F, G", [pair for _, pair in CASES], ids=[name for name, _ in CASES])
+    def test_sequence_equals_the_bivariate_one(self, F, G):
+        R, levels = polyalg._subresultants(F, G, *_x0_degrees(F, G))
+        assert (R, levels) == _bivariate(F, G, *_x0_degrees(F, G))
+        bound = _one_norm_bound(F, G)
+        assert all(abs(int(v)) <= bound for P in [R, *(c for level in levels for c in level)] for v in P.coeffs())
+
+    @pytest.mark.parametrize("name", sorted(set(_ELIMINATION_CASES) - {"all-coefficients-h"}))
+    def test_sequence_equals_the_determinantal_subresultants(self, name):
+        from oracles import oracle_subresultants
+
+        F, G = _ELIMINATION_CASES[name]
+        d1, d2 = _x0_degrees(F, G)
+        R, levels = polyalg._subresultants(F, G, d1, d2)
+        S = oracle_subresultants(*(_dehom(P).as_expr() for P in (F, G)), polyalg._X0)
+        # the member after one of degree d is S_(d-1), also where it drops
+        # further (Brown's subresultant theorem), and R is S_0
+        members = [[c.as_expr() for c in reversed(level)] for level in reversed(levels)]
+        pairs = [(m, S[len(prev) - 2]) for prev, m in zip(members, members[1:])]
+        pairs.append(([R.as_expr()], S[0]))
+        for member, det in pairs:
+            member, det = (list(itertools.dropwhile(lambda v: v == 0, cs)) for cs in (member, det))
+            assert member == det or member == [-v for v in det]
+        assert R.is_zero == (name == "common-component")
+
+    @pytest.mark.parametrize("F, G", [pair for _, pair in CASES], ids=[name for name, _ in CASES])
+    def test_parts_equal_those_of_the_bivariate_sequence(self, F, G, monkeypatch):
+        packed = _outcome(F, G)
+        monkeypatch.setattr(polyalg, "_subresultants", _bivariate)
+        assert packed == _outcome(F, G)
+
+    def test_cases_reach_every_branch(self):
+        outcomes = {name: _outcome(*pair) for name, pair in _ELIMINATION_CASES.items()}
+        assert outcomes["common-component"] == (CommonComponentError, "curves share a common component")
+        assert outcomes["center-on-a-curve"] == (polyalg._ShearFailure, "projection center lies on a curve")
+        assert any(k > 1 for _, k, _, _ in outcomes["tangent"][3])
+        assert [(k, len(c), sing) for _, k, c, sing in outcomes["node-on-both"][3] if sing] == [(4, 3, True)]
+        for name in ("generic", "rational", "all-coefficients-h"):
+            assert all(k == 1 for _, k, _, _ in outcomes[name][3])
+        assert any(isinstance(c, Fraction) for _, c in _ELIMINATION_CASES["rational"][0].terms)
+
+    @pytest.mark.parametrize("K", [2, 3, 64, 540])
+    def test_digits_round_trip(self, K):
+        top = 2 ** (K - 1) - 1
+        # extreme digits, zero digits inside and at the top, the zero polynomial
+        for digits in ([top, -top, top], [-top, top, -top, 0, -top], [top, 0, 0, -top], [1, 0, 0], [0, -1], []):
+            n = sum(d << (K * i) for i, d in enumerate(digits))
+            assert polyalg._unpacked(n, K) == sp.Poly(digits[::-1] or [0], polyalg._BETA, domain=sp.ZZ)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(2, 300).flatmap(lambda K: st.tuples(st.just(K), st.lists(st.integers(-(2 ** (K - 1)) + 1, 2 ** (K - 1) - 1), max_size=30))))
+    def test_random_digits_round_trip(self, case):
+        K, digits = case
+        n = sum(d << (K * i) for i, d in enumerate(digits))
+        assert polyalg._unpacked(n, K) == sp.Poly(digits[::-1] or [0], polyalg._BETA, domain=sp.ZZ)
+
+
 def _hessian_resultant(F):
     """Descending integer coefficients of the squarefree part of the degree-24
     resultant in x0 of a ternary quartic and its Hessian."""
